@@ -81,7 +81,7 @@ def main() -> None:
 
     backends = [("pure-python", _pykernels)]
     if _ckernels is not None:
-        backends.append(("cython", _ckernels))
+        backends.append(("c", _ckernels))
     else:
         print("compiled backend not built; timing the pure backend only\n")
 
@@ -98,7 +98,7 @@ def main() -> None:
 
     if len(results) == 2:
         p = results["pure-python"]
-        c = results["cython"]
+        c = results["c"]
         print(
             f"{'speedup':<14} {p[0] / c[0]:>14.1f}x {p[1] / c[1]:>13.1f}x "
             f"{c[2] / p[2]:>12.1f}x {p[3] / c[3]:>12.1f}x"

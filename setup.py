@@ -1,25 +1,18 @@
 """Build script: compiles the hot-loop kernels as a C extension.
 
-The extension is optional; if Cython (or a C compiler) is unavailable the
+The extension is optional; without a C compiler the build skips it and the
 package falls back to the pure-Python kernels at import time.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "dualsim.kernels._ckernels",
-                ["src/dualsim/kernels/_ckernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "dualsim.kernels._ckernels",
+            ["src/dualsim/kernels/_ckernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -1,8 +1,9 @@
 """Command-line interface: ``dualsim run | compare | list-scenarios``.
 
 Runs are described by a JSON config document and/or flags (flags win).  Every
-run writes a manifest recording all resolved inputs and seeds; re-running
-from a manifest reproduces the output files byte for byte.
+run writes a manifest recording all resolved inputs, the seeds and the kernel
+backend; re-running from a manifest on the same backend reproduces the output
+files byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 engine error, 4 I/O error.
 Nothing is written on a nonzero exit except diagnostics on stderr.
@@ -238,7 +239,7 @@ def _run_sds(spec: RunSpec, model) -> Trajectory:
     return integrate(model, _initial_state(spec), cfg)
 
 
-def _run_abs(spec: RunSpec, model) -> Ensemble:
+def _run_abs(spec: RunSpec, model, grid: np.ndarray) -> Ensemble:
     channels = kuznetsov_channels(model) if spec.model == "kuznetsov" else growth_channels(model)
     ens_spec = EnsembleSpec(
         channels=channels,
@@ -249,7 +250,7 @@ def _run_abs(spec: RunSpec, model) -> Ensemble:
         method=spec.method,
         dt=spec.dt if spec.method == "tau" else None,
     )
-    return run_ensemble(ens_spec, reps=spec.reps, base_seed=spec.seed)
+    return run_ensemble(ens_spec, reps=spec.reps, base_seed=spec.seed, grid=grid)
 
 
 def _num(v: float) -> str:
@@ -300,6 +301,7 @@ def _json_doc(obj: dict) -> str:
 def _manifest(spec: RunSpec, outputs: list[str], results: dict) -> str:
     doc = {
         "format": "dualsim-manifest/1",
+        "backend": kernels.BACKEND_NAME,
         "run_spec": asdict(spec),
         "replicate_seeds": (
             [spec.seed + i for i in range(spec.reps)] if spec.paradigm in ("abs", "both") else []
@@ -365,7 +367,7 @@ def cmd_run(spec: RunSpec) -> list[Path]:
             plot_curves += _plot_curves(series, prefix="sds ")
             plot_times = grid
     if spec.paradigm in ("abs", "both"):
-        ens = _run_abs(spec, model)
+        ens = _run_abs(spec, model, grid)
         outputs["abs_ensemble.csv"] = _ensemble_csv(ens, grid)
         results["abs_terminations"] = sorted(
             {rep.termination.value for rep in ens.replicates}
@@ -396,7 +398,7 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
             f"deterministic run terminated early ({traj.termination.value} at t={traj.end_time:g}); "
             "cannot compare on the requested grid"
         )
-    ens = _run_abs(spec, model)
+    ens = _run_abs(spec, model, grid)
     report = stats.compare(
         traj,
         ens,

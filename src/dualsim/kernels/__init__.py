@@ -1,11 +1,14 @@
 """Hot-loop kernels with a compiled core and a pure-Python fallback.
 
-The compiled extension (``_ckernels``, Cython) and the pure-Python module
+The compiled extension (``_ckernels``, built by ``setup.py`` from the
+hand-written C99 source ``_ckernels.c``) and the pure-Python module
 (``_pykernels``) implement the same five entry points with identical
 signatures, sampling contracts and status codes; which one backs the package
-is decided once, at import time.  Set the environment variable
-``DUALSIM_FORCE_PURE`` to any non-empty value to skip the extension (useful
-for benchmarking and for exercising the fallback in tests).
+is decided once, at import time.  The extension is optional: a build without
+a C compiler skips it and the package runs on the pure-Python kernels.  Set
+the environment variable ``DUALSIM_FORCE_PURE`` to any non-empty value to
+skip the extension (useful for benchmarking and for exercising the fallback
+in tests).
 
 Per-seed reproducibility is guaranteed within a backend, not across the two:
 the compiled backend draws from xoshiro256** seeded via splitmix64, the pure
@@ -22,7 +25,7 @@ else:
     try:
         from . import _ckernels as backend  # type: ignore[no-redef]
 
-        BACKEND_NAME = "cython"
+        BACKEND_NAME = "c"
     except ImportError:
         from . import _pykernels as backend  # type: ignore[no-redef]
 

@@ -1,17224 +1,696 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "dualsim.kernels._ckernels",
-        "sources": [
-            "src/dualsim/kernels/_ckernels.pyx"
-        ]
-    },
-    "module_name": "dualsim.kernels._ckernels"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__dualsim__kernels___ckernels
-#define __PYX_HAVE_API__dualsim__kernels___ckernels
-/* Early includes */
-#include <string.h>
-#include <stdio.h>
-
-    #if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE PyObject *
-    __Pyx_CAPI_PyList_GetItemRef(PyObject *list, Py_ssize_t index)
-    {
-        PyObject *item = PyList_GetItem(list, index);
-        Py_XINCREF(item);
-        return item;
-    }
-    #else
-    #define __Pyx_CAPI_PyList_GetItemRef PyList_GetItemRef
-    #endif
-
-    #if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyList_Extend(PyObject *list, PyObject *iterable)
-    {
-        return PyList_SetSlice(list, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, iterable);
-    }
-
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyList_Clear(PyObject *list)
-    {
-        return PyList_SetSlice(list, 0, PY_SSIZE_T_MAX, NULL);
-    }
-    #else
-    #define __Pyx_CAPI_PyList_Extend PyList_Extend
-    #define __Pyx_CAPI_PyList_Clear PyList_Clear
-    #endif
-    
-
-    #if PY_MAJOR_VERSION >= 3
-      #define __Pyx_PyFloat_FromString(obj)  PyFloat_FromString(obj)
-    #else
-      #define __Pyx_PyFloat_FromString(obj)  PyFloat_FromString(obj, NULL)
-    #endif
-    
-#include <stddef.h>
-
-    #if PY_MAJOR_VERSION <= 2
-    #define PyDict_GetItemWithError _PyDict_GetItemWithError
-    #endif
-
-    #if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyDict_GetItemStringRef(PyObject *mp, const char *key, PyObject **result)
-    {
-        int res;
-        PyObject *key_obj = PyUnicode_FromString(key);
-        if (key_obj == NULL) {
-            *result = NULL;
-            return -1;
-        }
-        res = __Pyx_PyDict_GetItemRef(mp, key_obj, result);
-        Py_DECREF(key_obj);
-        return res;
-    }
-    #else
-    #define __Pyx_CAPI_PyDict_GetItemStringRef PyDict_GetItemStringRef
-    #endif
-    #if PY_VERSION_HEX < 0x030d0000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030F0000)
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyDict_SetDefaultRef(PyObject *d, PyObject *key, PyObject *default_value,
-                        PyObject **result)
-    {
-        PyObject *value;
-        if (__Pyx_PyDict_GetItemRef(d, key, &value) < 0) {
-            // get error
-            if (result) {
-                *result = NULL;
-            }
-            return -1;
-        }
-        if (value != NULL) {
-            // present
-            if (result) {
-                *result = value;
-            }
-            else {
-                Py_DECREF(value);
-            }
-            return 1;
-        }
-
-        // missing: set the item
-        if (PyDict_SetItem(d, key, default_value) < 0) {
-            // set error
-            if (result) {
-                *result = NULL;
-            }
-            return -1;
-        }
-        if (result) {
-            Py_INCREF(default_value);
-            *result = default_value;
-        }
-        return 0;
-    }
-    #else
-    #define __Pyx_CAPI_PyDict_SetDefaultRef PyDict_SetDefaultRef
-    #endif
-    
-
-    #if PY_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int __Pyx_PyWeakref_GetRef(PyObject *ref, PyObject **pobj)
-    {
-        PyObject *obj = PyWeakref_GetObject(ref);
-        if (obj == NULL) {
-            // SystemError if ref is NULL
-            *pobj = NULL;
-            return -1;
-        }
-        if (obj == Py_None) {
-            *pobj = NULL;
-            return 0;
-        }
-        Py_INCREF(obj);
-        *pobj = obj;
-        return 1;
-    }
-    #else
-    #define __Pyx_PyWeakref_GetRef PyWeakref_GetRef
-    #endif
-    
-#include "pythread.h"
-
-    #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM < 0x07030600) && !defined(PyContextVar_Get)
-    #define PyContextVar_Get(var, d, v)         ((d) ?             ((void)(var), Py_INCREF(d), (v)[0] = (d), 0) :             ((v)[0] = NULL, 0)         )
-    #endif
-    
-
-    #if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API
-    #ifdef _MSC_VER
-    #pragma message ("This module uses CPython specific internals of 'array.array', which are not available in PyPy or the limited API.")
-    #else
-    #warning This module uses CPython specific internals of 'array.array', which are not available in PyPy or the limited API.
-    #endif
-    #endif
-    
-#include <math.h>
-#include <stdint.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/dualsim/kernels/_ckernels.pyx",
-  "cpython/contextvars.pxd",
-  "array.pxd",
-  "cpython/type.pxd",
-  "cpython/bool.pxd",
-  "cpython/complex.pxd",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-#ifndef _ARRAYARRAY_H
-struct arrayobject;
-typedef struct arrayobject arrayobject;
-#endif
-struct __pyx_opt_args_7cpython_11contextvars_get_value;
-struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default;
-
-/* "cpython/contextvars.pxd":116
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the default value of the context variable,
-*/
-struct __pyx_opt_args_7cpython_11contextvars_get_value {
-  int __pyx_n;
-  PyObject *default_value;
-};
-
-/* "cpython/contextvars.pxd":134
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value_no_default(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the provided default value if no such value was found.
-*/
-struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default {
-  int __pyx_n;
-  PyObject *default_value;
-};
-struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf;
-
-/* "dualsim/kernels/_ckernels.pyx":91
- * # --------------------------------------------------------------------------
- * 
- * cdef struct DBuf:             # <<<<<<<<<<<<<<
- *     double* data
- *     Py_ssize_t n
-*/
-struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf {
-  double *data;
-  Py_ssize_t n;
-  Py_ssize_t cap;
-};
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStr.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* ExtTypeTest.proto */
-static CYTHON_INLINE int __Pyx_TypeTest(PyObject *obj, PyTypeObject *type);
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* BuildPyUnicode.proto (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char);
-
-/* COrdinalToPyUnicode.proto (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value);
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t width, char padding_char);
-
-/* GCCDiagnostics.proto (used by CIntToPyUnicode) */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* IncludeStdlibH.proto (used by CIntToPyUnicode) */
-#include <stdlib.h>
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_int(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_int(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_int(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* JoinPyUnicode.export */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char);
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* TypeImport.proto */
-#ifndef __PYX_HAVE_RT_ImportType_proto_3_2_8
-#define __PYX_HAVE_RT_ImportType_proto_3_2_8
-#if defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L
-#include <stdalign.h>
-#endif
-#if (defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L) || __cplusplus >= 201103L
-#define __PYX_GET_STRUCT_ALIGNMENT_3_2_8(s) alignof(s)
-#else
-#define __PYX_GET_STRUCT_ALIGNMENT_3_2_8(s) sizeof(void*)
-#endif
-enum __Pyx_ImportType_CheckSize_3_2_8 {
-   __Pyx_ImportType_CheckSize_Error_3_2_8 = 0,
-   __Pyx_ImportType_CheckSize_Warn_3_2_8 = 1,
-   __Pyx_ImportType_CheckSize_Ignore_3_2_8 = 2
-};
-static PyTypeObject *__Pyx_ImportType_3_2_8(PyObject* module, const char *module_name, const char *class_name, size_t size, size_t alignment, enum __Pyx_ImportType_CheckSize_3_2_8 check_size);
-#endif
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* ArrayAPI.proto */
-#ifndef _ARRAYARRAY_H
-#define _ARRAYARRAY_H
-typedef struct arraydescr {
-    union {
-        char typecode_char;  // pre-3.15
-        char typecode_array[3]; // post-3.15
-    };
-    int itemsize;
-    PyObject * (*getitem)(struct arrayobject *, Py_ssize_t);
-    int (*setitem)(struct arrayobject *, Py_ssize_t, PyObject *);
-#if PY_VERSION_HEX <= 0x030F00a8
-    char *formats;
-#endif
-} arraydescr;
-typedef union {
-    char *ob_item;
-    float *as_floats;
-    double *as_doubles;
-    int *as_ints;
-    unsigned int *as_uints;
-    unsigned char *as_uchars;
-    signed char *as_schars;
-    char *as_chars;
-    unsigned long *as_ulongs;
-    long *as_longs;
-    unsigned long long *as_ulonglongs;
-    long long *as_longlongs;
-    short *as_shorts;
-    unsigned short *as_ushorts;
-    #if PY_VERSION_HEX >= 0x030d0000
-    Py_DEPRECATED(3.13)
-    #endif
-        wchar_t *as_pyunicodes;
-    void *as_voidptr;
-} __Pyx_data_union;
-struct arrayobject {
-    PyObject_HEAD
-    Py_ssize_t ob_size;
-    __Pyx_data_union data;
-    Py_ssize_t allocated;
-    struct arraydescr *ob_descr;
-    PyObject *weakreflist;
-    int ob_exports;
-};
-#ifndef NO_NEWARRAY_INLINE
-static CYTHON_INLINE PyObject * newarrayobject(PyTypeObject *type, Py_ssize_t size,
-    struct arraydescr *descr) {
-    arrayobject *op;
-    size_t nbytes;
-    if (size < 0) {
-        PyErr_BadInternalCall();
-        return NULL;
-    }
-    nbytes = size * descr->itemsize;
-    if (nbytes / descr->itemsize != (size_t)size) {
-        return PyErr_NoMemory();
-    }
-    op = (arrayobject *) type->tp_alloc(type, 0);
-    if (op == NULL) {
-        return NULL;
-    }
-    op->ob_descr = descr;
-    op->allocated = size;
-    op->weakreflist = NULL;
-    __Pyx_SET_SIZE(op, size);
-    if (size <= 0) {
-        op->data.ob_item = NULL;
-    }
-    else {
-        op->data.ob_item = PyMem_NEW(char, nbytes);
-        if (op->data.ob_item == NULL) {
-            Py_DECREF(op);
-            return PyErr_NoMemory();
-        }
-    }
-    return (PyObject *) op;
-}
-#else
-PyObject* newarrayobject(PyTypeObject *type, Py_ssize_t size,
-    struct arraydescr *descr);
-#endif
-static CYTHON_INLINE __Pyx_data_union __Pyx_PyArray_Data(arrayobject *self) {
-#if CYTHON_COMPILING_IN_GRAAL
-    __Pyx_data_union data;
-    data.ob_item = GraalPyArray_Data((PyObject*)self);
-    return data;
-#else
-    return self->data;
-#endif
-}
-static CYTHON_INLINE int resize(arrayobject *self, Py_ssize_t n) {
-#if CYTHON_COMPILING_IN_GRAAL
-    return GraalPyArray_Resize((PyObject*)self, n);
-#else
-    void *items = (void*) self->data.ob_item;
-    PyMem_Resize(items, char, (size_t)(n * self->ob_descr->itemsize));
-    if (items == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->data.ob_item = (char*) items;
-    __Pyx_SET_SIZE(self, n);
-    self->allocated = n;
-    return 0;
-#endif
-}
-static CYTHON_INLINE int resize_smart(arrayobject *self, Py_ssize_t n) {
-#if CYTHON_COMPILING_IN_GRAAL
-    return GraalPyArray_Resize((PyObject*)self, n);
-#else
-    void *items = (void*) self->data.ob_item;
-    Py_ssize_t newsize;
-    if (n < self->allocated && n*4 > self->allocated) {
-        __Pyx_SET_SIZE(self, n);
-        return 0;
-    }
-    newsize = n + (n / 2) + 1;
-    if (newsize <= n) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    PyMem_Resize(items, char, (size_t)(newsize * self->ob_descr->itemsize));
-    if (items == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->data.ob_item = (char*) items;
-    __Pyx_SET_SIZE(self, n);
-    self->allocated = newsize;
-    return 0;
-#endif
-}
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE uint64_t __Pyx_PyLong_As_uint64_t(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4real_real(PyComplexObject *__pyx_v_self); /* proto*/
-#endif
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4imag_imag(PyComplexObject *__pyx_v_self); /* proto*/
-#endif
-static CYTHON_INLINE __Pyx_data_union __pyx_f_7cpython_5array_5array_4data_data(arrayobject *__pyx_v_self); /* proto*/
-
-/* Module declarations from "cpython.version" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.type" */
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdio" */
-
-/* Module declarations from "cpython.object" */
-
-/* Module declarations from "cpython.ref" */
-
-/* Module declarations from "cpython.exc" */
-
-/* Module declarations from "cpython.module" */
-
-/* Module declarations from "cpython.mem" */
-
-/* Module declarations from "cpython.tuple" */
-
-/* Module declarations from "cpython.list" */
-
-/* Module declarations from "cpython.sequence" */
-
-/* Module declarations from "cpython.mapping" */
-
-/* Module declarations from "cpython.iterator" */
-
-/* Module declarations from "cpython.number" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.bool" */
-
-/* Module declarations from "cpython.long" */
-
-/* Module declarations from "cpython.float" */
-
-/* Module declarations from "cython" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.complex" */
-
-/* Module declarations from "libc.stddef" */
-
-/* Module declarations from "cpython.unicode" */
-
-/* Module declarations from "cpython.pyport" */
-
-/* Module declarations from "cpython.dict" */
-
-/* Module declarations from "cpython.instance" */
-
-/* Module declarations from "cpython.function" */
-
-/* Module declarations from "cpython.method" */
-
-/* Module declarations from "cpython.weakref" */
-
-/* Module declarations from "cpython.getargs" */
-
-/* Module declarations from "cpython.pythread" */
-
-/* Module declarations from "cpython.pystate" */
-
-/* Module declarations from "cpython.set" */
-
-/* Module declarations from "cpython.buffer" */
-
-/* Module declarations from "cpython.bytes" */
-
-/* Module declarations from "cpython.pycapsule" */
-
-/* Module declarations from "cpython.contextvars" */
-
-/* Module declarations from "cpython" */
-
-/* Module declarations from "array" */
-
-/* Module declarations from "cpython.array" */
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend_buffer(arrayobject *, char *, Py_ssize_t); /*proto*/
-
-/* Module declarations from "libc.math" */
-
-/* Module declarations from "libc.stdint" */
-
-/* Module declarations from "dualsim.kernels._ckernels" */
-static double __pyx_v_7dualsim_7kernels_9_ckernels__REL_UNDERSHOOT_TOL;
-static int __pyx_v_7dualsim_7kernels_9_ckernels__MAX_HALVINGS;
-static int __pyx_v_7dualsim_7kernels_9_ckernels__MAX_CHANNELS;
-static CYTHON_INLINE uint64_t __pyx_f_7dualsim_7kernels_9_ckernels__rotl(uint64_t, int); /*proto*/
-static CYTHON_INLINE uint64_t __pyx_f_7dualsim_7kernels_9_ckernels__sm64(uint64_t *); /*proto*/
-static CYTHON_INLINE void __pyx_f_7dualsim_7kernels_9_ckernels__seed_state(uint64_t *, uint64_t); /*proto*/
-static CYTHON_INLINE uint64_t __pyx_f_7dualsim_7kernels_9_ckernels__next(uint64_t *); /*proto*/
-static CYTHON_INLINE double __pyx_f_7dualsim_7kernels_9_ckernels__rnd(uint64_t *); /*proto*/
-static CYTHON_INLINE long __pyx_f_7dualsim_7kernels_9_ckernels__poisson(uint64_t *, double); /*proto*/
-static CYTHON_INLINE uint64_t __pyx_f_7dualsim_7kernels_9_ckernels__as_u64(PyObject *); /*proto*/
-static CYTHON_INLINE int __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init(struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf *, Py_ssize_t); /*proto*/
-static CYTHON_INLINE int __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push(struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf *, double); /*proto*/
-static PyObject *__pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take(struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf *); /*proto*/
-static CYTHON_INLINE double __pyx_f_7dualsim_7kernels_9_ckernels__powfast(double, double); /*proto*/
-static CYTHON_INLINE double __pyx_f_7dualsim_7kernels_9_ckernels__f_growth(int, double, double, double, double, double); /*proto*/
-static CYTHON_INLINE double __pyx_f_7dualsim_7kernels_9_ckernels__channel_rate(int, double, double, double, double, double); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "dualsim.kernels._ckernels"
-extern int __pyx_module_is_main_dualsim__kernels___ckernels;
-int __pyx_module_is_main_dualsim__kernels___ckernels = 0;
-
-/* Implementation of "dualsim.kernels._ckernels" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_simulation_kernels_Cyth[] = "Compiled simulation kernels (Cython twin of ``_pykernels``).\n\nSignatures, sampling contracts and status codes match the pure-Python\nbackend exactly; see that module's docstring for the codes.  This backend\ndraws randomness from xoshiro256** seeded via splitmix64, so event streams\nare reproducible per seed but differ from the pure backend's streams.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_rk4_growth(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_kind, double __pyx_v_a, double __pyx_v_b, double __pyx_v_alpha, double __pyx_v_beta, double __pyx_v_T0, double __pyx_v_dt, double __pyx_v_t_end, double __pyx_v_sample_every, double __pyx_v_blowup); /* proto */
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_2rk4_kuznetsov(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_g, double __pyx_v_m, double __pyx_v_n, double __pyx_v_p, double __pyx_v_d, double __pyx_v_s, double __pyx_v_T0, double __pyx_v_E0, double __pyx_v_dt, double __pyx_v_t_end, double __pyx_v_sample_every, double __pyx_v_blowup); /* proto */
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_4ssa(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_codes, PyObject *__pyx_v_coefs, PyObject *__pyx_v_expos, PyObject *__pyx_v_sats, PyObject *__pyx_v_d_t, PyObject *__pyx_v_d_e, CYTHON_UNUSED int __pyx_v_two_species, double __pyx_v_T0, double __pyx_v_E0, double __pyx_v_t_end, PyObject *__pyx_v_seed, double __pyx_v_floor_t, double __pyx_v_floor_e, double __pyx_v_cap, long __pyx_v_max_events); /* proto */
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_6ssa_frozen(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_birth_c, double __pyx_v_birth_e, int __pyx_v_death_log, double __pyx_v_death_c, double __pyx_v_death_e, double __pyx_v_T0, double __pyx_v_t_end, PyObject *__pyx_v_seed, double __pyx_v_floor_t, double __pyx_v_cap, long __pyx_v_max_events); /* proto */
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_8tau_leap(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_codes, PyObject *__pyx_v_coefs, PyObject *__pyx_v_expos, PyObject *__pyx_v_sats, PyObject *__pyx_v_d_t, PyObject *__pyx_v_d_e, CYTHON_UNUSED int __pyx_v_two_species, double __pyx_v_T0, double __pyx_v_E0, double __pyx_v_t_end, double __pyx_v_dt, PyObject *__pyx_v_seed, double __pyx_v_floor_t, double __pyx_v_floor_e, double __pyx_v_cap); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyTypeObject *__pyx_ptype_7cpython_4type_type;
-  PyTypeObject *__pyx_ptype_7cpython_4bool_bool;
-  PyTypeObject *__pyx_ptype_7cpython_7complex_complex;
-  PyTypeObject *__pyx_ptype_7cpython_5array_array;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_codeobj_tab[5];
-  PyObject *__pyx_string_tab[133];
-  PyObject *__pyx_number_tab[2];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_at_most __pyx_string_tab[1]
-#define __pyx_kp_u_channels_supported_got __pyx_string_tab[2]
-#define __pyx_kp_u_src_dualsim_kernels__ckernels_py __pyx_string_tab[3]
-#define __pyx_n_u_B __pyx_string_tab[4]
-#define __pyx_n_u_D __pyx_string_tab[5]
-#define __pyx_n_u_E __pyx_string_tab[6]
-#define __pyx_n_u_E0 __pyx_string_tab[7]
-#define __pyx_n_u_E2 __pyx_string_tab[8]
-#define __pyx_n_u_E3 __pyx_string_tab[9]
-#define __pyx_n_u_E4 __pyx_string_tab[10]
-#define __pyx_n_u_En __pyx_string_tab[11]
-#define __pyx_n_u_Es __pyx_string_tab[12]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[13]
-#define __pyx_n_u_R __pyx_string_tab[14]
-#define __pyx_n_u_T __pyx_string_tab[15]
-#define __pyx_n_u_T0 __pyx_string_tab[16]
-#define __pyx_n_u_T2 __pyx_string_tab[17]
-#define __pyx_n_u_T3 __pyx_string_tab[18]
-#define __pyx_n_u_T4 __pyx_string_tab[19]
-#define __pyx_n_u_Tn __pyx_string_tab[20]
-#define __pyx_n_u_Ts __pyx_string_tab[21]
-#define __pyx_n_u_a __pyx_string_tab[22]
-#define __pyx_n_u_acc __pyx_string_tab[23]
-#define __pyx_n_u_alpha __pyx_string_tab[24]
-#define __pyx_n_u_annotate __pyx_string_tab[25]
-#define __pyx_n_u_array __pyx_string_tab[26]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[27]
-#define __pyx_n_u_b __pyx_string_tab[28]
-#define __pyx_n_u_beta __pyx_string_tab[29]
-#define __pyx_n_u_birth_c __pyx_string_tab[30]
-#define __pyx_n_u_birth_e __pyx_string_tab[31]
-#define __pyx_n_u_blowup __pyx_string_tab[32]
-#define __pyx_n_u_cap __pyx_string_tab[33]
-#define __pyx_n_u_ccap __pyx_string_tab[34]
-#define __pyx_n_u_ccode __pyx_string_tab[35]
-#define __pyx_n_u_ccoef __pyx_string_tab[36]
-#define __pyx_n_u_ccounts __pyx_string_tab[37]
-#define __pyx_n_u_cde __pyx_string_tab[38]
-#define __pyx_n_u_cdt __pyx_string_tab[39]
-#define __pyx_n_u_cexpo __pyx_string_tab[40]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[41]
-#define __pyx_n_u_codes __pyx_string_tab[42]
-#define __pyx_n_u_coefs __pyx_string_tab[43]
-#define __pyx_n_u_crates __pyx_string_tab[44]
-#define __pyx_n_u_csat __pyx_string_tab[45]
-#define __pyx_n_u_d __pyx_string_tab[46]
-#define __pyx_n_u_d_e __pyx_string_tab[47]
-#define __pyx_n_u_d_t __pyx_string_tab[48]
-#define __pyx_n_u_death_c __pyx_string_tab[49]
-#define __pyx_n_u_death_e __pyx_string_tab[50]
-#define __pyx_n_u_death_log __pyx_string_tab[51]
-#define __pyx_n_u_dnew __pyx_string_tab[52]
-#define __pyx_n_u_dt __pyx_string_tab[53]
-#define __pyx_n_u_dualsim_kernels__ckernels __pyx_string_tab[54]
-#define __pyx_n_u_ea __pyx_string_tab[55]
-#define __pyx_n_u_eb __pyx_string_tab[56]
-#define __pyx_n_u_expos __pyx_string_tab[57]
-#define __pyx_n_u_extra __pyx_string_tab[58]
-#define __pyx_n_u_floor_e __pyx_string_tab[59]
-#define __pyx_n_u_floor_t __pyx_string_tab[60]
-#define __pyx_n_u_func __pyx_string_tab[61]
-#define __pyx_n_u_g __pyx_string_tab[62]
-#define __pyx_n_u_h __pyx_string_tab[63]
-#define __pyx_n_u_halvings __pyx_string_tab[64]
-#define __pyx_n_u_i __pyx_string_tab[65]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[66]
-#define __pyx_n_u_items __pyx_string_tab[67]
-#define __pyx_n_u_k __pyx_string_tab[68]
-#define __pyx_n_u_k1 __pyx_string_tab[69]
-#define __pyx_n_u_k2 __pyx_string_tab[70]
-#define __pyx_n_u_k3 __pyx_string_tab[71]
-#define __pyx_n_u_k4 __pyx_string_tab[72]
-#define __pyx_n_u_kE1 __pyx_string_tab[73]
-#define __pyx_n_u_kE2 __pyx_string_tab[74]
-#define __pyx_n_u_kE3 __pyx_string_tab[75]
-#define __pyx_n_u_kE4 __pyx_string_tab[76]
-#define __pyx_n_u_kT1 __pyx_string_tab[77]
-#define __pyx_n_u_kT2 __pyx_string_tab[78]
-#define __pyx_n_u_kT3 __pyx_string_tab[79]
-#define __pyx_n_u_kT4 __pyx_string_tab[80]
-#define __pyx_n_u_kind __pyx_string_tab[81]
-#define __pyx_n_u_kk __pyx_string_tab[82]
-#define __pyx_n_u_lam __pyx_string_tab[83]
-#define __pyx_n_u_m __pyx_string_tab[84]
-#define __pyx_n_u_main __pyx_string_tab[85]
-#define __pyx_n_u_max_events __pyx_string_tab[86]
-#define __pyx_n_u_module __pyx_string_tab[87]
-#define __pyx_n_u_n __pyx_string_tab[88]
-#define __pyx_n_u_nE __pyx_string_tab[89]
-#define __pyx_n_u_nT __pyx_string_tab[90]
-#define __pyx_n_u_name __pyx_string_tab[91]
-#define __pyx_n_u_nch __pyx_string_tab[92]
-#define __pyx_n_u_ncoh __pyx_string_tab[93]
-#define __pyx_n_u_nev __pyx_string_tab[94]
-#define __pyx_n_u_ngrid __pyx_string_tab[95]
-#define __pyx_n_u_ntargets __pyx_string_tab[96]
-#define __pyx_n_u_p __pyx_string_tab[97]
-#define __pyx_n_u_pick __pyx_string_tab[98]
-#define __pyx_n_u_pop __pyx_string_tab[99]
-#define __pyx_n_u_pyarray __pyx_string_tab[100]
-#define __pyx_n_u_qualname __pyx_string_tab[101]
-#define __pyx_n_u_r __pyx_string_tab[102]
-#define __pyx_n_u_rates __pyx_string_tab[103]
-#define __pyx_n_u_rk4_growth __pyx_string_tab[104]
-#define __pyx_n_u_rk4_kuznetsov __pyx_string_tab[105]
-#define __pyx_n_u_rs __pyx_string_tab[106]
-#define __pyx_n_u_s __pyx_string_tab[107]
-#define __pyx_n_u_sample_every __pyx_string_tab[108]
-#define __pyx_n_u_sats __pyx_string_tab[109]
-#define __pyx_n_u_seed __pyx_string_tab[110]
-#define __pyx_n_u_set_name __pyx_string_tab[111]
-#define __pyx_n_u_setdefault __pyx_string_tab[112]
-#define __pyx_n_u_ssa __pyx_string_tab[113]
-#define __pyx_n_u_ssa_frozen __pyx_string_tab[114]
-#define __pyx_n_u_status __pyx_string_tab[115]
-#define __pyx_n_u_t __pyx_string_tab[116]
-#define __pyx_n_u_t_end __pyx_string_tab[117]
-#define __pyx_n_u_target __pyx_string_tab[118]
-#define __pyx_n_u_tau_leap __pyx_string_tab[119]
-#define __pyx_n_u_test __pyx_string_tab[120]
-#define __pyx_n_u_times __pyx_string_tab[121]
-#define __pyx_n_u_tol __pyx_string_tab[122]
-#define __pyx_n_u_tolE __pyx_string_tab[123]
-#define __pyx_n_u_tolT __pyx_string_tab[124]
-#define __pyx_n_u_two_species __pyx_string_tab[125]
-#define __pyx_n_u_u __pyx_string_tab[126]
-#define __pyx_n_u_values __pyx_string_tab[127]
-#define __pyx_kp_b_iso88591_3aq_t2Q_j_1_K1A_U_1_Qe5_Qe5_Qe5 __pyx_string_tab[128]
-#define __pyx_kp_b_iso88591_3aq_t2Q_j_1_K1A_U_1_Qe5_Qe5_Qe5_2 __pyx_string_tab[129]
-#define __pyx_kp_b_iso88591_A_A_A_fE_r_fBfBm2U_YfBiWX_vS_Q __pyx_string_tab[130]
-#define __pyx_kp_b_iso88591_V2Q_U_A_A_A_QfBm2Q_fBb_r_c_ST_r __pyx_string_tab[131]
-#define __pyx_kp_b_iso88591_q_G1A_A_A_A_q_Q_q_Rq_9L_b_wc_c __pyx_string_tab[132]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_0xffffffffffffffff __pyx_number_tab[1]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_4type_type);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_4bool_bool);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_7complex_complex);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_5array_array);
-  for (int i=0; i<5; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<133; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_4type_type);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_4bool_bool);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_7complex_complex);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_5array_array);
-  for (int i=0; i<5; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<133; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "cpython/complex.pxd":20
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4real_real(PyComplexObject *__pyx_v_self) {
-  double __pyx_r;
-
-  /* "cpython/complex.pxd":23
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
- *             return self.cval.real             # <<<<<<<<<<<<<<
- * 
- *         # unavailable in limited API
-*/
-  __pyx_r = __pyx_v_self->cval.real;
-  goto __pyx_L0;
-
-  /* "cpython/complex.pxd":20
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/complex.pxd":26
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4imag_imag(PyComplexObject *__pyx_v_self) {
-  double __pyx_r;
-
-  /* "cpython/complex.pxd":29
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
- *             return self.cval.imag             # <<<<<<<<<<<<<<
- * 
- *     # PyTypeObject PyComplex_Type
-*/
-  __pyx_r = __pyx_v_self->cval.imag;
-  goto __pyx_L0;
-
-  /* "cpython/complex.pxd":26
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/contextvars.pxd":115
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE PyObject *__pyx_f_7cpython_11contextvars_get_value(PyObject *__pyx_v_var, struct __pyx_opt_args_7cpython_11contextvars_get_value *__pyx_optional_args) {
-
-  /* "cpython/contextvars.pxd":116
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the default value of the context variable,
-*/
-  PyObject *__pyx_v_default_value = ((PyObject *)Py_None);
-  PyObject *__pyx_v_value;
-  PyObject *__pyx_v_pyvalue = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("get_value", 0);
-  if (__pyx_optional_args) {
-    if (__pyx_optional_args->__pyx_n > 0) {
-      __pyx_v_default_value = __pyx_optional_args->default_value;
-    }
-  }
-
-  /* "cpython/contextvars.pxd":121
- *     or None if no such value or default was found.
- *     """
- *     cdef PyObject *value = NULL             # <<<<<<<<<<<<<<
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:
-*/
-  __pyx_v_value = NULL;
-
-  /* "cpython/contextvars.pxd":122
- *     """
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)             # <<<<<<<<<<<<<<
- *     if value is NULL:
- *         # context variable does not have a default
-*/
-  __pyx_t_1 = PyContextVar_Get(__pyx_v_var, NULL, (&__pyx_v_value)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(1, 122, __pyx_L1_error)
-
-  /* "cpython/contextvars.pxd":123
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:             # <<<<<<<<<<<<<<
- *         # context variable does not have a default
- *         pyvalue = default_value
-*/
-  __pyx_t_2 = (__pyx_v_value == NULL);
-  if (__pyx_t_2) {
-
-    /* "cpython/contextvars.pxd":125
- *     if value is NULL:
- *         # context variable does not have a default
- *         pyvalue = default_value             # <<<<<<<<<<<<<<
- *     else:
- *         # value or default value of context variable
-*/
-    __Pyx_INCREF(__pyx_v_default_value);
-    __pyx_v_pyvalue = __pyx_v_default_value;
-
-    /* "cpython/contextvars.pxd":123
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:             # <<<<<<<<<<<<<<
- *         # context variable does not have a default
- *         pyvalue = default_value
-*/
-    goto __pyx_L3;
-  }
-
-  /* "cpython/contextvars.pxd":128
- *     else:
- *         # value or default value of context variable
- *         pyvalue = <object>value             # <<<<<<<<<<<<<<
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue
-*/
-  /*else*/ {
-    __pyx_t_3 = ((PyObject *)__pyx_v_value);
-    __Pyx_INCREF(__pyx_t_3);
-    __pyx_v_pyvalue = __pyx_t_3;
-    __pyx_t_3 = 0;
-
-    /* "cpython/contextvars.pxd":129
- *         # value or default value of context variable
- *         pyvalue = <object>value
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'             # <<<<<<<<<<<<<<
- *     return pyvalue
- * 
-*/
-    Py_XDECREF(__pyx_v_value);
-  }
-  __pyx_L3:;
-
-  /* "cpython/contextvars.pxd":130
- *         pyvalue = <object>value
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_pyvalue);
-  __pyx_r = __pyx_v_pyvalue;
-  goto __pyx_L0;
-
-  /* "cpython/contextvars.pxd":115
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("cpython.contextvars.get_value", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pyvalue);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/contextvars.pxd":133
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value_no_default(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE PyObject *__pyx_f_7cpython_11contextvars_get_value_no_default(PyObject *__pyx_v_var, struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default *__pyx_optional_args) {
-
-  /* "cpython/contextvars.pxd":134
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value_no_default(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the provided default value if no such value was found.
-*/
-  PyObject *__pyx_v_default_value = ((PyObject *)Py_None);
-  PyObject *__pyx_v_value;
-  PyObject *__pyx_v_pyvalue = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("get_value_no_default", 0);
-  if (__pyx_optional_args) {
-    if (__pyx_optional_args->__pyx_n > 0) {
-      __pyx_v_default_value = __pyx_optional_args->default_value;
-    }
-  }
-
-  /* "cpython/contextvars.pxd":140
- *     Ignores the default value of the context variable, if any.
- *     """
- *     cdef PyObject *value = NULL             # <<<<<<<<<<<<<<
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)
- *     # value of context variable or 'default_value'
-*/
-  __pyx_v_value = NULL;
-
-  /* "cpython/contextvars.pxd":141
- *     """
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)             # <<<<<<<<<<<<<<
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value
-*/
-  __pyx_t_1 = PyContextVar_Get(__pyx_v_var, ((PyObject *)__pyx_v_default_value), (&__pyx_v_value)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(1, 141, __pyx_L1_error)
-
-  /* "cpython/contextvars.pxd":143
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value             # <<<<<<<<<<<<<<
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_value);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_v_pyvalue = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "cpython/contextvars.pxd":144
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'             # <<<<<<<<<<<<<<
- *     return pyvalue
-*/
-  Py_XDECREF(__pyx_v_value);
-
-  /* "cpython/contextvars.pxd":145
- *     pyvalue = <object>value
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_pyvalue);
-  __pyx_r = __pyx_v_pyvalue;
-  goto __pyx_L0;
-
-  /* "cpython/contextvars.pxd":133
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value_no_default(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("cpython.contextvars.get_value_no_default", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pyvalue);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "array.pxd":105
- *             arraydescr* ob_descr    # struct arraydescr *ob_descr;
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)
-*/
-
-static CYTHON_INLINE __Pyx_data_union __pyx_f_7cpython_5array_5array_4data_data(arrayobject *__pyx_v_self) {
-  __Pyx_data_union __pyx_r;
-
-  /* "array.pxd":107
- *         @property
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)             # <<<<<<<<<<<<<<
- * 
- *     array newarrayobject(PyTypeObject* type, Py_ssize_t size, arraydescr *descr)
-*/
-  __pyx_r = __Pyx_PyArray_Data(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "array.pxd":105
- *             arraydescr* ob_descr    # struct arraydescr *ob_descr;
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":119
- * 
- * 
- * cdef inline array clone(array template, Py_ssize_t length, bint zero):             # <<<<<<<<<<<<<<
- *     """ fast creation of a new array, given a template array.
- *     type will be same as template.
-*/
-
-static CYTHON_INLINE arrayobject *__pyx_f_7cpython_5array_clone(arrayobject *__pyx_v_template, Py_ssize_t __pyx_v_length, int __pyx_v_zero) {
-  arrayobject *__pyx_v_op = 0;
-  arrayobject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("clone", 0);
-
-  /* "array.pxd":123
- *     type will be same as template.
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)             # <<<<<<<<<<<<<<
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
-*/
-  __pyx_t_1 = ((PyObject *)newarrayobject(Py_TYPE(((PyObject *)__pyx_v_template)), __pyx_v_length, __pyx_v_template->ob_descr)); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 123, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_op = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "array.pxd":124
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:             # <<<<<<<<<<<<<<
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op
-*/
-  if (__pyx_v_zero) {
-  } else {
-    __pyx_t_2 = __pyx_v_zero;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (((PyObject *)__pyx_v_op) != Py_None);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "array.pxd":125
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)             # <<<<<<<<<<<<<<
- *     return op
- * 
-*/
-    (void)(memset(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_op).as_chars, 0, (__pyx_v_length * __pyx_v_op->ob_descr->itemsize)));
-
-    /* "array.pxd":124
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:             # <<<<<<<<<<<<<<
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op
-*/
-  }
-
-  /* "array.pxd":126
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op             # <<<<<<<<<<<<<<
- * 
- * cdef inline array copy(array self):
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_op);
-  __pyx_r = __pyx_v_op;
-  goto __pyx_L0;
-
-  /* "array.pxd":119
- * 
- * 
- * cdef inline array clone(array template, Py_ssize_t length, bint zero):             # <<<<<<<<<<<<<<
- *     """ fast creation of a new array, given a template array.
- *     type will be same as template.
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cpython.array.clone", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_op);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "array.pxd":128
- *     return op
- * 
- * cdef inline array copy(array self):             # <<<<<<<<<<<<<<
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
-*/
-
-static CYTHON_INLINE arrayobject *__pyx_f_7cpython_5array_copy(arrayobject *__pyx_v_self) {
-  arrayobject *__pyx_v_op = 0;
-  arrayobject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("copy", 0);
-
-  /* "array.pxd":130
- * cdef inline array copy(array self):
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)             # <<<<<<<<<<<<<<
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)
- *     return op
-*/
-  __pyx_t_1 = ((PyObject *)newarrayobject(Py_TYPE(((PyObject *)__pyx_v_self)), Py_SIZE(((PyObject *)__pyx_v_self)), __pyx_v_self->ob_descr)); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 130, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_op = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "array.pxd":131
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)             # <<<<<<<<<<<<<<
- *     return op
- * 
-*/
-  (void)(memcpy(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_op).as_chars, __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars, (Py_SIZE(((PyObject *)__pyx_v_op)) * __pyx_v_op->ob_descr->itemsize)));
-
-  /* "array.pxd":132
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)
- *     return op             # <<<<<<<<<<<<<<
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_op);
-  __pyx_r = __pyx_v_op;
-  goto __pyx_L0;
-
-  /* "array.pxd":128
- *     return op
- * 
- * cdef inline array copy(array self):             # <<<<<<<<<<<<<<
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cpython.array.copy", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_op);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "array.pxd":134
- *     return op
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:             # <<<<<<<<<<<<<<
- *     """ efficient appending of new stuff of same type
- *     (e.g. of same array type)
-*/
-
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend_buffer(arrayobject *__pyx_v_self, char *__pyx_v_stuff, Py_ssize_t __pyx_v_n) {
-  Py_ssize_t __pyx_v_itemsize;
-  Py_ssize_t __pyx_v_origsize;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "array.pxd":138
- *     (e.g. of same array type)
- *     n: number of elements (not number of bytes!) """
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)
-*/
-  __pyx_t_1 = __pyx_v_self->ob_descr->itemsize;
-  __pyx_v_itemsize = __pyx_t_1;
-
-  /* "array.pxd":139
- *     n: number of elements (not number of bytes!) """
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize
- *     cdef Py_ssize_t origsize = Py_SIZE(self)             # <<<<<<<<<<<<<<
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
-*/
-  __pyx_v_origsize = Py_SIZE(((PyObject *)__pyx_v_self));
-
-  /* "array.pxd":140
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)             # <<<<<<<<<<<<<<
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
- *     return 0
-*/
-  __pyx_t_1 = resize_smart(__pyx_v_self, (__pyx_v_origsize + __pyx_v_n)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(2, 140, __pyx_L1_error)
-
-  /* "array.pxd":141
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-  (void)(memcpy((__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars + (__pyx_v_origsize * __pyx_v_itemsize)), __pyx_v_stuff, (__pyx_v_n * __pyx_v_itemsize)));
-
-  /* "array.pxd":142
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * cdef inline int extend(array self, array other) except -1:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "array.pxd":134
- *     return op
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:             # <<<<<<<<<<<<<<
- *     """ efficient appending of new stuff of same type
- *     (e.g. of same array type)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cpython.array.extend_buffer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":144
- *     return 0
- * 
- * cdef inline int extend(array self, array other) except -1:             # <<<<<<<<<<<<<<
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
-*/
-
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend(arrayobject *__pyx_v_self, arrayobject *__pyx_v_other) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "array.pxd":146
- * cdef inline int extend(array self, array other) except -1:
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:             # <<<<<<<<<<<<<<
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
-*/
-  __pyx_t_1 = (__pyx_v_self->ob_descr->typecode_char != __pyx_v_other->ob_descr->typecode_char);
-  if (__pyx_t_1) {
-
-    /* "array.pxd":147
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
- *         PyErr_BadArgument()             # <<<<<<<<<<<<<<
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
-*/
-    __pyx_t_2 = PyErr_BadArgument(); if (unlikely(__pyx_t_2 == ((int)0))) __PYX_ERR(2, 147, __pyx_L1_error)
-
-    /* "array.pxd":146
- * cdef inline int extend(array self, array other) except -1:
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:             # <<<<<<<<<<<<<<
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
-*/
-  }
-
-  /* "array.pxd":148
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))             # <<<<<<<<<<<<<<
- * 
- * cdef inline void zero(array self) noexcept:
-*/
-  __pyx_t_2 = __pyx_f_7cpython_5array_extend_buffer(__pyx_v_self, __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_other).as_chars, Py_SIZE(((PyObject *)__pyx_v_other))); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(2, 148, __pyx_L1_error)
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "array.pxd":144
- *     return 0
- * 
- * cdef inline int extend(array self, array other) except -1:             # <<<<<<<<<<<<<<
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cpython.array.extend", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":150
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
- * cdef inline void zero(array self) noexcept:             # <<<<<<<<<<<<<<
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)
-*/
-
-static CYTHON_INLINE void __pyx_f_7cpython_5array_zero(arrayobject *__pyx_v_self) {
-
-  /* "array.pxd":152
- * cdef inline void zero(array self) noexcept:
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)             # <<<<<<<<<<<<<<
-*/
-  (void)(memset(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars, 0, (Py_SIZE(((PyObject *)__pyx_v_self)) * __pyx_v_self->ob_descr->itemsize)));
-
-  /* "array.pxd":150
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
- * cdef inline void zero(array self) noexcept:             # <<<<<<<<<<<<<<
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)
-*/
-
-  /* function exit code */
-}
-
-/* "dualsim/kernels/_ckernels.pyx":27
- * # --------------------------------------------------------------------------
- * 
- * cdef inline uint64_t _rotl(uint64_t x, int k) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return (x << k) | (x >> (64 - k))
- * 
-*/
-
-static CYTHON_INLINE uint64_t __pyx_f_7dualsim_7kernels_9_ckernels__rotl(uint64_t __pyx_v_x, int __pyx_v_k) {
-  uint64_t __pyx_r;
-
-  /* "dualsim/kernels/_ckernels.pyx":28
- * 
- * cdef inline uint64_t _rotl(uint64_t x, int k) noexcept nogil:
- *     return (x << k) | (x >> (64 - k))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_v_x << __pyx_v_k) | (__pyx_v_x >> (64 - __pyx_v_k)));
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":27
- * # --------------------------------------------------------------------------
- * 
- * cdef inline uint64_t _rotl(uint64_t x, int k) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return (x << k) | (x >> (64 - k))
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":31
- * 
- * 
- * cdef inline uint64_t _sm64(uint64_t* st) noexcept nogil:             # <<<<<<<<<<<<<<
- *     st[0] = st[0] + <uint64_t>0x9E3779B97F4A7C15
- *     cdef uint64_t z = st[0]
-*/
-
-static CYTHON_INLINE uint64_t __pyx_f_7dualsim_7kernels_9_ckernels__sm64(uint64_t *__pyx_v_st) {
-  uint64_t __pyx_v_z;
-  uint64_t __pyx_r;
-
-  /* "dualsim/kernels/_ckernels.pyx":32
- * 
- * cdef inline uint64_t _sm64(uint64_t* st) noexcept nogil:
- *     st[0] = st[0] + <uint64_t>0x9E3779B97F4A7C15             # <<<<<<<<<<<<<<
- *     cdef uint64_t z = st[0]
- *     z = (z ^ (z >> 30)) * <uint64_t>0xBF58476D1CE4E5B9
-*/
-  (__pyx_v_st[0]) = ((__pyx_v_st[0]) + ((uint64_t)0x9E3779B97F4A7C15));
-
-  /* "dualsim/kernels/_ckernels.pyx":33
- * cdef inline uint64_t _sm64(uint64_t* st) noexcept nogil:
- *     st[0] = st[0] + <uint64_t>0x9E3779B97F4A7C15
- *     cdef uint64_t z = st[0]             # <<<<<<<<<<<<<<
- *     z = (z ^ (z >> 30)) * <uint64_t>0xBF58476D1CE4E5B9
- *     z = (z ^ (z >> 27)) * <uint64_t>0x94D049BB133111EB
-*/
-  __pyx_v_z = (__pyx_v_st[0]);
-
-  /* "dualsim/kernels/_ckernels.pyx":34
- *     st[0] = st[0] + <uint64_t>0x9E3779B97F4A7C15
- *     cdef uint64_t z = st[0]
- *     z = (z ^ (z >> 30)) * <uint64_t>0xBF58476D1CE4E5B9             # <<<<<<<<<<<<<<
- *     z = (z ^ (z >> 27)) * <uint64_t>0x94D049BB133111EB
- *     return z ^ (z >> 31)
-*/
-  __pyx_v_z = ((__pyx_v_z ^ (__pyx_v_z >> 30)) * ((uint64_t)0xBF58476D1CE4E5B9));
-
-  /* "dualsim/kernels/_ckernels.pyx":35
- *     cdef uint64_t z = st[0]
- *     z = (z ^ (z >> 30)) * <uint64_t>0xBF58476D1CE4E5B9
- *     z = (z ^ (z >> 27)) * <uint64_t>0x94D049BB133111EB             # <<<<<<<<<<<<<<
- *     return z ^ (z >> 31)
- * 
-*/
-  __pyx_v_z = ((__pyx_v_z ^ (__pyx_v_z >> 27)) * ((uint64_t)0x94D049BB133111EB));
-
-  /* "dualsim/kernels/_ckernels.pyx":36
- *     z = (z ^ (z >> 30)) * <uint64_t>0xBF58476D1CE4E5B9
- *     z = (z ^ (z >> 27)) * <uint64_t>0x94D049BB133111EB
- *     return z ^ (z >> 31)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_z ^ (__pyx_v_z >> 31));
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":31
- * 
- * 
- * cdef inline uint64_t _sm64(uint64_t* st) noexcept nogil:             # <<<<<<<<<<<<<<
- *     st[0] = st[0] + <uint64_t>0x9E3779B97F4A7C15
- *     cdef uint64_t z = st[0]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":39
- * 
- * 
- * cdef inline void _seed_state(uint64_t* s, uint64_t seed) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t st = seed
- *     cdef int i
-*/
-
-static CYTHON_INLINE void __pyx_f_7dualsim_7kernels_9_ckernels__seed_state(uint64_t *__pyx_v_s, uint64_t __pyx_v_seed) {
-  uint64_t __pyx_v_st;
-  int __pyx_v_i;
-  int __pyx_t_1;
-
-  /* "dualsim/kernels/_ckernels.pyx":40
- * 
- * cdef inline void _seed_state(uint64_t* s, uint64_t seed) noexcept nogil:
- *     cdef uint64_t st = seed             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(4):
-*/
-  __pyx_v_st = __pyx_v_seed;
-
-  /* "dualsim/kernels/_ckernels.pyx":42
- *     cdef uint64_t st = seed
- *     cdef int i
- *     for i in range(4):             # <<<<<<<<<<<<<<
- *         s[i] = _sm64(&st)
- * 
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 4; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "dualsim/kernels/_ckernels.pyx":43
- *     cdef int i
- *     for i in range(4):
- *         s[i] = _sm64(&st)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    (__pyx_v_s[__pyx_v_i]) = __pyx_f_7dualsim_7kernels_9_ckernels__sm64((&__pyx_v_st));
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":39
- * 
- * 
- * cdef inline void _seed_state(uint64_t* s, uint64_t seed) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t st = seed
- *     cdef int i
-*/
-
-  /* function exit code */
-}
-
-/* "dualsim/kernels/_ckernels.pyx":46
- * 
- * 
- * cdef inline uint64_t _next(uint64_t* s) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t result = _rotl(s[1] * <uint64_t>5, 7) * <uint64_t>9
- *     cdef uint64_t t = s[1] << 17
-*/
-
-static CYTHON_INLINE uint64_t __pyx_f_7dualsim_7kernels_9_ckernels__next(uint64_t *__pyx_v_s) {
-  uint64_t __pyx_v_result;
-  uint64_t __pyx_v_t;
-  uint64_t __pyx_r;
-  long __pyx_t_1;
-
-  /* "dualsim/kernels/_ckernels.pyx":47
- * 
- * cdef inline uint64_t _next(uint64_t* s) noexcept nogil:
- *     cdef uint64_t result = _rotl(s[1] * <uint64_t>5, 7) * <uint64_t>9             # <<<<<<<<<<<<<<
- *     cdef uint64_t t = s[1] << 17
- *     s[2] ^= s[0]
-*/
-  __pyx_v_result = (__pyx_f_7dualsim_7kernels_9_ckernels__rotl(((__pyx_v_s[1]) * ((uint64_t)5)), 7) * ((uint64_t)9));
-
-  /* "dualsim/kernels/_ckernels.pyx":48
- * cdef inline uint64_t _next(uint64_t* s) noexcept nogil:
- *     cdef uint64_t result = _rotl(s[1] * <uint64_t>5, 7) * <uint64_t>9
- *     cdef uint64_t t = s[1] << 17             # <<<<<<<<<<<<<<
- *     s[2] ^= s[0]
- *     s[3] ^= s[1]
-*/
-  __pyx_v_t = ((__pyx_v_s[1]) << 17);
-
-  /* "dualsim/kernels/_ckernels.pyx":49
- *     cdef uint64_t result = _rotl(s[1] * <uint64_t>5, 7) * <uint64_t>9
- *     cdef uint64_t t = s[1] << 17
- *     s[2] ^= s[0]             # <<<<<<<<<<<<<<
- *     s[3] ^= s[1]
- *     s[1] ^= s[2]
-*/
-  __pyx_t_1 = 2;
-  (__pyx_v_s[__pyx_t_1]) = ((__pyx_v_s[__pyx_t_1]) ^ (__pyx_v_s[0]));
-
-  /* "dualsim/kernels/_ckernels.pyx":50
- *     cdef uint64_t t = s[1] << 17
- *     s[2] ^= s[0]
- *     s[3] ^= s[1]             # <<<<<<<<<<<<<<
- *     s[1] ^= s[2]
- *     s[0] ^= s[3]
-*/
-  __pyx_t_1 = 3;
-  (__pyx_v_s[__pyx_t_1]) = ((__pyx_v_s[__pyx_t_1]) ^ (__pyx_v_s[1]));
-
-  /* "dualsim/kernels/_ckernels.pyx":51
- *     s[2] ^= s[0]
- *     s[3] ^= s[1]
- *     s[1] ^= s[2]             # <<<<<<<<<<<<<<
- *     s[0] ^= s[3]
- *     s[2] ^= t
-*/
-  __pyx_t_1 = 1;
-  (__pyx_v_s[__pyx_t_1]) = ((__pyx_v_s[__pyx_t_1]) ^ (__pyx_v_s[2]));
-
-  /* "dualsim/kernels/_ckernels.pyx":52
- *     s[3] ^= s[1]
- *     s[1] ^= s[2]
- *     s[0] ^= s[3]             # <<<<<<<<<<<<<<
- *     s[2] ^= t
- *     s[3] = _rotl(s[3], 45)
-*/
-  __pyx_t_1 = 0;
-  (__pyx_v_s[__pyx_t_1]) = ((__pyx_v_s[__pyx_t_1]) ^ (__pyx_v_s[3]));
-
-  /* "dualsim/kernels/_ckernels.pyx":53
- *     s[1] ^= s[2]
- *     s[0] ^= s[3]
- *     s[2] ^= t             # <<<<<<<<<<<<<<
- *     s[3] = _rotl(s[3], 45)
- *     return result
-*/
-  __pyx_t_1 = 2;
-  (__pyx_v_s[__pyx_t_1]) = ((__pyx_v_s[__pyx_t_1]) ^ __pyx_v_t);
-
-  /* "dualsim/kernels/_ckernels.pyx":54
- *     s[0] ^= s[3]
- *     s[2] ^= t
- *     s[3] = _rotl(s[3], 45)             # <<<<<<<<<<<<<<
- *     return result
- * 
-*/
-  (__pyx_v_s[3]) = __pyx_f_7dualsim_7kernels_9_ckernels__rotl((__pyx_v_s[3]), 45);
-
-  /* "dualsim/kernels/_ckernels.pyx":55
- *     s[2] ^= t
- *     s[3] = _rotl(s[3], 45)
- *     return result             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_result;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":46
- * 
- * 
- * cdef inline uint64_t _next(uint64_t* s) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t result = _rotl(s[1] * <uint64_t>5, 7) * <uint64_t>9
- *     cdef uint64_t t = s[1] << 17
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":58
- * 
- * 
- * cdef inline double _rnd(uint64_t* s) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # uniform on [0, 1) with 53 random bits
- *     return <double>(_next(s) >> 11) * (1.0 / 9007199254740992.0)
-*/
-
-static CYTHON_INLINE double __pyx_f_7dualsim_7kernels_9_ckernels__rnd(uint64_t *__pyx_v_s) {
-  double __pyx_r;
-
-  /* "dualsim/kernels/_ckernels.pyx":60
- * cdef inline double _rnd(uint64_t* s) noexcept nogil:
- *     # uniform on [0, 1) with 53 random bits
- *     return <double>(_next(s) >> 11) * (1.0 / 9007199254740992.0)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (((double)(__pyx_f_7dualsim_7kernels_9_ckernels__next(__pyx_v_s) >> 11)) * (1.0 / 9007199254740992.0));
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":58
- * 
- * 
- * cdef inline double _rnd(uint64_t* s) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # uniform on [0, 1) with 53 random bits
- *     return <double>(_next(s) >> 11) * (1.0 / 9007199254740992.0)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":63
- * 
- * 
- * cdef inline long _poisson(uint64_t* s, double lam) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # Knuth product method for small means, rounded normal beyond (the
- *     # large-mean branch only matters for blow-up detection, not statistics).
-*/
-
-static CYTHON_INLINE long __pyx_f_7dualsim_7kernels_9_ckernels__poisson(uint64_t *__pyx_v_s, double __pyx_v_lam) {
-  double __pyx_v_L;
-  double __pyx_v_prod;
-  double __pyx_v_u1;
-  double __pyx_v_u2;
-  double __pyx_v_z;
-  long __pyx_v_k;
-  long __pyx_r;
-  int __pyx_t_1;
-  long __pyx_t_2;
-
-  /* "dualsim/kernels/_ckernels.pyx":68
- *     cdef double L, prod, u1, u2, z
- *     cdef long k
- *     if lam < 30.0:             # <<<<<<<<<<<<<<
- *         L = exp(-lam)
- *         k = 0
-*/
-  __pyx_t_1 = (__pyx_v_lam < 30.0);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":69
- *     cdef long k
- *     if lam < 30.0:
- *         L = exp(-lam)             # <<<<<<<<<<<<<<
- *         k = 0
- *         prod = _rnd(s)
-*/
-    __pyx_v_L = exp((-__pyx_v_lam));
-
-    /* "dualsim/kernels/_ckernels.pyx":70
- *     if lam < 30.0:
- *         L = exp(-lam)
- *         k = 0             # <<<<<<<<<<<<<<
- *         prod = _rnd(s)
- *         while prod > L:
-*/
-    __pyx_v_k = 0;
-
-    /* "dualsim/kernels/_ckernels.pyx":71
- *         L = exp(-lam)
- *         k = 0
- *         prod = _rnd(s)             # <<<<<<<<<<<<<<
- *         while prod > L:
- *             k += 1
-*/
-    __pyx_v_prod = __pyx_f_7dualsim_7kernels_9_ckernels__rnd(__pyx_v_s);
-
-    /* "dualsim/kernels/_ckernels.pyx":72
- *         k = 0
- *         prod = _rnd(s)
- *         while prod > L:             # <<<<<<<<<<<<<<
- *             k += 1
- *             prod *= _rnd(s)
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_prod > __pyx_v_L);
-      if (!__pyx_t_1) break;
-
-      /* "dualsim/kernels/_ckernels.pyx":73
- *         prod = _rnd(s)
- *         while prod > L:
- *             k += 1             # <<<<<<<<<<<<<<
- *             prod *= _rnd(s)
- *         return k
-*/
-      __pyx_v_k = (__pyx_v_k + 1);
-
-      /* "dualsim/kernels/_ckernels.pyx":74
- *         while prod > L:
- *             k += 1
- *             prod *= _rnd(s)             # <<<<<<<<<<<<<<
- *         return k
- *     u1 = 1.0 - _rnd(s)
-*/
-      __pyx_v_prod = (__pyx_v_prod * __pyx_f_7dualsim_7kernels_9_ckernels__rnd(__pyx_v_s));
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":75
- *             k += 1
- *             prod *= _rnd(s)
- *         return k             # <<<<<<<<<<<<<<
- *     u1 = 1.0 - _rnd(s)
- *     u2 = _rnd(s)
-*/
-    __pyx_r = __pyx_v_k;
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":68
- *     cdef double L, prod, u1, u2, z
- *     cdef long k
- *     if lam < 30.0:             # <<<<<<<<<<<<<<
- *         L = exp(-lam)
- *         k = 0
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":76
- *             prod *= _rnd(s)
- *         return k
- *     u1 = 1.0 - _rnd(s)             # <<<<<<<<<<<<<<
- *     u2 = _rnd(s)
- *     z = sqrt(-2.0 * log(u1)) * cos(2.0 * M_PI * u2)
-*/
-  __pyx_v_u1 = (1.0 - __pyx_f_7dualsim_7kernels_9_ckernels__rnd(__pyx_v_s));
-
-  /* "dualsim/kernels/_ckernels.pyx":77
- *         return k
- *     u1 = 1.0 - _rnd(s)
- *     u2 = _rnd(s)             # <<<<<<<<<<<<<<
- *     z = sqrt(-2.0 * log(u1)) * cos(2.0 * M_PI * u2)
- *     k = <long>floor(lam + sqrt(lam) * z + 0.5)
-*/
-  __pyx_v_u2 = __pyx_f_7dualsim_7kernels_9_ckernels__rnd(__pyx_v_s);
-
-  /* "dualsim/kernels/_ckernels.pyx":78
- *     u1 = 1.0 - _rnd(s)
- *     u2 = _rnd(s)
- *     z = sqrt(-2.0 * log(u1)) * cos(2.0 * M_PI * u2)             # <<<<<<<<<<<<<<
- *     k = <long>floor(lam + sqrt(lam) * z + 0.5)
- *     return k if k > 0 else 0
-*/
-  __pyx_v_z = (sqrt((-2.0 * log(__pyx_v_u1))) * cos(((2.0 * M_PI) * __pyx_v_u2)));
-
-  /* "dualsim/kernels/_ckernels.pyx":79
- *     u2 = _rnd(s)
- *     z = sqrt(-2.0 * log(u1)) * cos(2.0 * M_PI * u2)
- *     k = <long>floor(lam + sqrt(lam) * z + 0.5)             # <<<<<<<<<<<<<<
- *     return k if k > 0 else 0
- * 
-*/
-  __pyx_v_k = ((long)floor(((__pyx_v_lam + (sqrt(__pyx_v_lam) * __pyx_v_z)) + 0.5)));
-
-  /* "dualsim/kernels/_ckernels.pyx":80
- *     z = sqrt(-2.0 * log(u1)) * cos(2.0 * M_PI * u2)
- *     k = <long>floor(lam + sqrt(lam) * z + 0.5)
- *     return k if k > 0 else 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = (__pyx_v_k > 0);
-  if (__pyx_t_1) {
-    __pyx_t_2 = __pyx_v_k;
-  } else {
-    __pyx_t_2 = 0;
-  }
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":63
- * 
- * 
- * cdef inline long _poisson(uint64_t* s, double lam) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # Knuth product method for small means, rounded normal beyond (the
- *     # large-mean branch only matters for blow-up detection, not statistics).
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":83
- * 
- * 
- * cdef inline uint64_t _as_u64(object seed):             # <<<<<<<<<<<<<<
- *     return <uint64_t>(seed & 0xFFFFFFFFFFFFFFFF)
- * 
-*/
-
-static CYTHON_INLINE uint64_t __pyx_f_7dualsim_7kernels_9_ckernels__as_u64(PyObject *__pyx_v_seed) {
-  uint64_t __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  uint64_t __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_as_u64", 0);
-
-  /* "dualsim/kernels/_ckernels.pyx":84
- * 
- * cdef inline uint64_t _as_u64(object seed):
- *     return <uint64_t>(seed & 0xFFFFFFFFFFFFFFFF)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = PyNumber_And(__pyx_v_seed, __pyx_mstate_global->__pyx_int_0xffffffffffffffff); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 84, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_uint64_t(__pyx_t_1); if (unlikely((__pyx_t_2 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 84, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_r = ((uint64_t)__pyx_t_2);
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":83
- * 
- * 
- * cdef inline uint64_t _as_u64(object seed):             # <<<<<<<<<<<<<<
- *     return <uint64_t>(seed & 0xFFFFFFFFFFFFFFFF)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("dualsim.kernels._ckernels._as_u64", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1LL;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":97
- * 
- * 
- * cdef inline int _dbuf_init(DBuf* b, Py_ssize_t cap0) except -1:             # <<<<<<<<<<<<<<
- *     b.data = <double*>PyMem_Malloc(cap0 * sizeof(double))
- *     if b.data == NULL:
-*/
-
-static CYTHON_INLINE int __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init(struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf *__pyx_v_b, Py_ssize_t __pyx_v_cap0) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":98
- * 
- * cdef inline int _dbuf_init(DBuf* b, Py_ssize_t cap0) except -1:
- *     b.data = <double*>PyMem_Malloc(cap0 * sizeof(double))             # <<<<<<<<<<<<<<
- *     if b.data == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_b->data = ((double *)PyMem_Malloc((__pyx_v_cap0 * (sizeof(double)))));
-
-  /* "dualsim/kernels/_ckernels.pyx":99
- * cdef inline int _dbuf_init(DBuf* b, Py_ssize_t cap0) except -1:
- *     b.data = <double*>PyMem_Malloc(cap0 * sizeof(double))
- *     if b.data == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     b.n = 0
-*/
-  __pyx_t_1 = (__pyx_v_b->data == NULL);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "dualsim/kernels/_ckernels.pyx":100
- *     b.data = <double*>PyMem_Malloc(cap0 * sizeof(double))
- *     if b.data == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     b.n = 0
- *     b.cap = cap0
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 100, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":99
- * cdef inline int _dbuf_init(DBuf* b, Py_ssize_t cap0) except -1:
- *     b.data = <double*>PyMem_Malloc(cap0 * sizeof(double))
- *     if b.data == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     b.n = 0
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":101
- *     if b.data == NULL:
- *         raise MemoryError()
- *     b.n = 0             # <<<<<<<<<<<<<<
- *     b.cap = cap0
- *     return 0
-*/
-  __pyx_v_b->n = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":102
- *         raise MemoryError()
- *     b.n = 0
- *     b.cap = cap0             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-  __pyx_v_b->cap = __pyx_v_cap0;
-
-  /* "dualsim/kernels/_ckernels.pyx":103
- *     b.n = 0
- *     b.cap = cap0
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":97
- * 
- * 
- * cdef inline int _dbuf_init(DBuf* b, Py_ssize_t cap0) except -1:             # <<<<<<<<<<<<<<
- *     b.data = <double*>PyMem_Malloc(cap0 * sizeof(double))
- *     if b.data == NULL:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("dualsim.kernels._ckernels._dbuf_init", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":106
- * 
- * 
- * cdef inline int _dbuf_push(DBuf* b, double v) except -1:             # <<<<<<<<<<<<<<
- *     if b.n == b.cap:
- *         b.cap = b.cap * 2
-*/
-
-static CYTHON_INLINE int __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push(struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf *__pyx_v_b, double __pyx_v_v) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":107
- * 
- * cdef inline int _dbuf_push(DBuf* b, double v) except -1:
- *     if b.n == b.cap:             # <<<<<<<<<<<<<<
- *         b.cap = b.cap * 2
- *         b.data = <double*>PyMem_Realloc(b.data, b.cap * sizeof(double))
-*/
-  __pyx_t_1 = (__pyx_v_b->n == __pyx_v_b->cap);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":108
- * cdef inline int _dbuf_push(DBuf* b, double v) except -1:
- *     if b.n == b.cap:
- *         b.cap = b.cap * 2             # <<<<<<<<<<<<<<
- *         b.data = <double*>PyMem_Realloc(b.data, b.cap * sizeof(double))
- *         if b.data == NULL:
-*/
-    __pyx_v_b->cap = (__pyx_v_b->cap * 2);
-
-    /* "dualsim/kernels/_ckernels.pyx":109
- *     if b.n == b.cap:
- *         b.cap = b.cap * 2
- *         b.data = <double*>PyMem_Realloc(b.data, b.cap * sizeof(double))             # <<<<<<<<<<<<<<
- *         if b.data == NULL:
- *             raise MemoryError()
-*/
-    __pyx_v_b->data = ((double *)PyMem_Realloc(__pyx_v_b->data, (__pyx_v_b->cap * (sizeof(double)))));
-
-    /* "dualsim/kernels/_ckernels.pyx":110
- *         b.cap = b.cap * 2
- *         b.data = <double*>PyMem_Realloc(b.data, b.cap * sizeof(double))
- *         if b.data == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *     b.data[b.n] = v
-*/
-    __pyx_t_1 = (__pyx_v_b->data == NULL);
-    if (unlikely(__pyx_t_1)) {
-
-      /* "dualsim/kernels/_ckernels.pyx":111
- *         b.data = <double*>PyMem_Realloc(b.data, b.cap * sizeof(double))
- *         if b.data == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *     b.data[b.n] = v
- *     b.n += 1
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 111, __pyx_L1_error)
-
-      /* "dualsim/kernels/_ckernels.pyx":110
- *         b.cap = b.cap * 2
- *         b.data = <double*>PyMem_Realloc(b.data, b.cap * sizeof(double))
- *         if b.data == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *     b.data[b.n] = v
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":107
- * 
- * cdef inline int _dbuf_push(DBuf* b, double v) except -1:
- *     if b.n == b.cap:             # <<<<<<<<<<<<<<
- *         b.cap = b.cap * 2
- *         b.data = <double*>PyMem_Realloc(b.data, b.cap * sizeof(double))
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":112
- *         if b.data == NULL:
- *             raise MemoryError()
- *     b.data[b.n] = v             # <<<<<<<<<<<<<<
- *     b.n += 1
- *     return 0
-*/
-  (__pyx_v_b->data[__pyx_v_b->n]) = __pyx_v_v;
-
-  /* "dualsim/kernels/_ckernels.pyx":113
- *             raise MemoryError()
- *     b.data[b.n] = v
- *     b.n += 1             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-  __pyx_v_b->n = (__pyx_v_b->n + 1);
-
-  /* "dualsim/kernels/_ckernels.pyx":114
- *     b.data[b.n] = v
- *     b.n += 1
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":106
- * 
- * 
- * cdef inline int _dbuf_push(DBuf* b, double v) except -1:             # <<<<<<<<<<<<<<
- *     if b.n == b.cap:
- *         b.cap = b.cap * 2
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("dualsim.kernels._ckernels._dbuf_push", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":117
- * 
- * 
- * cdef object _dbuf_take(DBuf* b):             # <<<<<<<<<<<<<<
- *     cdef array.array out = _pyarray.array('d', [])
- *     array.resize(out, b.n)
-*/
-
-static PyObject *__pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take(struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf *__pyx_v_b) {
-  arrayobject *__pyx_v_out = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_dbuf_take", 0);
-
-  /* "dualsim/kernels/_ckernels.pyx":118
- * 
- * cdef object _dbuf_take(DBuf* b):
- *     cdef array.array out = _pyarray.array('d', [])             # <<<<<<<<<<<<<<
- *     array.resize(out, b.n)
- *     if b.n > 0:
-*/
-  __pyx_t_2 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_pyarray); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_array); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_5 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_4))) {
-    __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_4);
-    assert(__pyx_t_2);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-    __Pyx_INCREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-    __pyx_t_5 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_2, __pyx_mstate_global->__pyx_n_u_d, __pyx_t_3};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_5, (3-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 118, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  if (!(likely(((__pyx_t_1) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_1, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 118, __pyx_L1_error)
-  __pyx_v_out = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":119
- * cdef object _dbuf_take(DBuf* b):
- *     cdef array.array out = _pyarray.array('d', [])
- *     array.resize(out, b.n)             # <<<<<<<<<<<<<<
- *     if b.n > 0:
- *         memcpy(out.data.as_doubles, b.data, b.n * sizeof(double))
-*/
-  __pyx_t_6 = resize(__pyx_v_out, __pyx_v_b->n); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 119, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":120
- *     cdef array.array out = _pyarray.array('d', [])
- *     array.resize(out, b.n)
- *     if b.n > 0:             # <<<<<<<<<<<<<<
- *         memcpy(out.data.as_doubles, b.data, b.n * sizeof(double))
- *     PyMem_Free(b.data)
-*/
-  __pyx_t_7 = (__pyx_v_b->n > 0);
-  if (__pyx_t_7) {
-
-    /* "dualsim/kernels/_ckernels.pyx":121
- *     array.resize(out, b.n)
- *     if b.n > 0:
- *         memcpy(out.data.as_doubles, b.data, b.n * sizeof(double))             # <<<<<<<<<<<<<<
- *     PyMem_Free(b.data)
- *     b.data = NULL
-*/
-    (void)(memcpy(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_out).as_doubles, __pyx_v_b->data, (__pyx_v_b->n * (sizeof(double)))));
-
-    /* "dualsim/kernels/_ckernels.pyx":120
- *     cdef array.array out = _pyarray.array('d', [])
- *     array.resize(out, b.n)
- *     if b.n > 0:             # <<<<<<<<<<<<<<
- *         memcpy(out.data.as_doubles, b.data, b.n * sizeof(double))
- *     PyMem_Free(b.data)
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":122
- *     if b.n > 0:
- *         memcpy(out.data.as_doubles, b.data, b.n * sizeof(double))
- *     PyMem_Free(b.data)             # <<<<<<<<<<<<<<
- *     b.data = NULL
- *     return out
-*/
-  PyMem_Free(__pyx_v_b->data);
-
-  /* "dualsim/kernels/_ckernels.pyx":123
- *         memcpy(out.data.as_doubles, b.data, b.n * sizeof(double))
- *     PyMem_Free(b.data)
- *     b.data = NULL             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-  __pyx_v_b->data = NULL;
-
-  /* "dualsim/kernels/_ckernels.pyx":124
- *     PyMem_Free(b.data)
- *     b.data = NULL
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_out);
-  __pyx_r = ((PyObject *)__pyx_v_out);
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":117
- * 
- * 
- * cdef object _dbuf_take(DBuf* b):             # <<<<<<<<<<<<<<
- *     cdef array.array out = _pyarray.array('d', [])
- *     array.resize(out, b.n)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("dualsim.kernels._ckernels._dbuf_take", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":127
- * 
- * 
- * cdef inline void _dbuf_free(DBuf* b) noexcept:             # <<<<<<<<<<<<<<
- *     if b.data != NULL:
- *         PyMem_Free(b.data)
-*/
-
-static CYTHON_INLINE void __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_free(struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf *__pyx_v_b) {
-  int __pyx_t_1;
-
-  /* "dualsim/kernels/_ckernels.pyx":128
- * 
- * cdef inline void _dbuf_free(DBuf* b) noexcept:
- *     if b.data != NULL:             # <<<<<<<<<<<<<<
- *         PyMem_Free(b.data)
- *         b.data = NULL
-*/
-  __pyx_t_1 = (__pyx_v_b->data != NULL);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":129
- * cdef inline void _dbuf_free(DBuf* b) noexcept:
- *     if b.data != NULL:
- *         PyMem_Free(b.data)             # <<<<<<<<<<<<<<
- *         b.data = NULL
- * 
-*/
-    PyMem_Free(__pyx_v_b->data);
-
-    /* "dualsim/kernels/_ckernels.pyx":130
- *     if b.data != NULL:
- *         PyMem_Free(b.data)
- *         b.data = NULL             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_v_b->data = NULL;
-
-    /* "dualsim/kernels/_ckernels.pyx":128
- * 
- * cdef inline void _dbuf_free(DBuf* b) noexcept:
- *     if b.data != NULL:             # <<<<<<<<<<<<<<
- *         PyMem_Free(b.data)
- *         b.data = NULL
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":127
- * 
- * 
- * cdef inline void _dbuf_free(DBuf* b) noexcept:             # <<<<<<<<<<<<<<
- *     if b.data != NULL:
- *         PyMem_Free(b.data)
-*/
-
-  /* function exit code */
-}
-
-/* "dualsim/kernels/_ckernels.pyx":133
- * 
- * 
- * cdef inline double _powfast(double x, double e) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # exact fast paths keep equivalent rate formulations bitwise identical
- *     if e == 1.0:
-*/
-
-static CYTHON_INLINE double __pyx_f_7dualsim_7kernels_9_ckernels__powfast(double __pyx_v_x, double __pyx_v_e) {
-  double __pyx_r;
-  int __pyx_t_1;
-
-  /* "dualsim/kernels/_ckernels.pyx":135
- * cdef inline double _powfast(double x, double e) noexcept nogil:
- *     # exact fast paths keep equivalent rate formulations bitwise identical
- *     if e == 1.0:             # <<<<<<<<<<<<<<
- *         return x
- *     if e == 2.0:
-*/
-  __pyx_t_1 = (__pyx_v_e == 1.0);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":136
- *     # exact fast paths keep equivalent rate formulations bitwise identical
- *     if e == 1.0:
- *         return x             # <<<<<<<<<<<<<<
- *     if e == 2.0:
- *         return x * x
-*/
-    __pyx_r = __pyx_v_x;
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":135
- * cdef inline double _powfast(double x, double e) noexcept nogil:
- *     # exact fast paths keep equivalent rate formulations bitwise identical
- *     if e == 1.0:             # <<<<<<<<<<<<<<
- *         return x
- *     if e == 2.0:
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":137
- *     if e == 1.0:
- *         return x
- *     if e == 2.0:             # <<<<<<<<<<<<<<
- *         return x * x
- *     if e == 0.0:
-*/
-  __pyx_t_1 = (__pyx_v_e == 2.0);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":138
- *         return x
- *     if e == 2.0:
- *         return x * x             # <<<<<<<<<<<<<<
- *     if e == 0.0:
- *         return 1.0
-*/
-    __pyx_r = (__pyx_v_x * __pyx_v_x);
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":137
- *     if e == 1.0:
- *         return x
- *     if e == 2.0:             # <<<<<<<<<<<<<<
- *         return x * x
- *     if e == 0.0:
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":139
- *     if e == 2.0:
- *         return x * x
- *     if e == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     return pow(x, e)
-*/
-  __pyx_t_1 = (__pyx_v_e == 0.0);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":140
- *         return x * x
- *     if e == 0.0:
- *         return 1.0             # <<<<<<<<<<<<<<
- *     return pow(x, e)
- * 
-*/
-    __pyx_r = 1.0;
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":139
- *     if e == 2.0:
- *         return x * x
- *     if e == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     return pow(x, e)
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":141
- *     if e == 0.0:
- *         return 1.0
- *     return pow(x, e)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = pow(__pyx_v_x, __pyx_v_e);
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":133
- * 
- * 
- * cdef inline double _powfast(double x, double e) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # exact fast paths keep equivalent rate formulations bitwise identical
- *     if e == 1.0:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":148
- * # --------------------------------------------------------------------------
- * 
- * cdef inline double _f_growth(int kind, double a, double b, double ea, double eb,             # <<<<<<<<<<<<<<
- *                              double T) noexcept nogil:
- *     if T <= 0.0:
-*/
-
-static CYTHON_INLINE double __pyx_f_7dualsim_7kernels_9_ckernels__f_growth(int __pyx_v_kind, double __pyx_v_a, double __pyx_v_b, double __pyx_v_ea, double __pyx_v_eb, double __pyx_v_T) {
-  double __pyx_r;
-  int __pyx_t_1;
-
-  /* "dualsim/kernels/_ckernels.pyx":150
- * cdef inline double _f_growth(int kind, double a, double b, double ea, double eb,
- *                              double T) noexcept nogil:
- *     if T <= 0.0:             # <<<<<<<<<<<<<<
- *         return 0.0
- *     if kind == 0:
-*/
-  __pyx_t_1 = (__pyx_v_T <= 0.0);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":151
- *                              double T) noexcept nogil:
- *     if T <= 0.0:
- *         return 0.0             # <<<<<<<<<<<<<<
- *     if kind == 0:
- *         return a * _powfast(T, ea) - b * _powfast(T, eb)
-*/
-    __pyx_r = 0.0;
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":150
- * cdef inline double _f_growth(int kind, double a, double b, double ea, double eb,
- *                              double T) noexcept nogil:
- *     if T <= 0.0:             # <<<<<<<<<<<<<<
- *         return 0.0
- *     if kind == 0:
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":152
- *     if T <= 0.0:
- *         return 0.0
- *     if kind == 0:             # <<<<<<<<<<<<<<
- *         return a * _powfast(T, ea) - b * _powfast(T, eb)
- *     return a * T - b * T * log(T)
-*/
-  __pyx_t_1 = (__pyx_v_kind == 0);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":153
- *         return 0.0
- *     if kind == 0:
- *         return a * _powfast(T, ea) - b * _powfast(T, eb)             # <<<<<<<<<<<<<<
- *     return a * T - b * T * log(T)
- * 
-*/
-    __pyx_r = ((__pyx_v_a * __pyx_f_7dualsim_7kernels_9_ckernels__powfast(__pyx_v_T, __pyx_v_ea)) - (__pyx_v_b * __pyx_f_7dualsim_7kernels_9_ckernels__powfast(__pyx_v_T, __pyx_v_eb)));
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":152
- *     if T <= 0.0:
- *         return 0.0
- *     if kind == 0:             # <<<<<<<<<<<<<<
- *         return a * _powfast(T, ea) - b * _powfast(T, eb)
- *     return a * T - b * T * log(T)
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":154
- *     if kind == 0:
- *         return a * _powfast(T, ea) - b * _powfast(T, eb)
- *     return a * T - b * T * log(T)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_v_a * __pyx_v_T) - ((__pyx_v_b * __pyx_v_T) * log(__pyx_v_T)));
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":148
- * # --------------------------------------------------------------------------
- * 
- * cdef inline double _f_growth(int kind, double a, double b, double ea, double eb,             # <<<<<<<<<<<<<<
- *                              double T) noexcept nogil:
- *     if T <= 0.0:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":157
- * 
- * 
- * def rk4_growth(int kind, double a, double b, double alpha, double beta,             # <<<<<<<<<<<<<<
- *                double T0, double dt, double t_end, double sample_every,
- *                double blowup):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_1rk4_growth(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_7dualsim_7kernels_9_ckernels_rk4_growth, "Integrate a one-equation growth law. Returns (times, values, status).");
-static PyMethodDef __pyx_mdef_7dualsim_7kernels_9_ckernels_1rk4_growth = {"rk4_growth", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7dualsim_7kernels_9_ckernels_1rk4_growth, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_7dualsim_7kernels_9_ckernels_rk4_growth};
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_1rk4_growth(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_kind;
-  double __pyx_v_a;
-  double __pyx_v_b;
-  double __pyx_v_alpha;
-  double __pyx_v_beta;
-  double __pyx_v_T0;
-  double __pyx_v_dt;
-  double __pyx_v_t_end;
-  double __pyx_v_sample_every;
-  double __pyx_v_blowup;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[10] = {0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("rk4_growth (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_kind,&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_alpha,&__pyx_mstate_global->__pyx_n_u_beta,&__pyx_mstate_global->__pyx_n_u_T0,&__pyx_mstate_global->__pyx_n_u_dt,&__pyx_mstate_global->__pyx_n_u_t_end,&__pyx_mstate_global->__pyx_n_u_sample_every,&__pyx_mstate_global->__pyx_n_u_blowup,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 157, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "rk4_growth", 0) < (0)) __PYX_ERR(0, 157, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 10; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("rk4_growth", 1, 10, 10, i); __PYX_ERR(0, 157, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 10)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 157, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 157, __pyx_L3_error)
-    }
-    __pyx_v_kind = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_kind == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 157, __pyx_L3_error)
-    __pyx_v_a = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_a == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 157, __pyx_L3_error)
-    __pyx_v_b = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_b == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 157, __pyx_L3_error)
-    __pyx_v_alpha = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_alpha == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 157, __pyx_L3_error)
-    __pyx_v_beta = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_beta == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 157, __pyx_L3_error)
-    __pyx_v_T0 = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_T0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 158, __pyx_L3_error)
-    __pyx_v_dt = __Pyx_PyFloat_AsDouble(values[6]); if (unlikely((__pyx_v_dt == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 158, __pyx_L3_error)
-    __pyx_v_t_end = __Pyx_PyFloat_AsDouble(values[7]); if (unlikely((__pyx_v_t_end == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 158, __pyx_L3_error)
-    __pyx_v_sample_every = __Pyx_PyFloat_AsDouble(values[8]); if (unlikely((__pyx_v_sample_every == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 158, __pyx_L3_error)
-    __pyx_v_blowup = __Pyx_PyFloat_AsDouble(values[9]); if (unlikely((__pyx_v_blowup == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 159, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("rk4_growth", 1, 10, 10, __pyx_nargs); __PYX_ERR(0, 157, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.rk4_growth", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7dualsim_7kernels_9_ckernels_rk4_growth(__pyx_self, __pyx_v_kind, __pyx_v_a, __pyx_v_b, __pyx_v_alpha, __pyx_v_beta, __pyx_v_T0, __pyx_v_dt, __pyx_v_t_end, __pyx_v_sample_every, __pyx_v_blowup);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_rk4_growth(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_kind, double __pyx_v_a, double __pyx_v_b, double __pyx_v_alpha, double __pyx_v_beta, double __pyx_v_T0, double __pyx_v_dt, double __pyx_v_t_end, double __pyx_v_sample_every, double __pyx_v_blowup) {
-  double __pyx_v_ea;
-  double __pyx_v_eb;
-  double __pyx_v_T;
-  double __pyx_v_t;
-  double __pyx_v_h;
-  double __pyx_v_target;
-  double __pyx_v_k1;
-  double __pyx_v_k2;
-  double __pyx_v_k3;
-  double __pyx_v_k4;
-  double __pyx_v_Tn;
-  double __pyx_v_tol;
-  int __pyx_v_halvings;
-  int __pyx_v_status;
-  long __pyx_v_n;
-  long __pyx_v_ntargets;
-  int __pyx_v_extra;
-  long __pyx_v_kk;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_times;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_values;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  long __pyx_t_5;
-  long __pyx_t_6;
-  long __pyx_t_7;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("rk4_growth", 0);
-
-  /* "dualsim/kernels/_ckernels.pyx":161
- *                double blowup):
- *     """Integrate a one-equation growth law. Returns (times, values, status)."""
- *     cdef double ea = alpha + 1.0             # <<<<<<<<<<<<<<
- *     cdef double eb = beta + 1.0
- *     cdef double T = T0
-*/
-  __pyx_v_ea = (__pyx_v_alpha + 1.0);
-
-  /* "dualsim/kernels/_ckernels.pyx":162
- *     """Integrate a one-equation growth law. Returns (times, values, status)."""
- *     cdef double ea = alpha + 1.0
- *     cdef double eb = beta + 1.0             # <<<<<<<<<<<<<<
- *     cdef double T = T0
- *     cdef double t = 0.0
-*/
-  __pyx_v_eb = (__pyx_v_beta + 1.0);
-
-  /* "dualsim/kernels/_ckernels.pyx":163
- *     cdef double ea = alpha + 1.0
- *     cdef double eb = beta + 1.0
- *     cdef double T = T0             # <<<<<<<<<<<<<<
- *     cdef double t = 0.0
- *     cdef double h, target, k1, k2, k3, k4, Tn, tol
-*/
-  __pyx_v_T = __pyx_v_T0;
-
-  /* "dualsim/kernels/_ckernels.pyx":164
- *     cdef double eb = beta + 1.0
- *     cdef double T = T0
- *     cdef double t = 0.0             # <<<<<<<<<<<<<<
- *     cdef double h, target, k1, k2, k3, k4, Tn, tol
- *     cdef int halvings, status = 0
-*/
-  __pyx_v_t = 0.0;
-
-  /* "dualsim/kernels/_ckernels.pyx":166
- *     cdef double t = 0.0
- *     cdef double h, target, k1, k2, k3, k4, Tn, tol
- *     cdef int halvings, status = 0             # <<<<<<<<<<<<<<
- *     cdef long n = <long>floor(t_end / sample_every + 1e-9)
- *     cdef long ntargets = n
-*/
-  __pyx_v_status = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":167
- *     cdef double h, target, k1, k2, k3, k4, Tn, tol
- *     cdef int halvings, status = 0
- *     cdef long n = <long>floor(t_end / sample_every + 1e-9)             # <<<<<<<<<<<<<<
- *     cdef long ntargets = n
- *     cdef bint extra = t_end - n * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
-*/
-  __pyx_v_n = ((long)floor(((__pyx_v_t_end / __pyx_v_sample_every) + 1e-9)));
-
-  /* "dualsim/kernels/_ckernels.pyx":168
- *     cdef int halvings, status = 0
- *     cdef long n = <long>floor(t_end / sample_every + 1e-9)
- *     cdef long ntargets = n             # <<<<<<<<<<<<<<
- *     cdef bint extra = t_end - n * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
- *     if n == 0 or extra:
-*/
-  __pyx_v_ntargets = __pyx_v_n;
-
-  /* "dualsim/kernels/_ckernels.pyx":169
- *     cdef long n = <long>floor(t_end / sample_every + 1e-9)
- *     cdef long ntargets = n
- *     cdef bint extra = t_end - n * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)             # <<<<<<<<<<<<<<
- *     if n == 0 or extra:
- *         ntargets += 1
-*/
-  __pyx_t_2 = (__pyx_v_t_end > 1.0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_t_end;
-  } else {
-    __pyx_t_1 = 1.0;
-  }
-  __pyx_v_extra = ((__pyx_v_t_end - (__pyx_v_n * __pyx_v_sample_every)) > (1e-9 * __pyx_t_1));
-
-  /* "dualsim/kernels/_ckernels.pyx":170
- *     cdef long ntargets = n
- *     cdef bint extra = t_end - n * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
- *     if n == 0 or extra:             # <<<<<<<<<<<<<<
- *         ntargets += 1
- *     cdef long kk
-*/
-  __pyx_t_3 = (__pyx_v_n == 0);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = __pyx_v_extra;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "dualsim/kernels/_ckernels.pyx":171
- *     cdef bint extra = t_end - n * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
- *     if n == 0 or extra:
- *         ntargets += 1             # <<<<<<<<<<<<<<
- *     cdef long kk
- *     cdef DBuf times, values
-*/
-    __pyx_v_ntargets = (__pyx_v_ntargets + 1);
-
-    /* "dualsim/kernels/_ckernels.pyx":170
- *     cdef long ntargets = n
- *     cdef bint extra = t_end - n * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
- *     if n == 0 or extra:             # <<<<<<<<<<<<<<
- *         ntargets += 1
- *     cdef long kk
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":174
- *     cdef long kk
- *     cdef DBuf times, values
- *     _dbuf_init(&times, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_init(&values, 4096)
- *     _dbuf_push(&times, 0.0)
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_times), 0x1000); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 174, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":175
- *     cdef DBuf times, values
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&values, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&values, T)
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_values), 0x1000); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 175, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":176
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&values, 4096)
- *     _dbuf_push(&times, 0.0)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&values, T)
- *     for kk in range(1, ntargets + 1):
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), 0.0); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 176, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":177
- *     _dbuf_init(&values, 4096)
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&values, T)             # <<<<<<<<<<<<<<
- *     for kk in range(1, ntargets + 1):
- *         target = kk * sample_every if kk <= n else t_end
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_values), __pyx_v_T); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 177, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":178
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&values, T)
- *     for kk in range(1, ntargets + 1):             # <<<<<<<<<<<<<<
- *         target = kk * sample_every if kk <= n else t_end
- *         if target > t_end:
-*/
-  __pyx_t_5 = (__pyx_v_ntargets + 1);
-  __pyx_t_6 = __pyx_t_5;
-  for (__pyx_t_7 = 1; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-    __pyx_v_kk = __pyx_t_7;
-
-    /* "dualsim/kernels/_ckernels.pyx":179
- *     _dbuf_push(&values, T)
- *     for kk in range(1, ntargets + 1):
- *         target = kk * sample_every if kk <= n else t_end             # <<<<<<<<<<<<<<
- *         if target > t_end:
- *             target = t_end
-*/
-    __pyx_t_2 = (__pyx_v_kk <= __pyx_v_n);
-    if (__pyx_t_2) {
-      __pyx_t_1 = (__pyx_v_kk * __pyx_v_sample_every);
-    } else {
-      __pyx_t_1 = __pyx_v_t_end;
-    }
-    __pyx_v_target = __pyx_t_1;
-
-    /* "dualsim/kernels/_ckernels.pyx":180
- *     for kk in range(1, ntargets + 1):
- *         target = kk * sample_every if kk <= n else t_end
- *         if target > t_end:             # <<<<<<<<<<<<<<
- *             target = t_end
- *         while t < target - 1e-12:
-*/
-    __pyx_t_2 = (__pyx_v_target > __pyx_v_t_end);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":181
- *         target = kk * sample_every if kk <= n else t_end
- *         if target > t_end:
- *             target = t_end             # <<<<<<<<<<<<<<
- *         while t < target - 1e-12:
- *             h = dt if t + dt <= target else target - t
-*/
-      __pyx_v_target = __pyx_v_t_end;
-
-      /* "dualsim/kernels/_ckernels.pyx":180
- *     for kk in range(1, ntargets + 1):
- *         target = kk * sample_every if kk <= n else t_end
- *         if target > t_end:             # <<<<<<<<<<<<<<
- *             target = t_end
- *         while t < target - 1e-12:
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":182
- *         if target > t_end:
- *             target = t_end
- *         while t < target - 1e-12:             # <<<<<<<<<<<<<<
- *             h = dt if t + dt <= target else target - t
- *             halvings = 0
-*/
-    while (1) {
-      __pyx_t_2 = (__pyx_v_t < (__pyx_v_target - 1e-12));
-      if (!__pyx_t_2) break;
-
-      /* "dualsim/kernels/_ckernels.pyx":183
- *             target = t_end
- *         while t < target - 1e-12:
- *             h = dt if t + dt <= target else target - t             # <<<<<<<<<<<<<<
- *             halvings = 0
- *             while True:
-*/
-      __pyx_t_2 = ((__pyx_v_t + __pyx_v_dt) <= __pyx_v_target);
-      if (__pyx_t_2) {
-        __pyx_t_1 = __pyx_v_dt;
-      } else {
-        __pyx_t_1 = (__pyx_v_target - __pyx_v_t);
-      }
-      __pyx_v_h = __pyx_t_1;
-
-      /* "dualsim/kernels/_ckernels.pyx":184
- *         while t < target - 1e-12:
- *             h = dt if t + dt <= target else target - t
- *             halvings = 0             # <<<<<<<<<<<<<<
- *             while True:
- *                 k1 = _f_growth(kind, a, b, ea, eb, T)
-*/
-      __pyx_v_halvings = 0;
-
-      /* "dualsim/kernels/_ckernels.pyx":185
- *             h = dt if t + dt <= target else target - t
- *             halvings = 0
- *             while True:             # <<<<<<<<<<<<<<
- *                 k1 = _f_growth(kind, a, b, ea, eb, T)
- *                 k2 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k1)
-*/
-      while (1) {
-
-        /* "dualsim/kernels/_ckernels.pyx":186
- *             halvings = 0
- *             while True:
- *                 k1 = _f_growth(kind, a, b, ea, eb, T)             # <<<<<<<<<<<<<<
- *                 k2 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k1)
- *                 k3 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k2)
-*/
-        __pyx_v_k1 = __pyx_f_7dualsim_7kernels_9_ckernels__f_growth(__pyx_v_kind, __pyx_v_a, __pyx_v_b, __pyx_v_ea, __pyx_v_eb, __pyx_v_T);
-
-        /* "dualsim/kernels/_ckernels.pyx":187
- *             while True:
- *                 k1 = _f_growth(kind, a, b, ea, eb, T)
- *                 k2 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k1)             # <<<<<<<<<<<<<<
- *                 k3 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k2)
- *                 k4 = _f_growth(kind, a, b, ea, eb, T + h * k3)
-*/
-        __pyx_v_k2 = __pyx_f_7dualsim_7kernels_9_ckernels__f_growth(__pyx_v_kind, __pyx_v_a, __pyx_v_b, __pyx_v_ea, __pyx_v_eb, (__pyx_v_T + ((0.5 * __pyx_v_h) * __pyx_v_k1)));
-
-        /* "dualsim/kernels/_ckernels.pyx":188
- *                 k1 = _f_growth(kind, a, b, ea, eb, T)
- *                 k2 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k1)
- *                 k3 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k2)             # <<<<<<<<<<<<<<
- *                 k4 = _f_growth(kind, a, b, ea, eb, T + h * k3)
- *                 Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-*/
-        __pyx_v_k3 = __pyx_f_7dualsim_7kernels_9_ckernels__f_growth(__pyx_v_kind, __pyx_v_a, __pyx_v_b, __pyx_v_ea, __pyx_v_eb, (__pyx_v_T + ((0.5 * __pyx_v_h) * __pyx_v_k2)));
-
-        /* "dualsim/kernels/_ckernels.pyx":189
- *                 k2 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k1)
- *                 k3 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k2)
- *                 k4 = _f_growth(kind, a, b, ea, eb, T + h * k3)             # <<<<<<<<<<<<<<
- *                 Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
- *                 tol = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
-*/
-        __pyx_v_k4 = __pyx_f_7dualsim_7kernels_9_ckernels__f_growth(__pyx_v_kind, __pyx_v_a, __pyx_v_b, __pyx_v_ea, __pyx_v_eb, (__pyx_v_T + (__pyx_v_h * __pyx_v_k3)));
-
-        /* "dualsim/kernels/_ckernels.pyx":190
- *                 k3 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k2)
- *                 k4 = _f_growth(kind, a, b, ea, eb, T + h * k3)
- *                 Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)             # <<<<<<<<<<<<<<
- *                 tol = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
- *                 if -tol <= Tn <= blowup:
-*/
-        __pyx_v_Tn = (__pyx_v_T + ((__pyx_v_h / 6.0) * (((__pyx_v_k1 + (2.0 * __pyx_v_k2)) + (2.0 * __pyx_v_k3)) + __pyx_v_k4)));
-
-        /* "dualsim/kernels/_ckernels.pyx":191
- *                 k4 = _f_growth(kind, a, b, ea, eb, T + h * k3)
- *                 Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
- *                 tol = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)             # <<<<<<<<<<<<<<
- *                 if -tol <= Tn <= blowup:
- *                     break
-*/
-        __pyx_t_2 = (__pyx_v_T > 1.0);
-        if (__pyx_t_2) {
-          __pyx_t_1 = __pyx_v_T;
-        } else {
-          __pyx_t_1 = 1.0;
-        }
-        __pyx_v_tol = (__pyx_v_7dualsim_7kernels_9_ckernels__REL_UNDERSHOOT_TOL * __pyx_t_1);
-
-        /* "dualsim/kernels/_ckernels.pyx":192
- *                 Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
- *                 tol = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
- *                 if -tol <= Tn <= blowup:             # <<<<<<<<<<<<<<
- *                     break
- *                 # nan can only come from overflow here, so it is a blow-up
-*/
-        __pyx_t_2 = ((-__pyx_v_tol) <= __pyx_v_Tn);
-        if (__pyx_t_2) {
-          __pyx_t_2 = (__pyx_v_Tn <= __pyx_v_blowup);
-        }
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":193
- *                 tol = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
- *                 if -tol <= Tn <= blowup:
- *                     break             # <<<<<<<<<<<<<<
- *                 # nan can only come from overflow here, so it is a blow-up
- *                 if Tn != Tn or Tn > blowup:
-*/
-          goto __pyx_L12_break;
-
-          /* "dualsim/kernels/_ckernels.pyx":192
- *                 Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
- *                 tol = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
- *                 if -tol <= Tn <= blowup:             # <<<<<<<<<<<<<<
- *                     break
- *                 # nan can only come from overflow here, so it is a blow-up
-*/
-        }
-
-        /* "dualsim/kernels/_ckernels.pyx":195
- *                     break
- *                 # nan can only come from overflow here, so it is a blow-up
- *                 if Tn != Tn or Tn > blowup:             # <<<<<<<<<<<<<<
- *                     status = 1
- *                     break
-*/
-        __pyx_t_3 = (__pyx_v_Tn != __pyx_v_Tn);
-        if (!__pyx_t_3) {
-        } else {
-          __pyx_t_2 = __pyx_t_3;
-          goto __pyx_L15_bool_binop_done;
-        }
-        __pyx_t_3 = (__pyx_v_Tn > __pyx_v_blowup);
-        __pyx_t_2 = __pyx_t_3;
-        __pyx_L15_bool_binop_done:;
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":196
- *                 # nan can only come from overflow here, so it is a blow-up
- *                 if Tn != Tn or Tn > blowup:
- *                     status = 1             # <<<<<<<<<<<<<<
- *                     break
- *                 halvings += 1
-*/
-          __pyx_v_status = 1;
-
-          /* "dualsim/kernels/_ckernels.pyx":197
- *                 if Tn != Tn or Tn > blowup:
- *                     status = 1
- *                     break             # <<<<<<<<<<<<<<
- *                 halvings += 1
- *                 if halvings > _MAX_HALVINGS:
-*/
-          goto __pyx_L12_break;
-
-          /* "dualsim/kernels/_ckernels.pyx":195
- *                     break
- *                 # nan can only come from overflow here, so it is a blow-up
- *                 if Tn != Tn or Tn > blowup:             # <<<<<<<<<<<<<<
- *                     status = 1
- *                     break
-*/
-        }
-
-        /* "dualsim/kernels/_ckernels.pyx":198
- *                     status = 1
- *                     break
- *                 halvings += 1             # <<<<<<<<<<<<<<
- *                 if halvings > _MAX_HALVINGS:
- *                     status = 6
-*/
-        __pyx_v_halvings = (__pyx_v_halvings + 1);
-
-        /* "dualsim/kernels/_ckernels.pyx":199
- *                     break
- *                 halvings += 1
- *                 if halvings > _MAX_HALVINGS:             # <<<<<<<<<<<<<<
- *                     status = 6
- *                     break
-*/
-        __pyx_t_2 = (__pyx_v_halvings > __pyx_v_7dualsim_7kernels_9_ckernels__MAX_HALVINGS);
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":200
- *                 halvings += 1
- *                 if halvings > _MAX_HALVINGS:
- *                     status = 6             # <<<<<<<<<<<<<<
- *                     break
- *                 h *= 0.5
-*/
-          __pyx_v_status = 6;
-
-          /* "dualsim/kernels/_ckernels.pyx":201
- *                 if halvings > _MAX_HALVINGS:
- *                     status = 6
- *                     break             # <<<<<<<<<<<<<<
- *                 h *= 0.5
- *             if status != 0:
-*/
-          goto __pyx_L12_break;
-
-          /* "dualsim/kernels/_ckernels.pyx":199
- *                     break
- *                 halvings += 1
- *                 if halvings > _MAX_HALVINGS:             # <<<<<<<<<<<<<<
- *                     status = 6
- *                     break
-*/
-        }
-
-        /* "dualsim/kernels/_ckernels.pyx":202
- *                     status = 6
- *                     break
- *                 h *= 0.5             # <<<<<<<<<<<<<<
- *             if status != 0:
- *                 return _dbuf_take(&times), _dbuf_take(&values), status
-*/
-        __pyx_v_h = (__pyx_v_h * 0.5);
-      }
-      __pyx_L12_break:;
-
-      /* "dualsim/kernels/_ckernels.pyx":203
- *                     break
- *                 h *= 0.5
- *             if status != 0:             # <<<<<<<<<<<<<<
- *                 return _dbuf_take(&times), _dbuf_take(&values), status
- *             T = Tn if Tn > 0.0 else 0.0
-*/
-      __pyx_t_2 = (__pyx_v_status != 0);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":204
- *                 h *= 0.5
- *             if status != 0:
- *                 return _dbuf_take(&times), _dbuf_take(&values), status             # <<<<<<<<<<<<<<
- *             T = Tn if Tn > 0.0 else 0.0
- *             t += h
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_8 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_times)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 204, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        __pyx_t_9 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_values)); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 204, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_10 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 204, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __pyx_t_11 = PyTuple_New(3); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 204, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __Pyx_GIVEREF(__pyx_t_8);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 0, __pyx_t_8) != (0)) __PYX_ERR(0, 204, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_9);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 204, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_10);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 2, __pyx_t_10) != (0)) __PYX_ERR(0, 204, __pyx_L1_error);
-        __pyx_t_8 = 0;
-        __pyx_t_9 = 0;
-        __pyx_t_10 = 0;
-        __pyx_r = __pyx_t_11;
-        __pyx_t_11 = 0;
-        goto __pyx_L0;
-
-        /* "dualsim/kernels/_ckernels.pyx":203
- *                     break
- *                 h *= 0.5
- *             if status != 0:             # <<<<<<<<<<<<<<
- *                 return _dbuf_take(&times), _dbuf_take(&values), status
- *             T = Tn if Tn > 0.0 else 0.0
-*/
-      }
-
-      /* "dualsim/kernels/_ckernels.pyx":205
- *             if status != 0:
- *                 return _dbuf_take(&times), _dbuf_take(&values), status
- *             T = Tn if Tn > 0.0 else 0.0             # <<<<<<<<<<<<<<
- *             t += h
- *         t = target
-*/
-      __pyx_t_2 = (__pyx_v_Tn > 0.0);
-      if (__pyx_t_2) {
-        __pyx_t_1 = __pyx_v_Tn;
-      } else {
-        __pyx_t_1 = 0.0;
-      }
-      __pyx_v_T = __pyx_t_1;
-
-      /* "dualsim/kernels/_ckernels.pyx":206
- *                 return _dbuf_take(&times), _dbuf_take(&values), status
- *             T = Tn if Tn > 0.0 else 0.0
- *             t += h             # <<<<<<<<<<<<<<
- *         t = target
- *         _dbuf_push(&times, t)
-*/
-      __pyx_v_t = (__pyx_v_t + __pyx_v_h);
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":207
- *             T = Tn if Tn > 0.0 else 0.0
- *             t += h
- *         t = target             # <<<<<<<<<<<<<<
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&values, T)
-*/
-    __pyx_v_t = __pyx_v_target;
-
-    /* "dualsim/kernels/_ckernels.pyx":208
- *             t += h
- *         t = target
- *         _dbuf_push(&times, t)             # <<<<<<<<<<<<<<
- *         _dbuf_push(&values, T)
- *     return _dbuf_take(&times), _dbuf_take(&values), 0
-*/
-    __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 208, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":209
- *         t = target
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&values, T)             # <<<<<<<<<<<<<<
- *     return _dbuf_take(&times), _dbuf_take(&values), 0
- * 
-*/
-    __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_values), __pyx_v_T); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 209, __pyx_L1_error)
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":210
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&values, T)
- *     return _dbuf_take(&times), _dbuf_take(&values), 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_11 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_times)); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 210, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_values)); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 210, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_9 = PyTuple_New(3); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 210, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_GIVEREF(__pyx_t_11);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_11) != (0)) __PYX_ERR(0, 210, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_10);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_10) != (0)) __PYX_ERR(0, 210, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 210, __pyx_L1_error);
-  __pyx_t_11 = 0;
-  __pyx_t_10 = 0;
-  __pyx_r = __pyx_t_9;
-  __pyx_t_9 = 0;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":157
- * 
- * 
- * def rk4_growth(int kind, double a, double b, double alpha, double beta,             # <<<<<<<<<<<<<<
- *                double T0, double dt, double t_end, double sample_every,
- *                double blowup):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.rk4_growth", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":213
- * 
- * 
- * def rk4_kuznetsov(double a, double b, double g, double m, double n, double p,             # <<<<<<<<<<<<<<
- *                   double d, double s, double T0, double E0, double dt,
- *                   double t_end, double sample_every, double blowup):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_3rk4_kuznetsov(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_7dualsim_7kernels_9_ckernels_2rk4_kuznetsov, "Integrate the tumour-effector system. Returns (times, T, E, status).");
-static PyMethodDef __pyx_mdef_7dualsim_7kernels_9_ckernels_3rk4_kuznetsov = {"rk4_kuznetsov", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7dualsim_7kernels_9_ckernels_3rk4_kuznetsov, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_7dualsim_7kernels_9_ckernels_2rk4_kuznetsov};
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_3rk4_kuznetsov(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_a;
-  double __pyx_v_b;
-  double __pyx_v_g;
-  double __pyx_v_m;
-  double __pyx_v_n;
-  double __pyx_v_p;
-  double __pyx_v_d;
-  double __pyx_v_s;
-  double __pyx_v_T0;
-  double __pyx_v_E0;
-  double __pyx_v_dt;
-  double __pyx_v_t_end;
-  double __pyx_v_sample_every;
-  double __pyx_v_blowup;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[14] = {0,0,0,0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("rk4_kuznetsov (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_g,&__pyx_mstate_global->__pyx_n_u_m,&__pyx_mstate_global->__pyx_n_u_n,&__pyx_mstate_global->__pyx_n_u_p,&__pyx_mstate_global->__pyx_n_u_d,&__pyx_mstate_global->__pyx_n_u_s,&__pyx_mstate_global->__pyx_n_u_T0,&__pyx_mstate_global->__pyx_n_u_E0,&__pyx_mstate_global->__pyx_n_u_dt,&__pyx_mstate_global->__pyx_n_u_t_end,&__pyx_mstate_global->__pyx_n_u_sample_every,&__pyx_mstate_global->__pyx_n_u_blowup,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 213, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 14:
-        values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 12:
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 213, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "rk4_kuznetsov", 0) < (0)) __PYX_ERR(0, 213, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 14; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("rk4_kuznetsov", 1, 14, 14, i); __PYX_ERR(0, 213, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 14)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 213, __pyx_L3_error)
-      values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 213, __pyx_L3_error)
-    }
-    __pyx_v_a = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_a == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 213, __pyx_L3_error)
-    __pyx_v_b = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_b == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 213, __pyx_L3_error)
-    __pyx_v_g = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_g == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 213, __pyx_L3_error)
-    __pyx_v_m = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_m == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 213, __pyx_L3_error)
-    __pyx_v_n = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_n == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 213, __pyx_L3_error)
-    __pyx_v_p = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_p == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 213, __pyx_L3_error)
-    __pyx_v_d = __Pyx_PyFloat_AsDouble(values[6]); if (unlikely((__pyx_v_d == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 214, __pyx_L3_error)
-    __pyx_v_s = __Pyx_PyFloat_AsDouble(values[7]); if (unlikely((__pyx_v_s == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 214, __pyx_L3_error)
-    __pyx_v_T0 = __Pyx_PyFloat_AsDouble(values[8]); if (unlikely((__pyx_v_T0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 214, __pyx_L3_error)
-    __pyx_v_E0 = __Pyx_PyFloat_AsDouble(values[9]); if (unlikely((__pyx_v_E0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 214, __pyx_L3_error)
-    __pyx_v_dt = __Pyx_PyFloat_AsDouble(values[10]); if (unlikely((__pyx_v_dt == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 214, __pyx_L3_error)
-    __pyx_v_t_end = __Pyx_PyFloat_AsDouble(values[11]); if (unlikely((__pyx_v_t_end == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 215, __pyx_L3_error)
-    __pyx_v_sample_every = __Pyx_PyFloat_AsDouble(values[12]); if (unlikely((__pyx_v_sample_every == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 215, __pyx_L3_error)
-    __pyx_v_blowup = __Pyx_PyFloat_AsDouble(values[13]); if (unlikely((__pyx_v_blowup == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 215, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("rk4_kuznetsov", 1, 14, 14, __pyx_nargs); __PYX_ERR(0, 213, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.rk4_kuznetsov", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7dualsim_7kernels_9_ckernels_2rk4_kuznetsov(__pyx_self, __pyx_v_a, __pyx_v_b, __pyx_v_g, __pyx_v_m, __pyx_v_n, __pyx_v_p, __pyx_v_d, __pyx_v_s, __pyx_v_T0, __pyx_v_E0, __pyx_v_dt, __pyx_v_t_end, __pyx_v_sample_every, __pyx_v_blowup);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_2rk4_kuznetsov(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_g, double __pyx_v_m, double __pyx_v_n, double __pyx_v_p, double __pyx_v_d, double __pyx_v_s, double __pyx_v_T0, double __pyx_v_E0, double __pyx_v_dt, double __pyx_v_t_end, double __pyx_v_sample_every, double __pyx_v_blowup) {
-  double __pyx_v_T;
-  double __pyx_v_E;
-  double __pyx_v_t;
-  double __pyx_v_h;
-  double __pyx_v_target;
-  double __pyx_v_Tn;
-  double __pyx_v_En;
-  double __pyx_v_tolT;
-  double __pyx_v_tolE;
-  double __pyx_v_kT1;
-  double __pyx_v_kE1;
-  double __pyx_v_kT2;
-  double __pyx_v_kE2;
-  double __pyx_v_kT3;
-  double __pyx_v_kE3;
-  double __pyx_v_kT4;
-  double __pyx_v_kE4;
-  double __pyx_v_T2;
-  double __pyx_v_E2;
-  double __pyx_v_T3;
-  double __pyx_v_E3;
-  double __pyx_v_T4;
-  double __pyx_v_E4;
-  int __pyx_v_halvings;
-  int __pyx_v_status;
-  long __pyx_v_ngrid;
-  long __pyx_v_ntargets;
-  int __pyx_v_extra;
-  long __pyx_v_kk;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_times;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_Ts;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_Es;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  double __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  long __pyx_t_5;
-  long __pyx_t_6;
-  long __pyx_t_7;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("rk4_kuznetsov", 0);
-
-  /* "dualsim/kernels/_ckernels.pyx":217
- *                   double t_end, double sample_every, double blowup):
- *     """Integrate the tumour-effector system. Returns (times, T, E, status)."""
- *     cdef double T = T0             # <<<<<<<<<<<<<<
- *     cdef double E = E0
- *     cdef double t = 0.0
-*/
-  __pyx_v_T = __pyx_v_T0;
-
-  /* "dualsim/kernels/_ckernels.pyx":218
- *     """Integrate the tumour-effector system. Returns (times, T, E, status)."""
- *     cdef double T = T0
- *     cdef double E = E0             # <<<<<<<<<<<<<<
- *     cdef double t = 0.0
- *     cdef double h, target, Tn, En, tolT, tolE
-*/
-  __pyx_v_E = __pyx_v_E0;
-
-  /* "dualsim/kernels/_ckernels.pyx":219
- *     cdef double T = T0
- *     cdef double E = E0
- *     cdef double t = 0.0             # <<<<<<<<<<<<<<
- *     cdef double h, target, Tn, En, tolT, tolE
- *     cdef double kT1, kE1, kT2, kE2, kT3, kE3, kT4, kE4, T2, E2, T3, E3, T4, E4
-*/
-  __pyx_v_t = 0.0;
-
-  /* "dualsim/kernels/_ckernels.pyx":222
- *     cdef double h, target, Tn, En, tolT, tolE
- *     cdef double kT1, kE1, kT2, kE2, kT3, kE3, kT4, kE4, T2, E2, T3, E3, T4, E4
- *     cdef int halvings, status = 0             # <<<<<<<<<<<<<<
- *     cdef long ngrid = <long>floor(t_end / sample_every + 1e-9)
- *     cdef long ntargets = ngrid
-*/
-  __pyx_v_status = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":223
- *     cdef double kT1, kE1, kT2, kE2, kT3, kE3, kT4, kE4, T2, E2, T3, E3, T4, E4
- *     cdef int halvings, status = 0
- *     cdef long ngrid = <long>floor(t_end / sample_every + 1e-9)             # <<<<<<<<<<<<<<
- *     cdef long ntargets = ngrid
- *     cdef bint extra = t_end - ngrid * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
-*/
-  __pyx_v_ngrid = ((long)floor(((__pyx_v_t_end / __pyx_v_sample_every) + 1e-9)));
-
-  /* "dualsim/kernels/_ckernels.pyx":224
- *     cdef int halvings, status = 0
- *     cdef long ngrid = <long>floor(t_end / sample_every + 1e-9)
- *     cdef long ntargets = ngrid             # <<<<<<<<<<<<<<
- *     cdef bint extra = t_end - ngrid * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
- *     if ngrid == 0 or extra:
-*/
-  __pyx_v_ntargets = __pyx_v_ngrid;
-
-  /* "dualsim/kernels/_ckernels.pyx":225
- *     cdef long ngrid = <long>floor(t_end / sample_every + 1e-9)
- *     cdef long ntargets = ngrid
- *     cdef bint extra = t_end - ngrid * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)             # <<<<<<<<<<<<<<
- *     if ngrid == 0 or extra:
- *         ntargets += 1
-*/
-  __pyx_t_2 = (__pyx_v_t_end > 1.0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_t_end;
-  } else {
-    __pyx_t_1 = 1.0;
-  }
-  __pyx_v_extra = ((__pyx_v_t_end - (__pyx_v_ngrid * __pyx_v_sample_every)) > (1e-9 * __pyx_t_1));
-
-  /* "dualsim/kernels/_ckernels.pyx":226
- *     cdef long ntargets = ngrid
- *     cdef bint extra = t_end - ngrid * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
- *     if ngrid == 0 or extra:             # <<<<<<<<<<<<<<
- *         ntargets += 1
- *     cdef long kk
-*/
-  __pyx_t_3 = (__pyx_v_ngrid == 0);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = __pyx_v_extra;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "dualsim/kernels/_ckernels.pyx":227
- *     cdef bint extra = t_end - ngrid * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
- *     if ngrid == 0 or extra:
- *         ntargets += 1             # <<<<<<<<<<<<<<
- *     cdef long kk
- *     cdef DBuf times, Ts, Es
-*/
-    __pyx_v_ntargets = (__pyx_v_ntargets + 1);
-
-    /* "dualsim/kernels/_ckernels.pyx":226
- *     cdef long ntargets = ngrid
- *     cdef bint extra = t_end - ngrid * sample_every > 1e-9 * (t_end if t_end > 1.0 else 1.0)
- *     if ngrid == 0 or extra:             # <<<<<<<<<<<<<<
- *         ntargets += 1
- *     cdef long kk
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":230
- *     cdef long kk
- *     cdef DBuf times, Ts, Es
- *     _dbuf_init(&times, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_times), 0x1000); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 230, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":231
- *     cdef DBuf times, Ts, Es
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&Ts, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_Ts), 0x1000); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 231, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":232
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_Es), 0x1000); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 232, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":233
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), 0.0); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 233, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":234
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&Es, E)
- *     for kk in range(1, ntargets + 1):
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 234, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":235
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *     for kk in range(1, ntargets + 1):
- *         target = kk * sample_every if kk <= ngrid else t_end
-*/
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 235, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":236
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)
- *     for kk in range(1, ntargets + 1):             # <<<<<<<<<<<<<<
- *         target = kk * sample_every if kk <= ngrid else t_end
- *         if target > t_end:
-*/
-  __pyx_t_5 = (__pyx_v_ntargets + 1);
-  __pyx_t_6 = __pyx_t_5;
-  for (__pyx_t_7 = 1; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-    __pyx_v_kk = __pyx_t_7;
-
-    /* "dualsim/kernels/_ckernels.pyx":237
- *     _dbuf_push(&Es, E)
- *     for kk in range(1, ntargets + 1):
- *         target = kk * sample_every if kk <= ngrid else t_end             # <<<<<<<<<<<<<<
- *         if target > t_end:
- *             target = t_end
-*/
-    __pyx_t_2 = (__pyx_v_kk <= __pyx_v_ngrid);
-    if (__pyx_t_2) {
-      __pyx_t_1 = (__pyx_v_kk * __pyx_v_sample_every);
-    } else {
-      __pyx_t_1 = __pyx_v_t_end;
-    }
-    __pyx_v_target = __pyx_t_1;
-
-    /* "dualsim/kernels/_ckernels.pyx":238
- *     for kk in range(1, ntargets + 1):
- *         target = kk * sample_every if kk <= ngrid else t_end
- *         if target > t_end:             # <<<<<<<<<<<<<<
- *             target = t_end
- *         while t < target - 1e-12:
-*/
-    __pyx_t_2 = (__pyx_v_target > __pyx_v_t_end);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":239
- *         target = kk * sample_every if kk <= ngrid else t_end
- *         if target > t_end:
- *             target = t_end             # <<<<<<<<<<<<<<
- *         while t < target - 1e-12:
- *             h = dt if t + dt <= target else target - t
-*/
-      __pyx_v_target = __pyx_v_t_end;
-
-      /* "dualsim/kernels/_ckernels.pyx":238
- *     for kk in range(1, ntargets + 1):
- *         target = kk * sample_every if kk <= ngrid else t_end
- *         if target > t_end:             # <<<<<<<<<<<<<<
- *             target = t_end
- *         while t < target - 1e-12:
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":240
- *         if target > t_end:
- *             target = t_end
- *         while t < target - 1e-12:             # <<<<<<<<<<<<<<
- *             h = dt if t + dt <= target else target - t
- *             halvings = 0
-*/
-    while (1) {
-      __pyx_t_2 = (__pyx_v_t < (__pyx_v_target - 1e-12));
-      if (!__pyx_t_2) break;
-
-      /* "dualsim/kernels/_ckernels.pyx":241
- *             target = t_end
- *         while t < target - 1e-12:
- *             h = dt if t + dt <= target else target - t             # <<<<<<<<<<<<<<
- *             halvings = 0
- *             while True:
-*/
-      __pyx_t_2 = ((__pyx_v_t + __pyx_v_dt) <= __pyx_v_target);
-      if (__pyx_t_2) {
-        __pyx_t_1 = __pyx_v_dt;
-      } else {
-        __pyx_t_1 = (__pyx_v_target - __pyx_v_t);
-      }
-      __pyx_v_h = __pyx_t_1;
-
-      /* "dualsim/kernels/_ckernels.pyx":242
- *         while t < target - 1e-12:
- *             h = dt if t + dt <= target else target - t
- *             halvings = 0             # <<<<<<<<<<<<<<
- *             while True:
- *                 kT1 = a * T * (1.0 - b * T) - n * T * E
-*/
-      __pyx_v_halvings = 0;
-
-      /* "dualsim/kernels/_ckernels.pyx":243
- *             h = dt if t + dt <= target else target - t
- *             halvings = 0
- *             while True:             # <<<<<<<<<<<<<<
- *                 kT1 = a * T * (1.0 - b * T) - n * T * E
- *                 kE1 = p * T * E / (g + T) - m * T * E - d * E + s
-*/
-      while (1) {
-
-        /* "dualsim/kernels/_ckernels.pyx":244
- *             halvings = 0
- *             while True:
- *                 kT1 = a * T * (1.0 - b * T) - n * T * E             # <<<<<<<<<<<<<<
- *                 kE1 = p * T * E / (g + T) - m * T * E - d * E + s
- *                 T2 = T + 0.5 * h * kT1
-*/
-        __pyx_v_kT1 = (((__pyx_v_a * __pyx_v_T) * (1.0 - (__pyx_v_b * __pyx_v_T))) - ((__pyx_v_n * __pyx_v_T) * __pyx_v_E));
-
-        /* "dualsim/kernels/_ckernels.pyx":245
- *             while True:
- *                 kT1 = a * T * (1.0 - b * T) - n * T * E
- *                 kE1 = p * T * E / (g + T) - m * T * E - d * E + s             # <<<<<<<<<<<<<<
- *                 T2 = T + 0.5 * h * kT1
- *                 E2 = E + 0.5 * h * kE1
-*/
-        __pyx_v_kE1 = ((((((__pyx_v_p * __pyx_v_T) * __pyx_v_E) / (__pyx_v_g + __pyx_v_T)) - ((__pyx_v_m * __pyx_v_T) * __pyx_v_E)) - (__pyx_v_d * __pyx_v_E)) + __pyx_v_s);
-
-        /* "dualsim/kernels/_ckernels.pyx":246
- *                 kT1 = a * T * (1.0 - b * T) - n * T * E
- *                 kE1 = p * T * E / (g + T) - m * T * E - d * E + s
- *                 T2 = T + 0.5 * h * kT1             # <<<<<<<<<<<<<<
- *                 E2 = E + 0.5 * h * kE1
- *                 kT2 = a * T2 * (1.0 - b * T2) - n * T2 * E2
-*/
-        __pyx_v_T2 = (__pyx_v_T + ((0.5 * __pyx_v_h) * __pyx_v_kT1));
-
-        /* "dualsim/kernels/_ckernels.pyx":247
- *                 kE1 = p * T * E / (g + T) - m * T * E - d * E + s
- *                 T2 = T + 0.5 * h * kT1
- *                 E2 = E + 0.5 * h * kE1             # <<<<<<<<<<<<<<
- *                 kT2 = a * T2 * (1.0 - b * T2) - n * T2 * E2
- *                 kE2 = p * T2 * E2 / (g + T2) - m * T2 * E2 - d * E2 + s
-*/
-        __pyx_v_E2 = (__pyx_v_E + ((0.5 * __pyx_v_h) * __pyx_v_kE1));
-
-        /* "dualsim/kernels/_ckernels.pyx":248
- *                 T2 = T + 0.5 * h * kT1
- *                 E2 = E + 0.5 * h * kE1
- *                 kT2 = a * T2 * (1.0 - b * T2) - n * T2 * E2             # <<<<<<<<<<<<<<
- *                 kE2 = p * T2 * E2 / (g + T2) - m * T2 * E2 - d * E2 + s
- *                 T3 = T + 0.5 * h * kT2
-*/
-        __pyx_v_kT2 = (((__pyx_v_a * __pyx_v_T2) * (1.0 - (__pyx_v_b * __pyx_v_T2))) - ((__pyx_v_n * __pyx_v_T2) * __pyx_v_E2));
-
-        /* "dualsim/kernels/_ckernels.pyx":249
- *                 E2 = E + 0.5 * h * kE1
- *                 kT2 = a * T2 * (1.0 - b * T2) - n * T2 * E2
- *                 kE2 = p * T2 * E2 / (g + T2) - m * T2 * E2 - d * E2 + s             # <<<<<<<<<<<<<<
- *                 T3 = T + 0.5 * h * kT2
- *                 E3 = E + 0.5 * h * kE2
-*/
-        __pyx_v_kE2 = ((((((__pyx_v_p * __pyx_v_T2) * __pyx_v_E2) / (__pyx_v_g + __pyx_v_T2)) - ((__pyx_v_m * __pyx_v_T2) * __pyx_v_E2)) - (__pyx_v_d * __pyx_v_E2)) + __pyx_v_s);
-
-        /* "dualsim/kernels/_ckernels.pyx":250
- *                 kT2 = a * T2 * (1.0 - b * T2) - n * T2 * E2
- *                 kE2 = p * T2 * E2 / (g + T2) - m * T2 * E2 - d * E2 + s
- *                 T3 = T + 0.5 * h * kT2             # <<<<<<<<<<<<<<
- *                 E3 = E + 0.5 * h * kE2
- *                 kT3 = a * T3 * (1.0 - b * T3) - n * T3 * E3
-*/
-        __pyx_v_T3 = (__pyx_v_T + ((0.5 * __pyx_v_h) * __pyx_v_kT2));
-
-        /* "dualsim/kernels/_ckernels.pyx":251
- *                 kE2 = p * T2 * E2 / (g + T2) - m * T2 * E2 - d * E2 + s
- *                 T3 = T + 0.5 * h * kT2
- *                 E3 = E + 0.5 * h * kE2             # <<<<<<<<<<<<<<
- *                 kT3 = a * T3 * (1.0 - b * T3) - n * T3 * E3
- *                 kE3 = p * T3 * E3 / (g + T3) - m * T3 * E3 - d * E3 + s
-*/
-        __pyx_v_E3 = (__pyx_v_E + ((0.5 * __pyx_v_h) * __pyx_v_kE2));
-
-        /* "dualsim/kernels/_ckernels.pyx":252
- *                 T3 = T + 0.5 * h * kT2
- *                 E3 = E + 0.5 * h * kE2
- *                 kT3 = a * T3 * (1.0 - b * T3) - n * T3 * E3             # <<<<<<<<<<<<<<
- *                 kE3 = p * T3 * E3 / (g + T3) - m * T3 * E3 - d * E3 + s
- *                 T4 = T + h * kT3
-*/
-        __pyx_v_kT3 = (((__pyx_v_a * __pyx_v_T3) * (1.0 - (__pyx_v_b * __pyx_v_T3))) - ((__pyx_v_n * __pyx_v_T3) * __pyx_v_E3));
-
-        /* "dualsim/kernels/_ckernels.pyx":253
- *                 E3 = E + 0.5 * h * kE2
- *                 kT3 = a * T3 * (1.0 - b * T3) - n * T3 * E3
- *                 kE3 = p * T3 * E3 / (g + T3) - m * T3 * E3 - d * E3 + s             # <<<<<<<<<<<<<<
- *                 T4 = T + h * kT3
- *                 E4 = E + h * kE3
-*/
-        __pyx_v_kE3 = ((((((__pyx_v_p * __pyx_v_T3) * __pyx_v_E3) / (__pyx_v_g + __pyx_v_T3)) - ((__pyx_v_m * __pyx_v_T3) * __pyx_v_E3)) - (__pyx_v_d * __pyx_v_E3)) + __pyx_v_s);
-
-        /* "dualsim/kernels/_ckernels.pyx":254
- *                 kT3 = a * T3 * (1.0 - b * T3) - n * T3 * E3
- *                 kE3 = p * T3 * E3 / (g + T3) - m * T3 * E3 - d * E3 + s
- *                 T4 = T + h * kT3             # <<<<<<<<<<<<<<
- *                 E4 = E + h * kE3
- *                 kT4 = a * T4 * (1.0 - b * T4) - n * T4 * E4
-*/
-        __pyx_v_T4 = (__pyx_v_T + (__pyx_v_h * __pyx_v_kT3));
-
-        /* "dualsim/kernels/_ckernels.pyx":255
- *                 kE3 = p * T3 * E3 / (g + T3) - m * T3 * E3 - d * E3 + s
- *                 T4 = T + h * kT3
- *                 E4 = E + h * kE3             # <<<<<<<<<<<<<<
- *                 kT4 = a * T4 * (1.0 - b * T4) - n * T4 * E4
- *                 kE4 = p * T4 * E4 / (g + T4) - m * T4 * E4 - d * E4 + s
-*/
-        __pyx_v_E4 = (__pyx_v_E + (__pyx_v_h * __pyx_v_kE3));
-
-        /* "dualsim/kernels/_ckernels.pyx":256
- *                 T4 = T + h * kT3
- *                 E4 = E + h * kE3
- *                 kT4 = a * T4 * (1.0 - b * T4) - n * T4 * E4             # <<<<<<<<<<<<<<
- *                 kE4 = p * T4 * E4 / (g + T4) - m * T4 * E4 - d * E4 + s
- *                 Tn = T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4)
-*/
-        __pyx_v_kT4 = (((__pyx_v_a * __pyx_v_T4) * (1.0 - (__pyx_v_b * __pyx_v_T4))) - ((__pyx_v_n * __pyx_v_T4) * __pyx_v_E4));
-
-        /* "dualsim/kernels/_ckernels.pyx":257
- *                 E4 = E + h * kE3
- *                 kT4 = a * T4 * (1.0 - b * T4) - n * T4 * E4
- *                 kE4 = p * T4 * E4 / (g + T4) - m * T4 * E4 - d * E4 + s             # <<<<<<<<<<<<<<
- *                 Tn = T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4)
- *                 En = E + (h / 6.0) * (kE1 + 2.0 * kE2 + 2.0 * kE3 + kE4)
-*/
-        __pyx_v_kE4 = ((((((__pyx_v_p * __pyx_v_T4) * __pyx_v_E4) / (__pyx_v_g + __pyx_v_T4)) - ((__pyx_v_m * __pyx_v_T4) * __pyx_v_E4)) - (__pyx_v_d * __pyx_v_E4)) + __pyx_v_s);
-
-        /* "dualsim/kernels/_ckernels.pyx":258
- *                 kT4 = a * T4 * (1.0 - b * T4) - n * T4 * E4
- *                 kE4 = p * T4 * E4 / (g + T4) - m * T4 * E4 - d * E4 + s
- *                 Tn = T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4)             # <<<<<<<<<<<<<<
- *                 En = E + (h / 6.0) * (kE1 + 2.0 * kE2 + 2.0 * kE3 + kE4)
- *                 tolT = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
-*/
-        __pyx_v_Tn = (__pyx_v_T + ((__pyx_v_h / 6.0) * (((__pyx_v_kT1 + (2.0 * __pyx_v_kT2)) + (2.0 * __pyx_v_kT3)) + __pyx_v_kT4)));
-
-        /* "dualsim/kernels/_ckernels.pyx":259
- *                 kE4 = p * T4 * E4 / (g + T4) - m * T4 * E4 - d * E4 + s
- *                 Tn = T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4)
- *                 En = E + (h / 6.0) * (kE1 + 2.0 * kE2 + 2.0 * kE3 + kE4)             # <<<<<<<<<<<<<<
- *                 tolT = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
- *                 tolE = _REL_UNDERSHOOT_TOL * (E if E > 1.0 else 1.0)
-*/
-        __pyx_v_En = (__pyx_v_E + ((__pyx_v_h / 6.0) * (((__pyx_v_kE1 + (2.0 * __pyx_v_kE2)) + (2.0 * __pyx_v_kE3)) + __pyx_v_kE4)));
-
-        /* "dualsim/kernels/_ckernels.pyx":260
- *                 Tn = T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4)
- *                 En = E + (h / 6.0) * (kE1 + 2.0 * kE2 + 2.0 * kE3 + kE4)
- *                 tolT = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)             # <<<<<<<<<<<<<<
- *                 tolE = _REL_UNDERSHOOT_TOL * (E if E > 1.0 else 1.0)
- *                 if -tolT <= Tn <= blowup and -tolE <= En <= blowup:
-*/
-        __pyx_t_2 = (__pyx_v_T > 1.0);
-        if (__pyx_t_2) {
-          __pyx_t_1 = __pyx_v_T;
-        } else {
-          __pyx_t_1 = 1.0;
-        }
-        __pyx_v_tolT = (__pyx_v_7dualsim_7kernels_9_ckernels__REL_UNDERSHOOT_TOL * __pyx_t_1);
-
-        /* "dualsim/kernels/_ckernels.pyx":261
- *                 En = E + (h / 6.0) * (kE1 + 2.0 * kE2 + 2.0 * kE3 + kE4)
- *                 tolT = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
- *                 tolE = _REL_UNDERSHOOT_TOL * (E if E > 1.0 else 1.0)             # <<<<<<<<<<<<<<
- *                 if -tolT <= Tn <= blowup and -tolE <= En <= blowup:
- *                     break
-*/
-        __pyx_t_2 = (__pyx_v_E > 1.0);
-        if (__pyx_t_2) {
-          __pyx_t_1 = __pyx_v_E;
-        } else {
-          __pyx_t_1 = 1.0;
-        }
-        __pyx_v_tolE = (__pyx_v_7dualsim_7kernels_9_ckernels__REL_UNDERSHOOT_TOL * __pyx_t_1);
-
-        /* "dualsim/kernels/_ckernels.pyx":262
- *                 tolT = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
- *                 tolE = _REL_UNDERSHOOT_TOL * (E if E > 1.0 else 1.0)
- *                 if -tolT <= Tn <= blowup and -tolE <= En <= blowup:             # <<<<<<<<<<<<<<
- *                     break
- *                 if Tn != Tn or En != En or Tn > blowup or En > blowup:
-*/
-        __pyx_t_3 = ((-__pyx_v_tolT) <= __pyx_v_Tn);
-        if (__pyx_t_3) {
-          __pyx_t_3 = (__pyx_v_Tn <= __pyx_v_blowup);
-        }
-        if (__pyx_t_3) {
-        } else {
-          __pyx_t_2 = __pyx_t_3;
-          goto __pyx_L14_bool_binop_done;
-        }
-        __pyx_t_3 = ((-__pyx_v_tolE) <= __pyx_v_En);
-        if (__pyx_t_3) {
-          __pyx_t_3 = (__pyx_v_En <= __pyx_v_blowup);
-        }
-        __pyx_t_2 = __pyx_t_3;
-        __pyx_L14_bool_binop_done:;
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":263
- *                 tolE = _REL_UNDERSHOOT_TOL * (E if E > 1.0 else 1.0)
- *                 if -tolT <= Tn <= blowup and -tolE <= En <= blowup:
- *                     break             # <<<<<<<<<<<<<<
- *                 if Tn != Tn or En != En or Tn > blowup or En > blowup:
- *                     status = 1
-*/
-          goto __pyx_L12_break;
-
-          /* "dualsim/kernels/_ckernels.pyx":262
- *                 tolT = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
- *                 tolE = _REL_UNDERSHOOT_TOL * (E if E > 1.0 else 1.0)
- *                 if -tolT <= Tn <= blowup and -tolE <= En <= blowup:             # <<<<<<<<<<<<<<
- *                     break
- *                 if Tn != Tn or En != En or Tn > blowup or En > blowup:
-*/
-        }
-
-        /* "dualsim/kernels/_ckernels.pyx":264
- *                 if -tolT <= Tn <= blowup and -tolE <= En <= blowup:
- *                     break
- *                 if Tn != Tn or En != En or Tn > blowup or En > blowup:             # <<<<<<<<<<<<<<
- *                     status = 1
- *                     break
-*/
-        __pyx_t_3 = (__pyx_v_Tn != __pyx_v_Tn);
-        if (!__pyx_t_3) {
-        } else {
-          __pyx_t_2 = __pyx_t_3;
-          goto __pyx_L17_bool_binop_done;
-        }
-        __pyx_t_3 = (__pyx_v_En != __pyx_v_En);
-        if (!__pyx_t_3) {
-        } else {
-          __pyx_t_2 = __pyx_t_3;
-          goto __pyx_L17_bool_binop_done;
-        }
-        __pyx_t_3 = (__pyx_v_Tn > __pyx_v_blowup);
-        if (!__pyx_t_3) {
-        } else {
-          __pyx_t_2 = __pyx_t_3;
-          goto __pyx_L17_bool_binop_done;
-        }
-        __pyx_t_3 = (__pyx_v_En > __pyx_v_blowup);
-        __pyx_t_2 = __pyx_t_3;
-        __pyx_L17_bool_binop_done:;
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":265
- *                     break
- *                 if Tn != Tn or En != En or Tn > blowup or En > blowup:
- *                     status = 1             # <<<<<<<<<<<<<<
- *                     break
- *                 halvings += 1
-*/
-          __pyx_v_status = 1;
-
-          /* "dualsim/kernels/_ckernels.pyx":266
- *                 if Tn != Tn or En != En or Tn > blowup or En > blowup:
- *                     status = 1
- *                     break             # <<<<<<<<<<<<<<
- *                 halvings += 1
- *                 if halvings > _MAX_HALVINGS:
-*/
-          goto __pyx_L12_break;
-
-          /* "dualsim/kernels/_ckernels.pyx":264
- *                 if -tolT <= Tn <= blowup and -tolE <= En <= blowup:
- *                     break
- *                 if Tn != Tn or En != En or Tn > blowup or En > blowup:             # <<<<<<<<<<<<<<
- *                     status = 1
- *                     break
-*/
-        }
-
-        /* "dualsim/kernels/_ckernels.pyx":267
- *                     status = 1
- *                     break
- *                 halvings += 1             # <<<<<<<<<<<<<<
- *                 if halvings > _MAX_HALVINGS:
- *                     status = 6
-*/
-        __pyx_v_halvings = (__pyx_v_halvings + 1);
-
-        /* "dualsim/kernels/_ckernels.pyx":268
- *                     break
- *                 halvings += 1
- *                 if halvings > _MAX_HALVINGS:             # <<<<<<<<<<<<<<
- *                     status = 6
- *                     break
-*/
-        __pyx_t_2 = (__pyx_v_halvings > __pyx_v_7dualsim_7kernels_9_ckernels__MAX_HALVINGS);
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":269
- *                 halvings += 1
- *                 if halvings > _MAX_HALVINGS:
- *                     status = 6             # <<<<<<<<<<<<<<
- *                     break
- *                 h *= 0.5
-*/
-          __pyx_v_status = 6;
-
-          /* "dualsim/kernels/_ckernels.pyx":270
- *                 if halvings > _MAX_HALVINGS:
- *                     status = 6
- *                     break             # <<<<<<<<<<<<<<
- *                 h *= 0.5
- *             if status != 0:
-*/
-          goto __pyx_L12_break;
-
-          /* "dualsim/kernels/_ckernels.pyx":268
- *                     break
- *                 halvings += 1
- *                 if halvings > _MAX_HALVINGS:             # <<<<<<<<<<<<<<
- *                     status = 6
- *                     break
-*/
-        }
-
-        /* "dualsim/kernels/_ckernels.pyx":271
- *                     status = 6
- *                     break
- *                 h *= 0.5             # <<<<<<<<<<<<<<
- *             if status != 0:
- *                 return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
-*/
-        __pyx_v_h = (__pyx_v_h * 0.5);
-      }
-      __pyx_L12_break:;
-
-      /* "dualsim/kernels/_ckernels.pyx":272
- *                     break
- *                 h *= 0.5
- *             if status != 0:             # <<<<<<<<<<<<<<
- *                 return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
- *             T = Tn if Tn > 0.0 else 0.0
-*/
-      __pyx_t_2 = (__pyx_v_status != 0);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":273
- *                 h *= 0.5
- *             if status != 0:
- *                 return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status             # <<<<<<<<<<<<<<
- *             T = Tn if Tn > 0.0 else 0.0
- *             E = En if En > 0.0 else 0.0
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_8 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_times)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 273, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        __pyx_t_9 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Ts)); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 273, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Es)); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 273, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __pyx_t_11 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 273, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __pyx_t_12 = PyTuple_New(4); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 273, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_12);
-        __Pyx_GIVEREF(__pyx_t_8);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 0, __pyx_t_8) != (0)) __PYX_ERR(0, 273, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_9);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 273, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_10);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 2, __pyx_t_10) != (0)) __PYX_ERR(0, 273, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_11);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_12, 3, __pyx_t_11) != (0)) __PYX_ERR(0, 273, __pyx_L1_error);
-        __pyx_t_8 = 0;
-        __pyx_t_9 = 0;
-        __pyx_t_10 = 0;
-        __pyx_t_11 = 0;
-        __pyx_r = __pyx_t_12;
-        __pyx_t_12 = 0;
-        goto __pyx_L0;
-
-        /* "dualsim/kernels/_ckernels.pyx":272
- *                     break
- *                 h *= 0.5
- *             if status != 0:             # <<<<<<<<<<<<<<
- *                 return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
- *             T = Tn if Tn > 0.0 else 0.0
-*/
-      }
-
-      /* "dualsim/kernels/_ckernels.pyx":274
- *             if status != 0:
- *                 return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
- *             T = Tn if Tn > 0.0 else 0.0             # <<<<<<<<<<<<<<
- *             E = En if En > 0.0 else 0.0
- *             t += h
-*/
-      __pyx_t_2 = (__pyx_v_Tn > 0.0);
-      if (__pyx_t_2) {
-        __pyx_t_1 = __pyx_v_Tn;
-      } else {
-        __pyx_t_1 = 0.0;
-      }
-      __pyx_v_T = __pyx_t_1;
-
-      /* "dualsim/kernels/_ckernels.pyx":275
- *                 return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
- *             T = Tn if Tn > 0.0 else 0.0
- *             E = En if En > 0.0 else 0.0             # <<<<<<<<<<<<<<
- *             t += h
- *         t = target
-*/
-      __pyx_t_2 = (__pyx_v_En > 0.0);
-      if (__pyx_t_2) {
-        __pyx_t_1 = __pyx_v_En;
-      } else {
-        __pyx_t_1 = 0.0;
-      }
-      __pyx_v_E = __pyx_t_1;
-
-      /* "dualsim/kernels/_ckernels.pyx":276
- *             T = Tn if Tn > 0.0 else 0.0
- *             E = En if En > 0.0 else 0.0
- *             t += h             # <<<<<<<<<<<<<<
- *         t = target
- *         _dbuf_push(&times, t)
-*/
-      __pyx_v_t = (__pyx_v_t + __pyx_v_h);
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":277
- *             E = En if En > 0.0 else 0.0
- *             t += h
- *         t = target             # <<<<<<<<<<<<<<
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
-*/
-    __pyx_v_t = __pyx_v_target;
-
-    /* "dualsim/kernels/_ckernels.pyx":278
- *             t += h
- *         t = target
- *         _dbuf_push(&times, t)             # <<<<<<<<<<<<<<
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)
-*/
-    __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 278, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":279
- *         t = target
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *         _dbuf_push(&Es, E)
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), 0
-*/
-    __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 279, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":280
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), 0
- * 
-*/
-    __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(0, 280, __pyx_L1_error)
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":281
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_12 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_times)); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 281, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_11 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Ts)); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 281, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Es)); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 281, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 281, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_GIVEREF(__pyx_t_12);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_12) != (0)) __PYX_ERR(0, 281, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_11);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_11) != (0)) __PYX_ERR(0, 281, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_10);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_t_10) != (0)) __PYX_ERR(0, 281, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 281, __pyx_L1_error);
-  __pyx_t_12 = 0;
-  __pyx_t_11 = 0;
-  __pyx_t_10 = 0;
-  __pyx_r = __pyx_t_9;
-  __pyx_t_9 = 0;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":213
- * 
- * 
- * def rk4_kuznetsov(double a, double b, double g, double m, double n, double p,             # <<<<<<<<<<<<<<
- *                   double d, double s, double T0, double E0, double dt,
- *                   double t_end, double sample_every, double blowup):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.rk4_kuznetsov", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":288
- * # --------------------------------------------------------------------------
- * 
- * cdef inline double _channel_rate(int code, double c, double e, double sat,             # <<<<<<<<<<<<<<
- *                                  double T, double E) noexcept nogil:
- *     if code == 1:
-*/
-
-static CYTHON_INLINE double __pyx_f_7dualsim_7kernels_9_ckernels__channel_rate(int __pyx_v_code, double __pyx_v_c, double __pyx_v_e, double __pyx_v_sat, double __pyx_v_T, double __pyx_v_E) {
-  double __pyx_r;
-  int __pyx_t_1;
-  double __pyx_t_2;
-  double __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "dualsim/kernels/_ckernels.pyx":290
- * cdef inline double _channel_rate(int code, double c, double e, double sat,
- *                                  double T, double E) noexcept nogil:
- *     if code == 1:             # <<<<<<<<<<<<<<
- *         return c * T if e == 1.0 else (c * T * T if e == 2.0 else c * pow(T, e))
- *     if code == 4:
-*/
-  __pyx_t_1 = (__pyx_v_code == 1);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":291
- *                                  double T, double E) noexcept nogil:
- *     if code == 1:
- *         return c * T if e == 1.0 else (c * T * T if e == 2.0 else c * pow(T, e))             # <<<<<<<<<<<<<<
- *     if code == 4:
- *         return c * T * E
-*/
-    __pyx_t_1 = (__pyx_v_e == 1.0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = (__pyx_v_c * __pyx_v_T);
-    } else {
-      __pyx_t_4 = (__pyx_v_e == 2.0);
-      if (__pyx_t_4) {
-        __pyx_t_3 = ((__pyx_v_c * __pyx_v_T) * __pyx_v_T);
-      } else {
-        __pyx_t_3 = (__pyx_v_c * pow(__pyx_v_T, __pyx_v_e));
-      }
-      __pyx_t_2 = __pyx_t_3;
-    }
-    __pyx_r = __pyx_t_2;
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":290
- * cdef inline double _channel_rate(int code, double c, double e, double sat,
- *                                  double T, double E) noexcept nogil:
- *     if code == 1:             # <<<<<<<<<<<<<<
- *         return c * T if e == 1.0 else (c * T * T if e == 2.0 else c * pow(T, e))
- *     if code == 4:
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":292
- *     if code == 1:
- *         return c * T if e == 1.0 else (c * T * T if e == 2.0 else c * pow(T, e))
- *     if code == 4:             # <<<<<<<<<<<<<<
- *         return c * T * E
- *     if code == 5:
-*/
-  __pyx_t_1 = (__pyx_v_code == 4);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":293
- *         return c * T if e == 1.0 else (c * T * T if e == 2.0 else c * pow(T, e))
- *     if code == 4:
- *         return c * T * E             # <<<<<<<<<<<<<<
- *     if code == 5:
- *         return c * T * E / (sat + T)
-*/
-    __pyx_r = ((__pyx_v_c * __pyx_v_T) * __pyx_v_E);
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":292
- *     if code == 1:
- *         return c * T if e == 1.0 else (c * T * T if e == 2.0 else c * pow(T, e))
- *     if code == 4:             # <<<<<<<<<<<<<<
- *         return c * T * E
- *     if code == 5:
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":294
- *     if code == 4:
- *         return c * T * E
- *     if code == 5:             # <<<<<<<<<<<<<<
- *         return c * T * E / (sat + T)
- *     if code == 3:
-*/
-  __pyx_t_1 = (__pyx_v_code == 5);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":295
- *         return c * T * E
- *     if code == 5:
- *         return c * T * E / (sat + T)             # <<<<<<<<<<<<<<
- *     if code == 3:
- *         return c * E
-*/
-    __pyx_r = (((__pyx_v_c * __pyx_v_T) * __pyx_v_E) / (__pyx_v_sat + __pyx_v_T));
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":294
- *     if code == 4:
- *         return c * T * E
- *     if code == 5:             # <<<<<<<<<<<<<<
- *         return c * T * E / (sat + T)
- *     if code == 3:
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":296
- *     if code == 5:
- *         return c * T * E / (sat + T)
- *     if code == 3:             # <<<<<<<<<<<<<<
- *         return c * E
- *     if code == 2:
-*/
-  __pyx_t_1 = (__pyx_v_code == 3);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":297
- *         return c * T * E / (sat + T)
- *     if code == 3:
- *         return c * E             # <<<<<<<<<<<<<<
- *     if code == 2:
- *         return c * T * log(T) if T > 0.0 else 0.0
-*/
-    __pyx_r = (__pyx_v_c * __pyx_v_E);
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":296
- *     if code == 5:
- *         return c * T * E / (sat + T)
- *     if code == 3:             # <<<<<<<<<<<<<<
- *         return c * E
- *     if code == 2:
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":298
- *     if code == 3:
- *         return c * E
- *     if code == 2:             # <<<<<<<<<<<<<<
- *         return c * T * log(T) if T > 0.0 else 0.0
- *     return c
-*/
-  __pyx_t_1 = (__pyx_v_code == 2);
-  if (__pyx_t_1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":299
- *         return c * E
- *     if code == 2:
- *         return c * T * log(T) if T > 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     return c
- * 
-*/
-    __pyx_t_1 = (__pyx_v_T > 0.0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = ((__pyx_v_c * __pyx_v_T) * log(__pyx_v_T));
-    } else {
-      __pyx_t_2 = 0.0;
-    }
-    __pyx_r = __pyx_t_2;
-    goto __pyx_L0;
-
-    /* "dualsim/kernels/_ckernels.pyx":298
- *     if code == 3:
- *         return c * E
- *     if code == 2:             # <<<<<<<<<<<<<<
- *         return c * T * log(T) if T > 0.0 else 0.0
- *     return c
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":300
- *     if code == 2:
- *         return c * T * log(T) if T > 0.0 else 0.0
- *     return c             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_c;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":288
- * # --------------------------------------------------------------------------
- * 
- * cdef inline double _channel_rate(int code, double c, double e, double sat,             # <<<<<<<<<<<<<<
- *                                  double T, double E) noexcept nogil:
- *     if code == 1:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":303
- * 
- * 
- * def ssa(codes, coefs, expos, sats, d_t, d_e, bint two_species, double T0,             # <<<<<<<<<<<<<<
- *         double E0, double t_end, object seed, double floor_t, double floor_e,
- *         double cap, long max_events):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_5ssa(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_7dualsim_7kernels_9_ckernels_4ssa, "Event-driven simulation of a channel table over integer populations.\n    Returns (times, T, E, status).");
-static PyMethodDef __pyx_mdef_7dualsim_7kernels_9_ckernels_5ssa = {"ssa", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7dualsim_7kernels_9_ckernels_5ssa, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_7dualsim_7kernels_9_ckernels_4ssa};
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_5ssa(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_codes = 0;
-  PyObject *__pyx_v_coefs = 0;
-  PyObject *__pyx_v_expos = 0;
-  PyObject *__pyx_v_sats = 0;
-  PyObject *__pyx_v_d_t = 0;
-  PyObject *__pyx_v_d_e = 0;
-  CYTHON_UNUSED int __pyx_v_two_species;
-  double __pyx_v_T0;
-  double __pyx_v_E0;
-  double __pyx_v_t_end;
-  PyObject *__pyx_v_seed = 0;
-  double __pyx_v_floor_t;
-  double __pyx_v_floor_e;
-  double __pyx_v_cap;
-  long __pyx_v_max_events;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[15] = {0,0,0,0,0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("ssa (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_codes,&__pyx_mstate_global->__pyx_n_u_coefs,&__pyx_mstate_global->__pyx_n_u_expos,&__pyx_mstate_global->__pyx_n_u_sats,&__pyx_mstate_global->__pyx_n_u_d_t,&__pyx_mstate_global->__pyx_n_u_d_e,&__pyx_mstate_global->__pyx_n_u_two_species,&__pyx_mstate_global->__pyx_n_u_T0,&__pyx_mstate_global->__pyx_n_u_E0,&__pyx_mstate_global->__pyx_n_u_t_end,&__pyx_mstate_global->__pyx_n_u_seed,&__pyx_mstate_global->__pyx_n_u_floor_t,&__pyx_mstate_global->__pyx_n_u_floor_e,&__pyx_mstate_global->__pyx_n_u_cap,&__pyx_mstate_global->__pyx_n_u_max_events,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 303, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 15:
-        values[14] = __Pyx_ArgRef_FASTCALL(__pyx_args, 14);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[14])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 14:
-        values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 12:
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "ssa", 0) < (0)) __PYX_ERR(0, 303, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 15; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("ssa", 1, 15, 15, i); __PYX_ERR(0, 303, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 15)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[14] = __Pyx_ArgRef_FASTCALL(__pyx_args, 14);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[14])) __PYX_ERR(0, 303, __pyx_L3_error)
-    }
-    __pyx_v_codes = values[0];
-    __pyx_v_coefs = values[1];
-    __pyx_v_expos = values[2];
-    __pyx_v_sats = values[3];
-    __pyx_v_d_t = values[4];
-    __pyx_v_d_e = values[5];
-    __pyx_v_two_species = __Pyx_PyObject_IsTrue(values[6]); if (unlikely((__pyx_v_two_species == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 303, __pyx_L3_error)
-    __pyx_v_T0 = __Pyx_PyFloat_AsDouble(values[7]); if (unlikely((__pyx_v_T0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 303, __pyx_L3_error)
-    __pyx_v_E0 = __Pyx_PyFloat_AsDouble(values[8]); if (unlikely((__pyx_v_E0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 304, __pyx_L3_error)
-    __pyx_v_t_end = __Pyx_PyFloat_AsDouble(values[9]); if (unlikely((__pyx_v_t_end == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 304, __pyx_L3_error)
-    __pyx_v_seed = values[10];
-    __pyx_v_floor_t = __Pyx_PyFloat_AsDouble(values[11]); if (unlikely((__pyx_v_floor_t == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 304, __pyx_L3_error)
-    __pyx_v_floor_e = __Pyx_PyFloat_AsDouble(values[12]); if (unlikely((__pyx_v_floor_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 304, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyFloat_AsDouble(values[13]); if (unlikely((__pyx_v_cap == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 305, __pyx_L3_error)
-    __pyx_v_max_events = __Pyx_PyLong_As_long(values[14]); if (unlikely((__pyx_v_max_events == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 305, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("ssa", 1, 15, 15, __pyx_nargs); __PYX_ERR(0, 303, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.ssa", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7dualsim_7kernels_9_ckernels_4ssa(__pyx_self, __pyx_v_codes, __pyx_v_coefs, __pyx_v_expos, __pyx_v_sats, __pyx_v_d_t, __pyx_v_d_e, __pyx_v_two_species, __pyx_v_T0, __pyx_v_E0, __pyx_v_t_end, __pyx_v_seed, __pyx_v_floor_t, __pyx_v_floor_e, __pyx_v_cap, __pyx_v_max_events);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_4ssa(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_codes, PyObject *__pyx_v_coefs, PyObject *__pyx_v_expos, PyObject *__pyx_v_sats, PyObject *__pyx_v_d_t, PyObject *__pyx_v_d_e, CYTHON_UNUSED int __pyx_v_two_species, double __pyx_v_T0, double __pyx_v_E0, double __pyx_v_t_end, PyObject *__pyx_v_seed, double __pyx_v_floor_t, double __pyx_v_floor_e, double __pyx_v_cap, long __pyx_v_max_events) {
-  int __pyx_v_nch;
-  int __pyx_v_ccode[16];
-  double __pyx_v_ccoef[16];
-  double __pyx_v_cexpo[16];
-  double __pyx_v_csat[16];
-  double __pyx_v_cdt[16];
-  double __pyx_v_cde[16];
-  double __pyx_v_rates[16];
-  int __pyx_v_i;
-  uint64_t __pyx_v_rs[4];
-  double __pyx_v_T;
-  double __pyx_v_E;
-  double __pyx_v_t;
-  double __pyx_v_R;
-  double __pyx_v_r;
-  double __pyx_v_u;
-  double __pyx_v_acc;
-  long __pyx_v_nev;
-  int __pyx_v_pick;
-  int __pyx_v_status;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_times;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_Ts;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_Es;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7[4];
-  PyObject *__pyx_t_8 = NULL;
-  size_t __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  double __pyx_t_14;
-  uint64_t __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("ssa", 0);
-
-  /* "dualsim/kernels/_ckernels.pyx":308
- *     """Event-driven simulation of a channel table over integer populations.
- *     Returns (times, T, E, status)."""
- *     cdef int nch = len(codes)             # <<<<<<<<<<<<<<
- *     if nch > _MAX_CHANNELS:
- *         raise ValueError(f"at most {_MAX_CHANNELS} channels supported, got {nch}")
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_codes); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 308, __pyx_L1_error)
-  __pyx_v_nch = __pyx_t_1;
-
-  /* "dualsim/kernels/_ckernels.pyx":309
- *     Returns (times, T, E, status)."""
- *     cdef int nch = len(codes)
- *     if nch > _MAX_CHANNELS:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"at most {_MAX_CHANNELS} channels supported, got {nch}")
- *     cdef int ccode[16]
-*/
-  __pyx_t_2 = (__pyx_v_nch > __pyx_v_7dualsim_7kernels_9_ckernels__MAX_CHANNELS);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "dualsim/kernels/_ckernels.pyx":310
- *     cdef int nch = len(codes)
- *     if nch > _MAX_CHANNELS:
- *         raise ValueError(f"at most {_MAX_CHANNELS} channels supported, got {nch}")             # <<<<<<<<<<<<<<
- *     cdef int ccode[16]
- *     cdef double ccoef[16]
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = __Pyx_PyUnicode_From_int(__pyx_v_7dualsim_7kernels_9_ckernels__MAX_CHANNELS, 0, ' ', 'd'); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 310, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_nch, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 310, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7[0] = __pyx_mstate_global->__pyx_kp_u_at_most;
-    __pyx_t_7[1] = __pyx_t_5;
-    __pyx_t_7[2] = __pyx_mstate_global->__pyx_kp_u_channels_supported_got;
-    __pyx_t_7[3] = __pyx_t_6;
-    __pyx_t_8 = __Pyx_PyUnicode_Join(__pyx_t_7, 4, 8 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_5) + 25 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6), 127);
-    if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 310, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_9 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_8};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 310, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 310, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":309
- *     Returns (times, T, E, status)."""
- *     cdef int nch = len(codes)
- *     if nch > _MAX_CHANNELS:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"at most {_MAX_CHANNELS} channels supported, got {nch}")
- *     cdef int ccode[16]
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":319
- *     cdef double rates[16]
- *     cdef int i
- *     for i in range(nch):             # <<<<<<<<<<<<<<
- *         ccode[i] = codes[i]
- *         ccoef[i] = coefs[i]
-*/
-  __pyx_t_10 = __pyx_v_nch;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "dualsim/kernels/_ckernels.pyx":320
- *     cdef int i
- *     for i in range(nch):
- *         ccode[i] = codes[i]             # <<<<<<<<<<<<<<
- *         ccoef[i] = coefs[i]
- *         cexpo[i] = expos[i]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_codes, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 320, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 320, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_ccode[__pyx_v_i]) = __pyx_t_13;
-
-    /* "dualsim/kernels/_ckernels.pyx":321
- *     for i in range(nch):
- *         ccode[i] = codes[i]
- *         ccoef[i] = coefs[i]             # <<<<<<<<<<<<<<
- *         cexpo[i] = expos[i]
- *         csat[i] = sats[i]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_coefs, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 321, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 321, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_ccoef[__pyx_v_i]) = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":322
- *         ccode[i] = codes[i]
- *         ccoef[i] = coefs[i]
- *         cexpo[i] = expos[i]             # <<<<<<<<<<<<<<
- *         csat[i] = sats[i]
- *         cdt[i] = d_t[i]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_expos, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 322, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 322, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cexpo[__pyx_v_i]) = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":323
- *         ccoef[i] = coefs[i]
- *         cexpo[i] = expos[i]
- *         csat[i] = sats[i]             # <<<<<<<<<<<<<<
- *         cdt[i] = d_t[i]
- *         cde[i] = d_e[i]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_sats, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 323, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 323, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_csat[__pyx_v_i]) = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":324
- *         cexpo[i] = expos[i]
- *         csat[i] = sats[i]
- *         cdt[i] = d_t[i]             # <<<<<<<<<<<<<<
- *         cde[i] = d_e[i]
- *     cdef uint64_t rs[4]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_d_t, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 324, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 324, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cdt[__pyx_v_i]) = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":325
- *         csat[i] = sats[i]
- *         cdt[i] = d_t[i]
- *         cde[i] = d_e[i]             # <<<<<<<<<<<<<<
- *     cdef uint64_t rs[4]
- *     _seed_state(rs, _as_u64(seed))
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_d_e, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 325, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 325, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cde[__pyx_v_i]) = __pyx_t_14;
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":327
- *         cde[i] = d_e[i]
- *     cdef uint64_t rs[4]
- *     _seed_state(rs, _as_u64(seed))             # <<<<<<<<<<<<<<
- *     cdef double T = T0
- *     cdef double E = E0
-*/
-  __pyx_t_15 = __pyx_f_7dualsim_7kernels_9_ckernels__as_u64(__pyx_v_seed); if (unlikely(__pyx_t_15 == ((uint64_t)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 327, __pyx_L1_error)
-  __pyx_f_7dualsim_7kernels_9_ckernels__seed_state(__pyx_v_rs, __pyx_t_15);
-
-  /* "dualsim/kernels/_ckernels.pyx":328
- *     cdef uint64_t rs[4]
- *     _seed_state(rs, _as_u64(seed))
- *     cdef double T = T0             # <<<<<<<<<<<<<<
- *     cdef double E = E0
- *     cdef double t = 0.0
-*/
-  __pyx_v_T = __pyx_v_T0;
-
-  /* "dualsim/kernels/_ckernels.pyx":329
- *     _seed_state(rs, _as_u64(seed))
- *     cdef double T = T0
- *     cdef double E = E0             # <<<<<<<<<<<<<<
- *     cdef double t = 0.0
- *     cdef double R, r, u, acc
-*/
-  __pyx_v_E = __pyx_v_E0;
-
-  /* "dualsim/kernels/_ckernels.pyx":330
- *     cdef double T = T0
- *     cdef double E = E0
- *     cdef double t = 0.0             # <<<<<<<<<<<<<<
- *     cdef double R, r, u, acc
- *     cdef long nev = 0
-*/
-  __pyx_v_t = 0.0;
-
-  /* "dualsim/kernels/_ckernels.pyx":332
- *     cdef double t = 0.0
- *     cdef double R, r, u, acc
- *     cdef long nev = 0             # <<<<<<<<<<<<<<
- *     cdef int pick, status = -1
- *     cdef DBuf times, Ts, Es
-*/
-  __pyx_v_nev = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":333
- *     cdef double R, r, u, acc
- *     cdef long nev = 0
- *     cdef int pick, status = -1             # <<<<<<<<<<<<<<
- *     cdef DBuf times, Ts, Es
- *     _dbuf_init(&times, 4096)
-*/
-  __pyx_v_status = -1;
-
-  /* "dualsim/kernels/_ckernels.pyx":335
- *     cdef int pick, status = -1
- *     cdef DBuf times, Ts, Es
- *     _dbuf_init(&times, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_times), 0x1000); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 335, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":336
- *     cdef DBuf times, Ts, Es
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&Ts, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_Ts), 0x1000); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 336, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":337
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_Es), 0x1000); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 337, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":338
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), 0.0); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 338, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":339
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&Es, E)
- *     while True:
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 339, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":340
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *     while True:
- *         R = 0.0
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 340, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":341
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)
- *     while True:             # <<<<<<<<<<<<<<
- *         R = 0.0
- *         for i in range(nch):
-*/
-  while (1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":342
- *     _dbuf_push(&Es, E)
- *     while True:
- *         R = 0.0             # <<<<<<<<<<<<<<
- *         for i in range(nch):
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
-*/
-    __pyx_v_R = 0.0;
-
-    /* "dualsim/kernels/_ckernels.pyx":343
- *     while True:
- *         R = 0.0
- *         for i in range(nch):             # <<<<<<<<<<<<<<
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
- *             if r < 0.0:
-*/
-    __pyx_t_10 = __pyx_v_nch;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "dualsim/kernels/_ckernels.pyx":344
- *         R = 0.0
- *         for i in range(nch):
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)             # <<<<<<<<<<<<<<
- *             if r < 0.0:
- *                 status = 5
-*/
-      __pyx_v_r = __pyx_f_7dualsim_7kernels_9_ckernels__channel_rate((__pyx_v_ccode[__pyx_v_i]), (__pyx_v_ccoef[__pyx_v_i]), (__pyx_v_cexpo[__pyx_v_i]), (__pyx_v_csat[__pyx_v_i]), __pyx_v_T, __pyx_v_E);
-
-      /* "dualsim/kernels/_ckernels.pyx":345
- *         for i in range(nch):
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
- *             if r < 0.0:             # <<<<<<<<<<<<<<
- *                 status = 5
- *                 break
-*/
-      __pyx_t_2 = (__pyx_v_r < 0.0);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":346
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
- *             if r < 0.0:
- *                 status = 5             # <<<<<<<<<<<<<<
- *                 break
- *             if T + cdt[i] < floor_t or E + cde[i] < floor_e:
-*/
-        __pyx_v_status = 5;
-
-        /* "dualsim/kernels/_ckernels.pyx":347
- *             if r < 0.0:
- *                 status = 5
- *                 break             # <<<<<<<<<<<<<<
- *             if T + cdt[i] < floor_t or E + cde[i] < floor_e:
- *                 r = 0.0
-*/
-        goto __pyx_L9_break;
-
-        /* "dualsim/kernels/_ckernels.pyx":345
- *         for i in range(nch):
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
- *             if r < 0.0:             # <<<<<<<<<<<<<<
- *                 status = 5
- *                 break
-*/
-      }
-
-      /* "dualsim/kernels/_ckernels.pyx":348
- *                 status = 5
- *                 break
- *             if T + cdt[i] < floor_t or E + cde[i] < floor_e:             # <<<<<<<<<<<<<<
- *                 r = 0.0
- *             rates[i] = r
-*/
-      __pyx_t_16 = ((__pyx_v_T + (__pyx_v_cdt[__pyx_v_i])) < __pyx_v_floor_t);
-      if (!__pyx_t_16) {
-      } else {
-        __pyx_t_2 = __pyx_t_16;
-        goto __pyx_L12_bool_binop_done;
-      }
-      __pyx_t_16 = ((__pyx_v_E + (__pyx_v_cde[__pyx_v_i])) < __pyx_v_floor_e);
-      __pyx_t_2 = __pyx_t_16;
-      __pyx_L12_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":349
- *                 break
- *             if T + cdt[i] < floor_t or E + cde[i] < floor_e:
- *                 r = 0.0             # <<<<<<<<<<<<<<
- *             rates[i] = r
- *             R += r
-*/
-        __pyx_v_r = 0.0;
-
-        /* "dualsim/kernels/_ckernels.pyx":348
- *                 status = 5
- *                 break
- *             if T + cdt[i] < floor_t or E + cde[i] < floor_e:             # <<<<<<<<<<<<<<
- *                 r = 0.0
- *             rates[i] = r
-*/
-      }
-
-      /* "dualsim/kernels/_ckernels.pyx":350
- *             if T + cdt[i] < floor_t or E + cde[i] < floor_e:
- *                 r = 0.0
- *             rates[i] = r             # <<<<<<<<<<<<<<
- *             R += r
- *         if status != -1:
-*/
-      (__pyx_v_rates[__pyx_v_i]) = __pyx_v_r;
-
-      /* "dualsim/kernels/_ckernels.pyx":351
- *                 r = 0.0
- *             rates[i] = r
- *             R += r             # <<<<<<<<<<<<<<
- *         if status != -1:
- *             break
-*/
-      __pyx_v_R = (__pyx_v_R + __pyx_v_r);
-    }
-    __pyx_L9_break:;
-
-    /* "dualsim/kernels/_ckernels.pyx":352
- *             rates[i] = r
- *             R += r
- *         if status != -1:             # <<<<<<<<<<<<<<
- *             break
- *         if R <= 0.0:
-*/
-    __pyx_t_2 = (__pyx_v_status != -1L);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":353
- *             R += r
- *         if status != -1:
- *             break             # <<<<<<<<<<<<<<
- *         if R <= 0.0:
- *             if t < t_end:
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":352
- *             rates[i] = r
- *             R += r
- *         if status != -1:             # <<<<<<<<<<<<<<
- *             break
- *         if R <= 0.0:
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":354
- *         if status != -1:
- *             break
- *         if R <= 0.0:             # <<<<<<<<<<<<<<
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
-*/
-    __pyx_t_2 = (__pyx_v_R <= 0.0);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":355
- *             break
- *         if R <= 0.0:
- *             if t < t_end:             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
-*/
-      __pyx_t_2 = (__pyx_v_t < __pyx_v_t_end);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":356
- *         if R <= 0.0:
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&Ts, T)
- *                 _dbuf_push(&Es, E)
-*/
-        __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t_end); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 356, __pyx_L1_error)
-
-        /* "dualsim/kernels/_ckernels.pyx":357
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&Es, E)
- *             status = 2
-*/
-        __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 357, __pyx_L1_error)
-
-        /* "dualsim/kernels/_ckernels.pyx":358
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
- *                 _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *             status = 2
- *             break
-*/
-        __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 358, __pyx_L1_error)
-
-        /* "dualsim/kernels/_ckernels.pyx":355
- *             break
- *         if R <= 0.0:
- *             if t < t_end:             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
-*/
-      }
-
-      /* "dualsim/kernels/_ckernels.pyx":359
- *                 _dbuf_push(&Ts, T)
- *                 _dbuf_push(&Es, E)
- *             status = 2             # <<<<<<<<<<<<<<
- *             break
- *         if R == INFINITY or R != R:
-*/
-      __pyx_v_status = 2;
-
-      /* "dualsim/kernels/_ckernels.pyx":360
- *                 _dbuf_push(&Es, E)
- *             status = 2
- *             break             # <<<<<<<<<<<<<<
- *         if R == INFINITY or R != R:
- *             status = 3
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":354
- *         if status != -1:
- *             break
- *         if R <= 0.0:             # <<<<<<<<<<<<<<
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":361
- *             status = 2
- *             break
- *         if R == INFINITY or R != R:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    __pyx_t_16 = (__pyx_v_R == INFINITY);
-    if (!__pyx_t_16) {
-    } else {
-      __pyx_t_2 = __pyx_t_16;
-      goto __pyx_L18_bool_binop_done;
-    }
-    __pyx_t_16 = (__pyx_v_R != __pyx_v_R);
-    __pyx_t_2 = __pyx_t_16;
-    __pyx_L18_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":362
- *             break
- *         if R == INFINITY or R != R:
- *             status = 3             # <<<<<<<<<<<<<<
- *             break
- *         t += -log(1.0 - _rnd(rs)) / R
-*/
-      __pyx_v_status = 3;
-
-      /* "dualsim/kernels/_ckernels.pyx":363
- *         if R == INFINITY or R != R:
- *             status = 3
- *             break             # <<<<<<<<<<<<<<
- *         t += -log(1.0 - _rnd(rs)) / R
- *         if t >= t_end:
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":361
- *             status = 2
- *             break
- *         if R == INFINITY or R != R:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":364
- *             status = 3
- *             break
- *         t += -log(1.0 - _rnd(rs)) / R             # <<<<<<<<<<<<<<
- *         if t >= t_end:
- *             _dbuf_push(&times, t_end)
-*/
-    __pyx_v_t = (__pyx_v_t + ((-log((1.0 - __pyx_f_7dualsim_7kernels_9_ckernels__rnd(__pyx_v_rs)))) / __pyx_v_R));
-
-    /* "dualsim/kernels/_ckernels.pyx":365
- *             break
- *         t += -log(1.0 - _rnd(rs)) / R
- *         if t >= t_end:             # <<<<<<<<<<<<<<
- *             _dbuf_push(&times, t_end)
- *             _dbuf_push(&Ts, T)
-*/
-    __pyx_t_2 = (__pyx_v_t >= __pyx_v_t_end);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":366
- *         t += -log(1.0 - _rnd(rs)) / R
- *         if t >= t_end:
- *             _dbuf_push(&times, t_end)             # <<<<<<<<<<<<<<
- *             _dbuf_push(&Ts, T)
- *             _dbuf_push(&Es, E)
-*/
-      __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t_end); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 366, __pyx_L1_error)
-
-      /* "dualsim/kernels/_ckernels.pyx":367
- *         if t >= t_end:
- *             _dbuf_push(&times, t_end)
- *             _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *             _dbuf_push(&Es, E)
- *             status = 0
-*/
-      __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 367, __pyx_L1_error)
-
-      /* "dualsim/kernels/_ckernels.pyx":368
- *             _dbuf_push(&times, t_end)
- *             _dbuf_push(&Ts, T)
- *             _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *             status = 0
- *             break
-*/
-      __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 368, __pyx_L1_error)
-
-      /* "dualsim/kernels/_ckernels.pyx":369
- *             _dbuf_push(&Ts, T)
- *             _dbuf_push(&Es, E)
- *             status = 0             # <<<<<<<<<<<<<<
- *             break
- *         u = _rnd(rs) * R
-*/
-      __pyx_v_status = 0;
-
-      /* "dualsim/kernels/_ckernels.pyx":370
- *             _dbuf_push(&Es, E)
- *             status = 0
- *             break             # <<<<<<<<<<<<<<
- *         u = _rnd(rs) * R
- *         acc = 0.0
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":365
- *             break
- *         t += -log(1.0 - _rnd(rs)) / R
- *         if t >= t_end:             # <<<<<<<<<<<<<<
- *             _dbuf_push(&times, t_end)
- *             _dbuf_push(&Ts, T)
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":371
- *             status = 0
- *             break
- *         u = _rnd(rs) * R             # <<<<<<<<<<<<<<
- *         acc = 0.0
- *         pick = nch - 1
-*/
-    __pyx_v_u = (__pyx_f_7dualsim_7kernels_9_ckernels__rnd(__pyx_v_rs) * __pyx_v_R);
-
-    /* "dualsim/kernels/_ckernels.pyx":372
- *             break
- *         u = _rnd(rs) * R
- *         acc = 0.0             # <<<<<<<<<<<<<<
- *         pick = nch - 1
- *         for i in range(nch):
-*/
-    __pyx_v_acc = 0.0;
-
-    /* "dualsim/kernels/_ckernels.pyx":373
- *         u = _rnd(rs) * R
- *         acc = 0.0
- *         pick = nch - 1             # <<<<<<<<<<<<<<
- *         for i in range(nch):
- *             acc += rates[i]
-*/
-    __pyx_v_pick = (__pyx_v_nch - 1);
-
-    /* "dualsim/kernels/_ckernels.pyx":374
- *         acc = 0.0
- *         pick = nch - 1
- *         for i in range(nch):             # <<<<<<<<<<<<<<
- *             acc += rates[i]
- *             if u < acc:
-*/
-    __pyx_t_10 = __pyx_v_nch;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "dualsim/kernels/_ckernels.pyx":375
- *         pick = nch - 1
- *         for i in range(nch):
- *             acc += rates[i]             # <<<<<<<<<<<<<<
- *             if u < acc:
- *                 pick = i
-*/
-      __pyx_v_acc = (__pyx_v_acc + (__pyx_v_rates[__pyx_v_i]));
-
-      /* "dualsim/kernels/_ckernels.pyx":376
- *         for i in range(nch):
- *             acc += rates[i]
- *             if u < acc:             # <<<<<<<<<<<<<<
- *                 pick = i
- *                 break
-*/
-      __pyx_t_2 = (__pyx_v_u < __pyx_v_acc);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":377
- *             acc += rates[i]
- *             if u < acc:
- *                 pick = i             # <<<<<<<<<<<<<<
- *                 break
- *         T += cdt[pick]
-*/
-        __pyx_v_pick = __pyx_v_i;
-
-        /* "dualsim/kernels/_ckernels.pyx":378
- *             if u < acc:
- *                 pick = i
- *                 break             # <<<<<<<<<<<<<<
- *         T += cdt[pick]
- *         E += cde[pick]
-*/
-        goto __pyx_L22_break;
-
-        /* "dualsim/kernels/_ckernels.pyx":376
- *         for i in range(nch):
- *             acc += rates[i]
- *             if u < acc:             # <<<<<<<<<<<<<<
- *                 pick = i
- *                 break
-*/
-      }
-    }
-    __pyx_L22_break:;
-
-    /* "dualsim/kernels/_ckernels.pyx":379
- *                 pick = i
- *                 break
- *         T += cdt[pick]             # <<<<<<<<<<<<<<
- *         E += cde[pick]
- *         nev += 1
-*/
-    __pyx_v_T = (__pyx_v_T + (__pyx_v_cdt[__pyx_v_pick]));
-
-    /* "dualsim/kernels/_ckernels.pyx":380
- *                 break
- *         T += cdt[pick]
- *         E += cde[pick]             # <<<<<<<<<<<<<<
- *         nev += 1
- *         if T > cap or E > cap:
-*/
-    __pyx_v_E = (__pyx_v_E + (__pyx_v_cde[__pyx_v_pick]));
-
-    /* "dualsim/kernels/_ckernels.pyx":381
- *         T += cdt[pick]
- *         E += cde[pick]
- *         nev += 1             # <<<<<<<<<<<<<<
- *         if T > cap or E > cap:
- *             status = 3
-*/
-    __pyx_v_nev = (__pyx_v_nev + 1);
-
-    /* "dualsim/kernels/_ckernels.pyx":382
- *         E += cde[pick]
- *         nev += 1
- *         if T > cap or E > cap:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    __pyx_t_16 = (__pyx_v_T > __pyx_v_cap);
-    if (!__pyx_t_16) {
-    } else {
-      __pyx_t_2 = __pyx_t_16;
-      goto __pyx_L25_bool_binop_done;
-    }
-    __pyx_t_16 = (__pyx_v_E > __pyx_v_cap);
-    __pyx_t_2 = __pyx_t_16;
-    __pyx_L25_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":383
- *         nev += 1
- *         if T > cap or E > cap:
- *             status = 3             # <<<<<<<<<<<<<<
- *             break
- *         _dbuf_push(&times, t)
-*/
-      __pyx_v_status = 3;
-
-      /* "dualsim/kernels/_ckernels.pyx":384
- *         if T > cap or E > cap:
- *             status = 3
- *             break             # <<<<<<<<<<<<<<
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":382
- *         E += cde[pick]
- *         nev += 1
- *         if T > cap or E > cap:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":385
- *             status = 3
- *             break
- *         _dbuf_push(&times, t)             # <<<<<<<<<<<<<<
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)
-*/
-    __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 385, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":386
- *             break
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *         _dbuf_push(&Es, E)
- *         if nev >= max_events:
-*/
-    __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 386, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":387
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *         if nev >= max_events:
- *             status = 4
-*/
-    __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 387, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":388
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)
- *         if nev >= max_events:             # <<<<<<<<<<<<<<
- *             status = 4
- *             break
-*/
-    __pyx_t_2 = (__pyx_v_nev >= __pyx_v_max_events);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":389
- *         _dbuf_push(&Es, E)
- *         if nev >= max_events:
- *             status = 4             # <<<<<<<<<<<<<<
- *             break
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
-*/
-      __pyx_v_status = 4;
-
-      /* "dualsim/kernels/_ckernels.pyx":390
- *         if nev >= max_events:
- *             status = 4
- *             break             # <<<<<<<<<<<<<<
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
- * 
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":388
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)
- *         if nev >= max_events:             # <<<<<<<<<<<<<<
- *             status = 4
- *             break
-*/
-    }
-  }
-  __pyx_L7_break:;
-
-  /* "dualsim/kernels/_ckernels.pyx":391
- *             status = 4
- *             break
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_3 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_times)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_8 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Ts)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Es)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_6 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_5 = PyTuple_New(4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 391, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_8);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_8) != (0)) __PYX_ERR(0, 391, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_4) != (0)) __PYX_ERR(0, 391, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_6);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 3, __pyx_t_6) != (0)) __PYX_ERR(0, 391, __pyx_L1_error);
-  __pyx_t_3 = 0;
-  __pyx_t_8 = 0;
-  __pyx_t_4 = 0;
-  __pyx_t_6 = 0;
-  __pyx_r = __pyx_t_5;
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":303
- * 
- * 
- * def ssa(codes, coefs, expos, sats, d_t, d_e, bint two_species, double T0,             # <<<<<<<<<<<<<<
- *         double E0, double t_end, object seed, double floor_t, double floor_e,
- *         double cap, long max_events):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.ssa", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":394
- * 
- * 
- * def ssa_frozen(double birth_c, double birth_e, bint death_log, double death_c,             # <<<<<<<<<<<<<<
- *                double death_e, double T0, double t_end, object seed,
- *                double floor_t, double cap, long max_events):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_7ssa_frozen(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_7dualsim_7kernels_9_ckernels_6ssa_frozen, "One-species exact simulation with per-agent death rates frozen at the\n    population size at each agent's creation. Returns (times, T, status).");
-static PyMethodDef __pyx_mdef_7dualsim_7kernels_9_ckernels_7ssa_frozen = {"ssa_frozen", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7dualsim_7kernels_9_ckernels_7ssa_frozen, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_7dualsim_7kernels_9_ckernels_6ssa_frozen};
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_7ssa_frozen(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_birth_c;
-  double __pyx_v_birth_e;
-  int __pyx_v_death_log;
-  double __pyx_v_death_c;
-  double __pyx_v_death_e;
-  double __pyx_v_T0;
-  double __pyx_v_t_end;
-  PyObject *__pyx_v_seed = 0;
-  double __pyx_v_floor_t;
-  double __pyx_v_cap;
-  long __pyx_v_max_events;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[11] = {0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("ssa_frozen (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_birth_c,&__pyx_mstate_global->__pyx_n_u_birth_e,&__pyx_mstate_global->__pyx_n_u_death_log,&__pyx_mstate_global->__pyx_n_u_death_c,&__pyx_mstate_global->__pyx_n_u_death_e,&__pyx_mstate_global->__pyx_n_u_T0,&__pyx_mstate_global->__pyx_n_u_t_end,&__pyx_mstate_global->__pyx_n_u_seed,&__pyx_mstate_global->__pyx_n_u_floor_t,&__pyx_mstate_global->__pyx_n_u_cap,&__pyx_mstate_global->__pyx_n_u_max_events,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 394, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 394, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "ssa_frozen", 0) < (0)) __PYX_ERR(0, 394, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 11; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("ssa_frozen", 1, 11, 11, i); __PYX_ERR(0, 394, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 11)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 394, __pyx_L3_error)
-      values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 394, __pyx_L3_error)
-    }
-    __pyx_v_birth_c = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_birth_c == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 394, __pyx_L3_error)
-    __pyx_v_birth_e = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_birth_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 394, __pyx_L3_error)
-    __pyx_v_death_log = __Pyx_PyObject_IsTrue(values[2]); if (unlikely((__pyx_v_death_log == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 394, __pyx_L3_error)
-    __pyx_v_death_c = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_death_c == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 394, __pyx_L3_error)
-    __pyx_v_death_e = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_death_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L3_error)
-    __pyx_v_T0 = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_T0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L3_error)
-    __pyx_v_t_end = __Pyx_PyFloat_AsDouble(values[6]); if (unlikely((__pyx_v_t_end == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L3_error)
-    __pyx_v_seed = values[7];
-    __pyx_v_floor_t = __Pyx_PyFloat_AsDouble(values[8]); if (unlikely((__pyx_v_floor_t == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 396, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyFloat_AsDouble(values[9]); if (unlikely((__pyx_v_cap == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 396, __pyx_L3_error)
-    __pyx_v_max_events = __Pyx_PyLong_As_long(values[10]); if (unlikely((__pyx_v_max_events == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 396, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("ssa_frozen", 1, 11, 11, __pyx_nargs); __PYX_ERR(0, 394, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.ssa_frozen", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7dualsim_7kernels_9_ckernels_6ssa_frozen(__pyx_self, __pyx_v_birth_c, __pyx_v_birth_e, __pyx_v_death_log, __pyx_v_death_c, __pyx_v_death_e, __pyx_v_T0, __pyx_v_t_end, __pyx_v_seed, __pyx_v_floor_t, __pyx_v_cap, __pyx_v_max_events);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_6ssa_frozen(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_birth_c, double __pyx_v_birth_e, int __pyx_v_death_log, double __pyx_v_death_c, double __pyx_v_death_e, double __pyx_v_T0, double __pyx_v_t_end, PyObject *__pyx_v_seed, double __pyx_v_floor_t, double __pyx_v_cap, long __pyx_v_max_events) {
-  uint64_t __pyx_v_rs[4];
-  double __pyx_v_T;
-  double __pyx_v_t;
-  double __pyx_v_B;
-  double __pyx_v_D;
-  double __pyx_v_R;
-  double __pyx_v_u;
-  double __pyx_v_acc;
-  double __pyx_v_dnew;
-  long __pyx_v_nev;
-  int __pyx_v_status;
-  Py_ssize_t __pyx_v_ncoh;
-  Py_ssize_t __pyx_v_ccap;
-  Py_ssize_t __pyx_v_i;
-  double *__pyx_v_crates;
-  double *__pyx_v_ccounts;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_times;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_Ts;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  uint64_t __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  double __pyx_t_4;
-  int __pyx_t_5;
-  Py_ssize_t __pyx_t_6;
-  Py_ssize_t __pyx_t_7;
-  Py_ssize_t __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("ssa_frozen", 0);
-
-  /* "dualsim/kernels/_ckernels.pyx":400
- *     population size at each agent's creation. Returns (times, T, status)."""
- *     cdef uint64_t rs[4]
- *     _seed_state(rs, _as_u64(seed))             # <<<<<<<<<<<<<<
- *     cdef double T = T0
- *     cdef double t = 0.0
-*/
-  __pyx_t_1 = __pyx_f_7dualsim_7kernels_9_ckernels__as_u64(__pyx_v_seed); if (unlikely(__pyx_t_1 == ((uint64_t)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 400, __pyx_L1_error)
-  __pyx_f_7dualsim_7kernels_9_ckernels__seed_state(__pyx_v_rs, __pyx_t_1);
-
-  /* "dualsim/kernels/_ckernels.pyx":401
- *     cdef uint64_t rs[4]
- *     _seed_state(rs, _as_u64(seed))
- *     cdef double T = T0             # <<<<<<<<<<<<<<
- *     cdef double t = 0.0
- *     cdef double B, D, R, u, acc, dnew
-*/
-  __pyx_v_T = __pyx_v_T0;
-
-  /* "dualsim/kernels/_ckernels.pyx":402
- *     _seed_state(rs, _as_u64(seed))
- *     cdef double T = T0
- *     cdef double t = 0.0             # <<<<<<<<<<<<<<
- *     cdef double B, D, R, u, acc, dnew
- *     cdef long nev = 0
-*/
-  __pyx_v_t = 0.0;
-
-  /* "dualsim/kernels/_ckernels.pyx":404
- *     cdef double t = 0.0
- *     cdef double B, D, R, u, acc, dnew
- *     cdef long nev = 0             # <<<<<<<<<<<<<<
- *     cdef int status = -1
- *     cdef Py_ssize_t ncoh = 0, ccap = 64, i
-*/
-  __pyx_v_nev = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":405
- *     cdef double B, D, R, u, acc, dnew
- *     cdef long nev = 0
- *     cdef int status = -1             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t ncoh = 0, ccap = 64, i
- *     cdef double* crates = <double*>PyMem_Malloc(ccap * sizeof(double))
-*/
-  __pyx_v_status = -1;
-
-  /* "dualsim/kernels/_ckernels.pyx":406
- *     cdef long nev = 0
- *     cdef int status = -1
- *     cdef Py_ssize_t ncoh = 0, ccap = 64, i             # <<<<<<<<<<<<<<
- *     cdef double* crates = <double*>PyMem_Malloc(ccap * sizeof(double))
- *     cdef double* ccounts = <double*>PyMem_Malloc(ccap * sizeof(double))
-*/
-  __pyx_v_ncoh = 0;
-  __pyx_v_ccap = 64;
-
-  /* "dualsim/kernels/_ckernels.pyx":407
- *     cdef int status = -1
- *     cdef Py_ssize_t ncoh = 0, ccap = 64, i
- *     cdef double* crates = <double*>PyMem_Malloc(ccap * sizeof(double))             # <<<<<<<<<<<<<<
- *     cdef double* ccounts = <double*>PyMem_Malloc(ccap * sizeof(double))
- *     if crates == NULL or ccounts == NULL:
-*/
-  __pyx_v_crates = ((double *)PyMem_Malloc((__pyx_v_ccap * (sizeof(double)))));
-
-  /* "dualsim/kernels/_ckernels.pyx":408
- *     cdef Py_ssize_t ncoh = 0, ccap = 64, i
- *     cdef double* crates = <double*>PyMem_Malloc(ccap * sizeof(double))
- *     cdef double* ccounts = <double*>PyMem_Malloc(ccap * sizeof(double))             # <<<<<<<<<<<<<<
- *     if crates == NULL or ccounts == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_ccounts = ((double *)PyMem_Malloc((__pyx_v_ccap * (sizeof(double)))));
-
-  /* "dualsim/kernels/_ckernels.pyx":409
- *     cdef double* crates = <double*>PyMem_Malloc(ccap * sizeof(double))
- *     cdef double* ccounts = <double*>PyMem_Malloc(ccap * sizeof(double))
- *     if crates == NULL or ccounts == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     if T > 0.0:
-*/
-  __pyx_t_3 = (__pyx_v_crates == NULL);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_ccounts == NULL);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "dualsim/kernels/_ckernels.pyx":410
- *     cdef double* ccounts = <double*>PyMem_Malloc(ccap * sizeof(double))
- *     if crates == NULL or ccounts == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     if T > 0.0:
- *         crates[0] = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 410, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":409
- *     cdef double* crates = <double*>PyMem_Malloc(ccap * sizeof(double))
- *     cdef double* ccounts = <double*>PyMem_Malloc(ccap * sizeof(double))
- *     if crates == NULL or ccounts == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     if T > 0.0:
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":411
- *     if crates == NULL or ccounts == NULL:
- *         raise MemoryError()
- *     if T > 0.0:             # <<<<<<<<<<<<<<
- *         crates[0] = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
- *         ccounts[0] = T
-*/
-  __pyx_t_2 = (__pyx_v_T > 0.0);
-  if (__pyx_t_2) {
-
-    /* "dualsim/kernels/_ckernels.pyx":412
- *         raise MemoryError()
- *     if T > 0.0:
- *         crates[0] = death_c * log(T) if death_log else death_c * _powfast(T, death_e)             # <<<<<<<<<<<<<<
- *         ccounts[0] = T
- *         ncoh = 1
-*/
-    if (__pyx_v_death_log) {
-      __pyx_t_4 = (__pyx_v_death_c * log(__pyx_v_T));
-    } else {
-      __pyx_t_4 = (__pyx_v_death_c * __pyx_f_7dualsim_7kernels_9_ckernels__powfast(__pyx_v_T, __pyx_v_death_e));
-    }
-    (__pyx_v_crates[0]) = __pyx_t_4;
-
-    /* "dualsim/kernels/_ckernels.pyx":413
- *     if T > 0.0:
- *         crates[0] = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
- *         ccounts[0] = T             # <<<<<<<<<<<<<<
- *         ncoh = 1
- *     cdef DBuf times, Ts
-*/
-    (__pyx_v_ccounts[0]) = __pyx_v_T;
-
-    /* "dualsim/kernels/_ckernels.pyx":414
- *         crates[0] = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
- *         ccounts[0] = T
- *         ncoh = 1             # <<<<<<<<<<<<<<
- *     cdef DBuf times, Ts
- *     _dbuf_init(&times, 4096)
-*/
-    __pyx_v_ncoh = 1;
-
-    /* "dualsim/kernels/_ckernels.pyx":411
- *     if crates == NULL or ccounts == NULL:
- *         raise MemoryError()
- *     if T > 0.0:             # <<<<<<<<<<<<<<
- *         crates[0] = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
- *         ccounts[0] = T
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":416
- *         ncoh = 1
- *     cdef DBuf times, Ts
- *     _dbuf_init(&times, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_push(&times, 0.0)
-*/
-  __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_times), 0x1000); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 416, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":417
- *     cdef DBuf times, Ts
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&Ts, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)
-*/
-  __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_Ts), 0x1000); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 417, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":418
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_push(&times, 0.0)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&Ts, T)
- *     while True:
-*/
-  __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), 0.0); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 418, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":419
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *     while True:
- *         B = birth_c * T if birth_e == 1.0 else birth_c * _powfast(T, birth_e)
-*/
-  __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 419, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":420
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)
- *     while True:             # <<<<<<<<<<<<<<
- *         B = birth_c * T if birth_e == 1.0 else birth_c * _powfast(T, birth_e)
- *         if B < 0.0:
-*/
-  while (1) {
-
-    /* "dualsim/kernels/_ckernels.pyx":421
- *     _dbuf_push(&Ts, T)
- *     while True:
- *         B = birth_c * T if birth_e == 1.0 else birth_c * _powfast(T, birth_e)             # <<<<<<<<<<<<<<
- *         if B < 0.0:
- *             status = 5
-*/
-    __pyx_t_2 = (__pyx_v_birth_e == 1.0);
-    if (__pyx_t_2) {
-      __pyx_t_4 = (__pyx_v_birth_c * __pyx_v_T);
-    } else {
-      __pyx_t_4 = (__pyx_v_birth_c * __pyx_f_7dualsim_7kernels_9_ckernels__powfast(__pyx_v_T, __pyx_v_birth_e));
-    }
-    __pyx_v_B = __pyx_t_4;
-
-    /* "dualsim/kernels/_ckernels.pyx":422
- *     while True:
- *         B = birth_c * T if birth_e == 1.0 else birth_c * _powfast(T, birth_e)
- *         if B < 0.0:             # <<<<<<<<<<<<<<
- *             status = 5
- *             break
-*/
-    __pyx_t_2 = (__pyx_v_B < 0.0);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":423
- *         B = birth_c * T if birth_e == 1.0 else birth_c * _powfast(T, birth_e)
- *         if B < 0.0:
- *             status = 5             # <<<<<<<<<<<<<<
- *             break
- *         D = 0.0
-*/
-      __pyx_v_status = 5;
-
-      /* "dualsim/kernels/_ckernels.pyx":424
- *         if B < 0.0:
- *             status = 5
- *             break             # <<<<<<<<<<<<<<
- *         D = 0.0
- *         for i in range(ncoh):
-*/
-      goto __pyx_L8_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":422
- *     while True:
- *         B = birth_c * T if birth_e == 1.0 else birth_c * _powfast(T, birth_e)
- *         if B < 0.0:             # <<<<<<<<<<<<<<
- *             status = 5
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":425
- *             status = 5
- *             break
- *         D = 0.0             # <<<<<<<<<<<<<<
- *         for i in range(ncoh):
- *             D += crates[i] * ccounts[i]
-*/
-    __pyx_v_D = 0.0;
-
-    /* "dualsim/kernels/_ckernels.pyx":426
- *             break
- *         D = 0.0
- *         for i in range(ncoh):             # <<<<<<<<<<<<<<
- *             D += crates[i] * ccounts[i]
- *         if D < 0.0:
-*/
-    __pyx_t_6 = __pyx_v_ncoh;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_i = __pyx_t_8;
-
-      /* "dualsim/kernels/_ckernels.pyx":427
- *         D = 0.0
- *         for i in range(ncoh):
- *             D += crates[i] * ccounts[i]             # <<<<<<<<<<<<<<
- *         if D < 0.0:
- *             status = 5
-*/
-      __pyx_v_D = (__pyx_v_D + ((__pyx_v_crates[__pyx_v_i]) * (__pyx_v_ccounts[__pyx_v_i])));
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":428
- *         for i in range(ncoh):
- *             D += crates[i] * ccounts[i]
- *         if D < 0.0:             # <<<<<<<<<<<<<<
- *             status = 5
- *             break
-*/
-    __pyx_t_2 = (__pyx_v_D < 0.0);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":429
- *             D += crates[i] * ccounts[i]
- *         if D < 0.0:
- *             status = 5             # <<<<<<<<<<<<<<
- *             break
- *         if T - 1.0 < floor_t:
-*/
-      __pyx_v_status = 5;
-
-      /* "dualsim/kernels/_ckernels.pyx":430
- *         if D < 0.0:
- *             status = 5
- *             break             # <<<<<<<<<<<<<<
- *         if T - 1.0 < floor_t:
- *             D = 0.0
-*/
-      goto __pyx_L8_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":428
- *         for i in range(ncoh):
- *             D += crates[i] * ccounts[i]
- *         if D < 0.0:             # <<<<<<<<<<<<<<
- *             status = 5
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":431
- *             status = 5
- *             break
- *         if T - 1.0 < floor_t:             # <<<<<<<<<<<<<<
- *             D = 0.0
- *         R = B + D
-*/
-    __pyx_t_2 = ((__pyx_v_T - 1.0) < __pyx_v_floor_t);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":432
- *             break
- *         if T - 1.0 < floor_t:
- *             D = 0.0             # <<<<<<<<<<<<<<
- *         R = B + D
- *         if R <= 0.0:
-*/
-      __pyx_v_D = 0.0;
-
-      /* "dualsim/kernels/_ckernels.pyx":431
- *             status = 5
- *             break
- *         if T - 1.0 < floor_t:             # <<<<<<<<<<<<<<
- *             D = 0.0
- *         R = B + D
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":433
- *         if T - 1.0 < floor_t:
- *             D = 0.0
- *         R = B + D             # <<<<<<<<<<<<<<
- *         if R <= 0.0:
- *             if t < t_end:
-*/
-    __pyx_v_R = (__pyx_v_B + __pyx_v_D);
-
-    /* "dualsim/kernels/_ckernels.pyx":434
- *             D = 0.0
- *         R = B + D
- *         if R <= 0.0:             # <<<<<<<<<<<<<<
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
-*/
-    __pyx_t_2 = (__pyx_v_R <= 0.0);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":435
- *         R = B + D
- *         if R <= 0.0:
- *             if t < t_end:             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
-*/
-      __pyx_t_2 = (__pyx_v_t < __pyx_v_t_end);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":436
- *         if R <= 0.0:
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&Ts, T)
- *             status = 2
-*/
-        __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t_end); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 436, __pyx_L1_error)
-
-        /* "dualsim/kernels/_ckernels.pyx":437
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *             status = 2
- *             break
-*/
-        __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 437, __pyx_L1_error)
-
-        /* "dualsim/kernels/_ckernels.pyx":435
- *         R = B + D
- *         if R <= 0.0:
- *             if t < t_end:             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
-*/
-      }
-
-      /* "dualsim/kernels/_ckernels.pyx":438
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
- *             status = 2             # <<<<<<<<<<<<<<
- *             break
- *         if R == INFINITY or R != R:
-*/
-      __pyx_v_status = 2;
-
-      /* "dualsim/kernels/_ckernels.pyx":439
- *                 _dbuf_push(&Ts, T)
- *             status = 2
- *             break             # <<<<<<<<<<<<<<
- *         if R == INFINITY or R != R:
- *             status = 3
-*/
-      goto __pyx_L8_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":434
- *             D = 0.0
- *         R = B + D
- *         if R <= 0.0:             # <<<<<<<<<<<<<<
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":440
- *             status = 2
- *             break
- *         if R == INFINITY or R != R:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    __pyx_t_3 = (__pyx_v_R == INFINITY);
-    if (!__pyx_t_3) {
-    } else {
-      __pyx_t_2 = __pyx_t_3;
-      goto __pyx_L17_bool_binop_done;
-    }
-    __pyx_t_3 = (__pyx_v_R != __pyx_v_R);
-    __pyx_t_2 = __pyx_t_3;
-    __pyx_L17_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":441
- *             break
- *         if R == INFINITY or R != R:
- *             status = 3             # <<<<<<<<<<<<<<
- *             break
- *         t += -log(1.0 - _rnd(rs)) / R
-*/
-      __pyx_v_status = 3;
-
-      /* "dualsim/kernels/_ckernels.pyx":442
- *         if R == INFINITY or R != R:
- *             status = 3
- *             break             # <<<<<<<<<<<<<<
- *         t += -log(1.0 - _rnd(rs)) / R
- *         if t >= t_end:
-*/
-      goto __pyx_L8_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":440
- *             status = 2
- *             break
- *         if R == INFINITY or R != R:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":443
- *             status = 3
- *             break
- *         t += -log(1.0 - _rnd(rs)) / R             # <<<<<<<<<<<<<<
- *         if t >= t_end:
- *             _dbuf_push(&times, t_end)
-*/
-    __pyx_v_t = (__pyx_v_t + ((-log((1.0 - __pyx_f_7dualsim_7kernels_9_ckernels__rnd(__pyx_v_rs)))) / __pyx_v_R));
-
-    /* "dualsim/kernels/_ckernels.pyx":444
- *             break
- *         t += -log(1.0 - _rnd(rs)) / R
- *         if t >= t_end:             # <<<<<<<<<<<<<<
- *             _dbuf_push(&times, t_end)
- *             _dbuf_push(&Ts, T)
-*/
-    __pyx_t_2 = (__pyx_v_t >= __pyx_v_t_end);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":445
- *         t += -log(1.0 - _rnd(rs)) / R
- *         if t >= t_end:
- *             _dbuf_push(&times, t_end)             # <<<<<<<<<<<<<<
- *             _dbuf_push(&Ts, T)
- *             status = 0
-*/
-      __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t_end); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 445, __pyx_L1_error)
-
-      /* "dualsim/kernels/_ckernels.pyx":446
- *         if t >= t_end:
- *             _dbuf_push(&times, t_end)
- *             _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *             status = 0
- *             break
-*/
-      __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 446, __pyx_L1_error)
-
-      /* "dualsim/kernels/_ckernels.pyx":447
- *             _dbuf_push(&times, t_end)
- *             _dbuf_push(&Ts, T)
- *             status = 0             # <<<<<<<<<<<<<<
- *             break
- *         u = _rnd(rs) * R
-*/
-      __pyx_v_status = 0;
-
-      /* "dualsim/kernels/_ckernels.pyx":448
- *             _dbuf_push(&Ts, T)
- *             status = 0
- *             break             # <<<<<<<<<<<<<<
- *         u = _rnd(rs) * R
- *         if u < B:
-*/
-      goto __pyx_L8_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":444
- *             break
- *         t += -log(1.0 - _rnd(rs)) / R
- *         if t >= t_end:             # <<<<<<<<<<<<<<
- *             _dbuf_push(&times, t_end)
- *             _dbuf_push(&Ts, T)
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":449
- *             status = 0
- *             break
- *         u = _rnd(rs) * R             # <<<<<<<<<<<<<<
- *         if u < B:
- *             T += 1.0
-*/
-    __pyx_v_u = (__pyx_f_7dualsim_7kernels_9_ckernels__rnd(__pyx_v_rs) * __pyx_v_R);
-
-    /* "dualsim/kernels/_ckernels.pyx":450
- *             break
- *         u = _rnd(rs) * R
- *         if u < B:             # <<<<<<<<<<<<<<
- *             T += 1.0
- *             dnew = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
-*/
-    __pyx_t_2 = (__pyx_v_u < __pyx_v_B);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":451
- *         u = _rnd(rs) * R
- *         if u < B:
- *             T += 1.0             # <<<<<<<<<<<<<<
- *             dnew = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
- *             for i in range(ncoh):
-*/
-      __pyx_v_T = (__pyx_v_T + 1.0);
-
-      /* "dualsim/kernels/_ckernels.pyx":452
- *         if u < B:
- *             T += 1.0
- *             dnew = death_c * log(T) if death_log else death_c * _powfast(T, death_e)             # <<<<<<<<<<<<<<
- *             for i in range(ncoh):
- *                 if crates[i] == dnew:
-*/
-      if (__pyx_v_death_log) {
-        __pyx_t_4 = (__pyx_v_death_c * log(__pyx_v_T));
-      } else {
-        __pyx_t_4 = (__pyx_v_death_c * __pyx_f_7dualsim_7kernels_9_ckernels__powfast(__pyx_v_T, __pyx_v_death_e));
-      }
-      __pyx_v_dnew = __pyx_t_4;
-
-      /* "dualsim/kernels/_ckernels.pyx":453
- *             T += 1.0
- *             dnew = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
- *             for i in range(ncoh):             # <<<<<<<<<<<<<<
- *                 if crates[i] == dnew:
- *                     ccounts[i] += 1.0
-*/
-      __pyx_t_6 = __pyx_v_ncoh;
-      __pyx_t_7 = __pyx_t_6;
-      for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-        __pyx_v_i = __pyx_t_8;
-
-        /* "dualsim/kernels/_ckernels.pyx":454
- *             dnew = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
- *             for i in range(ncoh):
- *                 if crates[i] == dnew:             # <<<<<<<<<<<<<<
- *                     ccounts[i] += 1.0
- *                     break
-*/
-        __pyx_t_2 = ((__pyx_v_crates[__pyx_v_i]) == __pyx_v_dnew);
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":455
- *             for i in range(ncoh):
- *                 if crates[i] == dnew:
- *                     ccounts[i] += 1.0             # <<<<<<<<<<<<<<
- *                     break
- *             else:
-*/
-          __pyx_t_9 = __pyx_v_i;
-          (__pyx_v_ccounts[__pyx_t_9]) = ((__pyx_v_ccounts[__pyx_t_9]) + 1.0);
-
-          /* "dualsim/kernels/_ckernels.pyx":456
- *                 if crates[i] == dnew:
- *                     ccounts[i] += 1.0
- *                     break             # <<<<<<<<<<<<<<
- *             else:
- *                 if ncoh == ccap:
-*/
-          goto __pyx_L22_break;
-
-          /* "dualsim/kernels/_ckernels.pyx":454
- *             dnew = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
- *             for i in range(ncoh):
- *                 if crates[i] == dnew:             # <<<<<<<<<<<<<<
- *                     ccounts[i] += 1.0
- *                     break
-*/
-        }
-      }
-      /*else*/ {
-
-        /* "dualsim/kernels/_ckernels.pyx":458
- *                     break
- *             else:
- *                 if ncoh == ccap:             # <<<<<<<<<<<<<<
- *                     ccap *= 2
- *                     crates = <double*>PyMem_Realloc(crates, ccap * sizeof(double))
-*/
-        __pyx_t_2 = (__pyx_v_ncoh == __pyx_v_ccap);
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":459
- *             else:
- *                 if ncoh == ccap:
- *                     ccap *= 2             # <<<<<<<<<<<<<<
- *                     crates = <double*>PyMem_Realloc(crates, ccap * sizeof(double))
- *                     ccounts = <double*>PyMem_Realloc(ccounts, ccap * sizeof(double))
-*/
-          __pyx_v_ccap = (__pyx_v_ccap * 2);
-
-          /* "dualsim/kernels/_ckernels.pyx":460
- *                 if ncoh == ccap:
- *                     ccap *= 2
- *                     crates = <double*>PyMem_Realloc(crates, ccap * sizeof(double))             # <<<<<<<<<<<<<<
- *                     ccounts = <double*>PyMem_Realloc(ccounts, ccap * sizeof(double))
- *                     if crates == NULL or ccounts == NULL:
-*/
-          __pyx_v_crates = ((double *)PyMem_Realloc(__pyx_v_crates, (__pyx_v_ccap * (sizeof(double)))));
-
-          /* "dualsim/kernels/_ckernels.pyx":461
- *                     ccap *= 2
- *                     crates = <double*>PyMem_Realloc(crates, ccap * sizeof(double))
- *                     ccounts = <double*>PyMem_Realloc(ccounts, ccap * sizeof(double))             # <<<<<<<<<<<<<<
- *                     if crates == NULL or ccounts == NULL:
- *                         raise MemoryError()
-*/
-          __pyx_v_ccounts = ((double *)PyMem_Realloc(__pyx_v_ccounts, (__pyx_v_ccap * (sizeof(double)))));
-
-          /* "dualsim/kernels/_ckernels.pyx":462
- *                     crates = <double*>PyMem_Realloc(crates, ccap * sizeof(double))
- *                     ccounts = <double*>PyMem_Realloc(ccounts, ccap * sizeof(double))
- *                     if crates == NULL or ccounts == NULL:             # <<<<<<<<<<<<<<
- *                         raise MemoryError()
- *                 crates[ncoh] = dnew
-*/
-          __pyx_t_3 = (__pyx_v_crates == NULL);
-          if (!__pyx_t_3) {
-          } else {
-            __pyx_t_2 = __pyx_t_3;
-            goto __pyx_L26_bool_binop_done;
-          }
-          __pyx_t_3 = (__pyx_v_ccounts == NULL);
-          __pyx_t_2 = __pyx_t_3;
-          __pyx_L26_bool_binop_done:;
-          if (unlikely(__pyx_t_2)) {
-
-            /* "dualsim/kernels/_ckernels.pyx":463
- *                     ccounts = <double*>PyMem_Realloc(ccounts, ccap * sizeof(double))
- *                     if crates == NULL or ccounts == NULL:
- *                         raise MemoryError()             # <<<<<<<<<<<<<<
- *                 crates[ncoh] = dnew
- *                 ccounts[ncoh] = 1.0
-*/
-            PyErr_NoMemory(); __PYX_ERR(0, 463, __pyx_L1_error)
-
-            /* "dualsim/kernels/_ckernels.pyx":462
- *                     crates = <double*>PyMem_Realloc(crates, ccap * sizeof(double))
- *                     ccounts = <double*>PyMem_Realloc(ccounts, ccap * sizeof(double))
- *                     if crates == NULL or ccounts == NULL:             # <<<<<<<<<<<<<<
- *                         raise MemoryError()
- *                 crates[ncoh] = dnew
-*/
-          }
-
-          /* "dualsim/kernels/_ckernels.pyx":458
- *                     break
- *             else:
- *                 if ncoh == ccap:             # <<<<<<<<<<<<<<
- *                     ccap *= 2
- *                     crates = <double*>PyMem_Realloc(crates, ccap * sizeof(double))
-*/
-        }
-
-        /* "dualsim/kernels/_ckernels.pyx":464
- *                     if crates == NULL or ccounts == NULL:
- *                         raise MemoryError()
- *                 crates[ncoh] = dnew             # <<<<<<<<<<<<<<
- *                 ccounts[ncoh] = 1.0
- *                 ncoh += 1
-*/
-        (__pyx_v_crates[__pyx_v_ncoh]) = __pyx_v_dnew;
-
-        /* "dualsim/kernels/_ckernels.pyx":465
- *                         raise MemoryError()
- *                 crates[ncoh] = dnew
- *                 ccounts[ncoh] = 1.0             # <<<<<<<<<<<<<<
- *                 ncoh += 1
- *         else:
-*/
-        (__pyx_v_ccounts[__pyx_v_ncoh]) = 1.0;
-
-        /* "dualsim/kernels/_ckernels.pyx":466
- *                 crates[ncoh] = dnew
- *                 ccounts[ncoh] = 1.0
- *                 ncoh += 1             # <<<<<<<<<<<<<<
- *         else:
- *             u -= B
-*/
-        __pyx_v_ncoh = (__pyx_v_ncoh + 1);
-      }
-      __pyx_L22_break:;
-
-      /* "dualsim/kernels/_ckernels.pyx":450
- *             break
- *         u = _rnd(rs) * R
- *         if u < B:             # <<<<<<<<<<<<<<
- *             T += 1.0
- *             dnew = death_c * log(T) if death_log else death_c * _powfast(T, death_e)
-*/
-      goto __pyx_L20;
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":468
- *                 ncoh += 1
- *         else:
- *             u -= B             # <<<<<<<<<<<<<<
- *             acc = 0.0
- *             for i in range(ncoh):
-*/
-    /*else*/ {
-      __pyx_v_u = (__pyx_v_u - __pyx_v_B);
-
-      /* "dualsim/kernels/_ckernels.pyx":469
- *         else:
- *             u -= B
- *             acc = 0.0             # <<<<<<<<<<<<<<
- *             for i in range(ncoh):
- *                 acc += crates[i] * ccounts[i]
-*/
-      __pyx_v_acc = 0.0;
-
-      /* "dualsim/kernels/_ckernels.pyx":470
- *             u -= B
- *             acc = 0.0
- *             for i in range(ncoh):             # <<<<<<<<<<<<<<
- *                 acc += crates[i] * ccounts[i]
- *                 if u < acc:
-*/
-      __pyx_t_6 = __pyx_v_ncoh;
-      __pyx_t_7 = __pyx_t_6;
-      for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-        __pyx_v_i = __pyx_t_8;
-
-        /* "dualsim/kernels/_ckernels.pyx":471
- *             acc = 0.0
- *             for i in range(ncoh):
- *                 acc += crates[i] * ccounts[i]             # <<<<<<<<<<<<<<
- *                 if u < acc:
- *                     ccounts[i] -= 1.0
-*/
-        __pyx_v_acc = (__pyx_v_acc + ((__pyx_v_crates[__pyx_v_i]) * (__pyx_v_ccounts[__pyx_v_i])));
-
-        /* "dualsim/kernels/_ckernels.pyx":472
- *             for i in range(ncoh):
- *                 acc += crates[i] * ccounts[i]
- *                 if u < acc:             # <<<<<<<<<<<<<<
- *                     ccounts[i] -= 1.0
- *                     if ccounts[i] <= 0.0:
-*/
-        __pyx_t_2 = (__pyx_v_u < __pyx_v_acc);
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":473
- *                 acc += crates[i] * ccounts[i]
- *                 if u < acc:
- *                     ccounts[i] -= 1.0             # <<<<<<<<<<<<<<
- *                     if ccounts[i] <= 0.0:
- *                         ncoh -= 1
-*/
-          __pyx_t_9 = __pyx_v_i;
-          (__pyx_v_ccounts[__pyx_t_9]) = ((__pyx_v_ccounts[__pyx_t_9]) - 1.0);
-
-          /* "dualsim/kernels/_ckernels.pyx":474
- *                 if u < acc:
- *                     ccounts[i] -= 1.0
- *                     if ccounts[i] <= 0.0:             # <<<<<<<<<<<<<<
- *                         ncoh -= 1
- *                         crates[i] = crates[ncoh]
-*/
-          __pyx_t_2 = ((__pyx_v_ccounts[__pyx_v_i]) <= 0.0);
-          if (__pyx_t_2) {
-
-            /* "dualsim/kernels/_ckernels.pyx":475
- *                     ccounts[i] -= 1.0
- *                     if ccounts[i] <= 0.0:
- *                         ncoh -= 1             # <<<<<<<<<<<<<<
- *                         crates[i] = crates[ncoh]
- *                         ccounts[i] = ccounts[ncoh]
-*/
-            __pyx_v_ncoh = (__pyx_v_ncoh - 1);
-
-            /* "dualsim/kernels/_ckernels.pyx":476
- *                     if ccounts[i] <= 0.0:
- *                         ncoh -= 1
- *                         crates[i] = crates[ncoh]             # <<<<<<<<<<<<<<
- *                         ccounts[i] = ccounts[ncoh]
- *                     break
-*/
-            (__pyx_v_crates[__pyx_v_i]) = (__pyx_v_crates[__pyx_v_ncoh]);
-
-            /* "dualsim/kernels/_ckernels.pyx":477
- *                         ncoh -= 1
- *                         crates[i] = crates[ncoh]
- *                         ccounts[i] = ccounts[ncoh]             # <<<<<<<<<<<<<<
- *                     break
- *             T -= 1.0
-*/
-            (__pyx_v_ccounts[__pyx_v_i]) = (__pyx_v_ccounts[__pyx_v_ncoh]);
-
-            /* "dualsim/kernels/_ckernels.pyx":474
- *                 if u < acc:
- *                     ccounts[i] -= 1.0
- *                     if ccounts[i] <= 0.0:             # <<<<<<<<<<<<<<
- *                         ncoh -= 1
- *                         crates[i] = crates[ncoh]
-*/
-          }
-
-          /* "dualsim/kernels/_ckernels.pyx":478
- *                         crates[i] = crates[ncoh]
- *                         ccounts[i] = ccounts[ncoh]
- *                     break             # <<<<<<<<<<<<<<
- *             T -= 1.0
- *         nev += 1
-*/
-          goto __pyx_L29_break;
-
-          /* "dualsim/kernels/_ckernels.pyx":472
- *             for i in range(ncoh):
- *                 acc += crates[i] * ccounts[i]
- *                 if u < acc:             # <<<<<<<<<<<<<<
- *                     ccounts[i] -= 1.0
- *                     if ccounts[i] <= 0.0:
-*/
-        }
-      }
-      __pyx_L29_break:;
-
-      /* "dualsim/kernels/_ckernels.pyx":479
- *                         ccounts[i] = ccounts[ncoh]
- *                     break
- *             T -= 1.0             # <<<<<<<<<<<<<<
- *         nev += 1
- *         if T > cap:
-*/
-      __pyx_v_T = (__pyx_v_T - 1.0);
-    }
-    __pyx_L20:;
-
-    /* "dualsim/kernels/_ckernels.pyx":480
- *                     break
- *             T -= 1.0
- *         nev += 1             # <<<<<<<<<<<<<<
- *         if T > cap:
- *             status = 3
-*/
-    __pyx_v_nev = (__pyx_v_nev + 1);
-
-    /* "dualsim/kernels/_ckernels.pyx":481
- *             T -= 1.0
- *         nev += 1
- *         if T > cap:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    __pyx_t_2 = (__pyx_v_T > __pyx_v_cap);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":482
- *         nev += 1
- *         if T > cap:
- *             status = 3             # <<<<<<<<<<<<<<
- *             break
- *         _dbuf_push(&times, t)
-*/
-      __pyx_v_status = 3;
-
-      /* "dualsim/kernels/_ckernels.pyx":483
- *         if T > cap:
- *             status = 3
- *             break             # <<<<<<<<<<<<<<
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
-*/
-      goto __pyx_L8_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":481
- *             T -= 1.0
- *         nev += 1
- *         if T > cap:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":484
- *             status = 3
- *             break
- *         _dbuf_push(&times, t)             # <<<<<<<<<<<<<<
- *         _dbuf_push(&Ts, T)
- *         if nev >= max_events:
-*/
-    __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 484, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":485
- *             break
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *         if nev >= max_events:
- *             status = 4
-*/
-    __pyx_t_5 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 485, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":486
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
- *         if nev >= max_events:             # <<<<<<<<<<<<<<
- *             status = 4
- *             break
-*/
-    __pyx_t_2 = (__pyx_v_nev >= __pyx_v_max_events);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":487
- *         _dbuf_push(&Ts, T)
- *         if nev >= max_events:
- *             status = 4             # <<<<<<<<<<<<<<
- *             break
- *     PyMem_Free(crates)
-*/
-      __pyx_v_status = 4;
-
-      /* "dualsim/kernels/_ckernels.pyx":488
- *         if nev >= max_events:
- *             status = 4
- *             break             # <<<<<<<<<<<<<<
- *     PyMem_Free(crates)
- *     PyMem_Free(ccounts)
-*/
-      goto __pyx_L8_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":486
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
- *         if nev >= max_events:             # <<<<<<<<<<<<<<
- *             status = 4
- *             break
-*/
-    }
-  }
-  __pyx_L8_break:;
-
-  /* "dualsim/kernels/_ckernels.pyx":489
- *             status = 4
- *             break
- *     PyMem_Free(crates)             # <<<<<<<<<<<<<<
- *     PyMem_Free(ccounts)
- *     return _dbuf_take(&times), _dbuf_take(&Ts), status
-*/
-  PyMem_Free(__pyx_v_crates);
-
-  /* "dualsim/kernels/_ckernels.pyx":490
- *             break
- *     PyMem_Free(crates)
- *     PyMem_Free(ccounts)             # <<<<<<<<<<<<<<
- *     return _dbuf_take(&times), _dbuf_take(&Ts), status
- * 
-*/
-  PyMem_Free(__pyx_v_ccounts);
-
-  /* "dualsim/kernels/_ckernels.pyx":491
- *     PyMem_Free(crates)
- *     PyMem_Free(ccounts)
- *     return _dbuf_take(&times), _dbuf_take(&Ts), status             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_times)); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 491, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_11 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Ts)); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 491, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_t_12 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 491, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_13 = PyTuple_New(3); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 491, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __Pyx_GIVEREF(__pyx_t_10);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 0, __pyx_t_10) != (0)) __PYX_ERR(0, 491, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_11);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 1, __pyx_t_11) != (0)) __PYX_ERR(0, 491, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_12);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 2, __pyx_t_12) != (0)) __PYX_ERR(0, 491, __pyx_L1_error);
-  __pyx_t_10 = 0;
-  __pyx_t_11 = 0;
-  __pyx_t_12 = 0;
-  __pyx_r = __pyx_t_13;
-  __pyx_t_13 = 0;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":394
- * 
- * 
- * def ssa_frozen(double birth_c, double birth_e, bint death_log, double death_c,             # <<<<<<<<<<<<<<
- *                double death_e, double T0, double t_end, object seed,
- *                double floor_t, double cap, long max_events):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.ssa_frozen", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "dualsim/kernels/_ckernels.pyx":498
- * # --------------------------------------------------------------------------
- * 
- * def tau_leap(codes, coefs, expos, sats, d_t, d_e, bint two_species, double T0,             # <<<<<<<<<<<<<<
- *              double E0, double t_end, double dt, object seed, double floor_t,
- *              double floor_e, double cap):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_9tau_leap(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_7dualsim_7kernels_9_ckernels_8tau_leap, "Fixed-step leaping: each channel fires Poisson(rate*dt) times per step,\n    deltas apply simultaneously, components below their floor clamp to it.\n    Returns (times, T, E, status).");
-static PyMethodDef __pyx_mdef_7dualsim_7kernels_9_ckernels_9tau_leap = {"tau_leap", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7dualsim_7kernels_9_ckernels_9tau_leap, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_7dualsim_7kernels_9_ckernels_8tau_leap};
-static PyObject *__pyx_pw_7dualsim_7kernels_9_ckernels_9tau_leap(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_codes = 0;
-  PyObject *__pyx_v_coefs = 0;
-  PyObject *__pyx_v_expos = 0;
-  PyObject *__pyx_v_sats = 0;
-  PyObject *__pyx_v_d_t = 0;
-  PyObject *__pyx_v_d_e = 0;
-  CYTHON_UNUSED int __pyx_v_two_species;
-  double __pyx_v_T0;
-  double __pyx_v_E0;
-  double __pyx_v_t_end;
-  double __pyx_v_dt;
-  PyObject *__pyx_v_seed = 0;
-  double __pyx_v_floor_t;
-  double __pyx_v_floor_e;
-  double __pyx_v_cap;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[15] = {0,0,0,0,0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("tau_leap (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_codes,&__pyx_mstate_global->__pyx_n_u_coefs,&__pyx_mstate_global->__pyx_n_u_expos,&__pyx_mstate_global->__pyx_n_u_sats,&__pyx_mstate_global->__pyx_n_u_d_t,&__pyx_mstate_global->__pyx_n_u_d_e,&__pyx_mstate_global->__pyx_n_u_two_species,&__pyx_mstate_global->__pyx_n_u_T0,&__pyx_mstate_global->__pyx_n_u_E0,&__pyx_mstate_global->__pyx_n_u_t_end,&__pyx_mstate_global->__pyx_n_u_dt,&__pyx_mstate_global->__pyx_n_u_seed,&__pyx_mstate_global->__pyx_n_u_floor_t,&__pyx_mstate_global->__pyx_n_u_floor_e,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 498, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 15:
-        values[14] = __Pyx_ArgRef_FASTCALL(__pyx_args, 14);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[14])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 14:
-        values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 12:
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 498, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "tau_leap", 0) < (0)) __PYX_ERR(0, 498, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 15; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("tau_leap", 1, 15, 15, i); __PYX_ERR(0, 498, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 15)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 498, __pyx_L3_error)
-      values[14] = __Pyx_ArgRef_FASTCALL(__pyx_args, 14);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[14])) __PYX_ERR(0, 498, __pyx_L3_error)
-    }
-    __pyx_v_codes = values[0];
-    __pyx_v_coefs = values[1];
-    __pyx_v_expos = values[2];
-    __pyx_v_sats = values[3];
-    __pyx_v_d_t = values[4];
-    __pyx_v_d_e = values[5];
-    __pyx_v_two_species = __Pyx_PyObject_IsTrue(values[6]); if (unlikely((__pyx_v_two_species == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 498, __pyx_L3_error)
-    __pyx_v_T0 = __Pyx_PyFloat_AsDouble(values[7]); if (unlikely((__pyx_v_T0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 498, __pyx_L3_error)
-    __pyx_v_E0 = __Pyx_PyFloat_AsDouble(values[8]); if (unlikely((__pyx_v_E0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 499, __pyx_L3_error)
-    __pyx_v_t_end = __Pyx_PyFloat_AsDouble(values[9]); if (unlikely((__pyx_v_t_end == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 499, __pyx_L3_error)
-    __pyx_v_dt = __Pyx_PyFloat_AsDouble(values[10]); if (unlikely((__pyx_v_dt == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 499, __pyx_L3_error)
-    __pyx_v_seed = values[11];
-    __pyx_v_floor_t = __Pyx_PyFloat_AsDouble(values[12]); if (unlikely((__pyx_v_floor_t == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 499, __pyx_L3_error)
-    __pyx_v_floor_e = __Pyx_PyFloat_AsDouble(values[13]); if (unlikely((__pyx_v_floor_e == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 500, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyFloat_AsDouble(values[14]); if (unlikely((__pyx_v_cap == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 500, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("tau_leap", 1, 15, 15, __pyx_nargs); __PYX_ERR(0, 498, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.tau_leap", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7dualsim_7kernels_9_ckernels_8tau_leap(__pyx_self, __pyx_v_codes, __pyx_v_coefs, __pyx_v_expos, __pyx_v_sats, __pyx_v_d_t, __pyx_v_d_e, __pyx_v_two_species, __pyx_v_T0, __pyx_v_E0, __pyx_v_t_end, __pyx_v_dt, __pyx_v_seed, __pyx_v_floor_t, __pyx_v_floor_e, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7dualsim_7kernels_9_ckernels_8tau_leap(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_codes, PyObject *__pyx_v_coefs, PyObject *__pyx_v_expos, PyObject *__pyx_v_sats, PyObject *__pyx_v_d_t, PyObject *__pyx_v_d_e, CYTHON_UNUSED int __pyx_v_two_species, double __pyx_v_T0, double __pyx_v_E0, double __pyx_v_t_end, double __pyx_v_dt, PyObject *__pyx_v_seed, double __pyx_v_floor_t, double __pyx_v_floor_e, double __pyx_v_cap) {
-  int __pyx_v_nch;
-  int __pyx_v_ccode[16];
-  double __pyx_v_ccoef[16];
-  double __pyx_v_cexpo[16];
-  double __pyx_v_csat[16];
-  double __pyx_v_cdt[16];
-  double __pyx_v_cde[16];
-  double __pyx_v_rates[16];
-  int __pyx_v_i;
-  uint64_t __pyx_v_rs[4];
-  double __pyx_v_T;
-  double __pyx_v_E;
-  double __pyx_v_t;
-  double __pyx_v_h;
-  double __pyx_v_R;
-  double __pyx_v_r;
-  double __pyx_v_lam;
-  double __pyx_v_nT;
-  double __pyx_v_nE;
-  long __pyx_v_k;
-  int __pyx_v_status;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_times;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_Ts;
-  struct __pyx_t_7dualsim_7kernels_9_ckernels_DBuf __pyx_v_Es;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7[4];
-  PyObject *__pyx_t_8 = NULL;
-  size_t __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  double __pyx_t_14;
-  uint64_t __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("tau_leap", 0);
-
-  /* "dualsim/kernels/_ckernels.pyx":504
- *     deltas apply simultaneously, components below their floor clamp to it.
- *     Returns (times, T, E, status)."""
- *     cdef int nch = len(codes)             # <<<<<<<<<<<<<<
- *     if nch > _MAX_CHANNELS:
- *         raise ValueError(f"at most {_MAX_CHANNELS} channels supported, got {nch}")
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_codes); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 504, __pyx_L1_error)
-  __pyx_v_nch = __pyx_t_1;
-
-  /* "dualsim/kernels/_ckernels.pyx":505
- *     Returns (times, T, E, status)."""
- *     cdef int nch = len(codes)
- *     if nch > _MAX_CHANNELS:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"at most {_MAX_CHANNELS} channels supported, got {nch}")
- *     cdef int ccode[16]
-*/
-  __pyx_t_2 = (__pyx_v_nch > __pyx_v_7dualsim_7kernels_9_ckernels__MAX_CHANNELS);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "dualsim/kernels/_ckernels.pyx":506
- *     cdef int nch = len(codes)
- *     if nch > _MAX_CHANNELS:
- *         raise ValueError(f"at most {_MAX_CHANNELS} channels supported, got {nch}")             # <<<<<<<<<<<<<<
- *     cdef int ccode[16]
- *     cdef double ccoef[16]
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = __Pyx_PyUnicode_From_int(__pyx_v_7dualsim_7kernels_9_ckernels__MAX_CHANNELS, 0, ' ', 'd'); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 506, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_nch, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 506, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7[0] = __pyx_mstate_global->__pyx_kp_u_at_most;
-    __pyx_t_7[1] = __pyx_t_5;
-    __pyx_t_7[2] = __pyx_mstate_global->__pyx_kp_u_channels_supported_got;
-    __pyx_t_7[3] = __pyx_t_6;
-    __pyx_t_8 = __Pyx_PyUnicode_Join(__pyx_t_7, 4, 8 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_5) + 25 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6), 127);
-    if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 506, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_9 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_8};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 506, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 506, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":505
- *     Returns (times, T, E, status)."""
- *     cdef int nch = len(codes)
- *     if nch > _MAX_CHANNELS:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"at most {_MAX_CHANNELS} channels supported, got {nch}")
- *     cdef int ccode[16]
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":515
- *     cdef double rates[16]
- *     cdef int i
- *     for i in range(nch):             # <<<<<<<<<<<<<<
- *         ccode[i] = codes[i]
- *         ccoef[i] = coefs[i]
-*/
-  __pyx_t_10 = __pyx_v_nch;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "dualsim/kernels/_ckernels.pyx":516
- *     cdef int i
- *     for i in range(nch):
- *         ccode[i] = codes[i]             # <<<<<<<<<<<<<<
- *         ccoef[i] = coefs[i]
- *         cexpo[i] = expos[i]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_codes, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 516, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 516, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_ccode[__pyx_v_i]) = __pyx_t_13;
-
-    /* "dualsim/kernels/_ckernels.pyx":517
- *     for i in range(nch):
- *         ccode[i] = codes[i]
- *         ccoef[i] = coefs[i]             # <<<<<<<<<<<<<<
- *         cexpo[i] = expos[i]
- *         csat[i] = sats[i]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_coefs, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 517, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 517, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_ccoef[__pyx_v_i]) = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":518
- *         ccode[i] = codes[i]
- *         ccoef[i] = coefs[i]
- *         cexpo[i] = expos[i]             # <<<<<<<<<<<<<<
- *         csat[i] = sats[i]
- *         cdt[i] = d_t[i]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_expos, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 518, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 518, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cexpo[__pyx_v_i]) = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":519
- *         ccoef[i] = coefs[i]
- *         cexpo[i] = expos[i]
- *         csat[i] = sats[i]             # <<<<<<<<<<<<<<
- *         cdt[i] = d_t[i]
- *         cde[i] = d_e[i]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_sats, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 519, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 519, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_csat[__pyx_v_i]) = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":520
- *         cexpo[i] = expos[i]
- *         csat[i] = sats[i]
- *         cdt[i] = d_t[i]             # <<<<<<<<<<<<<<
- *         cde[i] = d_e[i]
- *     cdef uint64_t rs[4]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_d_t, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 520, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 520, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cdt[__pyx_v_i]) = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":521
- *         csat[i] = sats[i]
- *         cdt[i] = d_t[i]
- *         cde[i] = d_e[i]             # <<<<<<<<<<<<<<
- *     cdef uint64_t rs[4]
- *     _seed_state(rs, _as_u64(seed))
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_d_e, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 521, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_14 = __Pyx_PyFloat_AsDouble(__pyx_t_3); if (unlikely((__pyx_t_14 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 521, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cde[__pyx_v_i]) = __pyx_t_14;
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":523
- *         cde[i] = d_e[i]
- *     cdef uint64_t rs[4]
- *     _seed_state(rs, _as_u64(seed))             # <<<<<<<<<<<<<<
- *     cdef double T = T0
- *     cdef double E = E0
-*/
-  __pyx_t_15 = __pyx_f_7dualsim_7kernels_9_ckernels__as_u64(__pyx_v_seed); if (unlikely(__pyx_t_15 == ((uint64_t)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 523, __pyx_L1_error)
-  __pyx_f_7dualsim_7kernels_9_ckernels__seed_state(__pyx_v_rs, __pyx_t_15);
-
-  /* "dualsim/kernels/_ckernels.pyx":524
- *     cdef uint64_t rs[4]
- *     _seed_state(rs, _as_u64(seed))
- *     cdef double T = T0             # <<<<<<<<<<<<<<
- *     cdef double E = E0
- *     cdef double t = 0.0
-*/
-  __pyx_v_T = __pyx_v_T0;
-
-  /* "dualsim/kernels/_ckernels.pyx":525
- *     _seed_state(rs, _as_u64(seed))
- *     cdef double T = T0
- *     cdef double E = E0             # <<<<<<<<<<<<<<
- *     cdef double t = 0.0
- *     cdef double h, R, r, lam, nT, nE
-*/
-  __pyx_v_E = __pyx_v_E0;
-
-  /* "dualsim/kernels/_ckernels.pyx":526
- *     cdef double T = T0
- *     cdef double E = E0
- *     cdef double t = 0.0             # <<<<<<<<<<<<<<
- *     cdef double h, R, r, lam, nT, nE
- *     cdef long k
-*/
-  __pyx_v_t = 0.0;
-
-  /* "dualsim/kernels/_ckernels.pyx":529
- *     cdef double h, R, r, lam, nT, nE
- *     cdef long k
- *     cdef int status = -1             # <<<<<<<<<<<<<<
- *     cdef DBuf times, Ts, Es
- *     _dbuf_init(&times, 4096)
-*/
-  __pyx_v_status = -1;
-
-  /* "dualsim/kernels/_ckernels.pyx":531
- *     cdef int status = -1
- *     cdef DBuf times, Ts, Es
- *     _dbuf_init(&times, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_times), 0x1000); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 531, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":532
- *     cdef DBuf times, Ts, Es
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&Ts, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_Ts), 0x1000); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 532, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":533
- *     _dbuf_init(&times, 4096)
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_init((&__pyx_v_Es), 0x1000); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 533, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":534
- *     _dbuf_init(&Ts, 4096)
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), 0.0); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 534, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":535
- *     _dbuf_init(&Es, 4096)
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *     _dbuf_push(&Es, E)
- *     while t < t_end - 1e-12:
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 535, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":536
- *     _dbuf_push(&times, 0.0)
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *     while t < t_end - 1e-12:
- *         if T > cap or E > cap:
-*/
-  __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 536, __pyx_L1_error)
-
-  /* "dualsim/kernels/_ckernels.pyx":537
- *     _dbuf_push(&Ts, T)
- *     _dbuf_push(&Es, E)
- *     while t < t_end - 1e-12:             # <<<<<<<<<<<<<<
- *         if T > cap or E > cap:
- *             status = 3
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_t < (__pyx_v_t_end - 1e-12));
-    if (!__pyx_t_2) break;
-
-    /* "dualsim/kernels/_ckernels.pyx":538
- *     _dbuf_push(&Es, E)
- *     while t < t_end - 1e-12:
- *         if T > cap or E > cap:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    __pyx_t_16 = (__pyx_v_T > __pyx_v_cap);
-    if (!__pyx_t_16) {
-    } else {
-      __pyx_t_2 = __pyx_t_16;
-      goto __pyx_L9_bool_binop_done;
-    }
-    __pyx_t_16 = (__pyx_v_E > __pyx_v_cap);
-    __pyx_t_2 = __pyx_t_16;
-    __pyx_L9_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":539
- *     while t < t_end - 1e-12:
- *         if T > cap or E > cap:
- *             status = 3             # <<<<<<<<<<<<<<
- *             break
- *         h = dt if t + dt <= t_end else t_end - t
-*/
-      __pyx_v_status = 3;
-
-      /* "dualsim/kernels/_ckernels.pyx":540
- *         if T > cap or E > cap:
- *             status = 3
- *             break             # <<<<<<<<<<<<<<
- *         h = dt if t + dt <= t_end else t_end - t
- *         R = 0.0
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":538
- *     _dbuf_push(&Es, E)
- *     while t < t_end - 1e-12:
- *         if T > cap or E > cap:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":541
- *             status = 3
- *             break
- *         h = dt if t + dt <= t_end else t_end - t             # <<<<<<<<<<<<<<
- *         R = 0.0
- *         for i in range(nch):
-*/
-    __pyx_t_2 = ((__pyx_v_t + __pyx_v_dt) <= __pyx_v_t_end);
-    if (__pyx_t_2) {
-      __pyx_t_14 = __pyx_v_dt;
-    } else {
-      __pyx_t_14 = (__pyx_v_t_end - __pyx_v_t);
-    }
-    __pyx_v_h = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":542
- *             break
- *         h = dt if t + dt <= t_end else t_end - t
- *         R = 0.0             # <<<<<<<<<<<<<<
- *         for i in range(nch):
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
-*/
-    __pyx_v_R = 0.0;
-
-    /* "dualsim/kernels/_ckernels.pyx":543
- *         h = dt if t + dt <= t_end else t_end - t
- *         R = 0.0
- *         for i in range(nch):             # <<<<<<<<<<<<<<
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
- *             if r < 0.0:
-*/
-    __pyx_t_10 = __pyx_v_nch;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "dualsim/kernels/_ckernels.pyx":544
- *         R = 0.0
- *         for i in range(nch):
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)             # <<<<<<<<<<<<<<
- *             if r < 0.0:
- *                 status = 5
-*/
-      __pyx_v_r = __pyx_f_7dualsim_7kernels_9_ckernels__channel_rate((__pyx_v_ccode[__pyx_v_i]), (__pyx_v_ccoef[__pyx_v_i]), (__pyx_v_cexpo[__pyx_v_i]), (__pyx_v_csat[__pyx_v_i]), __pyx_v_T, __pyx_v_E);
-
-      /* "dualsim/kernels/_ckernels.pyx":545
- *         for i in range(nch):
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
- *             if r < 0.0:             # <<<<<<<<<<<<<<
- *                 status = 5
- *                 break
-*/
-      __pyx_t_2 = (__pyx_v_r < 0.0);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":546
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
- *             if r < 0.0:
- *                 status = 5             # <<<<<<<<<<<<<<
- *                 break
- *             rates[i] = r
-*/
-        __pyx_v_status = 5;
-
-        /* "dualsim/kernels/_ckernels.pyx":547
- *             if r < 0.0:
- *                 status = 5
- *                 break             # <<<<<<<<<<<<<<
- *             rates[i] = r
- *             R += r
-*/
-        goto __pyx_L12_break;
-
-        /* "dualsim/kernels/_ckernels.pyx":545
- *         for i in range(nch):
- *             r = _channel_rate(ccode[i], ccoef[i], cexpo[i], csat[i], T, E)
- *             if r < 0.0:             # <<<<<<<<<<<<<<
- *                 status = 5
- *                 break
-*/
-      }
-
-      /* "dualsim/kernels/_ckernels.pyx":548
- *                 status = 5
- *                 break
- *             rates[i] = r             # <<<<<<<<<<<<<<
- *             R += r
- *         if status != -1:
-*/
-      (__pyx_v_rates[__pyx_v_i]) = __pyx_v_r;
-
-      /* "dualsim/kernels/_ckernels.pyx":549
- *                 break
- *             rates[i] = r
- *             R += r             # <<<<<<<<<<<<<<
- *         if status != -1:
- *             break
-*/
-      __pyx_v_R = (__pyx_v_R + __pyx_v_r);
-    }
-    __pyx_L12_break:;
-
-    /* "dualsim/kernels/_ckernels.pyx":550
- *             rates[i] = r
- *             R += r
- *         if status != -1:             # <<<<<<<<<<<<<<
- *             break
- *         if R <= 0.0:
-*/
-    __pyx_t_2 = (__pyx_v_status != -1L);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":551
- *             R += r
- *         if status != -1:
- *             break             # <<<<<<<<<<<<<<
- *         if R <= 0.0:
- *             if t < t_end:
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":550
- *             rates[i] = r
- *             R += r
- *         if status != -1:             # <<<<<<<<<<<<<<
- *             break
- *         if R <= 0.0:
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":552
- *         if status != -1:
- *             break
- *         if R <= 0.0:             # <<<<<<<<<<<<<<
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
-*/
-    __pyx_t_2 = (__pyx_v_R <= 0.0);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":553
- *             break
- *         if R <= 0.0:
- *             if t < t_end:             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
-*/
-      __pyx_t_2 = (__pyx_v_t < __pyx_v_t_end);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":554
- *         if R <= 0.0:
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&Ts, T)
- *                 _dbuf_push(&Es, E)
-*/
-        __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t_end); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 554, __pyx_L1_error)
-
-        /* "dualsim/kernels/_ckernels.pyx":555
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&Es, E)
- *             status = 2
-*/
-        __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 555, __pyx_L1_error)
-
-        /* "dualsim/kernels/_ckernels.pyx":556
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
- *                 _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *             status = 2
- *             break
-*/
-        __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 556, __pyx_L1_error)
-
-        /* "dualsim/kernels/_ckernels.pyx":553
- *             break
- *         if R <= 0.0:
- *             if t < t_end:             # <<<<<<<<<<<<<<
- *                 _dbuf_push(&times, t_end)
- *                 _dbuf_push(&Ts, T)
-*/
-      }
-
-      /* "dualsim/kernels/_ckernels.pyx":557
- *                 _dbuf_push(&Ts, T)
- *                 _dbuf_push(&Es, E)
- *             status = 2             # <<<<<<<<<<<<<<
- *             break
- *         if R == INFINITY or R != R:
-*/
-      __pyx_v_status = 2;
-
-      /* "dualsim/kernels/_ckernels.pyx":558
- *                 _dbuf_push(&Es, E)
- *             status = 2
- *             break             # <<<<<<<<<<<<<<
- *         if R == INFINITY or R != R:
- *             status = 3
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":552
- *         if status != -1:
- *             break
- *         if R <= 0.0:             # <<<<<<<<<<<<<<
- *             if t < t_end:
- *                 _dbuf_push(&times, t_end)
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":559
- *             status = 2
- *             break
- *         if R == INFINITY or R != R:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    __pyx_t_16 = (__pyx_v_R == INFINITY);
-    if (!__pyx_t_16) {
-    } else {
-      __pyx_t_2 = __pyx_t_16;
-      goto __pyx_L18_bool_binop_done;
-    }
-    __pyx_t_16 = (__pyx_v_R != __pyx_v_R);
-    __pyx_t_2 = __pyx_t_16;
-    __pyx_L18_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":560
- *             break
- *         if R == INFINITY or R != R:
- *             status = 3             # <<<<<<<<<<<<<<
- *             break
- *         nT = T
-*/
-      __pyx_v_status = 3;
-
-      /* "dualsim/kernels/_ckernels.pyx":561
- *         if R == INFINITY or R != R:
- *             status = 3
- *             break             # <<<<<<<<<<<<<<
- *         nT = T
- *         nE = E
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":559
- *             status = 2
- *             break
- *         if R == INFINITY or R != R:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":562
- *             status = 3
- *             break
- *         nT = T             # <<<<<<<<<<<<<<
- *         nE = E
- *         for i in range(nch):
-*/
-    __pyx_v_nT = __pyx_v_T;
-
-    /* "dualsim/kernels/_ckernels.pyx":563
- *             break
- *         nT = T
- *         nE = E             # <<<<<<<<<<<<<<
- *         for i in range(nch):
- *             lam = rates[i] * h
-*/
-    __pyx_v_nE = __pyx_v_E;
-
-    /* "dualsim/kernels/_ckernels.pyx":564
- *         nT = T
- *         nE = E
- *         for i in range(nch):             # <<<<<<<<<<<<<<
- *             lam = rates[i] * h
- *             if lam > 0.0:
-*/
-    __pyx_t_10 = __pyx_v_nch;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "dualsim/kernels/_ckernels.pyx":565
- *         nE = E
- *         for i in range(nch):
- *             lam = rates[i] * h             # <<<<<<<<<<<<<<
- *             if lam > 0.0:
- *                 k = _poisson(rs, lam)
-*/
-      __pyx_v_lam = ((__pyx_v_rates[__pyx_v_i]) * __pyx_v_h);
-
-      /* "dualsim/kernels/_ckernels.pyx":566
- *         for i in range(nch):
- *             lam = rates[i] * h
- *             if lam > 0.0:             # <<<<<<<<<<<<<<
- *                 k = _poisson(rs, lam)
- *                 if k:
-*/
-      __pyx_t_2 = (__pyx_v_lam > 0.0);
-      if (__pyx_t_2) {
-
-        /* "dualsim/kernels/_ckernels.pyx":567
- *             lam = rates[i] * h
- *             if lam > 0.0:
- *                 k = _poisson(rs, lam)             # <<<<<<<<<<<<<<
- *                 if k:
- *                     nT += cdt[i] * k
-*/
-        __pyx_v_k = __pyx_f_7dualsim_7kernels_9_ckernels__poisson(__pyx_v_rs, __pyx_v_lam);
-
-        /* "dualsim/kernels/_ckernels.pyx":568
- *             if lam > 0.0:
- *                 k = _poisson(rs, lam)
- *                 if k:             # <<<<<<<<<<<<<<
- *                     nT += cdt[i] * k
- *                     nE += cde[i] * k
-*/
-        __pyx_t_2 = (__pyx_v_k != 0);
-        if (__pyx_t_2) {
-
-          /* "dualsim/kernels/_ckernels.pyx":569
- *                 k = _poisson(rs, lam)
- *                 if k:
- *                     nT += cdt[i] * k             # <<<<<<<<<<<<<<
- *                     nE += cde[i] * k
- *         if nT < floor_t:
-*/
-          __pyx_v_nT = (__pyx_v_nT + ((__pyx_v_cdt[__pyx_v_i]) * __pyx_v_k));
-
-          /* "dualsim/kernels/_ckernels.pyx":570
- *                 if k:
- *                     nT += cdt[i] * k
- *                     nE += cde[i] * k             # <<<<<<<<<<<<<<
- *         if nT < floor_t:
- *             nT = floor_t
-*/
-          __pyx_v_nE = (__pyx_v_nE + ((__pyx_v_cde[__pyx_v_i]) * __pyx_v_k));
-
-          /* "dualsim/kernels/_ckernels.pyx":568
- *             if lam > 0.0:
- *                 k = _poisson(rs, lam)
- *                 if k:             # <<<<<<<<<<<<<<
- *                     nT += cdt[i] * k
- *                     nE += cde[i] * k
-*/
-        }
-
-        /* "dualsim/kernels/_ckernels.pyx":566
- *         for i in range(nch):
- *             lam = rates[i] * h
- *             if lam > 0.0:             # <<<<<<<<<<<<<<
- *                 k = _poisson(rs, lam)
- *                 if k:
-*/
-      }
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":571
- *                     nT += cdt[i] * k
- *                     nE += cde[i] * k
- *         if nT < floor_t:             # <<<<<<<<<<<<<<
- *             nT = floor_t
- *         if nE < floor_e:
-*/
-    __pyx_t_2 = (__pyx_v_nT < __pyx_v_floor_t);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":572
- *                     nE += cde[i] * k
- *         if nT < floor_t:
- *             nT = floor_t             # <<<<<<<<<<<<<<
- *         if nE < floor_e:
- *             nE = floor_e
-*/
-      __pyx_v_nT = __pyx_v_floor_t;
-
-      /* "dualsim/kernels/_ckernels.pyx":571
- *                     nT += cdt[i] * k
- *                     nE += cde[i] * k
- *         if nT < floor_t:             # <<<<<<<<<<<<<<
- *             nT = floor_t
- *         if nE < floor_e:
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":573
- *         if nT < floor_t:
- *             nT = floor_t
- *         if nE < floor_e:             # <<<<<<<<<<<<<<
- *             nE = floor_e
- *         if nT > cap or nE > cap:
-*/
-    __pyx_t_2 = (__pyx_v_nE < __pyx_v_floor_e);
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":574
- *             nT = floor_t
- *         if nE < floor_e:
- *             nE = floor_e             # <<<<<<<<<<<<<<
- *         if nT > cap or nE > cap:
- *             status = 3
-*/
-      __pyx_v_nE = __pyx_v_floor_e;
-
-      /* "dualsim/kernels/_ckernels.pyx":573
- *         if nT < floor_t:
- *             nT = floor_t
- *         if nE < floor_e:             # <<<<<<<<<<<<<<
- *             nE = floor_e
- *         if nT > cap or nE > cap:
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":575
- *         if nE < floor_e:
- *             nE = floor_e
- *         if nT > cap or nE > cap:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    __pyx_t_16 = (__pyx_v_nT > __pyx_v_cap);
-    if (!__pyx_t_16) {
-    } else {
-      __pyx_t_2 = __pyx_t_16;
-      goto __pyx_L27_bool_binop_done;
-    }
-    __pyx_t_16 = (__pyx_v_nE > __pyx_v_cap);
-    __pyx_t_2 = __pyx_t_16;
-    __pyx_L27_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "dualsim/kernels/_ckernels.pyx":576
- *             nE = floor_e
- *         if nT > cap or nE > cap:
- *             status = 3             # <<<<<<<<<<<<<<
- *             break
- *         t = t + h if t + h < t_end - 1e-12 else t_end
-*/
-      __pyx_v_status = 3;
-
-      /* "dualsim/kernels/_ckernels.pyx":577
- *         if nT > cap or nE > cap:
- *             status = 3
- *             break             # <<<<<<<<<<<<<<
- *         t = t + h if t + h < t_end - 1e-12 else t_end
- *         T = nT
-*/
-      goto __pyx_L7_break;
-
-      /* "dualsim/kernels/_ckernels.pyx":575
- *         if nE < floor_e:
- *             nE = floor_e
- *         if nT > cap or nE > cap:             # <<<<<<<<<<<<<<
- *             status = 3
- *             break
-*/
-    }
-
-    /* "dualsim/kernels/_ckernels.pyx":578
- *             status = 3
- *             break
- *         t = t + h if t + h < t_end - 1e-12 else t_end             # <<<<<<<<<<<<<<
- *         T = nT
- *         E = nE
-*/
-    __pyx_t_2 = ((__pyx_v_t + __pyx_v_h) < (__pyx_v_t_end - 1e-12));
-    if (__pyx_t_2) {
-      __pyx_t_14 = (__pyx_v_t + __pyx_v_h);
-    } else {
-      __pyx_t_14 = __pyx_v_t_end;
-    }
-    __pyx_v_t = __pyx_t_14;
-
-    /* "dualsim/kernels/_ckernels.pyx":579
- *             break
- *         t = t + h if t + h < t_end - 1e-12 else t_end
- *         T = nT             # <<<<<<<<<<<<<<
- *         E = nE
- *         _dbuf_push(&times, t)
-*/
-    __pyx_v_T = __pyx_v_nT;
-
-    /* "dualsim/kernels/_ckernels.pyx":580
- *         t = t + h if t + h < t_end - 1e-12 else t_end
- *         T = nT
- *         E = nE             # <<<<<<<<<<<<<<
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
-*/
-    __pyx_v_E = __pyx_v_nE;
-
-    /* "dualsim/kernels/_ckernels.pyx":581
- *         T = nT
- *         E = nE
- *         _dbuf_push(&times, t)             # <<<<<<<<<<<<<<
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)
-*/
-    __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_times), __pyx_v_t); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 581, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":582
- *         E = nE
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)             # <<<<<<<<<<<<<<
- *         _dbuf_push(&Es, E)
- *     if status == -1:
-*/
-    __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Ts), __pyx_v_T); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 582, __pyx_L1_error)
-
-    /* "dualsim/kernels/_ckernels.pyx":583
- *         _dbuf_push(&times, t)
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)             # <<<<<<<<<<<<<<
- *     if status == -1:
- *         status = 0
-*/
-    __pyx_t_10 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_push((&__pyx_v_Es), __pyx_v_E); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 583, __pyx_L1_error)
-  }
-  __pyx_L7_break:;
-
-  /* "dualsim/kernels/_ckernels.pyx":584
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)
- *     if status == -1:             # <<<<<<<<<<<<<<
- *         status = 0
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
-*/
-  __pyx_t_2 = (__pyx_v_status == -1L);
-  if (__pyx_t_2) {
-
-    /* "dualsim/kernels/_ckernels.pyx":585
- *         _dbuf_push(&Es, E)
- *     if status == -1:
- *         status = 0             # <<<<<<<<<<<<<<
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
-*/
-    __pyx_v_status = 0;
-
-    /* "dualsim/kernels/_ckernels.pyx":584
- *         _dbuf_push(&Ts, T)
- *         _dbuf_push(&Es, E)
- *     if status == -1:             # <<<<<<<<<<<<<<
- *         status = 0
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status
-*/
-  }
-
-  /* "dualsim/kernels/_ckernels.pyx":586
- *     if status == -1:
- *         status = 0
- *     return _dbuf_take(&times), _dbuf_take(&Ts), _dbuf_take(&Es), status             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_3 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_times)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 586, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_8 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Ts)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 586, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_4 = __pyx_f_7dualsim_7kernels_9_ckernels__dbuf_take((&__pyx_v_Es)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 586, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_6 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 586, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_5 = PyTuple_New(4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 586, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 586, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_8);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_8) != (0)) __PYX_ERR(0, 586, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_4) != (0)) __PYX_ERR(0, 586, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_6);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 3, __pyx_t_6) != (0)) __PYX_ERR(0, 586, __pyx_L1_error);
-  __pyx_t_3 = 0;
-  __pyx_t_8 = 0;
-  __pyx_t_4 = 0;
-  __pyx_t_6 = 0;
-  __pyx_r = __pyx_t_5;
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "dualsim/kernels/_ckernels.pyx":498
- * # --------------------------------------------------------------------------
- * 
- * def tau_leap(codes, coefs, expos, sats, d_t, d_e, bint two_species, double T0,             # <<<<<<<<<<<<<<
- *              double E0, double t_end, double dt, object seed, double floor_t,
- *              double floor_e, double cap):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_AddTraceback("dualsim.kernels._ckernels.tau_leap", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(3, 9, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_4type_type = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "type",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyTypeObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyTypeObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyHeapTypeObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyHeapTypeObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_4type_type) __PYX_ERR(3, 9, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(4, 8, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_4bool_bool = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "bool",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyLongObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyLongObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyLongObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyLongObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_4bool_bool) __PYX_ERR(4, 8, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(5, 16, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_7complex_complex = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "complex",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyComplexObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyComplexObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyComplexObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyComplexObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_7complex_complex) __PYX_ERR(5, 16, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule("array"); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 69, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_5array_array = __Pyx_ImportType_3_2_8(__pyx_t_1, "array", "array",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #else
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_5array_array) __PYX_ERR(2, 69, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__ckernels(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__ckernels},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_ckernels",
-      __pyx_k_Compiled_simulation_kernels_Cyth, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__ckernels(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__ckernels(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__ckernels(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_ckernels' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_ckernels" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__ckernels", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_dualsim__kernels___ckernels) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "dualsim.kernels._ckernels")) {
-      if (unlikely((PyDict_SetItemString(modules, "dualsim.kernels._ckernels", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_import_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "dualsim/kernels/_ckernels.pyx":16
- * from libc.string cimport memcpy
- * 
- * import array as _pyarray             # <<<<<<<<<<<<<<
- * 
- * cdef double _REL_UNDERSHOOT_TOL = 1e-12
-*/
-  __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_array, 0, 0, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 16, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_pyarray, __pyx_t_2) < (0)) __PYX_ERR(0, 16, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":18
- * import array as _pyarray
- * 
- * cdef double _REL_UNDERSHOOT_TOL = 1e-12             # <<<<<<<<<<<<<<
- * cdef int _MAX_HALVINGS = 40
- * cdef int _MAX_CHANNELS = 16
-*/
-  __pyx_v_7dualsim_7kernels_9_ckernels__REL_UNDERSHOOT_TOL = 1e-12;
-
-  /* "dualsim/kernels/_ckernels.pyx":19
- * 
- * cdef double _REL_UNDERSHOOT_TOL = 1e-12
- * cdef int _MAX_HALVINGS = 40             # <<<<<<<<<<<<<<
- * cdef int _MAX_CHANNELS = 16
- * 
-*/
-  __pyx_v_7dualsim_7kernels_9_ckernels__MAX_HALVINGS = 40;
-
-  /* "dualsim/kernels/_ckernels.pyx":20
- * cdef double _REL_UNDERSHOOT_TOL = 1e-12
- * cdef int _MAX_HALVINGS = 40
- * cdef int _MAX_CHANNELS = 16             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_7dualsim_7kernels_9_ckernels__MAX_CHANNELS = 16;
-
-  /* "dualsim/kernels/_ckernels.pyx":157
- * 
- * 
- * def rk4_growth(int kind, double a, double b, double alpha, double beta,             # <<<<<<<<<<<<<<
- *                double T0, double dt, double t_end, double sample_every,
- *                double blowup):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7dualsim_7kernels_9_ckernels_1rk4_growth, 0, __pyx_mstate_global->__pyx_n_u_rk4_growth, NULL, __pyx_mstate_global->__pyx_n_u_dualsim_kernels__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 157, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_rk4_growth, __pyx_t_2) < (0)) __PYX_ERR(0, 157, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":213
- * 
- * 
- * def rk4_kuznetsov(double a, double b, double g, double m, double n, double p,             # <<<<<<<<<<<<<<
- *                   double d, double s, double T0, double E0, double dt,
- *                   double t_end, double sample_every, double blowup):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7dualsim_7kernels_9_ckernels_3rk4_kuznetsov, 0, __pyx_mstate_global->__pyx_n_u_rk4_kuznetsov, NULL, __pyx_mstate_global->__pyx_n_u_dualsim_kernels__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 213, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_rk4_kuznetsov, __pyx_t_2) < (0)) __PYX_ERR(0, 213, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":303
- * 
- * 
- * def ssa(codes, coefs, expos, sats, d_t, d_e, bint two_species, double T0,             # <<<<<<<<<<<<<<
- *         double E0, double t_end, object seed, double floor_t, double floor_e,
- *         double cap, long max_events):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7dualsim_7kernels_9_ckernels_5ssa, 0, __pyx_mstate_global->__pyx_n_u_ssa, NULL, __pyx_mstate_global->__pyx_n_u_dualsim_kernels__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 303, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_ssa, __pyx_t_2) < (0)) __PYX_ERR(0, 303, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":394
- * 
- * 
- * def ssa_frozen(double birth_c, double birth_e, bint death_log, double death_c,             # <<<<<<<<<<<<<<
- *                double death_e, double T0, double t_end, object seed,
- *                double floor_t, double cap, long max_events):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7dualsim_7kernels_9_ckernels_7ssa_frozen, 0, __pyx_mstate_global->__pyx_n_u_ssa_frozen, NULL, __pyx_mstate_global->__pyx_n_u_dualsim_kernels__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 394, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_ssa_frozen, __pyx_t_2) < (0)) __PYX_ERR(0, 394, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":498
- * # --------------------------------------------------------------------------
- * 
- * def tau_leap(codes, coefs, expos, sats, d_t, d_e, bint two_species, double T0,             # <<<<<<<<<<<<<<
- *              double E0, double t_end, double dt, object seed, double floor_t,
- *              double floor_e, double cap):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7dualsim_7kernels_9_ckernels_9tau_leap, 0, __pyx_mstate_global->__pyx_n_u_tau_leap, NULL, __pyx_mstate_global->__pyx_n_u_dualsim_kernels__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_tau_leap, __pyx_t_2) < (0)) __PYX_ERR(0, 498, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "dualsim/kernels/_ckernels.pyx":1
- * # cython: boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled simulation kernels (Cython twin of ``_pykernels``).
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init dualsim.kernels._ckernels", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init dualsim.kernels._ckernels");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{8},{25},{33},{1},{1},{1},{2},{2},{2},{2},{2},{2},{20},{1},{1},{2},{2},{2},{2},{2},{2},{1},{3},{5},{12},{5},{18},{1},{4},{7},{7},{6},{3},{4},{5},{5},{7},{3},{3},{5},{18},{5},{5},{6},{4},{1},{3},{3},{7},{7},{9},{4},{2},{25},{2},{2},{5},{5},{7},{7},{8},{1},{1},{8},{1},{13},{5},{1},{2},{2},{2},{2},{3},{3},{3},{3},{3},{3},{3},{3},{4},{2},{3},{1},{8},{10},{10},{1},{2},{2},{8},{3},{4},{3},{5},{8},{1},{4},{3},{8},{12},{1},{5},{10},{13},{2},{1},{12},{4},{4},{12},{10},{3},{10},{6},{1},{5},{6},{8},{8},{5},{3},{4},{4},{11},{1},{6},{718},{718},{1005},{573},{836}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1958 bytes) */
-const char* const cstring = "BZh91AY&SYJ\003\267\257\000\002\266\377\377\377\377\377\377\377\277\377\364\277\335\177\350\277\377\377\362\300@@@@@@@@@@@@\000@\000`\007\377\000\000\030\364\025A\314\n@\016\010I\022I\r\003OQ\246\232\r\017\032$h\323=M\246AC\3221\251\202h=@\r\001\240\000\006\201\240\321\001\006\211\201\250\311\2444\364\223I\262\032\000\000\000\004\014\032FA\206\200##\323C@\340\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\002HDA@\003M\003\323H\303M\032\203\310OP\003\324\000\000\032\000\000\320\003 \000\340\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\002HL\204\200\221=@\000\032\000\000\003@\000\000\000\000\000\006\206C\324\323N1sf\266\324A\375\177!\313A\314\217\360\342\342\220\222\234\247u#\252bS\016\235\026\376\321d\340\241q\005\322\306$&Qe\315H\017\3712\030`\030`\006\300\202\221JCzG4\220\231\301\246\234'80a\020\223\010\301Rk\020\221$\223\267\240!p^\260\240\022tA\204\002\334\311%`F\301\201\\\343\002.!@\2628\341\t3-\267K\014\314 Ua\032\223\024\310\030l\006\275\003(\255\263&\367\007\030`\351\334\035\307.\240j%4\021\264\337\251\013Q\273)\\\013\245\254\336\265j\323X\264a\230\310\262\226r\262al\334\204n6 \321\226\321\207\324j\r\003%\365\210)\"\354\027\026\275gT\0079c\010\272\014,b(kH\345\306\r\201\207\327\257~\314\222G!\300\311k\2169\003\241\332\314\334\316\337\302s\231S\300\222\310\215\234\006\324\266)\201\224\216p\302\200!J\343\245F\362\251\"\221RO\017<\\R\260:a\273\023\005\340|\342{#\356\234\357\376?w?\007\366\376~S\277\0347 7!j88\353\200\205\022U%\265\244\2759Va\323&g\343V\232jw\321\001p\272XYA\2424\3062\357\225\224\260\032\006B\252\351\336\344\242\34006\220\030\210q\307\013Y\016\345\271\031\222\202\224\324\330,\302\03132\013)K[\303\014XS\250\3276\264\245G\026\002\024\202\244d\270aef\350\272\275*\367?\335\013\201t\\\320\271\267w\240\336\223zm\357\372\274\263\227\265\006\335\272\302\035m\260\016\266\253B\216\ny\363K\376k\000a\024*X\035\252\303p\3243\014p\270\202\231=\017\005\330*\357c\225\327e(B\262R\213\206\0018\026\213H\203\010\230B!\216\227\233\315\347""\261[\315\361\371\344\002\202H\242\204\246s\237\324\240\022\272WVLY}\337\352\357\276\226Z\301\224\364\217f\030\307\3745\365\342L\007\264\331\242\232!rvQ\362\205`@bS\003V7$P\331D\0227fTU%f>qFY\\\231\"\200H\036\246#a\n\220R\242\013Z\251\230\250J\302\021`X\270\205\251M\207Q2\275}\213\354\265\257U*\242T\215\002\214\024DYD\217\213\031\327\"D\224*d\256\236\034*50gd\217L\342k2\251A\265\201Y\001X\002\260*\224g\234\342$`BQ.\323\220\277\24336W\013\004\226\006\335\240`\335J')p\275\"\330jP\203\360d\3528\3015;w\343\000\326\326\026\0149\235\240m\2648 P\277\203,\000d\310B\322\261\345\210\334f\326\223E\2728\264Cr\316\203y\013\264\252\254\341\\t\267|\346\2502\207]\236\241\221\266\006>\255\014\032\330\203\274\232\323\215mE))JS.\344\364\315\225\351D\251\354\t\276\331O\r\355\030Q\204\206*\324s\030\307\250B\206{/N\032\263t\271P\251\210\325\3333u:\314U\270\004n\226\375\025C\200A\013\0166j\341\302*11\346$\005<( /p\345P1\234\007\202\035K\223\235j\3276\320\363\247]a\267\"J\320\031\026\362L\251\023a\r\016\016<\241(22XF\242\020\203L\341\342\252\212Z\203\321u\240@\025\232v\214\213\2707\242%\"\300E8\027\220\244\205@\252\"\270\013\336\352\2571\206\371\230u\234,\254R\365\014\370\026y\240\305\n\205\261/)\347@\210\016\301a\013\001Ye\222\300\354\367\316\271\344\023_\002\326\230Z\324\246\213\020\026\224\031\213\323P~8\325\202P\340\310X\224c\3100\220}`V\031\267H\214\323s\351\225\351\010\315$\216\256q!\3015\255\002\325\271\201\202 \321\234&h\t\005L\237\372\364\216|iSC\t\323\244L\214#\260`\374\037\252\226\261x\336\032\235`\352\360\207BZI\027\365\334\230\031.\310\211\3200\310\312ex\337\027\322\016\323&ah\\\034g\374\r\216_ (P)\tRuY\304\230\300\014\007\024gf!\316a\200\343\323\t\306Lo\204\231\201\241'\005\t\313\345\224\034\366gr\302W\301\311\016\211E\204/\271\234\370\347\270\372hPAIC\r\"\351\346K\030`$'\310M\332\"\010&&\021\331\022\231\337`-\014\227\r\364\250(\266\220\311\221C^\371\243$\312\256ez\\A\004\212\203\3016I\206\356022\316\331\010x\266\213s$H\014\262\014\301\324\211\322\324/S[F\203\031\342\035\313""\203\216Ld\361\335d\276\254\245$\302\201\317\212_\323.\3233#o *\022\021@u\355e\363\330$I\214\263\336WN\272)\211Z\000\324\036\260.\233\321\263]\2234\016\256\262\037M^F\210\311\321\2329\243\371h4\231\314\367T\231\267\206\274\263\210^\365\246_\225\027\323\250q\351D1\014\241\363\314\034\223:`\370\242\310`(0\255'\"\237\345\374\t\200\270\242a\3234_I\317\004\3414\356\234tA\032\032\364\345S\261\024]\262b\n\303\033\006d\201\341\235\345\006-\265\212\345s\250LL(\210E!1\230\211\223^\261>\002\236\207\024\372\373\244\314&MeLO9\243\201\243-\213\014\231\255\005\230WW\263K\316\255DW\225\037\2576\214\213\007-\022\217\"9\331,\306s\247\324\346sQ\223\252}\362\203\034\345s\177\003\270A\034\303##!5\361\251\031\365cuV\2453\254\2378a\266c\013\3739\316\025\265\277\177\336R1\316\233\320UU\326\272\325)\027Y\021\236\313\267]\307]\022\025\223\331\377GQ\206`\271l\266\2530\253rJ\226\332\242\214\204!\264\375\302\255\272\327\0244\365\034\345\367\331\310\322\252S\025\257\022\247N8\345T\343,,\352Y\3431Mg\347\313Q\r\215\361cB\\U\214\313\0330\3258\314\332\252\2762vU\306\342\231\275\336%|RE\207\301\270\177\261\026%n\276\221\245\313\303\340Q\307\3110\251\025(\330\302Z~\003\000\325\251d\357\366(\233TU\002\024a\336\210\211\206I\222\203\250<\001rd\210\210i a\306a\247\242z\202FZ\356Xy\200\215\3615$\302\205\201\351\211\013\226\210\"\366D\r\216\345eP_#3\325\331\\d,\021t4\005b\344D\320\365\004\020x\216Y\206\202\344JhQe\016\320\326(y\032\036\367jU\006\035\252S\316n[\254\233YX\273\346\0071\206\204\303#%Y\202t\036J\273\344{\220\326y,1el\016\016\206?\342\356H\247\n\022\t@v\365\340";
-    PyObject *data = __Pyx_DecompressString(cstring, 1958, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1923 bytes) */
-const char* const cstring = "x\332\315W\315s\333\306\0257e\322\246m\332\022?E;m*Q\2123i\033;$\345\304\366t\246C\212\2645u\247\023RT\\O\017\230%\260\224P\220\000\211\005\365\341\231Ns\304q\217{\334#\2168\342\210#\217:\362\350?\301\177B\337.(\211\222\034\333\2238mg$\340\355\342\355\276\367~\373{o\037\377\214\234\225\201E\234\225\025u\017\231&\356\223\0252\036\016-\333\301\332\037Wv-g\205\330\352Cm\214\372D\037<4\260-T\036*\352Lz0<:\2547\232\315o\232\225f\265\271\3214\233DQ\276?:\204\377\206\256:\312\337\360\241\323\306\275v\247\363M\247\322\251v6:f\207 \244\252\250?\334C\212\002&-\0079\030$\333FG\210\034\231\252n=P-\333\032;\272\211I\267\213\035\324\325mgOQ\243\027\356\366\255\203\361PECU\376[\032\206\007\356\301cl:D\205\241\346\250\370ph\251}\330A\321M\305\261\221\212\273H5\2042\021\312D\265\301*Q\tr4M\301\232\342h\030\t\033\321\013G\257\276\265\253\231\370@sf\361?8\211\3724~\214pW\230\"\020\247\215z}\313\262\025\034\275\034E\351\215MUQv\367\366P\177_7w\211\256\350D9\215Mw\360\200\030F\331\250\030Uc\303h\226\215f\305hV\215\346\206\321)\033\235\212\321\251\032\235\rC75\303\350\243\301@Q\006\010\202\201\347\241\202\3671\304\n\262\245\215\373\200\236i6\315\016\274\320@\014\324=S\265\366L\274o\356\332\272f:\310\336\305\016\031\016u\325\030ZCex$\301V\224\021\204\025-\261%\034\266\261\241\354\332\326\201\263'$c\374\332\204e\326\276M\010A\203!\330\001\263\366\021`F\010\006\314\024\202\235\231I\2204\334C\343>|B\360\247\364l\35356\t\234\355\2308\216\202M-\362\302Ac\245\217\321PQ\300\036@\344\350\003x[}\370k\302\177\3079\260\0242\304\252\216\311x\037\365\307\230\374\030{{\363J\"G\253\024\321\3214~\375G\307\255\270\255i\362\216\373O\026c\367x\371x\375\305\244<\251\275\315\\I\334p\023\356\016]\245\345i\362\266\333r1}\004*\351\367\rRn\rV\254\313\275\223\267\334\262\333\244YZ\243\255s\2037\361EwD\343\3649+\263\3324\236\243s\2177\221\364[\006Zw\\\004z\327\205\233\221\030\027\237.\211\357QHH\217\304\243I\363\322\251\324\022\275\315Z\014\3632ox\t\257\345i\376\027\376(\210\007\2150\026\346\302\355Il\232Ztm\232""\201\240\227\356BHK\351\223\t\201\030a%\266\3057\271\355e\274\252\207<\342\227\374\332tI\370\234J\3234\375B\230\000A\304\373\235\300a\232\272-\344\212\273M\347w\276\307V!\370\347\374Tl\360\330\274\230\312\003fgKo\260,\2533\225\247\317>\010\330U\260\270N\273,\316jl\207\227xm\316TA\204\313\256\263\321\211\010J\347\304\223\215Rn\203\306h\216\266\305\221\001v\323\344\242\353\320\2128\2639\330\262\263\023>\013a\031\246\227\344\371\203=:/\300\351F\216\264a\243*\370\267\300V\317\354e\004\241\304\331\237\210\r\026;'\336r7\\B\317V\304o\271Oi\013\3348d\257\275\264\267\352=\362o\006\253A9h\206i`s\352\377\230\315o\257]I\024\351\350SP\371\246[r\353n\217\326\201S?\rn\312}FK\240\243\002a^\360}\257\355\215>M\n\374\327\311={\314\271\235\021\016\260\253\254\302Z\302X\304QH\275-`\177\007V/e\301x\356\036[\203\340T\236\341\027\006`\255\352v\205\243\263\020.\217\342tSf\370\271\354\250\303\207\004d\207\3152`\372\007^\341\377\360c\247\240\326>Lh`\345\201\253\001\241\223\302\324\007\330\234\274\222\310_d\320*`\026/\320\036k\3624\277\357-x_\373v\000;\211\263\221\363u\326\343u>\360+\376N\260\026\274\n{\223\372D?~\371waz\037\020^\240k\202\264\263\355\026\1771\027\223\3565H\2222\240u\304\027\270\014,K\353\307\205\373\\\365\262\336\013\177\0241\244Dg@B:v\301\211/\001\301\262\240\3375I\3335\266\315S\336s\360\032\240\026\325\004\360^*\310O%\266\311\034@\272\r\2056\353\325\275\256\277\000\205\266\356\2433\205:\353\362\253R\205x\2459\225n\260\020\224\202z\320\r\201syyn9\326f\266\344\300\345\211\302\251+q\200\260\013\340\256\317\266\332\224 \237*\264\031\341k\322\241\034d\225\355g\374*\330\272\032T\202v`\207\331\260\036\242\377\225\275\214L\211\363\203Oo\207H\3201\257r\r\000o\300^\353\240\030\007\250\265\260\024\326>Ri\371x\371\017psb8\365\266\177$\316\350\362\014\3441mBQx\306\277\004\247Z\360\251\352\367\202\3324\227\027\337\252\262\270mJ\267\267\275\253\260\264\353_\367\t\020\277\035\214\2469\350\034\244\342o \213A\373\t\270\203\316feZ/\272\007\260GZ\\a\257!\243V\371c\357\251\337\362\221?\016\376""\022\242p4ILZ\021MU\200\363\t\\\253\347\007\262b|\\\352\1770\331\013\364\007y`\361<\335\221\225g\256\023Z\021y\237\241\367Y\002\212\330I\206\267\316\345}\027\362\357k8\265\274\257\006w\303\373\223\205\311W\307\333\035\221\367\266\233\205\322\245\nW\177*\357\223\302\303;\357\234}\177\206?\367\313\077\077\303\363\364\025Cl_\236\335\206\347\370\345\313S\202\t\316\214\201\351\237\365\331\0162A\371\"%Uh\3326\000\254,\224\t\r\212\304f\264\276p\\\370\275\267\346\355\310\362\241\003\207$\001\033p\323|\013\267J.\377\346\034\351D\227\365\213H&(\376\321|\332\022\214\270H\242'~-\352{\226\336\325x\314:h\001w\3743\366\224\003a\356\261\257\370\237\274\221\237\000d\344\354\023\376W?\006\244\351\006\263\353I\205KVeE\236\025=\344\215\210?\031\267,\033Bw\014n\310\013\032.\237E\377\020P+N\322\2235H\022\321\352\301\345\030\t\357\357r.\316\312\326|\013Z\025\314\036\303\331\350\336!\034Z1L\207ka\353\244\301\031\315\337\303\347{\2304-\314\232\201\227\274\306\337\265\342\244G\022]\002\340\035;\271\313c\037\335\262\374ZM\370;;\357S\377\005\033\240\335~\014\241m\363\030/\360\177\373{p\233%'\261Iv\"KQ\002J\005\370(\230\367-K\313,\213Ms\237\201\327\317 U#\302>\002l\240\001\022\004\005^\276\202\322Q\366\267\240\354dB\230\375\234\351\374_~\315\177\025\340\260\002p\347\226\351\001\004\226\207\014)Bv\324\246\305\273\342\202\020\214\033\311F\237%E\007Wd\2617\221{\031\321\236\3179\262L\367g}\326w\300O\351YE\206u\346\2250\201d\321nM\213\242\262\025?\207\361\230?\223\013\212\277c#\236\340/\275\232's(\312\211\271\037\022\243\017\375\200\270\364\253Ar\355\364u\271\020\307\376\003\333\250\357\360";
-    PyObject *data = __Pyx_DecompressString(cstring, 1923, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (4524 bytes) */
-const char* const bytes = "?at most  channels supported, got src/dualsim/kernels/_ckernels.pyxBDEE0E2E3E4EnEs__Pyx_PyDict_NextRefRTT0T2T3T4TnTsaaccalpha__annotate__arrayasyncio.coroutinesbbetabirth_cbirth_eblowupcapccapccodeccoefccountscdecdtcexpocline_in_tracebackcodescoefscratescsatdd_ed_tdeath_cdeath_edeath_logdnewdtdualsim.kernels._ckernelseaebexposextrafloor_efloor_t__func__ghhalvingsi_is_coroutineitemskk1k2k3k4kE1kE2kE3kE4kT1kT2kT3kT4kindkklamm__main__max_events__module__nnEnT__name__nchncohnevngridntargetsppickpop_pyarray__qualname__rratesrk4_growthrk4_kuznetsovrsssample_everysatsseed__set_name__setdefaultssassa_frozenstatustt_endtargettau_leap__test__timestoltolEtolTtwo_speciesuvalues\200\001\360\n\000\005\024\2203\220a\220q\330\004\007\200t\2102\210Q\330\010\016\210j\230\001\230\032\2401\320$K\3101\310A\360\022\000\005\t\210\005\210U\220!\2201\330\010\r\210Q\210e\2205\230\001\230\021\330\010\r\210Q\210e\2205\230\001\230\021\330\010\r\210Q\210e\2205\230\001\230\021\330\010\014\210A\210U\220$\220a\220q\330\010\013\2101\210E\220\023\220A\220Q\330\010\013\2101\210E\220\023\220A\220Q\340\004\017\210q\220\004\220G\2301\230A\330\004\024\220A\330\004\024\220A\330\004\024\220A\340\004\024\220A\330\004\035\230Q\340\004\016\210a\210q\220\007\220q\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\007\220q\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\004\220A\330\004\005\330\010\014\210A\330\010\014\210E\220\025\220a\220q\330\014\020\220\r\230Q\230e\2401\240D\250\005\250Q\250d\260%\260q\270\004\270D\300\001\300\024\300S\310\001\330\014\017\210r\220\022\2201\330\020\031\230\021\330\020\021\330\014\017\210r\220\022\2203\220a\220s\230\"\230H\240C\240r\250\022\2503\250a\250s\260\"\260A\330\020\024\220A\330\014\021\220\021\220%\220q\330\014\021\220\021\330\010\013\2107\220$\220a\330\014\r\330\010\013\2102\210S\220\001\330\014\017\210r\220\022\2201\330\020\032\230!\2301\230G\2401\330\020\032\230!\2301\230D\240\001\330\020\032\230!\2301\230D""\240\001\330\014\025\220Q\330\014\r\330\010\013\2102\210S\220\t\230\023\230B\230c\240\021\330\014\025\220Q\330\014\r\330\010\r\210Q\210c\220\021\220$\220b\230\004\230A\230U\240\"\240A\330\010\013\2102\210S\220\001\330\014\026\220a\220q\230\007\230q\330\014\026\220a\220q\230\004\230A\330\014\026\220a\220q\230\004\230A\330\014\025\220Q\330\014\r\330\010\014\210D\220\001\220\024\220R\220q\330\010\016\210a\330\010\017\210t\2202\220Q\330\010\014\210E\220\025\220a\220q\330\014\023\2205\230\001\230\021\330\014\017\210r\220\022\2201\330\020\027\220q\330\020\021\330\010\r\210S\220\001\220\021\330\010\r\210S\220\001\220\021\330\010\017\210q\330\010\013\2102\210R\210t\2203\220b\230\002\230!\330\014\025\220Q\330\014\r\330\010\022\220!\2201\220G\2301\330\010\022\220!\2201\220D\230\001\330\010\022\220!\2201\220D\230\001\330\010\013\2104\210s\220!\330\014\025\220Q\330\014\r\330\004\013\210:\220Q\220a\220x\230z\250\021\250!\2505\260\n\270!\2701\270E\300\021\200\001\360\014\000\005\024\2203\220a\220q\330\004\007\200t\2102\210Q\330\010\016\210j\230\001\230\032\2401\320$K\3101\310A\360\022\000\005\t\210\005\210U\220!\2201\330\010\r\210Q\210e\2205\230\001\230\021\330\010\r\210Q\210e\2205\230\001\230\021\330\010\r\210Q\210e\2205\230\001\230\021\330\010\014\210A\210U\220$\220a\220q\330\010\013\2101\210E\220\023\220A\220Q\330\010\013\2101\210E\220\023\220A\220Q\340\004\017\210q\220\004\220G\2301\230A\330\004\024\220A\330\004\024\220A\330\004\024\220A\360\006\000\005\030\220q\340\004\016\210a\210q\220\007\220q\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\007\220q\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\004\220A\330\004\n\210\"\210B\210f\220B\220a\330\010\013\2102\210R\210t\2203\220b\230\002\230!\330\014\025\220Q\330\014\r\330\010\014\210F\220\"\220B\220c\230\023\230K\240v\250R\250q\330\010\014\210A\330\010\014\210E\220\025\220a\220q\330\014\020\220\r\230Q\230e\2401\240D\250\005\250Q\250d\260%\260q\270\004\270D\300\001""\300\024\300S\310\001\330\014\017\210r\220\022\2201\330\020\031\230\021\330\020\021\330\014\021\220\021\220%\220q\330\014\021\220\021\330\010\013\2107\220$\220a\330\014\r\330\010\013\2102\210S\220\001\330\014\017\210r\220\022\2201\330\020\032\230!\2301\230G\2401\330\020\032\230!\2301\230D\240\001\330\020\032\230!\2301\230D\240\001\330\014\025\220Q\330\014\r\330\010\013\2102\210S\220\t\230\023\230B\230c\240\021\330\014\025\220Q\330\014\r\330\010\r\210Q\330\010\r\210Q\330\010\014\210E\220\025\220a\220q\330\014\022\220%\220q\230\003\2302\230Q\330\014\017\210t\2202\220Q\330\020\024\220H\230A\230T\240\021\330\020\023\2201\330\024\032\230#\230Q\230c\240\022\2401\330\024\032\230#\230Q\230c\240\022\2401\330\010\013\2103\210b\220\001\330\014\021\220\021\330\010\013\2103\210b\220\001\330\014\021\220\021\330\010\013\2103\210b\220\004\220C\220s\230\"\230A\330\014\025\220Q\330\014\r\330\010\014\210B\210b\220\005\220R\220r\230\022\2302\230V\2402\240[\260\001\330\010\014\210A\330\010\014\210A\330\010\022\220!\2201\220G\2301\330\010\022\220!\2201\220D\230\001\330\010\022\220!\2201\220D\230\001\330\004\007\200w\210d\220!\330\010\021\220\021\330\004\013\210:\220Q\220a\220x\230z\250\021\250!\2505\260\n\270!\2701\270E\300\021\200\001\360\010\000\005\025\220A\330\004\024\220A\330\004\024\220A\360\006\000\005!\240\001\330\004\026\220f\230E\240\021\240&\250\002\250-\260r\270\021\330\004\031\230\021\330\004\026\220f\230B\230f\240B\240m\2602\260U\270#\270Y\300f\310B\310i\320WX\330\004\007\200v\210S\220\002\220#\220Q\330\010\024\220A\360\006\000\005\017\210a\210q\220\007\220q\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\007\220q\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\004\220A\330\004\010\210\006\210e\2201\220C\220y\240\002\240!\330\010\021\220\023\220B\320\026&\240c\250\023\250K\260q\330\010\013\2107\220\"\220A\330\014\025\220Q\330\010\016\210b\220\002\220'\230\022\2301\330\014\020\220\006\220b\230\002\230#\230S\240""\014\250G\2602\260Q\330\014\027\220q\330\014\r\330\020\026\220b\230\002\230\"\230C\230t\2402\240R\240r\250\023\250B\250b\260\002\260\"\260B\260a\330\020\026\220b\230\002\230\"\230B\230b\240\003\2402\240R\240s\250\"\250B\250b\260\002\260\"\260B\260b\270\002\270\"\270B\270b\300\001\330\020\025\220R\220r\230\024\230R\230r\240\022\2401\330\020\025\220R\220r\230\024\230R\230r\240\022\2401\330\020\026\220b\230\002\230#\230S\240\004\240B\240b\250\002\250$\250b\260\002\260\"\260C\260r\270\021\330\020\026\220b\230\002\230#\230R\230s\240#\240R\240r\250\024\250R\250r\260\022\2603\260b\270\003\2702\270R\270r\300\023\300B\300a\330\020\025\220R\220r\230\024\230R\230r\240\022\2401\330\020\025\220R\220r\230\024\230R\230r\240\022\2401\330\020\026\220b\230\002\230#\230S\240\004\240B\240b\250\002\250$\250b\260\002\260\"\260C\260r\270\021\330\020\026\220b\230\002\230#\230R\230s\240#\240R\240r\250\024\250R\250r\260\022\2603\260b\270\003\2702\270R\270r\300\023\300B\300a\330\020\025\220R\220r\230\022\2302\230Q\330\020\025\220R\220r\230\022\2302\230Q\330\020\026\220b\230\002\230#\230S\240\004\240B\240b\250\002\250$\250b\260\002\260\"\260C\260r\270\021\330\020\026\220b\230\002\230#\230R\230s\240#\240R\240r\250\024\250R\250r\260\022\2603\260b\270\003\2702\270R\270r\300\023\300B\300a\330\020\025\220R\220s\230\"\230B\230e\2403\240d\250\"\250D\260\002\260$\260b\270\004\270B\270d\300\"\300A\330\020\025\220R\220s\230\"\230B\230e\2403\240d\250\"\250D\260\002\260$\260b\270\004\270B\270d\300\"\300A\330\020\027\320\027+\2503\250e\2602\260R\260y\300\001\330\020\027\320\027+\2503\250e\2602\260R\260y\300\001\330\020\023\2201\220E\230\023\230F\240'\250\024\250Q\250e\2603\260f\270A\330\024\025\330\020\023\2203\220c\230\023\230C\230s\240#\240S\250\003\2503\250b\260\007\260s\270#\270R\270q\330\024\035\230Q\330\024\025\330\020\034\230A\330\020\023\2209\230B\230a\330\024\035\230Q\330\024\025\330\020\025\220Q\330\014\017\210w\220c\230\021\330\020\027\220z\240\021\240!\2408\250:\260Q\260a\260u\270J\300a\300q""\310\005\310Q\330\014\020\220\006\220c\230\022\2309\240A\330\014\020\220\006\220c\230\022\2309\240A\330\014\021\220\021\330\010\014\210A\330\010\022\220!\2201\220G\2301\330\010\022\220!\2201\220D\230\001\330\010\022\220!\2201\220D\230\001\330\004\013\210:\220Q\220a\220x\230z\250\021\250!\2505\260\n\270!\2701\270E\300\021\200\001\360\010\000\005\026\220V\2302\230Q\330\004\025\220U\230\"\230A\330\004\024\220A\330\004\024\220A\340\004 \240\001\330\004\022\220&\230\005\230Q\230f\240B\240m\2602\260Q\330\004\031\230\021\330\004\026\220f\230B\230b\240\002\240-\250r\260\025\260c\270\031\300&\310\002\310)\320ST\330\004\007\200r\210\023\210B\210c\220\021\330\010\024\220A\360\006\000\005\017\210a\210q\220\007\220q\330\004\016\210a\210q\220\010\230\001\330\004\016\210a\210q\220\007\220q\330\004\016\210a\210q\220\010\230\001\330\004\010\210\006\210e\2201\220C\220y\240\002\240!\330\010\021\220\023\220B\320\026&\240c\250\023\250G\2601\330\010\013\2107\220\"\220A\330\014\025\220Q\330\010\016\210b\220\002\220'\230\022\2301\330\014\020\220\006\220b\230\002\230#\230S\240\014\250G\2602\260Q\330\014\027\220q\330\014\r\330\020\025\220Y\230a\230v\240S\250\003\2504\250t\2601\330\020\025\220Y\230a\230v\240S\250\003\2504\250t\2602\260R\260t\2702\270R\270r\300\021\330\020\025\220Y\230a\230v\240S\250\003\2504\250t\2602\260R\260t\2702\270R\270r\300\021\330\020\025\220Y\230a\230v\240S\250\003\2504\250t\2602\260R\260r\270\022\2701\330\020\025\220R\220s\230\"\230B\230e\2403\240c\250\022\2504\250r\260\023\260B\260d\270\"\270C\270r\300\021\330\020\026\320\026*\250#\250U\260\"\260B\260i\270q\330\020\023\2201\220D\230\003\2306\240\021\330\024\025\340\020\023\2203\220c\230\023\230C\230s\240\"\240A\330\024\035\230Q\330\024\025\330\020\034\230A\330\020\023\2209\230B\230a\330\024\035\230Q\330\024\025\330\020\025\220Q\330\014\017\210w\220c\230\021\330\020\027\220z\240\021\240!\2408\250:\260Q\260a\260y\300\001\330\014\020\220\006\220c\230\022\2309\240A\330\014\021\220\021\330\010\014\210A\330\010\022\220!""\2201\220G\2301\330\010\022\220!\2201\220H\230A\330\004\013\210:\220Q\220a\220x\230z\250\021\250!\2509\260A\200\001\360\014\000\005\020\210q\220\004\220G\2301\230A\330\004\024\220A\330\004\024\220A\340\004\024\220A\330\004\027\220q\330\004\033\230:\240Q\330\004\032\230)\240<\250q\260\005\260R\260q\330\004\033\2309\240L\260\001\260\025\260b\270\001\330\004\007\200w\210c\220\025\220c\230\030\240\023\240A\330\010\t\330\004\007\200r\210\022\2101\330\010\016\210a\210u\220H\230B\230c\240\021\240&\250\017\260x\270r\300\030\310\021\310#\310Q\330\010\017\210q\220\005\220Q\330\010\017\210q\340\004\016\210a\210q\220\007\220q\330\004\016\210a\210q\220\004\220A\330\004\016\210a\210q\220\007\220q\330\004\016\210a\210q\220\004\220A\330\004\005\330\010\014\210H\220B\220e\2308\2403\240i\250x\260r\270\030\300\021\300#\300Q\330\010\013\2102\210R\210q\330\014\025\220Q\330\014\r\330\010\014\210A\330\010\014\210E\220\025\220a\220q\330\014\021\220\026\220q\230\003\2302\230W\240A\240Q\330\010\013\2102\210R\210q\330\014\025\220Q\330\014\r\330\010\013\2102\210R\210t\2202\220Q\330\014\020\220\001\330\010\014\210B\210b\220\001\330\010\013\2102\210S\220\001\330\014\017\210r\220\022\2201\330\020\032\230!\2301\230G\2401\330\020\032\230!\2301\230D\240\001\330\014\025\220Q\330\014\r\330\010\013\2102\210S\220\t\230\023\230B\230c\240\021\330\014\025\220Q\330\014\r\330\010\r\210Q\210c\220\021\220$\220b\230\004\230A\230U\240\"\240A\330\010\013\2102\210S\220\001\330\014\026\220a\220q\230\007\230q\330\014\026\220a\220q\230\004\230A\330\014\025\220Q\330\014\r\330\010\014\210D\220\001\220\024\220R\220q\330\010\013\2102\210R\210q\330\014\021\220\021\330\014\023\2208\2302\230S\240\001\240\026\240\177\260h\270b\300\010\310\001\310\023\310A\330\014\020\220\005\220U\230!\2301\330\020\023\2206\230\021\230#\230S\240\001\330\024\033\2301\230F\240!\330\024\025\340\020\023\2205\230\003\2301\330\024\034\230A\330\024\035\230Y\240m\2601\260H\270E\300\022\3001\330\024\036\230i\240}\260A\260Y\270e\3002\300Q\330\024\027""\220w\230c\240\025\240c\250\030\260\023\260A\330\030\031\330\020\026\220a\220x\230q\330\020\027\220q\230\010\240\001\330\020\030\230\001\340\014\021\220\021\330\014\022\220!\330\014\020\220\005\220U\230!\2301\330\020\027\220v\230Q\230c\240\022\2407\250!\2501\330\020\023\2202\220R\220q\330\024\033\2301\230F\240!\330\024\027\220w\230a\230s\240#\240Q\330\030 \240\001\330\030\036\230a\230u\240F\250!\2501\330\030\037\230q\240\005\240W\250A\250Q\330\024\025\330\014\021\220\021\330\010\017\210q\330\010\013\2102\210R\210q\330\014\025\220Q\330\014\r\330\010\022\220!\2201\220G\2301\330\010\022\220!\2201\220D\230\001\330\010\013\2104\210s\220!\330\014\025\220Q\330\014\r\330\004\016\210a\210q\330\004\016\210a\210q\330\004\013\210:\220Q\220a\220x\230z\250\021\250!\2505\260\001";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 128; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 4) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 128; i < 133; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 133; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 128;
-      for (Py_ssize_t i=0; i<5; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0};
-    for (int i = 0; i < 1; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 1;
-    const char* c_constant = "fvvvvvvvvvvvv";
-    for (int i = 0; i < 1; i++) {
-      char *end_pos;
-      numbertab[i] = PyLong_FromString(c_constant, &end_pos, 32);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-      c_constant = end_pos + 1;
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<2; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 4;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 6;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {10, 0, 0, 30, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 157};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_kind, __pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_alpha, __pyx_mstate->__pyx_n_u_beta, __pyx_mstate->__pyx_n_u_T0, __pyx_mstate->__pyx_n_u_dt, __pyx_mstate->__pyx_n_u_t_end, __pyx_mstate->__pyx_n_u_sample_every, __pyx_mstate->__pyx_n_u_blowup, __pyx_mstate->__pyx_n_u_ea, __pyx_mstate->__pyx_n_u_eb, __pyx_mstate->__pyx_n_u_T, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_h, __pyx_mstate->__pyx_n_u_target, __pyx_mstate->__pyx_n_u_k1, __pyx_mstate->__pyx_n_u_k2, __pyx_mstate->__pyx_n_u_k3, __pyx_mstate->__pyx_n_u_k4, __pyx_mstate->__pyx_n_u_Tn, __pyx_mstate->__pyx_n_u_tol, __pyx_mstate->__pyx_n_u_halvings, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_ntargets, __pyx_mstate->__pyx_n_u_extra, __pyx_mstate->__pyx_n_u_kk, __pyx_mstate->__pyx_n_u_times, __pyx_mstate->__pyx_n_u_values};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_dualsim_kernels__ckernels_py, __pyx_mstate->__pyx_n_u_rk4_growth, __pyx_mstate->__pyx_kp_b_iso88591_V2Q_U_A_A_A_QfBm2Q_fBb_r_c_ST_r, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {14, 0, 0, 46, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 213};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_T0, __pyx_mstate->__pyx_n_u_E0, __pyx_mstate->__pyx_n_u_dt, __pyx_mstate->__pyx_n_u_t_end, __pyx_mstate->__pyx_n_u_sample_every, __pyx_mstate->__pyx_n_u_blowup, __pyx_mstate->__pyx_n_u_T, __pyx_mstate->__pyx_n_u_E, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_h, __pyx_mstate->__pyx_n_u_target, __pyx_mstate->__pyx_n_u_Tn, __pyx_mstate->__pyx_n_u_En, __pyx_mstate->__pyx_n_u_tolT, __pyx_mstate->__pyx_n_u_tolE, __pyx_mstate->__pyx_n_u_kT1, __pyx_mstate->__pyx_n_u_kE1, __pyx_mstate->__pyx_n_u_kT2, __pyx_mstate->__pyx_n_u_kE2, __pyx_mstate->__pyx_n_u_kT3, __pyx_mstate->__pyx_n_u_kE3, __pyx_mstate->__pyx_n_u_kT4, __pyx_mstate->__pyx_n_u_kE4, __pyx_mstate->__pyx_n_u_T2, __pyx_mstate->__pyx_n_u_E2, __pyx_mstate->__pyx_n_u_T3, __pyx_mstate->__pyx_n_u_E3, __pyx_mstate->__pyx_n_u_T4, __pyx_mstate->__pyx_n_u_E4, __pyx_mstate->__pyx_n_u_halvings, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_ngrid, __pyx_mstate->__pyx_n_u_ntargets, __pyx_mstate->__pyx_n_u_extra, __pyx_mstate->__pyx_n_u_kk, __pyx_mstate->__pyx_n_u_times, __pyx_mstate->__pyx_n_u_Ts, __pyx_mstate->__pyx_n_u_Es};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_dualsim_kernels__ckernels_py, __pyx_mstate->__pyx_n_u_rk4_kuznetsov, __pyx_mstate->__pyx_kp_b_iso88591_A_A_A_fE_r_fBfBm2U_YfBiWX_vS_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {15, 0, 0, 38, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 303};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_codes, __pyx_mstate->__pyx_n_u_coefs, __pyx_mstate->__pyx_n_u_expos, __pyx_mstate->__pyx_n_u_sats, __pyx_mstate->__pyx_n_u_d_t, __pyx_mstate->__pyx_n_u_d_e, __pyx_mstate->__pyx_n_u_two_species, __pyx_mstate->__pyx_n_u_T0, __pyx_mstate->__pyx_n_u_E0, __pyx_mstate->__pyx_n_u_t_end, __pyx_mstate->__pyx_n_u_seed, __pyx_mstate->__pyx_n_u_floor_t, __pyx_mstate->__pyx_n_u_floor_e, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_max_events, __pyx_mstate->__pyx_n_u_nch, __pyx_mstate->__pyx_n_u_ccode, __pyx_mstate->__pyx_n_u_ccoef, __pyx_mstate->__pyx_n_u_cexpo, __pyx_mstate->__pyx_n_u_csat, __pyx_mstate->__pyx_n_u_cdt, __pyx_mstate->__pyx_n_u_cde, __pyx_mstate->__pyx_n_u_rates, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_rs, __pyx_mstate->__pyx_n_u_T, __pyx_mstate->__pyx_n_u_E, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_R, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_acc, __pyx_mstate->__pyx_n_u_nev, __pyx_mstate->__pyx_n_u_pick, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_times, __pyx_mstate->__pyx_n_u_Ts, __pyx_mstate->__pyx_n_u_Es};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_dualsim_kernels__ckernels_py, __pyx_mstate->__pyx_n_u_ssa, __pyx_mstate->__pyx_kp_b_iso88591_3aq_t2Q_j_1_K1A_U_1_Qe5_Qe5_Qe5, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {11, 0, 0, 29, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 394};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_birth_c, __pyx_mstate->__pyx_n_u_birth_e, __pyx_mstate->__pyx_n_u_death_log, __pyx_mstate->__pyx_n_u_death_c, __pyx_mstate->__pyx_n_u_death_e, __pyx_mstate->__pyx_n_u_T0, __pyx_mstate->__pyx_n_u_t_end, __pyx_mstate->__pyx_n_u_seed, __pyx_mstate->__pyx_n_u_floor_t, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_max_events, __pyx_mstate->__pyx_n_u_rs, __pyx_mstate->__pyx_n_u_T, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_B, __pyx_mstate->__pyx_n_u_D, __pyx_mstate->__pyx_n_u_R, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_acc, __pyx_mstate->__pyx_n_u_dnew, __pyx_mstate->__pyx_n_u_nev, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_ncoh, __pyx_mstate->__pyx_n_u_ccap, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_crates, __pyx_mstate->__pyx_n_u_ccounts, __pyx_mstate->__pyx_n_u_times, __pyx_mstate->__pyx_n_u_Ts};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_dualsim_kernels__ckernels_py, __pyx_mstate->__pyx_n_u_ssa_frozen, __pyx_mstate->__pyx_kp_b_iso88591_q_G1A_A_A_A_q_Q_q_Rq_9L_b_wc_c, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {15, 0, 0, 39, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 498};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_codes, __pyx_mstate->__pyx_n_u_coefs, __pyx_mstate->__pyx_n_u_expos, __pyx_mstate->__pyx_n_u_sats, __pyx_mstate->__pyx_n_u_d_t, __pyx_mstate->__pyx_n_u_d_e, __pyx_mstate->__pyx_n_u_two_species, __pyx_mstate->__pyx_n_u_T0, __pyx_mstate->__pyx_n_u_E0, __pyx_mstate->__pyx_n_u_t_end, __pyx_mstate->__pyx_n_u_dt, __pyx_mstate->__pyx_n_u_seed, __pyx_mstate->__pyx_n_u_floor_t, __pyx_mstate->__pyx_n_u_floor_e, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_nch, __pyx_mstate->__pyx_n_u_ccode, __pyx_mstate->__pyx_n_u_ccoef, __pyx_mstate->__pyx_n_u_cexpo, __pyx_mstate->__pyx_n_u_csat, __pyx_mstate->__pyx_n_u_cdt, __pyx_mstate->__pyx_n_u_cde, __pyx_mstate->__pyx_n_u_rates, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_rs, __pyx_mstate->__pyx_n_u_T, __pyx_mstate->__pyx_n_u_E, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_h, __pyx_mstate->__pyx_n_u_R, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_lam, __pyx_mstate->__pyx_n_u_nT, __pyx_mstate->__pyx_n_u_nE, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_times, __pyx_mstate->__pyx_n_u_Ts, __pyx_mstate->__pyx_n_u_Es};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_dualsim_kernels__ckernels_py, __pyx_mstate->__pyx_n_u_tau_leap, __pyx_mstate->__pyx_kp_b_iso88591_3aq_t2Q_j_1_K1A_U_1_Qe5_Qe5_Qe5_2, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/*
+ * Compiled simulation kernels: the C99 twin of ``_pykernels``.
+ *
+ * Entry points, argument order, sampling contracts and status codes match
+ * the pure-Python backend exactly; see that module's docstring for the
+ * codes.  Every series comes back as an ``array.array('d')``, which
+ * ``np.asarray`` views as float64 without a copy.
+ *
+ * Randomness comes from xoshiro256** seeded by splitmix64 from the seed
+ * masked to 64 bits, so event streams are reproducible per seed but differ
+ * from the pure backend's streams.  Keep the arithmetic as written and build
+ * without -ffast-math: outputs are pinned byte for byte per seed.
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStr (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* ExtTypeTest */
-static CYTHON_INLINE int __Pyx_TypeTest(PyObject *obj, PyTypeObject *type) {
-    __Pyx_TypeName obj_type_name;
-    __Pyx_TypeName type_name;
-    if (unlikely(!type)) {
-        PyErr_SetString(PyExc_SystemError, "Missing type object");
-        return 0;
-    }
-    if (likely(__Pyx_TypeCheck(obj, type)))
-        return 1;
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    type_name = __Pyx_PyType_GetFullyQualifiedName(type);
-    PyErr_Format(PyExc_TypeError,
-                 "Cannot convert " __Pyx_FMT_TYPENAME " to " __Pyx_FMT_TYPENAME,
-                 obj_type_name, type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-}
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* CIntToDigits (used by CIntToPyUnicode) */
-static const char DIGIT_PAIRS_10[2*10*10+1] = {
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899"
-};
-static const char DIGIT_PAIRS_8[2*8*8+1] = {
-    "0001020304050607"
-    "1011121314151617"
-    "2021222324252627"
-    "3031323334353637"
-    "4041424344454647"
-    "5051525354555657"
-    "6061626364656667"
-    "7071727374757677"
-};
-static const char DIGITS_HEX[2*16+1] = {
-    "0123456789abcdef"
-    "0123456789ABCDEF"
-};
-
-/* BuildPyUnicode (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char) {
-    PyObject *uval;
-    Py_ssize_t uoffset = ulength - clength;
-#if CYTHON_USE_UNICODE_INTERNALS
-    Py_ssize_t i;
-    void *udata;
-    uval = PyUnicode_New(ulength, 127);
-    if (unlikely(!uval)) return NULL;
-    udata = PyUnicode_DATA(uval);
-    if (uoffset > 0) {
-        i = 0;
-        if (prepend_sign) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, 0, '-');
-            i++;
-        }
-        for (; i < uoffset; i++) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, i, padding_char);
-        }
-    }
-    for (i=0; i < clength; i++) {
-        __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, uoffset+i, chars[i]);
-    }
-#else
-    {
-        PyObject *sign = NULL, *padding = NULL;
-        uval = NULL;
-        if (uoffset > 0) {
-            prepend_sign = !!prepend_sign;
-            if (uoffset > prepend_sign) {
-                padding = PyUnicode_FromOrdinal(padding_char);
-                if (likely(padding) && uoffset > prepend_sign + 1) {
-                    PyObject *tmp = PySequence_Repeat(padding, uoffset - prepend_sign);
-                    Py_DECREF(padding);
-                    padding = tmp;
-                }
-                if (unlikely(!padding)) goto done_or_error;
-            }
-            if (prepend_sign) {
-                sign = PyUnicode_FromOrdinal('-');
-                if (unlikely(!sign)) goto done_or_error;
-            }
-        }
-        uval = PyUnicode_DecodeASCII(chars, clength, NULL);
-        if (likely(uval) && padding) {
-            PyObject *tmp = PyUnicode_Concat(padding, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-        if (likely(uval) && sign) {
-            PyObject *tmp = PyUnicode_Concat(sign, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-done_or_error:
-        Py_XDECREF(padding);
-        Py_XDECREF(sign);
-    }
-#endif
-    return uval;
-}
-
-/* COrdinalToPyUnicode (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value) {
-    return value <= 1114111;
-}
-static PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t ulength, char padding_char) {
-    Py_ssize_t padding_length = ulength - 1;
-    if (likely((padding_length <= 250) && (value < 0xD800 || value > 0xDFFF))) {
-        char chars[256];
-        if (value <= 255) {
-            memset(chars, padding_char, (size_t) padding_length);
-            chars[ulength-1] = (char) value;
-            return PyUnicode_DecodeLatin1(chars, ulength, NULL);
-        }
-        char *cpos = chars + sizeof(chars);
-        if (value < 0x800) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xc0 | (value & 0x1f));
-        } else if (value < 0x10000) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xe0 | (value & 0x0f));
-        } else {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xf0 | (value & 0x07));
-        }
-        cpos -= padding_length;
-        memset(cpos, padding_char, (size_t) padding_length);
-        return PyUnicode_DecodeUTF8(cpos, chars + sizeof(chars) - cpos, NULL);
-    }
-    if (value <= 127 && CYTHON_USE_UNICODE_INTERNALS) {
-        const char chars[1] = {(char) value};
-        return __Pyx_PyUnicode_BuildFromAscii(ulength, chars, 1, 0, padding_char);
-    }
-    {
-        PyObject *uchar, *padding_uchar, *padding, *result;
-        padding_uchar = PyUnicode_FromOrdinal(padding_char);
-        if (unlikely(!padding_uchar)) return NULL;
-        padding = PySequence_Repeat(padding_uchar, padding_length);
-        Py_DECREF(padding_uchar);
-        if (unlikely(!padding)) return NULL;
-        uchar = PyUnicode_FromOrdinal(value);
-        if (unlikely(!uchar)) {
-            Py_DECREF(padding);
-            return NULL;
-        }
-        result = PyUnicode_Concat(padding, uchar);
-        Py_DECREF(padding);
-        Py_DECREF(uchar);
-        return result;
-    }
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* JoinPyUnicode */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char) {
-#if CYTHON_USE_UNICODE_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    PyObject *result_uval;
-    int result_ukind, kind_shift;
-    Py_ssize_t i, char_pos;
-    void *result_udata;
-    if (max_char > 1114111) max_char = 1114111;
-    result_uval = PyUnicode_New(result_ulength, max_char);
-    if (unlikely(!result_uval)) return NULL;
-    result_ukind = (max_char <= 255) ? PyUnicode_1BYTE_KIND : (max_char <= 65535) ? PyUnicode_2BYTE_KIND : PyUnicode_4BYTE_KIND;
-    kind_shift = (result_ukind == PyUnicode_4BYTE_KIND) ? 2 : result_ukind - 1;
-    result_udata = PyUnicode_DATA(result_uval);
-    assert(kind_shift == 2 || kind_shift == 1 || kind_shift == 0);
-    if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - result_ulength < 0))
-        goto overflow;
-    char_pos = 0;
-    for (i=0; i < value_count; i++) {
-        int ukind;
-        Py_ssize_t ulength;
-        void *udata;
-        PyObject *uval = values[i];
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (__Pyx_PyUnicode_READY(uval) == (-1))
-            goto bad;
-        #endif
-        ulength = __Pyx_PyUnicode_GET_LENGTH(uval);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(ulength < 0)) goto bad;
-        #endif
-        if (unlikely(!ulength))
-            continue;
-        if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - ulength < char_pos))
-            goto overflow;
-        ukind = __Pyx_PyUnicode_KIND(uval);
-        udata = __Pyx_PyUnicode_DATA(uval);
-        if (ukind == result_ukind) {
-            memcpy((char *)result_udata + (char_pos << kind_shift), udata, (size_t) (ulength << kind_shift));
-        } else {
-            #if PY_VERSION_HEX >= 0x030d0000
-            if (unlikely(PyUnicode_CopyCharacters(result_uval, char_pos, uval, 0, ulength) < 0)) goto bad;
-            #elif CYTHON_COMPILING_IN_CPYTHON || defined(_PyUnicode_FastCopyCharacters)
-            _PyUnicode_FastCopyCharacters(result_uval, char_pos, uval, 0, ulength);
-            #else
-            Py_ssize_t j;
-            for (j=0; j < ulength; j++) {
-                Py_UCS4 uchar = __Pyx_PyUnicode_READ(ukind, udata, j);
-                __Pyx_PyUnicode_WRITE(result_ukind, result_udata, char_pos+j, uchar);
-            }
-            #endif
-        }
-        char_pos += ulength;
-    }
-    return result_uval;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "join() result is too long for a Python string");
-bad:
-    Py_DECREF(result_uval);
-    return NULL;
-#else
-    Py_ssize_t i;
-    PyObject *result = NULL;
-    PyObject *value_tuple = PyTuple_New(value_count);
-    if (unlikely(!value_tuple)) return NULL;
-    CYTHON_UNUSED_VAR(max_char);
-    CYTHON_UNUSED_VAR(result_ulength);
-    for (i=0; i<value_count; i++) {
-        Py_INCREF(values[i]);
-        if (__Pyx_PyTuple_SET_ITEM(value_tuple, i, values[i]) != (0)) goto bad;
-    }
-    result = PyUnicode_Join(__pyx_mstate_global->__pyx_empty_unicode, value_tuple);
-bad:
-    Py_DECREF(value_tuple);
-    return result;
-#endif
-}
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* TypeImport */
-#ifndef __PYX_HAVE_RT_ImportType_3_2_8
-#define __PYX_HAVE_RT_ImportType_3_2_8
-static PyTypeObject *__Pyx_ImportType_3_2_8(PyObject *module, const char *module_name, const char *class_name,
-    size_t size, size_t alignment, enum __Pyx_ImportType_CheckSize_3_2_8 check_size)
-{
-    PyObject *result = 0;
-    Py_ssize_t basicsize;
-    Py_ssize_t itemsize;
-#if defined(Py_LIMITED_API) || (defined(CYTHON_COMPILING_IN_LIMITED_API) && CYTHON_COMPILING_IN_LIMITED_API)
-    PyObject *py_basicsize;
-    PyObject *py_itemsize;
-#endif
-    result = PyObject_GetAttrString(module, class_name);
-    if (!result)
-        goto bad;
-    if (!PyType_Check(result)) {
-        PyErr_Format(PyExc_TypeError,
-            "%.200s.%.200s is not a type object",
-            module_name, class_name);
-        goto bad;
-    }
-#if !( defined(Py_LIMITED_API) || (defined(CYTHON_COMPILING_IN_LIMITED_API) && CYTHON_COMPILING_IN_LIMITED_API) )
-    basicsize = ((PyTypeObject *)result)->tp_basicsize;
-    itemsize = ((PyTypeObject *)result)->tp_itemsize;
-#else
-    if (size == 0) {
-        return (PyTypeObject *)result;
-    }
-    py_basicsize = PyObject_GetAttrString(result, "__basicsize__");
-    if (!py_basicsize)
-        goto bad;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = 0;
-    if (basicsize == (Py_ssize_t)-1 && PyErr_Occurred())
-        goto bad;
-    py_itemsize = PyObject_GetAttrString(result, "__itemsize__");
-    if (!py_itemsize)
-        goto bad;
-    itemsize = PyLong_AsSsize_t(py_itemsize);
-    Py_DECREF(py_itemsize);
-    py_itemsize = 0;
-    if (itemsize == (Py_ssize_t)-1 && PyErr_Occurred())
-        goto bad;
-#endif
-    if (itemsize) {
-        if (size % alignment) {
-            alignment = size % alignment;
-        }
-        if (itemsize < (Py_ssize_t)alignment)
-            itemsize = (Py_ssize_t)alignment;
-    }
-    if ((size_t)(basicsize + itemsize) < size) {
-        PyErr_Format(PyExc_ValueError,
-            "%.200s.%.200s size changed, may indicate binary incompatibility. "
-            "Expected %zd from C header, got %zd from PyObject",
-            module_name, class_name, size, basicsize+itemsize);
-        goto bad;
-    }
-    if (check_size == __Pyx_ImportType_CheckSize_Error_3_2_8 &&
-            ((size_t)basicsize > size || (size_t)(basicsize + itemsize) < size)) {
-        PyErr_Format(PyExc_ValueError,
-            "%.200s.%.200s size changed, may indicate binary incompatibility. "
-            "Expected %zd from C header, got %zd-%zd from PyObject",
-            module_name, class_name, size, basicsize, basicsize+itemsize);
-        goto bad;
-    }
-    else if (check_size == __Pyx_ImportType_CheckSize_Warn_3_2_8 && (size_t)basicsize > size) {
-        if (PyErr_WarnFormat(NULL, 0,
-                "%.200s.%.200s size changed, may indicate binary incompatibility. "
-                "Expected %zd from C header, got %zd from PyObject",
-                module_name, class_name, size, basicsize) < 0) {
-            goto bad;
-        }
-    }
-    return (PyTypeObject *)result;
-bad:
-    Py_XDECREF(result);
-    return NULL;
-}
-#endif
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE uint64_t __Pyx_PyLong_As_uint64_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const uint64_t neg_one = (uint64_t) -1, const_zero = (uint64_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        uint64_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (uint64_t) -1;
-        val = __Pyx_PyLong_As_uint64_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(uint64_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(uint64_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 2 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(uint64_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 3 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(uint64_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 4 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (uint64_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(uint64_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(uint64_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(uint64_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(uint64_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(uint64_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(uint64_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(uint64_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(uint64_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(uint64_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        uint64_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (uint64_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (uint64_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (uint64_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (uint64_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(uint64_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((uint64_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(uint64_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((uint64_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((uint64_t) 1) << (sizeof(uint64_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (uint64_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to uint64_t");
-    return (uint64_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to uint64_t");
-    return (uint64_t) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
+#include <math.h>
+#include <stdint.h>
 #include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
+
+#ifndef M_PI
+#define M_PI 3.14159265358979323846
+#endif
+
+#define REL_UNDERSHOOT_TOL 1e-12
+#define MAX_HALVINGS 40
+#define MAX_CHANNELS 16
+
+/* a one-element array('d'); repeating it makes a result of exact size */
+static PyObject *proto_array;
+
+/* ---- RNG: splitmix64 -> xoshiro256** ----------------------------------- */
+
+typedef struct {
+    uint64_t s[4];
+} Rng;
+
+static inline uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+/* splitmix64 from the seed masked to 64 bits */
+static int rng_seed(Rng *r, PyObject *seed)
+{
+    uint64_t st = PyLong_AsUnsignedLongLongMask(seed);
+    if (st == (uint64_t)-1 && PyErr_Occurred())
         return -1;
+    for (int i = 0; i < 4; i++) {
+        uint64_t z = (st += 0x9E3779B97F4A7C15ULL);
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        r->s[i] = z ^ (z >> 31);
     }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
+    return 0;
 }
 
+static inline uint64_t rng_next(Rng *r)
+{
+    uint64_t *s = r->s;
+    uint64_t result = rotl(s[1] * 5, 7) * 9;
+    uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+}
 
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
+/* uniform on [0, 1) with 53 random bits */
+static inline double rng_uniform(Rng *r)
+{
+    return (double)(rng_next(r) >> 11) * (1.0 / 9007199254740992.0);
 }
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
+
+/* Knuth's product method for small means, a rounded normal beyond (the
+ * large-mean branch only matters for blow-up detection, not statistics). */
+static long rng_poisson(Rng *r, double lam)
+{
+    if (lam < 30.0) {
+        double L = exp(-lam);
+        long k = 0;
+        for (double prod = rng_uniform(r); prod > L; k++)
+            prod *= rng_uniform(r);
+        return k;
     }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
+    double u1 = 1.0 - rng_uniform(r);
+    double u2 = rng_uniform(r);
+    double z = sqrt(-2.0 * log(u1)) * cos(2.0 * M_PI * u2);
+    long k = (long)floor(lam + sqrt(lam) * z + 0.5);
+    return k > 0 ? k : 0;
 }
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
+
+/* ---- recorded samples: up to three columns, returned as array('d') ----- */
+
+typedef struct {
+    int ncol, oom;
+    Py_ssize_t n, cap;
+    double *col[3];
+} Rec;
+
+static void rec_free(Rec *rec)
+{
+    for (int c = 0; c < 3; c++)
+        PyMem_Free(rec->col[c]);
+}
+
+/* Appends one sample.  When memory runs out it records nothing more and
+ * rec_finish raises MemoryError. */
+static inline void rec_push(Rec *rec, double t, double a, double b)
+{
+    if (rec->n == rec->cap) {
+        if (rec->oom)
+            return;
+        for (int c = 0; c < rec->ncol; c++) {
+            double *grown = PyMem_Realloc(rec->col[c], 2 * rec->cap * sizeof(double));
+            if (grown == NULL) {
+                rec->oom = 1;
+                return;
             }
+            rec->col[c] = grown;
         }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
+        rec->cap *= 2;
     }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
+    rec->col[0][rec->n] = t;
+    rec->col[1][rec->n] = a;
+    if (rec->ncol == 3)
+        rec->col[2][rec->n] = b;
+    rec->n += 1;
 }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
+
+/* Starts the columns with the sample (0, a, b); the columns beyond
+ * ``ncol`` ignore their values, here and in rec_push. */
+static int rec_init(Rec *rec, int ncol, double a, double b)
+{
+    *rec = (Rec){ncol, 0, 0, 4096, {NULL, NULL, NULL}};
+    for (int c = 0; c < ncol; c++) {
+        if ((rec->col[c] = PyMem_Malloc(rec->cap * sizeof(double))) == NULL) {
+            rec_free(rec);
             PyErr_NoMemory();
             return -1;
         }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
     }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
+    rec_push(rec, 0.0, a, b);
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
+
+/* a new array('d') holding a copy of ``n`` doubles */
+static PyObject *column_array(const double *data, Py_ssize_t n)
+{
+    PyObject *arr = PySequence_Repeat(proto_array, n);
+    Py_buffer view;
+    if (arr == NULL || PyObject_GetBuffer(arr, &view, PyBUF_WRITABLE) < 0) {
+        Py_XDECREF(arr);
+        return NULL;
     }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
+    memcpy(view.buf, data, n * sizeof(double));
+    PyBuffer_Release(&view);
+    return arr;
 }
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
+
+/* Frees the columns and returns (col0, ..., status), or NULL with an
+ * exception set when ``status`` is negative or a result cannot be built. */
+static PyObject *rec_finish(Rec *rec, int status)
+{
+    PyObject *out = NULL;
+    if (rec->oom)
+        PyErr_NoMemory();
+    else if (status >= 0 && (out = PyTuple_New(rec->ncol + 1)) != NULL) {
+        for (int c = 0; c <= rec->ncol && out != NULL; c++) {
+            PyObject *item =
+                c < rec->ncol ? column_array(rec->col[c], rec->n) : PyLong_FromLong(status);
+            if (item == NULL)
+                Py_CLEAR(out);
+            else
+                PyTuple_SET_ITEM(out, c, item);
         }
     }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
+    rec_free(rec);
+    return out;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
+
+/* ---- deterministic fixed-step integration (classic RK4) ---------------- */
+
+/* exact fast paths keep equivalent rate formulations bitwise identical */
+static inline double powfast(double x, double e)
+{
+    if (e == 1.0)
+        return x;
+    if (e == 2.0)
+        return x * x;
+    if (e == 0.0)
+        return 1.0;
+    return pow(x, e);
+}
+
+static inline double f_growth(int kind, double a, double b, double ea, double eb, double T)
+{
+    if (T <= 0.0)
+        return 0.0;
+    if (kind == 0)
+        return a * powfast(T, ea) - b * powfast(T, eb);
+    return a * T - b * T * log(T);
+}
+
+/* The number of sampling targets after t = 0: every multiple of
+ * ``sample_every`` up to ``t_end``, plus ``t_end`` itself when it is off the
+ * grid.  ``*ngrid`` receives the number of grid multiples. */
+static long sample_targets(double t_end, double sample_every, long *ngrid)
+{
+    long n = (long)floor(t_end / sample_every + 1e-9);
+    int extra = t_end - n * sample_every > 1e-9 * (t_end > 1.0 ? t_end : 1.0);
+    *ngrid = n;
+    return (n == 0 || extra) ? n + 1 : n;
+}
+
+static PyObject *rk4_growth(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"kind", "a", "b", "alpha", "beta", "T0", "dt", "t_end",
+                            "sample_every", "blowup", NULL};
+    int kind;
+    double a, b, alpha, beta, T0, dt, t_end, sample_every, blowup;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "iddddddddd", names, &kind, &a, &b, &alpha, &beta,
+                                     &T0, &dt, &t_end, &sample_every, &blowup))
+        return NULL;
+    double ea = alpha + 1.0, eb = beta + 1.0;
+    double T = T0, t = 0.0;
+    int status = 0;
+    long n, ntargets = sample_targets(t_end, sample_every, &n);
+    Rec rec;
+    if (rec_init(&rec, 2, T, 0.0) < 0)
+        return NULL;
+    for (long kk = 1; kk <= ntargets; kk++) {
+        double target = kk <= n ? fmin(kk * sample_every, t_end) : t_end;
+        while (t < target - 1e-12) {
+            double h = t + dt <= target ? dt : target - t;
+            double Tn;
+            int halvings = 0;
+            for (;;) {
+                double k1 = f_growth(kind, a, b, ea, eb, T);
+                double k2 = f_growth(kind, a, b, ea, eb, T + 0.5 * h * k1);
+                double k3 = f_growth(kind, a, b, ea, eb, T + 0.5 * h * k2);
+                double k4 = f_growth(kind, a, b, ea, eb, T + h * k3);
+                Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+                double tol = REL_UNDERSHOOT_TOL * (T > 1.0 ? T : 1.0);
+                if (-tol <= Tn && Tn <= blowup)
+                    break;
+                /* nan can only come from overflow here, so it is a blow-up */
+                if (Tn != Tn || Tn > blowup) {
+                    status = 1;
+                    break;
+                }
+                if (++halvings > MAX_HALVINGS) {
+                    status = 6;
+                    break;
+                }
+                h *= 0.5;
+            }
+            if (status != 0)
+                return rec_finish(&rec, status);
+            T = Tn > 0.0 ? Tn : 0.0;
+            t += h;
         }
-        goto done;
+        t = target;
+        rec_push(&rec, t, T, 0.0);
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    return rec_finish(&rec, 0);
+}
+
+static PyObject *rk4_kuznetsov(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"a", "b", "g", "m", "n", "p", "d", "s", "T0", "E0", "dt", "t_end",
+                            "sample_every", "blowup", NULL};
+    double a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "dddddddddddddd", names, &a, &b, &g, &m, &n, &p,
+                                     &d, &s, &T0, &E0, &dt, &t_end, &sample_every, &blowup))
+        return NULL;
+    double T = T0, E = E0, t = 0.0;
+    int status = 0;
+    long ngrid, ntargets = sample_targets(t_end, sample_every, &ngrid);
+    Rec rec;
+    if (rec_init(&rec, 3, T, E) < 0)
+        return NULL;
+#define KT(T, E) (a * (T) * (1.0 - b * (T)) - n * (T) * (E))
+#define KE(T, E) (p * (T) * (E) / (g + (T)) - m * (T) * (E) - d * (E) + s)
+    for (long kk = 1; kk <= ntargets; kk++) {
+        double target = kk <= ngrid ? fmin(kk * sample_every, t_end) : t_end;
+        while (t < target - 1e-12) {
+            double h = t + dt <= target ? dt : target - t;
+            double Tn, En;
+            int halvings = 0;
+            for (;;) {
+                double kT1 = KT(T, E), kE1 = KE(T, E);
+                double T2 = T + 0.5 * h * kT1, E2 = E + 0.5 * h * kE1;
+                double kT2 = KT(T2, E2), kE2 = KE(T2, E2);
+                double T3 = T + 0.5 * h * kT2, E3 = E + 0.5 * h * kE2;
+                double kT3 = KT(T3, E3), kE3 = KE(T3, E3);
+                double T4 = T + h * kT3, E4 = E + h * kE3;
+                double kT4 = KT(T4, E4), kE4 = KE(T4, E4);
+                Tn = T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4);
+                En = E + (h / 6.0) * (kE1 + 2.0 * kE2 + 2.0 * kE3 + kE4);
+                double tolT = REL_UNDERSHOOT_TOL * (T > 1.0 ? T : 1.0);
+                double tolE = REL_UNDERSHOOT_TOL * (E > 1.0 ? E : 1.0);
+                if (-tolT <= Tn && Tn <= blowup && -tolE <= En && En <= blowup)
+                    break;
+                if (Tn != Tn || En != En || Tn > blowup || En > blowup) {
+                    status = 1;
+                    break;
+                }
+                if (++halvings > MAX_HALVINGS) {
+                    status = 6;
+                    break;
+                }
+                h *= 0.5;
+            }
+            if (status != 0)
+                return rec_finish(&rec, status);
+            T = Tn > 0.0 ? Tn : 0.0;
+            E = En > 0.0 ? En : 0.0;
+            t += h;
+        }
+        t = target;
+        rec_push(&rec, t, T, E);
+    }
+#undef KT
+#undef KE
+    return rec_finish(&rec, 0);
+}
+
+/* ---- channel tables ---------------------------------------------------- */
+
+typedef struct {
+    int n;
+    long code[MAX_CHANNELS];
+    double coef[MAX_CHANNELS], expo[MAX_CHANNELS], sat[MAX_CHANNELS];
+    double dT[MAX_CHANNELS], dE[MAX_CHANNELS];
+} Table;
+
+/* cols: the sequences codes, coefs, expos, sats, d_t and d_e, one entry per
+ * channel */
+static int table_read(Table *tab, PyObject *const cols[6])
+{
+    Py_ssize_t n = PyObject_Length(cols[0]);
+    if (n < 0)
+        return -1;
+    if (n > MAX_CHANNELS) {
+        PyErr_Format(PyExc_ValueError, "at most %d channels supported, got %zd", MAX_CHANNELS, n);
+        return -1;
+    }
+    tab->n = (int)n;
+    double *dst[6] = {NULL, tab->coef, tab->expo, tab->sat, tab->dT, tab->dE};
+    for (int i = 0; i < tab->n; i++) {
+        for (int k = 0; k < 6; k++) {
+            PyObject *item = PySequence_GetItem(cols[k], i);
+            if (item == NULL)
+                return -1;
+            if (k == 0)
+                tab->code[i] = PyLong_AsLong(item);
+            else
+                dst[k][i] = PyFloat_AsDouble(item);
+            Py_DECREF(item);
+            if (PyErr_Occurred())
+                return -1;
         }
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
     return 0;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+static inline double channel_rate(const Table *tab, int i, double T, double E)
+{
+    double c = tab->coef[i], e = tab->expo[i];
+    switch (tab->code[i]) {
+    case 1:
+        return e == 1.0 ? c * T : (e == 2.0 ? c * T * T : c * pow(T, e));
+    case 2:
+        return T > 0.0 ? c * T * log(T) : 0.0;
+    case 3:
+        return c * E;
+    case 4:
+        return c * T * E;
+    case 5:
+        return c * T * E / (tab->sat[i] + T);
+    default:
+        return c;
+    }
+}
 
+/* Fills ``rates`` and returns their sum, or -1 when a rate is negative.  A
+ * channel that would take a population below its floor gets rate 0. */
+static inline double table_rates(const Table *tab, double T, double E, double floor_t,
+                                 double floor_e, double *rates)
+{
+    double R = 0.0;
+    for (int i = 0; i < tab->n; i++) {
+        double r = channel_rate(tab, i, T, E);
+        if (r < 0.0)
+            return -1.0;
+        if (T + tab->dT[i] < floor_t || E + tab->dE[i] < floor_e)
+            r = 0.0;
+        rates[i] = r;
+        R += r;
+    }
+    return R;
+}
 
+/* ---- exact stochastic simulation (Gillespie direct method) ------------- */
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+static PyObject *ssa(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "two_species",
+                            "T0", "E0", "t_end", "seed", "floor_t", "floor_e", "cap",
+                            "max_events", NULL};
+    PyObject *cols[6], *seed;
+    int two_species;
+    double T0, E0, t_end, floor_t, floor_e, cap;
+    long max_events;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOpdddOdddl", names, &cols[0], &cols[1],
+                                     &cols[2], &cols[3], &cols[4], &cols[5], &two_species, &T0,
+                                     &E0, &t_end, &seed, &floor_t, &floor_e, &cap, &max_events))
+        return NULL;
+    Table tab;
+    Rng rng;
+    if (table_read(&tab, cols) < 0 || rng_seed(&rng, seed) < 0)
+        return NULL;
+    double rates[MAX_CHANNELS];
+    double T = T0, E = E0, t = 0.0;
+    long nev = 0;
+    int nch = tab.n, status = -1;
+    Rec rec;
+    if (rec_init(&rec, 3, T, E) < 0)
+        return NULL;
+    for (;;) {
+        double R = table_rates(&tab, T, E, floor_t, floor_e, rates);
+        if (R < 0.0) {
+            status = 5;
+            break;
+        }
+        if (R <= 0.0) {
+            if (t < t_end)
+                rec_push(&rec, t_end, T, E);
+            status = 2;
+            break;
+        }
+        if (R == INFINITY || R != R) {
+            status = 3;
+            break;
+        }
+        t += -log(1.0 - rng_uniform(&rng)) / R;
+        if (t >= t_end) {
+            rec_push(&rec, t_end, T, E);
+            status = 0;
+            break;
+        }
+        /* the first channel whose cumulative rate exceeds u, else the last */
+        double u = rng_uniform(&rng) * R, acc = rates[0];
+        int pick = 0;
+        while (!(u < acc) && pick < nch - 1)
+            acc += rates[++pick];
+        T += tab.dT[pick];
+        E += tab.dE[pick];
+        nev += 1;
+        if (T > cap || E > cap) {
+            status = 3;
+            break;
+        }
+        rec_push(&rec, t, T, E);
+        if (nev >= max_events) {
+            status = 4;
+            break;
+        }
+    }
+    return rec_finish(&rec, status);
+}
+
+/* One species whose agents keep the death rate of the population size at
+ * their creation; agents of equal rate share a cohort. */
+typedef struct {
+    double rate, count;
+} Cohort;
+
+static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"birth_c", "birth_e", "death_log", "death_c", "death_e", "T0",
+                            "t_end", "seed", "floor_t", "cap", "max_events", NULL};
+    double birth_c, birth_e, death_c, death_e, T0, t_end, floor_t, cap;
+    int death_log;
+    long max_events;
+    PyObject *seed;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "ddpddddOddl", names, &birth_c, &birth_e,
+                                     &death_log, &death_c, &death_e, &T0, &t_end, &seed,
+                                     &floor_t, &cap, &max_events))
+        return NULL;
+    Rng rng;
+    if (rng_seed(&rng, seed) < 0)
+        return NULL;
+    double T = T0, t = 0.0;
+    long nev = 0;
+    int status = -1;
+    Py_ssize_t ncoh = 0, ccap = 64;
+    Cohort *coh = PyMem_Malloc(ccap * sizeof *coh);
+    if (coh == NULL)
+        return PyErr_NoMemory();
+    Rec rec;
+    if (rec_init(&rec, 2, T, 0.0) < 0) {
+        PyMem_Free(coh);
+        return NULL;
+    }
+#define DEATH_RATE(T) (death_log ? death_c * log(T) : death_c * powfast((T), death_e))
+    if (T > 0.0) {
+        coh[0].rate = DEATH_RATE(T);
+        coh[0].count = T;
+        ncoh = 1;
+    }
+    for (;;) {
+        double B = birth_e == 1.0 ? birth_c * T : birth_c * powfast(T, birth_e);
+        double D = 0.0;
+        for (Py_ssize_t i = 0; i < ncoh; i++)
+            D += coh[i].rate * coh[i].count;
+        if (B < 0.0 || D < 0.0) {
+            status = 5;
+            break;
+        }
+        if (T - 1.0 < floor_t)
+            D = 0.0;
+        double R = B + D;
+        if (R <= 0.0) {
+            if (t < t_end)
+                rec_push(&rec, t_end, T, 0.0);
+            status = 2;
+            break;
+        }
+        if (R == INFINITY || R != R) {
+            status = 3;
+            break;
+        }
+        t += -log(1.0 - rng_uniform(&rng)) / R;
+        if (t >= t_end) {
+            rec_push(&rec, t_end, T, 0.0);
+            status = 0;
+            break;
+        }
+        double u = rng_uniform(&rng) * R;
+        if (u < B) {
+            T += 1.0;
+            double dnew = DEATH_RATE(T);
+            Py_ssize_t i = 0;
+            while (i < ncoh && coh[i].rate != dnew)
+                i++;
+            if (i == ncoh) {
+                if (ncoh == ccap) {
+                    Cohort *grown = PyMem_Realloc(coh, 2 * ccap * sizeof *coh);
+                    if (grown == NULL) {
+                        PyErr_NoMemory();
+                        break;
+                    }
+                    coh = grown;
+                    ccap *= 2;
+                }
+                coh[ncoh++] = (Cohort){dnew, 0.0};
+            }
+            coh[i].count += 1.0;
+        } else {
+            u -= B;
+            double acc = 0.0;
+            for (Py_ssize_t i = 0; i < ncoh; i++) {
+                acc += coh[i].rate * coh[i].count;
+                if (u < acc) {
+                    coh[i].count -= 1.0;
+                    if (coh[i].count <= 0.0)
+                        coh[i] = coh[--ncoh];
+                    break;
+                }
+            }
+            T -= 1.0;
+        }
+        nev += 1;
+        if (T > cap) {
+            status = 3;
+            break;
+        }
+        rec_push(&rec, t, T, 0.0);
+        if (nev >= max_events) {
+            status = 4;
+            break;
+        }
+    }
+#undef DEATH_RATE
+    PyMem_Free(coh);
+    return rec_finish(&rec, PyErr_Occurred() ? -1 : status);
+}
+
+/* ---- approximate stochastic simulation (Poisson tau-leaping) ----------- */
+
+static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "two_species",
+                            "T0", "E0", "t_end", "dt", "seed", "floor_t", "floor_e", "cap",
+                            NULL};
+    PyObject *cols[6], *seed;
+    int two_species;
+    double T0, E0, t_end, dt, floor_t, floor_e, cap;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOpddddOddd", names, &cols[0], &cols[1],
+                                     &cols[2], &cols[3], &cols[4], &cols[5], &two_species, &T0,
+                                     &E0, &t_end, &dt, &seed, &floor_t, &floor_e, &cap))
+        return NULL;
+    Table tab;
+    Rng rng;
+    if (table_read(&tab, cols) < 0 || rng_seed(&rng, seed) < 0)
+        return NULL;
+    double rates[MAX_CHANNELS];
+    double T = T0, E = E0, t = 0.0;
+    int nch = tab.n, status = -1;
+    Rec rec;
+    if (rec_init(&rec, 3, T, E) < 0)
+        return NULL;
+    while (t < t_end - 1e-12) {
+        if (T > cap || E > cap) {
+            status = 3;
+            break;
+        }
+        double h = t + dt <= t_end ? dt : t_end - t;
+        /* leaping clamps to the floors after the step instead */
+        double R = table_rates(&tab, T, E, -INFINITY, -INFINITY, rates);
+        if (R < 0.0) {
+            status = 5;
+            break;
+        }
+        if (R <= 0.0) {
+            if (t < t_end)
+                rec_push(&rec, t_end, T, E);
+            status = 2;
+            break;
+        }
+        if (R == INFINITY || R != R) {
+            status = 3;
+            break;
+        }
+        double nT = T, nE = E;
+        for (int i = 0; i < nch; i++) {
+            double lam = rates[i] * h;
+            if (lam > 0.0) {
+                long k = rng_poisson(&rng, lam);
+                if (k) {
+                    nT += tab.dT[i] * k;
+                    nE += tab.dE[i] * k;
+                }
+            }
+        }
+        if (nT < floor_t)
+            nT = floor_t;
+        if (nE < floor_e)
+            nE = floor_e;
+        if (nT > cap || nE > cap) {
+            status = 3;
+            break;
+        }
+        t = t + h < t_end - 1e-12 ? t + h : t_end;
+        T = nT;
+        E = nE;
+        rec_push(&rec, t, T, E);
+    }
+    return rec_finish(&rec, status == -1 ? 0 : status);
+}
+
+/* ---- module ------------------------------------------------------------ */
+
+#define KERNEL(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
+
+static PyMethodDef methods[] = {
+    KERNEL(rk4_growth, "Integrate a one-equation growth law. Returns (times, values, status)."),
+    KERNEL(rk4_kuznetsov, "Integrate the tumour-effector system. Returns (times, T, E, status)."),
+    KERNEL(ssa, "Exact simulation of a channel table. Returns (times, T, E, status)."),
+    KERNEL(ssa_frozen, "Exact simulation, death rates fixed at birth. Returns (times, T, status)."),
+    KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (times, T, E, status)."),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_ckernels",
+    "Compiled simulation kernels (C twin of ``_pykernels``).", -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__ckernels(void)
+{
+    if (proto_array == NULL) {
+        PyObject *array = PyImport_ImportModule("array");
+        if (array == NULL)
+            return NULL;
+        proto_array = PyObject_CallMethod(array, "array", "s(d)", "d", 0.0);
+        Py_DECREF(array);
+        if (proto_array == NULL)
+            return NULL;
+    }
+    return PyModule_Create(&module);
+}

@@ -1,8 +1,9 @@
 """Pure-Python simulation kernels.
 
-Same call signatures and status codes as the compiled backend in
-``_ckernels``; this module is the fallback selected at import time when the
-extension is unavailable (or when DUALSIM_FORCE_PURE is set).  The loops are
+Same call signatures and status codes as the compiled backend, the C
+extension ``_ckernels`` built from ``_ckernels.c``; this module is the
+fallback selected at import time when the extension was not built (no C
+compiler at install time) or when DUALSIM_FORCE_PURE is set.  The loops are
 written for speed under CPython: bound locals, flat floats, no per-event
 allocation beyond the output samples.
 

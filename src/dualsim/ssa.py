@@ -274,6 +274,28 @@ def _raise_for_status(status: int, seed: int, max_events: int, last: str = "") -
     return Termination.EXTINCT if status == kernels.ST_EXTINCT else Termination.COMPLETED
 
 
+def _abs_trajectory(channels, times, states, termination, seed, replicate, grid) -> Trajectory:
+    """One replicate's trajectory: every sample or, given a ``grid``, only the
+    state held at each grid time (the last sample at or before it), so that
+    a long-lived replicate costs memory per grid point instead of per event."""
+    times = np.asarray(times, dtype=float)
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        if grid.size == 0 or grid[-1] > times[-1] + 1e-9:
+            raise ConfigError(f"the grid must be non-empty and end by t={times[-1]:g}")
+        states = states[np.searchsorted(times, grid, side="right") - 1]
+        times = grid
+    return Trajectory(
+        times=times,
+        states=states,
+        species=channels.species,
+        termination=termination,
+        paradigm=Paradigm.ABS,
+        replicate=replicate,
+        seed=seed,
+    )
+
+
 def simulate_exact(
     channels: ChannelSet,
     initial: PopulationState,
@@ -283,10 +305,12 @@ def simulate_exact(
     floors: Floors = Floors(),
     max_events: int = DEFAULT_MAX_EVENTS,
     replicate: int | None = None,
+    grid: np.ndarray | None = None,
 ) -> Trajectory:
     """Gillespie direct method: exponential waiting times from the total
     rate, channel choice proportional to rate, one sample per event plus the
-    final hold at ``t_end``."""
+    final hold at ``t_end`` (with a ``grid``, the held state at each grid
+    time instead)."""
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     T0, E0 = _check_initial(channels, initial, floors)
@@ -320,15 +344,7 @@ def simulate_exact(
 
     last = f" at t={times[-1]:.3g} with population {t_vals[-1]:.4g}" if len(times) else ""
     termination = _raise_for_status(status, seed, max_events, last)
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        states=states,
-        species=channels.species,
-        termination=termination,
-        paradigm=Paradigm.ABS,
-        replicate=replicate,
-        seed=seed,
-    )
+    return _abs_trajectory(channels, times, states, termination, seed, replicate, grid)
 
 
 def simulate_tau_leap(
@@ -340,9 +356,11 @@ def simulate_tau_leap(
     policy: RatePolicy = RatePolicy.LIVE,
     floors: Floors = Floors(),
     replicate: int | None = None,
+    grid: np.ndarray | None = None,
 ) -> Trajectory:
     """Poisson tau-leaping over fixed steps of ``dt``; any component pushed
-    below its floor is clamped to the floor."""
+    below its floor is clamped to the floor.  One sample per leap (with a
+    ``grid``, the held state at each grid time instead)."""
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     if not (math.isfinite(dt) and 0 < dt <= t_end):
@@ -361,22 +379,19 @@ def simulate_tau_leap(
     else:
         states = np.asarray(t_vals, dtype=float).reshape(-1, 1)
     termination = _raise_for_status(status, seed, 0)
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        states=states,
-        species=channels.species,
-        termination=termination,
-        paradigm=Paradigm.ABS,
-        replicate=replicate,
-        seed=seed,
-    )
+    return _abs_trajectory(channels, times, states, termination, seed, replicate, grid)
 
 
-def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 0) -> Ensemble:
+def run_ensemble(
+    spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 0, grid: np.ndarray | None = None
+) -> Ensemble:
     """``reps`` independent replicates seeded ``base_seed + 0 .. reps-1``.
 
     Replicates are independent (they could run concurrently); results are
-    ordered by replicate index either way.
+    ordered by replicate index either way.  With a ``grid``, each replicate
+    keeps only its held state at the grid times: step sampling on that grid
+    (``stats.sample_on_grid``) gives the same values, and memory no longer
+    grows with the event count of long-lived replicates.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
@@ -387,12 +402,12 @@ def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 
             if spec.method == "tau":
                 traj = simulate_tau_leap(
                     spec.channels, spec.initial, spec.t_end, spec.dt, seed,
-                    policy=spec.policy, floors=spec.floors, replicate=i,
+                    policy=spec.policy, floors=spec.floors, replicate=i, grid=grid,
                 )
             else:
                 traj = simulate_exact(
                     spec.channels, spec.initial, spec.t_end, seed,
-                    policy=spec.policy, floors=spec.floors, replicate=i,
+                    policy=spec.policy, floors=spec.floors, replicate=i, grid=grid,
                 )
         except EngineError as exc:
             raise type(exc)(f"replicate {i} (seed {seed}): {exc}") from exc

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import dualsim
 from dualsim.cli import RunSpec, cmd_compare, cmd_run, list_scenarios, main, parse_config
 from dualsim.errors import ConfigError
 
@@ -84,6 +85,7 @@ class TestCmdRun:
         manifest = json.loads(read(tmp_path / "manifest.json"))
         assert manifest["run_spec"]["model"] == "logistic"
         assert manifest["replicate_seeds"] == []
+        assert manifest["backend"] == dualsim.BACKEND_NAME
 
     def test_kuznetsov_sds_header(self, tmp_path):
         spec = parse_config(json.dumps({

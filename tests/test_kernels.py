@@ -103,3 +103,80 @@ class TestStochasticAgreement:
                         False, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
             assert list(a[0]) == list(b[0])
             assert list(a[1]) == list(b[1])
+
+
+# scenario-4 channel table: birth aT, intrinsic death abT^2, kill nTE,
+# recruitment pTE/(g+T), interaction death mTE, apoptosis dE, influx s
+S4_TABLE = (
+    [1, 1, 4, 5, 4, 3, 0],
+    [1.636, 1.636 * 0.002, 1.0, 1.131, 0.00311, 0.3743, 0.0],
+    [1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 20.19, 0.0, 0.0, 0.0],
+    [1, -1, -1, 0, 0, 0, 0],
+    [0, 0, 0, 1, -1, -1, 1],
+)
+
+
+class TestCompiledStream:
+    """The compiled stream for seed 7, pinned exactly: splitmix64-seeded
+    xoshiro256** and the kernels' arithmetic may not drift."""
+
+    def test_ssa(self):
+        times, Ts, Es, status = compiled.ssa(*S4_TABLE, True, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8)
+        assert status == 0 and len(times) == len(Ts) == len(Es) == 135096
+        assert list(times[:5]) == [0.0, 0.0009944854580088024, 0.002519382300010754,
+                                   0.006471770756564635, 0.006525084672740699]
+        assert list(Ts[:5]) == [100.0, 99.0, 98.0, 97.0, 98.0]
+        assert list(Es[:5]) == [10.0, 10.0, 10.0, 10.0, 10.0]
+
+    def test_ssa_frozen(self):
+        times, Ts, status = compiled.ssa_frozen(0.7, 1.0, False, 0.9, 0.0, 5, 15.0, 7, 0, 1e12, 10**7)
+        assert status == 2 and len(times) == len(Ts) == 29
+        assert list(times[:5]) == [0.0, 0.1507370325309312, 0.3413886790844172,
+                                   0.9282793541946261, 0.9380724492764064]
+        assert list(Ts[:5]) == [5.0, 6.0, 5.0, 4.0, 5.0]
+
+    def test_tau_leap(self):
+        times, Ts, Es, status = compiled.tau_leap(*S4_TABLE, True, 100, 10, 100.0, 0.01, 7, 1, 0, 1e12)
+        assert status == 0 and len(times) == len(Ts) == len(Es) == 10001
+        assert list(times[:5]) == [0.0, 0.01, 0.02, 0.03, 0.04]
+        assert list(Ts[:5]) == [100.0, 88.0, 84.0, 77.0, 69.0]
+        assert list(Es[:5]) == [10.0, 10.0, 9.0, 9.0, 10.0]
+
+    def test_seed_is_masked_to_64_bits(self):
+        a = compiled.ssa(*S4_TABLE, True, 100, 10, 1.0, 7, 1, 0, 1e12, 10**8)
+        b = compiled.ssa(*S4_TABLE, True, 100, 10, 1.0, 7 + 2**64, 1, 0, 1e12, 10**8)
+        c = compiled.ssa(*S4_TABLE, True, 100, 10, 1.0, 7 - 2**64, 1, 0, 1e12, 10**8)
+        assert list(a[0]) == list(b[0]) == list(c[0])
+
+
+class TestCompiledInterface:
+    def test_series_are_float_sequences_numpy_views_without_copy(self):
+        for result in (
+            compiled.rk4_growth(0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 1.0, 0.1, 1e300),
+            compiled.ssa_frozen(0.7, 1.0, False, 0.9, 0.0, 5, 1.0, 3, 0, 1e12, 10**7),
+        ):
+            *series, status = result
+            assert status == 0
+            for values in series:
+                assert isinstance(values[0], float) and len(values) >= 2
+                view = np.asarray(values)
+                assert view.dtype == np.float64 and len(view) == len(values)
+                values[0] = -1.0
+                assert view[0] == -1.0
+
+    @pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
+    def test_more_than_16_channels_raise_value_error(self, kernel):
+        n = 17
+        table = ([0] * n, [1.0] * n, [0.0] * n, [0.0] * n, [1] * n, [0] * n)
+        extra = (1.0, 0.1, 1, 0, 0, 1e12) if kernel == "tau_leap" else (1.0, 1, 0, 0, 1e12, 10**6)
+        with pytest.raises(ValueError, match="at most 16 channels"):
+            getattr(compiled, kernel)(*table, False, 1, 0, *extra)
+
+    @pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
+    def test_non_sequence_table_raises_type_error(self, kernel):
+        extra = (1.0, 0.1, 1, 0, 0, 1e12) if kernel == "tau_leap" else (1.0, 1, 0, 0, 1e12, 10**6)
+        with pytest.raises(TypeError):
+            getattr(compiled, kernel)(3, [1.0], [0.0], [0.0], [1], [0], False, 1, 0, *extra)
+        with pytest.raises(TypeError):
+            getattr(compiled, kernel)([0], 1.0, [0.0], [0.0], [1], [0], False, 1, 0, *extra)

@@ -22,6 +22,7 @@ from dualsim.ssa import (
     simulate_exact,
     simulate_tau_leap,
 )
+from dualsim.stats import make_grid, sample_on_grid
 from dualsim.trajectory import Paradigm, Termination
 
 
@@ -348,6 +349,24 @@ class TestEnsembles:
         spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
         with pytest.raises(ConfigError):
             run_ensemble(spec, reps=0, base_seed=0)
+
+    @pytest.mark.parametrize("method, dt", [("exact", None), ("tau", 0.01)])
+    def test_grid_held_replicates_match_step_sampling(self, method, dt):
+        spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
+                            initial=PopulationState(100, 10), t_end=10.0, method=method, dt=dt)
+        grid = make_grid(10.0, 0.5)
+        full = run_ensemble(spec, reps=6, base_seed=3)
+        held = run_ensemble(spec, reps=6, base_seed=3, grid=grid)
+        for f, h in zip(full.replicates, held.replicates):
+            assert np.array_equal(h.times, grid)
+            assert np.array_equal(h.states, sample_on_grid(f, grid).values)
+            assert (h.termination, h.seed, h.replicate) == (f.termination, f.seed, f.replicate)
+            assert np.array_equal(sample_on_grid(h, grid).values, sample_on_grid(f, grid).values)
+
+    def test_grid_past_the_run_is_refused(self):
+        spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
+        with pytest.raises(ConfigError, match="grid"):
+            run_ensemble(spec, reps=1, base_seed=0, grid=make_grid(2.0, 0.5))
 
 
 class TestScenarioDiscreteness:
