@@ -12,6 +12,7 @@ Nothing is written on a nonzero exit except diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -257,26 +258,30 @@ def _num(v: float) -> str:
     return repr(float(v))
 
 
+def _text_columns(values: np.ndarray) -> list:
+    """``_num`` of every value of a (rows, columns) array, column by column,
+    as iterators: each string is made when its line is joined."""
+    return [map(repr, column) for column in values.T.tolist()]
+
+
 def _sds_csv(traj: Trajectory) -> str:
     header = "time," + ",".join(traj.species)
-    lines = [header]
-    for i in range(len(traj.times)):
-        cells = [f"{traj.times[i]:.6f}"] + [_num(v) for v in traj.states[i]]
-        lines.append(",".join(cells))
+    times = [f"{t:.6f}" for t in traj.times.tolist()]
+    lines = [header, *map(",".join, zip(times, *_text_columns(traj.states)))]
     return "\n".join(lines) + "\n"
 
 
 def _ensemble_csv(ens: Ensemble, grid: np.ndarray) -> str:
     species = ens.replicates[0].species
-    header = "replicate,time," + ",".join(species)
-    lines = [header]
+    # one text block per replicate, so that no more than one replicate's
+    # lines are alive at a time; each grid time is formatted once
+    blocks = ["replicate,time," + ",".join(species)]
+    times = [f"{t:.6f}" for t in np.asarray(grid, dtype=float).tolist()]
     for rep in ens.replicates:
         series = stats.sample_on_grid(rep, grid, stats.Interp.STEP)
-        for i in range(len(series.times)):
-            cells = [str(rep.replicate), f"{series.times[i]:.6f}"]
-            cells += [_num(v) for v in series.values[i]]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        label = itertools.repeat(str(rep.replicate))
+        blocks.append("\n".join(map(",".join, zip(label, times, *_text_columns(series.values)))))
+    return "\n".join(blocks) + "\n"
 
 
 def _comparison_csv(report: stats.ComparisonReport) -> str:

@@ -10,6 +10,17 @@ the environment variable ``DUALSIM_FORCE_PURE`` to any non-empty value to
 skip the extension (useful for benchmarking and for exercising the fallback
 in tests).
 
+Sampling contract of the stochastic kernels (``ssa``, ``ssa_frozen``,
+``tau_leap``): called without their optional trailing ``grid``, they return
+one sample per event or leap, framed by the initial state and, when the run
+reaches ``t_end``, a final hold sample there.  Given a ``grid`` (a contiguous
+1-D buffer of doubles; anything else raises TypeError), they record only the
+sample held at each grid time, the last one at or before it, into series of
+``len(grid)`` rows whose times column gives each held sample's time: the
+per-event series indexed by ``searchsorted(times, grid, side="right") - 1``,
+at a cost per grid point instead of per event.  Grid points past the last
+sample hold the last sample, so the last row always names the last event.
+
 Per-seed reproducibility is guaranteed within a backend, not across the two:
 the compiled backend draws from xoshiro256** seeded via splitmix64, the pure
 backend from ``random.Random``.

@@ -6,6 +6,13 @@
  * codes.  Every series comes back as an ``array.array('d')``, which
  * ``np.asarray`` views as float64 without a copy.
  *
+ * ``ssa``, ``ssa_frozen`` and ``tau_leap`` take an optional trailing
+ * ``grid``, a contiguous 1-D buffer of doubles (anything else raises
+ * TypeError).  Without it they return one sample per event or leap; with it,
+ * series of ``len(grid)`` entries holding at each grid time the sample held
+ * there, the last one at or before it (the times column gives that sample's
+ * time).  Only ``rec_push`` and ``rec_finish`` know the difference.
+ *
  * Randomness comes from xoshiro256** seeded by splitmix64 from the seed
  * masked to 64 bits, so event streams are reproducible per seed but differ
  * from the pure backend's streams.  Keep the arithmetic as written and build
@@ -97,18 +104,36 @@ typedef struct {
     int ncol, oom;
     Py_ssize_t n, cap;
     double *col[3];
+    /* grid mode: the grid (grid.obj is NULL without one) and the last
+     * sample pushed, which rows n.. will hold until a later sample passes
+     * their grid time */
+    Py_buffer grid;
+    double held[3];
 } Rec;
 
 static void rec_free(Rec *rec)
 {
     for (int c = 0; c < 3; c++)
         PyMem_Free(rec->col[c]);
+    if (rec->grid.obj != NULL)
+        PyBuffer_Release(&rec->grid);
 }
 
-/* Appends one sample.  When memory runs out it records nothing more and
- * rec_finish raises MemoryError. */
+/* Appends one sample or, in grid mode, gives every unfilled grid point
+ * before ``t`` the previous sample and holds this one.  When memory runs
+ * out it records nothing more and rec_finish raises MemoryError. */
 static inline void rec_push(Rec *rec, double t, double a, double b)
 {
+    if (rec->grid.obj != NULL) {
+        const double *grid = rec->grid.buf;
+        for (; rec->n < rec->cap && grid[rec->n] < t; rec->n++)
+            for (int c = 0; c < rec->ncol; c++)
+                rec->col[c][rec->n] = rec->held[c];
+        rec->held[0] = t;
+        rec->held[1] = a;
+        rec->held[2] = b;
+        return;
+    }
     if (rec->n == rec->cap) {
         if (rec->oom)
             return;
@@ -129,13 +154,23 @@ static inline void rec_push(Rec *rec, double t, double a, double b)
     rec->n += 1;
 }
 
-/* Starts the columns with the sample (0, a, b); the columns beyond
- * ``ncol`` ignore their values, here and in rec_push. */
-static int rec_init(Rec *rec, int ncol, double a, double b)
+/* Starts the columns with the sample (0, a, b), one row per grid point when
+ * ``grid`` is not None; the columns beyond ``ncol`` ignore their values,
+ * here and in rec_push. */
+static int rec_init(Rec *rec, int ncol, PyObject *grid, double a, double b)
 {
-    *rec = (Rec){ncol, 0, 0, 4096, {NULL, NULL, NULL}};
+    *rec = (Rec){ncol, 0, 0, 4096, {NULL, NULL, NULL}, {NULL}, {0.0, a, b}};
+    if (grid != NULL && grid != Py_None) {
+        if (PyObject_GetBuffer(grid, &rec->grid, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0 ||
+            rec->grid.ndim != 1 || strcmp(rec->grid.format, "d") != 0) {
+            rec_free(rec);
+            PyErr_SetString(PyExc_TypeError, "grid must be a contiguous 1-D buffer of doubles");
+            return -1;
+        }
+        rec->cap = rec->grid.shape[0];
+    }
     for (int c = 0; c < ncol; c++) {
-        if ((rec->col[c] = PyMem_Malloc(rec->cap * sizeof(double))) == NULL) {
+        if ((rec->col[c] = PyMem_Malloc((rec->cap ? rec->cap : 1) * sizeof(double))) == NULL) {
             rec_free(rec);
             PyErr_NoMemory();
             return -1;
@@ -164,6 +199,10 @@ static PyObject *column_array(const double *data, Py_ssize_t n)
 static PyObject *rec_finish(Rec *rec, int status)
 {
     PyObject *out = NULL;
+    if (rec->grid.obj != NULL)
+        for (; rec->n < rec->cap; rec->n++)
+            for (int c = 0; c < rec->ncol; c++)
+                rec->col[c][rec->n] = rec->held[c];
     if (rec->oom)
         PyErr_NoMemory();
     else if (status >= 0 && (out = PyTuple_New(rec->ncol + 1)) != NULL) {
@@ -228,7 +267,7 @@ static PyObject *rk4_growth(PyObject *self, PyObject *args, PyObject *kw)
     int status = 0;
     long n, ntargets = sample_targets(t_end, sample_every, &n);
     Rec rec;
-    if (rec_init(&rec, 2, T, 0.0) < 0)
+    if (rec_init(&rec, 2, NULL, T, 0.0) < 0)
         return NULL;
     for (long kk = 1; kk <= ntargets; kk++) {
         double target = kk <= n ? fmin(kk * sample_every, t_end) : t_end;
@@ -279,7 +318,7 @@ static PyObject *rk4_kuznetsov(PyObject *self, PyObject *args, PyObject *kw)
     int status = 0;
     long ngrid, ntargets = sample_targets(t_end, sample_every, &ngrid);
     Rec rec;
-    if (rec_init(&rec, 3, T, E) < 0)
+    if (rec_init(&rec, 3, NULL, T, E) < 0)
         return NULL;
 #define KT(T, E) (a * (T) * (1.0 - b * (T)) - n * (T) * (E))
 #define KE(T, E) (p * (T) * (E) / (g + (T)) - m * (T) * (E) - d * (E) + s)
@@ -409,14 +448,15 @@ static PyObject *ssa(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "two_species",
                             "T0", "E0", "t_end", "seed", "floor_t", "floor_e", "cap",
-                            "max_events", NULL};
-    PyObject *cols[6], *seed;
+                            "max_events", "grid", NULL};
+    PyObject *cols[6], *seed, *grid = NULL;
     int two_species;
     double T0, E0, t_end, floor_t, floor_e, cap;
     long max_events;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOpdddOdddl", names, &cols[0], &cols[1],
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOpdddOdddl|O", names, &cols[0], &cols[1],
                                      &cols[2], &cols[3], &cols[4], &cols[5], &two_species, &T0,
-                                     &E0, &t_end, &seed, &floor_t, &floor_e, &cap, &max_events))
+                                     &E0, &t_end, &seed, &floor_t, &floor_e, &cap, &max_events,
+                                     &grid))
         return NULL;
     Table tab;
     Rng rng;
@@ -427,7 +467,7 @@ static PyObject *ssa(PyObject *self, PyObject *args, PyObject *kw)
     long nev = 0;
     int nch = tab.n, status = -1;
     Rec rec;
-    if (rec_init(&rec, 3, T, E) < 0)
+    if (rec_init(&rec, 3, grid, T, E) < 0)
         return NULL;
     for (;;) {
         double R = table_rates(&tab, T, E, floor_t, floor_e, rates);
@@ -481,14 +521,14 @@ typedef struct {
 static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *names[] = {"birth_c", "birth_e", "death_log", "death_c", "death_e", "T0",
-                            "t_end", "seed", "floor_t", "cap", "max_events", NULL};
+                            "t_end", "seed", "floor_t", "cap", "max_events", "grid", NULL};
     double birth_c, birth_e, death_c, death_e, T0, t_end, floor_t, cap;
     int death_log;
     long max_events;
-    PyObject *seed;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "ddpddddOddl", names, &birth_c, &birth_e,
+    PyObject *seed, *grid = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "ddpddddOddl|O", names, &birth_c, &birth_e,
                                      &death_log, &death_c, &death_e, &T0, &t_end, &seed,
-                                     &floor_t, &cap, &max_events))
+                                     &floor_t, &cap, &max_events, &grid))
         return NULL;
     Rng rng;
     if (rng_seed(&rng, seed) < 0)
@@ -501,7 +541,7 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
     if (coh == NULL)
         return PyErr_NoMemory();
     Rec rec;
-    if (rec_init(&rec, 2, T, 0.0) < 0) {
+    if (rec_init(&rec, 2, grid, T, 0.0) < 0) {
         PyMem_Free(coh);
         return NULL;
     }
@@ -595,13 +635,13 @@ static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "two_species",
                             "T0", "E0", "t_end", "dt", "seed", "floor_t", "floor_e", "cap",
-                            NULL};
-    PyObject *cols[6], *seed;
+                            "grid", NULL};
+    PyObject *cols[6], *seed, *grid = NULL;
     int two_species;
     double T0, E0, t_end, dt, floor_t, floor_e, cap;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOpddddOddd", names, &cols[0], &cols[1],
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOpddddOddd|O", names, &cols[0], &cols[1],
                                      &cols[2], &cols[3], &cols[4], &cols[5], &two_species, &T0,
-                                     &E0, &t_end, &dt, &seed, &floor_t, &floor_e, &cap))
+                                     &E0, &t_end, &dt, &seed, &floor_t, &floor_e, &cap, &grid))
         return NULL;
     Table tab;
     Rng rng;
@@ -611,7 +651,7 @@ static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
     double T = T0, E = E0, t = 0.0;
     int nch = tab.n, status = -1;
     Rec rec;
-    if (rec_init(&rec, 3, T, E) < 0)
+    if (rec_init(&rec, 3, grid, T, E) < 0)
         return NULL;
     while (t < t_end - 1e-12) {
         if (T > cap || E > cap) {
@@ -670,9 +710,12 @@ static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
 static PyMethodDef methods[] = {
     KERNEL(rk4_growth, "Integrate a one-equation growth law. Returns (times, values, status)."),
     KERNEL(rk4_kuznetsov, "Integrate the tumour-effector system. Returns (times, T, E, status)."),
-    KERNEL(ssa, "Exact simulation of a channel table. Returns (times, T, E, status)."),
-    KERNEL(ssa_frozen, "Exact simulation, death rates fixed at birth. Returns (times, T, status)."),
-    KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (times, T, E, status)."),
+    KERNEL(ssa, "Exact simulation of a channel table. Returns (times, T, E, status), "
+                "per event or held on ``grid``."),
+    KERNEL(ssa_frozen, "Exact simulation, death rates fixed at birth. Returns (times, T, status), "
+                       "per event or held on ``grid``."),
+    KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (times, T, E, status), "
+                     "per leap or held on ``grid``."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -18,6 +18,14 @@ Rate-law codes for the channel-table simulators:
     4 MASS_TE    rate = c * T * E
     5 MM_TE      rate = c * T * E / (g + T)
 
+The stochastic kernels (``ssa``, ``ssa_frozen``, ``tau_leap``) take an
+optional trailing ``grid``, a contiguous 1-D buffer of doubles such as a
+float64 array (anything else raises TypeError).  Without it they return one
+sample per event or leap; with it, ``len(grid)`` rows holding the sample
+held at each grid time, the last one at or before it, and that sample's
+time (the sampling contract is in the package docstring).  Only
+``_recorder`` knows the difference.
+
 RNG identity of this backend: ``random.Random`` (CPython's MT19937), one
 generator per run seeded with the run's seed; draws are consumed as
 (waiting time, channel selection) per event.  Per-seed streams are stable,
@@ -48,6 +56,62 @@ def _pow(x: float, e: float) -> float:
         return math.pow(x, e)
     except OverflowError:
         return _INF
+
+
+def _recorder(grid, ncol: int, a: float, b: float):
+    """``(push, finish)`` for the samples of one run, which starts at (0, a, b).
+
+    ``push(t, a, b)`` records a sample.  Without a grid every sample is kept.
+    With one, a sample at time t gives every unfilled grid point before t
+    the previous sample and is then held; ``finish(status)`` gives the
+    remaining grid points the last sample.  ``finish`` returns the first
+    ``ncol`` columns (time, a[, b]) followed by ``status``.
+    """
+    times: list[float] = []
+    col_a: list[float] = []
+    col_b: list[float] = []
+    add_t, add_a, add_b = times.append, col_a.append, col_b.append
+    if grid is None:
+        def push(t, a, b):
+            add_t(t)
+            add_a(a)
+            add_b(b)
+
+        def fill():
+            pass
+    else:
+        try:
+            view = memoryview(grid)
+        except TypeError:
+            view = None
+        if view is None or view.ndim != 1 or view.format != "d" or not view.c_contiguous:
+            raise TypeError("grid must be a contiguous 1-D buffer of doubles")
+        points = view.tolist()
+        points.append(_INF)  # a sentinel no sample passes
+        k = 0
+        held_t, held_a, held_b = 0.0, a, b
+
+        def push(t, a, b):
+            nonlocal k, held_t, held_a, held_b
+            while points[k] < t:
+                add_t(held_t)
+                add_a(held_a)
+                add_b(held_b)
+                k += 1
+            held_t, held_a, held_b = t, a, b
+
+        def fill():
+            n = len(points) - 1 - len(times)
+            times.extend([held_t] * n)
+            col_a.extend([held_a] * n)
+            col_b.extend([held_b] * n)
+
+    def finish(status):
+        fill()
+        return (times, col_a, col_b, status) if ncol == 3 else (times, col_a, status)
+
+    push(0.0, a, b)
+    return push, finish
 
 
 def _sample_targets(t_end: float, sample_every: float) -> list[float]:
@@ -163,11 +227,12 @@ def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowu
 # ---------------------------------------------------------------------------
 
 def ssa(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, seed,
-        floor_t, floor_e, cap, max_events):
+        floor_t, floor_e, cap, max_events, grid=None):
     """Event-driven simulation of a channel table over integer populations.
 
     A channel whose delta would push a floored population below its floor
-    contributes rate 0.  Returns (times, T, E, status).
+    contributes rate 0.  Returns (times, T, E, status), per event or held on
+    ``grid``.
     """
     rng = Random(seed)
     rr = rng.random
@@ -184,9 +249,7 @@ def ssa(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, seed,
     E = float(E0)
     t = 0.0
     nev = 0
-    times = [0.0]
-    Ts = [T]
-    Es = [E]
+    push, finish = _recorder(grid, 3, T, E)
     while True:
         R = 0.0
         for i in range(nch):
@@ -206,25 +269,21 @@ def ssa(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, seed,
             else:
                 r = c
             if r < 0.0:
-                return times, Ts, Es, 5
+                return finish(5)
             if T + d_t[i] < floor_t or E + d_e[i] < floor_e:
                 r = 0.0
             rates[i] = r
             R += r
         if R <= 0.0:
             if t < t_end:
-                times.append(t_end)
-                Ts.append(T)
-                Es.append(E)
-            return times, Ts, Es, 2
+                push(t_end, T, E)
+            return finish(2)
         if R == _INF or R != R:
-            return times, Ts, Es, 3
+            return finish(3)
         t += -log(1.0 - rr()) / R
         if t >= t_end:
-            times.append(t_end)
-            Ts.append(T)
-            Es.append(E)
-            return times, Ts, Es, 0
+            push(t_end, T, E)
+            return finish(0)
         u = rr() * R
         acc = 0.0
         pick = nch - 1
@@ -237,22 +296,21 @@ def ssa(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, seed,
         E += d_e[pick]
         nev += 1
         if T > cap or E > cap:
-            return times, Ts, Es, 3
-        times.append(t)
-        Ts.append(T)
-        Es.append(E)
+            return finish(3)
+        push(t, T, E)
         if nev >= max_events:
-            return times, Ts, Es, 4
+            return finish(4)
 
 def ssa_frozen(birth_c, birth_e, death_log, death_c, death_e, T0, t_end, seed,
-               floor_t, cap, max_events):
+               floor_t, cap, max_events, grid=None):
     """One-species exact simulation with death rates frozen at birth.
 
     Each agent's per-capita death rate is evaluated once, at the population
     size that includes the agent itself at its creation instant, and kept for
     life.  Agents sharing a frozen rate are held as one cohort, so the state
     is a (rate -> count) table rather than one object per agent.  The birth
-    channel stays live.  Returns (times, T, status).
+    channel stays live.  Returns (times, T, status), per event or held on
+    ``grid``.
     """
     rng = Random(seed)
     rr = rng.random
@@ -266,33 +324,30 @@ def ssa_frozen(birth_c, birth_e, death_log, death_c, death_e, T0, t_end, seed,
         ccounts.append(T)
     t = 0.0
     nev = 0
-    times = [0.0]
-    Ts = [T]
+    push, finish = _recorder(grid, 2, T, 0.0)
     while True:
         B = birth_c * T if birth_e == 1.0 else birth_c * _pow(T, birth_e)
         if B < 0.0:
-            return times, Ts, 5
+            return finish(5)
         D = 0.0
         ncoh = len(crates)
         for i in range(ncoh):
             D += crates[i] * ccounts[i]
         if D < 0.0:
-            return times, Ts, 5
+            return finish(5)
         if T - 1.0 < floor_t:
             D = 0.0
         R = B + D
         if R <= 0.0:
             if t < t_end:
-                times.append(t_end)
-                Ts.append(T)
-            return times, Ts, 2
+                push(t_end, T, 0.0)
+            return finish(2)
         if R == _INF or R != R:
-            return times, Ts, 3
+            return finish(3)
         t += -log(1.0 - rr()) / R
         if t >= t_end:
-            times.append(t_end)
-            Ts.append(T)
-            return times, Ts, 0
+            push(t_end, T, 0.0)
+            return finish(0)
         u = rr() * R
         if u < B:
             T += 1.0
@@ -318,11 +373,10 @@ def ssa_frozen(birth_c, birth_e, death_log, death_c, death_e, T0, t_end, seed,
             T -= 1.0
         nev += 1
         if T > cap:
-            return times, Ts, 3
-        times.append(t)
-        Ts.append(T)
+            return finish(3)
+        push(t, T, 0.0)
         if nev >= max_events:
-            return times, Ts, 4
+            return finish(4)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +402,10 @@ def _poisson(rng: Random, lam: float) -> int:
 
 
 def tau_leap(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, dt,
-             seed, floor_t, floor_e, cap):
+             seed, floor_t, floor_e, cap, grid=None):
     """Fixed-step leaping: each channel fires Poisson(rate*dt) times per step,
     deltas apply simultaneously, components below their floor clamp to it.
-    Returns (times, T, E, status)."""
+    Returns (times, T, E, status), per leap or held on ``grid``."""
     rng = Random(seed)
     log = math.log
     nch = len(codes)
@@ -365,12 +419,10 @@ def tau_leap(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, dt
     T = float(T0)
     E = float(E0)
     t = 0.0
-    times = [0.0]
-    Ts = [T]
-    Es = [E]
+    push, finish = _recorder(grid, 3, T, E)
     while t < t_end - 1e-12:
         if T > cap or E > cap:
-            return times, Ts, Es, 3
+            return finish(3)
         h = dt if t + dt <= t_end else t_end - t
         R = 0.0
         for i in range(nch):
@@ -390,17 +442,15 @@ def tau_leap(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, dt
             else:
                 r = c
             if r < 0.0:
-                return times, Ts, Es, 5
+                return finish(5)
             rates[i] = r
             R += r
         if R <= 0.0:
             if t < t_end:
-                times.append(t_end)
-                Ts.append(T)
-                Es.append(E)
-            return times, Ts, Es, 2
+                push(t_end, T, E)
+            return finish(2)
         if R == _INF or R != R:
-            return times, Ts, Es, 3
+            return finish(3)
         nT = T
         nE = E
         for i in range(nch):
@@ -415,11 +465,9 @@ def tau_leap(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, dt
         if nE < floor_e:
             nE = float(floor_e)
         if nT > cap or nE > cap:
-            return times, Ts, Es, 3
+            return finish(3)
         t = t + h if t + h < t_end - 1e-12 else t_end
         T = nT
         E = nE
-        times.append(t)
-        Ts.append(T)
-        Es.append(E)
-    return times, Ts, Es, 0
+        push(t, T, E)
+    return finish(0)

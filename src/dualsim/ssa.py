@@ -274,17 +274,31 @@ def _raise_for_status(status: int, seed: int, max_events: int, last: str = "") -
     return Termination.EXTINCT if status == kernels.ST_EXTINCT else Termination.COMPLETED
 
 
-def _abs_trajectory(channels, times, states, termination, seed, replicate, grid) -> Trajectory:
-    """One replicate's trajectory: every sample or, given a ``grid``, only the
-    state held at each grid time (the last sample at or before it), so that
-    a long-lived replicate costs memory per grid point instead of per event."""
-    times = np.asarray(times, dtype=float)
-    if grid is not None:
+def _check_grid(grid, t_end: float) -> np.ndarray | None:
+    """``grid`` as contiguous float64; ConfigError unless it is 1-D, finite,
+    strictly increasing, starts at 0 and ends by ``t_end``."""
+    if grid is None:
+        return None
+    try:
         grid = np.asarray(grid, dtype=float)
-        if grid.size == 0 or grid[-1] > times[-1] + 1e-9:
-            raise ConfigError(f"the grid must be non-empty and end by t={times[-1]:g}")
-        states = states[np.searchsorted(times, grid, side="right") - 1]
-        times = grid
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"the grid must be an array of times: {exc}") from None
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError(f"the grid must be a non-empty 1-D array, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("the grid must be finite")
+    if grid[0] != 0.0:
+        raise ConfigError(f"the grid must start at t=0, got {grid[0]:g}")
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError("the grid must be strictly increasing")
+    if grid[-1] > t_end + 1e-9:
+        raise ConfigError(f"the grid must end by t={t_end:g}, got {grid[-1]:g}")
+    return np.ascontiguousarray(grid)
+
+
+def _abs_trajectory(channels, times, columns, termination, seed, replicate) -> Trajectory:
+    """One replicate's trajectory from the value columns a kernel returned."""
+    states = np.column_stack([np.asarray(c, dtype=float) for c in columns[: len(channels.species)]])
     return Trajectory(
         times=times,
         states=states,
@@ -309,10 +323,16 @@ def simulate_exact(
 ) -> Trajectory:
     """Gillespie direct method: exponential waiting times from the total
     rate, channel choice proportional to rate, one sample per event plus the
-    final hold at ``t_end`` (with a ``grid``, the held state at each grid
-    time instead)."""
+    final hold at ``t_end``.
+
+    With a ``grid`` (1-D, strictly increasing, from 0 to at most ``t_end``)
+    the kernel records only the state held at each grid time, the last
+    sample at or before it, so the trajectory has one row per grid point
+    and costs neither time nor memory per event.
+    """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
+    grid = _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
 
     if policy is RatePolicy.FROZEN_AT_BIRTH:
@@ -325,26 +345,23 @@ def simulate_exact(
         else:
             birth_c, birth_e = law.a, law.alpha + 1.0
             death_log, death_c, death_e = False, law.b, law.beta
-        times, t_vals, status = kernels.ssa_frozen(
+        times, *columns, status = kernels.ssa_frozen(
             birth_c, birth_e, death_log, death_c, death_e,
-            T0, t_end, seed, floors.min_tumour, float(POPULATION_CAP), max_events,
+            T0, t_end, seed, floors.min_tumour, float(POPULATION_CAP), max_events, grid,
         )
-        states = np.asarray(t_vals, dtype=float).reshape(-1, 1)
     else:
         codes, coefs, expos, sats, d_t, d_e = channels.tables()
-        times, t_vals, e_vals, status = kernels.ssa(
+        times, *columns, status = kernels.ssa(
             codes, coefs, expos, sats, d_t, d_e, channels.two_species,
             T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
-            float(POPULATION_CAP), max_events,
+            float(POPULATION_CAP), max_events, grid,
         )
-        if channels.two_species:
-            states = np.column_stack([np.asarray(t_vals, dtype=float), np.asarray(e_vals, dtype=float)])
-        else:
-            states = np.asarray(t_vals, dtype=float).reshape(-1, 1)
 
-    last = f" at t={times[-1]:.3g} with population {t_vals[-1]:.4g}" if len(times) else ""
+    # the last row holds the last sample, in grid mode too
+    last = f" at t={times[-1]:.3g} with population {columns[0][-1]:.4g}"
     termination = _raise_for_status(status, seed, max_events, last)
-    return _abs_trajectory(channels, times, states, termination, seed, replicate, grid)
+    return _abs_trajectory(channels, times if grid is None else grid, columns, termination,
+                           seed, replicate)
 
 
 def simulate_tau_leap(
@@ -359,27 +376,26 @@ def simulate_tau_leap(
     grid: np.ndarray | None = None,
 ) -> Trajectory:
     """Poisson tau-leaping over fixed steps of ``dt``; any component pushed
-    below its floor is clamped to the floor.  One sample per leap (with a
-    ``grid``, the held state at each grid time instead)."""
+    below its floor is clamped to the floor.  One sample per leap or, with a
+    ``grid`` (as for :func:`simulate_exact`), the state held at each grid
+    time."""
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     if not (math.isfinite(dt) and 0 < dt <= t_end):
         raise ConfigError(f"need 0 < dt <= t_end, got dt={dt!r}")
     if policy is not RatePolicy.LIVE:
         raise ConfigError("tau-leaping supports the live rate policy only")
+    grid = _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
     codes, coefs, expos, sats, d_t, d_e = channels.tables()
-    times, t_vals, e_vals, status = kernels.tau_leap(
+    times, *columns, status = kernels.tau_leap(
         codes, coefs, expos, sats, d_t, d_e, channels.two_species,
         T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
-        float(POPULATION_CAP),
+        float(POPULATION_CAP), grid,
     )
-    if channels.two_species:
-        states = np.column_stack([np.asarray(t_vals, dtype=float), np.asarray(e_vals, dtype=float)])
-    else:
-        states = np.asarray(t_vals, dtype=float).reshape(-1, 1)
     termination = _raise_for_status(status, seed, 0)
-    return _abs_trajectory(channels, times, states, termination, seed, replicate, grid)
+    return _abs_trajectory(channels, times if grid is None else grid, columns, termination,
+                           seed, replicate)
 
 
 def run_ensemble(
@@ -388,10 +404,11 @@ def run_ensemble(
     """``reps`` independent replicates seeded ``base_seed + 0 .. reps-1``.
 
     Replicates are independent (they could run concurrently); results are
-    ordered by replicate index either way.  With a ``grid``, each replicate
-    keeps only its held state at the grid times: step sampling on that grid
-    (``stats.sample_on_grid``) gives the same values, and memory no longer
-    grows with the event count of long-lived replicates.
+    ordered by replicate index either way.  With a ``grid``, the kernels
+    record each replicate only at the grid times, holding the last sample at
+    or before each: the values that step sampling on that grid
+    (``stats.sample_on_grid``) takes from the per-event trajectory, at a cost
+    per grid point instead of per event.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")

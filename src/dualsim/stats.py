@@ -101,6 +101,23 @@ def make_grid(t_end: float, spacing: float = 1.0) -> np.ndarray:
     return spacing * np.arange(n + 1)
 
 
+def _check_span(traj: Trajectory, grid: np.ndarray) -> None:
+    if grid.size == 0:
+        raise ConfigError("empty grid")
+    if grid[0] < 0 or grid[-1] > traj.end_time + 1e-9:
+        raise ConfigError(
+            f"grid [{grid[0]}, {grid[-1]}] exceeds the trajectory span [0, {traj.end_time}]"
+        )
+
+
+def _step_values(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
+    """The states held at the grid times: the last sample at or before each."""
+    _check_span(traj, grid)
+    idx = np.searchsorted(traj.times, grid, side="right") - 1
+    idx = np.clip(idx, 0, len(traj.times) - 1)
+    return traj.states[idx, :]
+
+
 def sample_on_grid(traj: Trajectory, grid: np.ndarray, interp: Interp = Interp.STEP) -> GridSeries:
     """Resample a trajectory on a grid.
 
@@ -109,17 +126,10 @@ def sample_on_grid(traj: Trajectory, grid: np.ndarray, interp: Interp = Interp.S
     samples.  Grid times that hit a sample exactly pass through unchanged.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ConfigError("empty grid")
-    if grid[0] < 0 or grid[-1] > traj.end_time + 1e-9:
-        raise ConfigError(
-            f"grid [{grid[0]}, {grid[-1]}] exceeds the trajectory span [0, {traj.end_time}]"
-        )
     if interp is Interp.STEP:
-        idx = np.searchsorted(traj.times, grid, side="right") - 1
-        idx = np.clip(idx, 0, len(traj.times) - 1)
-        values = traj.states[idx, :]
+        values = _step_values(traj, grid)
     else:
+        _check_span(traj, grid)
         values = np.column_stack(
             [np.interp(grid, traj.times, traj.states[:, k]) for k in range(traj.states.shape[1])]
         )
@@ -135,15 +145,17 @@ def ensemble_mean(ens: Ensemble, grid: np.ndarray) -> tuple[GridSeries, GridSeri
     """
     if len(ens.replicates) == 0:
         raise EngineError("empty ensemble")
-    sampled = [sample_on_grid(rep, grid, Interp.STEP) for rep in ens.replicates]
-    species = sampled[0].species
-    stack = np.stack([s.values for s in sampled])
+    grid = np.asarray(grid, dtype=float)
+    species = ens.replicates[0].species
+    # filled in place: no per-replicate copies alive beside the stack
+    stack = np.empty((len(ens.replicates), len(grid), len(species)))
+    for i, rep in enumerate(ens.replicates):
+        stack[i] = _step_values(rep, grid)
     mean = stack.mean(axis=0)
     if stack.shape[0] > 1:
         var = stack.var(axis=0, ddof=1)
     else:
         var = np.zeros_like(mean)
-    grid = np.asarray(grid, dtype=float)
     return (
         GridSeries(times=grid, values=mean, species=species),
         GridSeries(times=grid, values=var, species=species),

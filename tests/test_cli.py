@@ -2,11 +2,26 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import dualsim
-from dualsim.cli import RunSpec, cmd_compare, cmd_run, list_scenarios, main, parse_config
+from dualsim.cli import (
+    RunSpec,
+    _ensemble_csv,
+    _sds_csv,
+    cmd_compare,
+    cmd_run,
+    list_scenarios,
+    main,
+    parse_config,
+)
 from dualsim.errors import ConfigError
+from dualsim.models import PopulationState, scenario_preset
+from dualsim.sds import IntegratorConfig, integrate
+from dualsim.ssa import EnsembleSpec, kuznetsov_channels, run_ensemble
+from dualsim.stats import Interp, make_grid, sample_on_grid
+from dualsim.trajectory import Paradigm, Termination, Trajectory
 
 
 def read(path):
@@ -125,6 +140,49 @@ class TestCmdRun:
         }))
         paths = cmd_run(spec)
         assert sorted(p.name for p in paths) == ["abs_ensemble.csv", "manifest.json", "sds.csv"]
+
+
+def reference_sds_csv(traj):
+    # the per-cell formula of the original writer, kept as the byte reference
+    lines = ["time," + ",".join(traj.species)]
+    for i in range(len(traj.times)):
+        cells = [f"{traj.times[i]:.6f}"] + [repr(float(v)) for v in traj.states[i]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_ensemble_csv(ens, grid):
+    lines = ["replicate,time," + ",".join(ens.replicates[0].species)]
+    for rep in ens.replicates:
+        series = sample_on_grid(rep, grid, Interp.STEP)
+        for i in range(len(series.times)):
+            cells = [str(rep.replicate), f"{series.times[i]:.6f}"]
+            cells += [repr(float(v)) for v in series.values[i]]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriters:
+    def test_sds_csv_matches_the_per_cell_formula(self):
+        traj = integrate(scenario_preset(2), PopulationState(100.0, 10.0),
+                         IntegratorConfig(dt=0.01, t_end=3.0, sample_every=0.07))
+        assert _sds_csv(traj) == reference_sds_csv(traj)
+        awkward = Trajectory(
+            times=np.array([0.0, 1 / 3, 2.0000005, 7.1234565, 1e6]),
+            states=np.array([[0.1 + 0.2, 0.0], [1e-300, 1e300], [1 / 3, 2.0**53 + 2],
+                             [5e-324, 123456789.125], [1.0, 2.5]]),
+            species=("tumour", "effector"), termination=Termination.COMPLETED,
+            paradigm=Paradigm.SDS,
+        )
+        assert _sds_csv(awkward) == reference_sds_csv(awkward)
+
+    @pytest.mark.parametrize("grid", [make_grid(2.0, 0.01), np.arange(0.0, 2.0, 1 / 3)])
+    def test_ensemble_csv_matches_the_per_cell_formula(self, grid):
+        spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
+                            initial=PopulationState(100, 10), t_end=2.0)
+        for held in (None, grid):
+            ens = run_ensemble(spec, reps=3, base_seed=5, grid=held)
+            assert _ensemble_csv(ens, grid) == reference_ensemble_csv(ens, grid)
 
 
 class TestCmdCompare:

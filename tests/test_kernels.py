@@ -180,3 +180,84 @@ class TestCompiledInterface:
             getattr(compiled, kernel)(3, [1.0], [0.0], [0.0], [1], [0], False, 1, 0, *extra)
         with pytest.raises(TypeError):
             getattr(compiled, kernel)([0], 1.0, [0.0], [0.0], [1], [0], False, 1, 0, *extra)
+
+
+BACKENDS = {"pure": pure, "c": compiled}
+
+ONE_SPECIES = ([1, 1], [1.0, 0.05], [1.0, 2.0], [0.0, 0.0], [1, -1], [0, 0])
+DEATH_ONLY = ([1], [1.0], [1.0], [0.0], [-1], [0])
+
+# (kernel, case) -> (t_end, the arguments before ``grid``); "budget" stops on
+# the event budget, "extinct" dies out long before t_end
+GRID_CASES = {
+    ("ssa", "two-species"): (2.0, (*S4_TABLE, True, 100, 10, 2.0, 5, 1, 0, 1e12, 10**8)),
+    ("ssa", "one-species"): (10.0, (*ONE_SPECIES, False, 20, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
+    ("ssa", "extinct"): (10.0, (*DEATH_ONLY, False, 4, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
+    ("ssa", "budget"): (2.0, (*S4_TABLE, True, 100, 10, 2.0, 5, 1, 0, 1e12, 100)),
+    ("ssa_frozen", "one-species"): (10.0, (1.0, 1.0, False, 0.05, 1.0, 20, 10.0, 5, 0, 1e12, 10**8)),
+    ("ssa_frozen", "extinct"): (10.0, (0.1, 1.0, False, 1.0, 0.0, 4, 10.0, 5, 0, 1e12, 10**8)),
+    ("ssa_frozen", "budget"): (10.0, (1.0, 1.0, False, 0.05, 1.0, 20, 10.0, 5, 0, 1e12, 100)),
+    ("tau_leap", "two-species"): (2.0, (*S4_TABLE, True, 100, 10, 2.0, 0.01, 5, 1, 0, 1e12)),
+    ("tau_leap", "one-species"): (10.0, (*ONE_SPECIES, False, 20, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
+    ("tau_leap", "extinct"): (10.0, (*DEATH_ONLY, False, 4, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
+}
+STATUS = {"extinct": 2, "budget": 4}
+
+
+def grid_on_samples(times, t_end):
+    """A uniform grid of 21 points plus every third sample time (so grid
+    points land exactly on events) and the midpoints of some other gaps."""
+    times = np.asarray(times)
+    mids = (times[1:] + times[:-1]) / 2
+    return np.unique(np.concatenate([np.linspace(0.0, t_end, 21), times[::3], mids[1::3]]))
+
+
+class TestGridRecording:
+    """With a grid, every kernel returns the per-event series step-sampled
+    at the grid times: the last sample at or before each."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel, case", GRID_CASES)
+    def test_grid_series_equal_step_sampled_event_series(self, backend, kernel, case):
+        fn = getattr(BACKENDS[backend], kernel)
+        t_end, args = GRID_CASES[kernel, case]
+        *full, status = fn(*args)
+        assert status == STATUS.get(case, 0)
+        grid = grid_on_samples(full[0], t_end)
+        *held, held_status = fn(*args, grid)
+        assert held_status == status and len(held) == len(full)
+        idx = np.searchsorted(np.asarray(full[0]), grid, side="right") - 1
+        assert np.any(np.isin(grid[1:], full[0]))  # right-continuity is exercised
+        for f, h in zip(full, held):
+            assert len(h) == len(grid)
+            assert np.array_equal(np.asarray(h), np.asarray(f)[idx])
+        if case == "extinct":
+            # the last event comes before most of the grid
+            assert full[1][-1] == 0.0 and np.count_nonzero(grid > full[0][-2]) > 10
+        if case == "budget":
+            # the last row holds the last event's time and population
+            assert (held[0][-1], held[1][-1]) == (full[0][-1], full[1][-1]) and full[0][-1] < t_end
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", ["ssa", "ssa_frozen", "tau_leap"])
+    def test_grid_none_is_the_per_event_series(self, backend, kernel):
+        fn = getattr(BACKENDS[backend], kernel)
+        _, args = GRID_CASES[kernel, "one-species"]
+        *default, status = fn(*args)
+        *explicit, status_none = fn(*args, None)
+        assert status == status_none and len(default[0]) > 100
+        assert [list(c) for c in default] == [list(c) for c in explicit]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", ["ssa", "ssa_frozen", "tau_leap"])
+    @pytest.mark.parametrize("grid", [
+        [0.0, 1.0],
+        np.arange(6.0)[::2],
+        np.zeros((2, 2)),
+        np.arange(3, dtype=np.float32),
+        "0 1",
+    ], ids=["list", "strided", "2d", "float32", "str"])
+    def test_grid_must_be_a_contiguous_1d_double_buffer(self, backend, kernel, grid):
+        fn = getattr(BACKENDS[backend], kernel)
+        with pytest.raises(TypeError, match="contiguous 1-D buffer of doubles"):
+            fn(*GRID_CASES[kernel, "one-species"][1], grid)

@@ -2,10 +2,12 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+import dualsim.kernels
 from dualsim.errors import ConfigError, EngineError, PopulationCapError
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
 from dualsim.models import GrowthKind, GrowthLaw, PopulationState, scenario_preset
@@ -352,21 +354,87 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("method, dt", [("exact", None), ("tau", 0.01)])
     def test_grid_held_replicates_match_step_sampling(self, method, dt):
-        spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
-                            initial=PopulationState(100, 10), t_end=10.0, method=method, dt=dt)
+        # two species, one species, (exact only) rates frozen at birth and,
+        # last, extinction before the grid ends
+        cases = [
+            (kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), RatePolicy.LIVE),
+            (linear_bd_channels(1.0, 0.8), PopulationState(5), RatePolicy.LIVE),
+        ]
+        if method == "exact":
+            cases.append((growth_channels(GrowthLaw.logistic(1.0, 0.2)), PopulationState(3),
+                          RatePolicy.FROZEN_AT_BIRTH))
+        cases.append((death_only_channels(), PopulationState(3), RatePolicy.LIVE))
         grid = make_grid(10.0, 0.5)
-        full = run_ensemble(spec, reps=6, base_seed=3)
-        held = run_ensemble(spec, reps=6, base_seed=3, grid=grid)
-        for f, h in zip(full.replicates, held.replicates):
-            assert np.array_equal(h.times, grid)
-            assert np.array_equal(h.states, sample_on_grid(f, grid).values)
-            assert (h.termination, h.seed, h.replicate) == (f.termination, f.seed, f.replicate)
-            assert np.array_equal(sample_on_grid(h, grid).values, sample_on_grid(f, grid).values)
+        for channels, initial, policy in cases:
+            spec = EnsembleSpec(channels=channels, initial=initial, t_end=10.0, policy=policy,
+                                method=method, dt=dt)
+            full = run_ensemble(spec, reps=6, base_seed=3)
+            held = run_ensemble(spec, reps=6, base_seed=3, grid=grid)
+            for f, h in zip(full.replicates, held.replicates):
+                assert np.array_equal(h.times, grid)
+                assert np.array_equal(h.states, sample_on_grid(f, grid).values)
+                assert (h.termination, h.seed, h.replicate) == (f.termination, f.seed, f.replicate)
+                assert np.array_equal(sample_on_grid(h, grid).values, sample_on_grid(f, grid).values)
+        # the death-only replicates die out long before t = 10
+        assert all(h.termination is Termination.EXTINCT for h in held.replicates)
+        assert all(f.times[-2] < grid[-1] for f in full.replicates)
 
     def test_grid_past_the_run_is_refused(self):
         spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
         with pytest.raises(ConfigError, match="grid"):
             run_ensemble(spec, reps=1, base_seed=0, grid=make_grid(2.0, 0.5))
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("a kernel ran before the grid was checked")
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("grid, match", [
+        (np.zeros((3, 2)), "1-D"),
+        (np.array([]), "non-empty"),
+        (["0", "one"], "array of times"),
+        (np.array([0.0, np.nan, 1.0]), "finite"),
+        (np.array([0.0, 0.5, np.inf]), "finite"),
+        (np.array([-1.0, 0.0, 1.0]), "start at t=0"),
+        (np.array([0.5, 1.0]), "start at t=0"),
+        (np.array([0.0, 0.5, 0.5, 1.0]), "strictly increasing"),
+        (np.array([0.0, 1.0, 0.5]), "strictly increasing"),
+        (np.array([0.0, 1.0, 2.0 + 1e-6]), "end by t=2"),
+    ], ids=["2d", "empty", "not-numbers", "nan", "inf", "negative-start", "late-start",
+            "repeated", "decreasing", "past-t-end"])
+    @pytest.mark.parametrize("method", ["exact", "frozen", "tau"])
+    def test_bad_grid_is_refused_before_any_kernel_runs(self, monkeypatch, method, grid, match):
+        for name in ("ssa", "ssa_frozen", "tau_leap"):
+            monkeypatch.setattr(dualsim.kernels, name, _no_kernel)
+        law = growth_channels(GrowthLaw.logistic(1.0, 0.2))
+        with pytest.raises(ConfigError, match=match):
+            if method == "tau":
+                simulate_tau_leap(law, PopulationState(3), t_end=2.0, dt=0.1, seed=1, grid=grid)
+            else:
+                policy = RatePolicy.FROZEN_AT_BIRTH if method == "frozen" else RatePolicy.LIVE
+                simulate_exact(law, PopulationState(3), t_end=2.0, seed=1, policy=policy, grid=grid)
+
+    def test_lists_strided_arrays_and_the_end_tolerance_are_accepted(self):
+        law = growth_channels(GrowthLaw.logistic(1.0, 0.2))
+        expected = simulate_exact(law, PopulationState(3), t_end=2.0, seed=1,
+                                  grid=np.array([0.0, 1.0, 2.0]))
+        for grid in ([0, 1, 2], np.arange(0.0, 2.5, 0.5)[::2], np.array([0.0, 1.0, 2.0 + 1e-10])):
+            traj = simulate_exact(law, PopulationState(3), t_end=2.0, seed=1, grid=grid)
+            assert np.array_equal(traj.states, expected.states)
+            assert traj.times.dtype == np.float64 and traj.times.flags.c_contiguous
+
+    def test_event_budget_error_names_the_last_event_in_grid_mode(self):
+        cs = linear_bd_channels(2.0, 1.0)
+        messages = []
+        for grid in (None, make_grid(50.0, 1.0)):
+            with pytest.raises(EngineError, match="event budget") as info:
+                simulate_exact(cs, PopulationState(100), t_end=50.0, seed=3, max_events=1000,
+                               grid=grid)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert re.search(r" at t=\S+ with population \d+;", messages[1])
+        assert " at t=50 " not in messages[1]
 
 
 class TestScenarioDiscreteness:

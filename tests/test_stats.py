@@ -123,6 +123,22 @@ class TestEnsembleMean:
         assert np.array_equal(mean.values, direct.values)
         assert np.all(var.values == 0.0)
 
+    def test_equals_moments_of_step_sampled_replicates(self):
+        reps = (abs_traj([0.0, 0.4, 1.3, 2.0], [3.0, 4.0, 2.0, 2.0]),
+                abs_traj([0.0, 1.0, 1.5, 2.0], [3.0, 0.0, 0.0, 0.0]),
+                abs_traj([0.0, 0.25, 2.0], [3.0, 7.0, 7.0]))
+        grid = make_grid(2.0, 0.25)
+        mean, var = ensemble_mean(Ensemble(replicates=reps, base_seed=0), grid)
+        stack = np.stack([sample_on_grid(r, grid, Interp.STEP).values for r in reps])
+        assert np.array_equal(mean.values, stack.mean(axis=0))
+        assert np.array_equal(var.values, stack.var(axis=0, ddof=1))
+        assert np.array_equal(mean.times, grid) and mean.species == ("tumour",)
+
+    def test_grid_beyond_a_replicate_errors(self):
+        reps = (abs_traj([0.0, 2.0], [1.0, 1.0]), abs_traj([0.0, 1.0], [1.0, 1.0]))
+        with pytest.raises(ConfigError, match="exceeds"):
+            ensemble_mean(Ensemble(replicates=reps, base_seed=0), make_grid(2.0, 0.5))
+
 
 class TestWilcoxon:
     def test_separated_triples_exact_p(self):
