@@ -16,32 +16,24 @@ import argparse
 import time
 
 from dualsim.kernels import _pykernels
+from dualsim.models import scenario_preset
+from dualsim.ssa import kuznetsov_channels
 
 try:
     from dualsim.kernels import _ckernels
 except ImportError:
     _ckernels = None
 
-SCENARIO4 = dict(a=1.636, b=0.002, g=20.19, m=0.00311, n=1.0, p=1.131, d=0.3743, s=0.0)
-
-# scenario-4 channel table: birth aT, intrinsic death abT^2, kill nTE,
-# recruitment pTE/(g+T), interaction death mTE, apoptosis dE, influx s
-S4_TABLE = dict(
-    codes=[1, 1, 4, 5, 4, 3, 0],
-    coefs=[1.636, 1.636 * 0.002, 1.0, 1.131, 0.00311, 0.3743, 0.0],
-    expos=[1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    sats=[0.0, 0.0, 0.0, 20.19, 0.0, 0.0, 0.0],
-    d_t=[1, -1, -1, 0, 0, 0, 0],
-    d_e=[0, 0, 0, 1, -1, -1, 1],
-)
+SCENARIO4 = scenario_preset(4)
+S4_TABLE = kuznetsov_channels(SCENARIO4).tables()
 
 
 def bench_rk4(mod, reps):
+    p = SCENARIO4
     t0 = time.perf_counter()
     for _ in range(reps):
-        p = SCENARIO4
         _, _, _, status = mod.rk4_kuznetsov(
-            p["a"], p["b"], p["g"], p["m"], p["n"], p["p"], p["d"], p["s"],
+            p.a, p.b, p.g, p.m, p.n, p.p, p.d, p.s,
             100.0, 10.0, 0.001, 100.0, 1.0, 1e300,
         )
         assert status == 0
@@ -49,14 +41,10 @@ def bench_rk4(mod, reps):
 
 
 def bench_ssa(mod, reps):
-    t = S4_TABLE
     t0 = time.perf_counter()
     events = 0
     for i in range(reps):
-        times, _, _, status = mod.ssa(
-            t["codes"], t["coefs"], t["expos"], t["sats"], t["d_t"], t["d_e"],
-            True, 100, 10, 100.0, 1000 + i, 1, 0, 1e12, 10**8,
-        )
+        times, _, _, status = mod.ssa(*S4_TABLE, 100, 10, 100.0, 1000 + i, 1, 0, 1e12, 10**8)
         assert status in (0, 2)
         events += len(times)
     elapsed = time.perf_counter() - t0
@@ -68,7 +56,7 @@ def bench_tau(mod, reps):
     for i in range(reps):
         _, _, _, status = mod.tau_leap(
             [1, 1], [2.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1, -1], [0, 0],
-            False, 100, 0, 1.0, 0.001, 500 + i, 0, 0, 1e12,
+            100, 0, 1.0, 0.001, 500 + i, 0, 0, 1e12,
         )
         assert status == 0
     return (time.perf_counter() - t0) / reps

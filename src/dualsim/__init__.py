@@ -3,10 +3,13 @@ to decide whether they agree.
 
 Tumour growth laws and the Kuznetsov tumour-effector system run both as
 deterministic stock-and-flow ODE integrations and as stochastic discrete
-birth-death processes (exact event simulation or tau-leaping), sharing one
-definition of the model mathematics.  Grid-aligned comparisons with a
-rank-sum test quantify paradigm agreement, including the discrete-extinction
-divergence and the extinction-floor fixes that reconcile it.
+birth-death processes (exact event simulation or tau-leaping).  Each
+model's rates are defined once, by its channel table: the stochastic kernels
+evaluate the table, and the ODE is the table's drift, which the RK4 kernels
+hand-write per model and tests tie to the table.  Grid-aligned comparisons
+with a rank-sum test quantify paradigm agreement, including the
+discrete-extinction divergence and the extinction-floor fixes that
+reconcile it.
 """
 
 from .errors import (
@@ -24,9 +27,6 @@ from .models import (
     KuznetsovParams,
     PopulationState,
     experiment_one_law,
-    growth_f,
-    kuznetsov_derivatives,
-    percapita_rates,
     scenario_preset,
 )
 from .sds import IntegratorConfig, closed_form, closed_form_log, integrate

@@ -10,6 +10,15 @@ the environment variable ``DUALSIM_FORCE_PURE`` to any non-empty value to
 skip the extension (useful for benchmarking and for exercising the fallback
 in tests).
 
+In each backend, ``rk4_growth`` and ``rk4_kuznetsov`` only parse their
+arguments and name the model's derivative, which one shared RK4 stepper
+(``rk4_run`` in C, ``_rk4`` in Python) integrates over the state (T, E): it
+alone places the sample targets, halves undershooting steps, reports
+blow-ups and step failures, and clamps residues.  ``ssa`` and ``tau_leap``
+evaluate the channel table through one rate evaluator per backend
+(``table_rates`` in C, ``_rates`` in Python) and reject a rate-law code
+outside 0..5 with ValueError.
+
 Sampling contract of the stochastic kernels (``ssa``, ``ssa_frozen``,
 ``tau_leap``): called without their optional trailing ``grid``, they return
 one sample per event or leap, framed by the initial state and, when the run

@@ -6,6 +6,11 @@
  * codes.  Every series comes back as an ``array.array('d')``, which
  * ``np.asarray`` views as float64 without a copy.
  *
+ * ``rk4_growth`` and ``rk4_kuznetsov`` parse their arguments and pass their
+ * model's derivative to the one stepper ``rk4_run``; ``ssa`` and
+ * ``tau_leap`` read their channel table with ``table_read``, which rejects a
+ * rate-law code outside 0..5, and evaluate it with ``table_rates``.
+ *
  * ``ssa``, ``ssa_frozen`` and ``tau_leap`` take an optional trailing
  * ``grid``, a contiguous 1-D buffer of doubles (anything else raises
  * TypeError).  Without it they return one sample per event or leap; with it,
@@ -233,15 +238,6 @@ static inline double powfast(double x, double e)
     return pow(x, e);
 }
 
-static inline double f_growth(int kind, double a, double b, double ea, double eb, double T)
-{
-    if (T <= 0.0)
-        return 0.0;
-    if (kind == 0)
-        return a * powfast(T, ea) - b * powfast(T, eb);
-    return a * T - b * T * log(T);
-}
-
 /* The number of sampling targets after t = 0: every multiple of
  * ``sample_every`` up to ``t_end``, plus ``t_end`` itself when it is off the
  * grid.  ``*ngrid`` receives the number of grid multiples. */
@@ -253,117 +249,114 @@ static long sample_targets(double t_end, double sample_every, long *ngrid)
     return (n == 0 || extra) ? n + 1 : n;
 }
 
+/* d(T, E)/dt of one model with parameters ``par``, written to ``dx`` */
+typedef void (*Deriv)(const double *par, const double x[2], double dx[2]);
+
+/* The one RK4 stepper.  The state is (T, E); a one-species law keeps E at
+ * 0 and records ``ncol`` = 2 columns.  Steps of ``dt`` end exactly on every
+ * sampling target; a step that would undershoot zero by more than a relative
+ * 1e-12 is halved locally (at most MAX_HALVINGS times, else status 6), a
+ * component beyond ``blowup`` or nan (only overflow makes one) stops the run
+ * with status 1 after the last sample, and small negative residues are
+ * clamped to 0.  Inlined per model, so ``f`` is a direct call. */
+static inline PyObject *rk4_run(Deriv f, const double *par, int ncol, double x[2], double dt,
+                                double t_end, double sample_every, double blowup)
+{
+    double t = 0.0;
+    long ngrid, ntargets = sample_targets(t_end, sample_every, &ngrid);
+    Rec rec;
+    if (rec_init(&rec, ncol, NULL, x[0], x[1]) < 0)
+        return NULL;
+    for (long kk = 1; kk <= ntargets; kk++) {
+        double target = kk <= ngrid ? fmin(kk * sample_every, t_end) : t_end;
+        while (t < target - 1e-12) {
+            double h = t + dt <= target ? dt : target - t;
+            double k1[2], k2[2], k3[2], k4[2], xn[2];
+            int halvings = 0;
+            for (;;) {
+                f(par, x, k1);
+                double y2[2] = {x[0] + 0.5 * h * k1[0], x[1] + 0.5 * h * k1[1]};
+                f(par, y2, k2);
+                double y3[2] = {x[0] + 0.5 * h * k2[0], x[1] + 0.5 * h * k2[1]};
+                f(par, y3, k3);
+                double y4[2] = {x[0] + h * k3[0], x[1] + h * k3[1]};
+                f(par, y4, k4);
+                int ok = 1, blown = 0;
+                for (int i = 0; i < 2; i++) {
+                    xn[i] = x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+                    double tol = REL_UNDERSHOOT_TOL * (x[i] > 1.0 ? x[i] : 1.0);
+                    ok &= -tol <= xn[i] && xn[i] <= blowup;
+                    blown |= xn[i] != xn[i] || xn[i] > blowup;
+                }
+                if (ok)
+                    break;
+                if (blown)
+                    return rec_finish(&rec, 1);
+                if (++halvings > MAX_HALVINGS)
+                    return rec_finish(&rec, 6);
+                h *= 0.5;
+            }
+            for (int i = 0; i < 2; i++)
+                x[i] = xn[i] > 0.0 ? xn[i] : 0.0;
+            t += h;
+        }
+        t = target;
+        rec_push(&rec, t, x[0], x[1]);
+    }
+    return rec_finish(&rec, 0);
+}
+
+/* par: a, b, alpha + 1, beta + 1 */
+static void power_law_deriv(const double *par, const double x[2], double dx[2])
+{
+    double T = x[0];
+    dx[0] = T <= 0.0 ? 0.0 : par[0] * powfast(T, par[2]) - par[1] * powfast(T, par[3]);
+    dx[1] = 0.0;
+}
+
+/* par: a, b */
+static void gompertz_deriv(const double *par, const double x[2], double dx[2])
+{
+    double T = x[0];
+    dx[0] = T <= 0.0 ? 0.0 : par[0] * T - par[1] * T * log(T);
+    dx[1] = 0.0;
+}
+
+/* par: a, b, g, m, n, p, d, s */
+static void kuznetsov_deriv(const double *par, const double x[2], double dx[2])
+{
+    double a = par[0], b = par[1], g = par[2], m = par[3], n = par[4], p = par[5], d = par[6],
+           s = par[7], T = x[0], E = x[1];
+    dx[0] = a * T * (1.0 - b * T) - n * T * E;
+    dx[1] = p * T * E / (g + T) - m * T * E - d * E + s;
+}
+
 static PyObject *rk4_growth(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *names[] = {"kind", "a", "b", "alpha", "beta", "T0", "dt", "t_end",
                             "sample_every", "blowup", NULL};
     int kind;
-    double a, b, alpha, beta, T0, dt, t_end, sample_every, blowup;
+    double a, b, alpha, beta, dt, t_end, sample_every, blowup, x[2] = {0.0, 0.0};
     if (!PyArg_ParseTupleAndKeywords(args, kw, "iddddddddd", names, &kind, &a, &b, &alpha, &beta,
-                                     &T0, &dt, &t_end, &sample_every, &blowup))
+                                     &x[0], &dt, &t_end, &sample_every, &blowup))
         return NULL;
-    double ea = alpha + 1.0, eb = beta + 1.0;
-    double T = T0, t = 0.0;
-    int status = 0;
-    long n, ntargets = sample_targets(t_end, sample_every, &n);
-    Rec rec;
-    if (rec_init(&rec, 2, NULL, T, 0.0) < 0)
-        return NULL;
-    for (long kk = 1; kk <= ntargets; kk++) {
-        double target = kk <= n ? fmin(kk * sample_every, t_end) : t_end;
-        while (t < target - 1e-12) {
-            double h = t + dt <= target ? dt : target - t;
-            double Tn;
-            int halvings = 0;
-            for (;;) {
-                double k1 = f_growth(kind, a, b, ea, eb, T);
-                double k2 = f_growth(kind, a, b, ea, eb, T + 0.5 * h * k1);
-                double k3 = f_growth(kind, a, b, ea, eb, T + 0.5 * h * k2);
-                double k4 = f_growth(kind, a, b, ea, eb, T + h * k3);
-                Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-                double tol = REL_UNDERSHOOT_TOL * (T > 1.0 ? T : 1.0);
-                if (-tol <= Tn && Tn <= blowup)
-                    break;
-                /* nan can only come from overflow here, so it is a blow-up */
-                if (Tn != Tn || Tn > blowup) {
-                    status = 1;
-                    break;
-                }
-                if (++halvings > MAX_HALVINGS) {
-                    status = 6;
-                    break;
-                }
-                h *= 0.5;
-            }
-            if (status != 0)
-                return rec_finish(&rec, status);
-            T = Tn > 0.0 ? Tn : 0.0;
-            t += h;
-        }
-        t = target;
-        rec_push(&rec, t, T, 0.0);
-    }
-    return rec_finish(&rec, 0);
+    double par[4] = {a, b, alpha + 1.0, beta + 1.0};
+    /* two call sites, so that each inlined stepper calls its law directly */
+    if (kind == 0)
+        return rk4_run(power_law_deriv, par, 2, x, dt, t_end, sample_every, blowup);
+    return rk4_run(gompertz_deriv, par, 2, x, dt, t_end, sample_every, blowup);
 }
 
 static PyObject *rk4_kuznetsov(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *names[] = {"a", "b", "g", "m", "n", "p", "d", "s", "T0", "E0", "dt", "t_end",
                             "sample_every", "blowup", NULL};
-    double a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "dddddddddddddd", names, &a, &b, &g, &m, &n, &p,
-                                     &d, &s, &T0, &E0, &dt, &t_end, &sample_every, &blowup))
+    double par[8], x[2], dt, t_end, sample_every, blowup;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "dddddddddddddd", names, &par[0], &par[1], &par[2],
+                                     &par[3], &par[4], &par[5], &par[6], &par[7], &x[0], &x[1],
+                                     &dt, &t_end, &sample_every, &blowup))
         return NULL;
-    double T = T0, E = E0, t = 0.0;
-    int status = 0;
-    long ngrid, ntargets = sample_targets(t_end, sample_every, &ngrid);
-    Rec rec;
-    if (rec_init(&rec, 3, NULL, T, E) < 0)
-        return NULL;
-#define KT(T, E) (a * (T) * (1.0 - b * (T)) - n * (T) * (E))
-#define KE(T, E) (p * (T) * (E) / (g + (T)) - m * (T) * (E) - d * (E) + s)
-    for (long kk = 1; kk <= ntargets; kk++) {
-        double target = kk <= ngrid ? fmin(kk * sample_every, t_end) : t_end;
-        while (t < target - 1e-12) {
-            double h = t + dt <= target ? dt : target - t;
-            double Tn, En;
-            int halvings = 0;
-            for (;;) {
-                double kT1 = KT(T, E), kE1 = KE(T, E);
-                double T2 = T + 0.5 * h * kT1, E2 = E + 0.5 * h * kE1;
-                double kT2 = KT(T2, E2), kE2 = KE(T2, E2);
-                double T3 = T + 0.5 * h * kT2, E3 = E + 0.5 * h * kE2;
-                double kT3 = KT(T3, E3), kE3 = KE(T3, E3);
-                double T4 = T + h * kT3, E4 = E + h * kE3;
-                double kT4 = KT(T4, E4), kE4 = KE(T4, E4);
-                Tn = T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4);
-                En = E + (h / 6.0) * (kE1 + 2.0 * kE2 + 2.0 * kE3 + kE4);
-                double tolT = REL_UNDERSHOOT_TOL * (T > 1.0 ? T : 1.0);
-                double tolE = REL_UNDERSHOOT_TOL * (E > 1.0 ? E : 1.0);
-                if (-tolT <= Tn && Tn <= blowup && -tolE <= En && En <= blowup)
-                    break;
-                if (Tn != Tn || En != En || Tn > blowup || En > blowup) {
-                    status = 1;
-                    break;
-                }
-                if (++halvings > MAX_HALVINGS) {
-                    status = 6;
-                    break;
-                }
-                h *= 0.5;
-            }
-            if (status != 0)
-                return rec_finish(&rec, status);
-            T = Tn > 0.0 ? Tn : 0.0;
-            E = En > 0.0 ? En : 0.0;
-            t += h;
-        }
-        t = target;
-        rec_push(&rec, t, T, E);
-    }
-#undef KT
-#undef KE
-    return rec_finish(&rec, 0);
+    return rk4_run(kuznetsov_deriv, par, 3, x, dt, t_end, sample_every, blowup);
 }
 
 /* ---- channel tables ---------------------------------------------------- */
@@ -376,7 +369,7 @@ typedef struct {
 } Table;
 
 /* cols: the sequences codes, coefs, expos, sats, d_t and d_e, one entry per
- * channel */
+ * channel; a rate-law code outside 0..5 raises ValueError */
 static int table_read(Table *tab, PyObject *const cols[6])
 {
     Py_ssize_t n = PyObject_Length(cols[0]);
@@ -401,6 +394,10 @@ static int table_read(Table *tab, PyObject *const cols[6])
             if (PyErr_Occurred())
                 return -1;
         }
+        if (tab->code[i] < 0 || tab->code[i] > 5) {
+            PyErr_Format(PyExc_ValueError, "unknown rate-law code %ld", tab->code[i]);
+            return -1;
+        }
     }
     return 0;
 }
@@ -419,7 +416,7 @@ static inline double channel_rate(const Table *tab, int i, double T, double E)
         return c * T * E;
     case 5:
         return c * T * E / (tab->sat[i] + T);
-    default:
+    default: /* 0: table_read admits no other code */
         return c;
     }
 }
@@ -446,17 +443,15 @@ static inline double table_rates(const Table *tab, double T, double E, double fl
 
 static PyObject *ssa(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "two_species",
-                            "T0", "E0", "t_end", "seed", "floor_t", "floor_e", "cap",
-                            "max_events", "grid", NULL};
+    static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "T0", "E0",
+                            "t_end", "seed", "floor_t", "floor_e", "cap", "max_events", "grid",
+                            NULL};
     PyObject *cols[6], *seed, *grid = NULL;
-    int two_species;
     double T0, E0, t_end, floor_t, floor_e, cap;
     long max_events;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOpdddOdddl|O", names, &cols[0], &cols[1],
-                                     &cols[2], &cols[3], &cols[4], &cols[5], &two_species, &T0,
-                                     &E0, &t_end, &seed, &floor_t, &floor_e, &cap, &max_events,
-                                     &grid))
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOdddOdddl|O", names, &cols[0], &cols[1],
+                                     &cols[2], &cols[3], &cols[4], &cols[5], &T0, &E0, &t_end,
+                                     &seed, &floor_t, &floor_e, &cap, &max_events, &grid))
         return NULL;
     Table tab;
     Rng rng;
@@ -633,15 +628,13 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
 
 static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "two_species",
-                            "T0", "E0", "t_end", "dt", "seed", "floor_t", "floor_e", "cap",
-                            "grid", NULL};
+    static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "T0", "E0",
+                            "t_end", "dt", "seed", "floor_t", "floor_e", "cap", "grid", NULL};
     PyObject *cols[6], *seed, *grid = NULL;
-    int two_species;
     double T0, E0, t_end, dt, floor_t, floor_e, cap;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOpddddOddd|O", names, &cols[0], &cols[1],
-                                     &cols[2], &cols[3], &cols[4], &cols[5], &two_species, &T0,
-                                     &E0, &t_end, &dt, &seed, &floor_t, &floor_e, &cap, &grid))
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOddddOddd|O", names, &cols[0], &cols[1],
+                                     &cols[2], &cols[3], &cols[4], &cols[5], &T0, &E0, &t_end,
+                                     &dt, &seed, &floor_t, &floor_e, &cap, &grid))
         return NULL;
     Table tab;
     Rng rng;

@@ -10,13 +10,18 @@ allocation beyond the output samples.
 Status codes (shared with the compiled backend):
     0 OK, 1 BLOWUP, 2 EXTINCT, 3 CAP, 4 MAX_EVENTS, 5 NEG_RATE, 6 STEP_FAIL
 
-Rate-law codes for the channel-table simulators:
+Rate-law codes for the channel-table simulators (any other code raises
+ValueError):
     0 CONST      rate = c
     1 POW_T      rate = c * T**e
     2 TLOGT      rate = c * T * ln(T)   (0 at T = 0)
     3 LIN_E      rate = c * E
     4 MASS_TE    rate = c * T * E
     5 MM_TE      rate = c * T * E / (g + T)
+
+``_rates`` evaluates a channel table for ``ssa`` and ``tau_leap`` and is the
+reference evaluator of the tests.  ``rk4_growth`` and ``rk4_kuznetsov``
+hand their model's derivative to the one stepper ``_rk4``.
 
 The stochastic kernels (``ssa``, ``ssa_frozen``, ``tau_leap``) take an
 optional trailing ``grid``, a contiguous 1-D buffer of doubles such as a
@@ -126,107 +131,123 @@ def _sample_targets(t_end: float, sample_every: float) -> list[float]:
 # deterministic fixed-step integration (classic 4th-order Runge-Kutta)
 # ---------------------------------------------------------------------------
 
-def _f_growth(kind: int, a: float, b: float, ea: float, eb: float, T: float) -> float:
-    # total rate dT/dt; ea = alpha + 1, eb = beta + 1
-    if T <= 0.0:
-        return 0.0
-    if kind == 0:
-        return a * _pow(T, ea) - b * _pow(T, eb)
-    return a * T - b * T * math.log(T)
+def _rk4(f, ncol, T, E, dt, t_end, sample_every, blowup):
+    """The one RK4 stepper, twin of the compiled ``rk4_run``.
 
-
-def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup):
-    """Integrate a one-equation growth law. Returns (times, values, status)."""
-    ea = alpha + 1.0
-    eb = beta + 1.0
-    T = float(T0)
+    ``f(T, E)`` returns (dT/dt, dE/dt); a one-species law keeps E at 0 and
+    records ``ncol`` = 2 columns.  Steps of ``dt`` end exactly on every
+    sampling target; a step that would undershoot zero by more than a
+    relative 1e-12 is halved locally (at most 40 times, else status 6), a
+    component beyond ``blowup`` or nan stops the run with status 1 after the
+    last sample, and small negative residues are clamped to 0.
+    """
+    T = float(T)
+    E = float(E)
     t = 0.0
-    times = [0.0]
-    values = [T]
+    push, finish = _recorder(None, ncol, T, E)
     for target in _sample_targets(t_end, sample_every):
         while t < target - 1e-12:
             h = dt if t + dt <= target else target - t
             halvings = 0
             while True:
-                k1 = _f_growth(kind, a, b, ea, eb, T)
-                k2 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k1)
-                k3 = _f_growth(kind, a, b, ea, eb, T + 0.5 * h * k2)
-                k4 = _f_growth(kind, a, b, ea, eb, T + h * k3)
-                Tn = T + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                tol = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
-                if -tol <= Tn <= blowup:  # false for nan, inf, big, undershoot
-                    break
-                # nan can only come from overflow (negative stages evaluate
-                # to rate 0), so it classifies as a blow-up too
-                if Tn != Tn or Tn > blowup:
-                    return times, values, 1
-                # genuine undershoot: retry with a locally halved step
-                halvings += 1
-                if halvings > _MAX_HALVINGS:
-                    return times, values, 6
-                h *= 0.5
-            T = Tn if Tn > 0.0 else 0.0
-            t += h
-        t = target
-        times.append(t)
-        values.append(T)
-    return times, values, 0
-
-
-def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup):
-    """Integrate the tumour-effector system. Returns (times, T, E, status)."""
-    T = float(T0)
-    E = float(E0)
-    t = 0.0
-    times = [0.0]
-    Ts = [T]
-    Es = [E]
-    for target in _sample_targets(t_end, sample_every):
-        while t < target - 1e-12:
-            h = dt if t + dt <= target else target - t
-            halvings = 0
-            while True:
-                kT1 = a * T * (1.0 - b * T) - n * T * E
-                kE1 = p * T * E / (g + T) - m * T * E - d * E + s
-                T2 = T + 0.5 * h * kT1
-                E2 = E + 0.5 * h * kE1
-                kT2 = a * T2 * (1.0 - b * T2) - n * T2 * E2
-                kE2 = p * T2 * E2 / (g + T2) - m * T2 * E2 - d * E2 + s
-                T3 = T + 0.5 * h * kT2
-                E3 = E + 0.5 * h * kE2
-                kT3 = a * T3 * (1.0 - b * T3) - n * T3 * E3
-                kE3 = p * T3 * E3 / (g + T3) - m * T3 * E3 - d * E3 + s
-                T4 = T + h * kT3
-                E4 = E + h * kE3
-                kT4 = a * T4 * (1.0 - b * T4) - n * T4 * E4
-                kE4 = p * T4 * E4 / (g + T4) - m * T4 * E4 - d * E4 + s
+                kT1, kE1 = f(T, E)
+                kT2, kE2 = f(T + 0.5 * h * kT1, E + 0.5 * h * kE1)
+                kT3, kE3 = f(T + 0.5 * h * kT2, E + 0.5 * h * kE2)
+                kT4, kE4 = f(T + h * kT3, E + h * kE3)
                 Tn = T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4)
                 En = E + (h / 6.0) * (kE1 + 2.0 * kE2 + 2.0 * kE3 + kE4)
                 tolT = _REL_UNDERSHOOT_TOL * (T if T > 1.0 else 1.0)
                 tolE = _REL_UNDERSHOOT_TOL * (E if E > 1.0 else 1.0)
+                # false for nan, inf, big, undershoot
                 if -tolT <= Tn <= blowup and -tolE <= En <= blowup:
                     break
+                # nan can only come from overflow (negative stages evaluate
+                # to rate 0), so it classifies as a blow-up too
                 if Tn != Tn or En != En or Tn > blowup or En > blowup:
-                    return times, Ts, Es, 1
+                    return finish(1)
+                # genuine undershoot: retry with a locally halved step
                 halvings += 1
                 if halvings > _MAX_HALVINGS:
-                    return times, Ts, Es, 6
+                    return finish(6)
                 h *= 0.5
             T = Tn if Tn > 0.0 else 0.0
             E = En if En > 0.0 else 0.0
             t += h
         t = target
-        times.append(t)
-        Ts.append(T)
-        Es.append(E)
-    return times, Ts, Es, 0
+        push(t, T, E)
+    return finish(0)
+
+
+def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup):
+    """Integrate a one-equation growth law with the shared stepper ``_rk4``.
+    Returns (times, values, status)."""
+    ea = alpha + 1.0
+    eb = beta + 1.0
+    log = math.log
+    if kind == 0:
+        def f(T, E):
+            return (0.0 if T <= 0.0 else a * _pow(T, ea) - b * _pow(T, eb)), 0.0
+    else:
+        def f(T, E):
+            return (0.0 if T <= 0.0 else a * T - b * T * log(T)), 0.0
+    return _rk4(f, 2, T0, 0.0, dt, t_end, sample_every, blowup)
+
+
+def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup):
+    """Integrate the tumour-effector system with the shared stepper ``_rk4``.
+    Returns (times, T, E, status)."""
+    def f(T, E):
+        return a * T * (1.0 - b * T) - n * T * E, p * T * E / (g + T) - m * T * E - d * E + s
+    return _rk4(f, 3, T0, E0, dt, t_end, sample_every, blowup)
+
+
+# ---------------------------------------------------------------------------
+# channel tables
+# ---------------------------------------------------------------------------
+
+def _table(codes, coefs, expos, sats, d_t, d_e):
+    """The channel rows (code, coef, expo, sat, dT, dE), twin of the compiled
+    ``table_read``; a rate-law code outside 0..5 raises ValueError."""
+    rows = tuple(zip(codes, coefs, expos, sats, d_t, d_e, strict=True))
+    for row in rows:
+        if row[0] not in (0, 1, 2, 3, 4, 5):
+            raise ValueError(f"unknown rate-law code {row[0]}")
+    return rows
+
+
+def _rates(table, T, E, floor_t, floor_e, rates):
+    """Fills ``rates`` with each channel's rate at (T, E) and returns their
+    sum, or -1.0 when a rate is negative; twin of the compiled
+    ``table_rates``.  A channel that would take a population below its floor
+    gets rate 0."""
+    R = 0.0
+    for i, (code, c, e, g, dT, dE) in enumerate(table):
+        if code == 1:
+            r = c * T if e == 1.0 else (c * T * T if e == 2.0 else c * _pow(T, e))
+        elif code == 4:
+            r = c * T * E
+        elif code == 5:
+            r = c * T * E / (g + T)
+        elif code == 3:
+            r = c * E
+        elif code == 2:
+            r = c * T * math.log(T) if T > 0.0 else 0.0
+        else:
+            r = c
+        if r < 0.0:
+            return -1.0
+        if T + dT < floor_t or E + dE < floor_e:
+            r = 0.0
+        rates[i] = r
+        R += r
+    return R
 
 
 # ---------------------------------------------------------------------------
 # exact stochastic simulation (Gillespie direct method)
 # ---------------------------------------------------------------------------
 
-def ssa(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, seed,
+def ssa(codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, seed,
         floor_t, floor_e, cap, max_events, grid=None):
     """Event-driven simulation of a channel table over integer populations.
 
@@ -234,16 +255,11 @@ def ssa(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, seed,
     contributes rate 0.  Returns (times, T, E, status), per event or held on
     ``grid``.
     """
+    table = _table(codes, coefs, expos, sats, d_t, d_e)
     rng = Random(seed)
     rr = rng.random
     log = math.log
-    nch = len(codes)
-    codes = tuple(codes)
-    coefs = tuple(coefs)
-    expos = tuple(expos)
-    sats = tuple(sats)
-    d_t = tuple(d_t)
-    d_e = tuple(d_e)
+    nch = len(table)
     rates = [0.0] * nch
     T = float(T0)
     E = float(E0)
@@ -251,29 +267,9 @@ def ssa(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, seed,
     nev = 0
     push, finish = _recorder(grid, 3, T, E)
     while True:
-        R = 0.0
-        for i in range(nch):
-            code = codes[i]
-            c = coefs[i]
-            if code == 1:
-                e = expos[i]
-                r = c * T if e == 1.0 else (c * T * T if e == 2.0 else c * _pow(T, e))
-            elif code == 4:
-                r = c * T * E
-            elif code == 5:
-                r = c * T * E / (sats[i] + T)
-            elif code == 3:
-                r = c * E
-            elif code == 2:
-                r = c * T * log(T) if T > 0.0 else 0.0
-            else:
-                r = c
-            if r < 0.0:
-                return finish(5)
-            if T + d_t[i] < floor_t or E + d_e[i] < floor_e:
-                r = 0.0
-            rates[i] = r
-            R += r
+        R = _rates(table, T, E, floor_t, floor_e, rates)
+        if R < 0.0:
+            return finish(5)
         if R <= 0.0:
             if t < t_end:
                 push(t_end, T, E)
@@ -292,14 +288,15 @@ def ssa(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, seed,
             if u < acc:
                 pick = i
                 break
-        T += d_t[pick]
-        E += d_e[pick]
+        T += table[pick][4]
+        E += table[pick][5]
         nev += 1
         if T > cap or E > cap:
             return finish(3)
         push(t, T, E)
         if nev >= max_events:
             return finish(4)
+
 
 def ssa_frozen(birth_c, birth_e, death_log, death_c, death_e, T0, t_end, seed,
                floor_t, cap, max_events, grid=None):
@@ -401,20 +398,14 @@ def _poisson(rng: Random, lam: float) -> int:
     return k if k > 0 else 0
 
 
-def tau_leap(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, dt,
+def tau_leap(codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, dt,
              seed, floor_t, floor_e, cap, grid=None):
     """Fixed-step leaping: each channel fires Poisson(rate*dt) times per step,
     deltas apply simultaneously, components below their floor clamp to it.
     Returns (times, T, E, status), per leap or held on ``grid``."""
+    table = _table(codes, coefs, expos, sats, d_t, d_e)
     rng = Random(seed)
-    log = math.log
-    nch = len(codes)
-    codes = tuple(codes)
-    coefs = tuple(coefs)
-    expos = tuple(expos)
-    sats = tuple(sats)
-    d_t = tuple(d_t)
-    d_e = tuple(d_e)
+    nch = len(table)
     rates = [0.0] * nch
     T = float(T0)
     E = float(E0)
@@ -424,27 +415,10 @@ def tau_leap(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, dt
         if T > cap or E > cap:
             return finish(3)
         h = dt if t + dt <= t_end else t_end - t
-        R = 0.0
-        for i in range(nch):
-            code = codes[i]
-            c = coefs[i]
-            if code == 1:
-                e = expos[i]
-                r = c * T if e == 1.0 else (c * T * T if e == 2.0 else c * _pow(T, e))
-            elif code == 4:
-                r = c * T * E
-            elif code == 5:
-                r = c * T * E / (sats[i] + T)
-            elif code == 3:
-                r = c * E
-            elif code == 2:
-                r = c * T * log(T) if T > 0.0 else 0.0
-            else:
-                r = c
-            if r < 0.0:
-                return finish(5)
-            rates[i] = r
-            R += r
+        # leaping clamps to the floors after the step instead
+        R = _rates(table, T, E, -_INF, -_INF, rates)
+        if R < 0.0:
+            return finish(5)
         if R <= 0.0:
             if t < t_end:
                 push(t_end, T, E)
@@ -453,13 +427,13 @@ def tau_leap(codes, coefs, expos, sats, d_t, d_e, two_species, T0, E0, t_end, dt
             return finish(3)
         nT = T
         nE = E
-        for i in range(nch):
-            lam = rates[i] * h
+        for r, row in zip(rates, table):
+            lam = r * h
             if lam > 0.0:
                 k = _poisson(rng, lam)
                 if k:
-                    nT += d_t[i] * k
-                    nE += d_e[i] * k
+                    nT += row[4] * k
+                    nE += row[5] * k
         if nT < floor_t:
             nT = float(floor_t)
         if nE < floor_e:

@@ -1,4 +1,4 @@
-"""Model definitions and rate evaluations.
+"""Model definitions: parameters, presets and their validation.
 
 Two model families are supported:
 
@@ -13,9 +13,12 @@ Two model families are supported:
   with four classic parameter scenarios (treatment is the constant effector
   influx s; scenario 4 has s = 0).
 
-Everything here is a pure function of immutable inputs; both simulation
-engines evaluate their rates through this module so the model mathematics
-lives in exactly one place.
+Everything here is immutable.  The rates are defined once, by the channel
+table each model compiles to (``ssa.growth_channels``,
+``ssa.kuznetsov_channels``): the stochastic kernels evaluate that table, and
+the ODE is its drift, dX/dt = sum_k delta_k * r_k(X).  The RK4 kernels carry
+the drift of each model as a hand-written derivative for speed; tests tie
+each backend's derivatives to the table.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ModelDomainError, UnknownScenarioError
 
@@ -32,13 +34,8 @@ __all__ = [
     "GrowthLaw",
     "KuznetsovParams",
     "PopulationState",
-    "PerCapitaRates",
-    "Derivatives",
     "PAPER_RATIOS",
     "VON_BERTALANFFY_ALPHA",
-    "percapita_rates",
-    "growth_f",
-    "kuznetsov_derivatives",
     "scenario_preset",
     "experiment_one_law",
 ]
@@ -170,56 +167,6 @@ class PopulationState:
     @property
     def two_species(self) -> bool:
         return self.E is not None
-
-
-class PerCapitaRates(NamedTuple):
-    p: float  # per-capita proliferation, per day
-    d: float  # per-capita death, per day
-
-
-class Derivatives(NamedTuple):
-    dT_dt: float
-    dE_dt: float
-
-
-def percapita_rates(law: GrowthLaw, T: float) -> PerCapitaRates:
-    """Per-capita proliferation and death rates of a growth law at size T.
-
-    Requires T > 0: ln(T) is undefined at zero and so are negative-exponent
-    power laws.  Raises OverflowError when T**exponent leaves double range.
-    """
-    if not math.isfinite(T):
-        raise ModelDomainError(f"T must be finite, got {T!r}")
-    if T <= 0:
-        raise ModelDomainError(f"per-capita rates require T > 0, got {T}")
-    if law.kind is GrowthKind.GOMPERTZ:
-        return PerCapitaRates(law.a, law.b * math.log(T))
-    return PerCapitaRates(law.a * _pow(T, law.alpha), law.b * _pow(T, law.beta))
-
-
-def _pow(T: float, e: float) -> float:
-    # Exact fast paths keep rate identities bitwise-stable across code paths.
-    if e == 0.0:
-        return 1.0
-    if e == 1.0:
-        return T
-    return math.pow(T, e)
-
-
-def growth_f(law: GrowthLaw, T: float) -> float:
-    """Net per-capita growth rate f(T) = p(T) - d(T); total rate is T*f(T)."""
-    p, d = percapita_rates(law, T)
-    return p - d
-
-
-def kuznetsov_derivatives(params: KuznetsovParams, state: PopulationState) -> Derivatives:
-    """Time derivatives (dT/dt, dE/dt) of the tumour-effector system."""
-    if state.E is None:
-        raise ModelDomainError("tumour-effector derivatives need both populations; state.E is missing")
-    T, E = state.T, state.E
-    dT = params.a * T * (1.0 - params.b * T) - params.n * T * E
-    dE = params.p * T * E / (params.g + T) - params.m * T * E - params.d * E + params.s
-    return Derivatives(dT, dE)
 
 
 def scenario_preset(scenario: int) -> KuznetsovParams:

@@ -32,6 +32,9 @@ DEFAULT_SAMPLE_EVERY = 0.1
 #: Default horizon (days).
 DEFAULT_T_END = 100.0
 
+#: Any component beyond this stops the run as a blow-up.
+BLOWUP_THRESHOLD = 1e300
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -40,10 +43,9 @@ class IntegratorConfig:
     dt: float = DEFAULT_DT
     t_end: float = DEFAULT_T_END
     sample_every: float = DEFAULT_SAMPLE_EVERY
-    blowup_threshold: float = 1e300
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_end", "sample_every", "blowup_threshold"):
+        for name in ("dt", "t_end", "sample_every"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"IntegratorConfig.{name} must be finite and > 0, got {v!r}")
@@ -61,7 +63,7 @@ def integrate(
 ) -> Trajectory:
     """Integrate a model from ``initial`` and sample on a uniform grid.
 
-    If any component would exceed ``cfg.blowup_threshold`` the run stops at
+    If any component would exceed ``BLOWUP_THRESHOLD`` the run stops at
     the last grid sample already emitted and the trajectory is flagged
     ``Termination.BLOWUP``.
     """
@@ -74,7 +76,7 @@ def integrate(
         kind = 0 if model.kind is GrowthKind.POWER_LAW else 1
         times, values, status = kernels.rk4_growth(
             kind, model.a, model.b, model.alpha, model.beta,
-            initial.T, cfg.dt, cfg.t_end, cfg.sample_every, cfg.blowup_threshold,
+            initial.T, cfg.dt, cfg.t_end, cfg.sample_every, BLOWUP_THRESHOLD,
         )
         states = np.asarray(values, dtype=float).reshape(-1, 1)
         species: tuple[str, ...] = ("tumour",)
@@ -83,7 +85,7 @@ def integrate(
             raise ConfigError("the tumour-effector model needs an initial E (use PopulationState(T, E))")
         times, t_vals, e_vals, status = kernels.rk4_kuznetsov(
             model.a, model.b, model.g, model.m, model.n, model.p, model.d, model.s,
-            initial.T, initial.E, cfg.dt, cfg.t_end, cfg.sample_every, cfg.blowup_threshold,
+            initial.T, initial.E, cfg.dt, cfg.t_end, cfg.sample_every, BLOWUP_THRESHOLD,
         )
         states = np.column_stack([np.asarray(t_vals, dtype=float), np.asarray(e_vals, dtype=float)])
         species = ("tumour", "effector")

@@ -66,7 +66,7 @@ class RatePolicy(enum.Enum):
 @dataclass(frozen=True)
 class RateLaw:
     """A parametric channel rate, one of the closed set of forms the kernels
-    understand.  Calling it evaluates the rate at a state (T, E)."""
+    understand; the kernels evaluate it (``_pykernels._rates`` in Python)."""
 
     code: int
     c: float
@@ -81,20 +81,6 @@ class RateLaw:
             raise ModelDomainError(f"rate coefficient must be finite and >= 0, got {self.c!r}")
         if self.code == kernels.R_MM_TE and self.g <= 0:
             raise ModelDomainError("saturating rate needs g > 0")
-
-    def __call__(self, T: float, E: float = 0.0) -> float:
-        code = self.code
-        if code == kernels.R_POW_T:
-            return self.c * T if self.e == 1.0 else self.c * math.pow(T, self.e)
-        if code == kernels.R_MASS_TE:
-            return self.c * T * E
-        if code == kernels.R_MM_TE:
-            return self.c * T * E / (self.g + T)
-        if code == kernels.R_LIN_E:
-            return self.c * E
-        if code == kernels.R_TLOGT:
-            return self.c * T * math.log(T) if T > 0.0 else 0.0
-        return self.c
 
 
 @dataclass(frozen=True)
@@ -352,8 +338,7 @@ def simulate_exact(
     else:
         codes, coefs, expos, sats, d_t, d_e = channels.tables()
         times, *columns, status = kernels.ssa(
-            codes, coefs, expos, sats, d_t, d_e, channels.two_species,
-            T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
+            codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
             float(POPULATION_CAP), max_events, grid,
         )
 
@@ -389,8 +374,7 @@ def simulate_tau_leap(
     T0, E0 = _check_initial(channels, initial, floors)
     codes, coefs, expos, sats, d_t, d_e = channels.tables()
     times, *columns, status = kernels.tau_leap(
-        codes, coefs, expos, sats, d_t, d_e, channels.two_species,
-        T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
+        codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
         float(POPULATION_CAP), grid,
     )
     termination = _raise_for_status(status, seed, 0)

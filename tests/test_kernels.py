@@ -61,7 +61,7 @@ class TestStochasticAgreement:
             finals = []
             for i in range(400):
                 _, Ts, _, st = mod.ssa([1, 1], [2.0, 1.0], [1.0, 1.0], [0.0, 0.0],
-                                       [1, -1], [0, 0], False, 100, 0, 0.5,
+                                       [1, -1], [0, 0], 100, 0, 0.5,
                                        base + i, 0, 0, 1e12, 10**7)
                 assert st in (0, 2)
                 finals.append(Ts[-1])
@@ -74,7 +74,7 @@ class TestStochasticAgreement:
     def test_frozen_equals_live_within_each_backend(self):
         for mod in (pure, compiled):
             live = mod.ssa([1, 1], [0.7, 0.9], [1.0, 1.0], [0.0, 0.0], [1, -1], [0, 0],
-                           False, 5, 0, 15.0, 4242, 0, 0, 1e12, 10**7)
+                           5, 0, 15.0, 4242, 0, 0, 1e12, 10**7)
             frozen = mod.ssa_frozen(0.7, 1.0, False, 0.9, 0.0, 5, 15.0, 4242, 0, 1e12, 10**7)
             assert list(live[0]) == list(frozen[0])
             assert list(live[1]) == list(frozen[1])
@@ -84,7 +84,7 @@ class TestStochasticAgreement:
         def mean_events(mod, base):
             finals = []
             for i in range(300):
-                _, Ts, _, st = mod.tau_leap([0], [3.0], [0.0], [0.0], [1], [0], False,
+                _, Ts, _, st = mod.tau_leap([0], [3.0], [0.0], [0.0], [1], [0],
                                             0, 0, 2.0, 0.01, base + i, 0, 0, 1e12)
                 assert st == 0
                 finals.append(Ts[-1])
@@ -98,9 +98,9 @@ class TestStochasticAgreement:
     def test_per_seed_determinism_each_backend(self):
         for mod in (pure, compiled):
             a = mod.ssa([1, 1], [1.0, 0.2], [1.0, 2.0], [0.0, 0.0], [1, -1], [0, 0],
-                        False, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
+                        1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
             b = mod.ssa([1, 1], [1.0, 0.2], [1.0, 2.0], [0.0, 0.0], [1, -1], [0, 0],
-                        False, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
+                        1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
             assert list(a[0]) == list(b[0])
             assert list(a[1]) == list(b[1])
 
@@ -122,7 +122,7 @@ class TestCompiledStream:
     xoshiro256** and the kernels' arithmetic may not drift."""
 
     def test_ssa(self):
-        times, Ts, Es, status = compiled.ssa(*S4_TABLE, True, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8)
+        times, Ts, Es, status = compiled.ssa(*S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8)
         assert status == 0 and len(times) == len(Ts) == len(Es) == 135096
         assert list(times[:5]) == [0.0, 0.0009944854580088024, 0.002519382300010754,
                                    0.006471770756564635, 0.006525084672740699]
@@ -137,16 +137,16 @@ class TestCompiledStream:
         assert list(Ts[:5]) == [5.0, 6.0, 5.0, 4.0, 5.0]
 
     def test_tau_leap(self):
-        times, Ts, Es, status = compiled.tau_leap(*S4_TABLE, True, 100, 10, 100.0, 0.01, 7, 1, 0, 1e12)
+        times, Ts, Es, status = compiled.tau_leap(*S4_TABLE, 100, 10, 100.0, 0.01, 7, 1, 0, 1e12)
         assert status == 0 and len(times) == len(Ts) == len(Es) == 10001
         assert list(times[:5]) == [0.0, 0.01, 0.02, 0.03, 0.04]
         assert list(Ts[:5]) == [100.0, 88.0, 84.0, 77.0, 69.0]
         assert list(Es[:5]) == [10.0, 10.0, 9.0, 9.0, 10.0]
 
     def test_seed_is_masked_to_64_bits(self):
-        a = compiled.ssa(*S4_TABLE, True, 100, 10, 1.0, 7, 1, 0, 1e12, 10**8)
-        b = compiled.ssa(*S4_TABLE, True, 100, 10, 1.0, 7 + 2**64, 1, 0, 1e12, 10**8)
-        c = compiled.ssa(*S4_TABLE, True, 100, 10, 1.0, 7 - 2**64, 1, 0, 1e12, 10**8)
+        a = compiled.ssa(*S4_TABLE, 100, 10, 1.0, 7, 1, 0, 1e12, 10**8)
+        b = compiled.ssa(*S4_TABLE, 100, 10, 1.0, 7 + 2**64, 1, 0, 1e12, 10**8)
+        c = compiled.ssa(*S4_TABLE, 100, 10, 1.0, 7 - 2**64, 1, 0, 1e12, 10**8)
         assert list(a[0]) == list(b[0]) == list(c[0])
 
 
@@ -171,15 +171,15 @@ class TestCompiledInterface:
         table = ([0] * n, [1.0] * n, [0.0] * n, [0.0] * n, [1] * n, [0] * n)
         extra = (1.0, 0.1, 1, 0, 0, 1e12) if kernel == "tau_leap" else (1.0, 1, 0, 0, 1e12, 10**6)
         with pytest.raises(ValueError, match="at most 16 channels"):
-            getattr(compiled, kernel)(*table, False, 1, 0, *extra)
+            getattr(compiled, kernel)(*table, 1, 0, *extra)
 
     @pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
     def test_non_sequence_table_raises_type_error(self, kernel):
         extra = (1.0, 0.1, 1, 0, 0, 1e12) if kernel == "tau_leap" else (1.0, 1, 0, 0, 1e12, 10**6)
         with pytest.raises(TypeError):
-            getattr(compiled, kernel)(3, [1.0], [0.0], [0.0], [1], [0], False, 1, 0, *extra)
+            getattr(compiled, kernel)(3, [1.0], [0.0], [0.0], [1], [0], 1, 0, *extra)
         with pytest.raises(TypeError):
-            getattr(compiled, kernel)([0], 1.0, [0.0], [0.0], [1], [0], False, 1, 0, *extra)
+            getattr(compiled, kernel)([0], 1.0, [0.0], [0.0], [1], [0], 1, 0, *extra)
 
 
 BACKENDS = {"pure": pure, "c": compiled}
@@ -190,16 +190,16 @@ DEATH_ONLY = ([1], [1.0], [1.0], [0.0], [-1], [0])
 # (kernel, case) -> (t_end, the arguments before ``grid``); "budget" stops on
 # the event budget, "extinct" dies out long before t_end
 GRID_CASES = {
-    ("ssa", "two-species"): (2.0, (*S4_TABLE, True, 100, 10, 2.0, 5, 1, 0, 1e12, 10**8)),
-    ("ssa", "one-species"): (10.0, (*ONE_SPECIES, False, 20, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
-    ("ssa", "extinct"): (10.0, (*DEATH_ONLY, False, 4, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
-    ("ssa", "budget"): (2.0, (*S4_TABLE, True, 100, 10, 2.0, 5, 1, 0, 1e12, 100)),
+    ("ssa", "two-species"): (2.0, (*S4_TABLE, 100, 10, 2.0, 5, 1, 0, 1e12, 10**8)),
+    ("ssa", "one-species"): (10.0, (*ONE_SPECIES, 20, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
+    ("ssa", "extinct"): (10.0, (*DEATH_ONLY, 4, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
+    ("ssa", "budget"): (2.0, (*S4_TABLE, 100, 10, 2.0, 5, 1, 0, 1e12, 100)),
     ("ssa_frozen", "one-species"): (10.0, (1.0, 1.0, False, 0.05, 1.0, 20, 10.0, 5, 0, 1e12, 10**8)),
     ("ssa_frozen", "extinct"): (10.0, (0.1, 1.0, False, 1.0, 0.0, 4, 10.0, 5, 0, 1e12, 10**8)),
     ("ssa_frozen", "budget"): (10.0, (1.0, 1.0, False, 0.05, 1.0, 20, 10.0, 5, 0, 1e12, 100)),
-    ("tau_leap", "two-species"): (2.0, (*S4_TABLE, True, 100, 10, 2.0, 0.01, 5, 1, 0, 1e12)),
-    ("tau_leap", "one-species"): (10.0, (*ONE_SPECIES, False, 20, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
-    ("tau_leap", "extinct"): (10.0, (*DEATH_ONLY, False, 4, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
+    ("tau_leap", "two-species"): (2.0, (*S4_TABLE, 100, 10, 2.0, 0.01, 5, 1, 0, 1e12)),
+    ("tau_leap", "one-species"): (10.0, (*ONE_SPECIES, 20, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
+    ("tau_leap", "extinct"): (10.0, (*DEATH_ONLY, 4, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
 }
 STATUS = {"extinct": 2, "budget": 4}
 

@@ -1,10 +1,13 @@
-"""Model definitions and rate evaluations."""
+"""Model definitions, and the facts of each model's channel table."""
 
 import math
 
 import pytest
 
+from dualsim import kernels
 from dualsim.errors import ModelDomainError, UnknownScenarioError
+from dualsim.kernels import _pykernels
+from dualsim.kernels._pykernels import _rates, _table
 from dualsim.models import (
     PAPER_RATIOS,
     GrowthKind,
@@ -12,11 +15,44 @@ from dualsim.models import (
     KuznetsovParams,
     PopulationState,
     experiment_one_law,
-    growth_f,
-    kuznetsov_derivatives,
-    percapita_rates,
     scenario_preset,
 )
+from dualsim.ssa import growth_channels, kuznetsov_channels
+
+# the pure backend and the active one (the compiled backend when it is built)
+BACKENDS = {mod.__name__.rpartition(".")[2]: mod for mod in (_pykernels, kernels.backend)}
+
+LAWS = {
+    "logistic": GrowthLaw.logistic(1.636, 0.002),
+    "von-bertalanffy": GrowthLaw.von_bertalanffy(1.0, 0.5),
+    "gompertz": GrowthLaw.gompertz(1.636, 0.002),
+}
+
+
+def channel_rates(model, T, E=0.0):
+    """Each channel's rate at (T, E), from the reference evaluator ``_rates``."""
+    channels = growth_channels(model) if isinstance(model, GrowthLaw) else kuznetsov_channels(model)
+    table = _table(*channels.tables())
+    rates = [0.0] * len(table)
+    assert _rates(table, T, E, -math.inf, -math.inf, rates) >= 0.0
+    return table, rates
+
+
+def drift(model, T, E=0.0):
+    """(dT/dt, dE/dt) = sum_k delta_k * r_k(T, E), the ODE of the table."""
+    table, rates = channel_rates(model, T, E)
+    return (math.fsum(r * row[4] for r, row in zip(rates, table)),
+            math.fsum(r * row[5] for r, row in zip(rates, table)))
+
+
+def drift_rk4_step(model, T, E, h):
+    """One classic RK4 step of the table's drift."""
+    k1 = drift(model, T, E)
+    k2 = drift(model, T + 0.5 * h * k1[0], E + 0.5 * h * k1[1])
+    k3 = drift(model, T + 0.5 * h * k2[0], E + 0.5 * h * k2[1])
+    k4 = drift(model, T + h * k3[0], E + h * k3[1])
+    return tuple(x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for x, a, b, c, d in zip((T, E), k1, k2, k3, k4))
 
 
 class TestGrowthLaw:
@@ -48,110 +84,131 @@ class TestGrowthLaw:
 
 
 class TestPerCapitaRates:
+    """Per-capita rates of a growth table: each channel's rate over T."""
+
     def test_logistic_balance_point(self):
         # a=1, b=0.2: proliferation and death balance at exactly five cells
-        p, d = percapita_rates(GrowthLaw.logistic(1.0, 0.2), 5.0)
-        assert p == 1.0
-        assert d == 1.0
+        _, (birth, death) = channel_rates(GrowthLaw.logistic(1.0, 0.2), 5.0)
+        assert birth / 5.0 == 1.0
+        assert death / 5.0 == 1.0
 
     def test_gompertz_at_one_cell(self):
-        p, d = percapita_rates(GrowthLaw.gompertz(1.7, 0.4), 1.0)
-        assert d == 0.0  # ln 1 = 0
-        assert p == 1.7
+        _, (birth, death) = channel_rates(GrowthLaw.gompertz(1.7, 0.4), 1.0)
+        assert death == 0.0  # ln 1 = 0
+        assert birth == 1.7
 
     def test_von_bertalanffy_exact_cube_root(self):
-        p, d = percapita_rates(GrowthLaw.von_bertalanffy(1.0, 0.5), 8.0)
-        assert p == pytest.approx(2.0, rel=1e-12)
-        assert d == 0.5
-
-    @pytest.mark.parametrize("T", [0.0, -1.0])
-    def test_domain_error_at_nonpositive_T(self, T):
-        with pytest.raises(ModelDomainError):
-            percapita_rates(GrowthLaw.logistic(1.0, 0.2), T)
-        with pytest.raises(ModelDomainError):
-            percapita_rates(GrowthLaw.gompertz(1.0, 0.2), T)
-
-    def test_overflow_error_for_huge_powers(self):
-        law = GrowthLaw(GrowthKind.POWER_LAW, a=1.0, b=1.0, alpha=0.0, beta=8.0)
-        with pytest.raises(OverflowError):
-            percapita_rates(law, 1e100)
+        _, (birth, death) = channel_rates(GrowthLaw.von_bertalanffy(1.0, 0.5), 8.0)
+        assert birth / 8.0 == pytest.approx(2.0, rel=1e-12)
+        assert death / 8.0 == 0.5
 
 
 class TestGrowthF:
-    def test_equals_p_minus_d_exactly(self):
-        # no independent formula drift: growth_f is defined via the rates
-        laws = [
-            GrowthLaw.logistic(1.636, 0.002),
-            GrowthLaw.von_bertalanffy(1.0, 0.5),
-            GrowthLaw.gompertz(1.636, 0.002),
-        ]
-        for law in laws:
-            for T in (0.5, 1.0, 3.7, 818.0, 12345.6):
-                p, d = percapita_rates(law, T)
-                assert growth_f(law, T) == p - d
+    """Net per-capita growth f(T) = (dT/dt) / T of a growth table's drift."""
+
+    @staticmethod
+    def f(law, T):
+        return drift(law, T)[0] / T
 
     def test_logistic_fixed_point(self):
         law = GrowthLaw.logistic(1.636, 0.002)
-        assert growth_f(law, 818.0) == pytest.approx(0.0, abs=1e-12)
+        assert self.f(law, 818.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_logistic_strictly_decreasing_with_sign_change(self):
         law = GrowthLaw.logistic(1.0, 0.2)
-        values = [growth_f(law, T) for T in (1.0, 2.0, 4.999, 5.0, 5.001, 10.0)]
+        values = [self.f(law, T) for T in (1.0, 2.0, 4.999, 5.0, 5.001, 10.0)]
         assert all(x > y for x, y in zip(values, values[1:]))
-        assert growth_f(law, 4.999) > 0 > growth_f(law, 5.001)
+        assert self.f(law, 4.999) > 0 > self.f(law, 5.001)
 
     def test_gompertz_sign_change_at_exp_a_over_b(self):
         law = GrowthLaw.gompertz(1.0, 0.5)
         star = math.exp(1.0 / 0.5)
-        assert growth_f(law, star) == pytest.approx(0.0, abs=1e-12)
-        assert growth_f(law, star * 0.99) > 0 > growth_f(law, star * 1.01)
-        assert growth_f(law, 1.0) > 0  # always grows from one cell
+        assert self.f(law, star) == pytest.approx(0.0, abs=1e-12)
+        assert self.f(law, star * 0.99) > 0 > self.f(law, star * 1.01)
+        assert self.f(law, 1.0) > 0  # always grows from one cell
 
     def test_pure_and_deterministic(self):
         law = GrowthLaw.von_bertalanffy(1.3, 0.7)
-        assert growth_f(law, 7.7) == growth_f(law, 7.7)
+        assert drift(law, 7.7) == drift(law, 7.7)
 
 
 class TestKuznetsov:
+    """The drift of the seven-channel tumour-effector table."""
+
     def test_empty_system_only_influx(self):
         params = scenario_preset(1)
-        dT, dE = kuznetsov_derivatives(params, PopulationState(0.0, 0.0))
-        assert dT == 0.0
-        assert dE == params.s
+        assert drift(params, 0.0, 0.0) == (0.0, params.s)
 
     def test_tumour_free_equilibrium(self):
         params = scenario_preset(1)
         e_star = params.s / params.d  # 0.318 / 0.1908 = 5/3
         assert e_star == pytest.approx(5.0 / 3.0, rel=1e-12)
-        dT, dE = kuznetsov_derivatives(params, PopulationState(0.0, e_star))
+        dT, dE = drift(params, 0.0, e_star)
         assert dT == 0.0
         assert dE == pytest.approx(0.0, abs=1e-15)
 
     def test_scenario1_hand_substitution(self):
         # recomputed by direct substitution of T=1, E=1 into the rate forms
-        dT, dE = kuznetsov_derivatives(scenario_preset(1), PopulationState(1.0, 1.0))
+        dT, dE = drift(scenario_preset(1), 1.0, 1.0)
         assert dT == pytest.approx(0.632728, rel=1e-9)
         assert dE == pytest.approx(0.17746423312883436, rel=1e-9)
 
     def test_reduces_to_logistic_growth(self):
-        # with the interaction terms off, dT/dt collapses to a*T*(1 - b*T),
-        # i.e. the power-law form with a' = a and b' = a*b
-        params = KuznetsovParams(a=1.5, b=0.01, g=1.0, m=0.0, n=0.0, p=0.0, d=0.0, s=0.0)
-        law = GrowthLaw(GrowthKind.POWER_LAW, a=1.5, b=1.5 * 0.01, alpha=0.0, beta=1.0)
-        for T in (0.5, 1.0, 40.0, 99.9):
-            dT, dE = kuznetsov_derivatives(params, PopulationState(T, 3.0))
-            assert dT == pytest.approx(T * growth_f(law, T), rel=1e-12)
-            assert dE == 0.0
-
-    def test_rejects_missing_effector(self):
-        with pytest.raises(ModelDomainError):
-            kuznetsov_derivatives(scenario_preset(1), PopulationState(1.0))
+        # without effectors, dT/dt collapses to a*T*(1 - b*T), i.e. the
+        # power-law form with a' = a and b' = a*b, and dE/dt to the influx
+        for params in map(scenario_preset, (1, 2, 3, 4)):
+            law = GrowthLaw(GrowthKind.POWER_LAW, a=params.a, b=params.a * params.b, alpha=0.0, beta=1.0)
+            for T in (0.5, 1.0, 40.0, 99.9, 818.0):
+                dT, dE = drift(params, T, 0.0)
+                assert dT == pytest.approx(drift(law, T)[0], rel=1e-12)
+                assert dE == params.s
 
     def test_rejects_negative_params(self):
         with pytest.raises(ModelDomainError):
             KuznetsovParams(a=1.0, b=-0.1, g=1.0, m=0.0, n=0.0, p=0.0, d=0.0, s=0.0)
         with pytest.raises(ModelDomainError):
             KuznetsovParams(a=1.0, b=0.1, g=0.0, m=0.0, n=0.0, p=0.0, d=0.0, s=0.0)
+
+
+class TestRk4DerivativesMatchTheTable:
+    """Each backend's hand-written RK4 derivatives are the table's drift: one
+    kernel step (dt = t_end = sample_every = h) equals one RK4 step of it."""
+
+    H = 0.01
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("law", LAWS)
+    def test_rk4_growth(self, backend, law):
+        law = LAWS[law]
+        kind = 1 if law.kind is GrowthKind.GOMPERTZ else 0
+        for T0 in (0.0, 1.0, 3.7, 818.0, 5000.0):
+            times, values, status = BACKENDS[backend].rk4_growth(
+                kind, law.a, law.b, law.alpha, law.beta, T0, self.H, self.H, self.H, 1e300)
+            assert status == 0 and list(times) == [0.0, self.H]
+            assert values[1] == pytest.approx(drift_rk4_step(law, T0, 0.0, self.H)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+    def test_rk4_kuznetsov(self, backend, scenario):
+        p = scenario_preset(scenario)
+        for T0, E0 in ((0.0, 0.0), (0.0, 2.0), (100.0, 10.0), (5.0, 30.0), (700.0, 0.5)):
+            times, Ts, Es, status = BACKENDS[backend].rk4_kuznetsov(
+                p.a, p.b, p.g, p.m, p.n, p.p, p.d, p.s, T0, E0, self.H, self.H, self.H, 1e300)
+            assert status == 0 and list(times) == [0.0, self.H]
+            T1, E1 = drift_rk4_step(p, T0, E0, self.H)
+            assert Ts[1] == pytest.approx(T1, rel=1e-12)
+            assert Es[1] == pytest.approx(E1, rel=1e-12)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
+def test_unknown_rate_law_code_raises_value_error(backend, kernel):
+    extra = (1.0, 0.1, 1, 0, 0, 1e12) if kernel == "tau_leap" else (1.0, 1, 0, 0, 1e12, 10**6)
+    for codes in ([0, 9], [-1]):
+        n = len(codes)
+        table = (codes, [2.0] * n, [0.0] * n, [0.0] * n, [1] * n, [0] * n)
+        with pytest.raises(ValueError, match="unknown rate-law code"):
+            getattr(BACKENDS[backend], kernel)(*table, 1, 0, *extra)
 
 
 class TestScenarioPresets:

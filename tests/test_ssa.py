@@ -10,6 +10,7 @@ import pytest
 import dualsim.kernels
 from dualsim.errors import ConfigError, EngineError, PopulationCapError
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
+from dualsim.kernels._pykernels import _rates, _table
 from dualsim.models import GrowthKind, GrowthLaw, PopulationState, scenario_preset
 from dualsim.ssa import (
     Channel,
@@ -46,28 +47,30 @@ def linear_bd_channels(a=2.0, b=1.0):
     )
 
 
+def channel_rates(cs, T, E=0.0):
+    """Each channel's rate at (T, E), from the reference evaluator ``_rates``."""
+    rates = [0.0] * len(cs.channels)
+    assert _rates(_table(*cs.tables()), T, E, -math.inf, -math.inf, rates) >= 0.0
+    return rates
+
+
 class TestChannelCompilation:
     def test_one_equation_has_two_channels(self):
         cs = growth_channels(GrowthLaw.logistic(1.0, 0.2))
         assert len(cs.channels) == 2
         birth, death = cs.channels
         # total rates are T*p(T) and T*d(T)
-        assert birth.rate(7.0) == pytest.approx(1.0 * 7.0)
-        assert death.rate(7.0) == pytest.approx(0.2 * 49.0)
+        assert channel_rates(cs, 7.0) == pytest.approx([1.0 * 7.0, 0.2 * 49.0])
         assert birth.delta == (1, 0) and death.delta == (-1, 0)
 
     def test_von_bertalanffy_channel_rates(self):
         cs = growth_channels(GrowthLaw.von_bertalanffy(1.0, 0.5))
-        birth, death = cs.channels
-        assert birth.rate(8.0) == pytest.approx(8.0 ** (4.0 / 3.0))
-        assert death.rate(8.0) == pytest.approx(0.5 * 8.0)
+        assert channel_rates(cs, 8.0) == pytest.approx([8.0 ** (4.0 / 3.0), 0.5 * 8.0])
 
     def test_gompertz_channel_rates(self):
         cs = growth_channels(GrowthLaw.gompertz(1.5, 0.3))
-        birth, death = cs.channels
-        assert birth.rate(4.0) == pytest.approx(1.5 * 4.0)
-        assert death.rate(4.0) == pytest.approx(0.3 * 4.0 * math.log(4.0))
-        assert death.rate(0.0) == 0.0
+        assert channel_rates(cs, 4.0) == pytest.approx([1.5 * 4.0, 0.3 * 4.0 * math.log(4.0)])
+        assert channel_rates(cs, 0.0) == [0.0, 0.0]
 
     def test_kuznetsov_has_exactly_seven_channels(self):
         p = scenario_preset(1)
@@ -83,17 +86,20 @@ class TestChannelCompilation:
             "effector apoptosis": (p.d * E, (0, -1)),
             "effector influx": (p.s, (0, 1)),
         }
-        for ch in cs.channels:
+        for ch, rate_at in zip(cs.channels, channel_rates(cs, T, E)):
             rate, delta = expected[ch.name]
-            assert ch.rate(T, E) == pytest.approx(rate, rel=1e-12), ch.name
+            assert rate_at == pytest.approx(rate, rel=1e-12), ch.name
             assert ch.delta == delta
 
     def test_all_rates_nonnegative_on_integer_states(self):
-        cs = kuznetsov_channels(scenario_preset(3))
-        for T in range(0, 30, 7):
-            for E in range(0, 10, 3):
-                for ch in cs.channels:
-                    assert ch.rate(float(T), float(E)) >= 0.0
+        sets = [kuznetsov_channels(scenario_preset(i)) for i in (1, 2, 3, 4)]
+        sets += [growth_channels(GrowthLaw.logistic(1.0, 0.2)),
+                 growth_channels(GrowthLaw.von_bertalanffy(1.0, 0.5)),
+                 growth_channels(GrowthLaw.gompertz(1.5, 0.3))]
+        for cs in sets:
+            for T in range(0, 30, 7):
+                for E in range(0, 10, 3):
+                    assert min(channel_rates(cs, float(T), float(E))) >= 0.0
 
     def test_rate_law_rejects_negative_coefficient(self):
         with pytest.raises(Exception):
