@@ -127,8 +127,6 @@ def _coerce(name: str, value):
 
 
 def _validate_raw(raw: dict) -> RunSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
@@ -201,16 +199,23 @@ def _validate_raw(raw: dict) -> RunSpec:
     return spec
 
 
-def parse_config(text: str) -> RunSpec:
-    """Parse a JSON config document (or a previously written manifest) into a
-    fully validated RunSpec with defaults filled in."""
+def _decode_config(text: str) -> dict:
+    """The raw fields of a JSON config document, or of a manifest's run spec."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if isinstance(raw, dict) and "run_spec" in raw:
         raw = raw["run_spec"]
-    return _validate_raw(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def parse_config(text: str) -> RunSpec:
+    """Parse a JSON config document (or a previously written manifest) into a
+    fully validated RunSpec with defaults filled in."""
+    return _validate_raw(_decode_config(text))
 
 
 def _build_model(spec: RunSpec) -> GrowthLaw | KuznetsovParams:
@@ -254,13 +259,9 @@ def _run_abs(spec: RunSpec, model, grid: np.ndarray) -> Ensemble:
     return run_ensemble(ens_spec, reps=spec.reps, base_seed=spec.seed, grid=grid)
 
 
-def _num(v: float) -> str:
-    return repr(float(v))
-
-
 def _text_columns(values: np.ndarray) -> list:
-    """``_num`` of every value of a (rows, columns) array, column by column,
-    as iterators: each string is made when its line is joined."""
+    """``repr`` of every value of a (rows, columns) array as a float, column
+    by column, as iterators: each string is made when its line is joined."""
     return [map(repr, column) for column in values.T.tolist()]
 
 
@@ -271,31 +272,25 @@ def _sds_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ensemble_csv(ens: Ensemble, grid: np.ndarray) -> str:
-    species = ens.replicates[0].species
+def _ensemble_csv(ens: Ensemble) -> str:
     # one text block per replicate, so that no more than one replicate's
     # lines are alive at a time; each grid time is formatted once
-    blocks = ["replicate,time," + ",".join(species)]
-    times = [f"{t:.6f}" for t in np.asarray(grid, dtype=float).tolist()]
-    for rep in ens.replicates:
-        series = stats.sample_on_grid(rep, grid, stats.Interp.STEP)
-        label = itertools.repeat(str(rep.replicate))
-        blocks.append("\n".join(map(",".join, zip(label, times, *_text_columns(series.values)))))
+    blocks = ["replicate,time," + ",".join(ens.species)]
+    times = [f"{t:.6f}" for t in ens.grid.tolist()]
+    for i, values in enumerate(ens.values):
+        label = itertools.repeat(str(i))
+        blocks.append("\n".join(map(",".join, zip(label, times, *_text_columns(values)))))
     return "\n".join(blocks) + "\n"
 
 
 def _comparison_csv(report: stats.ComparisonReport) -> str:
-    names = list(report.populations)
     header = ["time"]
-    for name in names:
+    columns = []
+    for name, comp in report.populations.items():
         header += [f"sds_{name}", f"abs_mean_{name}", f"abs_var_{name}"]
-    lines = [",".join(header)]
-    for i, t in enumerate(report.grid):
-        cells = [f"{t:.6f}"]
-        for name in names:
-            comp = report.populations[name]
-            cells += [_num(comp.sds[i]), _num(comp.abs_mean[i]), _num(comp.abs_variance[i])]
-        lines.append(",".join(cells))
+        columns += [comp.sds, comp.abs_mean, comp.abs_variance]
+    times = [f"{t:.6f}" for t in report.grid.tolist()]
+    lines = [",".join(header), *map(",".join, zip(times, *_text_columns(np.column_stack(columns))))]
     return "\n".join(lines) + "\n"
 
 
@@ -373,12 +368,10 @@ def cmd_run(spec: RunSpec) -> list[Path]:
             plot_times = grid
     if spec.paradigm in ("abs", "both"):
         ens = _run_abs(spec, model, grid)
-        outputs["abs_ensemble.csv"] = _ensemble_csv(ens, grid)
-        results["abs_terminations"] = sorted(
-            {rep.termination.value for rep in ens.replicates}
-        )
+        outputs["abs_ensemble.csv"] = _ensemble_csv(ens)
+        results["abs_terminations"] = sorted({t.value for t in ens.terminations})
         if spec.plot:
-            mean_series, _ = stats.ensemble_mean(ens, grid)
+            mean_series, _ = stats.ensemble_mean(ens)
             plot_curves += _plot_curves(mean_series, prefix="abs mean ")
             plot_times = grid
 
@@ -407,7 +400,6 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
     report = stats.compare(
         traj,
         ens,
-        grid,
         alpha=spec.alpha,
         metadata={
             "model": _model_label(spec),
@@ -484,15 +476,7 @@ def _load_spec(args: argparse.Namespace, force_both: bool = False) -> RunSpec:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if isinstance(doc, dict) and "run_spec" in doc:
-            doc = doc["run_spec"]
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        raw.update(doc)
+        raw.update(_decode_config(text))
     for name in _FIELD_TYPES:
         v = getattr(args, name, None)
         if v is not None:

@@ -9,10 +9,12 @@ one object per agent and scale far better.
 Models compile to a :class:`ChannelSet` of event channels (name, rate law,
 integer state delta).  ``simulate_exact`` runs the Gillespie direct method;
 ``simulate_tau_leap`` is the approximate fixed-step alternative for large
-populations.  Extinction floors ("keep tumour >= 1", "keep both >= 1") are
-implemented in the exact engine by zeroing the rate of any channel whose
-delta would drop a floored population below its floor, which is
-distributionally equivalent to vetoing and redrawing such events.
+populations.  ``run_ensemble`` runs replicates on a shared time grid and
+holds them as one :class:`Ensemble` array.  Extinction floors ("keep
+tumour >= 1", "keep both >= 1") are implemented in the exact engine by
+zeroing the rate of any channel whose delta would drop a floored population
+below its floor, which is distributionally equivalent to vetoing and
+redrawing such events.
 """
 
 from __future__ import annotations
@@ -185,20 +187,36 @@ def kuznetsov_channels(params: KuznetsovParams) -> ChannelSet:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Replicated stochastic trajectories with seed provenance.
+    """Replicated stochastic runs held on one time grid, with seed provenance.
 
-    Replicate i runs with seed ``base_seed + i``.
+    ``values[i, j, k]`` is species k of replicate i at ``grid[j]``: the state
+    held at that time, the last event at or before it.  Replicate i ran with
+    seed ``base_seed + i`` and ended with ``terminations[i]``.
     """
 
-    replicates: tuple[Trajectory, ...]
+    grid: np.ndarray
+    values: np.ndarray
+    species: tuple[str, ...]
+    terminations: tuple[Termination, ...]
     base_seed: int
 
     def __post_init__(self) -> None:
-        if len(self.replicates) < 1:
+        grid = np.asarray(self.grid, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if grid.ndim != 1 or values.shape[1:] != (len(grid), len(self.species)):
+            raise EngineError(
+                f"values must be (reps, grid points, {len(self.species)} species) on a 1-D grid, "
+                f"got {values.shape} on a grid of shape {grid.shape}"
+            )
+        if len(values) < 1:
             raise EngineError("an ensemble needs at least one replicate")
+        if len(self.terminations) != len(values):
+            raise EngineError(f"{len(self.terminations)} terminations for {len(values)} replicates")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.replicates)
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -260,11 +278,9 @@ def _raise_for_status(status: int, seed: int, max_events: int, last: str = "") -
     return Termination.EXTINCT if status == kernels.ST_EXTINCT else Termination.COMPLETED
 
 
-def _check_grid(grid, t_end: float) -> np.ndarray | None:
+def _check_grid(grid, t_end: float) -> np.ndarray:
     """``grid`` as contiguous float64; ConfigError unless it is 1-D, finite,
     strictly increasing, starts at 0 and ends by ``t_end``."""
-    if grid is None:
-        return None
     try:
         grid = np.asarray(grid, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -282,7 +298,7 @@ def _check_grid(grid, t_end: float) -> np.ndarray | None:
     return np.ascontiguousarray(grid)
 
 
-def _abs_trajectory(channels, times, columns, termination, seed, replicate) -> Trajectory:
+def _abs_trajectory(channels, times, columns, termination, seed) -> Trajectory:
     """One replicate's trajectory from the value columns a kernel returned."""
     states = np.column_stack([np.asarray(c, dtype=float) for c in columns[: len(channels.species)]])
     return Trajectory(
@@ -291,7 +307,6 @@ def _abs_trajectory(channels, times, columns, termination, seed, replicate) -> T
         species=channels.species,
         termination=termination,
         paradigm=Paradigm.ABS,
-        replicate=replicate,
         seed=seed,
     )
 
@@ -304,7 +319,6 @@ def simulate_exact(
     policy: RatePolicy = RatePolicy.LIVE,
     floors: Floors = Floors(),
     max_events: int = DEFAULT_MAX_EVENTS,
-    replicate: int | None = None,
     grid: np.ndarray | None = None,
 ) -> Trajectory:
     """Gillespie direct method: exponential waiting times from the total
@@ -318,7 +332,7 @@ def simulate_exact(
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
-    grid = _check_grid(grid, t_end)
+    grid = None if grid is None else _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
 
     if policy is RatePolicy.FROZEN_AT_BIRTH:
@@ -345,8 +359,7 @@ def simulate_exact(
     # the last row holds the last sample, in grid mode too
     last = f" at t={times[-1]:.3g} with population {columns[0][-1]:.4g}"
     termination = _raise_for_status(status, seed, max_events, last)
-    return _abs_trajectory(channels, times if grid is None else grid, columns, termination,
-                           seed, replicate)
+    return _abs_trajectory(channels, times if grid is None else grid, columns, termination, seed)
 
 
 def simulate_tau_leap(
@@ -357,7 +370,6 @@ def simulate_tau_leap(
     seed: int,
     policy: RatePolicy = RatePolicy.LIVE,
     floors: Floors = Floors(),
-    replicate: int | None = None,
     grid: np.ndarray | None = None,
 ) -> Trajectory:
     """Poisson tau-leaping over fixed steps of ``dt``; any component pushed
@@ -370,7 +382,7 @@ def simulate_tau_leap(
         raise ConfigError(f"need 0 < dt <= t_end, got dt={dt!r}")
     if policy is not RatePolicy.LIVE:
         raise ConfigError("tau-leaping supports the live rate policy only")
-    grid = _check_grid(grid, t_end)
+    grid = None if grid is None else _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
     codes, coefs, expos, sats, d_t, d_e = channels.tables()
     times, *columns, status = kernels.tau_leap(
@@ -378,39 +390,44 @@ def simulate_tau_leap(
         float(POPULATION_CAP), grid,
     )
     termination = _raise_for_status(status, seed, 0)
-    return _abs_trajectory(channels, times if grid is None else grid, columns, termination,
-                           seed, replicate)
+    return _abs_trajectory(channels, times if grid is None else grid, columns, termination, seed)
 
 
 def run_ensemble(
-    spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 0, grid: np.ndarray | None = None
+    spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 0, *, grid: np.ndarray
 ) -> Ensemble:
-    """``reps`` independent replicates seeded ``base_seed + 0 .. reps-1``.
+    """``reps`` independent replicates seeded ``base_seed + 0 .. reps-1``,
+    recorded on ``grid`` (1-D, strictly increasing, from 0 to at most
+    ``spec.t_end``).
 
-    Replicates are independent (they could run concurrently); results are
-    ordered by replicate index either way.  With a ``grid``, the kernels
-    record each replicate only at the grid times, holding the last sample at
-    or before each: the values that step sampling on that grid
+    The kernels record each replicate only at the grid times, holding the
+    last event at or before each: the values that step sampling on that grid
     (``stats.sample_on_grid``) takes from the per-event trajectory, at a cost
-    per grid point instead of per event.
+    per grid point instead of per event.  Replicates are independent (they
+    could run concurrently); rows are ordered by replicate index either way.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    out = []
+    grid = _check_grid(grid, spec.t_end)
+    # filled in place: no per-replicate copies alive beside the array
+    values = np.empty((reps, len(grid), len(spec.channels.species)))
+    terminations = []
     for i in range(reps):
         seed = base_seed + i
         try:
             if spec.method == "tau":
                 traj = simulate_tau_leap(
                     spec.channels, spec.initial, spec.t_end, spec.dt, seed,
-                    policy=spec.policy, floors=spec.floors, replicate=i, grid=grid,
+                    policy=spec.policy, floors=spec.floors, grid=grid,
                 )
             else:
                 traj = simulate_exact(
                     spec.channels, spec.initial, spec.t_end, seed,
-                    policy=spec.policy, floors=spec.floors, replicate=i, grid=grid,
+                    policy=spec.policy, floors=spec.floors, grid=grid,
                 )
         except EngineError as exc:
             raise type(exc)(f"replicate {i} (seed {seed}): {exc}") from exc
-        out.append(traj)
-    return Ensemble(replicates=tuple(out), base_seed=base_seed)
+        values[i] = traj.states
+        terminations.append(traj.termination)
+    return Ensemble(grid=grid, values=values, species=spec.channels.species,
+                    terminations=tuple(terminations), base_seed=base_seed)

@@ -1,22 +1,22 @@
 """Grid alignment, ensemble aggregation, and the rank-sum similarity test.
 
-The two paradigms are compared on a shared uniform time grid: deterministic
-trajectories are linearly interpolated, event-driven trajectories are
-step-sampled (right-continuous, correct for piecewise-constant counts) and
-averaged across replicates, and a two-sided Wilcoxon rank-sum (Mann-Whitney)
-test per population decides whether the two grid series look alike.
+The two paradigms are compared on the stochastic ensemble's uniform time
+grid: deterministic trajectories are linearly interpolated, the ensemble
+already holds each replicate's state at every grid time (the right-continuous
+step sample, correct for piecewise-constant counts) and is averaged across
+replicates, and a two-sided Wilcoxon rank-sum (Mann-Whitney) test per
+population decides whether the two grid series look alike.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EngineError
+from .errors import ConfigError
 from .ssa import Ensemble
 from .trajectory import Trajectory
 
@@ -36,11 +36,8 @@ __all__ = [
 ]
 
 #: Combined sample size up to which the exact permutation distribution is
-#: enumerated by default.
+#: used by default.
 EXACT_LIMIT = 20
-
-# Forced exact mode beyond this is refused: C(n, n/2) explodes.
-_EXACT_HARD_LIMIT = 25
 
 
 class Interp(enum.Enum):
@@ -136,29 +133,21 @@ def sample_on_grid(traj: Trajectory, grid: np.ndarray, interp: Interp = Interp.S
     return GridSeries(times=grid, values=values, species=traj.species)
 
 
-def ensemble_mean(ens: Ensemble, grid: np.ndarray) -> tuple[GridSeries, GridSeries]:
-    """Pointwise mean and unbiased variance across step-sampled replicates.
+def ensemble_mean(ens: Ensemble) -> tuple[GridSeries, GridSeries]:
+    """Pointwise mean and unbiased variance across the replicates, on the
+    ensemble's grid.
 
     Extinct replicates hold their absorbing final state to the end of the
-    grid by construction (every run records its final hold sample), so all
-    replicates span the grid.  A single-replicate ensemble has variance 0.
+    grid.  A single-replicate ensemble has variance 0.
     """
-    if len(ens.replicates) == 0:
-        raise EngineError("empty ensemble")
-    grid = np.asarray(grid, dtype=float)
-    species = ens.replicates[0].species
-    # filled in place: no per-replicate copies alive beside the stack
-    stack = np.empty((len(ens.replicates), len(grid), len(species)))
-    for i, rep in enumerate(ens.replicates):
-        stack[i] = _step_values(rep, grid)
-    mean = stack.mean(axis=0)
-    if stack.shape[0] > 1:
-        var = stack.var(axis=0, ddof=1)
+    mean = ens.values.mean(axis=0)
+    if len(ens) > 1:
+        var = ens.values.var(axis=0, ddof=1)
     else:
         var = np.zeros_like(mean)
     return (
-        GridSeries(times=grid, values=mean, species=species),
-        GridSeries(times=grid, values=var, species=species),
+        GridSeries(times=ens.grid, values=mean, species=ens.species),
+        GridSeries(times=ens.grid, values=var, species=ens.species),
     )
 
 
@@ -189,17 +178,24 @@ def _midranks(pooled: np.ndarray) -> np.ndarray:
 def _exact_two_sided_p(dranks: list[int], n1: int) -> float:
     """Two-sided p over the full permutation distribution of the rank sum.
 
-    ``dranks`` are doubled midranks (integers, so the enumeration is exact
-    arithmetic) with the first sample occupying the first n1 positions.
-    p = P(|S - E[S]| >= |s_obs - E[S]|) over all C(n, n1) assignments.
+    ``dranks`` are doubled midranks (integers, so the counts are exact
+    integer arithmetic) with the first sample occupying the first n1
+    positions.  p = P(|S - E[S]| >= |s_obs - E[S]|) over all C(n, n1)
+    assignments, counted by a dynamic programme over the doubled rank sums
+    instead of enumerating the assignments.
     """
     n = len(dranks)
     e2 = n1 * (n + 1)  # doubled E[S] = n1 (n+1) / 2
     obs_dev = abs(sum(dranks[:n1]) - e2)
-    count = 0
-    for comb in itertools.combinations(dranks, n1):
-        if abs(sum(comb) - e2) >= obs_dev:
-            count += 1
+    # ways[k, s]: the k-subsets of the ranks seen so far with doubled sum s
+    ways = np.zeros((n1 + 1, sum(dranks) + 1), dtype=object)
+    ways[0, 0] = 1
+    for i, d in enumerate(dranks):
+        # k falls so that each rank joins a subset at most once; d >= 2
+        for k in range(min(i + 1, n1), 0, -1):
+            ways[k, d:] += ways[k - 1, :-d]
+    sums = np.arange(ways.shape[1])
+    count = int(ways[n1, np.abs(sums - e2) >= obs_dev].sum())
     return count / math.comb(n, n1)
 
 
@@ -211,7 +207,7 @@ def wilcoxon_ranksum(
 ) -> WilcoxonResult:
     """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test with midranks.
 
-    EXACT enumerates the full permutation distribution (exact even with
+    EXACT counts the full permutation distribution (exact even with
     ties); NORMAL uses the tie-corrected normal approximation with a 0.5
     continuity correction; AUTO picks EXACT when the combined sample size is
     at most ``EXACT_LIMIT``.
@@ -236,10 +232,6 @@ def wilcoxon_ranksum(
         mode = PValueMode.EXACT if n <= EXACT_LIMIT else PValueMode.NORMAL
 
     if mode is PValueMode.EXACT:
-        if n > _EXACT_HARD_LIMIT:
-            raise ConfigError(
-                f"exact enumeration over C({n}, {n1}) arrangements is infeasible; use NORMAL"
-            )
         dranks = [int(round(2.0 * r)) for r in ranks]
         p = _exact_two_sided_p(dranks, n1)
     else:
@@ -301,26 +293,25 @@ class ComparisonReport:
 def compare(
     sds_traj: Trajectory,
     ens: Ensemble,
-    grid: np.ndarray,
+    *,
     alpha: float = 0.05,
     metadata: dict | None = None,
 ) -> ComparisonReport:
-    """Align both paradigms on ``grid`` and test each population.
+    """Align both paradigms on the ensemble's grid and test each population.
 
     The deterministic side is linearly interpolated, the stochastic side is
-    the step-sampled ensemble mean; the two grid series feed the rank-sum
-    test.  The protocol (grid spacing, alpha, replicate count, seeds) is
-    recorded in the report metadata so results are self-describing.
+    the ensemble mean; the two grid series feed the rank-sum test.  The
+    protocol (grid spacing, alpha, replicate count, seeds) is recorded in the
+    report metadata so results are self-describing.
     """
     species = sds_traj.species
-    for rep in ens.replicates:
-        if rep.species != species:
-            raise ConfigError(
-                f"mismatched populations: deterministic run has {species}, a replicate has {rep.species}"
-            )
-    grid = np.asarray(grid, dtype=float)
+    if ens.species != species:
+        raise ConfigError(
+            f"mismatched populations: deterministic run has {species}, the ensemble has {ens.species}"
+        )
+    grid = ens.grid
     sds_series = sample_on_grid(sds_traj, grid, Interp.LINEAR)
-    mean_series, var_series = ensemble_mean(ens, grid)
+    mean_series, var_series = ensemble_mean(ens)
     populations = {}
     for name in species:
         w = wilcoxon_ranksum(sds_series.column(name), mean_series.column(name), alpha=alpha)
@@ -334,7 +325,7 @@ def compare(
         "alpha": alpha,
         "grid_spacing": float(grid[1] - grid[0]),
         "grid_points": int(len(grid)),
-        "reps": len(ens.replicates),
+        "reps": len(ens),
         "base_seed": ens.base_seed,
         "protocol": "per population: linear-interpolated SDS series vs step-sampled ABS ensemble-mean series, two-sided rank-sum",
     }

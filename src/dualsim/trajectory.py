@@ -30,7 +30,7 @@ class Trajectory:
     ``states`` has one row per sample and one column per species (in the
     order given by ``species``).  Times are strictly increasing and start at
     t = 0 with the initial condition; all values are finite and nonnegative.
-    Stochastic runs carry their replicate index and seed.
+    Stochastic runs carry their seed.
     """
 
     times: np.ndarray
@@ -38,7 +38,6 @@ class Trajectory:
     species: tuple[str, ...]
     termination: Termination
     paradigm: Paradigm
-    replicate: int | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:

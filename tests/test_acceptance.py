@@ -26,9 +26,10 @@ from dualsim.ssa import (
     growth_channels,
     kuznetsov_channels,
     run_ensemble,
+    simulate_exact,
     simulate_tau_leap,
 )
-from dualsim.stats import Interp, PValueMode, compare, make_grid, sample_on_grid, wilcoxon_ranksum
+from dualsim.stats import PValueMode, compare, make_grid, wilcoxon_ranksum
 from dualsim.trajectory import Termination
 
 
@@ -85,14 +86,12 @@ def test_criterion_2_gompertz_blowup_scale():
 def test_criterion_3_abs_mean_field_consistency():
     with criterion(3, "exact-SSA ensemble mean vs branching-process mean", 30.0):
         cs = growth_channels(GrowthLaw(GrowthKind.POWER_LAW, a=2.0, b=1.0, alpha=0.0, beta=0.0))
+        grid = make_grid(1.0, 0.25)
         ens = run_ensemble(
             EnsembleSpec(channels=cs, initial=PopulationState(100), t_end=1.0),
-            reps=1000, base_seed=11,
+            reps=1000, base_seed=11, grid=grid,
         )
-        grid = make_grid(1.0, 0.25)
-        values = np.stack([
-            sample_on_grid(rep, grid, Interp.STEP).column("tumour") for rep in ens.replicates
-        ])
+        values = ens.values[:, :, 0]
         for j, t in ((1, 0.25), (2, 0.5), (4, 1.0)):
             sample = values[:, j]
             expected = 100.0 * math.exp((2.0 - 1.0) * t)
@@ -105,24 +104,23 @@ def test_criterion_4_logistic_extinction_effect():
         law = GrowthLaw.logistic(1.0, 0.8)
         cs = growth_channels(law)
         reps, base_seed, t_end = 500, 42, 20.0
+        grid = np.array([0.0, 5.0, t_end])
 
         def ensemble(policy):
             return run_ensemble(
                 EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=t_end, policy=policy),
-                reps=reps, base_seed=base_seed,
+                reps=reps, base_seed=base_seed, grid=grid,
             )
 
         live, frozen = ensemble(RatePolicy.LIVE), ensemble(RatePolicy.FROZEN_AT_BIRTH)
-        grid5 = np.array([0.0, 5.0])
 
         def extinct_by_5(ens):
-            vals = [sample_on_grid(r, grid5, Interp.STEP).column("tumour")[1] for r in ens.replicates]
-            return sum(1 for v in vals if v == 0) / len(vals)
+            return np.count_nonzero(ens.values[:, 1, 0] == 0) / len(ens)
 
         f_live, f_frozen = extinct_by_5(live), extinct_by_5(frozen)
         assert f_frozen > f_live, (f_frozen, f_live)
 
-        frozen_mean_20 = np.mean([r.values("tumour")[-1] for r in frozen.replicates])
+        frozen_mean_20 = np.mean(frozen.values[:, 2, 0])
         sds = integrate(law, PopulationState(1.0),
                         IntegratorConfig(dt=0.001, t_end=t_end, sample_every=1.0))
         sds_20 = sds.values("tumour")[-1]
@@ -140,13 +138,11 @@ def test_criterion_5_discrete_extinction_divergence():
         imin = int(np.argmin(T))
         assert T[imin:].max() >= 2.0 * tmin
 
-        ens = run_ensemble(
-            EnsembleSpec(channels=kuznetsov_channels(params),
-                         initial=PopulationState(100, 10), t_end=100.0),
-            reps=50, base_seed=1,
-        )
+        # absorption is a per-event property: replicate seeds 1..50, no grid
+        cs = kuznetsov_channels(params)
         reached_and_stayed = 0
-        for rep in ens.replicates:
+        for seed in range(1, 51):
+            rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
             vals = rep.values("tumour")
             zeros = np.where(vals == 0)[0]
             if zeros.size and np.all(vals[zeros[0]:] == 0):
@@ -165,9 +161,9 @@ def test_criterion_6_fix_reconciliation():
         def tumour_result(floors):
             ens = run_ensemble(
                 EnsembleSpec(channels=cs, initial=PopulationState(100, 10), floors=floors, t_end=100.0),
-                reps=50, base_seed=1,
+                reps=50, base_seed=1, grid=grid,
             )
-            return compare(sds, ens, grid, alpha=0.05).populations["tumour"].wilcoxon
+            return compare(sds, ens, alpha=0.05).populations["tumour"].wilcoxon
 
         no_fix = tumour_result(Floors(0, 0))
         fix1 = tumour_result(Floors(1, 0))

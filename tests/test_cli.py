@@ -8,6 +8,7 @@ import pytest
 import dualsim
 from dualsim.cli import (
     RunSpec,
+    _comparison_csv,
     _ensemble_csv,
     _sds_csv,
     cmd_compare,
@@ -17,10 +18,10 @@ from dualsim.cli import (
     parse_config,
 )
 from dualsim.errors import ConfigError
-from dualsim.models import PopulationState, scenario_preset
+from dualsim.models import GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
-from dualsim.ssa import EnsembleSpec, kuznetsov_channels, run_ensemble
-from dualsim.stats import Interp, make_grid, sample_on_grid
+from dualsim.ssa import EnsembleSpec, growth_channels, kuznetsov_channels, run_ensemble, simulate_exact
+from dualsim.stats import Interp, compare, make_grid, sample_on_grid
 from dualsim.trajectory import Paradigm, Termination, Trajectory
 
 
@@ -151,14 +152,33 @@ def reference_sds_csv(traj):
     return "\n".join(lines) + "\n"
 
 
-def reference_ensemble_csv(ens, grid):
-    lines = ["replicate,time," + ",".join(ens.replicates[0].species)]
-    for rep in ens.replicates:
+def reference_ensemble_csv(spec, reps, base_seed, grid):
+    # the per-cell formula of the original writer, over the per-event
+    # replicates step-sampled on the grid
+    lines = ["replicate,time," + ",".join(spec.channels.species)]
+    for r in range(reps):
+        rep = simulate_exact(spec.channels, spec.initial, spec.t_end, seed=base_seed + r)
         series = sample_on_grid(rep, grid, Interp.STEP)
         for i in range(len(series.times)):
-            cells = [str(rep.replicate), f"{series.times[i]:.6f}"]
+            cells = [str(r), f"{series.times[i]:.6f}"]
             cells += [repr(float(v)) for v in series.values[i]]
             lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_comparison_csv(report):
+    # the per-cell formula of the original writer
+    names = list(report.populations)
+    header = ["time"]
+    for name in names:
+        header += [f"sds_{name}", f"abs_mean_{name}", f"abs_var_{name}"]
+    lines = [",".join(header)]
+    for i, t in enumerate(report.grid):
+        cells = [f"{t:.6f}"]
+        for name in names:
+            comp = report.populations[name]
+            cells += [repr(float(v)) for v in (comp.sds[i], comp.abs_mean[i], comp.abs_variance[i])]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -180,9 +200,21 @@ class TestCsvWriters:
     def test_ensemble_csv_matches_the_per_cell_formula(self, grid):
         spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
                             initial=PopulationState(100, 10), t_end=2.0)
-        for held in (None, grid):
-            ens = run_ensemble(spec, reps=3, base_seed=5, grid=held)
-            assert _ensemble_csv(ens, grid) == reference_ensemble_csv(ens, grid)
+        ens = run_ensemble(spec, reps=3, base_seed=5, grid=grid)
+        assert _ensemble_csv(ens) == reference_ensemble_csv(spec, 3, 5, grid)
+
+    @pytest.mark.parametrize("model, channels, initial", [
+        (scenario_preset(4), kuznetsov_channels, (100, 10)),
+        (GrowthLaw.logistic(1.0, 0.2), growth_channels, (5,)),
+    ], ids=["two-species", "one-species"])
+    def test_comparison_csv_matches_the_per_cell_formula(self, model, channels, initial):
+        sds = integrate(model, PopulationState(*map(float, initial)),
+                        IntegratorConfig(dt=0.01, t_end=3.0, sample_every=0.1))
+        ens = run_ensemble(EnsembleSpec(channels=channels(model), initial=PopulationState(*initial),
+                                        t_end=3.0),
+                           reps=3, base_seed=2, grid=np.arange(0.0, 3.0, 1 / 3))
+        report = compare(sds, ens)
+        assert _comparison_csv(report) == reference_comparison_csv(report)
 
 
 class TestCmdCompare:
@@ -293,6 +325,15 @@ class TestMainExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("doc", ['[1, 2]', '{"run_spec": 3}', '{"model": '])
+    def test_config_file_decodes_like_parse_config(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {info.value}\n"
 
 
 class TestListScenarios:

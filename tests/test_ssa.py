@@ -15,6 +15,7 @@ from dualsim.models import GrowthKind, GrowthLaw, PopulationState, scenario_pres
 from dualsim.ssa import (
     Channel,
     ChannelSet,
+    Ensemble,
     EnsembleSpec,
     Floors,
     RateLaw,
@@ -189,10 +190,9 @@ class TestSimulateExact:
             simulate_exact(cs, PopulationState(100), t_end=50.0, seed=3, max_events=1000)
 
     def test_trajectory_metadata(self):
-        traj = simulate_exact(linear_bd_channels(), PopulationState(10), t_end=1.0, seed=11,
-                              replicate=4)
+        traj = simulate_exact(linear_bd_channels(), PopulationState(10), t_end=1.0, seed=11)
         assert traj.paradigm is Paradigm.ABS
-        assert traj.seed == 11 and traj.replicate == 4
+        assert traj.seed == 11
         assert traj.times[-1] == 1.0  # final hold sample
 
 
@@ -310,23 +310,33 @@ class TestPopulationCap:
             simulate_tau_leap(cs, PopulationState(1), t_end=100.0, dt=0.001, seed=7)
 
 
+def per_event_replicate(spec, seed):
+    """One replicate of ``spec`` run per event, without a grid."""
+    if spec.method == "tau":
+        return simulate_tau_leap(spec.channels, spec.initial, spec.t_end, spec.dt, seed,
+                                 policy=spec.policy, floors=spec.floors)
+    return simulate_exact(spec.channels, spec.initial, spec.t_end, seed,
+                          policy=spec.policy, floors=spec.floors)
+
+
 class TestEnsembles:
     def test_same_base_seed_is_bit_identical(self):
         spec = EnsembleSpec(channels=linear_bd_channels(1.0, 1.0),
                             initial=PopulationState(20), t_end=2.0)
-        e1 = run_ensemble(spec, reps=8, base_seed=5)
-        e2 = run_ensemble(spec, reps=8, base_seed=5)
-        for r1, r2 in zip(e1.replicates, e2.replicates):
-            assert np.array_equal(r1.times, r2.times)
-            assert np.array_equal(r1.states, r2.states)
+        grid = make_grid(2.0, 0.1)
+        e1 = run_ensemble(spec, reps=8, base_seed=5, grid=grid)
+        e2 = run_ensemble(spec, reps=8, base_seed=5, grid=grid)
+        assert np.array_equal(e1.values, e2.values)
+        assert e1.terminations == e2.terminations
 
     def test_default_is_50_replicates_with_derived_seeds(self):
         spec = EnsembleSpec(channels=death_only_channels(),
                             initial=PopulationState(1), t_end=1.0)
-        ens = run_ensemble(spec, base_seed=100)
-        assert len(ens) == 50
-        assert [rep.seed for rep in ens.replicates] == list(range(100, 150))
-        assert [rep.replicate for rep in ens.replicates] == list(range(50))
+        grid = make_grid(1.0, 0.25)
+        ens = run_ensemble(spec, base_seed=100, grid=grid)
+        assert len(ens) == 50 and ens.base_seed == 100
+        for i, row in enumerate(ens.values):
+            assert np.array_equal(row, sample_on_grid(per_event_replicate(spec, 100 + i), grid).values)
 
     def test_logistic_extinction_fractions_frozen_exceeds_live(self):
         # ratio c = 1.25 (a=1, b=0.8) from one cell: many runs die out early,
@@ -338,9 +348,9 @@ class TestEnsembles:
         def extinct_fraction(policy):
             ens = run_ensemble(
                 EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=5.0, policy=policy),
-                reps=reps, base_seed=base,
+                reps=reps, base_seed=base, grid=make_grid(5.0, 1.0),
             )
-            return sum(1 for r in ens.replicates if r.values("tumour")[-1] == 0) / reps
+            return np.count_nonzero(ens.values[:, -1, 0] == 0) / reps
 
         live = extinct_fraction(RatePolicy.LIVE)
         frozen = extinct_fraction(RatePolicy.FROZEN_AT_BIRTH)
@@ -351,12 +361,12 @@ class TestEnsembles:
         spec = EnsembleSpec(channels=growth_channels(GrowthLaw.gompertz(1.636, 0.002)),
                             initial=PopulationState(1), t_end=100.0, method="tau", dt=0.001)
         with pytest.raises(PopulationCapError, match=r"replicate 0"):
-            run_ensemble(spec, reps=3, base_seed=7)
+            run_ensemble(spec, reps=3, base_seed=7, grid=make_grid(100.0, 1.0))
 
     def test_reps_must_be_positive(self):
         spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
         with pytest.raises(ConfigError):
-            run_ensemble(spec, reps=0, base_seed=0)
+            run_ensemble(spec, reps=0, base_seed=0, grid=make_grid(1.0, 0.5))
 
     @pytest.mark.parametrize("method, dt", [("exact", None), ("tau", 0.01)])
     def test_grid_held_replicates_match_step_sampling(self, method, dt):
@@ -374,21 +384,38 @@ class TestEnsembles:
         for channels, initial, policy in cases:
             spec = EnsembleSpec(channels=channels, initial=initial, t_end=10.0, policy=policy,
                                 method=method, dt=dt)
-            full = run_ensemble(spec, reps=6, base_seed=3)
             held = run_ensemble(spec, reps=6, base_seed=3, grid=grid)
-            for f, h in zip(full.replicates, held.replicates):
-                assert np.array_equal(h.times, grid)
-                assert np.array_equal(h.states, sample_on_grid(f, grid).values)
-                assert (h.termination, h.seed, h.replicate) == (f.termination, f.seed, f.replicate)
-                assert np.array_equal(sample_on_grid(h, grid).values, sample_on_grid(f, grid).values)
+            full = [per_event_replicate(spec, 3 + i) for i in range(6)]
+            assert np.array_equal(held.grid, grid) and held.species == channels.species
+            assert held.values.shape == (6, len(grid), len(channels.species))
+            for row, f in zip(held.values, full):
+                assert np.array_equal(row, sample_on_grid(f, grid).values)
+            assert held.terminations == tuple(f.termination for f in full)
         # the death-only replicates die out long before t = 10
-        assert all(h.termination is Termination.EXTINCT for h in held.replicates)
-        assert all(f.times[-2] < grid[-1] for f in full.replicates)
+        assert all(t is Termination.EXTINCT for t in held.terminations)
+        assert all(f.times[-2] < grid[-1] for f in full)
 
     def test_grid_past_the_run_is_refused(self):
         spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
         with pytest.raises(ConfigError, match="grid"):
             run_ensemble(spec, reps=1, base_seed=0, grid=make_grid(2.0, 0.5))
+
+    def test_a_grid_is_required(self):
+        spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
+        with pytest.raises(ConfigError, match="grid"):
+            run_ensemble(spec, reps=1, base_seed=0, grid=None)
+
+    @pytest.mark.parametrize("values, terminations", [
+        (np.zeros((0, 3, 1)), ()),  # no replicate
+        (np.zeros((2, 3)), (Termination.COMPLETED,) * 2),  # no species axis
+        (np.zeros((2, 4, 1)), (Termination.COMPLETED,) * 2),  # not on the grid
+        (np.zeros((2, 3, 2)), (Termination.COMPLETED,) * 2),  # two species for one
+        (np.zeros((2, 3, 1)), (Termination.COMPLETED,)),  # a termination missing
+    ], ids=["empty", "2d", "grid-length", "species", "terminations"])
+    def test_ensemble_rejects_mis_shaped_records(self, values, terminations):
+        with pytest.raises(EngineError):
+            Ensemble(grid=np.array([0.0, 1.0, 2.0]), values=values, species=("tumour",),
+                     terminations=terminations, base_seed=0)
 
 
 def _no_kernel(*args, **kwargs):
@@ -446,13 +473,10 @@ class TestGridValidation:
 class TestScenarioDiscreteness:
     def test_scenario1_discrete_runs_reach_exact_zero(self):
         # the deterministic tumour only decays asymptotically; the discrete
-        # process hits zero and stays there
+        # process hits zero and stays there, event by event
         cs = kuznetsov_channels(scenario_preset(1))
-        ens = run_ensemble(
-            EnsembleSpec(channels=cs, initial=PopulationState(100, 10), t_end=100.0),
-            reps=20, base_seed=300,
-        )
-        for rep in ens.replicates:
+        for seed in range(300, 320):
+            rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
             T = rep.values("tumour")
             assert T[-1] == 0.0
             zeros = np.where(T == 0)[0]
@@ -461,12 +485,9 @@ class TestScenarioDiscreteness:
     def test_scenario4_effector_extinction_is_absorbing_without_influx(self):
         # s = 0: once the effectors are gone nothing can replenish them
         cs = kuznetsov_channels(scenario_preset(4))
-        ens = run_ensemble(
-            EnsembleSpec(channels=cs, initial=PopulationState(100, 10), t_end=100.0),
-            reps=20, base_seed=55,
-        )
         saw_extinct = 0
-        for rep in ens.replicates:
+        for seed in range(55, 75):
+            rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
             E = rep.values("effector")
             zeros = np.where(E == 0)[0]
             if zeros.size:

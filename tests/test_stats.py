@@ -11,7 +11,16 @@ from dualsim.errors import ConfigError
 from dualsim.kernels import R_CONST
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
-from dualsim.ssa import Channel, ChannelSet, Ensemble, EnsembleSpec, RateLaw, run_ensemble
+from dualsim.ssa import (
+    Channel,
+    ChannelSet,
+    Ensemble,
+    EnsembleSpec,
+    RateLaw,
+    kuznetsov_channels,
+    run_ensemble,
+    simulate_exact,
+)
 from dualsim.stats import (
     EXACT_LIMIT,
     GridSeries,
@@ -100,44 +109,48 @@ class TestSampleOnGrid:
         assert np.allclose(np.diff(grid), 1.0)
 
 
+def held_ensemble(grid, rows, species=("tumour",)):
+    """An ensemble holding ``rows`` (one per replicate) on ``grid``."""
+    values = np.asarray(rows, dtype=float).reshape(len(rows), len(grid), len(species))
+    return Ensemble(grid=np.asarray(grid, dtype=float), values=values, species=species,
+                    terminations=(Termination.COMPLETED,) * len(rows), base_seed=0)
+
+
 class TestEnsembleMean:
     def test_identical_replicates_zero_variance(self):
-        rep = abs_traj([0.0, 1.0, 3.0], [2.0, 4.0, 4.0])
-        ens = Ensemble(replicates=(rep, rep, rep), base_seed=0)
-        mean, var = ensemble_mean(ens, np.array([0.0, 1.0, 2.0, 3.0]))
+        row = [2.0, 4.0, 4.0, 4.0]
+        mean, var = ensemble_mean(held_ensemble([0.0, 1.0, 2.0, 3.0], [row, row, row]))
         assert list(mean.column("tumour")) == [2.0, 4.0, 4.0, 4.0]
         assert np.all(var.values == 0.0)
 
     def test_two_point_formula(self):
-        r0 = abs_traj([0.0, 1.0], [0.0, 0.0])
-        r2 = abs_traj([0.0, 1.0], [2.0, 2.0])
-        mean, var = ensemble_mean(Ensemble(replicates=(r0, r2), base_seed=0), np.array([0.0, 1.0]))
+        mean, var = ensemble_mean(held_ensemble([0.0, 1.0], [[0.0, 0.0], [2.0, 2.0]]))
         assert np.all(mean.values == 1.0)
         assert np.all(var.values == 2.0)  # unbiased: ((0-1)^2 + (2-1)^2) / (2-1)
 
     def test_single_replicate_identity(self):
-        rep = abs_traj([0.0, 0.7, 2.0], [1.0, 3.0, 0.0])
         grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-        mean, var = ensemble_mean(Ensemble(replicates=(rep,), base_seed=0), grid)
-        direct = sample_on_grid(rep, grid, Interp.STEP)
-        assert np.array_equal(mean.values, direct.values)
+        ens = held_ensemble(grid, [[1.0, 1.0, 3.0, 3.0, 0.0]])
+        mean, var = ensemble_mean(ens)
+        assert np.array_equal(mean.values, ens.values[0])
         assert np.all(var.values == 0.0)
 
     def test_equals_moments_of_step_sampled_replicates(self):
-        reps = (abs_traj([0.0, 0.4, 1.3, 2.0], [3.0, 4.0, 2.0, 2.0]),
-                abs_traj([0.0, 1.0, 1.5, 2.0], [3.0, 0.0, 0.0, 0.0]),
-                abs_traj([0.0, 0.25, 2.0], [3.0, 7.0, 7.0]))
+        # numpy's moments of the held values, bit for bit, and those values
+        # are the per-event replicates step-sampled on the grid
+        spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
+                            initial=PopulationState(100, 10), t_end=2.0)
         grid = make_grid(2.0, 0.25)
-        mean, var = ensemble_mean(Ensemble(replicates=reps, base_seed=0), grid)
-        stack = np.stack([sample_on_grid(r, grid, Interp.STEP).values for r in reps])
-        assert np.array_equal(mean.values, stack.mean(axis=0))
-        assert np.array_equal(var.values, stack.var(axis=0, ddof=1))
-        assert np.array_equal(mean.times, grid) and mean.species == ("tumour",)
-
-    def test_grid_beyond_a_replicate_errors(self):
-        reps = (abs_traj([0.0, 2.0], [1.0, 1.0]), abs_traj([0.0, 1.0], [1.0, 1.0]))
-        with pytest.raises(ConfigError, match="exceeds"):
-            ensemble_mean(Ensemble(replicates=reps, base_seed=0), make_grid(2.0, 0.5))
+        ens = run_ensemble(spec, reps=5, base_seed=3, grid=grid)
+        mean, var = ensemble_mean(ens)
+        assert np.array_equal(mean.values, ens.values.mean(axis=0))
+        assert np.array_equal(var.values, ens.values.var(axis=0, ddof=1))
+        assert np.array_equal(mean.times, grid) and mean.species == ("tumour", "effector")
+        stack = np.stack([
+            sample_on_grid(simulate_exact(spec.channels, spec.initial, 2.0, seed=3 + i), grid).values
+            for i in range(5)
+        ])
+        assert np.array_equal(ens.values, stack)
 
 
 class TestWilcoxon:
@@ -236,10 +249,10 @@ class TestWilcoxon:
         with pytest.raises(ConfigError):
             wilcoxon_ranksum([1.0], [2.0], alpha=0.0)
 
-    def test_exact_refused_when_infeasible(self):
+    def test_exact_on_large_identical_samples_is_one(self):
+        # 80 values: far beyond what enumerating C(80, 40) assignments allows
         x = list(map(float, range(40)))
-        with pytest.raises(ConfigError):
-            wilcoxon_ranksum(x, x, mode=PValueMode.EXACT)
+        assert wilcoxon_ranksum(x, x, mode=PValueMode.EXACT).p == 1.0
 
     def test_normal_mode_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -258,11 +271,9 @@ class TestCompare:
         law = GrowthLaw.logistic(1.0, 0.2)
         sds_traj = integrate(law, PopulationState(5.0), IntegratorConfig(dt=0.01, t_end=10.0, sample_every=0.1))
         idle = ChannelSet(channels=(Channel("idle", RateLaw(R_CONST, 0.0), (1, 0)),), species=("tumour",))
-        from dualsim.ssa import simulate_exact
-
-        reps = tuple(simulate_exact(idle, PopulationState(5), t_end=10.0, seed=i, replicate=i) for i in range(5))
-        ens = Ensemble(replicates=reps, base_seed=0)
-        report = compare(sds_traj, ens, make_grid(10.0, 1.0))
+        ens = run_ensemble(EnsembleSpec(channels=idle, initial=PopulationState(5), t_end=10.0),
+                           reps=5, base_seed=0, grid=make_grid(10.0, 1.0))
+        report = compare(sds_traj, ens)
         assert report.populations["tumour"].wilcoxon.h == 0
         assert report.populations["tumour"].wilcoxon.p >= 0.99
 
@@ -270,14 +281,13 @@ class TestCompare:
         params = scenario_preset(1)
         sds_traj = integrate(params, PopulationState(100.0, 10.0),
                              IntegratorConfig(dt=0.01, t_end=20.0, sample_every=0.1))
-        from dualsim.ssa import kuznetsov_channels
-
+        grid = make_grid(20.0, 1.0)
         ens = run_ensemble(
             EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(100, 10), t_end=20.0),
-            reps=5, base_seed=9,
+            reps=5, base_seed=9, grid=grid,
         )
-        grid = make_grid(20.0, 1.0)
-        report = compare(sds_traj, ens, grid, alpha=0.05, metadata={"scenario": 1})
+        report = compare(sds_traj, ens, alpha=0.05, metadata={"scenario": 1})
+        assert report.grid is ens.grid
         d = report.to_dict()
         assert set(d["populations"]) == {"tumour", "effector"}
         for pop in d["populations"].values():
@@ -292,14 +302,12 @@ class TestCompare:
         law = GrowthLaw.logistic(1.0, 0.2)
         sds_traj = integrate(law, PopulationState(1.0), IntegratorConfig(dt=0.01, t_end=5.0, sample_every=0.5))
         params = scenario_preset(1)
-        from dualsim.ssa import kuznetsov_channels
-
         ens = run_ensemble(
             EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(5, 1), t_end=5.0),
-            reps=2, base_seed=0,
+            reps=2, base_seed=0, grid=make_grid(5.0, 1.0),
         )
         with pytest.raises(ConfigError):
-            compare(sds_traj, ens, make_grid(5.0, 1.0))
+            compare(sds_traj, ens)
 
 
 class TestGridSeries:
