@@ -47,8 +47,6 @@ from .ssa import (
 )
 from .stats import (
     ComparisonReport,
-    GridSeries,
-    Interp,
     PValueMode,
     WilcoxonResult,
     compare,

@@ -312,18 +312,11 @@ def _manifest(spec: RunSpec, outputs: list[str], results: dict) -> str:
     return _json_doc(doc)
 
 
-def _plot_curves(series: stats.GridSeries, prefix: str = "") -> list[Curve]:
-    curves = []
-    for name in series.species:
-        curves.append(
-            Curve(
-                label=f"{prefix}{name}",
-                values=list(series.column(name)),
-                axis="left" if name == "tumour" else "right",
-                dotted=name != "tumour",
-            )
-        )
-    return curves
+def _curve(label: str, species: str, values: np.ndarray) -> Curve:
+    """One plotted series: tumour solid on the left axis, any other species
+    dotted on the right."""
+    tumour = species == "tumour"
+    return Curve(f"{label} {species}", list(values), axis="left" if tumour else "right", dotted=not tumour)
 
 
 def _model_label(spec: RunSpec) -> str:
@@ -356,27 +349,24 @@ def cmd_run(spec: RunSpec) -> list[Path]:
     outputs: dict[str, str] = {}
     results: dict = {}
     plot_curves: list[Curve] = []
-    plot_times = None
 
     if spec.paradigm in ("sds", "both"):
         traj = _run_sds(spec, model)
         outputs["sds.csv"] = _sds_csv(traj)
         results["sds_termination"] = traj.termination.value
         if spec.plot and traj.end_time >= grid[-1]:
-            series = stats.sample_on_grid(traj, grid, stats.Interp.LINEAR)
-            plot_curves += _plot_curves(series, prefix="sds ")
-            plot_times = grid
+            sds = stats.sample_on_grid(traj, grid)
+            plot_curves += [_curve("sds", name, col) for name, col in zip(traj.species, sds.T)]
     if spec.paradigm in ("abs", "both"):
         ens = _run_abs(spec, model, grid)
         outputs["abs_ensemble.csv"] = _ensemble_csv(ens)
         results["abs_terminations"] = sorted({t.value for t in ens.terminations})
         if spec.plot:
-            mean_series, _ = stats.ensemble_mean(ens)
-            plot_curves += _plot_curves(mean_series, prefix="abs mean ")
-            plot_times = grid
+            mean, _ = stats.ensemble_mean(ens)
+            plot_curves += [_curve("abs mean", name, col) for name, col in zip(ens.species, mean.T)]
 
     if spec.plot and plot_curves:
-        outputs["plot.svg"] = emit_svg_plot(plot_times, plot_curves, title=_model_label(spec))
+        outputs["plot.svg"] = emit_svg_plot(grid, plot_curves, title=_model_label(spec))
 
     outputs["manifest.json"] = _manifest(spec, [*outputs, "manifest.json"], results)
     return _write_outputs(spec.out, outputs)
@@ -411,22 +401,20 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
         },
     )
 
-    outputs: dict[str, str] = {}
-    outputs["report.json"] = _json_doc(report.to_dict())
-    outputs["comparison.csv"] = _comparison_csv(report)
-    curves = []
-    for name, comp in report.populations.items():
-        axis = "left" if name == "tumour" else "right"
-        dotted = name != "tumour"
-        curves.append(Curve(f"sds {name}", list(comp.sds), axis=axis, dotted=dotted))
-        curves.append(Curve(f"abs mean {name}", list(comp.abs_mean), axis=axis, dotted=dotted))
-    outputs["comparison.svg"] = emit_svg_plot(grid, curves, title=_model_label(spec))
+    doc = report.to_dict()
+    curves = [
+        _curve(label, name, values)
+        for name, comp in report.populations.items()
+        for label, values in (("sds", comp.sds), ("abs mean", comp.abs_mean))
+    ]
+    outputs = {
+        "report.json": _json_doc(doc),
+        "comparison.csv": _comparison_csv(report),
+        "comparison.svg": emit_svg_plot(grid, curves, title=_model_label(spec)),
+    }
     results = {
         "sds_termination": traj.termination.value,
-        "wilcoxon": {
-            name: {"U": comp.wilcoxon.U, "p": comp.wilcoxon.p, "h": comp.wilcoxon.h}
-            for name, comp in report.populations.items()
-        },
+        "wilcoxon": {name: pop["wilcoxon"] for name, pop in doc["populations"].items()},
     }
     outputs["manifest.json"] = _manifest(spec, [*outputs, "manifest.json"], results)
     return _write_outputs(spec.out, outputs)

@@ -280,7 +280,8 @@ def _raise_for_status(status: int, seed: int, max_events: int, last: str = "") -
 
 def _check_grid(grid, t_end: float) -> np.ndarray:
     """``grid`` as contiguous float64; ConfigError unless it is 1-D, finite,
-    strictly increasing, starts at 0 and ends by ``t_end``."""
+    strictly increasing, starts at 0 and ends by ``t_end``.  The one grid
+    rule for recording runs and for sampling them (``stats.sample_on_grid``)."""
     try:
         grid = np.asarray(grid, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -1,11 +1,16 @@
 """Grid alignment, ensemble aggregation, and the rank-sum similarity test.
 
-The two paradigms are compared on the stochastic ensemble's uniform time
-grid: deterministic trajectories are linearly interpolated, the ensemble
-already holds each replicate's state at every grid time (the right-continuous
-step sample, correct for piecewise-constant counts) and is averaged across
-replicates, and a two-sided Wilcoxon rank-sum (Mann-Whitney) test per
-population decides whether the two grid series look alike.
+Everything here works on plain arrays of shape ``(len(grid), len(species))``,
+columns in the order of ``species``.  The two paradigms are compared on the
+stochastic ensemble's time grid: a deterministic trajectory is linearly
+interpolated onto it, the ensemble already holds each replicate's state at
+every grid time (the right-continuous step sample, correct for
+piecewise-constant counts) and is averaged across replicates, and a
+two-sided Wilcoxon rank-sum (Mann-Whitney) test per population decides
+whether the two series look alike.  A grid is valid for sampling when
+``ssa``'s rule accepts it (1-D, finite, strictly increasing, from 0 to at
+most the run's end); ``compare`` also needs it uniform with at least two
+points, because its report records one spacing.
 """
 
 from __future__ import annotations
@@ -17,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ssa import Ensemble
-from .trajectory import Trajectory
+from .ssa import Ensemble, _check_grid
+from .trajectory import Paradigm, Trajectory
 
 __all__ = [
-    "GridSeries",
-    "Interp",
     "PValueMode",
     "WilcoxonResult",
     "PopulationComparison",
@@ -40,102 +43,41 @@ __all__ = [
 EXACT_LIMIT = 20
 
 
-class Interp(enum.Enum):
-    STEP = "step"
-    LINEAR = "linear"
-
-
 class PValueMode(enum.Enum):
     AUTO = "auto"
     EXACT = "exact"
     NORMAL = "normal"
 
 
-@dataclass(frozen=True)
-class GridSeries:
-    """Values on a uniform time grid, one column per population."""
-
-    times: np.ndarray
-    values: np.ndarray
-    species: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values.reshape(-1, 1)
-        if times.ndim != 1 or len(times) < 2:
-            raise ConfigError("a grid series needs at least 2 grid points")
-        steps = np.diff(times)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12) or steps[0] <= 0:
-            raise ConfigError("grid spacing must be constant and positive")
-        if values.shape != (len(times), len(self.species)):
-            raise ConfigError(
-                f"values shape {values.shape} does not match {len(times)} points x {len(self.species)} species"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ConfigError("grid series values must be finite")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def column(self, species: str) -> np.ndarray:
-        try:
-            return self.values[:, self.species.index(species)]
-        except ValueError:
-            raise KeyError(f"no species {species!r} in {self.species}") from None
-
-
 def make_grid(t_end: float, spacing: float = 1.0) -> np.ndarray:
     """Uniform grid 0, spacing, 2*spacing, ... up to (and including) the last
-    multiple of ``spacing`` that fits in ``t_end``."""
+    multiple of ``spacing`` that fits in ``t_end``; a last point that rounding
+    puts past ``t_end`` is clamped to it."""
     if not (spacing > 0 and t_end >= spacing):
         raise ConfigError(f"need 0 < spacing <= t_end, got spacing={spacing}, t_end={t_end}")
     n = int(math.floor(t_end / spacing + 1e-9))
-    return spacing * np.arange(n + 1)
+    grid = spacing * np.arange(n + 1)
+    grid[-1] = min(grid[-1], t_end)
+    return grid
 
 
-def _check_span(traj: Trajectory, grid: np.ndarray) -> None:
-    if grid.size == 0:
-        raise ConfigError("empty grid")
-    if grid[0] < 0 or grid[-1] > traj.end_time + 1e-9:
-        raise ConfigError(
-            f"grid [{grid[0]}, {grid[-1]}] exceeds the trajectory span [0, {traj.end_time}]"
-        )
+def sample_on_grid(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
+    """A trajectory's states at the grid times, ``(len(grid), len(species))``.
 
-
-def _step_values(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
-    """The states held at the grid times: the last sample at or before each."""
-    _check_span(traj, grid)
-    idx = np.searchsorted(traj.times, grid, side="right") - 1
-    idx = np.clip(idx, 0, len(traj.times) - 1)
-    return traj.states[idx, :]
-
-
-def sample_on_grid(traj: Trajectory, grid: np.ndarray, interp: Interp = Interp.STEP) -> GridSeries:
-    """Resample a trajectory on a grid.
-
-    STEP holds the value of the last sample at or before each grid time
-    (right-continuous piecewise-constant); LINEAR interpolates between
-    samples.  Grid times that hit a sample exactly pass through unchanged.
+    Stochastic (ABS) runs are step-sampled: each grid time takes the last
+    sample at or before it, as piecewise-constant counts hold.  Deterministic
+    (SDS) runs are linearly interpolated.  Grid times that hit a sample
+    exactly pass through unchanged.
     """
-    grid = np.asarray(grid, dtype=float)
-    if interp is Interp.STEP:
-        values = _step_values(traj, grid)
-    else:
-        _check_span(traj, grid)
-        values = np.column_stack(
-            [np.interp(grid, traj.times, traj.states[:, k]) for k in range(traj.states.shape[1])]
-        )
-    return GridSeries(times=grid, values=values, species=traj.species)
+    grid = _check_grid(grid, traj.end_time)
+    if traj.paradigm is Paradigm.ABS:
+        return traj.states[np.searchsorted(traj.times, grid, side="right") - 1]
+    return np.column_stack([np.interp(grid, traj.times, column) for column in traj.states.T])
 
 
-def ensemble_mean(ens: Ensemble) -> tuple[GridSeries, GridSeries]:
-    """Pointwise mean and unbiased variance across the replicates, on the
-    ensemble's grid.
+def ensemble_mean(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise mean and unbiased variance across the replicates, each
+    ``(len(ens.grid), len(ens.species))``.
 
     Extinct replicates hold their absorbing final state to the end of the
     grid.  A single-replicate ensemble has variance 0.
@@ -145,10 +87,7 @@ def ensemble_mean(ens: Ensemble) -> tuple[GridSeries, GridSeries]:
         var = ens.values.var(axis=0, ddof=1)
     else:
         var = np.zeros_like(mean)
-    return (
-        GridSeries(times=ens.grid, values=mean, species=ens.species),
-        GridSeries(times=ens.grid, values=var, species=ens.species),
-    )
+    return mean, var
 
 
 @dataclass(frozen=True)
@@ -300,7 +239,7 @@ def compare(
     """Align both paradigms on the ensemble's grid and test each population.
 
     The deterministic side is linearly interpolated, the stochastic side is
-    the ensemble mean; the two grid series feed the rank-sum test.  The
+    the ensemble mean; the two series feed the rank-sum test per population.  The
     protocol (grid spacing, alpha, replicate count, seeds) is recorded in the
     report metadata so results are self-describing.
     """
@@ -310,16 +249,18 @@ def compare(
             f"mismatched populations: deterministic run has {species}, the ensemble has {ens.species}"
         )
     grid = ens.grid
-    sds_series = sample_on_grid(sds_traj, grid, Interp.LINEAR)
-    mean_series, var_series = ensemble_mean(ens)
+    steps = np.diff(grid)
+    if len(grid) < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        raise ConfigError("compare needs a uniform grid of at least 2 points: the report records one spacing")
+    sds = sample_on_grid(sds_traj, grid)
+    mean, var = ensemble_mean(ens)
     populations = {}
-    for name in species:
-        w = wilcoxon_ranksum(sds_series.column(name), mean_series.column(name), alpha=alpha)
+    for k, name in enumerate(species):
         populations[name] = PopulationComparison(
-            sds=sds_series.column(name),
-            abs_mean=mean_series.column(name),
-            abs_variance=var_series.column(name),
-            wilcoxon=w,
+            sds=sds[:, k],
+            abs_mean=mean[:, k],
+            abs_variance=var[:, k],
+            wilcoxon=wilcoxon_ranksum(sds[:, k], mean[:, k], alpha=alpha),
         )
     meta = {
         "alpha": alpha,

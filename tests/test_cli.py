@@ -21,7 +21,7 @@ from dualsim.errors import ConfigError
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
 from dualsim.ssa import EnsembleSpec, growth_channels, kuznetsov_channels, run_ensemble, simulate_exact
-from dualsim.stats import Interp, compare, make_grid, sample_on_grid
+from dualsim.stats import compare, make_grid, sample_on_grid
 from dualsim.trajectory import Paradigm, Termination, Trajectory
 
 
@@ -158,10 +158,10 @@ def reference_ensemble_csv(spec, reps, base_seed, grid):
     lines = ["replicate,time," + ",".join(spec.channels.species)]
     for r in range(reps):
         rep = simulate_exact(spec.channels, spec.initial, spec.t_end, seed=base_seed + r)
-        series = sample_on_grid(rep, grid, Interp.STEP)
-        for i in range(len(series.times)):
-            cells = [str(r), f"{series.times[i]:.6f}"]
-            cells += [repr(float(v)) for v in series.values[i]]
+        values = sample_on_grid(rep, grid)
+        for i in range(len(grid)):
+            cells = [str(r), f"{grid[i]:.6f}"]
+            cells += [repr(float(v)) for v in values[i]]
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -315,6 +315,15 @@ class TestMainExitCodes:
         assert rc == 0
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["run_spec"]["c"] == 2.5
+
+    def test_grid_that_rounds_past_t_end(self, tmp_path):
+        # 3 * 0.1 is 0.30000000000000004 in floating point, past both runs' end
+        flags = ["--model", "logistic", "--c", "5", "--t-end", "0.3", "--grid", "0.1", "--reps", "3"]
+        assert main(["compare", *flags, "--out", str(tmp_path / "compare")]) == 0
+        report = json.loads(read(tmp_path / "compare" / "report.json"))
+        assert report["grid"]["times"][-1] == 0.3
+        assert main(["run", *flags, "--plot", "--out", str(tmp_path / "run")]) == 0
+        assert read(tmp_path / "run" / "plot.svg").count("<polyline") == 2  # sds and abs mean
 
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0

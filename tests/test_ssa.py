@@ -336,7 +336,7 @@ class TestEnsembles:
         ens = run_ensemble(spec, base_seed=100, grid=grid)
         assert len(ens) == 50 and ens.base_seed == 100
         for i, row in enumerate(ens.values):
-            assert np.array_equal(row, sample_on_grid(per_event_replicate(spec, 100 + i), grid).values)
+            assert np.array_equal(row, sample_on_grid(per_event_replicate(spec, 100 + i), grid))
 
     def test_logistic_extinction_fractions_frozen_exceeds_live(self):
         # ratio c = 1.25 (a=1, b=0.8) from one cell: many runs die out early,
@@ -389,7 +389,7 @@ class TestEnsembles:
             assert np.array_equal(held.grid, grid) and held.species == channels.species
             assert held.values.shape == (6, len(grid), len(channels.species))
             for row, f in zip(held.values, full):
-                assert np.array_equal(row, sample_on_grid(f, grid).values)
+                assert np.array_equal(row, sample_on_grid(f, grid))
             assert held.terminations == tuple(f.termination for f in full)
         # the death-only replicates die out long before t = 10
         assert all(t is Termination.EXTINCT for t in held.terminations)

@@ -23,8 +23,6 @@ from dualsim.ssa import (
 )
 from dualsim.stats import (
     EXACT_LIMIT,
-    GridSeries,
-    Interp,
     PValueMode,
     compare,
     ensemble_mean,
@@ -35,7 +33,7 @@ from dualsim.stats import (
 from dualsim.trajectory import Paradigm, Termination, Trajectory
 
 
-def abs_traj(times, values, species=("tumour",), termination=Termination.COMPLETED):
+def abs_traj(times, values, species=("tumour",), termination=Termination.COMPLETED, paradigm=Paradigm.ABS):
     states = np.asarray(values, dtype=float)
     if states.ndim == 1:
         states = states.reshape(-1, 1)
@@ -44,7 +42,7 @@ def abs_traj(times, values, species=("tumour",), termination=Termination.COMPLET
         states=states,
         species=species,
         termination=termination,
-        paradigm=Paradigm.ABS,
+        paradigm=paradigm,
     )
 
 
@@ -79,34 +77,50 @@ def brute_force_two_sided_p(x, y):
 
 class TestSampleOnGrid:
     def test_constant_trajectory_any_grid(self):
-        traj = abs_traj([0.0, 2.0], [3.0, 3.0])
-        for interp in (Interp.STEP, Interp.LINEAR):
-            series = sample_on_grid(traj, np.array([0.0, 0.5, 1.0, 1.5, 2.0]), interp)
-            assert np.all(series.values == 3.0)
+        grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        for paradigm in (Paradigm.ABS, Paradigm.SDS):
+            values = sample_on_grid(abs_traj([0.0, 2.0], [3.0, 3.0], paradigm=paradigm), grid)
+            assert values.shape == (5, 1) and np.all(values == 3.0)
 
     def test_step_holds_value_between_events(self):
         traj = abs_traj([0.0, 0.5, 2.0], [1.0, 2.0, 1.0])
-        series = sample_on_grid(traj, np.array([0.0, 1.0, 2.0]), Interp.STEP)
-        assert list(series.column("tumour")) == [1.0, 2.0, 1.0]
+        values = sample_on_grid(traj, np.array([0.0, 1.0, 2.0]))
+        assert list(values[:, 0]) == [1.0, 2.0, 1.0]
+
+    def test_paradigm_picks_step_or_linear(self):
+        # the same samples, held by a stochastic run, interpolated by a
+        # deterministic one
+        grid = np.array([0.0, 0.5, 1.0])
+        states = [[0.0, 4.0], [2.0, 8.0]]
+        step = sample_on_grid(abs_traj([0.0, 1.0], states, ("tumour", "effector")), grid)
+        linear = sample_on_grid(abs_traj([0.0, 1.0], states, ("tumour", "effector"), paradigm=Paradigm.SDS), grid)
+        assert step.tolist() == [[0.0, 4.0], [0.0, 4.0], [2.0, 8.0]]
+        assert linear.tolist() == [[0.0, 4.0], [1.0, 6.0], [2.0, 8.0]]
 
     def test_knots_pass_through_unchanged(self):
         law = GrowthLaw.logistic(1.0, 0.2)
         traj = integrate(law, PopulationState(1.0), IntegratorConfig(dt=0.01, t_end=5.0, sample_every=0.5))
-        series = sample_on_grid(traj, traj.times, Interp.LINEAR)
-        assert np.array_equal(series.column("tumour"), traj.values("tumour"))
-        step = sample_on_grid(traj, traj.times, Interp.STEP)
-        assert np.array_equal(step.column("tumour"), traj.values("tumour"))
+        assert np.array_equal(sample_on_grid(traj, traj.times), traj.states)
+        events = abs_traj([0.0, 0.3, 1.7, 2.0], [1.0, 2.0, 1.0, 1.0])
+        assert np.array_equal(sample_on_grid(events, events.times), events.states)
 
-    def test_grid_beyond_span_errors(self):
+    @pytest.mark.parametrize("grid", [[0.0, 2.0], [0.5, 1.0], [0.0, 1.0, 0.5], []],
+                             ids=["past-the-end", "not-from-0", "not-increasing", "empty"])
+    def test_grid_beyond_span_errors(self, grid):
         traj = abs_traj([0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ConfigError):
-            sample_on_grid(traj, np.array([0.0, 2.0]))
+        with pytest.raises(ConfigError, match="grid"):
+            sample_on_grid(traj, np.array(grid))
 
     def test_make_grid(self):
         grid = make_grid(100.0, 1.0)
         assert len(grid) == 101
         assert grid[0] == 0.0 and grid[-1] == 100.0
         assert np.allclose(np.diff(grid), 1.0)
+        # 3 * 0.1 is 0.30000000000000004 in floating point; the last point
+        # is t_end itself
+        grid = make_grid(0.3, 0.1)
+        assert len(grid) == 4 and grid[-1] == 0.3
+        assert np.allclose(np.diff(grid), 0.1)
 
 
 def held_ensemble(grid, rows, species=("tumour",)):
@@ -116,24 +130,29 @@ def held_ensemble(grid, rows, species=("tumour",)):
                     terminations=(Termination.COMPLETED,) * len(rows), base_seed=0)
 
 
+def kuznetsov_spec(t_end):
+    return EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
+                        initial=PopulationState(100, 10), t_end=t_end)
+
+
 class TestEnsembleMean:
     def test_identical_replicates_zero_variance(self):
         row = [2.0, 4.0, 4.0, 4.0]
         mean, var = ensemble_mean(held_ensemble([0.0, 1.0, 2.0, 3.0], [row, row, row]))
-        assert list(mean.column("tumour")) == [2.0, 4.0, 4.0, 4.0]
-        assert np.all(var.values == 0.0)
+        assert mean.tolist() == [[2.0], [4.0], [4.0], [4.0]]
+        assert var.shape == (4, 1) and np.all(var == 0.0)
 
     def test_two_point_formula(self):
         mean, var = ensemble_mean(held_ensemble([0.0, 1.0], [[0.0, 0.0], [2.0, 2.0]]))
-        assert np.all(mean.values == 1.0)
-        assert np.all(var.values == 2.0)  # unbiased: ((0-1)^2 + (2-1)^2) / (2-1)
+        assert np.all(mean == 1.0)
+        assert np.all(var == 2.0)  # unbiased: ((0-1)^2 + (2-1)^2) / (2-1)
 
     def test_single_replicate_identity(self):
         grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         ens = held_ensemble(grid, [[1.0, 1.0, 3.0, 3.0, 0.0]])
         mean, var = ensemble_mean(ens)
-        assert np.array_equal(mean.values, ens.values[0])
-        assert np.all(var.values == 0.0)
+        assert np.array_equal(mean, ens.values[0])
+        assert np.all(var == 0.0)
 
     def test_equals_moments_of_step_sampled_replicates(self):
         # numpy's moments of the held values, bit for bit, and those values
@@ -143,14 +162,21 @@ class TestEnsembleMean:
         grid = make_grid(2.0, 0.25)
         ens = run_ensemble(spec, reps=5, base_seed=3, grid=grid)
         mean, var = ensemble_mean(ens)
-        assert np.array_equal(mean.values, ens.values.mean(axis=0))
-        assert np.array_equal(var.values, ens.values.var(axis=0, ddof=1))
-        assert np.array_equal(mean.times, grid) and mean.species == ("tumour", "effector")
+        assert np.array_equal(mean, ens.values.mean(axis=0))
+        assert np.array_equal(var, ens.values.var(axis=0, ddof=1))
+        assert mean.shape == var.shape == (len(grid), 2)
         stack = np.stack([
-            sample_on_grid(simulate_exact(spec.channels, spec.initial, 2.0, seed=3 + i), grid).values
+            sample_on_grid(simulate_exact(spec.channels, spec.initial, 2.0, seed=3 + i), grid)
             for i in range(5)
         ])
         assert np.array_equal(ens.values, stack)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 2.0], [0.0]], ids=["non-uniform", "one-point"])
+    def test_any_grid_run_ensemble_accepts(self, grid):
+        ens = run_ensemble(kuznetsov_spec(t_end=2.0), reps=3, base_seed=1, grid=grid)
+        mean, var = ensemble_mean(ens)
+        assert mean.shape == var.shape == (len(grid), 2)
+        assert np.array_equal(mean, ens.values.mean(axis=0))
 
 
 class TestWilcoxon:
@@ -309,19 +335,17 @@ class TestCompare:
         with pytest.raises(ConfigError):
             compare(sds_traj, ens)
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 2.0], [0.0, 1.0, 3.0]], ids=["shrinking", "growing"])
+    def test_requires_uniform_grid(self, grid):
+        sds_traj = integrate(scenario_preset(4), PopulationState(100.0, 10.0),
+                             IntegratorConfig(dt=0.01, t_end=3.0, sample_every=0.1))
+        ens = run_ensemble(kuznetsov_spec(t_end=3.0), reps=3, base_seed=1, grid=grid)
+        with pytest.raises(ConfigError, match="uniform grid of at least 2 points"):
+            compare(sds_traj, ens)
 
-class TestGridSeries:
-    def test_requires_uniform_spacing(self):
-        with pytest.raises(ConfigError):
-            GridSeries(times=np.array([0.0, 1.0, 3.0]), values=np.zeros((3, 1)), species=("tumour",))
-
-    def test_requires_two_points(self):
-        with pytest.raises(ConfigError):
-            GridSeries(times=np.array([0.0]), values=np.zeros((1, 1)), species=("tumour",))
-
-    def test_column_lookup(self):
-        gs = GridSeries(times=np.array([0.0, 1.0]), values=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                        species=("tumour", "effector"))
-        assert list(gs.column("effector")) == [2.0, 4.0]
-        with pytest.raises(KeyError):
-            gs.column("stroma")
+    def test_requires_two_grid_points(self):
+        sds_traj = integrate(scenario_preset(4), PopulationState(100.0, 10.0),
+                             IntegratorConfig(dt=0.01, t_end=2.0, sample_every=0.1))
+        ens = run_ensemble(kuznetsov_spec(t_end=2.0), reps=3, base_seed=1, grid=[0.0])
+        with pytest.raises(ConfigError, match="uniform grid of at least 2 points"):
+            compare(sds_traj, ens)
