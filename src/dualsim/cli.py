@@ -362,7 +362,7 @@ def cmd_run(spec: RunSpec) -> list[Path]:
         outputs["abs_ensemble.csv"] = _ensemble_csv(ens)
         results["abs_terminations"] = sorted({t.value for t in ens.terminations})
         if spec.plot:
-            mean, _ = stats.ensemble_mean(ens)
+            mean = ens.values.mean(axis=0)
             plot_curves += [_curve("abs mean", name, col) for name, col in zip(ens.species, mean.T)]
 
     if spec.plot and plot_curves:

@@ -14,10 +14,15 @@ In each backend, ``rk4_growth`` and ``rk4_kuznetsov`` only parse their
 arguments and name the model's derivative, which one shared RK4 stepper
 (``rk4_run`` in C, ``_rk4`` in Python) integrates over the state (T, E): it
 alone places the sample targets, halves undershooting steps, reports
-blow-ups and step failures, and clamps residues.  ``ssa`` and ``tau_leap``
-evaluate the channel table through one rate evaluator per backend
-(``table_rates`` in C, ``_rates`` in Python) and reject a rate-law code
-outside 0..5 with ValueError.
+blow-ups and step failures, and clamps residues.  The one model input of
+``ssa``, ``ssa_frozen`` and ``tau_leap`` is a channel table
+(``ssa.ChannelSet.table``) of at most 16 tuples ``(code, c, e, g, dT, dE)``,
+read by ``table_read`` in C and ``_table`` in Python: a malformed table
+raises TypeError, more rows or a rate-law code outside 0..5 ValueError.
+``ssa`` and ``tau_leap`` evaluate it with ``table_rates`` and ``_rates``.
+``ssa_frozen`` needs a birth row ``c*T**e`` (code 1, jump (1, 0)), then a
+death row of code 1 or 2 and jump (-1, 0), else ValueError; each agent keeps
+its per-capita death rate at birth, ``c*T**(e-1)`` or ``c*ln(T)``.
 
 Sampling contract of the stochastic kernels (``ssa``, ``ssa_frozen``,
 ``tau_leap``): called without their optional trailing ``grid``, they return

@@ -7,9 +7,10 @@
  * ``np.asarray`` views as float64 without a copy.
  *
  * ``rk4_growth`` and ``rk4_kuznetsov`` parse their arguments and pass their
- * model's derivative to the one stepper ``rk4_run``; ``ssa`` and
- * ``tau_leap`` read their channel table with ``table_read``, which rejects a
- * rate-law code outside 0..5, and evaluate it with ``table_rates``.
+ * model's derivative to the one stepper ``rk4_run``.  ``ssa``, ``ssa_frozen``
+ * and ``tau_leap`` read their one model input, a channel table of ``(code,
+ * c, e, g, dT, dE)`` rows, with ``table_read``; ``ssa`` and ``tau_leap``
+ * evaluate it with ``table_rates``.
  *
  * ``ssa``, ``ssa_frozen`` and ``tau_leap`` take an optional trailing
  * ``grid``, a contiguous 1-D buffer of doubles (anything else raises
@@ -368,38 +369,34 @@ typedef struct {
     double dT[MAX_CHANNELS], dE[MAX_CHANNELS];
 } Table;
 
-/* cols: the sequences codes, coefs, expos, sats, d_t and d_e, one entry per
- * channel; a rate-law code outside 0..5 raises ValueError */
-static int table_read(Table *tab, PyObject *const cols[6])
+#define ROW_ERROR "a channel row must be a tuple of six numbers (code, c, e, g, dT, dE)"
+
+/* ``table``: a sequence of at most MAX_CHANNELS rows, each a tuple of six
+ * numbers (code, c, e, g, dT, dE), one PyArg_ParseTuple per row; anything
+ * else raises TypeError, too many rows or a rate-law code outside 0..5
+ * ValueError */
+static int table_read(Table *tab, PyObject *table)
 {
-    Py_ssize_t n = PyObject_Length(cols[0]);
-    if (n < 0)
+    PyObject *rows = PySequence_Fast(table, "the channel table must be a sequence of rows");
+    if (rows == NULL)
         return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(rows);
     if (n > MAX_CHANNELS) {
         PyErr_Format(PyExc_ValueError, "at most %d channels supported, got %zd", MAX_CHANNELS, n);
-        return -1;
+        n = 0;
     }
     tab->n = (int)n;
-    double *dst[6] = {NULL, tab->coef, tab->expo, tab->sat, tab->dT, tab->dE};
-    for (int i = 0; i < tab->n; i++) {
-        for (int k = 0; k < 6; k++) {
-            PyObject *item = PySequence_GetItem(cols[k], i);
-            if (item == NULL)
-                return -1;
-            if (k == 0)
-                tab->code[i] = PyLong_AsLong(item);
-            else
-                dst[k][i] = PyFloat_AsDouble(item);
-            Py_DECREF(item);
-            if (PyErr_Occurred())
-                return -1;
-        }
-        if (tab->code[i] < 0 || tab->code[i] > 5) {
+    for (int i = 0; i < tab->n && !PyErr_Occurred(); i++) {
+        PyObject *row = PySequence_Fast_GET_ITEM(rows, i);
+        if (!PyTuple_Check(row))
+            PyErr_SetString(PyExc_TypeError, ROW_ERROR);
+        else if (PyArg_ParseTuple(row, "lddddd;" ROW_ERROR, &tab->code[i], &tab->coef[i],
+                                  &tab->expo[i], &tab->sat[i], &tab->dT[i], &tab->dE[i]) &&
+                 (tab->code[i] < 0 || tab->code[i] > 5))
             PyErr_Format(PyExc_ValueError, "unknown rate-law code %ld", tab->code[i]);
-            return -1;
-        }
     }
-    return 0;
+    Py_DECREF(rows);
+    return PyErr_Occurred() ? -1 : 0;
 }
 
 static inline double channel_rate(const Table *tab, int i, double T, double E)
@@ -443,19 +440,17 @@ static inline double table_rates(const Table *tab, double T, double E, double fl
 
 static PyObject *ssa(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "T0", "E0",
-                            "t_end", "seed", "floor_t", "floor_e", "cap", "max_events", "grid",
-                            NULL};
-    PyObject *cols[6], *seed, *grid = NULL;
+    static char *names[] = {"table", "T0", "E0", "t_end", "seed", "floor_t", "floor_e", "cap",
+                            "max_events", "grid", NULL};
+    PyObject *table, *seed, *grid = NULL;
     double T0, E0, t_end, floor_t, floor_e, cap;
     long max_events;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOdddOdddl|O", names, &cols[0], &cols[1],
-                                     &cols[2], &cols[3], &cols[4], &cols[5], &T0, &E0, &t_end,
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OdddOdddl|O", names, &table, &T0, &E0, &t_end,
                                      &seed, &floor_t, &floor_e, &cap, &max_events, &grid))
         return NULL;
     Table tab;
     Rng rng;
-    if (table_read(&tab, cols) < 0 || rng_seed(&rng, seed) < 0)
+    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0)
         return NULL;
     double rates[MAX_CHANNELS];
     double T = T0, E = E0, t = 0.0;
@@ -515,19 +510,27 @@ typedef struct {
 
 static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"birth_c", "birth_e", "death_log", "death_c", "death_e", "T0",
-                            "t_end", "seed", "floor_t", "cap", "max_events", "grid", NULL};
-    double birth_c, birth_e, death_c, death_e, T0, t_end, floor_t, cap;
-    int death_log;
+    static char *names[] = {"table", "T0", "t_end", "seed", "floor_t", "cap", "max_events",
+                            "grid", NULL};
+    PyObject *table, *seed, *grid = NULL;
+    double T0, t_end, floor_t, cap;
     long max_events;
-    PyObject *seed, *grid = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "ddpddddOddl|O", names, &birth_c, &birth_e,
-                                     &death_log, &death_c, &death_e, &T0, &t_end, &seed,
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OddOddl|O", names, &table, &T0, &t_end, &seed,
                                      &floor_t, &cap, &max_events, &grid))
         return NULL;
+    Table tab;
     Rng rng;
-    if (rng_seed(&rng, seed) < 0)
+    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0)
         return NULL;
+    /* birth c * T^e (code 1, jump (1, 0)), then death (code 1 or 2, jump
+     * (-1, 0)) with the per-capita rate c * T^(e - 1) or c * ln T */
+    if (tab.n != 2 || tab.code[0] != 1 || tab.dT[0] != 1.0 || tab.dE[0] != 0.0 ||
+        (tab.code[1] != 1 && tab.code[1] != 2) || tab.dT[1] != -1.0 || tab.dE[1] != 0.0) {
+        PyErr_SetString(PyExc_ValueError, "ssa_frozen needs a birth-death table");
+        return NULL;
+    }
+    double a = tab.coef[0], ea = tab.expo[0], b = tab.coef[1], eb = tab.expo[1] - 1.0;
+    int tlogt = tab.code[1] == 2;
     double T = T0, t = 0.0;
     long nev = 0;
     int status = -1;
@@ -540,14 +543,14 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
         PyMem_Free(coh);
         return NULL;
     }
-#define DEATH_RATE(T) (death_log ? death_c * log(T) : death_c * powfast((T), death_e))
+#define DEATH_RATE(T) (tlogt ? b * log(T) : b * powfast((T), eb))
     if (T > 0.0) {
         coh[0].rate = DEATH_RATE(T);
         coh[0].count = T;
         ncoh = 1;
     }
     for (;;) {
-        double B = birth_e == 1.0 ? birth_c * T : birth_c * powfast(T, birth_e);
+        double B = ea == 1.0 ? a * T : a * powfast(T, ea);
         double D = 0.0;
         for (Py_ssize_t i = 0; i < ncoh; i++)
             D += coh[i].rate * coh[i].count;
@@ -628,17 +631,16 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
 
 static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *names[] = {"codes", "coefs", "expos", "sats", "d_t", "d_e", "T0", "E0",
-                            "t_end", "dt", "seed", "floor_t", "floor_e", "cap", "grid", NULL};
-    PyObject *cols[6], *seed, *grid = NULL;
+    static char *names[] = {"table", "T0", "E0", "t_end", "dt", "seed", "floor_t", "floor_e",
+                            "cap", "grid", NULL};
+    PyObject *table, *seed, *grid = NULL;
     double T0, E0, t_end, dt, floor_t, floor_e, cap;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOOOOddddOddd|O", names, &cols[0], &cols[1],
-                                     &cols[2], &cols[3], &cols[4], &cols[5], &T0, &E0, &t_end,
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OddddOddd|O", names, &table, &T0, &E0, &t_end,
                                      &dt, &seed, &floor_t, &floor_e, &cap, &grid))
         return NULL;
     Table tab;
     Rng rng;
-    if (table_read(&tab, cols) < 0 || rng_seed(&rng, seed) < 0)
+    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0)
         return NULL;
     double rates[MAX_CHANNELS];
     double T = T0, E = E0, t = 0.0;
@@ -705,8 +707,8 @@ static PyMethodDef methods[] = {
     KERNEL(rk4_kuznetsov, "Integrate the tumour-effector system. Returns (times, T, E, status)."),
     KERNEL(ssa, "Exact simulation of a channel table. Returns (times, T, E, status), "
                 "per event or held on ``grid``."),
-    KERNEL(ssa_frozen, "Exact simulation, death rates fixed at birth. Returns (times, T, status), "
-                       "per event or held on ``grid``."),
+    KERNEL(ssa_frozen, "Exact simulation of a birth-death table, death rates fixed at birth. "
+                       "Returns (times, T, status), per event or held on ``grid``."),
     KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (times, T, E, status), "
                      "per leap or held on ``grid``."),
     {NULL, NULL, 0, NULL},

@@ -19,9 +19,11 @@ ValueError):
     4 MASS_TE    rate = c * T * E
     5 MM_TE      rate = c * T * E / (g + T)
 
-``_rates`` evaluates a channel table for ``ssa`` and ``tau_leap`` and is the
-reference evaluator of the tests.  ``rk4_growth`` and ``rk4_kuznetsov``
-hand their model's derivative to the one stepper ``_rk4``.
+Every stochastic kernel takes one channel table of ``(code, c, e, g, dT,
+dE)`` rows, read by ``_table``.  ``_rates`` evaluates it for ``ssa`` and
+``tau_leap`` and is the reference evaluator of the tests.  ``rk4_growth``
+and ``rk4_kuznetsov`` hand their model's derivative to the one stepper
+``_rk4``.
 
 The stochastic kernels (``ssa``, ``ssa_frozen``, ``tau_leap``) take an
 optional trailing ``grid``, a contiguous 1-D buffer of doubles such as a
@@ -40,6 +42,8 @@ but they intentionally differ from the compiled backend's generator.
 from __future__ import annotations
 
 import math
+from numbers import Real
+from operator import index
 from random import Random
 
 _INF = math.inf
@@ -205,12 +209,18 @@ def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowu
 # channel tables
 # ---------------------------------------------------------------------------
 
-def _table(codes, coefs, expos, sats, d_t, d_e):
-    """The channel rows (code, coef, expo, sat, dT, dE), twin of the compiled
-    ``table_read``; a rate-law code outside 0..5 raises ValueError."""
-    rows = tuple(zip(codes, coefs, expos, sats, d_t, d_e, strict=True))
+def _table(table):
+    """The channel rows (code, c, e, g, dT, dE), twin of the compiled
+    ``table_read``: a table that is not a sequence of tuples of six numbers
+    raises TypeError, more than 16 rows or a rate-law code outside 0..5
+    ValueError."""
+    rows = tuple(table)
+    if len(rows) > 16:
+        raise ValueError(f"at most 16 channels supported, got {len(rows)}")
     for row in rows:
-        if row[0] not in (0, 1, 2, 3, 4, 5):
+        if not (isinstance(row, tuple) and len(row) == 6 and all(isinstance(x, Real) for x in row)):
+            raise TypeError("a channel row must be a tuple of six numbers (code, c, e, g, dT, dE)")
+        if index(row[0]) not in (0, 1, 2, 3, 4, 5):
             raise ValueError(f"unknown rate-law code {row[0]}")
     return rows
 
@@ -247,15 +257,14 @@ def _rates(table, T, E, floor_t, floor_e, rates):
 # exact stochastic simulation (Gillespie direct method)
 # ---------------------------------------------------------------------------
 
-def ssa(codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, seed,
-        floor_t, floor_e, cap, max_events, grid=None):
+def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None):
     """Event-driven simulation of a channel table over integer populations.
 
     A channel whose delta would push a floored population below its floor
     contributes rate 0.  Returns (times, T, E, status), per event or held on
     ``grid``.
     """
-    table = _table(codes, coefs, expos, sats, d_t, d_e)
+    table = _table(table)
     rng = Random(seed)
     rr = rng.random
     log = math.log
@@ -298,17 +307,26 @@ def ssa(codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, seed,
             return finish(4)
 
 
-def ssa_frozen(birth_c, birth_e, death_log, death_c, death_e, T0, t_end, seed,
-               floor_t, cap, max_events, grid=None):
+def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None):
     """One-species exact simulation with death rates frozen at birth.
 
-    Each agent's per-capita death rate is evaluated once, at the population
-    size that includes the agent itself at its creation instant, and kept for
-    life.  Agents sharing a frozen rate are held as one cohort, so the state
-    is a (rate -> count) table rather than one object per agent.  The birth
+    ``table`` holds a birth row c * T**e (code 1, jump (1, 0)), then a death
+    row of code 1 or 2 and jump (-1, 0); any other table raises ValueError.
+    Each agent's per-capita death rate, c * T**(e - 1) for code 1 and
+    c * ln(T) for code 2, is evaluated once, at the population size that
+    includes the agent itself at its creation instant, and kept for life.
+    Agents sharing a frozen rate are held as one cohort, so the state is a
+    (rate -> count) table rather than one object per agent.  The birth
     channel stays live.  Returns (times, T, status), per event or held on
     ``grid``.
     """
+    rows = _table(table)
+    if not (len(rows) == 2 and rows[0][0] == 1 and rows[0][4:] == (1, 0)
+            and rows[1][0] in (1, 2) and rows[1][4:] == (-1, 0)):
+        raise ValueError("ssa_frozen needs a birth-death table")
+    (_, a, ea, _, _, _), (death_code, b, eb, _, _, _) = rows
+    tlogt = death_code == 2
+    eb -= 1.0  # the per-capita exponent of a power-law death row
     rng = Random(seed)
     rr = rng.random
     log = math.log
@@ -316,14 +334,14 @@ def ssa_frozen(birth_c, birth_e, death_log, death_c, death_e, T0, t_end, seed,
     crates: list[float] = []
     ccounts: list[float] = []
     if T > 0.0:
-        d0 = death_c * log(T) if death_log else death_c * _pow(T, death_e)
+        d0 = b * log(T) if tlogt else b * _pow(T, eb)
         crates.append(d0)
         ccounts.append(T)
     t = 0.0
     nev = 0
     push, finish = _recorder(grid, 2, T, 0.0)
     while True:
-        B = birth_c * T if birth_e == 1.0 else birth_c * _pow(T, birth_e)
+        B = a * T if ea == 1.0 else a * _pow(T, ea)
         if B < 0.0:
             return finish(5)
         D = 0.0
@@ -348,7 +366,7 @@ def ssa_frozen(birth_c, birth_e, death_log, death_c, death_e, T0, t_end, seed,
         u = rr() * R
         if u < B:
             T += 1.0
-            dnew = death_c * log(T) if death_log else death_c * _pow(T, death_e)
+            dnew = b * log(T) if tlogt else b * _pow(T, eb)
             for i in range(len(crates)):
                 if crates[i] == dnew:
                     ccounts[i] += 1.0
@@ -398,12 +416,11 @@ def _poisson(rng: Random, lam: float) -> int:
     return k if k > 0 else 0
 
 
-def tau_leap(codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, dt,
-             seed, floor_t, floor_e, cap, grid=None):
+def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None):
     """Fixed-step leaping: each channel fires Poisson(rate*dt) times per step,
     deltas apply simultaneously, components below their floor clamp to it.
     Returns (times, T, E, status), per leap or held on ``grid``."""
-    table = _table(codes, coefs, expos, sats, d_t, d_e)
+    table = _table(table)
     rng = Random(seed)
     nch = len(table)
     rates = [0.0] * nch

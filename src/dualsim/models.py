@@ -97,10 +97,6 @@ class GrowthLaw:
     def is_logistic(self) -> bool:
         return self.kind is GrowthKind.POWER_LAW and self.alpha == 0.0 and self.beta == 1.0
 
-    @property
-    def is_von_bertalanffy(self) -> bool:
-        return self.kind is GrowthKind.POWER_LAW and self.alpha == VON_BERTALANFFY_ALPHA and self.beta == 0.0
-
 
 def _require_growth(a: float, b: float, label: str) -> None:
     if not (0 < b < a):
@@ -163,10 +159,6 @@ class PopulationState:
             raise ModelDomainError(f"PopulationState.T must be finite and >= 0, got {self.T!r}")
         if self.E is not None and (not math.isfinite(self.E) or self.E < 0):
             raise ModelDomainError(f"PopulationState.E must be finite and >= 0, got {self.E!r}")
-
-    @property
-    def two_species(self) -> bool:
-        return self.E is not None
 
 
 def scenario_preset(scenario: int) -> KuznetsovParams:

@@ -33,7 +33,6 @@ class Curve:
     values: Sequence[float]
     axis: str = "left"
     dotted: bool = False
-    color: str | None = None
 
 
 def _fmt(v: float) -> str:
@@ -57,7 +56,6 @@ def emit_svg_plot(
     times: Sequence[float],
     curves: Sequence[Curve],
     title: str = "",
-    x_label: str = "time (days)",
 ) -> str:
     """Render curves sharing one time grid as an SVG 1.1 document."""
     curves = list(curves)
@@ -122,7 +120,7 @@ def emit_svg_plot(
         )
     out.append(
         f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="12">time (days)</text>'
     )
 
     # y ticks per axis
@@ -141,11 +139,9 @@ def emit_svg_plot(
             )
 
     # curves
-    color_cycle = 0
     legend_entries = []
-    for c in curves:
-        color = c.color or _PALETTE[color_cycle % len(_PALETTE)]
-        color_cycle += 1
+    for i, c in enumerate(curves):
+        color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{_fmt(x_px(t))},{_fmt(y_px(v, c.axis))}" for t, v in zip(times, c.values))
         dash = ' stroke-dasharray="2 4"' if c.dotted else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')

@@ -20,6 +20,7 @@ redrawing such events.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -96,30 +97,21 @@ class Channel:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The compiled event channels of a model.
-
-    ``law`` / ``params`` record which model produced the set; the
-    frozen-at-birth policy needs the one-equation law to re-derive per-agent
-    death rates.
-    """
+    """The compiled event channels of a model: the one model definition
+    every stochastic kernel runs."""
 
     channels: tuple[Channel, ...]
     species: tuple[str, ...]
-    law: GrowthLaw | None = None
-    params: KuznetsovParams | None = None
 
     @property
     def two_species(self) -> bool:
         return len(self.species) == 2
 
-    def tables(self) -> tuple[list, list, list, list, list, list]:
-        codes = [ch.rate.code for ch in self.channels]
-        coefs = [ch.rate.c for ch in self.channels]
-        expos = [ch.rate.e for ch in self.channels]
-        sats = [ch.rate.g for ch in self.channels]
-        d_t = [ch.delta[0] for ch in self.channels]
-        d_e = [ch.delta[1] for ch in self.channels]
-        return codes, coefs, expos, sats, d_t, d_e
+    @functools.cached_property
+    def table(self) -> tuple[tuple[int, float, float, float, int, int], ...]:
+        """The kernels' channel table: one ``(code, c, e, g, dT, dE)`` row
+        per channel, built once per set."""
+        return tuple((ch.rate.code, ch.rate.c, ch.rate.e, ch.rate.g, *ch.delta) for ch in self.channels)
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,6 @@ def growth_channels(law: GrowthLaw) -> ChannelSet:
             Channel("tumour death", death, (-1, 0)),
         ),
         species=("tumour",),
-        law=law,
     )
 
 
@@ -181,7 +172,6 @@ def kuznetsov_channels(params: KuznetsovParams) -> ChannelSet:
             Channel("effector influx", RateLaw(kernels.R_CONST, params.s), (0, 1)),
         ),
         species=("tumour", "effector"),
-        params=params,
     )
 
 
@@ -337,28 +327,24 @@ def simulate_exact(
     T0, E0 = _check_initial(channels, initial, floors)
 
     if policy is RatePolicy.FROZEN_AT_BIRTH:
-        law = channels.law
-        if law is None:
-            raise ConfigError("the frozen-at-birth policy applies to one-equation growth models only")
-        if law.kind is GrowthKind.GOMPERTZ:
-            birth_c, birth_e = law.a, 1.0
-            death_log, death_c, death_e = True, law.b, 0.0
-        else:
-            birth_c, birth_e = law.a, law.alpha + 1.0
-            death_log, death_c, death_e = False, law.b, law.beta
+        # one species, a birth row c*T**e, then a death row c*T**e or c*T*ln(T)
+        rows = channels.table
+        if not (len(channels.species) == 1 and len(rows) == 2 and rows[0][0] == kernels.R_POW_T
+                and rows[0][4:] == (1, 0) and rows[1][0] in (kernels.R_POW_T, kernels.R_TLOGT)
+                and rows[1][4:] == (-1, 0)):
+            raise ConfigError("the frozen-at-birth policy applies to one-species birth-death channel sets only")
         times, *columns, status = kernels.ssa_frozen(
-            birth_c, birth_e, death_log, death_c, death_e,
-            T0, t_end, seed, floors.min_tumour, float(POPULATION_CAP), max_events, grid,
+            channels.table, T0, t_end, seed, floors.min_tumour, float(POPULATION_CAP), max_events, grid,
         )
     else:
-        codes, coefs, expos, sats, d_t, d_e = channels.tables()
         times, *columns, status = kernels.ssa(
-            codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
+            channels.table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
             float(POPULATION_CAP), max_events, grid,
         )
 
     # the last row holds the last sample, in grid mode too
-    last = f" at t={times[-1]:.3g} with population {columns[0][-1]:.4g}"
+    last = (f" at t={times[-1]:.3g} with population {columns[0][-1]:.4g}"
+            if status == kernels.ST_MAX_EVENTS else "")
     termination = _raise_for_status(status, seed, max_events, last)
     return _abs_trajectory(channels, times if grid is None else grid, columns, termination, seed)
 
@@ -385,9 +371,8 @@ def simulate_tau_leap(
         raise ConfigError("tau-leaping supports the live rate policy only")
     grid = None if grid is None else _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
-    codes, coefs, expos, sats, d_t, d_e = channels.tables()
     times, *columns, status = kernels.tau_leap(
-        codes, coefs, expos, sats, d_t, d_e, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
+        channels.table, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
         float(POPULATION_CAP), grid,
     )
     termination = _raise_for_status(status, seed, 0)

@@ -59,11 +59,3 @@ class Trajectory:
     @property
     def end_time(self) -> float:
         return float(self.times[-1])
-
-    def values(self, species: str) -> np.ndarray:
-        """The sampled series of one population."""
-        try:
-            col = self.species.index(species)
-        except ValueError:
-            raise KeyError(f"no species {species!r} in trajectory {self.species}") from None
-        return self.states[:, col]

@@ -57,7 +57,7 @@ def test_criterion_1_sds_logistic_accuracy():
                              IntegratorConfig(dt=dt, t_end=10.0, sample_every=sample_every))
             return max(
                 abs(T - closed_form(law, 1.0, t)) / closed_form(law, 1.0, t)
-                for t, T in zip(traj.times, traj.values("tumour"))
+                for t, T in zip(traj.times, traj.states[:, 0])
             )
 
         assert max_rel_err(0.001) < 1e-6
@@ -72,7 +72,7 @@ def test_criterion_2_gompertz_blowup_scale():
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.001, t_end=110.0, sample_every=1.0))
         assert traj.termination is Termination.COMPLETED
-        T = traj.values("tumour")
+        T = traj.states[:, 0]
         crossed = np.where(T > 1e64)[0]
         assert crossed.size > 0
         assert traj.times[crossed[0]] < 110.0
@@ -123,7 +123,7 @@ def test_criterion_4_logistic_extinction_effect():
         frozen_mean_20 = np.mean(frozen.values[:, 2, 0])
         sds = integrate(law, PopulationState(1.0),
                         IntegratorConfig(dt=0.001, t_end=t_end, sample_every=1.0))
-        sds_20 = sds.values("tumour")[-1]
+        sds_20 = sds.states[-1, 0]
         assert frozen_mean_20 < 0.5 * sds_20, (frozen_mean_20, sds_20)
 
 
@@ -132,7 +132,7 @@ def test_criterion_5_discrete_extinction_divergence():
         params = scenario_preset(4)
         sds = integrate(params, PopulationState(100.0, 10.0),
                         IntegratorConfig(dt=0.001, t_end=100.0, sample_every=0.1))
-        T = sds.values("tumour")
+        T = sds.states[:, 0]
         tmin = T.min()
         assert tmin > 0.0
         imin = int(np.argmin(T))
@@ -143,7 +143,7 @@ def test_criterion_5_discrete_extinction_divergence():
         reached_and_stayed = 0
         for seed in range(1, 51):
             rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
-            vals = rep.values("tumour")
+            vals = rep.states[:, 0]
             zeros = np.where(vals == 0)[0]
             if zeros.size and np.all(vals[zeros[0]:] == 0):
                 reached_and_stayed += 1

@@ -5,21 +5,50 @@ import math
 import numpy as np
 import pytest
 
+from dualsim import kernels
 from dualsim.kernels import _pykernels as pure
 
-compiled = pytest.importorskip(
-    "dualsim.kernels._ckernels", reason="compiled backend not built"
-)
+try:
+    from dualsim.kernels import _ckernels as compiled
+except ImportError:
+    compiled = None
+
+needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled backend not built")
+
+# the pure backend and the active one (the compiled backend when it is built)
+BACKENDS = {mod.__name__.rpartition(".")[2]: mod for mod in (pure, kernels.backend)}
 
 KERNELS = ("rk4_growth", "rk4_kuznetsov", "ssa", "ssa_frozen", "tau_leap")
 
 
+def birth_death(a, b, birth_e=1.0, death_e=1.0):
+    """The table of birth a*T**birth_e and death b*T**death_e."""
+    return ((1, a, birth_e, 0.0, 1, 0), (1, b, death_e, 0.0, -1, 0))
+
+
+# scenario-4 channel table: birth aT, intrinsic death abT^2, kill nTE,
+# recruitment pTE/(g+T), interaction death mTE, apoptosis dE, influx s
+S4_TABLE = (
+    (1, 1.636, 1.0, 0.0, 1, 0),
+    (1, 1.636 * 0.002, 2.0, 0.0, -1, 0),
+    (4, 1.0, 0.0, 0.0, -1, 0),
+    (5, 1.131, 0.0, 20.19, 0, 1),
+    (4, 0.00311, 0.0, 0.0, 0, -1),
+    (3, 0.3743, 0.0, 0.0, 0, -1),
+    (0, 0.0, 0.0, 0.0, 0, 1),
+)
+ONE_SPECIES = birth_death(1.0, 0.05, death_e=2.0)
+DEATH_ONLY = ((1, 1.0, 1.0, 0.0, -1, 0),)
+
+
+@needs_compiled
 def test_backends_expose_the_same_entry_points():
     for name in KERNELS:
         assert callable(getattr(pure, name))
         assert callable(getattr(compiled, name))
 
 
+@needs_compiled
 class TestRk4Parity:
     def test_logistic(self):
         args = (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.001, 10.0, 0.1, 1e300)
@@ -56,12 +85,12 @@ class TestRk4Parity:
 class TestStochasticAgreement:
     # different RNGs, so agreement is distributional, not per-event
 
+    @needs_compiled
     def test_ssa_linear_birth_death_means(self):
         def mean_final(mod, base):
             finals = []
             for i in range(400):
-                _, Ts, _, st = mod.ssa([1, 1], [2.0, 1.0], [1.0, 1.0], [0.0, 0.0],
-                                       [1, -1], [0, 0], 100, 0, 0.5,
+                _, Ts, _, st = mod.ssa(birth_death(2.0, 1.0), 100, 0, 0.5,
                                        base + i, 0, 0, 1e12, 10**7)
                 assert st in (0, 2)
                 finals.append(Ts[-1])
@@ -71,58 +100,44 @@ class TestStochasticAgreement:
         mc, sec = mean_final(compiled, 20_000)
         assert abs(mp - mc) <= 3 * math.hypot(sep, sec)
 
-    def test_frozen_equals_live_within_each_backend(self):
-        for mod in (pure, compiled):
-            live = mod.ssa([1, 1], [0.7, 0.9], [1.0, 1.0], [0.0, 0.0], [1, -1], [0, 0],
-                           5, 0, 15.0, 4242, 0, 0, 1e12, 10**7)
-            frozen = mod.ssa_frozen(0.7, 1.0, False, 0.9, 0.0, 5, 15.0, 4242, 0, 1e12, 10**7)
-            assert list(live[0]) == list(frozen[0])
-            assert list(live[1]) == list(frozen[1])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_frozen_equals_live_within_each_backend(self, backend):
+        mod = BACKENDS[backend]
+        table = birth_death(0.7, 0.9)
+        live = mod.ssa(table, 5, 0, 15.0, 4242, 0, 0, 1e12, 10**7)
+        frozen = mod.ssa_frozen(table, 5, 15.0, 4242, 0, 1e12, 10**7)
+        assert list(live[0]) == list(frozen[0])
+        assert list(live[1]) == list(frozen[1])
 
-    def test_tau_leap_poisson_means(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tau_leap_poisson_means(self, backend):
         # a single constant channel: events by t are Poisson(c * t)
-        def mean_events(mod, base):
-            finals = []
-            for i in range(300):
-                _, Ts, _, st = mod.tau_leap([0], [3.0], [0.0], [0.0], [1], [0],
-                                            0, 0, 2.0, 0.01, base + i, 0, 0, 1e12)
-                assert st == 0
-                finals.append(Ts[-1])
-            return np.mean(finals)
+        base = 1_000 if backend == "_pykernels" else 2_000
+        finals = []
+        for i in range(300):
+            _, Ts, _, st = BACKENDS[backend].tau_leap(((0, 3.0, 0.0, 0.0, 1, 0),),
+                                                      0, 0, 2.0, 0.01, base + i, 0, 0, 1e12)
+            assert st == 0
+            finals.append(Ts[-1])
+        assert np.mean(finals) == pytest.approx(6.0, abs=0.5)
 
-        mp = mean_events(pure, 1_000)
-        mc = mean_events(compiled, 2_000)
-        assert mp == pytest.approx(6.0, abs=0.5)
-        assert mc == pytest.approx(6.0, abs=0.5)
-
-    def test_per_seed_determinism_each_backend(self):
-        for mod in (pure, compiled):
-            a = mod.ssa([1, 1], [1.0, 0.2], [1.0, 2.0], [0.0, 0.0], [1, -1], [0, 0],
-                        1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
-            b = mod.ssa([1, 1], [1.0, 0.2], [1.0, 2.0], [0.0, 0.0], [1, -1], [0, 0],
-                        1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
-            assert list(a[0]) == list(b[0])
-            assert list(a[1]) == list(b[1])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_per_seed_determinism_each_backend(self, backend):
+        mod = BACKENDS[backend]
+        table = birth_death(1.0, 0.2, death_e=2.0)
+        a = mod.ssa(table, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
+        b = mod.ssa(table, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
+        assert list(a[0]) == list(b[0])
+        assert list(a[1]) == list(b[1])
 
 
-# scenario-4 channel table: birth aT, intrinsic death abT^2, kill nTE,
-# recruitment pTE/(g+T), interaction death mTE, apoptosis dE, influx s
-S4_TABLE = (
-    [1, 1, 4, 5, 4, 3, 0],
-    [1.636, 1.636 * 0.002, 1.0, 1.131, 0.00311, 0.3743, 0.0],
-    [1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 20.19, 0.0, 0.0, 0.0],
-    [1, -1, -1, 0, 0, 0, 0],
-    [0, 0, 0, 1, -1, -1, 1],
-)
-
-
+@needs_compiled
 class TestCompiledStream:
     """The compiled stream for seed 7, pinned exactly: splitmix64-seeded
     xoshiro256** and the kernels' arithmetic may not drift."""
 
     def test_ssa(self):
-        times, Ts, Es, status = compiled.ssa(*S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8)
+        times, Ts, Es, status = compiled.ssa(S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8)
         assert status == 0 and len(times) == len(Ts) == len(Es) == 135096
         assert list(times[:5]) == [0.0, 0.0009944854580088024, 0.002519382300010754,
                                    0.006471770756564635, 0.006525084672740699]
@@ -130,76 +145,120 @@ class TestCompiledStream:
         assert list(Es[:5]) == [10.0, 10.0, 10.0, 10.0, 10.0]
 
     def test_ssa_frozen(self):
-        times, Ts, status = compiled.ssa_frozen(0.7, 1.0, False, 0.9, 0.0, 5, 15.0, 7, 0, 1e12, 10**7)
+        times, Ts, status = compiled.ssa_frozen(birth_death(0.7, 0.9), 5, 15.0, 7, 0, 1e12, 10**7)
         assert status == 2 and len(times) == len(Ts) == 29
         assert list(times[:5]) == [0.0, 0.1507370325309312, 0.3413886790844172,
                                    0.9282793541946261, 0.9380724492764064]
         assert list(Ts[:5]) == [5.0, 6.0, 5.0, 4.0, 5.0]
 
     def test_tau_leap(self):
-        times, Ts, Es, status = compiled.tau_leap(*S4_TABLE, 100, 10, 100.0, 0.01, 7, 1, 0, 1e12)
+        times, Ts, Es, status = compiled.tau_leap(S4_TABLE, 100, 10, 100.0, 0.01, 7, 1, 0, 1e12)
         assert status == 0 and len(times) == len(Ts) == len(Es) == 10001
         assert list(times[:5]) == [0.0, 0.01, 0.02, 0.03, 0.04]
         assert list(Ts[:5]) == [100.0, 88.0, 84.0, 77.0, 69.0]
         assert list(Es[:5]) == [10.0, 10.0, 9.0, 9.0, 10.0]
 
     def test_seed_is_masked_to_64_bits(self):
-        a = compiled.ssa(*S4_TABLE, 100, 10, 1.0, 7, 1, 0, 1e12, 10**8)
-        b = compiled.ssa(*S4_TABLE, 100, 10, 1.0, 7 + 2**64, 1, 0, 1e12, 10**8)
-        c = compiled.ssa(*S4_TABLE, 100, 10, 1.0, 7 - 2**64, 1, 0, 1e12, 10**8)
+        a = compiled.ssa(S4_TABLE, 100, 10, 1.0, 7, 1, 0, 1e12, 10**8)
+        b = compiled.ssa(S4_TABLE, 100, 10, 1.0, 7 + 2**64, 1, 0, 1e12, 10**8)
+        c = compiled.ssa(S4_TABLE, 100, 10, 1.0, 7 - 2**64, 1, 0, 1e12, 10**8)
         assert list(a[0]) == list(b[0]) == list(c[0])
 
 
-class TestCompiledInterface:
-    def test_series_are_float_sequences_numpy_views_without_copy(self):
-        for result in (
-            compiled.rk4_growth(0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 1.0, 0.1, 1e300),
-            compiled.ssa_frozen(0.7, 1.0, False, 0.9, 0.0, 5, 1.0, 3, 0, 1e12, 10**7),
-        ):
-            *series, status = result
-            assert status == 0
-            for values in series:
-                assert isinstance(values[0], float) and len(values) >= 2
-                view = np.asarray(values)
-                assert view.dtype == np.float64 and len(view) == len(values)
-                values[0] = -1.0
-                assert view[0] == -1.0
+@needs_compiled
+def test_series_are_float_sequences_numpy_views_without_copy():
+    for result in (
+        compiled.rk4_growth(0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 1.0, 0.1, 1e300),
+        compiled.ssa_frozen(birth_death(0.7, 0.9), 5, 1.0, 3, 0, 1e12, 10**7),
+    ):
+        *series, status = result
+        assert status == 0
+        for values in series:
+            assert isinstance(values[0], float) and len(values) >= 2
+            view = np.asarray(values)
+            assert view.dtype == np.float64 and len(view) == len(values)
+            values[0] = -1.0
+            assert view[0] == -1.0
 
-    @pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
-    def test_more_than_16_channels_raise_value_error(self, kernel):
-        n = 17
-        table = ([0] * n, [1.0] * n, [0.0] * n, [0.0] * n, [1] * n, [0] * n)
-        extra = (1.0, 0.1, 1, 0, 0, 1e12) if kernel == "tau_leap" else (1.0, 1, 0, 0, 1e12, 10**6)
+
+def call_with_table(backend, kernel, table):
+    """``kernel`` of ``backend`` on ``table`` from one tumour cell to t = 1."""
+    fn = getattr(BACKENDS[backend], kernel)
+    if kernel == "ssa":
+        return fn(table, 1, 0, 1.0, 1, 0, 0, 1e12, 10**6)
+    if kernel == "ssa_frozen":
+        return fn(table, 1, 1.0, 1, 0, 1e12, 10**6)
+    return fn(table, 1, 0, 1.0, 0.1, 1, 0, 0, 1e12)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", ["ssa", "ssa_frozen", "tau_leap"])
+class TestTableFormat:
+    """Every stochastic kernel reads one table of (code, c, e, g, dT, dE) rows."""
+
+    def test_more_than_16_channels_raise_value_error(self, backend, kernel):
         with pytest.raises(ValueError, match="at most 16 channels"):
-            getattr(compiled, kernel)(*table, 1, 0, *extra)
+            call_with_table(backend, kernel, ((0, 1.0, 0.0, 0.0, 1, 0),) * 17)
 
-    @pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
-    def test_non_sequence_table_raises_type_error(self, kernel):
-        extra = (1.0, 0.1, 1, 0, 0, 1e12) if kernel == "tau_leap" else (1.0, 1, 0, 0, 1e12, 10**6)
+    @pytest.mark.parametrize("table", [
+        3,
+        None,
+        [[1, 1.0, 1.0, 0.0, 1, 0]],
+        ((1, 1.0, 1.0, 0.0, 1),),
+        ((1, 1.0, 1.0, 0.0, 1, 0, 0),),
+        ((1, 1.0, 1.0, 0.0, 1, "0"),),
+        ((1.0, 1.0, 1.0, 0.0, 1, 0),),
+        (3,),
+    ], ids=["int", "none", "list-row", "5-numbers", "7-numbers", "str", "float-code", "bare-number"])
+    def test_non_table_raises_type_error(self, backend, kernel, table):
         with pytest.raises(TypeError):
-            getattr(compiled, kernel)(3, [1.0], [0.0], [0.0], [1], [0], 1, 0, *extra)
-        with pytest.raises(TypeError):
-            getattr(compiled, kernel)([0], 1.0, [0.0], [0.0], [1], [0], 1, 0, *extra)
+            call_with_table(backend, kernel, table)
+
+    def test_any_sequence_of_rows_is_read_alike(self, backend, kernel):
+        table = birth_death(1.0, 0.5)
+        assert call_with_table(backend, kernel, list(table)) == call_with_table(backend, kernel, table)
 
 
-BACKENDS = {"pure": pure, "c": compiled}
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("table", [
+    (),
+    birth_death(1.0, 0.5)[:1],
+    birth_death(1.0, 0.5) + DEATH_ONLY,
+    birth_death(1.0, 0.5)[::-1],
+    ((0, 1.0, 0.0, 0.0, 1, 0), (1, 0.5, 1.0, 0.0, -1, 0)),
+    ((1, 1.0, 1.0, 0.0, 1, 0), (3, 0.5, 0.0, 0.0, -1, 0)),
+    ((1, 1.0, 1.0, 0.0, 1, 1), (1, 0.5, 1.0, 0.0, -1, 0)),
+    ((1, 1.0, 1.0, 0.0, 1, 0), (1, 0.5, 1.0, 0.0, -2, 0)),
+    S4_TABLE,
+], ids=["empty", "one-row", "three-rows", "death-first", "constant-birth", "death-of-effectors",
+        "birth-moves-E", "death-of-two", "kuznetsov"])
+def test_ssa_frozen_needs_a_birth_death_table(backend, table):
+    with pytest.raises(ValueError, match="birth-death table"):
+        BACKENDS[backend].ssa_frozen(table, 5, 1.0, 1, 0, 1e12, 10**6)
 
-ONE_SPECIES = ([1, 1], [1.0, 0.05], [1.0, 2.0], [0.0, 0.0], [1, -1], [0, 0])
-DEATH_ONLY = ([1], [1.0], [1.0], [0.0], [-1], [0])
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_ssa_frozen_kept_death_rate_of_a_t_log_t_row_is_c_ln_t(backend):
+    # one cell under a T*ln(T) death row keeps the per-capita rate 5*ln(1) =
+    # 0, so without births it outlives t_end (c*T**(e-1) would kill it)
+    table = ((1, 0.0, 1.0, 0.0, 1, 0), (2, 5.0, 0.0, 0.0, -1, 0))
+    times, Ts, status = BACKENDS[backend].ssa_frozen(table, 1, 5.0, 9, 0, 1e12, 10**6)
+    assert status == 2 and list(times) == [0.0, 5.0] and list(Ts) == [1.0, 1.0]
+
 
 # (kernel, case) -> (t_end, the arguments before ``grid``); "budget" stops on
 # the event budget, "extinct" dies out long before t_end
 GRID_CASES = {
-    ("ssa", "two-species"): (2.0, (*S4_TABLE, 100, 10, 2.0, 5, 1, 0, 1e12, 10**8)),
-    ("ssa", "one-species"): (10.0, (*ONE_SPECIES, 20, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
-    ("ssa", "extinct"): (10.0, (*DEATH_ONLY, 4, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
-    ("ssa", "budget"): (2.0, (*S4_TABLE, 100, 10, 2.0, 5, 1, 0, 1e12, 100)),
-    ("ssa_frozen", "one-species"): (10.0, (1.0, 1.0, False, 0.05, 1.0, 20, 10.0, 5, 0, 1e12, 10**8)),
-    ("ssa_frozen", "extinct"): (10.0, (0.1, 1.0, False, 1.0, 0.0, 4, 10.0, 5, 0, 1e12, 10**8)),
-    ("ssa_frozen", "budget"): (10.0, (1.0, 1.0, False, 0.05, 1.0, 20, 10.0, 5, 0, 1e12, 100)),
-    ("tau_leap", "two-species"): (2.0, (*S4_TABLE, 100, 10, 2.0, 0.01, 5, 1, 0, 1e12)),
-    ("tau_leap", "one-species"): (10.0, (*ONE_SPECIES, 20, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
-    ("tau_leap", "extinct"): (10.0, (*DEATH_ONLY, 4, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
+    ("ssa", "two-species"): (2.0, (S4_TABLE, 100, 10, 2.0, 5, 1, 0, 1e12, 10**8)),
+    ("ssa", "one-species"): (10.0, (ONE_SPECIES, 20, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
+    ("ssa", "extinct"): (10.0, (DEATH_ONLY, 4, 0, 10.0, 5, 0, 0, 1e12, 10**8)),
+    ("ssa", "budget"): (2.0, (S4_TABLE, 100, 10, 2.0, 5, 1, 0, 1e12, 100)),
+    ("ssa_frozen", "one-species"): (10.0, (ONE_SPECIES, 20, 10.0, 5, 0, 1e12, 10**8)),
+    ("ssa_frozen", "extinct"): (10.0, (birth_death(0.1, 1.0), 4, 10.0, 5, 0, 1e12, 10**8)),
+    ("ssa_frozen", "budget"): (10.0, (ONE_SPECIES, 20, 10.0, 5, 0, 1e12, 100)),
+    ("tau_leap", "two-species"): (2.0, (S4_TABLE, 100, 10, 2.0, 0.01, 5, 1, 0, 1e12)),
+    ("tau_leap", "one-species"): (10.0, (ONE_SPECIES, 20, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
+    ("tau_leap", "extinct"): (10.0, (DEATH_ONLY, 4, 0, 10.0, 0.05, 5, 0, 0, 1e12)),
 }
 STATUS = {"extinct": 2, "budget": 4}
 

@@ -32,7 +32,7 @@ LAWS = {
 def channel_rates(model, T, E=0.0):
     """Each channel's rate at (T, E), from the reference evaluator ``_rates``."""
     channels = growth_channels(model) if isinstance(model, GrowthLaw) else kuznetsov_channels(model)
-    table = _table(*channels.tables())
+    table = _table(channels.table)
     rates = [0.0] * len(table)
     assert _rates(table, T, E, -math.inf, -math.inf, rates) >= 0.0
     return table, rates
@@ -201,14 +201,17 @@ class TestRk4DerivativesMatchTheTable:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
+@pytest.mark.parametrize("kernel", ["ssa", "tau_leap", "ssa_frozen"])
 def test_unknown_rate_law_code_raises_value_error(backend, kernel):
-    extra = (1.0, 0.1, 1, 0, 0, 1e12) if kernel == "tau_leap" else (1.0, 1, 0, 0, 1e12, 10**6)
+    args = {
+        "ssa": (1, 0, 1.0, 1, 0, 0, 1e12, 10**6),
+        "tau_leap": (1, 0, 1.0, 0.1, 1, 0, 0, 1e12),
+        "ssa_frozen": (1, 1.0, 1, 0, 1e12, 10**6),
+    }[kernel]
     for codes in ([0, 9], [-1]):
-        n = len(codes)
-        table = (codes, [2.0] * n, [0.0] * n, [0.0] * n, [1] * n, [0] * n)
+        table = tuple((code, 2.0, 0.0, 0.0, 1, 0) for code in codes)
         with pytest.raises(ValueError, match="unknown rate-law code"):
-            getattr(BACKENDS[backend], kernel)(*table, 1, 0, *extra)
+            getattr(BACKENDS[backend], kernel)(table, *args)
 
 
 class TestScenarioPresets:
@@ -269,7 +272,3 @@ class TestPopulationState:
     def test_rejects_non_finite(self):
         with pytest.raises(ModelDomainError):
             PopulationState(math.inf)
-
-    def test_two_species_flag(self):
-        assert not PopulationState(1.0).two_species
-        assert PopulationState(1.0, 0.0).two_species

@@ -13,7 +13,7 @@ from dualsim.trajectory import Paradigm, Termination
 
 def max_rel_error(traj, law, T0):
     errs = []
-    for t, T in zip(traj.times, traj.values("tumour")):
+    for t, T in zip(traj.times, traj.states[:, 0]):
         exact = closed_form(law, T0, t)
         errs.append(abs(T - exact) / exact)
     return max(errs)
@@ -60,12 +60,12 @@ class TestLogisticAccuracy:
     def test_fixed_point_is_constant(self):
         law = GrowthLaw.logistic(1.0, 0.2)
         traj = integrate(law, PopulationState(5.0), IntegratorConfig(dt=0.01, t_end=5.0, sample_every=0.5))
-        assert np.all(traj.values("tumour") == 5.0)
+        assert np.all(traj.states[:, 0] == 5.0)
 
     def test_monotone_growth_below_capacity(self):
         law = GrowthLaw.logistic(1.0, 0.2)
         traj = integrate(law, PopulationState(1.0), IntegratorConfig(dt=0.001, t_end=30.0, sample_every=0.1))
-        T = traj.values("tumour")
+        T = traj.states[:, 0]
         assert np.all(np.diff(T) > 0)
         assert np.all(T <= 5.0 + 1e-9)
 
@@ -74,9 +74,9 @@ class TestGompertzBlowupScale:
     def test_log_magnitude_matches_closed_form(self):
         law = GrowthLaw.gompertz(1.636, 0.002)
         traj = integrate(law, PopulationState(1.0), IntegratorConfig(dt=0.001, t_end=100.0, sample_every=1.0))
-        ln_end = math.log(traj.values("tumour")[-1])
+        ln_end = math.log(traj.states[-1, 0])
         assert ln_end == pytest.approx(148.27824398221088, rel=1e-4)
-        assert traj.values("tumour")[-1] > 1e64
+        assert traj.states[-1, 0] > 1e64
 
     def test_gompertz_requires_positive_t0(self):
         with pytest.raises(ConfigError):
@@ -116,7 +116,7 @@ class TestScenarios:
             PopulationState(100.0, 10.0),
             IntegratorConfig(dt=0.001, t_end=100.0, sample_every=0.1),
         )
-        T = traj.values("tumour")
+        T = traj.states[:, 0]
         tmin = T.min()
         assert tmin > 0.0
         imin = int(np.argmin(T))
@@ -128,11 +128,11 @@ class TestScenarios:
             PopulationState(100.0, 10.0),
             IntegratorConfig(dt=0.001, t_end=100.0, sample_every=0.1),
         )
-        T = traj.values("tumour")
+        T = traj.states[:, 0]
         assert T[-1] < 1e-6
         assert np.all(T > 0)
         # effectors settle at the influx/apoptosis balance s/d
-        assert traj.values("effector")[-1] == pytest.approx(5.0 / 3.0, rel=1e-3)
+        assert traj.states[-1, 1] == pytest.approx(5.0 / 3.0, rel=1e-3)
 
 
 class TestContracts:
@@ -150,7 +150,7 @@ class TestContracts:
         assert traj.paradigm is Paradigm.SDS
         assert traj.species == ("tumour",)
         assert traj.times[0] == 0.0
-        assert traj.values("tumour")[0] == 1.0
+        assert traj.states[0, 0] == 1.0
 
     def test_grid_lands_exactly_on_t_end(self):
         traj = integrate(GrowthLaw.logistic(1.0, 0.2), PopulationState(1.0),

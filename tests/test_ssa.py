@@ -51,7 +51,7 @@ def linear_bd_channels(a=2.0, b=1.0):
 def channel_rates(cs, T, E=0.0):
     """Each channel's rate at (T, E), from the reference evaluator ``_rates``."""
     rates = [0.0] * len(cs.channels)
-    assert _rates(_table(*cs.tables()), T, E, -math.inf, -math.inf, rates) >= 0.0
+    assert _rates(_table(cs.table), T, E, -math.inf, -math.inf, rates) >= 0.0
     return rates
 
 
@@ -102,6 +102,12 @@ class TestChannelCompilation:
                 for E in range(0, 10, 3):
                     assert min(channel_rates(cs, float(T), float(E))) >= 0.0
 
+    def test_channel_table_is_built_once_per_set(self):
+        cs = kuznetsov_channels(scenario_preset(4))
+        assert cs.table is cs.table
+        assert cs.table[0] == (R_POW_T, 1.636, 1.0, 0.0, 1, 0)
+        assert [row[4:] for row in cs.table] == [ch.delta for ch in cs.channels]
+
     def test_rate_law_rejects_negative_coefficient(self):
         with pytest.raises(Exception):
             RateLaw(R_CONST, -1.0)
@@ -115,7 +121,7 @@ class TestSimulateExact:
         for i in range(10_000):
             traj = simulate_exact(cs, PopulationState(1), t_end=200.0, seed=5000 + i)
             assert traj.termination is Termination.EXTINCT
-            assert traj.values("tumour")[-1] == 0.0
+            assert traj.states[-1, 0] == 0.0
             times.append(traj.times[1])  # the single event
         mean = float(np.mean(times))
         se = float(np.std(times, ddof=1)) / math.sqrt(len(times))
@@ -125,7 +131,7 @@ class TestSimulateExact:
         cs = growth_channels(GrowthLaw.logistic(1.0, 0.8))
         for i in range(20):
             traj = simulate_exact(cs, PopulationState(1), t_end=50.0, seed=i)
-            T = traj.values("tumour")
+            T = traj.states[:, 0]
             zeros = np.where(T == 0)[0]
             if zeros.size:
                 assert np.all(T[zeros[0]:] == 0)
@@ -141,10 +147,24 @@ class TestSimulateExact:
         assert np.array_equal(live.times, frozen.times)
         assert np.array_equal(live.states, frozen.states)
 
+    def test_frozen_equals_live_on_a_hand_built_birth_death_set(self):
+        # the frozen policy reads the channel table, not the growth law the
+        # set was compiled from, so any one-species birth-death set runs
+        cs = linear_bd_channels()
+        live = simulate_exact(cs, PopulationState(5), t_end=3.0, seed=123)
+        frozen = simulate_exact(cs, PopulationState(5), t_end=3.0, seed=123,
+                                policy=RatePolicy.FROZEN_AT_BIRTH)
+        assert len(live.times) > 10
+        assert np.array_equal(live.times, frozen.times)
+        assert np.array_equal(live.states, frozen.states)
+
     def test_frozen_policy_needs_one_equation_law(self):
         cs = kuznetsov_channels(scenario_preset(1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="birth-death"):
             simulate_exact(cs, PopulationState(10, 2), t_end=1.0, seed=0,
+                           policy=RatePolicy.FROZEN_AT_BIRTH)
+        with pytest.raises(ConfigError, match="birth-death"):
+            simulate_exact(death_only_channels(), PopulationState(10), t_end=1.0, seed=0,
                            policy=RatePolicy.FROZEN_AT_BIRTH)
 
     def test_tumour_floor_keeps_tumour_alive(self):
@@ -152,14 +172,14 @@ class TestSimulateExact:
         for i in range(10):
             traj = simulate_exact(cs, PopulationState(100, 10), t_end=60.0, seed=900 + i,
                                   floors=Floors(1, 0))
-            assert traj.values("tumour").min() >= 1.0
+            assert traj.states[:, 0].min() >= 1.0
 
     def test_both_floors(self):
         cs = kuznetsov_channels(scenario_preset(4))
         traj = simulate_exact(cs, PopulationState(100, 10), t_end=60.0, seed=4242,
                               floors=Floors(1, 1))
-        assert traj.values("tumour").min() >= 1.0
-        assert traj.values("effector").min() >= 1.0
+        assert traj.states[:, 0].min() >= 1.0
+        assert traj.states[:, 1].min() >= 1.0
 
     def test_integer_nonnegative_samples(self):
         cs = kuznetsov_channels(scenario_preset(2))
@@ -224,7 +244,7 @@ class TestFloorEquivalence:
         cs = growth_channels(GrowthLaw.logistic(a, b))
         engine = np.array([
             simulate_exact(cs, PopulationState(T0), t_end=t_end, seed=20_000 + i,
-                           floors=Floors(1, 0)).values("tumour")[-1]
+                           floors=Floors(1, 0)).states[-1, 0]
             for i in range(n)
         ])
         oracle = np.array([
@@ -241,7 +261,7 @@ class TestMeanField:
         cs = linear_bd_channels(2.0, 1.0)
         reps, t_end = 600, 0.5
         finals = np.array([
-            simulate_exact(cs, PopulationState(100), t_end=t_end, seed=31_000 + i).values("tumour")[-1]
+            simulate_exact(cs, PopulationState(100), t_end=t_end, seed=31_000 + i).states[-1, 0]
             for i in range(reps)
         ])
         expected = 100.0 * math.exp(1.0 * t_end)
@@ -256,7 +276,7 @@ class TestTauLeap:
             species=("tumour",),
         )
         traj = simulate_tau_leap(cs, PopulationState(5), t_end=2.0, dt=0.1, seed=1)
-        assert np.all(traj.values("tumour") == 5.0)
+        assert np.all(traj.states[:, 0] == 5.0)
         assert traj.termination is Termination.EXTINCT  # absorbed: nothing can fire
 
     def test_linear_birth_death_mean(self):
@@ -264,7 +284,7 @@ class TestTauLeap:
         reps = 1000
         finals = np.array([
             simulate_tau_leap(cs, PopulationState(100), t_end=1.0, dt=0.001,
-                              seed=40_000 + i).values("tumour")[-1]
+                              seed=40_000 + i).states[-1, 0]
             for i in range(reps)
         ])
         expected = 100.0 * math.e
@@ -276,11 +296,11 @@ class TestTauLeap:
         reps = 400
         tau = np.mean([
             simulate_tau_leap(cs, PopulationState(100), t_end=1.0, dt=0.001,
-                              seed=60_000 + i).values("tumour")[-1]
+                              seed=60_000 + i).states[-1, 0]
             for i in range(reps)
         ])
         exact = np.mean([
-            simulate_exact(cs, PopulationState(100), t_end=1.0, seed=61_000 + i).values("tumour")[-1]
+            simulate_exact(cs, PopulationState(100), t_end=1.0, seed=61_000 + i).states[-1, 0]
             for i in range(reps)
         ])
         assert abs(tau - exact) / exact < 0.05
@@ -289,7 +309,7 @@ class TestTauLeap:
         cs = death_only_channels(b=5.0)
         traj = simulate_tau_leap(cs, PopulationState(3), t_end=5.0, dt=0.05, seed=9,
                                  floors=Floors(1, 0))
-        assert traj.values("tumour").min() >= 1.0
+        assert traj.states[:, 0].min() >= 1.0
 
     def test_frozen_policy_rejected(self):
         cs = growth_channels(GrowthLaw.logistic(1.0, 0.2))
@@ -477,7 +497,7 @@ class TestScenarioDiscreteness:
         cs = kuznetsov_channels(scenario_preset(1))
         for seed in range(300, 320):
             rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
-            T = rep.values("tumour")
+            T = rep.states[:, 0]
             assert T[-1] == 0.0
             zeros = np.where(T == 0)[0]
             assert np.all(T[zeros[0]:] == 0)
@@ -488,7 +508,7 @@ class TestScenarioDiscreteness:
         saw_extinct = 0
         for seed in range(55, 75):
             rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
-            E = rep.values("effector")
+            E = rep.states[:, 1]
             zeros = np.where(E == 0)[0]
             if zeros.size:
                 saw_extinct += 1
