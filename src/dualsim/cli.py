@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,26 +84,10 @@ class RunSpec:
     plot: bool = False
 
 
+# each field's type, read from its annotation ("int | None" -> int)
 _FIELD_TYPES = {
-    "model": str,
-    "paradigm": str,
-    "scenario": int,
-    "c": float,
-    "a": float,
-    "b": float,
-    "t0": float,
-    "e0": float,
-    "dt": float,
-    "t_end": float,
-    "grid": float,
-    "reps": int,
-    "seed": int,
-    "method": str,
-    "policy": str,
-    "fix": str,
-    "alpha": float,
-    "out": str,
-    "plot": bool,
+    f.name: {"str": str, "int": int, "float": float, "bool": bool}[f.type.removesuffix(" | None")]
+    for f in fields(RunSpec)
 }
 
 

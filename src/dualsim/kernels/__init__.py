@@ -24,14 +24,23 @@ raises TypeError, more rows or a rate-law code outside 0..5 ValueError.
 death row of code 1 or 2 and jump (-1, 0), else ValueError; each agent keeps
 its per-capita death rate at birth, ``c*T**(e-1)`` or ``c*ln(T)``.
 
+Result contract of every kernel: ``(rows, status)``, where ``rows`` is a
+C-contiguous ``(n, 3)`` memoryview of doubles over one ``array('d')``, one
+``(t, T, E)`` sample per row, so ``len(rows)`` is the sample count and
+``np.asarray(rows)`` views it without a copy.  One-species kernels
+(``rk4_growth``, ``ssa_frozen``) write E = 0.  The stochastic kernels stop by
+one rule on the total rate R: while 0 < R < inf they step on; R < 0 stops
+with status 5, R == 0 with status 2 after holding the state until ``t_end``,
+and an infinite or nan R with status 3.
+
 Sampling contract of the stochastic kernels (``ssa``, ``ssa_frozen``,
 ``tau_leap``): called without their optional trailing ``grid``, they return
-one sample per event or leap, framed by the initial state and, when the run
-reaches ``t_end``, a final hold sample there.  Given a ``grid`` (a contiguous
-1-D buffer of doubles; anything else raises TypeError), they record only the
-sample held at each grid time, the last one at or before it, into series of
-``len(grid)`` rows whose times column gives each held sample's time: the
-per-event series indexed by ``searchsorted(times, grid, side="right") - 1``,
+one row per event or leap, framed by the initial state and, when the run
+reaches ``t_end``, a final hold row there.  Given a ``grid`` (a non-empty
+contiguous 1-D buffer of doubles; anything else raises TypeError), they
+record only the sample held at each grid time, the last one at or before
+it, into ``len(grid)`` rows whose t column gives each held sample's time:
+the per-event rows indexed by ``searchsorted(t, grid, side="right") - 1``,
 at a cost per grid point instead of per event.  Grid points past the last
 sample hold the last sample, so the last row always names the last event.
 

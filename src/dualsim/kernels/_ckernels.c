@@ -3,8 +3,11 @@
  *
  * Entry points, argument order, sampling contracts and status codes match
  * the pure-Python backend exactly; see that module's docstring for the
- * codes.  Every series comes back as an ``array.array('d')``, which
- * ``np.asarray`` views as float64 without a copy.
+ * codes.  Every kernel returns ``(rows, status)``: ``rows`` is an (n, 3)
+ * memoryview of doubles over one ``array.array('d')``, one ``(t, T, E)``
+ * sample per row (E = 0 for one species), which ``np.asarray`` views as
+ * float64 without a copy.  ``rec_finish`` builds it, ``stop_status`` turns a
+ * total rate outside (0, inf) into the stochastic kernels' stop status.
  *
  * ``rk4_growth`` and ``rk4_kuznetsov`` parse their arguments and pass their
  * model's derivative to the one stepper ``rk4_run``.  ``ssa``, ``ssa_frozen``
@@ -13,10 +16,10 @@
  * evaluate it with ``table_rates``.
  *
  * ``ssa``, ``ssa_frozen`` and ``tau_leap`` take an optional trailing
- * ``grid``, a contiguous 1-D buffer of doubles (anything else raises
- * TypeError).  Without it they return one sample per event or leap; with it,
- * series of ``len(grid)`` entries holding at each grid time the sample held
- * there, the last one at or before it (the times column gives that sample's
+ * ``grid``, a non-empty contiguous 1-D buffer of doubles (anything else
+ * raises TypeError).  Without it they return one row per event or leap;
+ * with it, ``len(grid)`` rows holding at each grid time the sample held
+ * there, the last one at or before it (its t column gives that sample's
  * time).  Only ``rec_push`` and ``rec_finish`` know the difference.
  *
  * Randomness comes from xoshiro256** seeded by splitmix64 from the seed
@@ -104,12 +107,12 @@ static long rng_poisson(Rng *r, double lam)
     return k > 0 ? k : 0;
 }
 
-/* ---- recorded samples: up to three columns, returned as array('d') ----- */
+/* ---- recorded samples: (t, T, E) rows of one buffer ------------------- */
 
 typedef struct {
-    int ncol, oom;
+    int oom;
     Py_ssize_t n, cap;
-    double *col[3];
+    double *rows; /* n rows of (t, T, E) */
     /* grid mode: the grid (grid.obj is NULL without one) and the last
      * sample pushed, which rows n.. will hold until a later sample passes
      * their grid time */
@@ -119,8 +122,7 @@ typedef struct {
 
 static void rec_free(Rec *rec)
 {
-    for (int c = 0; c < 3; c++)
-        PyMem_Free(rec->col[c]);
+    PyMem_Free(rec->rows);
     if (rec->grid.obj != NULL)
         PyBuffer_Release(&rec->grid);
 }
@@ -133,96 +135,96 @@ static inline void rec_push(Rec *rec, double t, double a, double b)
     if (rec->grid.obj != NULL) {
         const double *grid = rec->grid.buf;
         for (; rec->n < rec->cap && grid[rec->n] < t; rec->n++)
-            for (int c = 0; c < rec->ncol; c++)
-                rec->col[c][rec->n] = rec->held[c];
+            memcpy(rec->rows + 3 * rec->n, rec->held, sizeof rec->held);
         rec->held[0] = t;
         rec->held[1] = a;
         rec->held[2] = b;
         return;
     }
     if (rec->n == rec->cap) {
-        if (rec->oom)
+        double *grown = rec->oom ? NULL : PyMem_Realloc(rec->rows, 6 * rec->cap * sizeof(double));
+        if (grown == NULL) {
+            rec->oom = 1;
             return;
-        for (int c = 0; c < rec->ncol; c++) {
-            double *grown = PyMem_Realloc(rec->col[c], 2 * rec->cap * sizeof(double));
-            if (grown == NULL) {
-                rec->oom = 1;
-                return;
-            }
-            rec->col[c] = grown;
         }
+        rec->rows = grown;
         rec->cap *= 2;
     }
-    rec->col[0][rec->n] = t;
-    rec->col[1][rec->n] = a;
-    if (rec->ncol == 3)
-        rec->col[2][rec->n] = b;
-    rec->n += 1;
+    double *row = rec->rows + 3 * rec->n++;
+    row[0] = t;
+    row[1] = a;
+    row[2] = b;
 }
 
-/* Starts the columns with the sample (0, a, b), one row per grid point when
- * ``grid`` is not None; the columns beyond ``ncol`` ignore their values,
- * here and in rec_push. */
-static int rec_init(Rec *rec, int ncol, PyObject *grid, double a, double b)
+/* Starts the rows with the sample (0, a, b), one row per grid point when
+ * ``grid`` is not None. */
+static int rec_init(Rec *rec, PyObject *grid, double a, double b)
 {
-    *rec = (Rec){ncol, 0, 0, 4096, {NULL, NULL, NULL}, {NULL}, {0.0, a, b}};
+    *rec = (Rec){0, 0, 4096, NULL, {NULL}, {0.0, a, b}};
     if (grid != NULL && grid != Py_None) {
         if (PyObject_GetBuffer(grid, &rec->grid, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0 ||
-            rec->grid.ndim != 1 || strcmp(rec->grid.format, "d") != 0) {
+            rec->grid.ndim != 1 || strcmp(rec->grid.format, "d") != 0 ||
+            rec->grid.shape[0] == 0) {
             rec_free(rec);
-            PyErr_SetString(PyExc_TypeError, "grid must be a contiguous 1-D buffer of doubles");
+            PyErr_SetString(PyExc_TypeError,
+                            "grid must be a non-empty contiguous 1-D buffer of doubles");
             return -1;
         }
         rec->cap = rec->grid.shape[0];
     }
-    for (int c = 0; c < ncol; c++) {
-        if ((rec->col[c] = PyMem_Malloc((rec->cap ? rec->cap : 1) * sizeof(double))) == NULL) {
-            rec_free(rec);
-            PyErr_NoMemory();
-            return -1;
-        }
+    if ((rec->rows = PyMem_Malloc(3 * rec->cap * sizeof(double))) == NULL) {
+        rec_free(rec);
+        PyErr_NoMemory();
+        return -1;
     }
     rec_push(rec, 0.0, a, b);
     return 0;
 }
 
-/* a new array('d') holding a copy of ``n`` doubles */
-static PyObject *column_array(const double *data, Py_ssize_t n)
+/* The status of a run whose total rate R left (0, inf): 5 when R < 0, 3
+ * when R is inf or nan, else 2 (no event can fire), which holds (a, b)
+ * until t_end. */
+static int stop_status(Rec *rec, double R, double t, double t_end, double a, double b)
 {
-    PyObject *arr = PySequence_Repeat(proto_array, n);
-    Py_buffer view;
-    if (arr == NULL || PyObject_GetBuffer(arr, &view, PyBUF_WRITABLE) < 0) {
-        Py_XDECREF(arr);
-        return NULL;
-    }
-    memcpy(view.buf, data, n * sizeof(double));
-    PyBuffer_Release(&view);
-    return arr;
+    if (R < 0.0)
+        return 5;
+    if (R != 0.0)
+        return 3;
+    if (t < t_end)
+        rec_push(rec, t_end, a, b);
+    return 2;
 }
 
-/* Frees the columns and returns (col0, ..., status), or NULL with an
- * exception set when ``status`` is negative or a result cannot be built. */
+/* Frees the rows and returns (rows, status), ``rows`` an (n, 3) memoryview
+ * of doubles over one new array('d'), or NULL with an exception set when
+ * ``status`` is negative or the result cannot be built. */
 static PyObject *rec_finish(Rec *rec, int status)
 {
-    PyObject *out = NULL;
+    PyObject *rows = NULL;
     if (rec->grid.obj != NULL)
         for (; rec->n < rec->cap; rec->n++)
-            for (int c = 0; c < rec->ncol; c++)
-                rec->col[c][rec->n] = rec->held[c];
+            memcpy(rec->rows + 3 * rec->n, rec->held, sizeof rec->held);
     if (rec->oom)
         PyErr_NoMemory();
-    else if (status >= 0 && (out = PyTuple_New(rec->ncol + 1)) != NULL) {
-        for (int c = 0; c <= rec->ncol && out != NULL; c++) {
-            PyObject *item =
-                c < rec->ncol ? column_array(rec->col[c], rec->n) : PyLong_FromLong(status);
-            if (item == NULL)
-                Py_CLEAR(out);
-            else
-                PyTuple_SET_ITEM(out, c, item);
+    else if (status >= 0) {
+        /* memoryview(arr).cast("B").cast("d", (n, 3)) */
+        PyObject *arr = PySequence_Repeat(proto_array, 3 * rec->n), *view = NULL, *bytes = NULL;
+        Py_buffer buf;
+        if (arr != NULL && PyObject_GetBuffer(arr, &buf, PyBUF_WRITABLE) == 0) {
+            memcpy(buf.buf, rec->rows, 3 * rec->n * sizeof(double));
+            PyBuffer_Release(&buf);
+            view = PyMemoryView_FromObject(arr);
         }
+        if (view != NULL)
+            bytes = PyObject_CallMethod(view, "cast", "s", "B");
+        if (bytes != NULL)
+            rows = PyObject_CallMethod(bytes, "cast", "s(nn)", "d", rec->n, (Py_ssize_t)3);
+        Py_XDECREF(arr);
+        Py_XDECREF(view);
+        Py_XDECREF(bytes);
     }
     rec_free(rec);
-    return out;
+    return rows == NULL ? NULL : Py_BuildValue("(Ni)", rows, status);
 }
 
 /* ---- deterministic fixed-step integration (classic RK4) ---------------- */
@@ -254,19 +256,19 @@ static long sample_targets(double t_end, double sample_every, long *ngrid)
 typedef void (*Deriv)(const double *par, const double x[2], double dx[2]);
 
 /* The one RK4 stepper.  The state is (T, E); a one-species law keeps E at
- * 0 and records ``ncol`` = 2 columns.  Steps of ``dt`` end exactly on every
+ * 0.  Steps of ``dt`` end exactly on every
  * sampling target; a step that would undershoot zero by more than a relative
  * 1e-12 is halved locally (at most MAX_HALVINGS times, else status 6), a
  * component beyond ``blowup`` or nan (only overflow makes one) stops the run
  * with status 1 after the last sample, and small negative residues are
  * clamped to 0.  Inlined per model, so ``f`` is a direct call. */
-static inline PyObject *rk4_run(Deriv f, const double *par, int ncol, double x[2], double dt,
-                                double t_end, double sample_every, double blowup)
+static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double dt, double t_end,
+                                double sample_every, double blowup)
 {
     double t = 0.0;
     long ngrid, ntargets = sample_targets(t_end, sample_every, &ngrid);
     Rec rec;
-    if (rec_init(&rec, ncol, NULL, x[0], x[1]) < 0)
+    if (rec_init(&rec, NULL, x[0], x[1]) < 0)
         return NULL;
     for (long kk = 1; kk <= ntargets; kk++) {
         double target = kk <= ngrid ? fmin(kk * sample_every, t_end) : t_end;
@@ -344,8 +346,8 @@ static PyObject *rk4_growth(PyObject *self, PyObject *args, PyObject *kw)
     double par[4] = {a, b, alpha + 1.0, beta + 1.0};
     /* two call sites, so that each inlined stepper calls its law directly */
     if (kind == 0)
-        return rk4_run(power_law_deriv, par, 2, x, dt, t_end, sample_every, blowup);
-    return rk4_run(gompertz_deriv, par, 2, x, dt, t_end, sample_every, blowup);
+        return rk4_run(power_law_deriv, par, x, dt, t_end, sample_every, blowup);
+    return rk4_run(gompertz_deriv, par, x, dt, t_end, sample_every, blowup);
 }
 
 static PyObject *rk4_kuznetsov(PyObject *self, PyObject *args, PyObject *kw)
@@ -357,7 +359,7 @@ static PyObject *rk4_kuznetsov(PyObject *self, PyObject *args, PyObject *kw)
                                      &par[3], &par[4], &par[5], &par[6], &par[7], &x[0], &x[1],
                                      &dt, &t_end, &sample_every, &blowup))
         return NULL;
-    return rk4_run(kuznetsov_deriv, par, 3, x, dt, t_end, sample_every, blowup);
+    return rk4_run(kuznetsov_deriv, par, x, dt, t_end, sample_every, blowup);
 }
 
 /* ---- channel tables ---------------------------------------------------- */
@@ -457,22 +459,12 @@ static PyObject *ssa(PyObject *self, PyObject *args, PyObject *kw)
     long nev = 0;
     int nch = tab.n, status = -1;
     Rec rec;
-    if (rec_init(&rec, 3, grid, T, E) < 0)
+    if (rec_init(&rec, grid, T, E) < 0)
         return NULL;
     for (;;) {
         double R = table_rates(&tab, T, E, floor_t, floor_e, rates);
-        if (R < 0.0) {
-            status = 5;
-            break;
-        }
-        if (R <= 0.0) {
-            if (t < t_end)
-                rec_push(&rec, t_end, T, E);
-            status = 2;
-            break;
-        }
-        if (R == INFINITY || R != R) {
-            status = 3;
+        if (!(0.0 < R && R < INFINITY)) {
+            status = stop_status(&rec, R, t, t_end, T, E);
             break;
         }
         t += -log(1.0 - rng_uniform(&rng)) / R;
@@ -539,7 +531,7 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
     if (coh == NULL)
         return PyErr_NoMemory();
     Rec rec;
-    if (rec_init(&rec, 2, grid, T, 0.0) < 0) {
+    if (rec_init(&rec, grid, T, 0.0) < 0) {
         PyMem_Free(coh);
         return NULL;
     }
@@ -554,21 +546,10 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
         double D = 0.0;
         for (Py_ssize_t i = 0; i < ncoh; i++)
             D += coh[i].rate * coh[i].count;
-        if (B < 0.0 || D < 0.0) {
-            status = 5;
-            break;
-        }
-        if (T - 1.0 < floor_t)
-            D = 0.0;
-        double R = B + D;
-        if (R <= 0.0) {
-            if (t < t_end)
-                rec_push(&rec, t_end, T, 0.0);
-            status = 2;
-            break;
-        }
-        if (R == INFINITY || R != R) {
-            status = 3;
+        /* no death below the floor */
+        double R = B < 0.0 || D < 0.0 ? -1.0 : B + (T - 1.0 < floor_t ? 0.0 : D);
+        if (!(0.0 < R && R < INFINITY)) {
+            status = stop_status(&rec, R, t, t_end, T, 0.0);
             break;
         }
         t += -log(1.0 - rng_uniform(&rng)) / R;
@@ -646,7 +627,7 @@ static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
     double T = T0, E = E0, t = 0.0;
     int nch = tab.n, status = -1;
     Rec rec;
-    if (rec_init(&rec, 3, grid, T, E) < 0)
+    if (rec_init(&rec, grid, T, E) < 0)
         return NULL;
     while (t < t_end - 1e-12) {
         if (T > cap || E > cap) {
@@ -656,18 +637,8 @@ static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
         double h = t + dt <= t_end ? dt : t_end - t;
         /* leaping clamps to the floors after the step instead */
         double R = table_rates(&tab, T, E, -INFINITY, -INFINITY, rates);
-        if (R < 0.0) {
-            status = 5;
-            break;
-        }
-        if (R <= 0.0) {
-            if (t < t_end)
-                rec_push(&rec, t_end, T, E);
-            status = 2;
-            break;
-        }
-        if (R == INFINITY || R != R) {
-            status = 3;
+        if (!(0.0 < R && R < INFINITY)) {
+            status = stop_status(&rec, R, t, t_end, T, E);
             break;
         }
         double nT = T, nE = E;
@@ -703,14 +674,17 @@ static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
     {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
 
 static PyMethodDef methods[] = {
-    KERNEL(rk4_growth, "Integrate a one-equation growth law. Returns (times, values, status)."),
-    KERNEL(rk4_kuznetsov, "Integrate the tumour-effector system. Returns (times, T, E, status)."),
-    KERNEL(ssa, "Exact simulation of a channel table. Returns (times, T, E, status), "
-                "per event or held on ``grid``."),
+    KERNEL(rk4_growth, "Integrate a one-equation growth law. Returns (rows, status), "
+                       "(t, T, 0) rows."),
+    KERNEL(rk4_kuznetsov, "Integrate the tumour-effector system. Returns (rows, status), "
+                          "(t, T, E) rows."),
+    KERNEL(ssa, "Exact simulation of a channel table. Returns (rows, status), (t, T, E) rows "
+                "per event or held on a non-empty ``grid``."),
     KERNEL(ssa_frozen, "Exact simulation of a birth-death table, death rates fixed at birth. "
-                       "Returns (times, T, status), per event or held on ``grid``."),
-    KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (times, T, E, status), "
-                     "per leap or held on ``grid``."),
+                       "Returns (rows, status), (t, T, 0) rows per event or held on a "
+                       "non-empty ``grid``."),
+    KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (rows, status), "
+                     "(t, T, E) rows per leap or held on a non-empty ``grid``."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -25,12 +25,17 @@ dE)`` rows, read by ``_table``.  ``_rates`` evaluates it for ``ssa`` and
 and ``rk4_kuznetsov`` hand their model's derivative to the one stepper
 ``_rk4``.
 
+Every kernel returns ``(rows, status)``: ``rows`` is an (n, 3) memoryview
+of doubles over one ``array('d')``, one ``(t, T, E)`` sample per row (E = 0
+for one species), built by ``_recorder``.  ``_stop_status`` turns a total
+rate outside (0, inf) into the stochastic kernels' stop status.
+
 The stochastic kernels (``ssa``, ``ssa_frozen``, ``tau_leap``) take an
-optional trailing ``grid``, a contiguous 1-D buffer of doubles such as a
-float64 array (anything else raises TypeError).  Without it they return one
-sample per event or leap; with it, ``len(grid)`` rows holding the sample
-held at each grid time, the last one at or before it, and that sample's
-time (the sampling contract is in the package docstring).  Only
+optional trailing ``grid``, a non-empty contiguous 1-D buffer of doubles
+such as a float64 array (anything else raises TypeError).  Without it they
+return one row per event or leap; with it, ``len(grid)`` rows holding the
+sample held at each grid time, the last one at or before it, with that
+sample's time (the sampling contract is in the package docstring).  Only
 ``_recorder`` knows the difference.
 
 RNG identity of this backend: ``random.Random`` (CPython's MT19937), one
@@ -42,6 +47,7 @@ but they intentionally differ from the compiled backend's generator.
 from __future__ import annotations
 
 import math
+from array import array
 from numbers import Real
 from operator import index
 from random import Random
@@ -67,24 +73,21 @@ def _pow(x: float, e: float) -> float:
         return _INF
 
 
-def _recorder(grid, ncol: int, a: float, b: float):
-    """``(push, finish)`` for the samples of one run, which starts at (0, a, b).
+def _recorder(grid, a: float, b: float):
+    """``(push, finish)`` for the (t, a, b) rows of one run, which starts at
+    (0, a, b).
 
     ``push(t, a, b)`` records a sample.  Without a grid every sample is kept.
     With one, a sample at time t gives every unfilled grid point before t
     the previous sample and is then held; ``finish(status)`` gives the
-    remaining grid points the last sample.  ``finish`` returns the first
-    ``ncol`` columns (time, a[, b]) followed by ``status``.
+    remaining grid points the last sample.  ``finish`` returns ``(rows,
+    status)``, ``rows`` an (n, 3) memoryview of doubles over one array('d').
     """
-    times: list[float] = []
-    col_a: list[float] = []
-    col_b: list[float] = []
-    add_t, add_a, add_b = times.append, col_a.append, col_b.append
+    flat: list[float] = []
+    extend = flat.extend
     if grid is None:
         def push(t, a, b):
-            add_t(t)
-            add_a(a)
-            add_b(b)
+            extend((t, a, b))
 
         def fill():
             pass
@@ -93,34 +96,43 @@ def _recorder(grid, ncol: int, a: float, b: float):
             view = memoryview(grid)
         except TypeError:
             view = None
-        if view is None or view.ndim != 1 or view.format != "d" or not view.c_contiguous:
-            raise TypeError("grid must be a contiguous 1-D buffer of doubles")
+        if (view is None or view.ndim != 1 or view.format != "d" or not view.c_contiguous
+                or not view.shape[0]):
+            raise TypeError("grid must be a non-empty contiguous 1-D buffer of doubles")
         points = view.tolist()
         points.append(_INF)  # a sentinel no sample passes
         k = 0
-        held_t, held_a, held_b = 0.0, a, b
+        held = (0.0, a, b)
 
         def push(t, a, b):
-            nonlocal k, held_t, held_a, held_b
+            nonlocal k, held
             while points[k] < t:
-                add_t(held_t)
-                add_a(held_a)
-                add_b(held_b)
+                extend(held)
                 k += 1
-            held_t, held_a, held_b = t, a, b
+            held = (t, a, b)
 
         def fill():
-            n = len(points) - 1 - len(times)
-            times.extend([held_t] * n)
-            col_a.extend([held_a] * n)
-            col_b.extend([held_b] * n)
+            extend(held * (len(points) - 1 - len(flat) // 3))
 
     def finish(status):
         fill()
-        return (times, col_a, col_b, status) if ncol == 3 else (times, col_a, status)
+        return memoryview(array("d", flat)).cast("B").cast("d", (len(flat) // 3, 3)), status
 
     push(0.0, a, b)
     return push, finish
+
+
+def _stop_status(push, R: float, t: float, t_end: float, a: float, b: float) -> int:
+    """The status of a run whose total rate R left (0, inf): 5 when R < 0, 3
+    when R is inf or nan, else 2 (no event can fire), which holds (a, b)
+    until ``t_end``; twin of the compiled ``stop_status``."""
+    if R < 0.0:
+        return 5
+    if R != 0.0:
+        return 3
+    if t < t_end:
+        push(t_end, a, b)
+    return 2
 
 
 def _sample_targets(t_end: float, sample_every: float) -> list[float]:
@@ -135,20 +147,20 @@ def _sample_targets(t_end: float, sample_every: float) -> list[float]:
 # deterministic fixed-step integration (classic 4th-order Runge-Kutta)
 # ---------------------------------------------------------------------------
 
-def _rk4(f, ncol, T, E, dt, t_end, sample_every, blowup):
+def _rk4(f, T, E, dt, t_end, sample_every, blowup):
     """The one RK4 stepper, twin of the compiled ``rk4_run``.
 
-    ``f(T, E)`` returns (dT/dt, dE/dt); a one-species law keeps E at 0 and
-    records ``ncol`` = 2 columns.  Steps of ``dt`` end exactly on every
-    sampling target; a step that would undershoot zero by more than a
-    relative 1e-12 is halved locally (at most 40 times, else status 6), a
-    component beyond ``blowup`` or nan stops the run with status 1 after the
-    last sample, and small negative residues are clamped to 0.
+    ``f(T, E)`` returns (dT/dt, dE/dt); a one-species law keeps E at 0.
+    Steps of ``dt`` end exactly on every sampling target; a step that would
+    undershoot zero by more than a relative 1e-12 is halved locally (at most
+    40 times, else status 6), a component beyond ``blowup`` or nan stops the
+    run with status 1 after the last sample, and small negative residues are
+    clamped to 0.
     """
     T = float(T)
     E = float(E)
     t = 0.0
-    push, finish = _recorder(None, ncol, T, E)
+    push, finish = _recorder(None, T, E)
     for target in _sample_targets(t_end, sample_every):
         while t < target - 1e-12:
             h = dt if t + dt <= target else target - t
@@ -184,7 +196,7 @@ def _rk4(f, ncol, T, E, dt, t_end, sample_every, blowup):
 
 def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup):
     """Integrate a one-equation growth law with the shared stepper ``_rk4``.
-    Returns (times, values, status)."""
+    Returns (rows, status), (t, T, 0) rows."""
     ea = alpha + 1.0
     eb = beta + 1.0
     log = math.log
@@ -194,15 +206,15 @@ def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup):
     else:
         def f(T, E):
             return (0.0 if T <= 0.0 else a * T - b * T * log(T)), 0.0
-    return _rk4(f, 2, T0, 0.0, dt, t_end, sample_every, blowup)
+    return _rk4(f, T0, 0.0, dt, t_end, sample_every, blowup)
 
 
 def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup):
     """Integrate the tumour-effector system with the shared stepper ``_rk4``.
-    Returns (times, T, E, status)."""
+    Returns (rows, status), (t, T, E) rows."""
     def f(T, E):
         return a * T * (1.0 - b * T) - n * T * E, p * T * E / (g + T) - m * T * E - d * E + s
-    return _rk4(f, 3, T0, E0, dt, t_end, sample_every, blowup)
+    return _rk4(f, T0, E0, dt, t_end, sample_every, blowup)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +273,8 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
     """Event-driven simulation of a channel table over integer populations.
 
     A channel whose delta would push a floored population below its floor
-    contributes rate 0.  Returns (times, T, E, status), per event or held on
-    ``grid``.
+    contributes rate 0.  Returns (rows, status), (t, T, E) rows per event or
+    held on ``grid``.
     """
     table = _table(table)
     rng = Random(seed)
@@ -274,17 +286,11 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
     E = float(E0)
     t = 0.0
     nev = 0
-    push, finish = _recorder(grid, 3, T, E)
+    push, finish = _recorder(grid, T, E)
     while True:
         R = _rates(table, T, E, floor_t, floor_e, rates)
-        if R < 0.0:
-            return finish(5)
-        if R <= 0.0:
-            if t < t_end:
-                push(t_end, T, E)
-            return finish(2)
-        if R == _INF or R != R:
-            return finish(3)
+        if not 0.0 < R < _INF:
+            return finish(_stop_status(push, R, t, t_end, T, E))
         t += -log(1.0 - rr()) / R
         if t >= t_end:
             push(t_end, T, E)
@@ -317,8 +323,8 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None):
     includes the agent itself at its creation instant, and kept for life.
     Agents sharing a frozen rate are held as one cohort, so the state is a
     (rate -> count) table rather than one object per agent.  The birth
-    channel stays live.  Returns (times, T, status), per event or held on
-    ``grid``.
+    channel stays live.  Returns (rows, status), (t, T, 0) rows per event or
+    held on ``grid``.
     """
     rows = _table(table)
     if not (len(rows) == 2 and rows[0][0] == 1 and rows[0][4:] == (1, 0)
@@ -339,26 +345,16 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None):
         ccounts.append(T)
     t = 0.0
     nev = 0
-    push, finish = _recorder(grid, 2, T, 0.0)
+    push, finish = _recorder(grid, T, 0.0)
     while True:
         B = a * T if ea == 1.0 else a * _pow(T, ea)
-        if B < 0.0:
-            return finish(5)
         D = 0.0
-        ncoh = len(crates)
-        for i in range(ncoh):
+        for i in range(len(crates)):
             D += crates[i] * ccounts[i]
-        if D < 0.0:
-            return finish(5)
-        if T - 1.0 < floor_t:
-            D = 0.0
-        R = B + D
-        if R <= 0.0:
-            if t < t_end:
-                push(t_end, T, 0.0)
-            return finish(2)
-        if R == _INF or R != R:
-            return finish(3)
+        # no death below the floor
+        R = -1.0 if B < 0.0 or D < 0.0 else B + (0.0 if T - 1.0 < floor_t else D)
+        if not 0.0 < R < _INF:
+            return finish(_stop_status(push, R, t, t_end, T, 0.0))
         t += -log(1.0 - rr()) / R
         if t >= t_end:
             push(t_end, T, 0.0)
@@ -419,7 +415,7 @@ def _poisson(rng: Random, lam: float) -> int:
 def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None):
     """Fixed-step leaping: each channel fires Poisson(rate*dt) times per step,
     deltas apply simultaneously, components below their floor clamp to it.
-    Returns (times, T, E, status), per leap or held on ``grid``."""
+    Returns (rows, status), (t, T, E) rows per leap or held on ``grid``."""
     table = _table(table)
     rng = Random(seed)
     nch = len(table)
@@ -427,21 +423,15 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None):
     T = float(T0)
     E = float(E0)
     t = 0.0
-    push, finish = _recorder(grid, 3, T, E)
+    push, finish = _recorder(grid, T, E)
     while t < t_end - 1e-12:
         if T > cap or E > cap:
             return finish(3)
         h = dt if t + dt <= t_end else t_end - t
         # leaping clamps to the floors after the step instead
         R = _rates(table, T, E, -_INF, -_INF, rates)
-        if R < 0.0:
-            return finish(5)
-        if R <= 0.0:
-            if t < t_end:
-                push(t_end, T, E)
-            return finish(2)
-        if R == _INF or R != R:
-            return finish(3)
+        if not 0.0 < R < _INF:
+            return finish(_stop_status(push, R, t, t_end, T, E))
         nT = T
         nE = E
         for r, row in zip(rates, table):

@@ -74,20 +74,18 @@ def integrate(
         if model.kind is GrowthKind.GOMPERTZ and initial.T <= 0:
             raise ConfigError("Gompertz growth needs T(0) > 0 (ln undefined at 0)")
         kind = 0 if model.kind is GrowthKind.POWER_LAW else 1
-        times, values, status = kernels.rk4_growth(
+        rows, status = kernels.rk4_growth(
             kind, model.a, model.b, model.alpha, model.beta,
             initial.T, cfg.dt, cfg.t_end, cfg.sample_every, BLOWUP_THRESHOLD,
         )
-        states = np.asarray(values, dtype=float).reshape(-1, 1)
         species: tuple[str, ...] = ("tumour",)
     elif isinstance(model, KuznetsovParams):
         if initial.E is None:
             raise ConfigError("the tumour-effector model needs an initial E (use PopulationState(T, E))")
-        times, t_vals, e_vals, status = kernels.rk4_kuznetsov(
+        rows, status = kernels.rk4_kuznetsov(
             model.a, model.b, model.g, model.m, model.n, model.p, model.d, model.s,
             initial.T, initial.E, cfg.dt, cfg.t_end, cfg.sample_every, BLOWUP_THRESHOLD,
         )
-        states = np.column_stack([np.asarray(t_vals, dtype=float), np.asarray(e_vals, dtype=float)])
         species = ("tumour", "effector")
     else:
         raise ConfigError(f"unsupported model type {type(model).__name__}")
@@ -95,9 +93,10 @@ def integrate(
     if status == kernels.ST_STEP_FAIL:
         raise EngineError("integration step kept undershooting zero after 40 local halvings")
     termination = Termination.BLOWUP if status == kernels.ST_BLOWUP else Termination.COMPLETED
+    rows = np.asarray(rows)
     return Trajectory(
-        times=np.asarray(times, dtype=float),
-        states=states,
+        times=rows[:, 0],
+        states=rows[:, 1:1 + len(species)],
         species=species,
         termination=termination,
         paradigm=Paradigm.SDS,

@@ -103,10 +103,6 @@ class ChannelSet:
     channels: tuple[Channel, ...]
     species: tuple[str, ...]
 
-    @property
-    def two_species(self) -> bool:
-        return len(self.species) == 2
-
     @functools.cached_property
     def table(self) -> tuple[tuple[int, float, float, float, int, int], ...]:
         """The kernels' channel table: one ``(code, c, e, g, dT, dE)`` row
@@ -143,6 +139,10 @@ def growth_channels(law: GrowthLaw) -> ChannelSet:
 
     Total birth rate is T*p(T) and total death rate T*d(T): power laws give
     a*T**(alpha+1) and b*T**(beta+1); Gompertz gives a*T and b*T*ln(T).
+    The frozen-at-birth kernel keeps each agent's per-capita death rate
+    b*T**(e-1), with the row's ``e - 1`` taken in double arithmetic: that is
+    ``beta`` only when ``beta + 1`` rounds to no other double (``beta = 0.3``
+    gives an exponent of 0.30000000000000004).
     """
     if law.kind is GrowthKind.GOMPERTZ:
         birth = RateLaw(kernels.R_POW_T, law.a, e=1.0)
@@ -232,7 +232,7 @@ def _check_initial(channels: ChannelSet, initial: PopulationState, floors: Floor
     T = initial.T
     if T != int(T):
         raise ConfigError(f"stochastic runs need integer populations, got T={T!r}")
-    if channels.two_species:
+    if len(channels.species) == 2:
         if initial.E is None:
             raise ConfigError("this channel set has two species; the initial state needs E")
         E = initial.E
@@ -289,12 +289,13 @@ def _check_grid(grid, t_end: float) -> np.ndarray:
     return np.ascontiguousarray(grid)
 
 
-def _abs_trajectory(channels, times, columns, termination, seed) -> Trajectory:
-    """One replicate's trajectory from the value columns a kernel returned."""
-    states = np.column_stack([np.asarray(c, dtype=float) for c in columns[: len(channels.species)]])
+def _abs_trajectory(channels, rows, grid, termination, seed) -> Trajectory:
+    """One replicate's trajectory from the (t, T, E) rows a kernel returned,
+    timed by ``grid`` when the kernel recorded on one."""
+    rows = np.asarray(rows)
     return Trajectory(
-        times=times,
-        states=states,
+        times=rows[:, 0] if grid is None else grid,
+        states=rows[:, 1:1 + len(channels.species)],
         species=channels.species,
         termination=termination,
         paradigm=Paradigm.ABS,
@@ -328,25 +329,25 @@ def simulate_exact(
 
     if policy is RatePolicy.FROZEN_AT_BIRTH:
         # one species, a birth row c*T**e, then a death row c*T**e or c*T*ln(T)
-        rows = channels.table
-        if not (len(channels.species) == 1 and len(rows) == 2 and rows[0][0] == kernels.R_POW_T
-                and rows[0][4:] == (1, 0) and rows[1][0] in (kernels.R_POW_T, kernels.R_TLOGT)
-                and rows[1][4:] == (-1, 0)):
+        table = channels.table
+        if not (len(channels.species) == 1 and len(table) == 2 and table[0][0] == kernels.R_POW_T
+                and table[0][4:] == (1, 0) and table[1][0] in (kernels.R_POW_T, kernels.R_TLOGT)
+                and table[1][4:] == (-1, 0)):
             raise ConfigError("the frozen-at-birth policy applies to one-species birth-death channel sets only")
-        times, *columns, status = kernels.ssa_frozen(
+        rows, status = kernels.ssa_frozen(
             channels.table, T0, t_end, seed, floors.min_tumour, float(POPULATION_CAP), max_events, grid,
         )
     else:
-        times, *columns, status = kernels.ssa(
+        rows, status = kernels.ssa(
             channels.table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
             float(POPULATION_CAP), max_events, grid,
         )
 
     # the last row holds the last sample, in grid mode too
-    last = (f" at t={times[-1]:.3g} with population {columns[0][-1]:.4g}"
+    last = (f" at t={rows[-1, 0]:.3g} with population {rows[-1, 1]:.4g}"
             if status == kernels.ST_MAX_EVENTS else "")
     termination = _raise_for_status(status, seed, max_events, last)
-    return _abs_trajectory(channels, times if grid is None else grid, columns, termination, seed)
+    return _abs_trajectory(channels, rows, grid, termination, seed)
 
 
 def simulate_tau_leap(
@@ -371,12 +372,12 @@ def simulate_tau_leap(
         raise ConfigError("tau-leaping supports the live rate policy only")
     grid = None if grid is None else _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
-    times, *columns, status = kernels.tau_leap(
+    rows, status = kernels.tau_leap(
         channels.table, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
         float(POPULATION_CAP), grid,
     )
     termination = _raise_for_status(status, seed, 0)
-    return _abs_trajectory(channels, times if grid is None else grid, columns, termination, seed)
+    return _abs_trajectory(channels, rows, grid, termination, seed)
 
 
 def run_ensemble(

@@ -41,6 +41,13 @@ ONE_SPECIES = birth_death(1.0, 0.05, death_e=2.0)
 DEATH_ONLY = ((1, 1.0, 1.0, 0.0, -1, 0),)
 
 
+def columns(result):
+    """A kernel's ``(rows, status)`` as its t, T and E columns, then status."""
+    rows, status = result
+    view = np.asarray(rows)
+    return view[:, 0], view[:, 1], view[:, 2], status
+
+
 @needs_compiled
 def test_backends_expose_the_same_entry_points():
     for name in KERNELS:
@@ -52,32 +59,32 @@ def test_backends_expose_the_same_entry_points():
 class TestRk4Parity:
     def test_logistic(self):
         args = (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.001, 10.0, 0.1, 1e300)
-        tp, vp, sp = pure.rk4_growth(*args)
-        tc, vc, sc = compiled.rk4_growth(*args)
+        tp, vp, _, sp = columns(pure.rk4_growth(*args))
+        tc, vc, _, sc = columns(compiled.rk4_growth(*args))
         assert sp == sc == 0
         assert np.array_equal(np.asarray(tp), np.asarray(tc))
         np.testing.assert_allclose(np.asarray(vp), np.asarray(vc), rtol=1e-12)
 
     def test_gompertz_large_magnitudes(self):
         args = (1, 1.636, 0.002, 0.0, 1.0, 1.0, 0.01, 110.0, 1.0, 1e300)
-        _, vp, sp = pure.rk4_growth(*args)
-        _, vc, sc = compiled.rk4_growth(*args)
+        _, vp, _, sp = columns(pure.rk4_growth(*args))
+        _, vc, _, sc = columns(compiled.rk4_growth(*args))
         assert sp == sc == 0
         np.testing.assert_allclose(np.asarray(vp), np.asarray(vc), rtol=1e-10)
 
     def test_kuznetsov_scenario(self):
         args = (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, 0.0,
                 100.0, 10.0, 0.001, 30.0, 0.5, 1e300)
-        tp, Tp, Ep, sp = pure.rk4_kuznetsov(*args)
-        tc, Tc, Ec, sc = compiled.rk4_kuznetsov(*args)
+        tp, Tp, Ep, sp = columns(pure.rk4_kuznetsov(*args))
+        tc, Tc, Ec, sc = columns(compiled.rk4_kuznetsov(*args))
         assert sp == sc == 0
         np.testing.assert_allclose(np.asarray(Tp), np.asarray(Tc), rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(np.asarray(Ep), np.asarray(Ec), rtol=1e-10, atol=1e-12)
 
     def test_blowup_flag_matches(self):
         args = (0, 1.636, 0.002, 1.0 / 3.0, 0.0, 1.0, 0.001, 10.0, 0.1, 1e300)
-        _, vp, sp = pure.rk4_growth(*args)
-        _, vc, sc = compiled.rk4_growth(*args)
+        _, vp, _, sp = columns(pure.rk4_growth(*args))
+        _, vc, _, sc = columns(compiled.rk4_growth(*args))
         assert sp == sc == 1
         assert all(map(math.isfinite, vp)) and all(map(math.isfinite, vc))
 
@@ -90,8 +97,8 @@ class TestStochasticAgreement:
         def mean_final(mod, base):
             finals = []
             for i in range(400):
-                _, Ts, _, st = mod.ssa(birth_death(2.0, 1.0), 100, 0, 0.5,
-                                       base + i, 0, 0, 1e12, 10**7)
+                _, Ts, _, st = columns(mod.ssa(birth_death(2.0, 1.0), 100, 0, 0.5,
+                                               base + i, 0, 0, 1e12, 10**7))
                 assert st in (0, 2)
                 finals.append(Ts[-1])
             return np.mean(finals), np.std(finals, ddof=1) / math.sqrt(len(finals))
@@ -104,8 +111,8 @@ class TestStochasticAgreement:
     def test_frozen_equals_live_within_each_backend(self, backend):
         mod = BACKENDS[backend]
         table = birth_death(0.7, 0.9)
-        live = mod.ssa(table, 5, 0, 15.0, 4242, 0, 0, 1e12, 10**7)
-        frozen = mod.ssa_frozen(table, 5, 15.0, 4242, 0, 1e12, 10**7)
+        live = columns(mod.ssa(table, 5, 0, 15.0, 4242, 0, 0, 1e12, 10**7))
+        frozen = columns(mod.ssa_frozen(table, 5, 15.0, 4242, 0, 1e12, 10**7))
         assert list(live[0]) == list(frozen[0])
         assert list(live[1]) == list(frozen[1])
 
@@ -115,8 +122,8 @@ class TestStochasticAgreement:
         base = 1_000 if backend == "_pykernels" else 2_000
         finals = []
         for i in range(300):
-            _, Ts, _, st = BACKENDS[backend].tau_leap(((0, 3.0, 0.0, 0.0, 1, 0),),
-                                                      0, 0, 2.0, 0.01, base + i, 0, 0, 1e12)
+            _, Ts, _, st = columns(BACKENDS[backend].tau_leap(((0, 3.0, 0.0, 0.0, 1, 0),),
+                                                              0, 0, 2.0, 0.01, base + i, 0, 0, 1e12))
             assert st == 0
             finals.append(Ts[-1])
         assert np.mean(finals) == pytest.approx(6.0, abs=0.5)
@@ -125,8 +132,8 @@ class TestStochasticAgreement:
     def test_per_seed_determinism_each_backend(self, backend):
         mod = BACKENDS[backend]
         table = birth_death(1.0, 0.2, death_e=2.0)
-        a = mod.ssa(table, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
-        b = mod.ssa(table, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7)
+        a = columns(mod.ssa(table, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7))
+        b = columns(mod.ssa(table, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7))
         assert list(a[0]) == list(b[0])
         assert list(a[1]) == list(b[1])
 
@@ -137,7 +144,7 @@ class TestCompiledStream:
     xoshiro256** and the kernels' arithmetic may not drift."""
 
     def test_ssa(self):
-        times, Ts, Es, status = compiled.ssa(S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8)
+        times, Ts, Es, status = columns(compiled.ssa(S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8))
         assert status == 0 and len(times) == len(Ts) == len(Es) == 135096
         assert list(times[:5]) == [0.0, 0.0009944854580088024, 0.002519382300010754,
                                    0.006471770756564635, 0.006525084672740699]
@@ -145,40 +152,50 @@ class TestCompiledStream:
         assert list(Es[:5]) == [10.0, 10.0, 10.0, 10.0, 10.0]
 
     def test_ssa_frozen(self):
-        times, Ts, status = compiled.ssa_frozen(birth_death(0.7, 0.9), 5, 15.0, 7, 0, 1e12, 10**7)
+        times, Ts, _, status = columns(compiled.ssa_frozen(birth_death(0.7, 0.9), 5, 15.0, 7, 0, 1e12, 10**7))
         assert status == 2 and len(times) == len(Ts) == 29
         assert list(times[:5]) == [0.0, 0.1507370325309312, 0.3413886790844172,
                                    0.9282793541946261, 0.9380724492764064]
         assert list(Ts[:5]) == [5.0, 6.0, 5.0, 4.0, 5.0]
 
     def test_tau_leap(self):
-        times, Ts, Es, status = compiled.tau_leap(S4_TABLE, 100, 10, 100.0, 0.01, 7, 1, 0, 1e12)
+        times, Ts, Es, status = columns(compiled.tau_leap(S4_TABLE, 100, 10, 100.0, 0.01, 7, 1, 0, 1e12))
         assert status == 0 and len(times) == len(Ts) == len(Es) == 10001
         assert list(times[:5]) == [0.0, 0.01, 0.02, 0.03, 0.04]
         assert list(Ts[:5]) == [100.0, 88.0, 84.0, 77.0, 69.0]
         assert list(Es[:5]) == [10.0, 10.0, 9.0, 9.0, 10.0]
 
     def test_seed_is_masked_to_64_bits(self):
-        a = compiled.ssa(S4_TABLE, 100, 10, 1.0, 7, 1, 0, 1e12, 10**8)
-        b = compiled.ssa(S4_TABLE, 100, 10, 1.0, 7 + 2**64, 1, 0, 1e12, 10**8)
-        c = compiled.ssa(S4_TABLE, 100, 10, 1.0, 7 - 2**64, 1, 0, 1e12, 10**8)
+        a = columns(compiled.ssa(S4_TABLE, 100, 10, 1.0, 7, 1, 0, 1e12, 10**8))
+        b = columns(compiled.ssa(S4_TABLE, 100, 10, 1.0, 7 + 2**64, 1, 0, 1e12, 10**8))
+        c = columns(compiled.ssa(S4_TABLE, 100, 10, 1.0, 7 - 2**64, 1, 0, 1e12, 10**8))
         assert list(a[0]) == list(b[0]) == list(c[0])
 
 
-@needs_compiled
-def test_series_are_float_sequences_numpy_views_without_copy():
-    for result in (
-        compiled.rk4_growth(0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 1.0, 0.1, 1e300),
-        compiled.ssa_frozen(birth_death(0.7, 0.9), 5, 1.0, 3, 0, 1e12, 10**7),
-    ):
-        *series, status = result
-        assert status == 0
-        for values in series:
-            assert isinstance(values[0], float) and len(values) >= 2
-            view = np.asarray(values)
-            assert view.dtype == np.float64 and len(view) == len(values)
-            values[0] = -1.0
-            assert view[0] == -1.0
+# one short run of each kernel, by name
+KERNEL_ARGS = {
+    "rk4_growth": (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 1.0, 0.1, 1e300),
+    "rk4_kuznetsov": (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, 0.0,
+                      100.0, 10.0, 0.01, 1.0, 0.1, 1e300),
+    "ssa": (S4_TABLE, 100, 10, 1.0, 3, 1, 0, 1e12, 10**7),
+    "ssa_frozen": (birth_death(0.7, 0.9), 5, 1.0, 3, 0, 1e12, 10**7),
+    "tau_leap": (S4_TABLE, 100, 10, 1.0, 0.1, 3, 1, 0, 1e12),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_rows_are_an_n_by_3_float64_buffer_numpy_views_without_copy(backend, kernel):
+    rows, status = getattr(BACKENDS[backend], kernel)(*KERNEL_ARGS[kernel])
+    assert status == 0
+    view = np.asarray(rows)
+    assert len(rows) == len(view) > 2
+    assert view.shape == (len(rows), 3) and view.dtype == np.float64
+    rows[0, 0] = -1.0
+    assert view[0, 0] == -1.0
+    if kernel in ("rk4_growth", "ssa_frozen"):
+        # one species: E is 0 in every row
+        assert np.all(view[:, 2] == 0.0)
 
 
 def call_with_table(backend, kernel, table):
@@ -242,7 +259,7 @@ def test_ssa_frozen_kept_death_rate_of_a_t_log_t_row_is_c_ln_t(backend):
     # one cell under a T*ln(T) death row keeps the per-capita rate 5*ln(1) =
     # 0, so without births it outlives t_end (c*T**(e-1) would kill it)
     table = ((1, 0.0, 1.0, 0.0, 1, 0), (2, 5.0, 0.0, 0.0, -1, 0))
-    times, Ts, status = BACKENDS[backend].ssa_frozen(table, 1, 5.0, 9, 0, 1e12, 10**6)
+    times, Ts, _, status = columns(BACKENDS[backend].ssa_frozen(table, 1, 5.0, 9, 0, 1e12, 10**6))
     assert status == 2 and list(times) == [0.0, 5.0] and list(Ts) == [1.0, 1.0]
 
 
@@ -280,10 +297,10 @@ class TestGridRecording:
     def test_grid_series_equal_step_sampled_event_series(self, backend, kernel, case):
         fn = getattr(BACKENDS[backend], kernel)
         t_end, args = GRID_CASES[kernel, case]
-        *full, status = fn(*args)
+        *full, status = columns(fn(*args))
         assert status == STATUS.get(case, 0)
         grid = grid_on_samples(full[0], t_end)
-        *held, held_status = fn(*args, grid)
+        *held, held_status = columns(fn(*args, grid))
         assert held_status == status and len(held) == len(full)
         idx = np.searchsorted(np.asarray(full[0]), grid, side="right") - 1
         assert np.any(np.isin(grid[1:], full[0]))  # right-continuity is exercised
@@ -302,8 +319,8 @@ class TestGridRecording:
     def test_grid_none_is_the_per_event_series(self, backend, kernel):
         fn = getattr(BACKENDS[backend], kernel)
         _, args = GRID_CASES[kernel, "one-species"]
-        *default, status = fn(*args)
-        *explicit, status_none = fn(*args, None)
+        *default, status = columns(fn(*args))
+        *explicit, status_none = columns(fn(*args, None))
         assert status == status_none and len(default[0]) > 100
         assert [list(c) for c in default] == [list(c) for c in explicit]
 
@@ -315,8 +332,34 @@ class TestGridRecording:
         np.zeros((2, 2)),
         np.arange(3, dtype=np.float32),
         "0 1",
-    ], ids=["list", "strided", "2d", "float32", "str"])
+        np.empty(0),
+    ], ids=["list", "strided", "2d", "float32", "str", "empty"])
     def test_grid_must_be_a_contiguous_1d_double_buffer(self, backend, kernel, grid):
         fn = getattr(BACKENDS[backend], kernel)
         with pytest.raises(TypeError, match="contiguous 1-D buffer of doubles"):
             fn(*GRID_CASES[kernel, "one-species"][1], grid)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel, row", [("ssa", 0), ("tau_leap", 0), ("ssa_frozen", 0), ("ssa_frozen", 1)],
+                         ids=["ssa", "tau_leap", "ssa_frozen-birth", "ssa_frozen-death"])
+@pytest.mark.parametrize("c, status", [(-1.0, 5), (0.0, 2), (math.inf, 3), (math.nan, 3)],
+                         ids=["negative", "zero", "inf", "nan"])
+def test_total_rate_outside_zero_inf_stops_the_run(backend, kernel, row, c, status):
+    """One stop rule on the total rate R: R < 0 stops with status 5, R == 0
+    with status 2 after holding the state until t_end, inf or nan with 3."""
+    fn = getattr(BACKENDS[backend], kernel)
+    if kernel == "ssa_frozen":
+        # a birth row c*T or a death row of per-capita rate c, the other row 0
+        table = [(1, 0.0, 1.0, 0.0, 1, 0), (1, 0.0, 1.0, 0.0, -1, 0)]
+        table[row] = (1, c, 1.0, 0.0, *table[row][4:])
+        rows, got = fn(tuple(table), 3, 5.0, 1, 0, 1e12, 10**6)
+        E0 = 0.0
+    else:
+        table = ((0, c, 0.0, 0.0, 1, 0),)
+        args = (3, 2, 5.0, 1, 0, 0, 1e12, 10**6) if kernel == "ssa" else (3, 2, 5.0, 0.1, 1, 0, 0, 1e12)
+        rows, got = fn(table, *args)
+        E0 = 2.0
+    assert got == status
+    held = [[5.0, 3.0, E0]] if status == 2 else []
+    assert np.asarray(rows).tolist() == [[0.0, 3.0, E0], *held]

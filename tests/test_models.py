@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dualsim import kernels
@@ -182,22 +183,24 @@ class TestRk4DerivativesMatchTheTable:
         law = LAWS[law]
         kind = 1 if law.kind is GrowthKind.GOMPERTZ else 0
         for T0 in (0.0, 1.0, 3.7, 818.0, 5000.0):
-            times, values, status = BACKENDS[backend].rk4_growth(
+            rows, status = BACKENDS[backend].rk4_growth(
                 kind, law.a, law.b, law.alpha, law.beta, T0, self.H, self.H, self.H, 1e300)
-            assert status == 0 and list(times) == [0.0, self.H]
-            assert values[1] == pytest.approx(drift_rk4_step(law, T0, 0.0, self.H)[0], rel=1e-12)
+            rows = np.asarray(rows)
+            assert status == 0 and list(rows[:, 0]) == [0.0, self.H]
+            assert rows[1, 1] == pytest.approx(drift_rk4_step(law, T0, 0.0, self.H)[0], rel=1e-12)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
     def test_rk4_kuznetsov(self, backend, scenario):
         p = scenario_preset(scenario)
         for T0, E0 in ((0.0, 0.0), (0.0, 2.0), (100.0, 10.0), (5.0, 30.0), (700.0, 0.5)):
-            times, Ts, Es, status = BACKENDS[backend].rk4_kuznetsov(
+            rows, status = BACKENDS[backend].rk4_kuznetsov(
                 p.a, p.b, p.g, p.m, p.n, p.p, p.d, p.s, T0, E0, self.H, self.H, self.H, 1e300)
-            assert status == 0 and list(times) == [0.0, self.H]
+            rows = np.asarray(rows)
+            assert status == 0 and list(rows[:, 0]) == [0.0, self.H]
             T1, E1 = drift_rk4_step(p, T0, E0, self.H)
-            assert Ts[1] == pytest.approx(T1, rel=1e-12)
-            assert Es[1] == pytest.approx(E1, rel=1e-12)
+            assert rows[1, 1] == pytest.approx(T1, rel=1e-12)
+            assert rows[1, 2] == pytest.approx(E1, rel=1e-12)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
