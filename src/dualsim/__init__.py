@@ -29,7 +29,7 @@ from .models import (
     experiment_one_law,
     scenario_preset,
 )
-from .sds import IntegratorConfig, closed_form, closed_form_log, integrate
+from .sds import IntegratorConfig, integrate
 from .ssa import (
     POPULATION_CAP,
     Channel,
@@ -47,7 +47,6 @@ from .ssa import (
 )
 from .stats import (
     ComparisonReport,
-    PValueMode,
     WilcoxonResult,
     compare,
     ensemble_mean,

@@ -145,6 +145,8 @@ def _validate_raw(raw: dict) -> RunSpec:
             raise ConfigError("scenario: only applies to the kuznetsov model")
         if vals.get("e0") is not None:
             raise ConfigError("e0: one-equation models have no effector population")
+        if vals.get("fix") == "both":
+            raise ConfigError("fix: both floors the effector too; one-equation models have no effector population")
         has_c = vals.get("c") is not None
         has_ab = vals.get("a") is not None or vals.get("b") is not None
         if has_c and has_ab:
@@ -237,7 +239,6 @@ def _run_abs(spec: RunSpec, model, grid: np.ndarray) -> Ensemble:
         t_end=spec.t_end,
         policy=RatePolicy.FROZEN_AT_BIRTH if spec.policy == "frozen" else RatePolicy.LIVE,
         floors=Floors.from_fix(spec.fix),
-        method=spec.method,
         dt=spec.dt if spec.method == "tau" else None,
     )
     return run_ensemble(ens_spec, reps=spec.reps, base_seed=spec.seed, grid=grid)
@@ -299,8 +300,7 @@ def _manifest(spec: RunSpec, outputs: list[str], results: dict) -> str:
 def _curve(label: str, species: str, values: np.ndarray) -> Curve:
     """One plotted series: tumour solid on the left axis, any other species
     dotted on the right."""
-    tumour = species == "tumour"
-    return Curve(f"{label} {species}", list(values), axis="left" if tumour else "right", dotted=not tumour)
+    return Curve(f"{label} {species}", list(values), secondary=species != "tumour")
 
 
 def _model_label(spec: RunSpec) -> str:

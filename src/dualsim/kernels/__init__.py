@@ -46,7 +46,8 @@ sample hold the last sample, so the last row always names the last event.
 
 Per-seed reproducibility is guaranteed within a backend, not across the two:
 the compiled backend draws from xoshiro256** seeded via splitmix64, the pure
-backend from ``random.Random``.
+backend from ``random.Random``.  Both mask the seed to its low 64 bits, so
+seeds s and s + 2**64 give one stream and s and -s two.
 """
 
 import os

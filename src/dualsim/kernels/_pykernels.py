@@ -39,9 +39,11 @@ sample's time (the sampling contract is in the package docstring).  Only
 ``_recorder`` knows the difference.
 
 RNG identity of this backend: ``random.Random`` (CPython's MT19937), one
-generator per run seeded with the run's seed; draws are consumed as
-(waiting time, channel selection) per event.  Per-seed streams are stable,
-but they intentionally differ from the compiled backend's generator.
+generator per run, seeded by ``_rng`` with the run's seed masked to 64 bits
+as the compiled backend masks it, so that seeds s and -s give two streams;
+draws are consumed as (waiting time, channel selection) per event.
+Per-seed streams are stable, but they intentionally differ from the compiled
+backend's generator.
 """
 
 from __future__ import annotations
@@ -269,6 +271,12 @@ def _rates(table, T, E, floor_t, floor_e, rates):
 # exact stochastic simulation (Gillespie direct method)
 # ---------------------------------------------------------------------------
 
+def _rng(seed):
+    """The run's generator, seeded with the seed's low 64 bits: the twin of
+    the compiled backend's ``PyLong_AsUnsignedLongLongMask``."""
+    return Random(index(seed) & 0xFFFF_FFFF_FFFF_FFFF)
+
+
 def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None):
     """Event-driven simulation of a channel table over integer populations.
 
@@ -277,7 +285,7 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
     held on ``grid``.
     """
     table = _table(table)
-    rng = Random(seed)
+    rng = _rng(seed)
     rr = rng.random
     log = math.log
     nch = len(table)
@@ -333,7 +341,7 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None):
     (_, a, ea, _, _, _), (death_code, b, eb, _, _, _) = rows
     tlogt = death_code == 2
     eb -= 1.0  # the per-capita exponent of a power-law death row
-    rng = Random(seed)
+    rng = _rng(seed)
     rr = rng.random
     log = math.log
     T = float(T0)
@@ -417,7 +425,7 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None):
     deltas apply simultaneously, components below their floor clamp to it.
     Returns (rows, status), (t, T, E) rows per leap or held on ``grid``."""
     table = _table(table)
-    rng = Random(seed)
+    rng = _rng(seed)
     nch = len(table)
     rates = [0.0] * nch
     T = float(T0)

@@ -34,16 +34,12 @@ __all__ = [
     "GrowthLaw",
     "KuznetsovParams",
     "PopulationState",
-    "PAPER_RATIOS",
     "VON_BERTALANFFY_ALPHA",
     "scenario_preset",
     "experiment_one_law",
 ]
 
 VON_BERTALANFFY_ALPHA = 1.0 / 3.0
-
-# Ratios c = a/b used in the one-equation ratio sweep.
-PAPER_RATIOS = (5.0, 2.5, 1.7, 1.25)
 
 
 class GrowthKind(enum.Enum):
@@ -92,10 +88,6 @@ class GrowthLaw:
     def gompertz(cls, a: float, b: float) -> "GrowthLaw":
         """Gompertz law: p = a, d = b*ln(T). Only a, b > 0 is enforced."""
         return cls(GrowthKind.GOMPERTZ, a, b)
-
-    @property
-    def is_logistic(self) -> bool:
-        return self.kind is GrowthKind.POWER_LAW and self.alpha == 0.0 and self.beta == 1.0
 
 
 def _require_growth(a: float, b: float, label: str) -> None:

@@ -1,9 +1,10 @@
 """Minimal deterministic SVG line charts.
 
-Tumour series draw solid against the left y axis, effector series dotted
-against the right y axis.  Output is a pure function of the input series:
-identical input gives byte-identical SVG, which the reproducibility contract
-relies on (no timestamps, no generated ids).
+Series draw solid against the left y axis; a curve flagged ``secondary``
+draws dotted against the right y axis, the one style choice.  Output is a
+pure function of the input series: identical input gives byte-identical SVG,
+which the reproducibility contract relies on (no timestamps, no generated
+ids).
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ _MARGIN_B = 48
 
 @dataclass(frozen=True)
 class Curve:
-    """One plotted series; ``axis`` is "left" or "right"."""
+    """One plotted series; a ``secondary`` one is dotted, on the right axis."""
 
     label: str
     values: Sequence[float]
-    axis: str = "left"
-    dotted: bool = False
+    secondary: bool = False
 
 
 def _fmt(v: float) -> str:
@@ -67,11 +67,9 @@ def emit_svg_plot(
     for c in curves:
         if len(c.values) != len(times):
             raise ConfigError(f"curve {c.label!r} has {len(c.values)} points, grid has {len(times)}")
-        if c.axis not in ("left", "right"):
-            raise ConfigError(f"curve {c.label!r}: axis must be 'left' or 'right'")
 
-    left = [c for c in curves if c.axis == "left"]
-    right = [c for c in curves if c.axis == "right"]
+    left = [c for c in curves if not c.secondary]
+    right = [c for c in curves if c.secondary]
     x0, x1 = times[0], times[-1]
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -142,17 +140,16 @@ def emit_svg_plot(
     legend_entries = []
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(x_px(t))},{_fmt(y_px(v, c.axis))}" for t, v in zip(times, c.values))
-        dash = ' stroke-dasharray="2 4"' if c.dotted else ""
+        axis = "right" if c.secondary else "left"
+        pts = " ".join(f"{_fmt(x_px(t))},{_fmt(y_px(v, axis))}" for t, v in zip(times, c.values))
+        dash = ' stroke-dasharray="2 4"' if c.secondary else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')
-        legend_entries.append((c.label, color, c.dotted, c.axis))
+        legend_entries.append((f"{c.label} ({axis})", color, dash))
 
     # legend row under the title
     lx = float(_MARGIN_L)
     ly = _MARGIN_T - 14
-    for label, color, dotted, axis in legend_entries:
-        dash = ' stroke-dasharray="2 4"' if dotted else ""
-        shown = f"{label} ({axis})"
+    for shown, color, dash in legend_entries:
         out.append(f'<line x1="{_fmt(lx)}" y1="{ly - 4}" x2="{_fmt(lx + 18)}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"{dash}/>')
         out.append(
             f'<text x="{_fmt(lx + 22)}" y="{ly}" font-family="sans-serif" font-size="11">{_escape(shown)}</text>'

@@ -211,21 +211,22 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Everything one stochastic run needs, minus the seed."""
+    """Everything one stochastic run needs, minus the seed.  Runs are exact
+    unless a leap step ``dt`` is given, which tau-leaps them."""
 
     channels: ChannelSet
     initial: PopulationState
     t_end: float
     policy: RatePolicy = RatePolicy.LIVE
     floors: Floors = field(default_factory=Floors)
-    method: str = "exact"  # "exact" | "tau"
-    dt: float | None = None  # leap step, required for "tau"
+    dt: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("exact", "tau"):
-            raise ConfigError(f"method must be 'exact' or 'tau', got {self.method!r}")
-        if self.method == "tau" and not (self.dt and self.dt > 0):
-            raise ConfigError("tau-leaping needs a positive dt")
+        if self.dt is not None:
+            if not self.dt > 0:
+                raise ConfigError(f"tau-leaping needs a positive dt, got {self.dt!r}")
+            if self.policy is not RatePolicy.LIVE:
+                raise ConfigError("tau-leaping supports the live rate policy only")
 
 
 def _check_initial(channels: ChannelSet, initial: PopulationState, floors: Floors) -> tuple[int, int]:
@@ -356,20 +357,17 @@ def simulate_tau_leap(
     t_end: float,
     dt: float,
     seed: int,
-    policy: RatePolicy = RatePolicy.LIVE,
     floors: Floors = Floors(),
     grid: np.ndarray | None = None,
 ) -> Trajectory:
-    """Poisson tau-leaping over fixed steps of ``dt``; any component pushed
-    below its floor is clamped to the floor.  One sample per leap or, with a
-    ``grid`` (as for :func:`simulate_exact`), the state held at each grid
-    time."""
+    """Poisson tau-leaping over fixed steps of ``dt`` under the live rate
+    policy; any component pushed below its floor is clamped to the floor.
+    One sample per leap or, with a ``grid`` (as for :func:`simulate_exact`),
+    the state held at each grid time."""
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     if not (math.isfinite(dt) and 0 < dt <= t_end):
         raise ConfigError(f"need 0 < dt <= t_end, got dt={dt!r}")
-    if policy is not RatePolicy.LIVE:
-        raise ConfigError("tau-leaping supports the live rate policy only")
     grid = None if grid is None else _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
     rows, status = kernels.tau_leap(
@@ -402,10 +400,10 @@ def run_ensemble(
     for i in range(reps):
         seed = base_seed + i
         try:
-            if spec.method == "tau":
+            if spec.dt is not None:
                 traj = simulate_tau_leap(
                     spec.channels, spec.initial, spec.t_end, spec.dt, seed,
-                    policy=spec.policy, floors=spec.floors, grid=grid,
+                    floors=spec.floors, grid=grid,
                 )
             else:
                 traj = simulate_exact(

@@ -7,15 +7,16 @@ interpolated onto it, the ensemble already holds each replicate's state at
 every grid time (the right-continuous step sample, correct for
 piecewise-constant counts) and is averaged across replicates, and a
 two-sided Wilcoxon rank-sum (Mann-Whitney) test per population decides
-whether the two series look alike.  A grid is valid for sampling when
-``ssa``'s rule accepts it (1-D, finite, strictly increasing, from 0 to at
-most the run's end); ``compare`` also needs it uniform with at least two
-points, because its report records one spacing.
+whether the two series look alike.  The test's p is exact up to
+``EXACT_LIMIT`` observations in all and the normal approximation beyond: the
+sample size is the only choice between the two.  A grid is valid for
+sampling when ``ssa``'s rule accepts it (1-D, finite, strictly increasing,
+from 0 to at most the run's end); ``compare`` also needs it uniform with at
+least two points, because its report records one spacing.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ from .ssa import Ensemble, _check_grid
 from .trajectory import Paradigm, Trajectory
 
 __all__ = [
-    "PValueMode",
     "WilcoxonResult",
     "PopulationComparison",
     "ComparisonReport",
@@ -38,15 +38,9 @@ __all__ = [
     "EXACT_LIMIT",
 ]
 
-#: Combined sample size up to which the exact permutation distribution is
-#: used by default.
+#: Combined sample size up to which the rank-sum p counts the exact
+#: permutation distribution; larger samples take the normal approximation.
 EXACT_LIMIT = 20
-
-
-class PValueMode(enum.Enum):
-    AUTO = "auto"
-    EXACT = "exact"
-    NORMAL = "normal"
 
 
 def make_grid(t_end: float, spacing: float = 1.0) -> np.ndarray:
@@ -100,36 +94,42 @@ class WilcoxonResult:
     h: int
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    svals = pooled[order]
-    ranks = np.empty(len(pooled), dtype=float)
-    i, n = 0, len(pooled)
-    while i < n:
-        j = i
-        while j + 1 < n and svals[j + 1] == svals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _ranks(x, y) -> tuple[np.ndarray, np.ndarray, int]:
+    """One rank pass over the pooled samples, x first: the doubled midranks
+    (exact integers), the size of each group of tied values and n1."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size == 0 or y.size == 0:
+        raise ConfigError("rank-sum test needs two nonempty samples")
+    pooled = np.concatenate([x, y])
+    if not np.all(np.isfinite(pooled)):
+        raise ConfigError("samples must be finite")
+    _, inv, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # a group of c ties ending at rank r has midrank r - (c - 1) / 2
+    dranks = (2 * np.cumsum(counts) - counts + 1)[inv]
+    return dranks, counts, x.size
 
 
-def _exact_two_sided_p(dranks: list[int], n1: int) -> float:
+def _u_statistic(dranks: np.ndarray, n1: int) -> float:
+    return float(dranks[:n1].sum()) / 2.0 - n1 * (n1 + 1) / 2.0
+
+
+def _exact_p(dranks: np.ndarray, n1: int) -> float:
     """Two-sided p over the full permutation distribution of the rank sum.
 
     ``dranks`` are doubled midranks (integers, so the counts are exact
     integer arithmetic) with the first sample occupying the first n1
     positions.  p = P(|S - E[S]| >= |s_obs - E[S]|) over all C(n, n1)
     assignments, counted by a dynamic programme over the doubled rank sums
-    instead of enumerating the assignments.
+    instead of enumerating the assignments; exact even with ties.
     """
     n = len(dranks)
     e2 = n1 * (n + 1)  # doubled E[S] = n1 (n+1) / 2
-    obs_dev = abs(sum(dranks[:n1]) - e2)
+    obs_dev = abs(int(dranks[:n1].sum()) - e2)
     # ways[k, s]: the k-subsets of the ranks seen so far with doubled sum s
-    ways = np.zeros((n1 + 1, sum(dranks) + 1), dtype=object)
+    ways = np.zeros((n1 + 1, int(dranks.sum()) + 1), dtype=object)
     ways[0, 0] = 1
-    for i, d in enumerate(dranks):
+    for i, d in enumerate(dranks.tolist()):
         # k falls so that each rank joins a subset at most once; d >= 2
         for k in range(min(i + 1, n1), 0, -1):
             ways[k, d:] += ways[k - 1, :-d]
@@ -138,53 +138,35 @@ def _exact_two_sided_p(dranks: list[int], n1: int) -> float:
     return count / math.comb(n, n1)
 
 
-def wilcoxon_ranksum(
-    x,
-    y,
-    alpha: float = 0.05,
-    mode: PValueMode = PValueMode.AUTO,
-) -> WilcoxonResult:
+def _normal_p(dranks: np.ndarray, counts: np.ndarray, n1: int) -> float:
+    """Two-sided p from the tie-corrected normal approximation to U, with a
+    0.5 continuity correction."""
+    n = len(dranks)
+    n2 = n - n1
+    u = _u_statistic(dranks, n1)
+    tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
+    sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1.0)))
+    if sigma2 <= 0.0:
+        return 1.0
+    z = (abs(u - n1 * n2 / 2.0) - 0.5) / math.sqrt(sigma2)
+    return 1.0 if z <= 0.0 else min(math.erfc(z / math.sqrt(2.0)), 1.0)
+
+
+def wilcoxon_ranksum(x, y, alpha: float = 0.05) -> WilcoxonResult:
     """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test with midranks.
 
-    EXACT counts the full permutation distribution (exact even with
-    ties); NORMAL uses the tie-corrected normal approximation with a 0.5
-    continuity correction; AUTO picks EXACT when the combined sample size is
-    at most ``EXACT_LIMIT``.
+    Up to ``EXACT_LIMIT`` observations in all, p counts the full
+    permutation distribution (exact even with ties); beyond it, p is the
+    tie-corrected normal approximation with a 0.5 continuity correction.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size == 0 or y.size == 0:
-        raise ConfigError("rank-sum test needs two nonempty samples")
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    n1, n2 = x.size, y.size
-    n = n1 + n2
-    pooled = np.concatenate([x, y])
-    if not np.all(np.isfinite(pooled)):
-        raise ConfigError("samples must be finite")
-    ranks = _midranks(pooled)
-    s_obs = float(ranks[:n1].sum())
-    u = s_obs - n1 * (n1 + 1) / 2.0
-    mu = n1 * n2 / 2.0
-
-    if mode is PValueMode.AUTO:
-        mode = PValueMode.EXACT if n <= EXACT_LIMIT else PValueMode.NORMAL
-
-    if mode is PValueMode.EXACT:
-        dranks = [int(round(2.0 * r)) for r in ranks]
-        p = _exact_two_sided_p(dranks, n1)
+    dranks, counts, n1 = _ranks(x, y)
+    if len(dranks) <= EXACT_LIMIT:
+        p = _exact_p(dranks, n1)
     else:
-        # variance with tie correction
-        _, counts = np.unique(pooled, return_counts=True)
-        tie_term = float(np.sum(counts.astype(float) ** 3 - counts))
-        sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1.0)))
-        if sigma2 <= 0.0:
-            p = 1.0
-        else:
-            z = (abs(u - mu) - 0.5) / math.sqrt(sigma2)
-            p = 1.0 if z <= 0.0 else math.erfc(z / math.sqrt(2.0))
-            p = min(p, 1.0)
-    return WilcoxonResult(U=u, p=p, h=1 if p < alpha else 0)
+        p = _normal_p(dranks, counts, n1)
+    return WilcoxonResult(U=_u_statistic(dranks, n1), p=p, h=1 if p < alpha else 0)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import pytest
 from dualsim.cli import cmd_compare, parse_config
 from dualsim.errors import PopulationCapError
 from dualsim.models import GrowthKind, GrowthLaw, PopulationState, scenario_preset
-from dualsim.sds import IntegratorConfig, closed_form, closed_form_log, integrate
+from dualsim.sds import IntegratorConfig, integrate
 from dualsim.ssa import (
     EnsembleSpec,
     Floors,
@@ -29,8 +29,9 @@ from dualsim.ssa import (
     simulate_exact,
     simulate_tau_leap,
 )
-from dualsim.stats import PValueMode, compare, make_grid, wilcoxon_ranksum
+from dualsim.stats import EXACT_LIMIT, compare, make_grid, wilcoxon_ranksum
 from dualsim.trajectory import Termination
+from reference import closed_form, closed_form_log
 
 
 @contextmanager
@@ -202,7 +203,8 @@ def test_criterion_7_wilcoxon_exactness():
             pool = rng.sample(range(100_000), n1 + n2)  # tie-free
             x = [float(v) for v in pool[:n1]]
             y = [float(v) for v in pool[n1:]]
-            assert wilcoxon_ranksum(x, y, mode=PValueMode.EXACT).p == brute_force(x, y)
+            assert n1 + n2 <= EXACT_LIMIT  # the size rule takes the exact p
+            assert wilcoxon_ranksum(x, y).p == brute_force(x, y)
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -61,6 +61,7 @@ class TestParseConfig:
         ('{"model": "logistic", "a": 1}', "together"),
         ('{"model": "logistic", "c": 5, "scenario": 1}', "scenario"),
         ('{"model": "logistic", "c": 5, "e0": 1}', "e0"),
+        ('{"model": "logistic", "c": 5, "fix": "both"}', "fix"),
         ('{"model": "kuznetsov"}', "scenario"),
         ('{"model": "kuznetsov", "scenario": 9}', "scenario"),
         ('{"model": "kuznetsov", "scenario": 1, "c": 5}', "one-equation"),

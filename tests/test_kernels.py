@@ -165,12 +165,6 @@ class TestCompiledStream:
         assert list(Ts[:5]) == [100.0, 88.0, 84.0, 77.0, 69.0]
         assert list(Es[:5]) == [10.0, 10.0, 9.0, 9.0, 10.0]
 
-    def test_seed_is_masked_to_64_bits(self):
-        a = columns(compiled.ssa(S4_TABLE, 100, 10, 1.0, 7, 1, 0, 1e12, 10**8))
-        b = columns(compiled.ssa(S4_TABLE, 100, 10, 1.0, 7 + 2**64, 1, 0, 1e12, 10**8))
-        c = columns(compiled.ssa(S4_TABLE, 100, 10, 1.0, 7 - 2**64, 1, 0, 1e12, 10**8))
-        assert list(a[0]) == list(b[0]) == list(c[0])
-
 
 # one short run of each kernel, by name
 KERNEL_ARGS = {
@@ -196,6 +190,23 @@ def test_rows_are_an_n_by_3_float64_buffer_numpy_views_without_copy(backend, ker
     if kernel in ("rk4_growth", "ssa_frozen"):
         # one species: E is 0 in every row
         assert np.all(view[:, 2] == 0.0)
+
+
+# where each stochastic kernel takes its seed
+SEED_AT = {"ssa": 4, "ssa_frozen": 3, "tau_leap": 5}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", SEED_AT)
+def test_seed_is_masked_to_64_bits(backend, kernel):
+    def rows(seed):
+        args = list(KERNEL_ARGS[kernel])
+        args[SEED_AT[kernel]] = seed
+        return np.asarray(getattr(BACKENDS[backend], kernel)(*args)[0])
+
+    assert np.array_equal(rows(7), rows(7 + 2**64))
+    assert np.array_equal(rows(7), rows(7 - 2**64))
+    assert not np.array_equal(rows(3), rows(-3))
 
 
 def call_with_table(backend, kernel, table):

@@ -18,14 +18,15 @@ class TestEmitSvgPlot:
         svg = emit_svg_plot(
             [0.0, 1.0],
             [
-                Curve("tumour", [1.0, 2.0], axis="left", dotted=False),
-                Curve("effector", [5.0, 6.0], axis="right", dotted=True),
+                Curve("tumour", [1.0, 2.0]),
+                Curve("effector", [5.0, 6.0], secondary=True),
             ],
         )
         polylines = [line for line in svg.splitlines() if line.startswith("<polyline")]
         assert len(polylines) == 2
         assert "stroke-dasharray" not in polylines[0]  # tumour: solid, left
         assert "stroke-dasharray" in polylines[1]  # effector: dotted, right
+        assert "tumour (left)" in svg and "effector (right)" in svg
         # both vertical axes are drawn
         assert svg.count('y2="392"') >= 2
 

@@ -7,8 +7,9 @@ import pytest
 
 from dualsim.errors import ConfigError, ModelDomainError
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
-from dualsim.sds import IntegratorConfig, closed_form, closed_form_log, integrate
+from dualsim.sds import IntegratorConfig, integrate
 from dualsim.trajectory import Paradigm, Termination
+from reference import closed_form, closed_form_log
 
 
 def max_rel_error(traj, law, T0):

@@ -313,9 +313,9 @@ class TestTauLeap:
 
     def test_frozen_policy_rejected(self):
         cs = growth_channels(GrowthLaw.logistic(1.0, 0.2))
-        with pytest.raises(ConfigError):
-            simulate_tau_leap(cs, PopulationState(1), t_end=1.0, dt=0.01, seed=0,
-                              policy=RatePolicy.FROZEN_AT_BIRTH)
+        with pytest.raises(ConfigError, match="live rate policy"):
+            EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=1.0,
+                         policy=RatePolicy.FROZEN_AT_BIRTH, dt=0.01)
 
 
 class TestPopulationCap:
@@ -332,9 +332,9 @@ class TestPopulationCap:
 
 def per_event_replicate(spec, seed):
     """One replicate of ``spec`` run per event, without a grid."""
-    if spec.method == "tau":
+    if spec.dt is not None:
         return simulate_tau_leap(spec.channels, spec.initial, spec.t_end, spec.dt, seed,
-                                 policy=spec.policy, floors=spec.floors)
+                                 floors=spec.floors)
     return simulate_exact(spec.channels, spec.initial, spec.t_end, seed,
                           policy=spec.policy, floors=spec.floors)
 
@@ -379,9 +379,24 @@ class TestEnsembles:
 
     def test_replicate_errors_carry_the_index(self):
         spec = EnsembleSpec(channels=growth_channels(GrowthLaw.gompertz(1.636, 0.002)),
-                            initial=PopulationState(1), t_end=100.0, method="tau", dt=0.001)
+                            initial=PopulationState(1), t_end=100.0, dt=0.001)
         with pytest.raises(PopulationCapError, match=r"replicate 0"):
             run_ensemble(spec, reps=3, base_seed=7, grid=make_grid(100.0, 1.0))
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_dt_must_be_positive(self, dt):
+        with pytest.raises(ConfigError, match="positive dt"):
+            EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0, dt=dt)
+
+    def test_dt_selects_tau_leaping(self):
+        channels, initial = kuznetsov_channels(scenario_preset(2)), PopulationState(100, 10)
+        grid = make_grid(5.0, 0.5)
+        ens = run_ensemble(EnsembleSpec(channels=channels, initial=initial, t_end=5.0, dt=0.01),
+                           reps=4, base_seed=11, grid=grid)
+        for i, row in enumerate(ens.values):
+            leaped = simulate_tau_leap(channels, initial, 5.0, 0.01, 11 + i, grid=grid)
+            assert np.array_equal(row, leaped.states)
+            assert not np.array_equal(row, simulate_exact(channels, initial, 5.0, 11 + i, grid=grid).states)
 
     def test_reps_must_be_positive(self):
         spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
@@ -402,8 +417,7 @@ class TestEnsembles:
         cases.append((death_only_channels(), PopulationState(3), RatePolicy.LIVE))
         grid = make_grid(10.0, 0.5)
         for channels, initial, policy in cases:
-            spec = EnsembleSpec(channels=channels, initial=initial, t_end=10.0, policy=policy,
-                                method=method, dt=dt)
+            spec = EnsembleSpec(channels=channels, initial=initial, t_end=10.0, policy=policy, dt=dt)
             held = run_ensemble(spec, reps=6, base_seed=3, grid=grid)
             full = [per_event_replicate(spec, 3 + i) for i in range(6)]
             assert np.array_equal(held.grid, grid) and held.species == channels.species

@@ -23,7 +23,9 @@ from dualsim.ssa import (
 )
 from dualsim.stats import (
     EXACT_LIMIT,
-    PValueMode,
+    _exact_p,
+    _normal_p,
+    _ranks,
     compare,
     ensemble_mean,
     make_grid,
@@ -44,6 +46,17 @@ def abs_traj(times, values, species=("tumour",), termination=Termination.COMPLET
         termination=termination,
         paradigm=paradigm,
     )
+
+
+def exact_p(x, y):
+    """The exact permutation p of ``wilcoxon_ranksum``, at any sample size."""
+    dranks, _, n1 = _ranks(x, y)
+    return _exact_p(dranks, n1)
+
+
+def normal_p(x, y):
+    """The normal-approximation p of ``wilcoxon_ranksum``, at any sample size."""
+    return _normal_p(*_ranks(x, y))
 
 
 def brute_force_two_sided_p(x, y):
@@ -196,8 +209,7 @@ class TestWilcoxon:
         res = wilcoxon_ranksum(x, list(x))
         assert res.p >= 0.99
         assert res.h == 0
-        res_normal = wilcoxon_ranksum(x * 6, list(x) * 6, mode=PValueMode.NORMAL)
-        assert res_normal.p >= 0.99 and res_normal.h == 0
+        assert normal_p(x * 6, list(x) * 6) >= 0.99
 
     def test_exchange_symmetry(self):
         rng = random.Random(8)
@@ -217,7 +229,7 @@ class TestWilcoxon:
             pool = rng.sample(range(1000), n1 + n2)  # tie-free
             x = [float(v) for v in pool[:n1]]
             y = [float(v) for v in pool[n1:]]
-            mine = wilcoxon_ranksum(x, y, mode=PValueMode.EXACT).p
+            mine = exact_p(x, y)
             oracle = brute_force_two_sided_p(x, y)
             assert mine == oracle
 
@@ -228,7 +240,7 @@ class TestWilcoxon:
             n2 = rng.randint(1, 7 - n1)
             x = [float(rng.randint(0, 3)) for _ in range(n1)]
             y = [float(rng.randint(0, 3)) for _ in range(n2)]
-            mine = wilcoxon_ranksum(x, y, mode=PValueMode.EXACT).p
+            mine = exact_p(x, y)
             oracle = brute_force_two_sided_p(x, y)
             assert mine == oracle
 
@@ -242,16 +254,29 @@ class TestWilcoxon:
             pool = rng.sample(range(10_000), n)
             x = [float(v) for v in pool[:n1]]
             y = [float(v) for v in pool[n1:]]
-            exact = wilcoxon_ranksum(x, y, mode=PValueMode.EXACT).p
-            normal = wilcoxon_ranksum(x, y, mode=PValueMode.NORMAL).p
+            exact = exact_p(x, y)
+            normal = normal_p(x, y)
             assert abs(exact - normal) < 0.02
 
+    def test_rank_pass_gives_doubled_midranks_and_tie_counts(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            x = [float(rng.randint(0, 9)) for _ in range(rng.randint(1, 30))]
+            y = [float(rng.randint(0, 9)) for _ in range(rng.randint(1, 30))]
+            pooled = x + y
+            dranks, counts, n1 = _ranks(x, y)
+            # midrank of v: the values below it, plus the middle of its ties
+            assert dranks.tolist() == [2 * sum(u < v for u in pooled) + pooled.count(v) + 1 for v in pooled]
+            assert counts.tolist() == [pooled.count(v) for v in sorted(set(pooled))]
+            assert n1 == len(x)
+
     def test_auto_picks_exact_for_small_samples(self):
-        x, y = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-        auto = wilcoxon_ranksum(x, y, mode=PValueMode.AUTO)
-        exact = wilcoxon_ranksum(x, y, mode=PValueMode.EXACT)
-        assert auto.p == exact.p
-        assert len(x) + len(y) <= EXACT_LIMIT
+        # the exact p up to EXACT_LIMIT observations in all, the normal one beyond
+        for n in (6, EXACT_LIMIT, EXACT_LIMIT + 1):
+            x, y = [float(v) for v in range(n // 2)], [float(v) for v in range(n // 2, n)]
+            expected = exact_p(x, y) if n <= EXACT_LIMIT else normal_p(x, y)
+            assert wilcoxon_ranksum(x, y).p == expected
+        assert exact_p(x, y) != normal_p(x, y)
 
     def test_monotone_shift(self):
         x = [1.0, 3.0, 5.0, 7.0, 9.0]
@@ -283,7 +308,7 @@ class TestWilcoxon:
     def test_exact_on_large_identical_samples_is_one(self):
         # 80 values: far beyond what enumerating C(80, 40) assignments allows
         x = list(map(float, range(40)))
-        assert wilcoxon_ranksum(x, x, mode=PValueMode.EXACT).p == 1.0
+        assert exact_p(x, x) == 1.0
 
     def test_normal_mode_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -291,9 +316,9 @@ class TestWilcoxon:
         for _ in range(10):
             x = [rng.gauss(0, 1) for _ in range(30)]
             y = [rng.gauss(0.3, 1) for _ in range(25)]
-            mine = wilcoxon_ranksum(x, y, mode=PValueMode.NORMAL)
+            mine = normal_p(x, y)
             ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic")
-            assert mine.p == pytest.approx(ref.pvalue, rel=1e-9)
+            assert mine == pytest.approx(ref.pvalue, rel=1e-9)
 
 
 class TestCompare:
