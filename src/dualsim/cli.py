@@ -12,6 +12,8 @@ Nothing is written on a nonzero exit except diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import itertools
 import json
 import math
@@ -312,16 +314,30 @@ def _model_label(spec: RunSpec) -> str:
 
 
 def _write_outputs(out_dir: str, outputs: dict[str, str]) -> list[Path]:
+    """Writes every output to its ``.tmp`` file, refuses a target that is a
+    directory, then moves them all into place.  On any OSError it removes
+    the ``.tmp`` files it made, so that nothing is left behind unless a move
+    fails part way."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in sorted(outputs):
-        path = directory / name
-        tmp = directory / (name + ".tmp")
-        tmp.write_text(outputs[name], encoding="utf-8", newline="\n")
-        os.replace(tmp, path)
-        written.append(path)
-    return written
+    paths = [directory / name for name in sorted(outputs)]
+    tmps: list[Path] = []
+    try:
+        for path in paths:
+            tmp = path.with_name(path.name + ".tmp")
+            tmps.append(tmp)
+            tmp.write_text(outputs[path.name], encoding="utf-8", newline="\n")
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "an output path is a directory", str(path))
+        for path, tmp in zip(paths, tmps):
+            os.replace(tmp, path)
+    except OSError:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        raise
+    return paths
 
 
 def cmd_run(spec: RunSpec) -> list[Path]:

@@ -6,7 +6,7 @@ class DualsimError(Exception):
 
 
 class ModelDomainError(DualsimError, ValueError):
-    """A rate expression was evaluated outside its mathematical domain."""
+    """A model or rate-law parameter lies outside its mathematical domain."""
 
 
 class UnknownScenarioError(DualsimError, ValueError):

@@ -2,52 +2,84 @@
 
 The compiled extension (``_ckernels``, built by ``setup.py`` from the
 hand-written C99 source ``_ckernels.c``) and the pure-Python module
-(``_pykernels``) implement the same five entry points with identical
-signatures, sampling contracts and status codes; which one backs the package
-is decided once, at import time.  The extension is optional: a build without
-a C compiler skips it and the package runs on the pure-Python kernels.  Set
-the environment variable ``DUALSIM_FORCE_PURE`` to any non-empty value to
-skip the extension (useful for benchmarking and for exercising the fallback
-in tests).
+(``_pykernels``) implement the five entry points below to the one contract
+written here; each backend's own docstring adds only its RNG and build
+notes.  Which backend runs is decided once, at import time.  The extension
+is optional: a build without a C compiler skips it and the package runs on
+the pure-Python kernels.  Set the environment variable ``DUALSIM_FORCE_PURE``
+to any non-empty value to skip the extension (useful for benchmarking and
+for exercising the fallback in tests).
 
-In each backend, ``rk4_growth`` and ``rk4_kuznetsov`` only parse their
-arguments and name the model's derivative, which one shared RK4 stepper
-(``rk4_run`` in C, ``_rk4`` in Python) integrates over the state (T, E): it
-alone places the sample targets, halves undershooting steps, reports
-blow-ups and step failures, and clamps residues.  The one model input of
-``ssa``, ``ssa_frozen`` and ``tau_leap`` is a channel table
-(``ssa.ChannelSet.table``) of at most 16 tuples ``(code, c, e, g, dT, dE)``,
-read by ``table_read`` in C and ``_table`` in Python: a malformed table
-raises TypeError, more rows or a rate-law code outside 0..5 ValueError.
-``ssa`` and ``tau_leap`` evaluate it with ``table_rates`` and ``_rates``.
-``ssa_frozen`` needs a birth row ``c*T**e`` (code 1, jump (1, 0)), then a
-death row of code 1 or 2 and jump (-1, 0), else ValueError; each agent keeps
-its per-capita death rate at birth, ``c*T**(e-1)`` or ``c*ln(T)``.
+Entry points.  Every argument is positional only; a keyword call raises
+TypeError::
 
-Result contract of every kernel: ``(rows, status)``, where ``rows`` is a
-C-contiguous ``(n, 3)`` memoryview of doubles over one ``array('d')``, one
-``(t, T, E)`` sample per row, so ``len(rows)`` is the sample count and
-``np.asarray(rows)`` views it without a copy.  One-species kernels
-(``rk4_growth``, ``ssa_frozen``) write E = 0.  The stochastic kernels stop by
-one rule on the total rate R: while 0 < R < inf they step on; R < 0 stops
-with status 5, R == 0 with status 2 after holding the state until ``t_end``,
-and an infinite or nan R with status 3.
+    rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup)
+    rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup)
+    ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events[, grid])
+    ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events[, grid])
+    tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap[, grid])
 
-Sampling contract of the stochastic kernels (``ssa``, ``ssa_frozen``,
-``tau_leap``): called without their optional trailing ``grid``, they return
-one row per event or leap, framed by the initial state and, when the run
-reaches ``t_end``, a final hold row there.  Given a ``grid`` (a non-empty
-contiguous 1-D buffer of doubles; anything else raises TypeError), they
-record only the sample held at each grid time, the last one at or before
-it, into ``len(grid)`` rows whose t column gives each held sample's time:
-the per-event rows indexed by ``searchsorted(t, grid, side="right") - 1``,
-at a cost per grid point instead of per event.  Grid points past the last
-sample hold the last sample, so the last row always names the last event.
+Result rows.  Every kernel returns ``(rows, status)``, where ``rows`` is a
+C-contiguous ``(n, 3)`` memoryview of doubles, one ``(t, T, E)`` sample per
+row, so ``len(rows)`` is the sample count and ``np.asarray(rows)`` views it
+without a copy.  The compiled backend's rows view one ``bytearray``, the
+pure backend's one ``array('d')``.  One-species kernels (``rk4_growth``,
+``ssa_frozen``) write E = 0.
 
-Per-seed reproducibility is guaranteed within a backend, not across the two:
-the compiled backend draws from xoshiro256** seeded via splitmix64, the pure
-backend from ``random.Random``.  Both mask the seed to its low 64 bits, so
-seeds s and s + 2**64 give one stream and s and -s two.
+RK4.  In each backend, ``rk4_growth`` (``kind`` 0: power law, 1: Gompertz)
+and ``rk4_kuznetsov`` only parse their arguments and name the model's
+derivative, which one shared RK4 stepper (``rk4_run`` in C, ``_rk4`` in
+Python) integrates over the state (T, E).  It alone places the sample
+targets (every multiple of ``sample_every`` up to ``t_end``, and ``t_end``),
+halves a step that would undershoot zero (status 6 after 40 halvings), stops
+with status 1 after the last sample when a component passes ``blowup`` or is
+nan, and clamps small negative residues to 0.
+
+Table format.  The one model input of ``ssa``, ``ssa_frozen`` and
+``tau_leap`` is a channel table (``ssa.ChannelSet.table``): a sequence of at
+most 16 tuples ``(code, c, e, g, dT, dE)``, one per channel, read by
+``table_read`` in C and ``_table`` in Python.  A malformed table raises
+TypeError; more rows or a rate-law code outside 0..5 raise ValueError.  The
+rate-law codes (the ``R_*`` constants below)::
+
+    0 CONST      rate = c
+    1 POW_T      rate = c * T**e
+    2 TLOGT      rate = c * T * ln(T)   (0 at T = 0)
+    3 LIN_E      rate = c * E
+    4 MASS_TE    rate = c * T * E
+    5 MM_TE      rate = c * T * E / (g + T)
+
+``ssa`` and ``tau_leap`` evaluate the table with ``table_rates`` and
+``_rates``.  In ``ssa`` a channel whose jump would take a population below
+its floor gets rate 0; ``tau_leap`` instead clamps each population to its
+floor after the leap.  ``ssa_frozen`` needs a birth row ``c*T**e`` (code 1,
+jump (1, 0)), then a death row of code 1 or 2 and jump (-1, 0), else
+ValueError; each agent keeps its per-capita death rate at birth,
+``c*T**(e-1)`` or ``c*ln(T)``.
+
+Stop rule and status codes (the ``ST_*`` constants below).  The stochastic
+kernels stop by one rule on the total rate R: while 0 < R < inf they step
+on; R < 0 stops with status 5, R == 0 with status 2 after holding the state
+until ``t_end``, and an infinite or nan R with status 3.  An event or leap
+that takes a population above ``cap`` also stops the run with status 3; the
+initial state is the caller's to bound.  ``ssa`` and ``ssa_frozen`` stop
+with status 4 after ``max_events`` events.  A run that reaches ``t_end``
+ends with status 0.
+
+Grid sampling.  Called without their optional trailing ``grid``, the
+stochastic kernels return one row per event or leap, framed by the initial
+state and, when the run reaches ``t_end``, a final hold row there.  Given a
+``grid`` (a non-empty contiguous 1-D buffer of doubles; anything else raises
+TypeError), they record only the sample held at each grid time, the last
+one at or before it, into ``len(grid)`` rows whose t column gives each held
+sample's time: the per-event rows indexed by ``searchsorted(t, grid,
+side="right") - 1``, at a cost per grid point instead of per event.  Grid
+points past the last sample hold the last sample, so the last row always
+names the last event.
+
+Seeds.  Both backends mask the seed to its low 64 bits, so seeds s and
+s + 2**64 give one stream and s and -s two.  Per-seed reproducibility holds
+within a backend, not across the two: they draw from different generators.
 """
 
 import os

@@ -1,31 +1,18 @@
 /*
  * Compiled simulation kernels: the C99 twin of ``_pykernels``.
  *
- * Entry points, argument order, sampling contracts and status codes match
- * the pure-Python backend exactly; see that module's docstring for the
- * codes.  Every kernel returns ``(rows, status)``: ``rows`` is an (n, 3)
- * memoryview of doubles over one ``array.array('d')``, one ``(t, T, E)``
- * sample per row (E = 0 for one species), which ``np.asarray`` views as
- * float64 without a copy.  ``rec_finish`` builds it, ``stop_status`` turns a
- * total rate outside (0, inf) into the stochastic kernels' stop status.
+ * The kernel contract (arguments, result rows, grid sampling, the stop rule,
+ * the table format, status and rate-law codes, seed masking) is written once,
+ * in the docstring of the ``dualsim.kernels`` package.  What is particular
+ * to this backend:
  *
- * ``rk4_growth`` and ``rk4_kuznetsov`` parse their arguments and pass their
- * model's derivative to the one stepper ``rk4_run``.  ``ssa``, ``ssa_frozen``
- * and ``tau_leap`` read their one model input, a channel table of ``(code,
- * c, e, g, dT, dE)`` rows, with ``table_read``; ``ssa`` and ``tau_leap``
- * evaluate it with ``table_rates``.
- *
- * ``ssa``, ``ssa_frozen`` and ``tau_leap`` take an optional trailing
- * ``grid``, a non-empty contiguous 1-D buffer of doubles (anything else
- * raises TypeError).  Without it they return one row per event or leap;
- * with it, ``len(grid)`` rows holding at each grid time the sample held
- * there, the last one at or before it (its t column gives that sample's
- * time).  Only ``rec_push`` and ``rec_finish`` know the difference.
- *
- * Randomness comes from xoshiro256** seeded by splitmix64 from the seed
- * masked to 64 bits, so event streams are reproducible per seed but differ
- * from the pure backend's streams.  Keep the arithmetic as written and build
- * without -ffast-math: outputs are pinned byte for byte per seed.
+ * - result rows view one ``bytearray``, built by ``rec_finish``; it and
+ *   ``rec_push`` alone know whether a run records per event or on a grid;
+ * - randomness comes from xoshiro256** seeded by splitmix64 from the seed
+ *   masked to 64 bits, so event streams are reproducible per seed but
+ *   differ from the pure backend's streams;
+ * - keep the arithmetic as written and build without -ffast-math: outputs
+ *   are pinned byte for byte per seed.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -42,9 +29,6 @@
 #define REL_UNDERSHOOT_TOL 1e-12
 #define MAX_HALVINGS 40
 #define MAX_CHANNELS 16
-
-/* a one-element array('d'); repeating it makes a result of exact size */
-static PyObject *proto_array;
 
 /* ---- RNG: splitmix64 -> xoshiro256** ----------------------------------- */
 
@@ -196,7 +180,7 @@ static int stop_status(Rec *rec, double R, double t, double t_end, double a, dou
 }
 
 /* Frees the rows and returns (rows, status), ``rows`` an (n, 3) memoryview
- * of doubles over one new array('d'), or NULL with an exception set when
+ * of doubles over one new bytearray, or NULL with an exception set when
  * ``status`` is negative or the result cannot be built. */
 static PyObject *rec_finish(Rec *rec, int status)
 {
@@ -207,21 +191,14 @@ static PyObject *rec_finish(Rec *rec, int status)
     if (rec->oom)
         PyErr_NoMemory();
     else if (status >= 0) {
-        /* memoryview(arr).cast("B").cast("d", (n, 3)) */
-        PyObject *arr = PySequence_Repeat(proto_array, 3 * rec->n), *view = NULL, *bytes = NULL;
-        Py_buffer buf;
-        if (arr != NULL && PyObject_GetBuffer(arr, &buf, PyBUF_WRITABLE) == 0) {
-            memcpy(buf.buf, rec->rows, 3 * rec->n * sizeof(double));
-            PyBuffer_Release(&buf);
-            view = PyMemoryView_FromObject(arr);
-        }
+        /* memoryview(bytearray(rows)).cast("d", (n, 3)) */
+        PyObject *bytes = PyByteArray_FromStringAndSize((const char *)rec->rows,
+                                                        3 * rec->n * sizeof(double));
+        PyObject *view = bytes == NULL ? NULL : PyMemoryView_FromObject(bytes);
         if (view != NULL)
-            bytes = PyObject_CallMethod(view, "cast", "s", "B");
-        if (bytes != NULL)
-            rows = PyObject_CallMethod(bytes, "cast", "s(nn)", "d", rec->n, (Py_ssize_t)3);
-        Py_XDECREF(arr);
-        Py_XDECREF(view);
+            rows = PyObject_CallMethod(view, "cast", "s(nn)", "d", rec->n, (Py_ssize_t)3);
         Py_XDECREF(bytes);
+        Py_XDECREF(view);
     }
     rec_free(rec);
     return rows == NULL ? NULL : Py_BuildValue("(Ni)", rows, status);
@@ -334,14 +311,12 @@ static void kuznetsov_deriv(const double *par, const double x[2], double dx[2])
     dx[1] = p * T * E / (g + T) - m * T * E - d * E + s;
 }
 
-static PyObject *rk4_growth(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *rk4_growth(PyObject *self, PyObject *args)
 {
-    static char *names[] = {"kind", "a", "b", "alpha", "beta", "T0", "dt", "t_end",
-                            "sample_every", "blowup", NULL};
     int kind;
     double a, b, alpha, beta, dt, t_end, sample_every, blowup, x[2] = {0.0, 0.0};
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iddddddddd", names, &kind, &a, &b, &alpha, &beta,
-                                     &x[0], &dt, &t_end, &sample_every, &blowup))
+    if (!PyArg_ParseTuple(args, "iddddddddd", &kind, &a, &b, &alpha, &beta, &x[0], &dt, &t_end,
+                          &sample_every, &blowup))
         return NULL;
     double par[4] = {a, b, alpha + 1.0, beta + 1.0};
     /* two call sites, so that each inlined stepper calls its law directly */
@@ -350,14 +325,12 @@ static PyObject *rk4_growth(PyObject *self, PyObject *args, PyObject *kw)
     return rk4_run(gompertz_deriv, par, x, dt, t_end, sample_every, blowup);
 }
 
-static PyObject *rk4_kuznetsov(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *rk4_kuznetsov(PyObject *self, PyObject *args)
 {
-    static char *names[] = {"a", "b", "g", "m", "n", "p", "d", "s", "T0", "E0", "dt", "t_end",
-                            "sample_every", "blowup", NULL};
     double par[8], x[2], dt, t_end, sample_every, blowup;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "dddddddddddddd", names, &par[0], &par[1], &par[2],
-                                     &par[3], &par[4], &par[5], &par[6], &par[7], &x[0], &x[1],
-                                     &dt, &t_end, &sample_every, &blowup))
+    if (!PyArg_ParseTuple(args, "dddddddddddddd", &par[0], &par[1], &par[2], &par[3], &par[4],
+                          &par[5], &par[6], &par[7], &x[0], &x[1], &dt, &t_end, &sample_every,
+                          &blowup))
         return NULL;
     return rk4_run(kuznetsov_deriv, par, x, dt, t_end, sample_every, blowup);
 }
@@ -440,15 +413,13 @@ static inline double table_rates(const Table *tab, double T, double E, double fl
 
 /* ---- exact stochastic simulation (Gillespie direct method) ------------- */
 
-static PyObject *ssa(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *ssa(PyObject *self, PyObject *args)
 {
-    static char *names[] = {"table", "T0", "E0", "t_end", "seed", "floor_t", "floor_e", "cap",
-                            "max_events", "grid", NULL};
     PyObject *table, *seed, *grid = NULL;
     double T0, E0, t_end, floor_t, floor_e, cap;
     long max_events;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OdddOdddl|O", names, &table, &T0, &E0, &t_end,
-                                     &seed, &floor_t, &floor_e, &cap, &max_events, &grid))
+    if (!PyArg_ParseTuple(args, "OdddOdddl|O", &table, &T0, &E0, &t_end, &seed, &floor_t,
+                          &floor_e, &cap, &max_events, &grid))
         return NULL;
     Table tab;
     Rng rng;
@@ -500,15 +471,13 @@ typedef struct {
     double rate, count;
 } Cohort;
 
-static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *ssa_frozen(PyObject *self, PyObject *args)
 {
-    static char *names[] = {"table", "T0", "t_end", "seed", "floor_t", "cap", "max_events",
-                            "grid", NULL};
     PyObject *table, *seed, *grid = NULL;
     double T0, t_end, floor_t, cap;
     long max_events;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OddOddl|O", names, &table, &T0, &t_end, &seed,
-                                     &floor_t, &cap, &max_events, &grid))
+    if (!PyArg_ParseTuple(args, "OddOddl|O", &table, &T0, &t_end, &seed, &floor_t, &cap,
+                          &max_events, &grid))
         return NULL;
     Table tab;
     Rng rng;
@@ -542,7 +511,7 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
         ncoh = 1;
     }
     for (;;) {
-        double B = ea == 1.0 ? a * T : a * powfast(T, ea);
+        double B = a * powfast(T, ea);
         double D = 0.0;
         for (Py_ssize_t i = 0; i < ncoh; i++)
             D += coh[i].rate * coh[i].count;
@@ -610,14 +579,12 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args, PyObject *kw)
 
 /* ---- approximate stochastic simulation (Poisson tau-leaping) ----------- */
 
-static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *tau_leap(PyObject *self, PyObject *args)
 {
-    static char *names[] = {"table", "T0", "E0", "t_end", "dt", "seed", "floor_t", "floor_e",
-                            "cap", "grid", NULL};
     PyObject *table, *seed, *grid = NULL;
     double T0, E0, t_end, dt, floor_t, floor_e, cap;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OddddOddd|O", names, &table, &T0, &E0, &t_end,
-                                     &dt, &seed, &floor_t, &floor_e, &cap, &grid))
+    if (!PyArg_ParseTuple(args, "OddddOddd|O", &table, &T0, &E0, &t_end, &dt, &seed, &floor_t,
+                          &floor_e, &cap, &grid))
         return NULL;
     Table tab;
     Rng rng;
@@ -630,10 +597,6 @@ static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
     if (rec_init(&rec, grid, T, E) < 0)
         return NULL;
     while (t < t_end - 1e-12) {
-        if (T > cap || E > cap) {
-            status = 3;
-            break;
-        }
         double h = t + dt <= t_end ? dt : t_end - t;
         /* leaping clamps to the floors after the step instead */
         double R = table_rates(&tab, T, E, -INFINITY, -INFINITY, rates);
@@ -670,8 +633,7 @@ static PyObject *tau_leap(PyObject *self, PyObject *args, PyObject *kw)
 
 /* ---- module ------------------------------------------------------------ */
 
-#define KERNEL(name, doc) \
-    {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
+#define KERNEL(name, doc) {#name, name, METH_VARARGS, doc}
 
 static PyMethodDef methods[] = {
     KERNEL(rk4_growth, "Integrate a one-equation growth law. Returns (rows, status), "
@@ -693,16 +655,4 @@ static struct PyModuleDef module = {
     "Compiled simulation kernels (C twin of ``_pykernels``).", -1, methods,
 };
 
-PyMODINIT_FUNC PyInit__ckernels(void)
-{
-    if (proto_array == NULL) {
-        PyObject *array = PyImport_ImportModule("array");
-        if (array == NULL)
-            return NULL;
-        proto_array = PyObject_CallMethod(array, "array", "s(d)", "d", 0.0);
-        Py_DECREF(array);
-        if (proto_array == NULL)
-            return NULL;
-    }
-    return PyModule_Create(&module);
-}
+PyMODINIT_FUNC PyInit__ckernels(void) { return PyModule_Create(&module); }

@@ -1,49 +1,21 @@
-"""Pure-Python simulation kernels.
+"""Pure-Python simulation kernels: the fallback twin of the compiled
+``_ckernels``.
 
-Same call signatures and status codes as the compiled backend, the C
-extension ``_ckernels`` built from ``_ckernels.c``; this module is the
-fallback selected at import time when the extension was not built (no C
-compiler at install time) or when DUALSIM_FORCE_PURE is set.  The loops are
-written for speed under CPython: bound locals, flat floats, no per-event
-allocation beyond the output samples.
+The kernel contract (arguments, result rows, grid sampling, the stop rule,
+the table format, status and rate-law codes, seed masking) is written once,
+in the docstring of the ``dualsim.kernels`` package.  What is particular to
+this backend:
 
-Status codes (shared with the compiled backend):
-    0 OK, 1 BLOWUP, 2 EXTINCT, 3 CAP, 4 MAX_EVENTS, 5 NEG_RATE, 6 STEP_FAIL
-
-Rate-law codes for the channel-table simulators (any other code raises
-ValueError):
-    0 CONST      rate = c
-    1 POW_T      rate = c * T**e
-    2 TLOGT      rate = c * T * ln(T)   (0 at T = 0)
-    3 LIN_E      rate = c * E
-    4 MASS_TE    rate = c * T * E
-    5 MM_TE      rate = c * T * E / (g + T)
-
-Every stochastic kernel takes one channel table of ``(code, c, e, g, dT,
-dE)`` rows, read by ``_table``.  ``_rates`` evaluates it for ``ssa`` and
-``tau_leap`` and is the reference evaluator of the tests.  ``rk4_growth``
-and ``rk4_kuznetsov`` hand their model's derivative to the one stepper
-``_rk4``.
-
-Every kernel returns ``(rows, status)``: ``rows`` is an (n, 3) memoryview
-of doubles over one ``array('d')``, one ``(t, T, E)`` sample per row (E = 0
-for one species), built by ``_recorder``.  ``_stop_status`` turns a total
-rate outside (0, inf) into the stochastic kernels' stop status.
-
-The stochastic kernels (``ssa``, ``ssa_frozen``, ``tau_leap``) take an
-optional trailing ``grid``, a non-empty contiguous 1-D buffer of doubles
-such as a float64 array (anything else raises TypeError).  Without it they
-return one row per event or leap; with it, ``len(grid)`` rows holding the
-sample held at each grid time, the last one at or before it, with that
-sample's time (the sampling contract is in the package docstring).  Only
-``_recorder`` knows the difference.
-
-RNG identity of this backend: ``random.Random`` (CPython's MT19937), one
-generator per run, seeded by ``_rng`` with the run's seed masked to 64 bits
-as the compiled backend masks it, so that seeds s and -s give two streams;
-draws are consumed as (waiting time, channel selection) per event.
-Per-seed streams are stable, but they intentionally differ from the compiled
-backend's generator.
+- it backs the package when the extension was not built (no C compiler at
+  install time) or when DUALSIM_FORCE_PURE is set;
+- result rows view one ``array('d')``, built by ``_recorder``, which alone
+  knows whether a run records per event or on a grid;
+- randomness comes from ``random.Random`` (CPython's MT19937), one generator
+  per run, seeded by ``_rng`` with the seed masked to 64 bits and drawn as
+  (waiting time, channel selection) per event, so event streams are
+  reproducible per seed but differ from the compiled backend's streams;
+- the loops are written for speed under CPython: bound locals, flat floats,
+  no per-event allocation beyond the output samples.
 """
 
 from __future__ import annotations
@@ -196,7 +168,7 @@ def _rk4(f, T, E, dt, t_end, sample_every, blowup):
     return finish(0)
 
 
-def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup):
+def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup, /):
     """Integrate a one-equation growth law with the shared stepper ``_rk4``.
     Returns (rows, status), (t, T, 0) rows."""
     ea = alpha + 1.0
@@ -211,7 +183,7 @@ def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup):
     return _rk4(f, T0, 0.0, dt, t_end, sample_every, blowup)
 
 
-def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup):
+def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup, /):
     """Integrate the tumour-effector system with the shared stepper ``_rk4``.
     Returns (rows, status), (t, T, E) rows."""
     def f(T, E):
@@ -277,7 +249,7 @@ def _rng(seed):
     return Random(index(seed) & 0xFFFF_FFFF_FFFF_FFFF)
 
 
-def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None):
+def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None, /):
     """Event-driven simulation of a channel table over integer populations.
 
     A channel whose delta would push a floored population below its floor
@@ -321,7 +293,7 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
             return finish(4)
 
 
-def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None):
+def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
     """One-species exact simulation with death rates frozen at birth.
 
     ``table`` holds a birth row c * T**e (code 1, jump (1, 0)), then a death
@@ -355,7 +327,7 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None):
     nev = 0
     push, finish = _recorder(grid, T, 0.0)
     while True:
-        B = a * T if ea == 1.0 else a * _pow(T, ea)
+        B = a * _pow(T, ea)
         D = 0.0
         for i in range(len(crates)):
             D += crates[i] * ccounts[i]
@@ -420,7 +392,7 @@ def _poisson(rng: Random, lam: float) -> int:
     return k if k > 0 else 0
 
 
-def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None):
+def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /):
     """Fixed-step leaping: each channel fires Poisson(rate*dt) times per step,
     deltas apply simultaneously, components below their floor clamp to it.
     Returns (rows, status), (t, T, E) rows per leap or held on ``grid``."""
@@ -433,8 +405,6 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None):
     t = 0.0
     push, finish = _recorder(grid, T, E)
     while t < t_end - 1e-12:
-        if T > cap or E > cap:
-            return finish(3)
         h = dt if t + dt <= t_end else t_end - t
         # leaping clamps to the floors after the step instead
         R = _rates(table, T, E, -_INF, -_INF, rates)

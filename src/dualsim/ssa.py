@@ -82,6 +82,8 @@ class RateLaw:
             raise ModelDomainError(f"unknown rate-law code {self.code}")
         if not math.isfinite(self.c) or self.c < 0:
             raise ModelDomainError(f"rate coefficient must be finite and >= 0, got {self.c!r}")
+        if not (math.isfinite(self.e) and math.isfinite(self.g)):
+            raise ModelDomainError(f"rate exponent and saturation must be finite, got e={self.e!r}, g={self.g!r}")
         if self.code == kernels.R_MM_TE and self.g <= 0:
             raise ModelDomainError("saturating rate needs g > 0")
 
@@ -327,22 +329,22 @@ def simulate_exact(
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     grid = None if grid is None else _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
+    frozen = policy is RatePolicy.FROZEN_AT_BIRTH
+    if frozen and len(channels.species) != 1:
+        raise ConfigError("the frozen-at-birth policy applies to one-species birth-death channel sets only")
 
-    if policy is RatePolicy.FROZEN_AT_BIRTH:
-        # one species, a birth row c*T**e, then a death row c*T**e or c*T*ln(T)
-        table = channels.table
-        if not (len(channels.species) == 1 and len(table) == 2 and table[0][0] == kernels.R_POW_T
-                and table[0][4:] == (1, 0) and table[1][0] in (kernels.R_POW_T, kernels.R_TLOGT)
-                and table[1][4:] == (-1, 0)):
-            raise ConfigError("the frozen-at-birth policy applies to one-species birth-death channel sets only")
-        rows, status = kernels.ssa_frozen(
-            channels.table, T0, t_end, seed, floors.min_tumour, float(POPULATION_CAP), max_events, grid,
-        )
-    else:
-        rows, status = kernels.ssa(
-            channels.table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
-            float(POPULATION_CAP), max_events, grid,
-        )
+    try:
+        if frozen:
+            rows, status = kernels.ssa_frozen(
+                channels.table, T0, t_end, seed, floors.min_tumour, float(POPULATION_CAP), max_events, grid,
+            )
+        else:
+            rows, status = kernels.ssa(
+                channels.table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
+                float(POPULATION_CAP), max_events, grid,
+            )
+    except ValueError as exc:  # a channel table the kernel refuses
+        raise ConfigError(str(exc)) from exc
 
     # the last row holds the last sample, in grid mode too
     last = (f" at t={rows[-1, 0]:.3g} with population {rows[-1, 1]:.4g}"
@@ -370,10 +372,13 @@ def simulate_tau_leap(
         raise ConfigError(f"need 0 < dt <= t_end, got dt={dt!r}")
     grid = None if grid is None else _check_grid(grid, t_end)
     T0, E0 = _check_initial(channels, initial, floors)
-    rows, status = kernels.tau_leap(
-        channels.table, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
-        float(POPULATION_CAP), grid,
-    )
+    try:
+        rows, status = kernels.tau_leap(
+            channels.table, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
+            float(POPULATION_CAP), grid,
+        )
+    except ValueError as exc:  # a channel table the kernel refuses
+        raise ConfigError(str(exc)) from exc
     termination = _raise_for_status(status, seed, 0)
     return _abs_trajectory(channels, rows, grid, termination, seed)
 

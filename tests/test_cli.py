@@ -1,6 +1,8 @@
 """CLI: config parsing, file emission, exit codes, reproducibility."""
 
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +309,32 @@ class TestMainExitCodes:
                    "--t-end", "2", "--out", str(blocker)])
         assert rc == 4
         assert "i/o error" in capsys.readouterr().err
+
+    COMPARE = ["compare", "--model", "logistic", "--c", "5", "--t-end", "2", "--reps", "2"]
+
+    def test_output_that_is_a_directory_is_4_and_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        rc = main([*self.COMPARE, "--out", str(tmp_path)])
+        assert rc == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert list((tmp_path / "report.json").iterdir()) == []
+
+    def test_failed_tmp_write_is_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        write_text = Path.write_text
+
+        def fail_on_manifest(path, text, *args, **kwargs):
+            # the third of four outputs: two .tmp files are written before it
+            if path.name != "manifest.json.tmp":
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[:10], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", fail_on_manifest)
+        rc = main([*self.COMPARE, "--out", str(tmp_path)])
+        assert rc == 4
+        assert "No space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

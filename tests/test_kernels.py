@@ -192,6 +192,22 @@ def test_rows_are_an_n_by_3_float64_buffer_numpy_views_without_copy(backend, ker
         assert np.all(view[:, 2] == 0.0)
 
 
+# the last required argument of each kernel
+LAST_ARG = {"rk4_growth": "blowup", "rk4_kuznetsov": "blowup", "ssa": "max_events",
+            "ssa_frozen": "max_events", "tau_leap": "cap"}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_keyword_calls_raise_type_error(backend, kernel):
+    """Every argument is positional only: callers, the benchmark's tracer
+    among them, read the arguments by position."""
+    fn = getattr(BACKENDS[backend], kernel)
+    *args, last = KERNEL_ARGS[kernel]
+    with pytest.raises(TypeError):
+        fn(*args, **{LAST_ARG[kernel]: last})
+
+
 # where each stochastic kernel takes its seed
 SEED_AT = {"ssa": 4, "ssa_frozen": 3, "tau_leap": 5}
 

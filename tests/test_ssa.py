@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dualsim.kernels
-from dualsim.errors import ConfigError, EngineError, PopulationCapError
+from dualsim.errors import ConfigError, EngineError, ModelDomainError, PopulationCapError
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
 from dualsim.kernels._pykernels import _rates, _table
 from dualsim.models import GrowthKind, GrowthLaw, PopulationState, scenario_preset
@@ -112,6 +112,15 @@ class TestChannelCompilation:
         with pytest.raises(Exception):
             RateLaw(R_CONST, -1.0)
 
+    @pytest.mark.parametrize("code, e, g", [
+        (R_POW_T, math.nan, 0.0),
+        (R_POW_T, math.inf, 0.0),
+        (R_MM_TE, 0.0, math.nan),
+    ], ids=["nan-e", "inf-e", "nan-g"])
+    def test_rate_law_rejects_non_finite_exponent_or_saturation(self, code, e, g):
+        with pytest.raises(ModelDomainError, match="must be finite"):
+            RateLaw(code, 1.0, e=e, g=g)
+
 
 class TestSimulateExact:
     def test_death_only_single_event_exponential_time(self):
@@ -166,6 +175,16 @@ class TestSimulateExact:
         with pytest.raises(ConfigError, match="birth-death"):
             simulate_exact(death_only_channels(), PopulationState(10), t_end=1.0, seed=0,
                            policy=RatePolicy.FROZEN_AT_BIRTH)
+
+    @pytest.mark.parametrize("method", ["exact", "tau"])
+    def test_more_than_16_channels_raise_config_error(self, method):
+        influx = Channel("influx", RateLaw(R_CONST, 1.0), (1, 0))
+        cs = ChannelSet(channels=(influx,) * 17, species=("tumour",))
+        with pytest.raises(ConfigError, match="at most 16 channels"):
+            if method == "exact":
+                simulate_exact(cs, PopulationState(1), t_end=1.0, seed=0)
+            else:
+                simulate_tau_leap(cs, PopulationState(1), t_end=1.0, dt=0.1, seed=0)
 
     def test_tumour_floor_keeps_tumour_alive(self):
         cs = kuznetsov_channels(scenario_preset(4))
