@@ -5,7 +5,8 @@ run writes a manifest recording all resolved inputs, the seeds and the kernel
 backend; re-running from a manifest on the same backend reproduces the output
 files byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 engine error, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (a grid too large to hold
+included), 3 engine error (running out of memory included), 4 I/O error.
 Nothing is written on a nonzero exit except diagnostics on stderr.
 """
 
@@ -505,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # e.g. more replicates than memory holds
+        detail = str(exc)
+        print("engine error: out of memory" + (f": {detail}" if detail else ""), file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

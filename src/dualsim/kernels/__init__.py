@@ -7,8 +7,8 @@ written here; each backend's own docstring adds only its RNG and build
 notes.  Which backend runs is decided once, at import time.  The extension
 is optional: a build without a C compiler skips it and the package runs on
 the pure-Python kernels.  Set the environment variable ``DUALSIM_FORCE_PURE``
-to any non-empty value to skip the extension (useful for benchmarking and
-for exercising the fallback in tests).
+to any non-empty value to run the pure kernels in a tree where the extension
+is built, for example to re-run a manifest that the pure backend wrote.
 
 Entry points.  Every argument is positional only; a keyword call raises
 TypeError::

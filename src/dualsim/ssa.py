@@ -86,6 +86,9 @@ class RateLaw:
             raise ModelDomainError(f"rate exponent and saturation must be finite, got e={self.e!r}, g={self.g!r}")
         if self.code == kernels.R_MM_TE and self.g <= 0:
             raise ModelDomainError("saturating rate needs g > 0")
+        if self.code == kernels.R_POW_T and self.e < 0:
+            # c*T**e would be infinite at T = 0
+            raise ModelDomainError(f"power-law rate needs e >= 0, got e={self.e!r}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,8 @@ class Ensemble:
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Everything one stochastic run needs, minus the seed.  Runs are exact
-    unless a leap step ``dt`` is given, which tau-leaps them."""
+    unless a leap step ``dt`` is given, which tau-leaps them.  Every run rule
+    is checked when the spec is built."""
 
     channels: ChannelSet
     initial: PopulationState
@@ -224,51 +228,33 @@ class EnsembleSpec:
     dt: float | None = None
 
     def __post_init__(self) -> None:
-        if self.dt is not None:
-            if not self.dt > 0:
-                raise ConfigError(f"tau-leaping needs a positive dt, got {self.dt!r}")
-            if self.policy is not RatePolicy.LIVE:
-                raise ConfigError("tau-leaping supports the live rate policy only")
+        _check_run(self.channels, self.initial, self.t_end, self.policy, self.floors, self.dt)
 
 
-def _check_initial(channels: ChannelSet, initial: PopulationState, floors: Floors) -> tuple[int, int]:
-    T = initial.T
-    if T != int(T):
-        raise ConfigError(f"stochastic runs need integer populations, got T={T!r}")
-    if len(channels.species) == 2:
-        if initial.E is None:
-            raise ConfigError("this channel set has two species; the initial state needs E")
-        E = initial.E
-        if E != int(E):
-            raise ConfigError(f"stochastic runs need integer populations, got E={E!r}")
-    else:
-        if initial.E is not None:
-            raise ConfigError("this channel set has one species; E must be None")
-        E = 0.0
-    if int(T) < floors.min_tumour or int(E) < floors.min_effector:
+def _check_run(channels: ChannelSet, initial: PopulationState, t_end: float, policy: RatePolicy,
+               floors: Floors, dt: float | None) -> tuple[int, int]:
+    """The rules of one stochastic run (tau-leaped when ``dt`` is given);
+    returns the initial ``(T, E)`` as ints."""
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
+    if dt is not None:
+        if not (math.isfinite(dt) and 0 < dt <= t_end):
+            raise ConfigError(f"tau-leaping needs a positive dt no larger than t_end, got dt={dt!r}")
+        if policy is not RatePolicy.LIVE:
+            raise ConfigError("tau-leaping supports the live rate policy only")
+    if policy is RatePolicy.FROZEN_AT_BIRTH and len(channels.species) != 1:
+        raise ConfigError("the frozen-at-birth policy applies to one-species birth-death channel sets only")
+    if (initial.E is None) != (len(channels.species) == 1):
+        raise ConfigError(f"the initial state needs E exactly when there are two species, "
+                          f"got {initial} for {channels.species}")
+    T, E = initial.T, initial.E or 0.0
+    if T != int(T) or E != int(E):
+        raise ConfigError(f"stochastic runs need integer populations, got {initial}")
+    if T < floors.min_tumour or E < floors.min_effector:
         raise ConfigError(f"initial state {initial} is below the floors {floors}")
-    if T > POPULATION_CAP or E > POPULATION_CAP:
-        raise PopulationCapError(
-            f"initial state {initial} exceeds the {POPULATION_CAP:.0e} population cap"
-        )
+    if max(T, E) > POPULATION_CAP:
+        raise PopulationCapError(f"initial state {initial} exceeds the {POPULATION_CAP:.0e} population cap")
     return int(T), int(E)
-
-
-def _raise_for_status(status: int, seed: int, max_events: int, last: str = "") -> Termination:
-    if status == kernels.ST_CAP:
-        raise PopulationCapError(
-            f"population exceeded the hard cap of {POPULATION_CAP:.0e} agents (seed {seed}); "
-            "this configuration is infeasible for discrete simulation"
-        )
-    if status == kernels.ST_MAX_EVENTS:
-        raise EngineError(
-            f"event budget of {max_events} exhausted (seed {seed}){last}; "
-            "raise max_events, or use tau-leaping for blow-up-scale growth "
-            f"(the {POPULATION_CAP:.0e} population cap still applies)"
-        )
-    if status == kernels.ST_NEG_RATE:
-        raise EngineError("a channel rate evaluated negative: model bug")
-    return Termination.EXTINCT if status == kernels.ST_EXTINCT else Termination.COMPLETED
 
 
 def _check_grid(grid, t_end: float) -> np.ndarray:
@@ -292,15 +278,51 @@ def _check_grid(grid, t_end: float) -> np.ndarray:
     return np.ascontiguousarray(grid)
 
 
-def _abs_trajectory(channels, rows, grid, termination, seed) -> Trajectory:
-    """One replicate's trajectory from the (t, T, E) rows a kernel returned,
-    timed by ``grid`` when the kernel recorded on one."""
+def _simulate(channels: ChannelSet, initial: PopulationState, t_end: float, seed: int,
+              policy: RatePolicy, floors: Floors, dt: float | None, max_events: int,
+              grid) -> Trajectory:
+    """One replicate: tau-leaped when ``dt`` is given, else exact under
+    ``policy``; the body of :func:`simulate_exact` and :func:`simulate_tau_leap`."""
+    T0, E0 = _check_run(channels, initial, t_end, policy, floors, dt)
+    grid = None if grid is None else _check_grid(grid, t_end)
+    cap = float(POPULATION_CAP)
+    try:
+        if dt is not None:
+            rows, status = kernels.tau_leap(
+                channels.table, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector, cap, grid,
+            )
+        elif policy is RatePolicy.FROZEN_AT_BIRTH:
+            rows, status = kernels.ssa_frozen(
+                channels.table, T0, t_end, seed, floors.min_tumour, cap, max_events, grid,
+            )
+        else:
+            rows, status = kernels.ssa(
+                channels.table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
+                cap, max_events, grid,
+            )
+    except ValueError as exc:  # a channel table the kernel refuses
+        raise ConfigError(str(exc)) from exc
+
     rows = np.asarray(rows)
+    if status == kernels.ST_CAP:
+        raise PopulationCapError(
+            f"population exceeded the hard cap of {POPULATION_CAP:.0e} agents (seed {seed}); "
+            "this configuration is infeasible for discrete simulation"
+        )
+    if status == kernels.ST_MAX_EVENTS:
+        # the last row holds the last sample, in grid mode too
+        raise EngineError(
+            f"event budget of {max_events} exhausted (seed {seed}) at t={rows[-1, 0]:.3g} "
+            f"with population {rows[-1, 1]:.4g}; raise max_events, or use tau-leaping for "
+            f"blow-up-scale growth (the {POPULATION_CAP:.0e} population cap still applies)"
+        )
+    if status == kernels.ST_NEG_RATE:
+        raise EngineError("a channel rate evaluated negative: model bug")
     return Trajectory(
         times=rows[:, 0] if grid is None else grid,
         states=rows[:, 1:1 + len(channels.species)],
         species=channels.species,
-        termination=termination,
+        termination=Termination.EXTINCT if status == kernels.ST_EXTINCT else Termination.COMPLETED,
         paradigm=Paradigm.ABS,
         seed=seed,
     )
@@ -325,32 +347,7 @@ def simulate_exact(
     sample at or before it, so the trajectory has one row per grid point
     and costs neither time nor memory per event.
     """
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
-    grid = None if grid is None else _check_grid(grid, t_end)
-    T0, E0 = _check_initial(channels, initial, floors)
-    frozen = policy is RatePolicy.FROZEN_AT_BIRTH
-    if frozen and len(channels.species) != 1:
-        raise ConfigError("the frozen-at-birth policy applies to one-species birth-death channel sets only")
-
-    try:
-        if frozen:
-            rows, status = kernels.ssa_frozen(
-                channels.table, T0, t_end, seed, floors.min_tumour, float(POPULATION_CAP), max_events, grid,
-            )
-        else:
-            rows, status = kernels.ssa(
-                channels.table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
-                float(POPULATION_CAP), max_events, grid,
-            )
-    except ValueError as exc:  # a channel table the kernel refuses
-        raise ConfigError(str(exc)) from exc
-
-    # the last row holds the last sample, in grid mode too
-    last = (f" at t={rows[-1, 0]:.3g} with population {rows[-1, 1]:.4g}"
-            if status == kernels.ST_MAX_EVENTS else "")
-    termination = _raise_for_status(status, seed, max_events, last)
-    return _abs_trajectory(channels, rows, grid, termination, seed)
+    return _simulate(channels, initial, t_end, seed, policy, floors, None, max_events, grid)
 
 
 def simulate_tau_leap(
@@ -366,21 +363,7 @@ def simulate_tau_leap(
     policy; any component pushed below its floor is clamped to the floor.
     One sample per leap or, with a ``grid`` (as for :func:`simulate_exact`),
     the state held at each grid time."""
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
-    if not (math.isfinite(dt) and 0 < dt <= t_end):
-        raise ConfigError(f"need 0 < dt <= t_end, got dt={dt!r}")
-    grid = None if grid is None else _check_grid(grid, t_end)
-    T0, E0 = _check_initial(channels, initial, floors)
-    try:
-        rows, status = kernels.tau_leap(
-            channels.table, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector,
-            float(POPULATION_CAP), grid,
-        )
-    except ValueError as exc:  # a channel table the kernel refuses
-        raise ConfigError(str(exc)) from exc
-    termination = _raise_for_status(status, seed, 0)
-    return _abs_trajectory(channels, rows, grid, termination, seed)
+    return _simulate(channels, initial, t_end, seed, RatePolicy.LIVE, floors, float(dt), 0, grid)
 
 
 def run_ensemble(

@@ -50,7 +50,10 @@ def make_grid(t_end: float, spacing: float = 1.0) -> np.ndarray:
     if not (spacing > 0 and t_end >= spacing):
         raise ConfigError(f"need 0 < spacing <= t_end, got spacing={spacing}, t_end={t_end}")
     n = int(math.floor(t_end / spacing + 1e-9))
-    grid = spacing * np.arange(n + 1)
+    try:
+        grid = spacing * np.arange(n + 1)
+    except (ValueError, MemoryError) as exc:  # more points than numpy can hold
+        raise ConfigError(f"a grid of {n + 1:.3g} points is too large to hold: {exc}") from None
     grid[-1] = min(grid[-1], t_end)
     return grid
 

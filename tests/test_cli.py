@@ -302,6 +302,26 @@ class TestMainExitCodes:
         assert "cap" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_grid_too_large_to_hold_is_2(self, tmp_path, capsys):
+        rc = main(["run", "--model", "logistic", "--c", "5", "--paradigm", "abs",
+                   "--grid", "1e-300", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: a grid of ") and "too large" in err
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_is_3(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 PiB")
+
+        monkeypatch.setattr(dualsim.cli, "run_ensemble", no_memory)
+        rc = main(["run", "--model", "logistic", "--c", "5", "--paradigm", "abs",
+                   "--t-end", "2", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == "engine error: out of memory: Unable to allocate 1.00 PiB\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_error_is_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -121,6 +121,12 @@ class TestChannelCompilation:
         with pytest.raises(ModelDomainError, match="must be finite"):
             RateLaw(code, 1.0, e=e, g=g)
 
+    def test_rate_law_rejects_a_negative_power(self):
+        # c*T**e with e < 0 is infinite at T = 0
+        with pytest.raises(ModelDomainError, match="e >= 0"):
+            RateLaw(R_POW_T, 1.0, e=-1.0)
+        RateLaw(R_POW_T, 1.0, e=0.0)
+
 
 class TestSimulateExact:
     def test_death_only_single_event_exponential_time(self):
@@ -402,10 +408,23 @@ class TestEnsembles:
         with pytest.raises(PopulationCapError, match=r"replicate 0"):
             run_ensemble(spec, reps=3, base_seed=7, grid=make_grid(100.0, 1.0))
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, 2.0])
     def test_dt_must_be_positive(self, dt):
         with pytest.raises(ConfigError, match="positive dt"):
             EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0, dt=dt)
+
+    @pytest.mark.parametrize("channels, initial, t_end, policy, floors", [
+        (death_only_channels(), PopulationState(1), 0.0, RatePolicy.LIVE, Floors()),
+        (death_only_channels(), PopulationState(1), -1.0, RatePolicy.LIVE, Floors()),
+        (death_only_channels(), PopulationState(1), math.nan, RatePolicy.LIVE, Floors()),
+        (death_only_channels(), PopulationState(1.5), 1.0, RatePolicy.LIVE, Floors()),
+        (death_only_channels(), PopulationState(0), 1.0, RatePolicy.LIVE, Floors(1, 0)),
+        (kuznetsov_channels(scenario_preset(1)), PopulationState(10, 2), 1.0,
+         RatePolicy.FROZEN_AT_BIRTH, Floors()),
+    ], ids=["t-end-0", "t-end-negative", "t-end-nan", "fractional", "below-floor", "frozen-kuznetsov"])
+    def test_spec_refuses_a_bad_run_when_built(self, channels, initial, t_end, policy, floors):
+        with pytest.raises(ConfigError):
+            EnsembleSpec(channels=channels, initial=initial, t_end=t_end, policy=policy, floors=floors)
 
     def test_dt_selects_tau_leaping(self):
         channels, initial = kuznetsov_channels(scenario_preset(2)), PopulationState(100, 10)

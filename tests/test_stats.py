@@ -140,6 +140,15 @@ class TestSampleOnGrid:
         assert len(grid) == 4 and grid[-1] == 0.3
         assert np.allclose(np.diff(grid), 0.1)
 
+    def test_make_grid_too_large_to_allocate_is_a_config_error(self, monkeypatch):
+        # the failed allocation is simulated, never attempted
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 PiB")
+
+        monkeypatch.setattr(np, "arange", no_memory)
+        with pytest.raises(ConfigError, match="too large"):
+            make_grid(100.0, 1e-13)
+
 
 def held_ensemble(grid, rows, species=("tumour",)):
     """An ensemble holding ``rows`` (one per replicate) on ``grid``."""
