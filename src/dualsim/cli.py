@@ -1,9 +1,13 @@
 """Command-line interface: ``dualsim run | compare | list-scenarios``.
 
-Runs are described by a JSON config document and/or flags (flags win).  Every
-run writes a manifest recording all resolved inputs, the seeds and the kernel
-backend; re-running from a manifest on the same backend reproduces the output
-files byte for byte.
+Runs are described by a JSON config document and/or flags (flags win).  A
+config is checked by building what runs it: the model, the initial state, the
+grid, the integrator settings and the ensemble spec, so a refused config gets
+the library's own message.  The CLI itself checks only its fields, their
+types and enumerations, and which fields each model takes.  Every run writes
+a manifest recording all resolved inputs, the seeds and the kernel backend;
+re-running from a manifest on the same backend reproduces the output files
+byte for byte.
 
 Exit codes: 0 success, 2 configuration error (a grid too large to hold
 included), 3 engine error (running out of memory included), 4 I/O error.
@@ -17,7 +21,6 @@ import contextlib
 import errno
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, stats
-from .errors import ConfigError, EngineError, ModelDomainError
+from .errors import ConfigError, EngineError, ModelDomainError, UnknownScenarioError
 from .models import (
     GrowthLaw,
     KuznetsovParams,
@@ -53,7 +56,7 @@ __all__ = ["RunSpec", "parse_config", "cmd_run", "cmd_compare", "main"]
 _MODELS = ("logistic", "bertalanffy", "gompertz", "kuznetsov")
 _PARADIGMS = ("sds", "abs", "both")
 _METHODS = ("exact", "tau")
-_POLICIES = ("live", "frozen")
+_POLICIES = tuple(policy.value for policy in RatePolicy)
 _FIXES = ("none", "tumour", "both")
 
 # Defaults for the two-equation initial conditions; arbitrary (no canonical
@@ -132,10 +135,6 @@ def _validate_raw(raw: dict) -> RunSpec:
             raise ConfigError(f"{name}: must be one of {allowed}, got {v!r}")
 
     if model == "kuznetsov":
-        if vals.get("scenario") is None:
-            raise ConfigError("scenario: required for the kuznetsov model (1..4)")
-        if vals["scenario"] not in (1, 2, 3, 4):
-            raise ConfigError(f"scenario: must be 1..4, got {vals['scenario']}")
         for bad in ("c", "a", "b"):
             if bad in vals:
                 raise ConfigError(f"{bad}: only applies to one-equation models, not kuznetsov")
@@ -162,29 +161,18 @@ def _validate_raw(raw: dict) -> RunSpec:
 
     spec = RunSpec(**vals)
 
+    # SDS-only runs build no EnsembleSpec, and the library checks reps and
+    # alpha only after the SDS has run
     if vals.get("policy") == "frozen" and vals.get("method") == "tau":
         raise ConfigError("policy: frozen requires the exact method")
-    if not (math.isfinite(spec.dt) and spec.dt > 0):
-        raise ConfigError(f"dt: must be > 0, got {spec.dt}")
-    if not (math.isfinite(spec.t_end) and spec.t_end >= spec.dt):
-        raise ConfigError(f"t_end: must be >= dt, got {spec.t_end}")
-    if not (math.isfinite(spec.grid) and 0 < spec.grid <= spec.t_end):
-        raise ConfigError(f"grid: must be in (0, t_end], got {spec.grid}")
     if spec.reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {spec.reps}")
     if not (0 < spec.alpha < 1):
         raise ConfigError(f"alpha: must be in (0, 1), got {spec.alpha}")
-    if spec.t0 < 0 or (spec.e0 is not None and spec.e0 < 0):
-        raise ConfigError("initial populations must be >= 0")
-    if spec.paradigm in ("abs", "both"):
-        if spec.t0 != int(spec.t0) or (spec.e0 is not None and spec.e0 != int(spec.e0)):
-            raise ConfigError("t0/e0: stochastic runs need integer initial populations")
 
-    # building the model surfaces the remaining domain constraints (b < a ...)
-    try:
-        _build_model(spec)
-    except ModelDomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    # building the run checks every other rule: the scenario, the model's
+    # domain (b < a ...), the populations, dt, t_end and the grid
+    _plan(spec)
     return spec
 
 
@@ -219,32 +207,29 @@ def _build_model(spec: RunSpec) -> GrowthLaw | KuznetsovParams:
     return GrowthLaw.gompertz(spec.a, spec.b)
 
 
-def _initial_state(spec: RunSpec) -> PopulationState:
-    if spec.model == "kuznetsov":
-        return PopulationState(spec.t0, spec.e0)
-    return PopulationState(spec.t0)
-
-
-def _sds_sample_every(spec: RunSpec) -> float:
-    return max(spec.dt, min(0.1, spec.grid))
-
-
-def _run_sds(spec: RunSpec, model) -> Trajectory:
-    cfg = IntegratorConfig(dt=spec.dt, t_end=spec.t_end, sample_every=_sds_sample_every(spec))
-    return integrate(model, _initial_state(spec), cfg)
-
-
-def _run_abs(spec: RunSpec, model, grid: np.ndarray) -> Ensemble:
-    channels = kuznetsov_channels(model) if spec.model == "kuznetsov" else growth_channels(model)
-    ens_spec = EnsembleSpec(
-        channels=channels,
-        initial=_initial_state(spec),
-        t_end=spec.t_end,
-        policy=RatePolicy.FROZEN_AT_BIRTH if spec.policy == "frozen" else RatePolicy.LIVE,
-        floors=Floors.from_fix(spec.fix),
-        dt=spec.dt if spec.method == "tau" else None,
-    )
-    return run_ensemble(ens_spec, reps=spec.reps, base_seed=spec.seed, grid=grid)
+def _plan(spec: RunSpec) -> tuple:
+    """``(model, initial, grid, integrator, ensemble)``: what runs ``spec``,
+    each refusing what it cannot run.  ``ensemble`` is None for an SDS-only
+    run."""
+    try:
+        model = _build_model(spec)
+        initial = PopulationState(spec.t0, spec.e0)
+        grid = stats.make_grid(spec.t_end, spec.grid)
+        integrator = IntegratorConfig(dt=spec.dt, t_end=spec.t_end,
+                                      sample_every=max(spec.dt, min(0.1, spec.grid)))
+        ensemble = None
+        if spec.paradigm != "sds":
+            ensemble = EnsembleSpec(
+                channels=kuznetsov_channels(model) if spec.model == "kuznetsov" else growth_channels(model),
+                initial=initial,
+                t_end=spec.t_end,
+                policy=RatePolicy(spec.policy),
+                floors=Floors.from_fix(spec.fix),
+                dt=spec.dt if spec.method == "tau" else None,
+            )
+    except (ModelDomainError, UnknownScenarioError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return model, initial, grid, integrator, ensemble
 
 
 def _text_columns(values: np.ndarray) -> list:
@@ -345,21 +330,20 @@ def cmd_run(spec: RunSpec) -> list[Path]:
     """Execute the requested paradigm(s) and write trajectory CSVs, an
     optional SVG plot, and the manifest.  All outputs are computed before
     anything is written, so failures leave no partial files."""
-    model = _build_model(spec)
-    grid = stats.make_grid(spec.t_end, spec.grid)
+    model, initial, grid, integrator, ensemble = _plan(spec)
     outputs: dict[str, str] = {}
     results: dict = {}
     plot_curves: list[Curve] = []
 
     if spec.paradigm in ("sds", "both"):
-        traj = _run_sds(spec, model)
+        traj = integrate(model, initial, integrator)
         outputs["sds.csv"] = _sds_csv(traj)
         results["sds_termination"] = traj.termination.value
         if spec.plot and traj.end_time >= grid[-1]:
             sds = stats.sample_on_grid(traj, grid)
             plot_curves += [_curve("sds", name, col) for name, col in zip(traj.species, sds.T)]
-    if spec.paradigm in ("abs", "both"):
-        ens = _run_abs(spec, model, grid)
+    if ensemble is not None:
+        ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed, grid=grid)
         outputs["abs_ensemble.csv"] = _ensemble_csv(ens)
         results["abs_terminations"] = sorted({t.value for t in ens.terminations})
         if spec.plot:
@@ -373,21 +357,24 @@ def cmd_run(spec: RunSpec) -> list[Path]:
     return _write_outputs(spec.out, outputs)
 
 
+def _require_both(paradigm) -> None:
+    if paradigm != "both":
+        raise ConfigError("compare needs paradigm=both")
+
+
 def cmd_compare(spec: RunSpec) -> list[Path]:
     """Run the deterministic trajectory and the stochastic ensemble, test
     their agreement per population, and write report.json, comparison.csv,
     comparison.svg and the manifest."""
-    if spec.paradigm != "both":
-        raise ConfigError("compare needs paradigm=both")
-    model = _build_model(spec)
-    grid = stats.make_grid(spec.t_end, spec.grid)
-    traj = _run_sds(spec, model)
+    _require_both(spec.paradigm)
+    model, initial, grid, integrator, ensemble = _plan(spec)
+    traj = integrate(model, initial, integrator)
     if traj.end_time < grid[-1]:
         raise EngineError(
             f"deterministic run terminated early ({traj.termination.value} at t={traj.end_time:g}); "
             "cannot compare on the requested grid"
         )
-    ens = _run_abs(spec, model, grid)
+    ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed, grid=grid)
     report = stats.compare(
         traj,
         ens,
@@ -458,7 +445,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plot", action="store_true", default=None, help="also write an SVG plot")
 
 
-def _load_spec(args: argparse.Namespace, force_both: bool = False) -> RunSpec:
+def _load_spec(args: argparse.Namespace, compare: bool = False) -> RunSpec:
     raw: dict = {}
     if args.config:
         try:
@@ -470,8 +457,9 @@ def _load_spec(args: argparse.Namespace, force_both: bool = False) -> RunSpec:
         v = getattr(args, name, None)
         if v is not None:
             raw[name] = v
-    if force_both:
-        raw.setdefault("paradigm", "both")
+    if compare:
+        # before validation, which builds the run and so may raise an engine error
+        _require_both(raw.setdefault("paradigm", "both"))
     return _validate_raw(raw)
 
 
@@ -497,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             paths = cmd_run(_load_spec(args))
         else:
-            paths = cmd_compare(_load_spec(args, force_both=True))
+            paths = cmd_compare(_load_spec(args, compare=True))
         for path in paths:
             print(path)
         return 0

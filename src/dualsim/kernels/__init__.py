@@ -59,9 +59,9 @@ ValueError; each agent keeps its per-capita death rate at birth,
 
 Stop rule and status codes (the ``ST_*`` constants below).  The stochastic
 kernels stop by one rule on the total rate R: while 0 < R < inf they step
-on; R < 0 stops with status 5, R == 0 with status 2 after holding the state
-until ``t_end``, and an infinite or nan R with status 3.  An event or leap
-that takes a population above ``cap`` also stops the run with status 3; the
+on; R == 0 stops with status 2 after holding the state until ``t_end``, and
+any other R (negative, infinite or nan) with status 5.  An event or leap
+that takes a population above ``cap`` stops the run with status 3; the
 initial state is the caller's to bound.  ``ssa`` and ``ssa_frozen`` stop
 with status 4 after ``max_events`` events.  A run that reaches ``t_end``
 ends with status 0.
@@ -110,7 +110,7 @@ ST_BLOWUP = 1
 ST_EXTINCT = 2
 ST_CAP = 3
 ST_MAX_EVENTS = 4
-ST_NEG_RATE = 5
+ST_BAD_RATE = 5
 ST_STEP_FAIL = 6
 
 # Rate-law codes understood by the channel-table simulators.
@@ -134,7 +134,7 @@ __all__ = [
     "ST_EXTINCT",
     "ST_CAP",
     "ST_MAX_EVENTS",
-    "ST_NEG_RATE",
+    "ST_BAD_RATE",
     "ST_STEP_FAIL",
     "R_CONST",
     "R_POW_T",

@@ -165,15 +165,13 @@ static int rec_init(Rec *rec, PyObject *grid, double a, double b)
     return 0;
 }
 
-/* The status of a run whose total rate R left (0, inf): 5 when R < 0, 3
- * when R is inf or nan, else 2 (no event can fire), which holds (a, b)
- * until t_end. */
+/* The status of a run whose total rate R left (0, inf): 2 when R == 0 (no
+ * event can fire), which holds (a, b) until t_end, else 5 (R negative, inf
+ * or nan). */
 static int stop_status(Rec *rec, double R, double t, double t_end, double a, double b)
 {
-    if (R < 0.0)
-        return 5;
     if (R != 0.0)
-        return 3;
+        return 5;
     if (t < t_end)
         rec_push(rec, t_end, a, b);
     return 2;
@@ -651,8 +649,11 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_ckernels",
-    "Compiled simulation kernels (C twin of ``_pykernels``).", -1, methods,
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_ckernels",
+    .m_doc = "Compiled simulation kernels (C twin of ``_pykernels``).",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC PyInit__ckernels(void) { return PyModule_Create(&module); }

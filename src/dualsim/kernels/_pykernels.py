@@ -97,13 +97,11 @@ def _recorder(grid, a: float, b: float):
 
 
 def _stop_status(push, R: float, t: float, t_end: float, a: float, b: float) -> int:
-    """The status of a run whose total rate R left (0, inf): 5 when R < 0, 3
-    when R is inf or nan, else 2 (no event can fire), which holds (a, b)
-    until ``t_end``; twin of the compiled ``stop_status``."""
-    if R < 0.0:
-        return 5
+    """The status of a run whose total rate R left (0, inf): 2 when R == 0
+    (no event can fire), which holds (a, b) until ``t_end``, else 5 (R
+    negative, inf or nan); twin of the compiled ``stop_status``."""
     if R != 0.0:
-        return 3
+        return 5
     if t < t_end:
         push(t_end, a, b)
     return 2

@@ -316,8 +316,11 @@ def _simulate(channels: ChannelSet, initial: PopulationState, t_end: float, seed
             f"with population {rows[-1, 1]:.4g}; raise max_events, or use tau-leaping for "
             f"blow-up-scale growth (the {POPULATION_CAP:.0e} population cap still applies)"
         )
-    if status == kernels.ST_NEG_RATE:
-        raise EngineError("a channel rate evaluated negative: model bug")
+    if status == kernels.ST_BAD_RATE:
+        raise EngineError(
+            f"total event rate negative, infinite or nan (seed {seed}) at t={rows[-1, 0]:.3g} "
+            f"with population {rows[-1, 1]:.4g}; a channel's rate law left its domain or double range"
+        )
     return Trajectory(
         times=rows[:, 0] if grid is None else grid,
         states=rows[:, 1:1 + len(channels.species)],

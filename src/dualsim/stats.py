@@ -47,8 +47,9 @@ def make_grid(t_end: float, spacing: float = 1.0) -> np.ndarray:
     """Uniform grid 0, spacing, 2*spacing, ... up to (and including) the last
     multiple of ``spacing`` that fits in ``t_end``; a last point that rounding
     puts past ``t_end`` is clamped to it."""
-    if not (spacing > 0 and t_end >= spacing):
-        raise ConfigError(f"need 0 < spacing <= t_end, got spacing={spacing}, t_end={t_end}")
+    if not (math.isfinite(t_end) and 0 < spacing <= t_end):
+        raise ConfigError(f"the grid needs a finite t_end and 0 < spacing <= t_end, "
+                          f"got spacing={spacing}, t_end={t_end}")
     n = int(math.floor(t_end / spacing + 1e-9))
     try:
         grid = spacing * np.arange(n + 1)

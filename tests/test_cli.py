@@ -74,6 +74,9 @@ class TestParseConfig:
         ('{"model": "logistic", "c": 0.5}', "c"),
         ('{"model": "logistic", "a": 1, "b": 2}', "b < a"),
         ('{"model": "logistic", "c": 5, "paradigm": "abs", "t0": 1.5}', "integer"),
+        ('{"model": "logistic", "c": 5, "t0": Infinity}', "finite"),
+        ('{"model": "logistic", "c": 5, "t0": NaN}', "finite"),
+        ('{"model": "kuznetsov", "scenario": 1, "e0": Infinity}', "finite"),
         ('{"model": "logistic", "c": 5, "policy": "frozen", "method": "tau"}', "exact"),
         ('{"model": "logistic", "c": 5, "volume": 3}', "unknown"),
         ('[1, 2]', "object"),
@@ -310,6 +313,21 @@ class TestMainExitCodes:
         assert err.startswith("configuration error: a grid of ") and "too large" in err
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--t0", "nan"), ("--t-end", "inf")])
+    def test_non_finite_value_is_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        rc = main(["run", "--model", "logistic", "--c", "5", flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_compare_refuses_another_paradigm_before_building_the_run(self, tmp_path, capsys):
+        # t0 above the population cap would be an engine error (3) once the run is built
+        rc = main(["compare", "--model", "logistic", "--c", "5", "--paradigm", "abs", "--t0", "1e13",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "configuration error: compare needs paradigm=both\n"
 
     def test_out_of_memory_is_3(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from dualsim import kernels
+from dualsim.errors import EngineError, PopulationCapError
 from dualsim.kernels import _pykernels as pure
+from dualsim.models import PopulationState
+from dualsim.ssa import Channel, ChannelSet, RateLaw, simulate_exact
 
 try:
     from dualsim.kernels import _ckernels as compiled
@@ -370,11 +373,11 @@ class TestGridRecording:
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kernel, row", [("ssa", 0), ("tau_leap", 0), ("ssa_frozen", 0), ("ssa_frozen", 1)],
                          ids=["ssa", "tau_leap", "ssa_frozen-birth", "ssa_frozen-death"])
-@pytest.mark.parametrize("c, status", [(-1.0, 5), (0.0, 2), (math.inf, 3), (math.nan, 3)],
+@pytest.mark.parametrize("c, status", [(-1.0, 5), (0.0, 2), (math.inf, 5), (math.nan, 5)],
                          ids=["negative", "zero", "inf", "nan"])
 def test_total_rate_outside_zero_inf_stops_the_run(backend, kernel, row, c, status):
-    """One stop rule on the total rate R: R < 0 stops with status 5, R == 0
-    with status 2 after holding the state until t_end, inf or nan with 3."""
+    """One stop rule on the total rate R: R == 0 stops with status 2 after
+    holding the state until t_end, negative, inf or nan R with 5."""
     fn = getattr(BACKENDS[backend], kernel)
     if kernel == "ssa_frozen":
         # a birth row c*T or a death row of per-capita rate c, the other row 0
@@ -390,3 +393,14 @@ def test_total_rate_outside_zero_inf_stops_the_run(backend, kernel, row, c, stat
     assert got == status
     held = [[5.0, 3.0, E0]] if status == 2 else []
     assert np.asarray(rows).tolist() == [[0.0, 3.0, E0], *held]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_overflowing_rate_is_an_engine_error_not_the_cap(backend, monkeypatch):
+    # 10**400 overflows to inf while the population is 10, far below the cap
+    monkeypatch.setattr(kernels, "ssa", BACKENDS[backend].ssa)
+    channels = ChannelSet((Channel("birth", RateLaw(kernels.R_POW_T, 1.0, e=400.0), (1, 0)),), ("tumour",))
+    with pytest.raises(EngineError, match="infinite") as info:
+        simulate_exact(channels, PopulationState(10), t_end=1.0, seed=1)
+    assert not isinstance(info.value, PopulationCapError)
+    assert " at t=0 with population 10;" in str(info.value)

@@ -140,6 +140,11 @@ class TestSampleOnGrid:
         assert len(grid) == 4 and grid[-1] == 0.3
         assert np.allclose(np.diff(grid), 0.1)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_make_grid_refuses_a_non_finite_t_end(self, t_end):
+        with pytest.raises(ConfigError, match="grid"):
+            make_grid(t_end, 1.0)
+
     def test_make_grid_too_large_to_allocate_is_a_config_error(self, monkeypatch):
         # the failed allocation is simulated, never attempted
         def no_memory(*args, **kwargs):
