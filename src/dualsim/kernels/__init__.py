@@ -13,8 +13,8 @@ is built, for example to re-run a manifest that the pure backend wrote.
 Entry points.  Every argument is positional only; a keyword call raises
 TypeError::
 
-    rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup)
-    rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup)
+    rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, grid, blowup)
+    rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, grid, blowup)
     ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events[, grid])
     ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events[, grid])
     tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap[, grid])
@@ -29,11 +29,11 @@ pure backend's one ``array('d')``.  One-species kernels (``rk4_growth``,
 RK4.  In each backend, ``rk4_growth`` (``kind`` 0: power law, 1: Gompertz)
 and ``rk4_kuznetsov`` only parse their arguments and name the model's
 derivative, which one shared RK4 stepper (``rk4_run`` in C, ``_rk4`` in
-Python) integrates over the state (T, E).  It alone places the sample
-targets (every multiple of ``sample_every`` up to ``t_end``, and ``t_end``),
-halves a step that would undershoot zero (status 6 after 40 halvings), stops
-with status 1 after the last sample when a component passes ``blowup`` or is
-nan, and clamps small negative residues to 0.
+Python) integrates over the state (T, E) to ``t_end``.  It cuts its steps
+of ``dt`` to land on each time of ``grid``, where it records one row, halves
+a step that would undershoot zero (status 6 after 40 halvings), stops with
+status 1 at the last grid time reached when a component passes ``blowup``
+or is nan, and clamps small negative residues to 0.
 
 Table format.  The one model input of ``ssa``, ``ssa_frozen`` and
 ``tau_leap`` is a channel table (``ssa.ChannelSet.table``): a sequence of at
@@ -69,13 +69,13 @@ ends with status 0.
 Grid sampling.  Called without their optional trailing ``grid``, the
 stochastic kernels return one row per event or leap, framed by the initial
 state and, when the run reaches ``t_end``, a final hold row there.  Given a
-``grid`` (a non-empty contiguous 1-D buffer of doubles; anything else raises
-TypeError), they record only the sample held at each grid time, the last
-one at or before it, into ``len(grid)`` rows whose t column gives each held
-sample's time: the per-event rows indexed by ``searchsorted(t, grid,
-side="right") - 1``, at a cost per grid point instead of per event.  Grid
-points past the last sample hold the last sample, so the last row always
-names the last event.
+``grid`` (a non-empty contiguous 1-D buffer of doubles, as every kernel's
+grid; anything else raises TypeError), they record only the sample held at
+each grid time, the last one at or before it, into ``len(grid)`` rows whose
+t column gives each held sample's time: the per-event rows indexed by
+``searchsorted(t, grid, side="right") - 1``, at a cost per grid point
+instead of per event.  Grid points past the last sample hold the last
+sample, so the last row always names the last event.
 
 Seeds.  Both backends mask the seed to its low 64 bits, so seeds s and
 s + 2**64 give one stream and s and -s two.  Per-seed reproducibility holds

@@ -74,8 +74,10 @@ static inline double rng_uniform(Rng *r)
 }
 
 /* Knuth's product method for small means, a rounded normal beyond (the
- * large-mean branch only matters for blow-up detection, not statistics). */
-static long rng_poisson(Rng *r, double lam)
+ * large-mean branch only matters for blow-up detection, not statistics).
+ * The count is a double, so that one past long's range still passes the
+ * cap. */
+static double rng_poisson(Rng *r, double lam)
 {
     if (lam < 30.0) {
         double L = exp(-lam);
@@ -87,8 +89,8 @@ static long rng_poisson(Rng *r, double lam)
     double u1 = 1.0 - rng_uniform(r);
     double u2 = rng_uniform(r);
     double z = sqrt(-2.0 * log(u1)) * cos(2.0 * M_PI * u2);
-    long k = (long)floor(lam + sqrt(lam) * z + 0.5);
-    return k > 0 ? k : 0;
+    double k = floor(lam + sqrt(lam) * z + 0.5);
+    return k > 0.0 ? k : 0.0;
 }
 
 /* ---- recorded samples: (t, T, E) rows of one buffer ------------------- */
@@ -140,8 +142,10 @@ static inline void rec_push(Rec *rec, double t, double a, double b)
     row[2] = b;
 }
 
+#define GRID_ERROR "grid must be a non-empty contiguous 1-D buffer of doubles"
+
 /* Starts the rows with the sample (0, a, b), one row per grid point when
- * ``grid`` is not None. */
+ * ``grid`` is not None: the one check of a kernel's grid. */
 static int rec_init(Rec *rec, PyObject *grid, double a, double b)
 {
     *rec = (Rec){0, 0, 4096, NULL, {NULL}, {0.0, a, b}};
@@ -150,8 +154,7 @@ static int rec_init(Rec *rec, PyObject *grid, double a, double b)
             rec->grid.ndim != 1 || strcmp(rec->grid.format, "d") != 0 ||
             rec->grid.shape[0] == 0) {
             rec_free(rec);
-            PyErr_SetString(PyExc_TypeError,
-                            "grid must be a non-empty contiguous 1-D buffer of doubles");
+            PyErr_SetString(PyExc_TypeError, GRID_ERROR);
             return -1;
         }
         rec->cap = rec->grid.shape[0];
@@ -216,37 +219,30 @@ static inline double powfast(double x, double e)
     return pow(x, e);
 }
 
-/* The number of sampling targets after t = 0: every multiple of
- * ``sample_every`` up to ``t_end``, plus ``t_end`` itself when it is off the
- * grid.  ``*ngrid`` receives the number of grid multiples. */
-static long sample_targets(double t_end, double sample_every, long *ngrid)
-{
-    long n = (long)floor(t_end / sample_every + 1e-9);
-    int extra = t_end - n * sample_every > 1e-9 * (t_end > 1.0 ? t_end : 1.0);
-    *ngrid = n;
-    return (n == 0 || extra) ? n + 1 : n;
-}
-
 /* d(T, E)/dt of one model with parameters ``par``, written to ``dx`` */
 typedef void (*Deriv)(const double *par, const double x[2], double dx[2]);
 
 /* The one RK4 stepper.  The state is (T, E); a one-species law keeps E at
- * 0.  Steps of ``dt`` end exactly on every
- * sampling target; a step that would undershoot zero by more than a relative
- * 1e-12 is halved locally (at most MAX_HALVINGS times, else status 6), a
- * component beyond ``blowup`` or nan (only overflow makes one) stops the run
- * with status 1 after the last sample, and small negative residues are
- * clamped to 0.  Inlined per model, so ``f`` is a direct call. */
+ * 0.  It pushes one sample at each grid time it reaches, then steps on to
+ * ``t_end``; steps of ``dt`` end exactly on each target.  A step that would
+ * undershoot zero by more than a relative 1e-12 is halved locally (at most
+ * MAX_HALVINGS times, else status 6), a component beyond ``blowup`` or nan
+ * (only overflow makes one) stops the run with status 1, and small negative
+ * residues are clamped to 0.  Inlined per model, so ``f`` is a direct call. */
 static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double dt, double t_end,
-                                double sample_every, double blowup)
+                                PyObject *grid, double blowup)
 {
-    double t = 0.0;
-    long ngrid, ntargets = sample_targets(t_end, sample_every, &ngrid);
     Rec rec;
-    if (rec_init(&rec, NULL, x[0], x[1]) < 0)
+    if (grid == Py_None) /* which rec_init takes for "no grid" */
+        return PyErr_Format(PyExc_TypeError, GRID_ERROR);
+    if (rec_init(&rec, grid, x[0], x[1]) < 0)
         return NULL;
-    for (long kk = 1; kk <= ntargets; kk++) {
-        double target = kk <= ngrid ? fmin(kk * sample_every, t_end) : t_end;
+    const double *points = rec.grid.buf;
+    Py_ssize_t npoints = rec.cap;
+    double t = 0.0;
+    int status = 0;
+    for (Py_ssize_t kk = 0; kk <= npoints; kk++) {
+        double target = kk < npoints ? points[kk] : t_end;
         while (t < target - 1e-12) {
             double h = t + dt <= target ? dt : target - t;
             double k1[2], k2[2], k3[2], k4[2], xn[2];
@@ -268,10 +264,10 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
                 }
                 if (ok)
                     break;
-                if (blown)
-                    return rec_finish(&rec, 1);
-                if (++halvings > MAX_HALVINGS)
-                    return rec_finish(&rec, 6);
+                if (blown || ++halvings > MAX_HALVINGS) {
+                    status = blown ? 1 : 6;
+                    goto stop;
+                }
                 h *= 0.5;
             }
             for (int i = 0; i < 2; i++)
@@ -279,9 +275,12 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
             t += h;
         }
         t = target;
-        rec_push(&rec, t, x[0], x[1]);
+        if (kk < npoints)
+            rec_push(&rec, t, x[0], x[1]);
     }
-    return rec_finish(&rec, 0);
+stop:
+    rec.cap = rec.n + 1; /* rec_finish adds only the row held at the last grid time reached */
+    return rec_finish(&rec, status);
 }
 
 /* par: a, b, alpha + 1, beta + 1 */
@@ -312,25 +311,26 @@ static void kuznetsov_deriv(const double *par, const double x[2], double dx[2])
 static PyObject *rk4_growth(PyObject *self, PyObject *args)
 {
     int kind;
-    double a, b, alpha, beta, dt, t_end, sample_every, blowup, x[2] = {0.0, 0.0};
-    if (!PyArg_ParseTuple(args, "iddddddddd", &kind, &a, &b, &alpha, &beta, &x[0], &dt, &t_end,
-                          &sample_every, &blowup))
+    PyObject *grid;
+    double a, b, alpha, beta, dt, t_end, blowup, x[2] = {0.0, 0.0};
+    if (!PyArg_ParseTuple(args, "idddddddOd", &kind, &a, &b, &alpha, &beta, &x[0], &dt, &t_end,
+                          &grid, &blowup))
         return NULL;
     double par[4] = {a, b, alpha + 1.0, beta + 1.0};
     /* two call sites, so that each inlined stepper calls its law directly */
     if (kind == 0)
-        return rk4_run(power_law_deriv, par, x, dt, t_end, sample_every, blowup);
-    return rk4_run(gompertz_deriv, par, x, dt, t_end, sample_every, blowup);
+        return rk4_run(power_law_deriv, par, x, dt, t_end, grid, blowup);
+    return rk4_run(gompertz_deriv, par, x, dt, t_end, grid, blowup);
 }
 
 static PyObject *rk4_kuznetsov(PyObject *self, PyObject *args)
 {
-    double par[8], x[2], dt, t_end, sample_every, blowup;
-    if (!PyArg_ParseTuple(args, "dddddddddddddd", &par[0], &par[1], &par[2], &par[3], &par[4],
-                          &par[5], &par[6], &par[7], &x[0], &x[1], &dt, &t_end, &sample_every,
-                          &blowup))
+    PyObject *grid;
+    double par[8], x[2], dt, t_end, blowup;
+    if (!PyArg_ParseTuple(args, "ddddddddddddOd", &par[0], &par[1], &par[2], &par[3], &par[4],
+                          &par[5], &par[6], &par[7], &x[0], &x[1], &dt, &t_end, &grid, &blowup))
         return NULL;
-    return rk4_run(kuznetsov_deriv, par, x, dt, t_end, sample_every, blowup);
+    return rk4_run(kuznetsov_deriv, par, x, dt, t_end, grid, blowup);
 }
 
 /* ---- channel tables ---------------------------------------------------- */
@@ -606,8 +606,8 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
         for (int i = 0; i < nch; i++) {
             double lam = rates[i] * h;
             if (lam > 0.0) {
-                long k = rng_poisson(&rng, lam);
-                if (k) {
+                double k = rng_poisson(&rng, lam);
+                if (k != 0.0) {
                     nT += tab.dT[i] * k;
                     nE += tab.dE[i] * k;
                 }

@@ -29,6 +29,7 @@ from random import Random
 _INF = math.inf
 
 _MAX_HALVINGS = 40  # per micro-step, before giving up on positivity
+_GRID_ERROR = "grid must be a non-empty contiguous 1-D buffer of doubles"
 _REL_UNDERSHOOT_TOL = 1e-12
 
 
@@ -54,8 +55,8 @@ def _recorder(grid, a: float, b: float):
     ``push(t, a, b)`` records a sample.  Without a grid every sample is kept.
     With one, a sample at time t gives every unfilled grid point before t
     the previous sample and is then held; ``finish(status)`` gives the
-    remaining grid points the last sample.  ``finish`` returns ``(rows,
-    status)``, ``rows`` an (n, 3) memoryview of doubles over one array('d').
+    remaining grid points the last sample (``hold=False``: only the next).
+    It returns ``(rows, status)``, ``rows`` an (n, 3) memoryview of doubles.
     """
     flat: list[float] = []
     extend = flat.extend
@@ -63,7 +64,7 @@ def _recorder(grid, a: float, b: float):
         def push(t, a, b):
             extend((t, a, b))
 
-        def fill():
+        def fill(hold):
             pass
     else:
         try:
@@ -72,7 +73,7 @@ def _recorder(grid, a: float, b: float):
             view = None
         if (view is None or view.ndim != 1 or view.format != "d" or not view.c_contiguous
                 or not view.shape[0]):
-            raise TypeError("grid must be a non-empty contiguous 1-D buffer of doubles")
+            raise TypeError(_GRID_ERROR)
         points = view.tolist()
         points.append(_INF)  # a sentinel no sample passes
         k = 0
@@ -85,11 +86,11 @@ def _recorder(grid, a: float, b: float):
                 k += 1
             held = (t, a, b)
 
-        def fill():
-            extend(held * (len(points) - 1 - len(flat) // 3))
+        def fill(hold):
+            extend(held * (len(points) - 1 - len(flat) // 3 if hold else 1))
 
-    def finish(status):
-        fill()
+    def finish(status, hold=True):
+        fill(hold)
         return memoryview(array("d", flat)).cast("B").cast("d", (len(flat) // 3, 3)), status
 
     push(0.0, a, b)
@@ -107,33 +108,29 @@ def _stop_status(push, R: float, t: float, t_end: float, a: float, b: float) -> 
     return 2
 
 
-def _sample_targets(t_end: float, sample_every: float) -> list[float]:
-    n = int(math.floor(t_end / sample_every + 1e-9))
-    targets = [min(k * sample_every, t_end) for k in range(1, n + 1)]
-    if not targets or t_end - targets[-1] > 1e-9 * max(1.0, t_end):
-        targets.append(t_end)
-    return targets
-
-
 # ---------------------------------------------------------------------------
 # deterministic fixed-step integration (classic 4th-order Runge-Kutta)
 # ---------------------------------------------------------------------------
 
-def _rk4(f, T, E, dt, t_end, sample_every, blowup):
+def _rk4(f, T, E, dt, t_end, grid, blowup):
     """The one RK4 stepper, twin of the compiled ``rk4_run``.
 
-    ``f(T, E)`` returns (dT/dt, dE/dt); a one-species law keeps E at 0.
-    Steps of ``dt`` end exactly on every sampling target; a step that would
-    undershoot zero by more than a relative 1e-12 is halved locally (at most
-    40 times, else status 6), a component beyond ``blowup`` or nan stops the
-    run with status 1 after the last sample, and small negative residues are
-    clamped to 0.
+    ``f(T, E)`` returns (dT/dt, dE/dt); a one-species law keeps E at 0.  It
+    records one row at each time of ``grid`` it reaches, then steps on to
+    ``t_end`` unrecorded; steps of ``dt`` end exactly on each of these
+    targets.  A step that would undershoot zero by more than a relative
+    1e-12 is halved locally (at most 40 times, else status 6), a component
+    beyond ``blowup`` or nan stops the run with status 1, and small negative
+    residues are clamped to 0.
     """
+    if grid is None:  # which _recorder takes for "no grid"
+        raise TypeError(_GRID_ERROR)
     T = float(T)
     E = float(E)
     t = 0.0
-    push, finish = _recorder(None, T, E)
-    for target in _sample_targets(t_end, sample_every):
+    push, finish = _recorder(grid, T, E)
+    points = memoryview(grid).tolist()
+    for k, target in enumerate(points + [t_end]):
         while t < target - 1e-12:
             h = dt if t + dt <= target else target - t
             halvings = 0
@@ -152,21 +149,22 @@ def _rk4(f, T, E, dt, t_end, sample_every, blowup):
                 # nan can only come from overflow (negative stages evaluate
                 # to rate 0), so it classifies as a blow-up too
                 if Tn != Tn or En != En or Tn > blowup or En > blowup:
-                    return finish(1)
+                    return finish(1, hold=False)
                 # genuine undershoot: retry with a locally halved step
                 halvings += 1
                 if halvings > _MAX_HALVINGS:
-                    return finish(6)
+                    return finish(6, hold=False)
                 h *= 0.5
             T = Tn if Tn > 0.0 else 0.0
             E = En if En > 0.0 else 0.0
             t += h
         t = target
-        push(t, T, E)
-    return finish(0)
+        if k < len(points):
+            push(t, T, E)
+    return finish(0, hold=False)
 
 
-def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup, /):
+def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, grid, blowup, /):
     """Integrate a one-equation growth law with the shared stepper ``_rk4``.
     Returns (rows, status), (t, T, 0) rows."""
     ea = alpha + 1.0
@@ -178,15 +176,15 @@ def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, sample_every, blowup, /):
     else:
         def f(T, E):
             return (0.0 if T <= 0.0 else a * T - b * T * log(T)), 0.0
-    return _rk4(f, T0, 0.0, dt, t_end, sample_every, blowup)
+    return _rk4(f, T0, 0.0, dt, t_end, grid, blowup)
 
 
-def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, sample_every, blowup, /):
+def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, grid, blowup, /):
     """Integrate the tumour-effector system with the shared stepper ``_rk4``.
     Returns (rows, status), (t, T, E) rows."""
     def f(T, E):
         return a * T * (1.0 - b * T) - n * T * E, p * T * E / (g + T) - m * T * E - d * E + s
-    return _rk4(f, T0, E0, dt, t_end, sample_every, blowup)
+    return _rk4(f, T0, E0, dt, t_end, grid, blowup)
 
 
 # ---------------------------------------------------------------------------

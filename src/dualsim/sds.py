@@ -2,10 +2,11 @@
 
 This is the stock-and-flow side of the package: populations are continuous
 stocks changed by the model's rate flows, integrated with the classic
-fourth-order Runge-Kutta scheme.  Runs that would leave double range are cut
-short and flagged as blow-ups instead of emitting non-finite samples; steps
-that would undershoot zero are locally halved and tiny negative residues are
-clamped, since the dynamics themselves preserve positivity.
+fourth-order Runge-Kutta scheme and recorded at the times of a grid.  Runs
+that would leave double range are cut short and flagged as blow-ups instead
+of emitting non-finite samples; steps that would undershoot zero are locally
+halved and tiny negative residues are clamped, since the dynamics themselves
+preserve positivity.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, EngineError
 from .models import GrowthKind, GrowthLaw, KuznetsovParams, PopulationState
+from .ssa import DEFAULT_MAX_EVENTS, _check_grid
 from .trajectory import Paradigm, Termination, Trajectory
 
 __all__ = ["IntegratorConfig", "integrate"]
@@ -25,9 +27,6 @@ __all__ = ["IntegratorConfig", "integrate"]
 #: Default integration step (days): resolves the fastest scenario rate
 #: constant (1.636/day) by three orders of magnitude.
 DEFAULT_DT = 0.001
-
-#: Default output spacing (days).
-DEFAULT_SAMPLE_EVERY = 0.1
 
 #: Default horizon (days).
 DEFAULT_T_END = 100.0
@@ -38,36 +37,38 @@ BLOWUP_THRESHOLD = 1e300
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration knobs.  Requires dt <= sample_every <= t_end."""
+    """Fixed-step integration knobs.  Requires dt <= t_end and at most
+    ``DEFAULT_MAX_EVENTS`` steps, so that runaway configurations fail."""
 
     dt: float = DEFAULT_DT
     t_end: float = DEFAULT_T_END
-    sample_every: float = DEFAULT_SAMPLE_EVERY
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_end", "sample_every"):
+        for name in ("dt", "t_end"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"IntegratorConfig.{name} must be finite and > 0, got {v!r}")
-        if not (self.dt <= self.sample_every <= self.t_end):
-            raise ConfigError(
-                f"need dt <= sample_every <= t_end, got dt={self.dt}, "
-                f"sample_every={self.sample_every}, t_end={self.t_end}"
-            )
+        if not (self.dt <= self.t_end and self.t_end / self.dt <= DEFAULT_MAX_EVENTS):
+            raise ConfigError(f"need dt <= t_end and at most {DEFAULT_MAX_EVENTS:.0e} steps, "
+                              f"got dt={self.dt}, t_end={self.t_end}")
 
 
 def integrate(
     model: GrowthLaw | KuznetsovParams,
     initial: PopulationState,
     cfg: IntegratorConfig | None = None,
+    *,
+    grid: np.ndarray,
 ) -> Trajectory:
-    """Integrate a model from ``initial`` and sample on a uniform grid.
+    """Integrate a model from ``initial`` to ``cfg.t_end``, recorded at the
+    times of ``grid`` (1-D, strictly increasing, from 0 to at most ``t_end``).
 
     If any component would exceed ``BLOWUP_THRESHOLD`` the run stops at
-    the last grid sample already emitted and the trajectory is flagged
+    the last grid time already reached and the trajectory is flagged
     ``Termination.BLOWUP``.
     """
     cfg = cfg or IntegratorConfig()
+    grid = _check_grid(grid, cfg.t_end)
     if isinstance(model, GrowthLaw):
         if initial.E is not None:
             raise ConfigError("one-equation models take a tumour-only initial state (E must be None)")
@@ -76,7 +77,7 @@ def integrate(
         kind = 0 if model.kind is GrowthKind.POWER_LAW else 1
         rows, status = kernels.rk4_growth(
             kind, model.a, model.b, model.alpha, model.beta,
-            initial.T, cfg.dt, cfg.t_end, cfg.sample_every, BLOWUP_THRESHOLD,
+            initial.T, cfg.dt, cfg.t_end, grid, BLOWUP_THRESHOLD,
         )
         species: tuple[str, ...] = ("tumour",)
     elif isinstance(model, KuznetsovParams):
@@ -84,7 +85,7 @@ def integrate(
             raise ConfigError("the tumour-effector model needs an initial E (use PopulationState(T, E))")
         rows, status = kernels.rk4_kuznetsov(
             model.a, model.b, model.g, model.m, model.n, model.p, model.d, model.s,
-            initial.T, initial.E, cfg.dt, cfg.t_end, cfg.sample_every, BLOWUP_THRESHOLD,
+            initial.T, initial.E, cfg.dt, cfg.t_end, grid, BLOWUP_THRESHOLD,
         )
         species = ("tumour", "effector")
     else:

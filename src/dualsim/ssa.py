@@ -238,8 +238,8 @@ def _check_run(channels: ChannelSet, initial: PopulationState, t_end: float, pol
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     if dt is not None:
-        if not (math.isfinite(dt) and 0 < dt <= t_end):
-            raise ConfigError(f"tau-leaping needs a positive dt no larger than t_end, got dt={dt!r}")
+        if not (math.isfinite(dt) and 0 < dt <= t_end and t_end / dt <= DEFAULT_MAX_EVENTS):
+            raise ConfigError(f"tau-leaping needs a positive dt from t_end / {DEFAULT_MAX_EVENTS:.0e} to t_end, got dt={dt!r}")
         if policy is not RatePolicy.LIVE:
             raise ConfigError("tau-leaping supports the live rate policy only")
     if policy is RatePolicy.FROZEN_AT_BIRTH and len(channels.species) != 1:

@@ -2,11 +2,11 @@
 
 Everything here works on plain arrays of shape ``(len(grid), len(species))``,
 columns in the order of ``species``.  The two paradigms are compared on the
-stochastic ensemble's time grid: a deterministic trajectory is linearly
-interpolated onto it, the ensemble already holds each replicate's state at
-every grid time (the right-continuous step sample, correct for
-piecewise-constant counts) and is averaged across replicates, and a
-two-sided Wilcoxon rank-sum (Mann-Whitney) test per population decides
+stochastic ensemble's time grid: a deterministic trajectory recorded on
+another grid is linearly interpolated onto it, the ensemble already holds
+each replicate's state at every grid time (the right-continuous step sample,
+correct for piecewise-constant counts) and is averaged across replicates,
+and a two-sided Wilcoxon rank-sum (Mann-Whitney) test per population decides
 whether the two series look alike.  The test's p is exact up to
 ``EXACT_LIMIT`` observations in all and the normal approximation beyond: the
 sample size is the only choice between the two.  A grid is valid for
@@ -65,7 +65,7 @@ def sample_on_grid(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
     Stochastic (ABS) runs are step-sampled: each grid time takes the last
     sample at or before it, as piecewise-constant counts hold.  Deterministic
     (SDS) runs are linearly interpolated.  Grid times that hit a sample
-    exactly pass through unchanged.
+    exactly, such as those of an SDS recorded on the grid, pass unchanged.
     """
     grid = _check_grid(grid, traj.end_time)
     if traj.paradigm is Paradigm.ABS:
@@ -224,8 +224,8 @@ def compare(
 ) -> ComparisonReport:
     """Align both paradigms on the ensemble's grid and test each population.
 
-    The deterministic side is linearly interpolated, the stochastic side is
-    the ensemble mean; the two series feed the rank-sum test per population.  The
+    The deterministic side is linearly interpolated (exact at its own
+    samples), the stochastic side is the ensemble mean; the two series feed the rank-sum test per population.  The
     protocol (grid spacing, alpha, replicate count, seeds) is recorded in the
     report metadata so results are self-describing.
     """

@@ -109,6 +109,23 @@ class TestCmdRun:
         assert manifest["replicate_seeds"] == []
         assert manifest["backend"] == dualsim.BACKEND_NAME
 
+    @pytest.mark.parametrize("grid, dt, times", [
+        (0.05, 0.001, make_grid(2.0, 0.05)),
+        (0.5, 0.001, make_grid(2.0, 0.1)),
+        (0.7, 0.001, [*make_grid(2.0, 0.1), 2.05]),
+        (0.05, 0.25, make_grid(2.0, 0.25)),
+    ], ids=["grid", "coarse-grid", "coarse-grid-off-the-tenths", "coarse-dt"])
+    def test_sds_csv_rows_every_min_of_grid_and_a_tenth_no_closer_than_dt(self, tmp_path, grid, dt, times):
+        t_end = times[-1]
+        spec = parse_config(json.dumps({
+            "model": "logistic", "c": 5, "paradigm": "sds", "t_end": t_end, "grid": grid, "dt": dt,
+            "plot": True, "out": str(tmp_path),
+        }))
+        cmd_run(spec)
+        rows = read(tmp_path / "sds.csv").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [f"{t:.6f}" for t in times]
+        assert "sds tumour" in read(tmp_path / "plot.svg")
+
     def test_kuznetsov_sds_header(self, tmp_path):
         spec = parse_config(json.dumps({
             "model": "kuznetsov", "scenario": 1, "paradigm": "sds", "t_end": 2.0,
@@ -191,7 +208,7 @@ def reference_comparison_csv(report):
 class TestCsvWriters:
     def test_sds_csv_matches_the_per_cell_formula(self):
         traj = integrate(scenario_preset(2), PopulationState(100.0, 10.0),
-                         IntegratorConfig(dt=0.01, t_end=3.0, sample_every=0.07))
+                         IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.07))
         assert _sds_csv(traj) == reference_sds_csv(traj)
         awkward = Trajectory(
             times=np.array([0.0, 1 / 3, 2.0000005, 7.1234565, 1e6]),
@@ -215,7 +232,7 @@ class TestCsvWriters:
     ], ids=["two-species", "one-species"])
     def test_comparison_csv_matches_the_per_cell_formula(self, model, channels, initial):
         sds = integrate(model, PopulationState(*map(float, initial)),
-                        IntegratorConfig(dt=0.01, t_end=3.0, sample_every=0.1))
+                        IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.1))
         ens = run_ensemble(EnsembleSpec(channels=channels(model), initial=PopulationState(*initial),
                                         t_end=3.0),
                            reps=3, base_seed=2, grid=np.arange(0.0, 3.0, 1 / 3))
@@ -305,6 +322,16 @@ class TestMainExitCodes:
         assert "cap" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_leaps_too_large_for_a_long_count_reach_the_cap(self, tmp_path, capsys):
+        # births and deaths of about 1e278 and 1e277 per leap: their counts
+        # must not cancel or wrap below the cap
+        rc = main(["run", "--model", "logistic", "--a", "1e280", "--b", "1e279", "--method", "tau",
+                   "--paradigm", "abs", "--t-end", "1", "--grid", "0.5", "--dt", "0.01", "--reps", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert "cap" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_too_large_to_hold_is_2(self, tmp_path, capsys):
         rc = main(["run", "--model", "logistic", "--c", "5", "--paradigm", "abs",
                    "--grid", "1e-300", "--out", str(tmp_path)])
@@ -320,6 +347,26 @@ class TestMainExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "logistic", "--c", "5", "--paradigm", "sds"],
+        ["run", "--model", "kuznetsov", "--scenario", "2", "--paradigm", "abs", "--method", "tau",
+         "--reps", "1"],
+    ], ids=["rk4", "tau"])
+    def test_fixed_step_runs_past_the_step_budget_are_2(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--t-end", "1e10", "--dt", "1e-10", "--grid", "1e10", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "at most 5e+07 steps" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_dt_past_t_end_names_only_dt_and_t_end(self, tmp_path, capsys):
+        rc = main(["compare", "--model", "kuznetsov", "--scenario", "4", "--t-end", "1e-12", "--grid", "1e-12",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("configuration error: need dt <= t_end and at most 5e+07 steps, "
+                                          "got dt=0.001, t_end=1e-12\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_compare_refuses_another_paradigm_before_building_the_run(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from dualsim.errors import EngineError, PopulationCapError
 from dualsim.kernels import _pykernels as pure
 from dualsim.models import PopulationState
 from dualsim.ssa import Channel, ChannelSet, RateLaw, simulate_exact
+from dualsim.stats import make_grid
 
 try:
     from dualsim.kernels import _ckernels as compiled
@@ -61,7 +62,7 @@ def test_backends_expose_the_same_entry_points():
 @needs_compiled
 class TestRk4Parity:
     def test_logistic(self):
-        args = (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.001, 10.0, 0.1, 1e300)
+        args = (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.001, 10.0, make_grid(10.0, 0.1), 1e300)
         tp, vp, _, sp = columns(pure.rk4_growth(*args))
         tc, vc, _, sc = columns(compiled.rk4_growth(*args))
         assert sp == sc == 0
@@ -69,7 +70,7 @@ class TestRk4Parity:
         np.testing.assert_allclose(np.asarray(vp), np.asarray(vc), rtol=1e-12)
 
     def test_gompertz_large_magnitudes(self):
-        args = (1, 1.636, 0.002, 0.0, 1.0, 1.0, 0.01, 110.0, 1.0, 1e300)
+        args = (1, 1.636, 0.002, 0.0, 1.0, 1.0, 0.01, 110.0, make_grid(110.0, 1.0), 1e300)
         _, vp, _, sp = columns(pure.rk4_growth(*args))
         _, vc, _, sc = columns(compiled.rk4_growth(*args))
         assert sp == sc == 0
@@ -77,7 +78,7 @@ class TestRk4Parity:
 
     def test_kuznetsov_scenario(self):
         args = (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, 0.0,
-                100.0, 10.0, 0.001, 30.0, 0.5, 1e300)
+                100.0, 10.0, 0.001, 30.0, make_grid(30.0, 0.5), 1e300)
         tp, Tp, Ep, sp = columns(pure.rk4_kuznetsov(*args))
         tc, Tc, Ec, sc = columns(compiled.rk4_kuznetsov(*args))
         assert sp == sc == 0
@@ -85,7 +86,7 @@ class TestRk4Parity:
         np.testing.assert_allclose(np.asarray(Ep), np.asarray(Ec), rtol=1e-10, atol=1e-12)
 
     def test_blowup_flag_matches(self):
-        args = (0, 1.636, 0.002, 1.0 / 3.0, 0.0, 1.0, 0.001, 10.0, 0.1, 1e300)
+        args = (0, 1.636, 0.002, 1.0 / 3.0, 0.0, 1.0, 0.001, 10.0, make_grid(10.0, 0.1), 1e300)
         _, vp, _, sp = columns(pure.rk4_growth(*args))
         _, vc, _, sc = columns(compiled.rk4_growth(*args))
         assert sp == sc == 1
@@ -171,9 +172,9 @@ class TestCompiledStream:
 
 # one short run of each kernel, by name
 KERNEL_ARGS = {
-    "rk4_growth": (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 1.0, 0.1, 1e300),
+    "rk4_growth": (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 1.0, make_grid(1.0, 0.1), 1e300),
     "rk4_kuznetsov": (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, 0.0,
-                      100.0, 10.0, 0.01, 1.0, 0.1, 1e300),
+                      100.0, 10.0, 0.01, 1.0, make_grid(1.0, 0.1), 1e300),
     "ssa": (S4_TABLE, 100, 10, 1.0, 3, 1, 0, 1e12, 10**7),
     "ssa_frozen": (birth_death(0.7, 0.9), 5, 1.0, 3, 0, 1e12, 10**7),
     "tau_leap": (S4_TABLE, 100, 10, 1.0, 0.1, 3, 1, 0, 1e12),
@@ -355,7 +356,7 @@ class TestGridRecording:
         assert [list(c) for c in default] == [list(c) for c in explicit]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("kernel", ["ssa", "ssa_frozen", "tau_leap"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("grid", [
         [0.0, 1.0],
         np.arange(6.0)[::2],
@@ -367,7 +368,7 @@ class TestGridRecording:
     def test_grid_must_be_a_contiguous_1d_double_buffer(self, backend, kernel, grid):
         fn = getattr(BACKENDS[backend], kernel)
         with pytest.raises(TypeError, match="contiguous 1-D buffer of doubles"):
-            fn(*GRID_CASES[kernel, "one-species"][1], grid)
+            fn(*with_grid(kernel, grid))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -404,3 +405,54 @@ def test_an_overflowing_rate_is_an_engine_error_not_the_cap(backend, monkeypatch
         simulate_exact(channels, PopulationState(10), t_end=1.0, seed=1)
     assert not isinstance(info.value, PopulationCapError)
     assert " at t=0 with population 10;" in str(info.value)
+
+
+# the arguments of each RK4 kernel before and after its grid
+RK4_ARGS = {
+    "rk4_growth": ((0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 3.0), (1e300,)),
+    "rk4_kuznetsov": ((1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, 0.0, 100.0, 10.0, 0.01, 3.0),
+                      (1e300,)),
+}
+
+
+def with_grid(kernel, grid):
+    """The arguments of one short run of ``kernel`` recorded on ``grid``."""
+    if kernel in RK4_ARGS:
+        before, after = RK4_ARGS[kernel]
+        return (*before, grid, *after)
+    return (*GRID_CASES[kernel, "one-species"][1], grid)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", RK4_ARGS)
+def test_rk4_rows_are_the_grid_times(backend, kernel):
+    fn = getattr(BACKENDS[backend], kernel)
+    grid = np.arange(0.0, 3.0, 1 / 3)  # times off the multiples of dt
+    t, *_, status = columns(fn(*with_grid(kernel, grid)))
+    assert status == 0 and np.asarray(t).tobytes() == grid.tobytes()
+    with pytest.raises(TypeError, match="contiguous 1-D buffer of doubles"):
+        fn(*with_grid(kernel, None))  # None, "no grid" to the stochastic kernels
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rk4_blowup_ends_the_rows_at_the_last_grid_time_reached(backend):
+    # von Bertalanffy growth at this ratio passes 1e300 between t = 1 and t = 10
+    fn = BACKENDS[backend].rk4_growth
+    law = (0, 1.636, 0.002, 1.0 / 3.0, 0.0, 1.0, 0.001, 10.0)
+    grid = make_grid(10.0, 0.5)
+    t, T, _, status = columns(fn(*law, grid, 1e300))
+    n = len(t)
+    assert status == 1 and 2 < n < len(grid)
+    assert list(t) == list(grid[:n]) and all(map(math.isfinite, T))
+    # the reached grid times alone: the run still steps on to t_end, blows up
+    # after the last of them and keeps every row
+    t_reached, T_reached, _, status_reached = columns(fn(*law, grid[:n].copy(), 1e300))
+    assert status_reached == 1 and list(t_reached) == list(t) and list(T_reached) == list(T)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_poisson_count_past_long_range_passes_the_cap(backend):
+    # a mean of 1e28 firings in one leap: the count must reach the cap, not wrap to 0
+    rows, status = BACKENDS[backend].tau_leap(((1, 1e30, 1.0, 0.0, 1, 0),), 1.0, 0.0, 1.0, 0.01, 1,
+                                              0.0, 0.0, 1e12)
+    assert status == 3 and np.asarray(rows).tolist() == [[0.0, 1.0, 0.0]]

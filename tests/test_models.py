@@ -173,9 +173,10 @@ class TestKuznetsov:
 
 class TestRk4DerivativesMatchTheTable:
     """Each backend's hand-written RK4 derivatives are the table's drift: one
-    kernel step (dt = t_end = sample_every = h) equals one RK4 step of it."""
+    kernel step (dt = t_end = h, grid (0, h)) equals one RK4 step of it."""
 
     H = 0.01
+    GRID = np.array([0.0, H])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("law", LAWS)
@@ -184,7 +185,7 @@ class TestRk4DerivativesMatchTheTable:
         kind = 1 if law.kind is GrowthKind.GOMPERTZ else 0
         for T0 in (0.0, 1.0, 3.7, 818.0, 5000.0):
             rows, status = BACKENDS[backend].rk4_growth(
-                kind, law.a, law.b, law.alpha, law.beta, T0, self.H, self.H, self.H, 1e300)
+                kind, law.a, law.b, law.alpha, law.beta, T0, self.H, self.H, self.GRID, 1e300)
             rows = np.asarray(rows)
             assert status == 0 and list(rows[:, 0]) == [0.0, self.H]
             assert rows[1, 1] == pytest.approx(drift_rk4_step(law, T0, 0.0, self.H)[0], rel=1e-12)
@@ -195,7 +196,7 @@ class TestRk4DerivativesMatchTheTable:
         p = scenario_preset(scenario)
         for T0, E0 in ((0.0, 0.0), (0.0, 2.0), (100.0, 10.0), (5.0, 30.0), (700.0, 0.5)):
             rows, status = BACKENDS[backend].rk4_kuznetsov(
-                p.a, p.b, p.g, p.m, p.n, p.p, p.d, p.s, T0, E0, self.H, self.H, self.H, 1e300)
+                p.a, p.b, p.g, p.m, p.n, p.p, p.d, p.s, T0, E0, self.H, self.H, self.GRID, 1e300)
             rows = np.asarray(rows)
             assert status == 0 and list(rows[:, 0]) == [0.0, self.H]
             T1, E1 = drift_rk4_step(p, T0, E0, self.H)

@@ -12,6 +12,7 @@ from dualsim.errors import ConfigError, EngineError, ModelDomainError, Populatio
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
 from dualsim.kernels._pykernels import _rates, _table
 from dualsim.models import GrowthKind, GrowthLaw, PopulationState, scenario_preset
+from dualsim.sds import IntegratorConfig, integrate
 from dualsim.ssa import (
     Channel,
     ChannelSet,
@@ -408,7 +409,7 @@ class TestEnsembles:
         with pytest.raises(PopulationCapError, match=r"replicate 0"):
             run_ensemble(spec, reps=3, base_seed=7, grid=make_grid(100.0, 1.0))
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, 2.0])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, 2.0, 1e-8])  # 1e-8: 1e8 leaps
     def test_dt_must_be_positive(self, dt):
         with pytest.raises(ConfigError, match="positive dt"):
             EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0, dt=dt)
@@ -508,13 +509,16 @@ class TestGridValidation:
         (np.array([0.0, 1.0, 2.0 + 1e-6]), "end by t=2"),
     ], ids=["2d", "empty", "not-numbers", "nan", "inf", "negative-start", "late-start",
             "repeated", "decreasing", "past-t-end"])
-    @pytest.mark.parametrize("method", ["exact", "frozen", "tau"])
+    @pytest.mark.parametrize("method", ["exact", "frozen", "tau", "sds"])
     def test_bad_grid_is_refused_before_any_kernel_runs(self, monkeypatch, method, grid, match):
-        for name in ("ssa", "ssa_frozen", "tau_leap"):
+        for name in ("ssa", "ssa_frozen", "tau_leap", "rk4_growth", "rk4_kuznetsov"):
             monkeypatch.setattr(dualsim.kernels, name, _no_kernel)
         law = growth_channels(GrowthLaw.logistic(1.0, 0.2))
         with pytest.raises(ConfigError, match=match):
-            if method == "tau":
+            if method == "sds":
+                integrate(GrowthLaw.logistic(1.0, 0.2), PopulationState(3.0), IntegratorConfig(dt=0.1, t_end=2.0),
+                          grid=grid)
+            elif method == "tau":
                 simulate_tau_leap(law, PopulationState(3), t_end=2.0, dt=0.1, seed=1, grid=grid)
             else:
                 policy = RatePolicy.FROZEN_AT_BIRTH if method == "frozen" else RatePolicy.LIVE
