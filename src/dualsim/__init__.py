@@ -32,12 +32,10 @@ from .models import (
 from .sds import IntegratorConfig, integrate
 from .ssa import (
     POPULATION_CAP,
-    Channel,
     ChannelSet,
     Ensemble,
     EnsembleSpec,
     Floors,
-    RateLaw,
     RatePolicy,
     growth_channels,
     kuznetsov_channels,

@@ -15,10 +15,12 @@ Two model families are supported:
 
 Everything here is immutable.  The rates are defined once, by the channel
 table each model compiles to (``ssa.growth_channels``,
-``ssa.kuznetsov_channels``): the stochastic kernels evaluate that table, and
-the ODE is its drift, dX/dt = sum_k delta_k * r_k(X).  The RK4 kernels carry
-the drift of each model as a hand-written derivative for speed; tests tie
-each backend's derivatives to the table.
+``ssa.kuznetsov_channels``): a checked ``ssa.ChannelSet(table, species)`` of
+``(code, c, e, g, dT, dE)`` rows.  The stochastic kernels evaluate that
+table, and the ODE is its drift, dX/dt = sum_k delta_k * r_k(X).  The RK4
+kernels carry the drift of each model as a hand-written derivative for
+speed; tests tie each backend's derivatives to the table.  A stochastic
+model needs no kernel code: any table of the six rate laws runs.
 """
 
 from __future__ import annotations
@@ -100,8 +102,7 @@ class KuznetsovParams:
     """Rate constants of the two-population tumour-effector system.
 
     Units: a, p, d are per day; b and g are in cells (b as inverse capacity);
-    m, n are per cell per day; s is cells per day.  ``scenario`` is optional
-    provenance metadata (which preset this came from, if any).
+    m, n are per cell per day; s is cells per day.
     """
 
     a: float
@@ -112,7 +113,6 @@ class KuznetsovParams:
     p: float
     d: float
     s: float
-    scenario: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "g", "m", "n", "p", "d", "s"):
@@ -160,7 +160,7 @@ def scenario_preset(scenario: int) -> KuznetsovParams:
     except (KeyError, TypeError):
         known = sorted(_SCENARIO_TABLE)
         raise UnknownScenarioError(f"unknown scenario {scenario!r}; valid scenarios are {known}") from None
-    return KuznetsovParams(scenario=scenario, **_SCENARIO_SHARED, **row)
+    return KuznetsovParams(**_SCENARIO_SHARED, **row)
 
 
 def experiment_one_law(kind: str, c: float) -> GrowthLaw:

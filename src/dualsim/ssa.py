@@ -6,11 +6,13 @@ beyond being alive (plus, under the frozen-at-birth policy, a death rate
 remembered from creation), so cohort counts are distribution-equivalent to
 one object per agent and scale far better.
 
-Models compile to a :class:`ChannelSet` of event channels (name, rate law,
-integer state delta).  ``simulate_exact`` runs the Gillespie direct method;
-``simulate_tau_leap`` is the approximate fixed-step alternative for large
-populations.  ``run_ensemble`` runs replicates on a shared time grid and
-holds them as one :class:`Ensemble` array.  Extinction floors ("keep
+Models compile to a :class:`ChannelSet`: the kernels' channel table, one
+``(code, c, e, g, dT, dE)`` row of rate law and integer jump per channel,
+checked when the set is built.  ``simulate_exact`` runs the Gillespie
+direct method; ``simulate_tau_leap`` is the approximate fixed-step
+alternative for large populations.  ``run_ensemble`` runs replicates on a
+shared time grid and holds them as one :class:`Ensemble` array.  A run that
+stops with every population at 0 is extinct.  Extinction floors ("keep
 tumour >= 1", "keep both >= 1") are implemented in the exact engine by
 zeroing the rate of any channel whose delta would drop a floored population
 below its floor, which is distributionally equivalent to vetoing and
@@ -20,9 +22,9 @@ redrawing such events.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,8 +34,6 @@ from .models import GrowthKind, GrowthLaw, KuznetsovParams, PopulationState
 from .trajectory import Paradigm, Termination, Trajectory
 
 __all__ = [
-    "RateLaw",
-    "Channel",
     "ChannelSet",
     "RatePolicy",
     "Floors",
@@ -67,52 +67,42 @@ class RatePolicy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RateLaw:
-    """A parametric channel rate, one of the closed set of forms the kernels
-    understand; the kernels evaluate it (``_pykernels._rates`` in Python)."""
-
-    code: int
-    c: float
-    e: float = 0.0
-    g: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.code not in (kernels.R_CONST, kernels.R_POW_T, kernels.R_TLOGT,
-                             kernels.R_LIN_E, kernels.R_MASS_TE, kernels.R_MM_TE):
-            raise ModelDomainError(f"unknown rate-law code {self.code}")
-        if not math.isfinite(self.c) or self.c < 0:
-            raise ModelDomainError(f"rate coefficient must be finite and >= 0, got {self.c!r}")
-        if not (math.isfinite(self.e) and math.isfinite(self.g)):
-            raise ModelDomainError(f"rate exponent and saturation must be finite, got e={self.e!r}, g={self.g!r}")
-        if self.code == kernels.R_MM_TE and self.g <= 0:
-            raise ModelDomainError("saturating rate needs g > 0")
-        if self.code == kernels.R_POW_T and self.e < 0:
-            # c*T**e would be infinite at T = 0
-            raise ModelDomainError(f"power-law rate needs e >= 0, got e={self.e!r}")
-
-
-@dataclass(frozen=True)
-class Channel:
-    """One event channel: a rate law plus the integer jump it applies."""
-
-    name: str
-    rate: RateLaw
-    delta: tuple[int, int]  # (dT, dE)
-
-
-@dataclass(frozen=True)
 class ChannelSet:
-    """The compiled event channels of a model: the one model definition
-    every stochastic kernel runs."""
+    """A model's event channels: the one model definition every stochastic
+    kernel runs.  ``table`` holds one ``(code, c, e, g, dT, dE)`` row per
+    channel, a ``kernels.R_*`` rate law and the integer jump it applies to
+    (T, E), for the one or two populations named by ``species``.  Every row
+    is checked when the set is built; a one-species row neither reads nor
+    changes E."""
 
-    channels: tuple[Channel, ...]
+    table: tuple[tuple[int, float, float, float, int, int], ...]
     species: tuple[str, ...]
 
-    @functools.cached_property
-    def table(self) -> tuple[tuple[int, float, float, float, int, int], ...]:
-        """The kernels' channel table: one ``(code, c, e, g, dT, dE)`` row
-        per channel, built once per set."""
-        return tuple((ch.rate.code, ch.rate.c, ch.rate.e, ch.rate.g, *ch.delta) for ch in self.channels)
+    def __post_init__(self) -> None:
+        table = tuple(self.table)
+        if not table or len(self.species) not in (1, 2):
+            raise ModelDomainError(f"a channel set needs at least one channel and one or two species, "
+                                   f"got {len(table)} channels for {self.species!r}")
+        for row in table:
+            if not (isinstance(row, tuple) and len(row) == 6 and all(isinstance(x, Real) for x in row)):
+                raise ModelDomainError(f"a channel row is a tuple of six numbers (code, c, e, g, dT, dE), "
+                                       f"got {row!r}")
+            code, c, e, g, dT, dE = row
+            if not (isinstance(code, Integral) and kernels.R_CONST <= code <= kernels.R_MM_TE):
+                raise ModelDomainError(f"unknown rate-law code {code!r}")
+            if not math.isfinite(c) or c < 0:
+                raise ModelDomainError(f"rate coefficient must be finite and >= 0, got {c!r}")
+            if not (math.isfinite(e) and math.isfinite(g)):
+                raise ModelDomainError(f"rate exponent and saturation must be finite, got e={e!r}, g={g!r}")
+            if code == kernels.R_MM_TE and g <= 0:
+                raise ModelDomainError("saturating rate needs g > 0")
+            if code == kernels.R_POW_T and e < 0:  # c*T**e would be infinite at T = 0
+                raise ModelDomainError(f"power-law rate needs e >= 0, got e={e!r}")
+            if not (isinstance(dT, Integral) and isinstance(dE, Integral)):
+                raise ModelDomainError(f"channel jumps must be integers, got ({dT!r}, {dE!r})")
+            if len(self.species) == 1 and (code in (kernels.R_LIN_E, kernels.R_MASS_TE, kernels.R_MM_TE) or dE):
+                raise ModelDomainError(f"a one-species channel neither reads nor changes E, got {row!r}")
+        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)
@@ -149,34 +139,28 @@ def growth_channels(law: GrowthLaw) -> ChannelSet:
     ``beta`` only when ``beta + 1`` rounds to no other double (``beta = 0.3``
     gives an exponent of 0.30000000000000004).
     """
-    if law.kind is GrowthKind.GOMPERTZ:
-        birth = RateLaw(kernels.R_POW_T, law.a, e=1.0)
-        death = RateLaw(kernels.R_TLOGT, law.b)
-    else:
-        birth = RateLaw(kernels.R_POW_T, law.a, e=law.alpha + 1.0)
-        death = RateLaw(kernels.R_POW_T, law.b, e=law.beta + 1.0)
-    return ChannelSet(
-        channels=(
-            Channel("tumour birth", birth, (1, 0)),
-            Channel("tumour death", death, (-1, 0)),
-        ),
-        species=("tumour",),
-    )
+    if law.kind is GrowthKind.GOMPERTZ:  # birth a*T, death b*T*ln(T)
+        table = ((kernels.R_POW_T, law.a, 1.0, 0.0, 1, 0), (kernels.R_TLOGT, law.b, 0.0, 0.0, -1, 0))
+    else:  # birth a*T**(alpha+1), death b*T**(beta+1)
+        table = ((kernels.R_POW_T, law.a, law.alpha + 1.0, 0.0, 1, 0),
+                 (kernels.R_POW_T, law.b, law.beta + 1.0, 0.0, -1, 0))
+    return ChannelSet(table, ("tumour",))
 
 
 def kuznetsov_channels(params: KuznetsovParams) -> ChannelSet:
     """Compile the tumour-effector system to its seven channels."""
+    a, b, g, m, n, p, d, s = params.a, params.b, params.g, params.m, params.n, params.p, params.d, params.s
     return ChannelSet(
-        channels=(
-            Channel("tumour birth", RateLaw(kernels.R_POW_T, params.a, e=1.0), (1, 0)),
-            Channel("tumour intrinsic death", RateLaw(kernels.R_POW_T, params.a * params.b, e=2.0), (-1, 0)),
-            Channel("tumour kill", RateLaw(kernels.R_MASS_TE, params.n), (-1, 0)),
-            Channel("effector proliferation", RateLaw(kernels.R_MM_TE, params.p, g=params.g), (0, 1)),
-            Channel("effector interaction death", RateLaw(kernels.R_MASS_TE, params.m), (0, -1)),
-            Channel("effector apoptosis", RateLaw(kernels.R_LIN_E, params.d), (0, -1)),
-            Channel("effector influx", RateLaw(kernels.R_CONST, params.s), (0, 1)),
+        (
+            (kernels.R_POW_T, a, 1.0, 0.0, 1, 0),  # tumour birth a*T
+            (kernels.R_POW_T, a * b, 2.0, 0.0, -1, 0),  # tumour intrinsic death a*b*T**2
+            (kernels.R_MASS_TE, n, 0.0, 0.0, -1, 0),  # tumour kill n*T*E
+            (kernels.R_MM_TE, p, 0.0, g, 0, 1),  # effector proliferation p*T*E/(g+T)
+            (kernels.R_MASS_TE, m, 0.0, 0.0, 0, -1),  # effector interaction death m*T*E
+            (kernels.R_LIN_E, d, 0.0, 0.0, 0, -1),  # effector apoptosis d*E
+            (kernels.R_CONST, s, 0.0, 0.0, 0, 1),  # effector influx s
         ),
-        species=("tumour", "effector"),
+        ("tumour", "effector"),
     )
 
 
@@ -242,8 +226,14 @@ def _check_run(channels: ChannelSet, initial: PopulationState, t_end: float, pol
             raise ConfigError(f"tau-leaping needs a positive dt from t_end / {DEFAULT_MAX_EVENTS:.0e} to t_end, got dt={dt!r}")
         if policy is not RatePolicy.LIVE:
             raise ConfigError("tau-leaping supports the live rate policy only")
-    if policy is RatePolicy.FROZEN_AT_BIRTH and len(channels.species) != 1:
-        raise ConfigError("the frozen-at-birth policy applies to one-species birth-death channel sets only")
+    table = channels.table
+    if policy is RatePolicy.FROZEN_AT_BIRTH and not (
+        len(channels.species) == 1 and len(table) == 2
+        and table[0][0] == kernels.R_POW_T and table[0][4:] == (1, 0)
+        and table[1][0] in (kernels.R_POW_T, kernels.R_TLOGT) and table[1][4:] == (-1, 0)
+    ):
+        raise ConfigError("the frozen-at-birth policy needs a one-species birth-death channel set: a birth "
+                          "row of code 1 and jump (1, 0), then a death row of code 1 or 2 and jump (-1, 0)")
     if (initial.E is None) != (len(channels.species) == 1):
         raise ConfigError(f"the initial state needs E exactly when there are two species, "
                           f"got {initial} for {channels.species}")
@@ -321,11 +311,14 @@ def _simulate(channels: ChannelSet, initial: PopulationState, t_end: float, seed
             f"total event rate negative, infinite or nan (seed {seed}) at t={rows[-1, 0]:.3g} "
             f"with population {rows[-1, 1]:.4g}; a channel's rate law left its domain or double range"
         )
+    states = rows[:, 1:1 + len(channels.species)]
+    # status 2 means that no event can fire; the run is extinct only if every population is 0
+    extinct = status == kernels.ST_EXTINCT and not states[-1].any()
     return Trajectory(
         times=rows[:, 0] if grid is None else grid,
-        states=rows[:, 1:1 + len(channels.species)],
+        states=states,
         species=channels.species,
-        termination=Termination.EXTINCT if status == kernels.ST_EXTINCT else Termination.COMPLETED,
+        termination=Termination.EXTINCT if extinct else Termination.COMPLETED,
         paradigm=Paradigm.ABS,
         seed=seed,
     )

@@ -9,7 +9,7 @@ from dualsim import kernels
 from dualsim.errors import EngineError, PopulationCapError
 from dualsim.kernels import _pykernels as pure
 from dualsim.models import PopulationState
-from dualsim.ssa import Channel, ChannelSet, RateLaw, simulate_exact
+from dualsim.ssa import ChannelSet, simulate_exact
 from dualsim.stats import make_grid
 
 try:
@@ -400,7 +400,7 @@ def test_total_rate_outside_zero_inf_stops_the_run(backend, kernel, row, c, stat
 def test_an_overflowing_rate_is_an_engine_error_not_the_cap(backend, monkeypatch):
     # 10**400 overflows to inf while the population is 10, far below the cap
     monkeypatch.setattr(kernels, "ssa", BACKENDS[backend].ssa)
-    channels = ChannelSet((Channel("birth", RateLaw(kernels.R_POW_T, 1.0, e=400.0), (1, 0)),), ("tumour",))
+    channels = ChannelSet(((kernels.R_POW_T, 1.0, 400.0, 0.0, 1, 0),), ("tumour",))
     with pytest.raises(EngineError, match="infinite") as info:
         simulate_exact(channels, PopulationState(10), t_end=1.0, seed=1)
     assert not isinstance(info.value, PopulationCapError)

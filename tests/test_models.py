@@ -236,6 +236,10 @@ class TestScenarioPresets:
         assert (scenario_preset(2).b, scenario_preset(2).d, scenario_preset(2).s) == (0.004, 2.0, 0.318)
         assert (scenario_preset(3).b, scenario_preset(3).d, scenario_preset(3).s) == (0.002, 0.3743, 0.1181)
 
+    def test_a_preset_is_its_constants(self):
+        assert scenario_preset(4) == KuznetsovParams(a=1.636, b=0.002, g=20.19, m=0.00311, n=1.0, p=1.131,
+                                                     d=0.3743, s=0.0)
+
     @pytest.mark.parametrize("bad", [0, 5, -1, "one"])
     def test_unknown_scenario(self, bad):
         with pytest.raises(UnknownScenarioError):

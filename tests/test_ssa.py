@@ -11,15 +11,13 @@ import dualsim.kernels
 from dualsim.errors import ConfigError, EngineError, ModelDomainError, PopulationCapError
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
 from dualsim.kernels._pykernels import _rates, _table
-from dualsim.models import GrowthKind, GrowthLaw, PopulationState, scenario_preset
+from dualsim.models import GrowthKind, GrowthLaw, PopulationState, experiment_one_law, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
 from dualsim.ssa import (
-    Channel,
     ChannelSet,
     Ensemble,
     EnsembleSpec,
     Floors,
-    RateLaw,
     RatePolicy,
     growth_channels,
     kuznetsov_channels,
@@ -32,26 +30,17 @@ from dualsim.trajectory import Paradigm, Termination
 
 
 def death_only_channels(b=1.0):
-    return ChannelSet(
-        channels=(Channel("death", RateLaw(R_POW_T, b, e=1.0), (-1, 0)),),
-        species=("tumour",),
-    )
+    return ChannelSet(table=((R_POW_T, b, 1.0, 0.0, -1, 0),), species=("tumour",))
 
 
 def linear_bd_channels(a=2.0, b=1.0):
     # constant per-capita birth a and death b: total rates a*T and b*T
-    return ChannelSet(
-        channels=(
-            Channel("birth", RateLaw(R_POW_T, a, e=1.0), (1, 0)),
-            Channel("death", RateLaw(R_POW_T, b, e=1.0), (-1, 0)),
-        ),
-        species=("tumour",),
-    )
+    return ChannelSet(table=((R_POW_T, a, 1.0, 0.0, 1, 0), (R_POW_T, b, 1.0, 0.0, -1, 0)), species=("tumour",))
 
 
 def channel_rates(cs, T, E=0.0):
     """Each channel's rate at (T, E), from the reference evaluator ``_rates``."""
-    rates = [0.0] * len(cs.channels)
+    rates = [0.0] * len(cs.table)
     assert _rates(_table(cs.table), T, E, -math.inf, -math.inf, rates) >= 0.0
     return rates
 
@@ -59,11 +48,11 @@ def channel_rates(cs, T, E=0.0):
 class TestChannelCompilation:
     def test_one_equation_has_two_channels(self):
         cs = growth_channels(GrowthLaw.logistic(1.0, 0.2))
-        assert len(cs.channels) == 2
-        birth, death = cs.channels
+        assert len(cs.table) == 2
+        birth, death = cs.table
         # total rates are T*p(T) and T*d(T)
         assert channel_rates(cs, 7.0) == pytest.approx([1.0 * 7.0, 0.2 * 49.0])
-        assert birth.delta == (1, 0) and death.delta == (-1, 0)
+        assert birth[4:] == (1, 0) and death[4:] == (-1, 0)
 
     def test_von_bertalanffy_channel_rates(self):
         cs = growth_channels(GrowthLaw.von_bertalanffy(1.0, 0.5))
@@ -77,21 +66,20 @@ class TestChannelCompilation:
     def test_kuznetsov_has_exactly_seven_channels(self):
         p = scenario_preset(1)
         cs = kuznetsov_channels(p)
-        assert len(cs.channels) == 7
+        assert len(cs.table) == 7
         T, E = 10.0, 3.0
-        expected = {
-            "tumour birth": (p.a * T, (1, 0)),
-            "tumour intrinsic death": (p.a * p.b * T * T, (-1, 0)),
-            "tumour kill": (p.n * T * E, (-1, 0)),
-            "effector proliferation": (p.p * T * E / (p.g + T), (0, 1)),
-            "effector interaction death": (p.m * T * E, (0, -1)),
-            "effector apoptosis": (p.d * E, (0, -1)),
-            "effector influx": (p.s, (0, 1)),
-        }
-        for ch, rate_at in zip(cs.channels, channel_rates(cs, T, E)):
-            rate, delta = expected[ch.name]
-            assert rate_at == pytest.approx(rate, rel=1e-12), ch.name
-            assert ch.delta == delta
+        expected = [
+            (p.a * T, (1, 0)),  # tumour birth
+            (p.a * p.b * T * T, (-1, 0)),  # tumour intrinsic death
+            (p.n * T * E, (-1, 0)),  # tumour kill
+            (p.p * T * E / (p.g + T), (0, 1)),  # effector proliferation
+            (p.m * T * E, (0, -1)),  # effector interaction death
+            (p.d * E, (0, -1)),  # effector apoptosis
+            (p.s, (0, 1)),  # effector influx
+        ]
+        for k, (row, rate_at, (rate, delta)) in enumerate(zip(cs.table, channel_rates(cs, T, E), expected)):
+            assert rate_at == pytest.approx(rate, rel=1e-12), k
+            assert row[4:] == delta, k
 
     def test_all_rates_nonnegative_on_integer_states(self):
         sets = [kuznetsov_channels(scenario_preset(i)) for i in (1, 2, 3, 4)]
@@ -107,11 +95,10 @@ class TestChannelCompilation:
         cs = kuznetsov_channels(scenario_preset(4))
         assert cs.table is cs.table
         assert cs.table[0] == (R_POW_T, 1.636, 1.0, 0.0, 1, 0)
-        assert [row[4:] for row in cs.table] == [ch.delta for ch in cs.channels]
 
     def test_rate_law_rejects_negative_coefficient(self):
-        with pytest.raises(Exception):
-            RateLaw(R_CONST, -1.0)
+        with pytest.raises(ModelDomainError, match="coefficient"):
+            ChannelSet(((R_CONST, -1.0, 0.0, 0.0, 1, 0),), ("tumour",))
 
     @pytest.mark.parametrize("code, e, g", [
         (R_POW_T, math.nan, 0.0),
@@ -120,13 +107,93 @@ class TestChannelCompilation:
     ], ids=["nan-e", "inf-e", "nan-g"])
     def test_rate_law_rejects_non_finite_exponent_or_saturation(self, code, e, g):
         with pytest.raises(ModelDomainError, match="must be finite"):
-            RateLaw(code, 1.0, e=e, g=g)
+            ChannelSet(((code, 1.0, e, g, 1, 0),), ("tumour", "effector"))
 
     def test_rate_law_rejects_a_negative_power(self):
         # c*T**e with e < 0 is infinite at T = 0
         with pytest.raises(ModelDomainError, match="e >= 0"):
-            RateLaw(R_POW_T, 1.0, e=-1.0)
-        RateLaw(R_POW_T, 1.0, e=0.0)
+            ChannelSet(((R_POW_T, 1.0, -1.0, 0.0, 1, 0),), ("tumour",))
+        ChannelSet(((R_POW_T, 1.0, 0.0, 0.0, 1, 0),), ("tumour",))
+
+
+    # the rows the compilers wrote before the set held its table: pinned in
+    # type and value, so every seeded output stays the same
+    @pytest.mark.parametrize("cs, rows", [
+        (kuznetsov_channels(scenario_preset(1)),
+         ((1, 1.636, 1.0, 0.0, 1, 0), (1, 0.0032719999999999997, 2.0, 0.0, -1, 0), (4, 1.0, 0.0, 0.0, -1, 0),
+          (5, 1.131, 0.0, 20.19, 0, 1), (4, 0.00311, 0.0, 0.0, 0, -1), (3, 0.1908, 0.0, 0.0, 0, -1),
+          (0, 0.318, 0.0, 0.0, 0, 1))),
+        (kuznetsov_channels(scenario_preset(2)),
+         ((1, 1.636, 1.0, 0.0, 1, 0), (1, 0.0065439999999999995, 2.0, 0.0, -1, 0), (4, 1.0, 0.0, 0.0, -1, 0),
+          (5, 1.131, 0.0, 20.19, 0, 1), (4, 0.00311, 0.0, 0.0, 0, -1), (3, 2.0, 0.0, 0.0, 0, -1),
+          (0, 0.318, 0.0, 0.0, 0, 1))),
+        (kuznetsov_channels(scenario_preset(3)),
+         ((1, 1.636, 1.0, 0.0, 1, 0), (1, 0.0032719999999999997, 2.0, 0.0, -1, 0), (4, 1.0, 0.0, 0.0, -1, 0),
+          (5, 1.131, 0.0, 20.19, 0, 1), (4, 0.00311, 0.0, 0.0, 0, -1), (3, 0.3743, 0.0, 0.0, 0, -1),
+          (0, 0.1181, 0.0, 0.0, 0, 1))),
+        (kuznetsov_channels(scenario_preset(4)),
+         ((1, 1.636, 1.0, 0.0, 1, 0), (1, 0.0032719999999999997, 2.0, 0.0, -1, 0), (4, 1.0, 0.0, 0.0, -1, 0),
+          (5, 1.131, 0.0, 20.19, 0, 1), (4, 0.00311, 0.0, 0.0, 0, -1), (3, 0.3743, 0.0, 0.0, 0, -1),
+          (0, 0.0, 0.0, 0.0, 0, 1))),
+        (growth_channels(experiment_one_law("logistic", 2.5)),
+         ((1, 1.0, 1.0, 0.0, 1, 0), (1, 0.4, 2.0, 0.0, -1, 0))),
+        (growth_channels(experiment_one_law("bertalanffy", 2.5)),
+         ((1, 1.0, 1.3333333333333333, 0.0, 1, 0), (1, 0.4, 1.0, 0.0, -1, 0))),
+        (growth_channels(experiment_one_law("gompertz", 2.5)),
+         ((1, 1.0, 1.0, 0.0, 1, 0), (2, 0.4, 0.0, 0.0, -1, 0))),
+        (growth_channels(GrowthLaw(GrowthKind.POWER_LAW, 0.7, 0.9, alpha=0.25, beta=0.3)),
+         ((1, 0.7, 1.25, 0.0, 1, 0), (1, 0.9, 1.3, 0.0, -1, 0))),
+    ], ids=["s1", "s2", "s3", "s4", "logistic", "bertalanffy", "gompertz", "power-law"])
+    def test_compiled_tables_keep_their_rows(self, cs, rows):
+        def typed(table):
+            return [[(type(x), x) for x in row] for row in table]
+        assert type(cs.table) is tuple and all(type(row) is tuple for row in cs.table)
+        assert typed(cs.table) == typed(rows)
+
+    @pytest.mark.parametrize("table, species, match", [
+        (((R_POW_T, 1.0, 1.0, 0.0, 1, 0),), ("tumour", "effector", "immune"), "one or two species"),
+        (((R_POW_T, 1.0, 1.0, 0.0, 1, 0),), (), "one or two species"),
+        ((), ("tumour",), "at least one channel"),
+        (((R_POW_T, 1.0, 1.0, 0.0, 1, 0, 0),), ("tumour",), "six numbers"),
+        (((R_POW_T, 1.0, 1.0, 0.0, 1),), ("tumour",), "six numbers"),
+        (([R_POW_T, 1.0, 1.0, 0.0, 1, 0],), ("tumour",), "six numbers"),
+        (((R_POW_T, "1", 1.0, 0.0, 1, 0),), ("tumour",), "six numbers"),
+        (((R_POW_T, 1.0, 1.0, 0.0, 0.5, 0),), ("tumour",), "integers"),
+        (((R_POW_T, 1.0, 1.0, 0.0, 1, 0.0),), ("tumour", "effector"), "integers"),
+        (((1.0, 1.0, 1.0, 0.0, 1, 0),), ("tumour",), "rate-law code"),
+        (((6, 1.0, 1.0, 0.0, 1, 0),), ("tumour",), "rate-law code"),
+        (((-1, 1.0, 1.0, 0.0, 1, 0),), ("tumour",), "rate-law code"),
+        (((R_CONST, math.nan, 0.0, 0.0, 1, 0),), ("tumour",), "coefficient"),
+        (((R_CONST, math.inf, 0.0, 0.0, 1, 0),), ("tumour",), "coefficient"),
+        (((R_MM_TE, 1.0, 0.0, 0.0, 0, 1),), ("tumour", "effector"), "g > 0"),
+        (((R_LIN_E, 1.0, 0.0, 0.0, -1, 0),), ("tumour",), "neither reads nor changes E"),
+        (((R_MASS_TE, 1.0, 0.0, 0.0, -1, 0),), ("tumour",), "neither reads nor changes E"),
+        (((R_MM_TE, 1.0, 0.0, 1.0, -1, 0),), ("tumour",), "neither reads nor changes E"),
+        (((R_POW_T, 1.0, 1.0, 0.0, 1, 1),), ("tumour",), "neither reads nor changes E"),
+    ], ids=["three-species", "no-species", "no-rows", "three-jumps", "five-fields", "list-row", "string",
+            "fractional-jump", "float-jump", "float-code", "code-6", "code-negative", "nan-c", "inf-c",
+            "saturation-0", "lin-e-one-species", "mass-te-one-species", "mm-te-one-species", "de-one-species"])
+    def test_set_refuses_a_malformed_table_when_built(self, table, species, match):
+        with pytest.raises(ModelDomainError, match=match):
+            ChannelSet(table, species)
+
+    def test_a_table_of_any_sequence_is_held_as_a_tuple(self):
+        rows = [(R_CONST, 2.0, 0.0, 0.0, 1, 0), (R_POW_T, 0.1, 1.0, 0.0, -1, 0)]
+        cs = ChannelSet(rows, ("tumour",))
+        rows.clear()
+        assert cs.table == ((R_CONST, 2.0, 0.0, 0.0, 1, 0), (R_POW_T, 0.1, 1.0, 0.0, -1, 0))
+
+    def test_immigration_death_runs_without_kernel_code(self):
+        # constant influx 2 and per-capita death 0.1 from T = 0: T(t) is
+        # Poisson with mean 20 * (1 - exp(-0.1 t))
+        cs = ChannelSet(table=((R_CONST, 2.0, 0.0, 0.0, 1, 0), (R_POW_T, 0.1, 1.0, 0.0, -1, 0)), species=("tumour",))
+        reps, t_end = 200, 50.0
+        ens = run_ensemble(EnsembleSpec(channels=cs, initial=PopulationState(0), t_end=t_end),
+                           reps=reps, base_seed=7, grid=make_grid(t_end, 10.0))
+        finals = ens.values[:, -1, 0]
+        expected = 20.0 * (1.0 - math.exp(-0.1 * t_end))
+        assert abs(finals.mean() - expected) <= 3 * math.sqrt(expected / reps)
+        assert set(ens.terminations) == {Termination.COMPLETED}
 
 
 class TestSimulateExact:
@@ -185,8 +252,7 @@ class TestSimulateExact:
 
     @pytest.mark.parametrize("method", ["exact", "tau"])
     def test_more_than_16_channels_raise_config_error(self, method):
-        influx = Channel("influx", RateLaw(R_CONST, 1.0), (1, 0))
-        cs = ChannelSet(channels=(influx,) * 17, species=("tumour",))
+        cs = ChannelSet(table=((R_CONST, 1.0, 0.0, 0.0, 1, 0),) * 17, species=("tumour",))
         with pytest.raises(ConfigError, match="at most 16 channels"):
             if method == "exact":
                 simulate_exact(cs, PopulationState(1), t_end=1.0, seed=0)
@@ -297,13 +363,11 @@ class TestMeanField:
 
 class TestTauLeap:
     def test_all_rates_zero_is_constant(self):
-        cs = ChannelSet(
-            channels=(Channel("idle", RateLaw(R_CONST, 0.0), (1, 0)),),
-            species=("tumour",),
-        )
+        cs = ChannelSet(table=((R_CONST, 0.0, 0.0, 0.0, 1, 0),), species=("tumour",))
         traj = simulate_tau_leap(cs, PopulationState(5), t_end=2.0, dt=0.1, seed=1)
         assert np.all(traj.states[:, 0] == 5.0)
-        assert traj.termination is Termination.EXTINCT  # absorbed: nothing can fire
+        # nothing can fire, but the tumour is alive: not extinct
+        assert traj.termination is Termination.COMPLETED
 
     def test_linear_birth_death_mean(self):
         cs = linear_bd_channels(2.0, 1.0)
@@ -426,6 +490,36 @@ class TestEnsembles:
     def test_spec_refuses_a_bad_run_when_built(self, channels, initial, t_end, policy, floors):
         with pytest.raises(ConfigError):
             EnsembleSpec(channels=channels, initial=initial, t_end=t_end, policy=policy, floors=floors)
+
+    @pytest.mark.parametrize("channels", [
+        death_only_channels(),
+        ChannelSet(((R_POW_T, 1.0, 1.0, 0.0, -1, 0), (R_POW_T, 2.0, 1.0, 0.0, 1, 0)), ("tumour",)),
+        ChannelSet(((R_CONST, 2.0, 0.0, 0.0, 1, 0), (R_POW_T, 1.0, 1.0, 0.0, -1, 0)), ("tumour",)),
+        ChannelSet(((R_POW_T, 2.0, 1.0, 0.0, 2, 0), (R_POW_T, 1.0, 1.0, 0.0, -1, 0)), ("tumour",)),
+        ChannelSet(((R_POW_T, 2.0, 1.0, 0.0, 1, 0), (R_CONST, 1.0, 0.0, 0.0, -1, 0)), ("tumour",)),
+        ChannelSet(((R_POW_T, 2.0, 1.0, 0.0, 1, 0), (R_POW_T, 1.0, 1.0, 0.0, -1, 0),
+                    (R_CONST, 1.0, 0.0, 0.0, 1, 0)), ("tumour",)),
+    ], ids=["death-only", "death-first", "constant-birth", "double-birth", "constant-death", "three-rows"])
+    def test_spec_refuses_a_set_the_frozen_kernel_cannot_run(self, channels):
+        with pytest.raises(ConfigError, match="birth-death"):
+            EnsembleSpec(channels=channels, initial=PopulationState(10), t_end=1.0,
+                         policy=RatePolicy.FROZEN_AT_BIRTH)
+        with pytest.raises(ValueError, match="birth-death"):  # the kernel's own rule agrees
+            dualsim.kernels._pykernels.ssa_frozen(channels.table, 10, 1.0, 0, 0, 1e12, 100)
+
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_a_run_no_event_can_change_is_extinct_only_at_zero(self, dt):
+        # death only from T = 3: unfloored, every replicate dies out; floored
+        # at one, nothing can fire at T = 1, yet the tumour is alive
+        grid = make_grid(20.0, 1.0)
+        for floors, held, label in ((Floors(), 0.0, Termination.EXTINCT),
+                                    (Floors(1, 0), 1.0, Termination.COMPLETED)):
+            spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(3), t_end=20.0,
+                                floors=floors, dt=dt)
+            ens = run_ensemble(spec, reps=5, base_seed=1, grid=grid)
+            assert np.all(ens.values[:, -1, 0] == held)
+            assert ens.terminations == (label,) * 5
+            assert per_event_replicate(spec, 1).termination is label
 
     def test_dt_selects_tau_leaping(self):
         channels, initial = kuznetsov_channels(scenario_preset(2)), PopulationState(100, 10)

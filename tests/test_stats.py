@@ -12,11 +12,9 @@ from dualsim.kernels import R_CONST
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
 from dualsim.ssa import (
-    Channel,
     ChannelSet,
     Ensemble,
     EnsembleSpec,
-    RateLaw,
     kuznetsov_channels,
     run_ensemble,
     simulate_exact,
@@ -342,7 +340,7 @@ class TestCompare:
         law = GrowthLaw.logistic(1.0, 0.2)
         sds_traj = integrate(law, PopulationState(5.0),
                              IntegratorConfig(dt=0.01, t_end=10.0), grid=make_grid(10.0, 0.1))
-        idle = ChannelSet(channels=(Channel("idle", RateLaw(R_CONST, 0.0), (1, 0)),), species=("tumour",))
+        idle = ChannelSet(table=((R_CONST, 0.0, 0.0, 0.0, 1, 0),), species=("tumour",))
         ens = run_ensemble(EnsembleSpec(channels=idle, initial=PopulationState(5), t_end=10.0),
                            reps=5, base_seed=0, grid=make_grid(10.0, 1.0))
         report = compare(sds_traj, ens)
