@@ -225,6 +225,7 @@ def _plan(spec: RunSpec) -> tuple:
                 policy=RatePolicy(spec.policy),
                 floors=Floors.from_fix(spec.fix),
                 dt=spec.dt if spec.method == "tau" else None,
+                grid=grid,
             )
     except (ModelDomainError, UnknownScenarioError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -349,7 +350,7 @@ def cmd_run(spec: RunSpec) -> list[Path]:
             sds = stats.sample_on_grid(traj, grid)
             plot_curves += [_curve("sds", name, col) for name, col in zip(traj.species, sds.T)]
     if ensemble is not None:
-        ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed, grid=grid)
+        ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed)
         outputs["abs_ensemble.csv"] = _ensemble_csv(ens)
         results["abs_terminations"] = sorted({t.value for t in ens.terminations})
         if spec.plot:
@@ -380,7 +381,7 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
             f"deterministic run terminated early ({traj.termination.value} at t={traj.end_time:g}); "
             "cannot compare on the requested grid"
         )
-    ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed, grid=grid)
+    ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed)
     report = stats.compare(
         traj,
         ens,

@@ -8,10 +8,11 @@ one object per agent and scale far better.
 
 Models compile to a :class:`ChannelSet`: the kernels' channel table, one
 ``(code, c, e, g, dT, dE)`` row of rate law and integer jump per channel,
-checked when the set is built.  ``simulate_exact`` runs the Gillespie
-direct method; ``simulate_tau_leap`` is the approximate fixed-step
-alternative for large populations.  ``run_ensemble`` runs replicates on a
-shared time grid and holds them as one :class:`Ensemble` array.  A run that
+checked when the set is built.  A run is one :class:`EnsembleSpec`, also
+checked when built.  ``simulate_exact`` runs it by the Gillespie direct
+method; ``simulate_tau_leap`` is the approximate fixed-step alternative for
+large populations.  ``run_ensemble`` runs replicates on the spec's time
+grid and holds them as one :class:`Ensemble` array.  A run that
 stops with every population at 0 is extinct.  Extinction floors ("keep
 tumour >= 1", "keep both >= 1") are implemented in the exact engine by
 zeroing the rate of any channel whose delta would drop a floored population
@@ -88,6 +89,10 @@ class ChannelSet:
                 raise ModelDomainError(f"a channel row is a tuple of six numbers (code, c, e, g, dT, dE), "
                                        f"got {row!r}")
             code, c, e, g, dT, dE = row
+            try:  # the kernels read every number but the code as a double
+                c, e, g, _, _ = map(float, row[1:])
+            except OverflowError:
+                raise ModelDomainError(f"a channel row's numbers must fit in a double, got {row!r}") from None
             if not (isinstance(code, Integral) and kernels.R_CONST <= code <= kernels.R_MM_TE):
                 raise ModelDomainError(f"unknown rate-law code {code!r}")
             if not math.isfinite(c) or c < 0:
@@ -198,11 +203,14 @@ class Ensemble:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     """Everything one stochastic run needs, minus the seed.  Runs are exact
-    unless a leap step ``dt`` is given, which tau-leaps them.  Every run rule
-    is checked when the spec is built."""
+    unless a leap step ``dt`` is given, which tau-leaps them.  With a
+    ``grid`` (1-D, strictly increasing, from 0 to at most ``t_end``) a run
+    records only the state held at each grid time; without one it records
+    every event.  Every run rule is checked when the spec is built, and the
+    grid is held as a read-only float64 copy."""
 
     channels: ChannelSet
     initial: PopulationState
@@ -210,15 +218,19 @@ class EnsembleSpec:
     policy: RatePolicy = RatePolicy.LIVE
     floors: Floors = field(default_factory=Floors)
     dt: float | None = None
+    grid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         _check_run(self.channels, self.initial, self.t_end, self.policy, self.floors, self.dt)
+        if self.grid is not None:
+            grid = np.array(_check_grid(self.grid, self.t_end))
+            grid.flags.writeable = False
+            object.__setattr__(self, "grid", grid)
 
 
 def _check_run(channels: ChannelSet, initial: PopulationState, t_end: float, policy: RatePolicy,
-               floors: Floors, dt: float | None) -> tuple[int, int]:
-    """The rules of one stochastic run (tau-leaped when ``dt`` is given);
-    returns the initial ``(T, E)`` as ints."""
+               floors: Floors, dt: float | None) -> None:
+    """The rules of one stochastic run (tau-leaped when ``dt`` is given)."""
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
     if dt is not None:
@@ -244,7 +256,6 @@ def _check_run(channels: ChannelSet, initial: PopulationState, t_end: float, pol
         raise ConfigError(f"initial state {initial} is below the floors {floors}")
     if max(T, E) > POPULATION_CAP:
         raise PopulationCapError(f"initial state {initial} exceeds the {POPULATION_CAP:.0e} population cap")
-    return int(T), int(E)
 
 
 def _check_grid(grid, t_end: float) -> np.ndarray:
@@ -268,27 +279,22 @@ def _check_grid(grid, t_end: float) -> np.ndarray:
     return np.ascontiguousarray(grid)
 
 
-def _simulate(channels: ChannelSet, initial: PopulationState, t_end: float, seed: int,
-              policy: RatePolicy, floors: Floors, dt: float | None, max_events: int,
-              grid) -> Trajectory:
-    """One replicate: tau-leaped when ``dt`` is given, else exact under
-    ``policy``; the body of :func:`simulate_exact` and :func:`simulate_tau_leap`."""
-    T0, E0 = _check_run(channels, initial, t_end, policy, floors, dt)
-    grid = None if grid is None else _check_grid(grid, t_end)
-    cap = float(POPULATION_CAP)
+def _simulate(spec: EnsembleSpec, seed: int) -> Trajectory:
+    """One replicate of a checked ``spec``: the body of :func:`simulate_exact`
+    and :func:`simulate_tau_leap`."""
+    table, floors, grid = spec.channels.table, spec.floors, spec.grid
+    T0, E0, t_end = spec.initial.T, spec.initial.E or 0, spec.t_end
+    cap, max_events = float(POPULATION_CAP), DEFAULT_MAX_EVENTS
     try:
-        if dt is not None:
+        if spec.dt is not None:
             rows, status = kernels.tau_leap(
-                channels.table, T0, E0, t_end, dt, seed, floors.min_tumour, floors.min_effector, cap, grid,
+                table, T0, E0, t_end, spec.dt, seed, floors.min_tumour, floors.min_effector, cap, grid,
             )
-        elif policy is RatePolicy.FROZEN_AT_BIRTH:
-            rows, status = kernels.ssa_frozen(
-                channels.table, T0, t_end, seed, floors.min_tumour, cap, max_events, grid,
-            )
+        elif spec.policy is RatePolicy.FROZEN_AT_BIRTH:
+            rows, status = kernels.ssa_frozen(table, T0, t_end, seed, floors.min_tumour, cap, max_events, grid)
         else:
             rows, status = kernels.ssa(
-                channels.table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector,
-                cap, max_events, grid,
+                table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector, cap, max_events, grid,
             )
     except ValueError as exc:  # a channel table the kernel refuses
         raise ConfigError(str(exc)) from exc
@@ -303,71 +309,56 @@ def _simulate(channels: ChannelSet, initial: PopulationState, t_end: float, seed
         # the last row holds the last sample, in grid mode too
         raise EngineError(
             f"event budget of {max_events} exhausted (seed {seed}) at t={rows[-1, 0]:.3g} "
-            f"with population {rows[-1, 1]:.4g}; raise max_events, or use tau-leaping for "
-            f"blow-up-scale growth (the {POPULATION_CAP:.0e} population cap still applies)"
+            f"with population {rows[-1, 1]:.4g}; use tau-leaping for blow-up-scale growth "
+            f"(the {POPULATION_CAP:.0e} population cap still applies)"
         )
     if status == kernels.ST_BAD_RATE:
         raise EngineError(
             f"total event rate negative, infinite or nan (seed {seed}) at t={rows[-1, 0]:.3g} "
             f"with population {rows[-1, 1]:.4g}; a channel's rate law left its domain or double range"
         )
-    states = rows[:, 1:1 + len(channels.species)]
+    states = rows[:, 1:1 + len(spec.channels.species)]
     # status 2 means that no event can fire; the run is extinct only if every population is 0
     extinct = status == kernels.ST_EXTINCT and not states[-1].any()
     return Trajectory(
         times=rows[:, 0] if grid is None else grid,
         states=states,
-        species=channels.species,
+        species=spec.channels.species,
         termination=Termination.EXTINCT if extinct else Termination.COMPLETED,
         paradigm=Paradigm.ABS,
         seed=seed,
     )
 
 
-def simulate_exact(
-    channels: ChannelSet,
-    initial: PopulationState,
-    t_end: float,
-    seed: int,
-    policy: RatePolicy = RatePolicy.LIVE,
-    floors: Floors = Floors(),
-    max_events: int = DEFAULT_MAX_EVENTS,
-    grid: np.ndarray | None = None,
-) -> Trajectory:
-    """Gillespie direct method: exponential waiting times from the total
-    rate, channel choice proportional to rate, one sample per event plus the
-    final hold at ``t_end``.
+def simulate_exact(spec: EnsembleSpec, seed: int) -> Trajectory:
+    """One exact replicate of ``spec`` (which has no ``dt``) by the
+    Gillespie direct method: exponential waiting times from the total rate,
+    channel choice proportional to rate, one sample per event plus the final
+    hold at ``t_end``.  At most ``DEFAULT_MAX_EVENTS`` events fire.
 
-    With a ``grid`` (1-D, strictly increasing, from 0 to at most ``t_end``)
-    the kernel records only the state held at each grid time, the last
-    sample at or before it, so the trajectory has one row per grid point
-    and costs neither time nor memory per event.
+    With a grid in the spec the kernel records only the state held at each
+    grid time, the last sample at or before it, so the trajectory has one
+    row per grid point and costs neither time nor memory per event.
     """
-    return _simulate(channels, initial, t_end, seed, policy, floors, None, max_events, grid)
+    if spec.dt is not None:
+        raise ConfigError("a spec with a leap step dt runs by simulate_tau_leap")
+    return _simulate(spec, seed)
 
 
-def simulate_tau_leap(
-    channels: ChannelSet,
-    initial: PopulationState,
-    t_end: float,
-    dt: float,
-    seed: int,
-    floors: Floors = Floors(),
-    grid: np.ndarray | None = None,
-) -> Trajectory:
-    """Poisson tau-leaping over fixed steps of ``dt`` under the live rate
-    policy; any component pushed below its floor is clamped to the floor.
-    One sample per leap or, with a ``grid`` (as for :func:`simulate_exact`),
-    the state held at each grid time."""
-    return _simulate(channels, initial, t_end, seed, RatePolicy.LIVE, floors, float(dt), 0, grid)
+def simulate_tau_leap(spec: EnsembleSpec, seed: int) -> Trajectory:
+    """One Poisson tau-leaped replicate of ``spec``, over fixed steps of
+    ``spec.dt`` under the live rate policy; any component pushed below its
+    floor is clamped to the floor.  One sample per leap or, with a grid in
+    the spec (as for :func:`simulate_exact`), the state held at each grid
+    time."""
+    if spec.dt is None:
+        raise ConfigError("tau-leaping needs a spec with a leap step dt; simulate_exact runs the others")
+    return _simulate(spec, seed)
 
 
-def run_ensemble(
-    spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 0, *, grid: np.ndarray
-) -> Ensemble:
-    """``reps`` independent replicates seeded ``base_seed + 0 .. reps-1``,
-    recorded on ``grid`` (1-D, strictly increasing, from 0 to at most
-    ``spec.t_end``).
+def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 0) -> Ensemble:
+    """``reps`` independent replicates of ``spec`` seeded ``base_seed + 0 ..
+    reps-1``, recorded on the spec's grid, which an ensemble needs.
 
     The kernels record each replicate only at the grid times, holding the
     last event at or before each: the values that step sampling on that grid
@@ -377,26 +368,19 @@ def run_ensemble(
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    grid = _check_grid(grid, spec.t_end)
+    if spec.grid is None:
+        raise ConfigError("an ensemble is recorded on a grid: build the spec with one")
+    simulate = simulate_exact if spec.dt is None else simulate_tau_leap
     # filled in place: no per-replicate copies alive beside the array
-    values = np.empty((reps, len(grid), len(spec.channels.species)))
+    values = np.empty((reps, len(spec.grid), len(spec.channels.species)))
     terminations = []
     for i in range(reps):
         seed = base_seed + i
         try:
-            if spec.dt is not None:
-                traj = simulate_tau_leap(
-                    spec.channels, spec.initial, spec.t_end, spec.dt, seed,
-                    floors=spec.floors, grid=grid,
-                )
-            else:
-                traj = simulate_exact(
-                    spec.channels, spec.initial, spec.t_end, seed,
-                    policy=spec.policy, floors=spec.floors, grid=grid,
-                )
+            traj = simulate(spec, seed)
         except EngineError as exc:
             raise type(exc)(f"replicate {i} (seed {seed}): {exc}") from exc
         values[i] = traj.states
         terminations.append(traj.termination)
-    return Ensemble(grid=grid, values=values, species=spec.channels.species,
+    return Ensemble(grid=spec.grid, values=values, species=spec.channels.species,
                     terminations=tuple(terminations), base_seed=base_seed)

@@ -89,8 +89,8 @@ def test_criterion_3_abs_mean_field_consistency():
         cs = growth_channels(GrowthLaw(GrowthKind.POWER_LAW, a=2.0, b=1.0, alpha=0.0, beta=0.0))
         grid = make_grid(1.0, 0.25)
         ens = run_ensemble(
-            EnsembleSpec(channels=cs, initial=PopulationState(100), t_end=1.0),
-            reps=1000, base_seed=11, grid=grid,
+            EnsembleSpec(channels=cs, initial=PopulationState(100), t_end=1.0, grid=grid),
+            reps=1000, base_seed=11,
         )
         values = ens.values[:, :, 0]
         for j, t in ((1, 0.25), (2, 0.5), (4, 1.0)):
@@ -109,8 +109,8 @@ def test_criterion_4_logistic_extinction_effect():
 
         def ensemble(policy):
             return run_ensemble(
-                EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=t_end, policy=policy),
-                reps=reps, base_seed=base_seed, grid=grid,
+                EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=t_end, policy=policy, grid=grid),
+                reps=reps, base_seed=base_seed,
             )
 
         live, frozen = ensemble(RatePolicy.LIVE), ensemble(RatePolicy.FROZEN_AT_BIRTH)
@@ -140,10 +140,10 @@ def test_criterion_5_discrete_extinction_divergence():
         assert T[imin:].max() >= 2.0 * tmin
 
         # absorption is a per-event property: replicate seeds 1..50, no grid
-        cs = kuznetsov_channels(params)
+        spec = EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(100, 10), t_end=100.0)
         reached_and_stayed = 0
         for seed in range(1, 51):
-            rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
+            rep = simulate_exact(spec, seed)
             vals = rep.states[:, 0]
             zeros = np.where(vals == 0)[0]
             if zeros.size and np.all(vals[zeros[0]:] == 0):
@@ -161,8 +161,9 @@ def test_criterion_6_fix_reconciliation():
 
         def tumour_result(floors):
             ens = run_ensemble(
-                EnsembleSpec(channels=cs, initial=PopulationState(100, 10), floors=floors, t_end=100.0),
-                reps=50, base_seed=1, grid=grid,
+                EnsembleSpec(channels=cs, initial=PopulationState(100, 10), floors=floors, t_end=100.0,
+                             grid=grid),
+                reps=50, base_seed=1,
             )
             return compare(sds, ens, alpha=0.05).populations["tumour"].wilcoxon
 
@@ -235,8 +236,8 @@ def test_criterion_9_blowup_safety():
         assert np.all(np.isfinite(traj.states))
 
         with pytest.raises(PopulationCapError):
-            simulate_tau_leap(growth_channels(law), PopulationState(1),
-                              t_end=100.0, dt=0.001, seed=7)
+            simulate_tau_leap(EnsembleSpec(growth_channels(law), PopulationState(1), t_end=100.0, dt=0.001),
+                              seed=7)
         with pytest.raises(PopulationCapError):
-            simulate_tau_leap(growth_channels(GrowthLaw.gompertz(1.636, 0.002)),
-                              PopulationState(1), t_end=100.0, dt=0.001, seed=7)
+            simulate_tau_leap(EnsembleSpec(growth_channels(GrowthLaw.gompertz(1.636, 0.002)),
+                                           PopulationState(1), t_end=100.0, dt=0.001), seed=7)

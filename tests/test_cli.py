@@ -2,6 +2,7 @@
 
 import errno
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,7 @@ def reference_ensemble_csv(spec, reps, base_seed, grid):
     # replicates step-sampled on the grid
     lines = ["replicate,time," + ",".join(spec.channels.species)]
     for r in range(reps):
-        rep = simulate_exact(spec.channels, spec.initial, spec.t_end, seed=base_seed + r)
+        rep = simulate_exact(spec, seed=base_seed + r)
         values = sample_on_grid(rep, grid)
         for i in range(len(grid)):
             cells = [str(r), f"{grid[i]:.6f}"]
@@ -223,7 +224,7 @@ class TestCsvWriters:
     def test_ensemble_csv_matches_the_per_cell_formula(self, grid):
         spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
                             initial=PopulationState(100, 10), t_end=2.0)
-        ens = run_ensemble(spec, reps=3, base_seed=5, grid=grid)
+        ens = run_ensemble(replace(spec, grid=grid), reps=3, base_seed=5)
         assert _ensemble_csv(ens) == reference_ensemble_csv(spec, 3, 5, grid)
 
     @pytest.mark.parametrize("model, channels, initial", [
@@ -234,8 +235,8 @@ class TestCsvWriters:
         sds = integrate(model, PopulationState(*map(float, initial)),
                         IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.1))
         ens = run_ensemble(EnsembleSpec(channels=channels(model), initial=PopulationState(*initial),
-                                        t_end=3.0),
-                           reps=3, base_seed=2, grid=np.arange(0.0, 3.0, 1 / 3))
+                                        t_end=3.0, grid=np.arange(0.0, 3.0, 1 / 3)),
+                           reps=3, base_seed=2)
         report = compare(sds, ens)
         assert _comparison_csv(report) == reference_comparison_csv(report)
 

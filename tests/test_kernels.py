@@ -9,7 +9,7 @@ from dualsim import kernels
 from dualsim.errors import EngineError, PopulationCapError
 from dualsim.kernels import _pykernels as pure
 from dualsim.models import PopulationState
-from dualsim.ssa import ChannelSet, simulate_exact
+from dualsim.ssa import ChannelSet, EnsembleSpec, simulate_exact
 from dualsim.stats import make_grid
 
 try:
@@ -402,7 +402,7 @@ def test_an_overflowing_rate_is_an_engine_error_not_the_cap(backend, monkeypatch
     monkeypatch.setattr(kernels, "ssa", BACKENDS[backend].ssa)
     channels = ChannelSet(((kernels.R_POW_T, 1.0, 400.0, 0.0, 1, 0),), ("tumour",))
     with pytest.raises(EngineError, match="infinite") as info:
-        simulate_exact(channels, PopulationState(10), t_end=1.0, seed=1)
+        simulate_exact(EnsembleSpec(channels, PopulationState(10), t_end=1.0), seed=1)
     assert not isinstance(info.value, PopulationCapError)
     assert " at t=0 with population 10;" in str(info.value)
 

@@ -3,11 +3,13 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dualsim.kernels
+import dualsim.ssa
 from dualsim.errors import ConfigError, EngineError, ModelDomainError, PopulationCapError
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
 from dualsim.kernels._pykernels import _rates, _table
@@ -170,9 +172,13 @@ class TestChannelCompilation:
         (((R_MASS_TE, 1.0, 0.0, 0.0, -1, 0),), ("tumour",), "neither reads nor changes E"),
         (((R_MM_TE, 1.0, 0.0, 1.0, -1, 0),), ("tumour",), "neither reads nor changes E"),
         (((R_POW_T, 1.0, 1.0, 0.0, 1, 1),), ("tumour",), "neither reads nor changes E"),
+        (((R_CONST, 10**400, 0.0, 0.0, 1, 0),), ("tumour",), "fit in a double"),
+        (((R_POW_T, 1.0, 10**400, 0.0, 1, 0),), ("tumour",), "fit in a double"),
+        (((R_POW_T, 1.0, 1.0, 0.0, 10**400, 0),), ("tumour",), "fit in a double"),
     ], ids=["three-species", "no-species", "no-rows", "three-jumps", "five-fields", "list-row", "string",
             "fractional-jump", "float-jump", "float-code", "code-6", "code-negative", "nan-c", "inf-c",
-            "saturation-0", "lin-e-one-species", "mass-te-one-species", "mm-te-one-species", "de-one-species"])
+            "saturation-0", "lin-e-one-species", "mass-te-one-species", "mm-te-one-species", "de-one-species",
+            "huge-c", "huge-e", "huge-jump"])
     def test_set_refuses_a_malformed_table_when_built(self, table, species, match):
         with pytest.raises(ModelDomainError, match=match):
             ChannelSet(table, species)
@@ -188,8 +194,9 @@ class TestChannelCompilation:
         # Poisson with mean 20 * (1 - exp(-0.1 t))
         cs = ChannelSet(table=((R_CONST, 2.0, 0.0, 0.0, 1, 0), (R_POW_T, 0.1, 1.0, 0.0, -1, 0)), species=("tumour",))
         reps, t_end = 200, 50.0
-        ens = run_ensemble(EnsembleSpec(channels=cs, initial=PopulationState(0), t_end=t_end),
-                           reps=reps, base_seed=7, grid=make_grid(t_end, 10.0))
+        ens = run_ensemble(EnsembleSpec(channels=cs, initial=PopulationState(0), t_end=t_end,
+                                        grid=make_grid(t_end, 10.0)),
+                           reps=reps, base_seed=7)
         finals = ens.values[:, -1, 0]
         expected = 20.0 * (1.0 - math.exp(-0.1 * t_end))
         assert abs(finals.mean() - expected) <= 3 * math.sqrt(expected / reps)
@@ -199,10 +206,10 @@ class TestChannelCompilation:
 class TestSimulateExact:
     def test_death_only_single_event_exponential_time(self):
         # one agent with unit death rate: extinction at an Exp(1) time
-        cs = death_only_channels(b=1.0)
+        spec = EnsembleSpec(death_only_channels(b=1.0), PopulationState(1), t_end=200.0)
         times = []
         for i in range(10_000):
-            traj = simulate_exact(cs, PopulationState(1), t_end=200.0, seed=5000 + i)
+            traj = simulate_exact(spec, seed=5000 + i)
             assert traj.termination is Termination.EXTINCT
             assert traj.states[-1, 0] == 0.0
             times.append(traj.times[1])  # the single event
@@ -211,9 +218,9 @@ class TestSimulateExact:
         assert abs(mean - 1.0) <= 3 * se
 
     def test_absorbing_extinction(self):
-        cs = growth_channels(GrowthLaw.logistic(1.0, 0.8))
+        spec = EnsembleSpec(growth_channels(GrowthLaw.logistic(1.0, 0.8)), PopulationState(1), t_end=50.0)
         for i in range(20):
-            traj = simulate_exact(cs, PopulationState(1), t_end=50.0, seed=i)
+            traj = simulate_exact(spec, seed=i)
             T = traj.states[:, 0]
             zeros = np.where(T == 0)[0]
             if zeros.size:
@@ -224,9 +231,9 @@ class TestSimulateExact:
         # rates, so with one seed they produce identical event sequences
         law = GrowthLaw(GrowthKind.POWER_LAW, a=0.7, b=0.9, alpha=0.0, beta=0.0)
         cs = growth_channels(law)
-        live = simulate_exact(cs, PopulationState(5), t_end=40.0, seed=123, policy=RatePolicy.LIVE)
-        frozen = simulate_exact(cs, PopulationState(5), t_end=40.0, seed=123,
-                                policy=RatePolicy.FROZEN_AT_BIRTH)
+        live = simulate_exact(EnsembleSpec(cs, PopulationState(5), t_end=40.0, policy=RatePolicy.LIVE), seed=123)
+        frozen = simulate_exact(EnsembleSpec(cs, PopulationState(5), t_end=40.0,
+                                             policy=RatePolicy.FROZEN_AT_BIRTH), seed=123)
         assert np.array_equal(live.times, frozen.times)
         assert np.array_equal(live.states, frozen.states)
 
@@ -234,9 +241,9 @@ class TestSimulateExact:
         # the frozen policy reads the channel table, not the growth law the
         # set was compiled from, so any one-species birth-death set runs
         cs = linear_bd_channels()
-        live = simulate_exact(cs, PopulationState(5), t_end=3.0, seed=123)
-        frozen = simulate_exact(cs, PopulationState(5), t_end=3.0, seed=123,
-                                policy=RatePolicy.FROZEN_AT_BIRTH)
+        live = simulate_exact(EnsembleSpec(cs, PopulationState(5), t_end=3.0), seed=123)
+        frozen = simulate_exact(EnsembleSpec(cs, PopulationState(5), t_end=3.0,
+                                             policy=RatePolicy.FROZEN_AT_BIRTH), seed=123)
         assert len(live.times) > 10
         assert np.array_equal(live.times, frozen.times)
         assert np.array_equal(live.states, frozen.states)
@@ -244,65 +251,61 @@ class TestSimulateExact:
     def test_frozen_policy_needs_one_equation_law(self):
         cs = kuznetsov_channels(scenario_preset(1))
         with pytest.raises(ConfigError, match="birth-death"):
-            simulate_exact(cs, PopulationState(10, 2), t_end=1.0, seed=0,
-                           policy=RatePolicy.FROZEN_AT_BIRTH)
+            EnsembleSpec(cs, PopulationState(10, 2), t_end=1.0, policy=RatePolicy.FROZEN_AT_BIRTH)
         with pytest.raises(ConfigError, match="birth-death"):
-            simulate_exact(death_only_channels(), PopulationState(10), t_end=1.0, seed=0,
-                           policy=RatePolicy.FROZEN_AT_BIRTH)
+            EnsembleSpec(death_only_channels(), PopulationState(10), t_end=1.0, policy=RatePolicy.FROZEN_AT_BIRTH)
 
     @pytest.mark.parametrize("method", ["exact", "tau"])
     def test_more_than_16_channels_raise_config_error(self, method):
         cs = ChannelSet(table=((R_CONST, 1.0, 0.0, 0.0, 1, 0),) * 17, species=("tumour",))
+        spec = EnsembleSpec(cs, PopulationState(1), t_end=1.0, dt=0.1 if method == "tau" else None)
         with pytest.raises(ConfigError, match="at most 16 channels"):
-            if method == "exact":
-                simulate_exact(cs, PopulationState(1), t_end=1.0, seed=0)
-            else:
-                simulate_tau_leap(cs, PopulationState(1), t_end=1.0, dt=0.1, seed=0)
+            simulate(spec, seed=0)
 
     def test_tumour_floor_keeps_tumour_alive(self):
-        cs = kuznetsov_channels(scenario_preset(4))
+        spec = EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), t_end=60.0,
+                            floors=Floors(1, 0))
         for i in range(10):
-            traj = simulate_exact(cs, PopulationState(100, 10), t_end=60.0, seed=900 + i,
-                                  floors=Floors(1, 0))
+            traj = simulate_exact(spec, seed=900 + i)
             assert traj.states[:, 0].min() >= 1.0
 
     def test_both_floors(self):
-        cs = kuznetsov_channels(scenario_preset(4))
-        traj = simulate_exact(cs, PopulationState(100, 10), t_end=60.0, seed=4242,
-                              floors=Floors(1, 1))
+        spec = EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), t_end=60.0,
+                            floors=Floors(1, 1))
+        traj = simulate_exact(spec, seed=4242)
         assert traj.states[:, 0].min() >= 1.0
         assert traj.states[:, 1].min() >= 1.0
 
     def test_integer_nonnegative_samples(self):
-        cs = kuznetsov_channels(scenario_preset(2))
-        traj = simulate_exact(cs, PopulationState(50, 5), t_end=5.0, seed=77)
+        traj = simulate_exact(EnsembleSpec(kuznetsov_channels(scenario_preset(2)), PopulationState(50, 5), t_end=5.0),
+                              seed=77)
         assert np.all(traj.states >= 0)
         assert np.all(traj.states == np.floor(traj.states))
 
     def test_seed_determinism_and_distinct_streams(self):
-        cs = linear_bd_channels(1.0, 1.0)
-        a1 = simulate_exact(cs, PopulationState(30), t_end=2.0, seed=1)
-        a2 = simulate_exact(cs, PopulationState(30), t_end=2.0, seed=1)
-        b = simulate_exact(cs, PopulationState(30), t_end=2.0, seed=2)
+        spec = EnsembleSpec(linear_bd_channels(1.0, 1.0), PopulationState(30), t_end=2.0)
+        a1 = simulate_exact(spec, seed=1)
+        a2 = simulate_exact(spec, seed=1)
+        b = simulate_exact(spec, seed=2)
         assert np.array_equal(a1.times, a2.times) and np.array_equal(a1.states, a2.states)
         assert not np.array_equal(a1.times, b.times)
 
     def test_rejects_fractional_initial_state(self):
         with pytest.raises(ConfigError):
-            simulate_exact(linear_bd_channels(), PopulationState(1.5), t_end=1.0, seed=0)
+            EnsembleSpec(linear_bd_channels(), PopulationState(1.5), t_end=1.0)
 
     def test_rejects_initial_state_below_floor(self):
         with pytest.raises(ConfigError):
-            simulate_exact(linear_bd_channels(), PopulationState(0), t_end=1.0, seed=0,
-                           floors=Floors(1, 0))
+            EnsembleSpec(linear_bd_channels(), PopulationState(0), t_end=1.0, floors=Floors(1, 0))
 
-    def test_max_events_guard(self):
-        cs = linear_bd_channels(2.0, 1.0)
-        with pytest.raises(EngineError, match="event budget"):
-            simulate_exact(cs, PopulationState(100), t_end=50.0, seed=3, max_events=1000)
+    def test_max_events_guard(self, monkeypatch):
+        monkeypatch.setattr(dualsim.ssa, "DEFAULT_MAX_EVENTS", 1000)
+        spec = EnsembleSpec(linear_bd_channels(2.0, 1.0), PopulationState(100), t_end=50.0)
+        with pytest.raises(EngineError, match="event budget of 1000 exhausted"):
+            simulate_exact(spec, seed=3)
 
     def test_trajectory_metadata(self):
-        traj = simulate_exact(linear_bd_channels(), PopulationState(10), t_end=1.0, seed=11)
+        traj = simulate_exact(EnsembleSpec(linear_bd_channels(), PopulationState(10), t_end=1.0), seed=11)
         assert traj.paradigm is Paradigm.ABS
         assert traj.seed == 11
         assert traj.times[-1] == 1.0  # final hold sample
@@ -333,10 +336,10 @@ class TestFloorEquivalence:
     def test_rate_zeroing_matches_veto_and_resample(self):
         # logistic a=1, b=0.5 from two cells with the tumour floored at one
         a, b, T0, t_end, n = 1.0, 0.5, 2, 3.0, 10_000
-        cs = growth_channels(GrowthLaw.logistic(a, b))
+        spec = EnsembleSpec(growth_channels(GrowthLaw.logistic(a, b)), PopulationState(T0), t_end=t_end,
+                            floors=Floors(1, 0))
         engine = np.array([
-            simulate_exact(cs, PopulationState(T0), t_end=t_end, seed=20_000 + i,
-                           floors=Floors(1, 0)).states[-1, 0]
+            simulate_exact(spec, seed=20_000 + i).states[-1, 0]
             for i in range(n)
         ])
         oracle = np.array([
@@ -350,10 +353,10 @@ class TestFloorEquivalence:
 class TestMeanField:
     def test_linear_birth_death_matches_branching_mean(self):
         # E[T(t)] = T0 * exp((a-b) t) for constant per-capita rates
-        cs = linear_bd_channels(2.0, 1.0)
         reps, t_end = 600, 0.5
+        spec = EnsembleSpec(linear_bd_channels(2.0, 1.0), PopulationState(100), t_end=t_end)
         finals = np.array([
-            simulate_exact(cs, PopulationState(100), t_end=t_end, seed=31_000 + i).states[-1, 0]
+            simulate_exact(spec, seed=31_000 + i).states[-1, 0]
             for i in range(reps)
         ])
         expected = 100.0 * math.exp(1.0 * t_end)
@@ -364,17 +367,16 @@ class TestMeanField:
 class TestTauLeap:
     def test_all_rates_zero_is_constant(self):
         cs = ChannelSet(table=((R_CONST, 0.0, 0.0, 0.0, 1, 0),), species=("tumour",))
-        traj = simulate_tau_leap(cs, PopulationState(5), t_end=2.0, dt=0.1, seed=1)
+        traj = simulate_tau_leap(EnsembleSpec(cs, PopulationState(5), t_end=2.0, dt=0.1), seed=1)
         assert np.all(traj.states[:, 0] == 5.0)
         # nothing can fire, but the tumour is alive: not extinct
         assert traj.termination is Termination.COMPLETED
 
     def test_linear_birth_death_mean(self):
-        cs = linear_bd_channels(2.0, 1.0)
+        spec = EnsembleSpec(linear_bd_channels(2.0, 1.0), PopulationState(100), t_end=1.0, dt=0.001)
         reps = 1000
         finals = np.array([
-            simulate_tau_leap(cs, PopulationState(100), t_end=1.0, dt=0.001,
-                              seed=40_000 + i).states[-1, 0]
+            simulate_tau_leap(spec, seed=40_000 + i).states[-1, 0]
             for i in range(reps)
         ])
         expected = 100.0 * math.e
@@ -382,23 +384,22 @@ class TestTauLeap:
         assert abs(float(np.mean(finals)) - expected) <= 3 * se
 
     def test_agrees_with_exact_within_5_percent(self):
-        cs = linear_bd_channels(2.0, 1.0)
+        exact_spec = EnsembleSpec(linear_bd_channels(2.0, 1.0), PopulationState(100), t_end=1.0)
+        tau_spec = replace(exact_spec, dt=0.001)
         reps = 400
         tau = np.mean([
-            simulate_tau_leap(cs, PopulationState(100), t_end=1.0, dt=0.001,
-                              seed=60_000 + i).states[-1, 0]
+            simulate_tau_leap(tau_spec, seed=60_000 + i).states[-1, 0]
             for i in range(reps)
         ])
         exact = np.mean([
-            simulate_exact(cs, PopulationState(100), t_end=1.0, seed=61_000 + i).states[-1, 0]
+            simulate_exact(exact_spec, seed=61_000 + i).states[-1, 0]
             for i in range(reps)
         ])
         assert abs(tau - exact) / exact < 0.05
 
     def test_floor_clamps(self):
-        cs = death_only_channels(b=5.0)
-        traj = simulate_tau_leap(cs, PopulationState(3), t_end=5.0, dt=0.05, seed=9,
-                                 floors=Floors(1, 0))
+        spec = EnsembleSpec(death_only_channels(b=5.0), PopulationState(3), t_end=5.0, floors=Floors(1, 0), dt=0.05)
+        traj = simulate_tau_leap(spec, seed=9)
         assert traj.states[:, 0].min() >= 1.0
 
     def test_frozen_policy_rejected(self):
@@ -410,40 +411,42 @@ class TestTauLeap:
 
 class TestPopulationCap:
     def test_von_bertalanffy_hits_cap_under_leaping(self):
-        cs = growth_channels(GrowthLaw.von_bertalanffy(1.636, 0.002))
+        spec = EnsembleSpec(growth_channels(GrowthLaw.von_bertalanffy(1.636, 0.002)), PopulationState(1),
+                            t_end=100.0, dt=0.001)
         with pytest.raises(PopulationCapError):
-            simulate_tau_leap(cs, PopulationState(1), t_end=100.0, dt=0.001, seed=7)
+            simulate_tau_leap(spec, seed=7)
 
     def test_gompertz_hits_cap_under_leaping(self):
-        cs = growth_channels(GrowthLaw.gompertz(1.636, 0.002))
+        spec = EnsembleSpec(growth_channels(GrowthLaw.gompertz(1.636, 0.002)), PopulationState(1),
+                            t_end=100.0, dt=0.001)
         with pytest.raises(PopulationCapError):
-            simulate_tau_leap(cs, PopulationState(1), t_end=100.0, dt=0.001, seed=7)
+            simulate_tau_leap(spec, seed=7)
+
+
+def simulate(spec, seed):
+    """One replicate of ``spec``, by the simulator its kind of spec takes."""
+    return (simulate_exact if spec.dt is None else simulate_tau_leap)(spec, seed)
 
 
 def per_event_replicate(spec, seed):
     """One replicate of ``spec`` run per event, without a grid."""
-    if spec.dt is not None:
-        return simulate_tau_leap(spec.channels, spec.initial, spec.t_end, spec.dt, seed,
-                                 floors=spec.floors)
-    return simulate_exact(spec.channels, spec.initial, spec.t_end, seed,
-                          policy=spec.policy, floors=spec.floors)
+    return simulate(replace(spec, grid=None), seed)
 
 
 class TestEnsembles:
     def test_same_base_seed_is_bit_identical(self):
         spec = EnsembleSpec(channels=linear_bd_channels(1.0, 1.0),
-                            initial=PopulationState(20), t_end=2.0)
-        grid = make_grid(2.0, 0.1)
-        e1 = run_ensemble(spec, reps=8, base_seed=5, grid=grid)
-        e2 = run_ensemble(spec, reps=8, base_seed=5, grid=grid)
+                            initial=PopulationState(20), t_end=2.0, grid=make_grid(2.0, 0.1))
+        e1 = run_ensemble(spec, reps=8, base_seed=5)
+        e2 = run_ensemble(spec, reps=8, base_seed=5)
         assert np.array_equal(e1.values, e2.values)
         assert e1.terminations == e2.terminations
 
     def test_default_is_50_replicates_with_derived_seeds(self):
-        spec = EnsembleSpec(channels=death_only_channels(),
-                            initial=PopulationState(1), t_end=1.0)
         grid = make_grid(1.0, 0.25)
-        ens = run_ensemble(spec, base_seed=100, grid=grid)
+        spec = EnsembleSpec(channels=death_only_channels(),
+                            initial=PopulationState(1), t_end=1.0, grid=grid)
+        ens = run_ensemble(spec, base_seed=100)
         assert len(ens) == 50 and ens.base_seed == 100
         for i, row in enumerate(ens.values):
             assert np.array_equal(row, sample_on_grid(per_event_replicate(spec, 100 + i), grid))
@@ -457,8 +460,9 @@ class TestEnsembles:
 
         def extinct_fraction(policy):
             ens = run_ensemble(
-                EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=5.0, policy=policy),
-                reps=reps, base_seed=base, grid=make_grid(5.0, 1.0),
+                EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=5.0, policy=policy,
+                             grid=make_grid(5.0, 1.0)),
+                reps=reps, base_seed=base,
             )
             return np.count_nonzero(ens.values[:, -1, 0] == 0) / reps
 
@@ -469,9 +473,9 @@ class TestEnsembles:
 
     def test_replicate_errors_carry_the_index(self):
         spec = EnsembleSpec(channels=growth_channels(GrowthLaw.gompertz(1.636, 0.002)),
-                            initial=PopulationState(1), t_end=100.0, dt=0.001)
+                            initial=PopulationState(1), t_end=100.0, dt=0.001, grid=make_grid(100.0, 1.0))
         with pytest.raises(PopulationCapError, match=r"replicate 0"):
-            run_ensemble(spec, reps=3, base_seed=7, grid=make_grid(100.0, 1.0))
+            run_ensemble(spec, reps=3, base_seed=7)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, 2.0, 1e-8])  # 1e-8: 1e8 leaps
     def test_dt_must_be_positive(self, dt):
@@ -515,26 +519,25 @@ class TestEnsembles:
         for floors, held, label in ((Floors(), 0.0, Termination.EXTINCT),
                                     (Floors(1, 0), 1.0, Termination.COMPLETED)):
             spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(3), t_end=20.0,
-                                floors=floors, dt=dt)
-            ens = run_ensemble(spec, reps=5, base_seed=1, grid=grid)
+                                floors=floors, dt=dt, grid=grid)
+            ens = run_ensemble(spec, reps=5, base_seed=1)
             assert np.all(ens.values[:, -1, 0] == held)
             assert ens.terminations == (label,) * 5
             assert per_event_replicate(spec, 1).termination is label
 
     def test_dt_selects_tau_leaping(self):
         channels, initial = kuznetsov_channels(scenario_preset(2)), PopulationState(100, 10)
-        grid = make_grid(5.0, 0.5)
-        ens = run_ensemble(EnsembleSpec(channels=channels, initial=initial, t_end=5.0, dt=0.01),
-                           reps=4, base_seed=11, grid=grid)
+        spec = EnsembleSpec(channels=channels, initial=initial, t_end=5.0, dt=0.01, grid=make_grid(5.0, 0.5))
+        ens = run_ensemble(spec, reps=4, base_seed=11)
         for i, row in enumerate(ens.values):
-            leaped = simulate_tau_leap(channels, initial, 5.0, 0.01, 11 + i, grid=grid)
-            assert np.array_equal(row, leaped.states)
-            assert not np.array_equal(row, simulate_exact(channels, initial, 5.0, 11 + i, grid=grid).states)
+            assert np.array_equal(row, simulate_tau_leap(spec, 11 + i).states)
+            assert not np.array_equal(row, simulate_exact(replace(spec, dt=None), 11 + i).states)
 
     def test_reps_must_be_positive(self):
-        spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
+        spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0,
+                            grid=make_grid(1.0, 0.5))
         with pytest.raises(ConfigError):
-            run_ensemble(spec, reps=0, base_seed=0, grid=make_grid(1.0, 0.5))
+            run_ensemble(spec, reps=0, base_seed=0)
 
     @pytest.mark.parametrize("method, dt", [("exact", None), ("tau", 0.01)])
     def test_grid_held_replicates_match_step_sampling(self, method, dt):
@@ -550,8 +553,8 @@ class TestEnsembles:
         cases.append((death_only_channels(), PopulationState(3), RatePolicy.LIVE))
         grid = make_grid(10.0, 0.5)
         for channels, initial, policy in cases:
-            spec = EnsembleSpec(channels=channels, initial=initial, t_end=10.0, policy=policy, dt=dt)
-            held = run_ensemble(spec, reps=6, base_seed=3, grid=grid)
+            spec = EnsembleSpec(channels=channels, initial=initial, t_end=10.0, policy=policy, dt=dt, grid=grid)
+            held = run_ensemble(spec, reps=6, base_seed=3)
             full = [per_event_replicate(spec, 3 + i) for i in range(6)]
             assert np.array_equal(held.grid, grid) and held.species == channels.species
             assert held.values.shape == (6, len(grid), len(channels.species))
@@ -563,14 +566,52 @@ class TestEnsembles:
         assert all(f.times[-2] < grid[-1] for f in full)
 
     def test_grid_past_the_run_is_refused(self):
-        spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
         with pytest.raises(ConfigError, match="grid"):
-            run_ensemble(spec, reps=1, base_seed=0, grid=make_grid(2.0, 0.5))
+            EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0,
+                         grid=make_grid(2.0, 0.5))
 
     def test_a_grid_is_required(self):
         spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
         with pytest.raises(ConfigError, match="grid"):
-            run_ensemble(spec, reps=1, base_seed=0, grid=None)
+            run_ensemble(spec, reps=1, base_seed=0)
+
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_run_rules_and_grid_are_checked_once_per_spec(self, monkeypatch, dt):
+        spec = EnsembleSpec(channels=linear_bd_channels(1.0, 1.0), initial=PopulationState(20), t_end=2.0,
+                            dt=dt, grid=make_grid(2.0, 0.1))
+        calls = []
+
+        def counted(check):
+            def counting(*args):
+                calls.append(check.__name__)
+                return check(*args)
+            return counting
+
+        for name in ("_check_grid", "_check_run"):
+            monkeypatch.setattr(dualsim.ssa, name, counted(getattr(dualsim.ssa, name)))
+        ens = run_ensemble(spec, reps=20, base_seed=1)
+        assert len(ens) == 20 and calls == []
+        EnsembleSpec(spec.channels, spec.initial, spec.t_end, dt=dt, grid=spec.grid)  # the counters count
+        assert calls == ["_check_run", "_check_grid"]
+
+    def test_spec_holds_a_read_only_copy_of_its_grid(self):
+        grid = make_grid(1.0, 0.25)
+        spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0,
+                            grid=grid.tolist())
+        assert spec.grid.dtype == np.float64 and np.array_equal(spec.grid, grid)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.grid[1] = 0.5
+        spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0, grid=grid)
+        grid[1] = 0.5
+        assert spec.grid[1] == 0.25
+        assert spec != replace(spec) and hash(spec) == hash(spec)  # compared by identity, never by array
+
+    def test_each_simulator_refuses_the_other_kind_of_spec(self):
+        exact = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0)
+        with pytest.raises(ConfigError, match="simulate_tau_leap"):
+            simulate_exact(replace(exact, dt=0.1), seed=0)
+        with pytest.raises(ConfigError, match="leap step dt"):
+            simulate_tau_leap(exact, seed=0)
 
     @pytest.mark.parametrize("values, terminations", [
         (np.zeros((0, 3, 1)), ()),  # no replicate
@@ -612,28 +653,26 @@ class TestGridValidation:
             if method == "sds":
                 integrate(GrowthLaw.logistic(1.0, 0.2), PopulationState(3.0), IntegratorConfig(dt=0.1, t_end=2.0),
                           grid=grid)
-            elif method == "tau":
-                simulate_tau_leap(law, PopulationState(3), t_end=2.0, dt=0.1, seed=1, grid=grid)
             else:
                 policy = RatePolicy.FROZEN_AT_BIRTH if method == "frozen" else RatePolicy.LIVE
-                simulate_exact(law, PopulationState(3), t_end=2.0, seed=1, policy=policy, grid=grid)
+                EnsembleSpec(law, PopulationState(3), t_end=2.0, policy=policy,
+                             dt=0.1 if method == "tau" else None, grid=grid)
 
     def test_lists_strided_arrays_and_the_end_tolerance_are_accepted(self):
-        law = growth_channels(GrowthLaw.logistic(1.0, 0.2))
-        expected = simulate_exact(law, PopulationState(3), t_end=2.0, seed=1,
-                                  grid=np.array([0.0, 1.0, 2.0]))
+        spec = EnsembleSpec(growth_channels(GrowthLaw.logistic(1.0, 0.2)), PopulationState(3), t_end=2.0)
+        expected = simulate_exact(replace(spec, grid=np.array([0.0, 1.0, 2.0])), seed=1)
         for grid in ([0, 1, 2], np.arange(0.0, 2.5, 0.5)[::2], np.array([0.0, 1.0, 2.0 + 1e-10])):
-            traj = simulate_exact(law, PopulationState(3), t_end=2.0, seed=1, grid=grid)
+            traj = simulate_exact(replace(spec, grid=grid), seed=1)
             assert np.array_equal(traj.states, expected.states)
             assert traj.times.dtype == np.float64 and traj.times.flags.c_contiguous
 
-    def test_event_budget_error_names_the_last_event_in_grid_mode(self):
-        cs = linear_bd_channels(2.0, 1.0)
+    def test_event_budget_error_names_the_last_event_in_grid_mode(self, monkeypatch):
+        monkeypatch.setattr(dualsim.ssa, "DEFAULT_MAX_EVENTS", 1000)
         messages = []
         for grid in (None, make_grid(50.0, 1.0)):
-            with pytest.raises(EngineError, match="event budget") as info:
-                simulate_exact(cs, PopulationState(100), t_end=50.0, seed=3, max_events=1000,
-                               grid=grid)
+            spec = EnsembleSpec(linear_bd_channels(2.0, 1.0), PopulationState(100), t_end=50.0, grid=grid)
+            with pytest.raises(EngineError, match="event budget of 1000 exhausted") as info:
+                simulate_exact(spec, seed=3)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert re.search(r" at t=\S+ with population \d+;", messages[1])
@@ -644,9 +683,9 @@ class TestScenarioDiscreteness:
     def test_scenario1_discrete_runs_reach_exact_zero(self):
         # the deterministic tumour only decays asymptotically; the discrete
         # process hits zero and stays there, event by event
-        cs = kuznetsov_channels(scenario_preset(1))
+        spec = EnsembleSpec(kuznetsov_channels(scenario_preset(1)), PopulationState(100, 10), t_end=100.0)
         for seed in range(300, 320):
-            rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
+            rep = simulate_exact(spec, seed)
             T = rep.states[:, 0]
             assert T[-1] == 0.0
             zeros = np.where(T == 0)[0]
@@ -654,10 +693,10 @@ class TestScenarioDiscreteness:
 
     def test_scenario4_effector_extinction_is_absorbing_without_influx(self):
         # s = 0: once the effectors are gone nothing can replenish them
-        cs = kuznetsov_channels(scenario_preset(4))
+        spec = EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), t_end=100.0)
         saw_extinct = 0
         for seed in range(55, 75):
-            rep = simulate_exact(cs, PopulationState(100, 10), t_end=100.0, seed=seed)
+            rep = simulate_exact(spec, seed)
             E = rep.states[:, 1]
             zeros = np.where(E == 0)[0]
             if zeros.size:
@@ -666,6 +705,5 @@ class TestScenarioDiscreteness:
         assert saw_extinct > 0
 
     def test_initial_state_beyond_cap_is_refused(self):
-        cs = kuznetsov_channels(scenario_preset(4))
         with pytest.raises(PopulationCapError):
-            simulate_exact(cs, PopulationState(2e12, 1), t_end=1.0, seed=0)
+            EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(2e12, 1), t_end=1.0)

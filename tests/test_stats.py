@@ -161,9 +161,9 @@ def held_ensemble(grid, rows, species=("tumour",)):
                     terminations=(Termination.COMPLETED,) * len(rows), base_seed=0)
 
 
-def kuznetsov_spec(t_end):
+def kuznetsov_spec(t_end, grid=None):
     return EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
-                        initial=PopulationState(100, 10), t_end=t_end)
+                        initial=PopulationState(100, 10), t_end=t_end, grid=grid)
 
 
 class TestEnsembleMean:
@@ -188,23 +188,21 @@ class TestEnsembleMean:
     def test_equals_moments_of_step_sampled_replicates(self):
         # numpy's moments of the held values, bit for bit, and those values
         # are the per-event replicates step-sampled on the grid
-        spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
-                            initial=PopulationState(100, 10), t_end=2.0)
         grid = make_grid(2.0, 0.25)
-        ens = run_ensemble(spec, reps=5, base_seed=3, grid=grid)
+        ens = run_ensemble(kuznetsov_spec(2.0, grid), reps=5, base_seed=3)
         mean, var = ensemble_mean(ens)
         assert np.array_equal(mean, ens.values.mean(axis=0))
         assert np.array_equal(var, ens.values.var(axis=0, ddof=1))
         assert mean.shape == var.shape == (len(grid), 2)
         stack = np.stack([
-            sample_on_grid(simulate_exact(spec.channels, spec.initial, 2.0, seed=3 + i), grid)
+            sample_on_grid(simulate_exact(kuznetsov_spec(2.0), seed=3 + i), grid)
             for i in range(5)
         ])
         assert np.array_equal(ens.values, stack)
 
     @pytest.mark.parametrize("grid", [[0.0, 0.5, 2.0], [0.0]], ids=["non-uniform", "one-point"])
     def test_any_grid_run_ensemble_accepts(self, grid):
-        ens = run_ensemble(kuznetsov_spec(t_end=2.0), reps=3, base_seed=1, grid=grid)
+        ens = run_ensemble(kuznetsov_spec(2.0, grid), reps=3, base_seed=1)
         mean, var = ensemble_mean(ens)
         assert mean.shape == var.shape == (len(grid), 2)
         assert np.array_equal(mean, ens.values.mean(axis=0))
@@ -341,8 +339,9 @@ class TestCompare:
         sds_traj = integrate(law, PopulationState(5.0),
                              IntegratorConfig(dt=0.01, t_end=10.0), grid=make_grid(10.0, 0.1))
         idle = ChannelSet(table=((R_CONST, 0.0, 0.0, 0.0, 1, 0),), species=("tumour",))
-        ens = run_ensemble(EnsembleSpec(channels=idle, initial=PopulationState(5), t_end=10.0),
-                           reps=5, base_seed=0, grid=make_grid(10.0, 1.0))
+        ens = run_ensemble(EnsembleSpec(channels=idle, initial=PopulationState(5), t_end=10.0,
+                                        grid=make_grid(10.0, 1.0)),
+                           reps=5, base_seed=0)
         report = compare(sds_traj, ens)
         assert report.populations["tumour"].wilcoxon.h == 0
         assert report.populations["tumour"].wilcoxon.p >= 0.99
@@ -353,8 +352,9 @@ class TestCompare:
                              IntegratorConfig(dt=0.01, t_end=20.0), grid=make_grid(20.0, 0.1))
         grid = make_grid(20.0, 1.0)
         ens = run_ensemble(
-            EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(100, 10), t_end=20.0),
-            reps=5, base_seed=9, grid=grid,
+            EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(100, 10), t_end=20.0,
+                         grid=grid),
+            reps=5, base_seed=9,
         )
         report = compare(sds_traj, ens, alpha=0.05, metadata={"scenario": 1})
         assert report.grid is ens.grid
@@ -374,8 +374,9 @@ class TestCompare:
                              IntegratorConfig(dt=0.01, t_end=5.0), grid=make_grid(5.0, 0.5))
         params = scenario_preset(1)
         ens = run_ensemble(
-            EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(5, 1), t_end=5.0),
-            reps=2, base_seed=0, grid=make_grid(5.0, 1.0),
+            EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(5, 1), t_end=5.0,
+                         grid=make_grid(5.0, 1.0)),
+            reps=2, base_seed=0,
         )
         with pytest.raises(ConfigError):
             compare(sds_traj, ens)
@@ -384,13 +385,13 @@ class TestCompare:
     def test_requires_uniform_grid(self, grid):
         sds_traj = integrate(scenario_preset(4), PopulationState(100.0, 10.0),
                              IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.1))
-        ens = run_ensemble(kuznetsov_spec(t_end=3.0), reps=3, base_seed=1, grid=grid)
+        ens = run_ensemble(kuznetsov_spec(3.0, grid), reps=3, base_seed=1)
         with pytest.raises(ConfigError, match="uniform grid of at least 2 points"):
             compare(sds_traj, ens)
 
     def test_requires_two_grid_points(self):
         sds_traj = integrate(scenario_preset(4), PopulationState(100.0, 10.0),
                              IntegratorConfig(dt=0.01, t_end=2.0), grid=make_grid(2.0, 0.1))
-        ens = run_ensemble(kuznetsov_spec(t_end=2.0), reps=3, base_seed=1, grid=[0.0])
+        ens = run_ensemble(kuznetsov_spec(2.0, [0.0]), reps=3, base_seed=1)
         with pytest.raises(ConfigError, match="uniform grid of at least 2 points"):
             compare(sds_traj, ens)
