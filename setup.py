@@ -11,7 +11,9 @@ setup(
         Extension(
             "dualsim.kernels._ckernels",
             ["src/dualsim/kernels/_ckernels.c"],
-            extra_compile_args=["-O3"],
+            # no fused multiply-adds: the pure-Python kernels round every
+            # operation, and both backends must return the same bytes
+            extra_compile_args=["-O3", "-ffp-contract=off"],
             optional=True,
         )
     ]

@@ -6,8 +6,8 @@ grid, the integrator settings and the ensemble spec, so a refused config gets
 the library's own message.  The CLI itself checks only its fields, their
 types and enumerations, and which fields each model takes.  Every run writes
 a manifest recording all resolved inputs, the seeds and the kernel backend;
-re-running from a manifest on the same backend reproduces the output files
-byte for byte.
+re-running from a manifest reproduces the output files byte for byte on
+either backend, the manifest's ``backend`` field aside.
 
 Exit codes: 0 success, 2 configuration error (a grid too large to hold
 included), 3 engine error (running out of memory included), 4 I/O error.

@@ -4,11 +4,10 @@ The compiled extension (``_ckernels``, built by ``setup.py`` from the
 hand-written C99 source ``_ckernels.c``) and the pure-Python module
 (``_pykernels``) implement the five entry points below to the one contract
 written here; each backend's own docstring adds only its RNG and build
-notes.  Which backend runs is decided once, at import time.  The extension
-is optional: a build without a C compiler skips it and the package runs on
-the pure-Python kernels.  Set the environment variable ``DUALSIM_FORCE_PURE``
-to any non-empty value to run the pure kernels in a tree where the extension
-is built, for example to re-run a manifest that the pure backend wrote.
+notes.  Which backend runs is decided once, at import time: ``c`` when the
+extension imports, else ``pure-python``.  The extension is optional: a build
+without a C compiler skips it and the package runs on the pure-Python
+kernels, which return the same rows.
 
 Entry points.  Every argument is positional only; a keyword call raises
 TypeError::
@@ -77,26 +76,22 @@ t column gives each held sample's time: the per-event rows indexed by
 instead of per event.  Grid points past the last sample hold the last
 sample, so the last row always names the last event.
 
-Seeds.  Both backends mask the seed to its low 64 bits, so seeds s and
-s + 2**64 give one stream and s and -s two.  Per-seed reproducibility holds
-within a backend, not across the two: they draw from different generators.
+Seeds.  Both backends draw one stream: SFC64 (as numpy's ``SFC64`` steps
+it) from four splitmix64 outputs of the seed masked to its low 64 bits, each
+64-bit word ``x`` giving the uniform ``(x >> 11) * 2**-53``.  Seeds s and
+s + 2**64 therefore give one stream and s and -s two.  Every kernel draws
+the same uniforms in the same order with the same scalar libm arithmetic, so
+a seed gives the same rows and status on either backend.
 """
 
-import os
+try:
+    from . import _ckernels as backend
 
-if os.environ.get("DUALSIM_FORCE_PURE"):
-    from . import _pykernels as backend
+    BACKEND_NAME = "c"
+except ImportError:
+    from . import _pykernels as backend  # type: ignore[no-redef]
 
-    BACKEND_NAME = "pure-python (forced)"
-else:
-    try:
-        from . import _ckernels as backend  # type: ignore[no-redef]
-
-        BACKEND_NAME = "c"
-    except ImportError:
-        from . import _pykernels as backend  # type: ignore[no-redef]
-
-        BACKEND_NAME = "pure-python"
+    BACKEND_NAME = "pure-python"
 
 rk4_growth = backend.rk4_growth
 rk4_kuznetsov = backend.rk4_kuznetsov

@@ -8,11 +8,12 @@
  *
  * - result rows view one ``bytearray``, built by ``rec_finish``; it and
  *   ``rec_push`` alone know whether a run records per event or on a grid;
- * - randomness comes from xoshiro256** seeded by splitmix64 from the seed
- *   masked to 64 bits, so event streams are reproducible per seed but
- *   differ from the pure backend's streams;
- * - keep the arithmetic as written and build without -ffast-math: outputs
- *   are pinned byte for byte per seed.
+ * - ``rng_next`` steps the SFC64 state that ``rng_seed`` fills with
+ *   splitmix64 outputs: the stream ``_pykernels._rng`` draws through numpy,
+ *   so both backends return the same rows for a seed;
+ * - keep the arithmetic as written and build without -ffast-math or fused
+ *   multiply-adds (setup.py passes -ffp-contract=off): outputs are pinned
+ *   byte for byte per seed, and equal the pure backend's.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -30,7 +31,7 @@
 #define MAX_HALVINGS 40
 #define MAX_CHANNELS 16
 
-/* ---- RNG: splitmix64 -> xoshiro256** ----------------------------------- */
+/* ---- RNG: splitmix64 -> SFC64 ------------------------------------------ */
 
 typedef struct {
     uint64_t s[4];
@@ -38,7 +39,7 @@ typedef struct {
 
 static inline uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-/* splitmix64 from the seed masked to 64 bits */
+/* four splitmix64 outputs of the seed masked to 64 bits */
 static int rng_seed(Rng *r, PyObject *seed)
 {
     uint64_t st = PyLong_AsUnsignedLongLongMask(seed);
@@ -53,18 +54,15 @@ static int rng_seed(Rng *r, PyObject *seed)
     return 0;
 }
 
+/* one SFC64 step, laid out as numpy's SFC64 steps it: s[3] is the counter */
 static inline uint64_t rng_next(Rng *r)
 {
     uint64_t *s = r->s;
-    uint64_t result = rotl(s[1] * 5, 7) * 9;
-    uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
+    uint64_t tmp = s[0] + s[1] + s[3]++;
+    s[0] = s[1] ^ (s[1] >> 11);
+    s[1] = s[2] + (s[2] << 3);
+    s[2] = rotl(s[2], 24) + tmp;
+    return tmp;
 }
 
 /* uniform on [0, 1) with 53 random bits */

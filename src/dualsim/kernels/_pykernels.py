@@ -7,13 +7,11 @@ in the docstring of the ``dualsim.kernels`` package.  What is particular to
 this backend:
 
 - it backs the package when the extension was not built (no C compiler at
-  install time) or when DUALSIM_FORCE_PURE is set;
+  install time);
 - result rows view one ``array('d')``, built by ``_recorder``, which alone
   knows whether a run records per event or on a grid;
-- randomness comes from ``random.Random`` (CPython's MT19937), one generator
-  per run, seeded by ``_rng`` with the seed masked to 64 bits and drawn as
-  (waiting time, channel selection) per event, so event streams are
-  reproducible per seed but differ from the compiled backend's streams;
+- ``_rng`` draws the package's one stream from numpy's ``SFC64``, so both
+  backends return the same rows for a seed;
 - the loops are written for speed under CPython: bound locals, flat floats,
   no per-event allocation beyond the output samples.
 """
@@ -22,9 +20,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain
 from numbers import Real
 from operator import index
-from random import Random
+
+import numpy as np
 
 _INF = math.inf
 
@@ -240,9 +240,22 @@ def _rates(table, T, E, floor_t, floor_e, rates):
 # ---------------------------------------------------------------------------
 
 def _rng(seed):
-    """The run's generator, seeded with the seed's low 64 bits: the twin of
-    the compiled backend's ``PyLong_AsUnsignedLongLongMask``."""
-    return Random(index(seed) & 0xFFFF_FFFF_FFFF_FFFF)
+    """The run's uniform draws, twin of the compiled ``rng_seed`` and
+    ``rng_uniform``, served in blocks of 4096.  Raw words, not ``Generator``
+    draws: numpy keeps a bit generator's raw stream stable across versions."""
+    mask = 2**64 - 1
+    st = index(seed) & mask
+    words = []
+    for _ in range(4):
+        st = (st + 0x9E3779B97F4A7C15) & mask
+        z = ((st ^ (st >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    bits = np.random.SFC64()
+    bits.state = {"bit_generator": "SFC64", "state": {"state": np.array(words, dtype=np.uint64)},
+                  "has_uint32": 0, "uinteger": 0}
+    blocks = iter(lambda: ((bits.random_raw(4096) >> 11) * 2.0**-53).tolist(), None)
+    return chain.from_iterable(blocks).__next__
 
 
 def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None, /):
@@ -253,8 +266,7 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
     held on ``grid``.
     """
     table = _table(table)
-    rng = _rng(seed)
-    rr = rng.random
+    rr = _rng(seed)
     log = math.log
     nch = len(table)
     rates = [0.0] * nch
@@ -309,8 +321,7 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
     (_, a, ea, _, _, _), (death_code, b, eb, _, _, _) = rows
     tlogt = death_code == 2
     eb -= 1.0  # the per-capita exponent of a power-law death row
-    rng = _rng(seed)
-    rr = rng.random
+    rr = _rng(seed)
     log = math.log
     T = float(T0)
     crates: list[float] = []
@@ -353,9 +364,9 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
                 acc += crates[i] * ccounts[i]
                 if u < acc:
                     ccounts[i] -= 1.0
-                    if ccounts[i] <= 0.0:
-                        del ccounts[i]
-                        del crates[i]
+                    if ccounts[i] <= 0.0:  # the last cohort takes the slot, as in C
+                        crates[i], ccounts[i] = crates[-1], ccounts[-1]
+                        del crates[-1], ccounts[-1]
                     break
             T -= 1.0
         nev += 1
@@ -370,19 +381,19 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
 # approximate stochastic simulation (Poisson tau-leaping)
 # ---------------------------------------------------------------------------
 
-def _poisson(rng: Random, lam: float) -> int:
+def _poisson(rr, lam: float) -> int:
     # Knuth's product method for small means, a rounded normal beyond; the
     # large-mean branch only matters for blow-up detection, not statistics.
     if lam < 30.0:
         L = math.exp(-lam)
         k = 0
-        prod = rng.random()
+        prod = rr()
         while prod > L:
             k += 1
-            prod *= rng.random()
+            prod *= rr()
         return k
-    u1 = 1.0 - rng.random()
-    u2 = rng.random()
+    u1 = 1.0 - rr()
+    u2 = rr()
     z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
     k = int(math.floor(lam + math.sqrt(lam) * z + 0.5))
     return k if k > 0 else 0
@@ -393,7 +404,7 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
     deltas apply simultaneously, components below their floor clamp to it.
     Returns (rows, status), (t, T, E) rows per leap or held on ``grid``."""
     table = _table(table)
-    rng = _rng(seed)
+    rr = _rng(seed)
     nch = len(table)
     rates = [0.0] * nch
     T = float(T0)
@@ -411,7 +422,7 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
         for r, row in zip(rates, table):
             lam = r * h
             if lam > 0.0:
-                k = _poisson(rng, lam)
+                k = _poisson(rr, lam)
                 if k:
                     nT += row[4] * k
                     nE += row[5] * k

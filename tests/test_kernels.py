@@ -8,8 +8,8 @@ import pytest
 from dualsim import kernels
 from dualsim.errors import EngineError, PopulationCapError
 from dualsim.kernels import _pykernels as pure
-from dualsim.models import PopulationState
-from dualsim.ssa import ChannelSet, EnsembleSpec, simulate_exact
+from dualsim.models import PopulationState, experiment_one_law, scenario_preset
+from dualsim.ssa import ChannelSet, EnsembleSpec, growth_channels, kuznetsov_channels, simulate_exact
 from dualsim.stats import make_grid
 
 try:
@@ -94,23 +94,6 @@ class TestRk4Parity:
 
 
 class TestStochasticAgreement:
-    # different RNGs, so agreement is distributional, not per-event
-
-    @needs_compiled
-    def test_ssa_linear_birth_death_means(self):
-        def mean_final(mod, base):
-            finals = []
-            for i in range(400):
-                _, Ts, _, st = columns(mod.ssa(birth_death(2.0, 1.0), 100, 0, 0.5,
-                                               base + i, 0, 0, 1e12, 10**7))
-                assert st in (0, 2)
-                finals.append(Ts[-1])
-            return np.mean(finals), np.std(finals, ddof=1) / math.sqrt(len(finals))
-
-        mp, sep = mean_final(pure, 10_000)
-        mc, sec = mean_final(compiled, 20_000)
-        assert abs(mp - mc) <= 3 * math.hypot(sep, sec)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_frozen_equals_live_within_each_backend(self, backend):
         mod = BACKENDS[backend]
@@ -142,32 +125,101 @@ class TestStochasticAgreement:
         assert list(a[1]) == list(b[1])
 
 
-@needs_compiled
-class TestCompiledStream:
-    """The compiled stream for seed 7, pinned exactly: splitmix64-seeded
-    xoshiro256** and the kernels' arithmetic may not drift."""
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestStream:
+    """The stream for seed 7, pinned exactly on each backend: splitmix64-seeded
+    SFC64 and the kernels' arithmetic may not drift."""
 
-    def test_ssa(self):
-        times, Ts, Es, status = columns(compiled.ssa(S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8))
-        assert status == 0 and len(times) == len(Ts) == len(Es) == 135096
-        assert list(times[:5]) == [0.0, 0.0009944854580088024, 0.002519382300010754,
-                                   0.006471770756564635, 0.006525084672740699]
-        assert list(Ts[:5]) == [100.0, 99.0, 98.0, 97.0, 98.0]
+    def test_ssa(self, backend):
+        times, Ts, Es, status = columns(BACKENDS[backend].ssa(S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8))
+        assert status == 0 and len(times) == len(Ts) == len(Es) == 143627
+        assert list(times[:5]) == [0.0, 0.0037613868041213223, 0.0038691557143538933,
+                                   0.00443785331694579, 0.004477583193434199]
+        assert list(Ts[:5]) == [100.0, 99.0, 98.0, 97.0, 96.0]
         assert list(Es[:5]) == [10.0, 10.0, 10.0, 10.0, 10.0]
 
-    def test_ssa_frozen(self):
-        times, Ts, _, status = columns(compiled.ssa_frozen(birth_death(0.7, 0.9), 5, 15.0, 7, 0, 1e12, 10**7))
-        assert status == 2 and len(times) == len(Ts) == 29
-        assert list(times[:5]) == [0.0, 0.1507370325309312, 0.3413886790844172,
-                                   0.9282793541946261, 0.9380724492764064]
-        assert list(Ts[:5]) == [5.0, 6.0, 5.0, 4.0, 5.0]
+    def test_ssa_frozen(self, backend):
+        times, Ts, _, status = columns(BACKENDS[backend].ssa_frozen(birth_death(0.7, 0.9), 5, 15.0, 7, 0,
+                                                                    1e12, 10**7))
+        assert status == 2 and len(times) == len(Ts) == 11
+        assert list(times[:5]) == [0.0, 0.5701242592219309, 0.59033512163949,
+                                   0.6747811024907058, 0.6820789805297804]
+        assert list(Ts[:5]) == [5.0, 4.0, 5.0, 4.0, 3.0]
 
-    def test_tau_leap(self):
-        times, Ts, Es, status = columns(compiled.tau_leap(S4_TABLE, 100, 10, 100.0, 0.01, 7, 1, 0, 1e12))
+    def test_tau_leap(self, backend):
+        times, Ts, Es, status = columns(BACKENDS[backend].tau_leap(S4_TABLE, 100, 10, 100.0, 0.01, 7, 1, 0,
+                                                                   1e12))
         assert status == 0 and len(times) == len(Ts) == len(Es) == 10001
         assert list(times[:5]) == [0.0, 0.01, 0.02, 0.03, 0.04]
-        assert list(Ts[:5]) == [100.0, 88.0, 84.0, 77.0, 69.0]
-        assert list(Es[:5]) == [10.0, 10.0, 9.0, 9.0, 10.0]
+        assert list(Ts[:5]) == [100.0, 96.0, 87.0, 75.0, 70.0]
+        assert list(Es[:5]) == [10.0, 9.0, 9.0, 9.0, 10.0]
+
+
+def splitmix64(seed, n):
+    """``n`` outputs of splitmix64 from ``seed`` (Steele, Lea & Flood 2014)."""
+    mask = 2**64 - 1
+    out = []
+    for _ in range(n):
+        seed = (seed + 0x9E3779B97F4A7C15) & mask
+        z = ((seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_splitmix64_matches_its_reference_output():
+    assert splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_draws_are_numpy_sfc64_words_from_the_splitmix64_state(seed):
+    """The pure ``_rng`` is numpy's SFC64 raw stream from four splitmix64
+    words, each word x drawn as (x >> 11) * 2**-53: the compiled
+    ``rng_seed``, ``rng_next`` and ``rng_uniform``.  The draws span two of
+    its blocks."""
+    bits = np.random.SFC64()
+    bits.state = {"bit_generator": "SFC64", "state": {"state": np.array(splitmix64(seed, 4), dtype=np.uint64)},
+                  "has_uint32": 0, "uinteger": 0}
+    words = bits.random_raw(5000)
+    draw = pure._rng(seed)
+    assert [draw() for _ in range(5000)] == [(int(x) >> 11) * 2.0**-53 for x in words]
+
+
+def parity_cases():
+    """(kernel, arguments) of the exact-parity matrix."""
+    grid = make_grid(10.0, 0.1)
+    for scenario in (1, 2, 3, 4):
+        table = kuznetsov_channels(scenario_preset(scenario)).table
+        for floors in ((0, 0), (1, 0), (1, 1)):
+            for seed in (1, 2, 3):
+                yield "ssa", (table, 100, 10, 10.0, seed, *floors, 1e12, 10**8)
+                yield "ssa", (table, 100, 10, 10.0, seed, *floors, 1e12, 10**8, grid)
+                yield "tau_leap", (table, 100, 10, 10.0, 0.01, seed, *floors, 1e12)
+    # means of 30 and more take the rounded-normal branch of the Poisson sampler
+    yield "tau_leap", (birth_death(50.0, 40.0), 100, 0, 1.0, 0.1, 3, 0, 0, 1e12)
+    for kind in ("logistic", "gompertz", "bertalanffy"):
+        for c in (5, 2.5, 1.7, 1.25):
+            table = growth_channels(experiment_one_law(kind, c)).table
+            for seed in (1, 2, 3):
+                # von Bertalanffy blows up, so its runs stop on the event budget
+                yield "ssa", (table, 1, 0, 20.0, seed, 0, 0, 1e12, 2000)
+                if kind != "bertalanffy":
+                    yield "ssa_frozen", (table, 1, 20.0, seed, 0, 1e12, 10**6)
+                    yield "ssa_frozen", (table, 1, 20.0, seed, 0, 1e12, 20)
+
+
+@needs_compiled
+def test_every_kernel_returns_the_same_rows_on_both_backends():
+    """One stream and one arithmetic: the same seed gives the same bytes and
+    status on either backend."""
+    statuses = set()
+    for kernel, args in parity_cases():
+        rows_p, status_p = getattr(pure, kernel)(*args)
+        rows_c, status_c = getattr(compiled, kernel)(*args)
+        assert status_p == status_c, (kernel, args[1:])
+        assert np.asarray(rows_p).tobytes() == np.asarray(rows_c).tobytes(), (kernel, args[1:])
+        statuses.add(status_c)
+    assert statuses == {0, 2, 4}
 
 
 # one short run of each kernel, by name
