@@ -22,7 +22,7 @@ from .errors import (
 )
 from .kernels import BACKEND_NAME
 from .models import (
-    GrowthKind,
+    GROWTH_LAWS,
     GrowthLaw,
     KuznetsovParams,
     PopulationState,

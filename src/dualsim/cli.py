@@ -9,8 +9,9 @@ a manifest recording all resolved inputs, the seeds and the kernel backend;
 re-running from a manifest reproduces the output files byte for byte on
 either backend, the manifest's ``backend`` field aside.
 
-Exit codes: 0 success, 2 configuration error (a grid too large to hold
-included), 3 engine error (running out of memory included), 4 I/O error.
+Exit codes: 0 success, 2 configuration error (a grid or a replicate count
+too large to hold included), 3 engine error (running out of memory
+included), 4 I/O error.
 Nothing is written on a nonzero exit except diagnostics on stderr.
 """
 
@@ -31,6 +32,7 @@ import numpy as np
 from . import kernels, stats
 from .errors import ConfigError, EngineError, ModelDomainError, UnknownScenarioError
 from .models import (
+    GROWTH_LAWS,
     GrowthLaw,
     KuznetsovParams,
     PopulationState,
@@ -53,7 +55,7 @@ from .trajectory import Trajectory
 
 __all__ = ["RunSpec", "parse_config", "cmd_run", "cmd_compare", "main"]
 
-_MODELS = ("logistic", "bertalanffy", "gompertz", "kuznetsov")
+_MODELS = (*GROWTH_LAWS, "kuznetsov")
 _PARADIGMS = ("sds", "abs", "both")
 _METHODS = ("exact", "tau")
 _POLICIES = tuple(policy.value for policy in RatePolicy)
@@ -124,7 +126,7 @@ def _validate_raw(raw: dict) -> RunSpec:
 
     model = vals.get("model")
     if model is None:
-        raise ConfigError("model: required (one of logistic, bertalanffy, gompertz, kuznetsov)")
+        raise ConfigError(f"model: required (one of {', '.join(_MODELS)})")
     if model not in _MODELS:
         raise ConfigError(f"model: must be one of {_MODELS}, got {model!r}")
 
@@ -198,13 +200,7 @@ def parse_config(text: str) -> RunSpec:
 def _build_model(spec: RunSpec) -> GrowthLaw | KuznetsovParams:
     if spec.model == "kuznetsov":
         return scenario_preset(spec.scenario)
-    if spec.c is not None:
-        return experiment_one_law(spec.model, spec.c)
-    if spec.model == "logistic":
-        return GrowthLaw.logistic(spec.a, spec.b)
-    if spec.model == "bertalanffy":
-        return GrowthLaw.von_bertalanffy(spec.a, spec.b)
-    return GrowthLaw.gompertz(spec.a, spec.b)
+    return GrowthLaw(spec.model, spec.a, spec.b) if spec.c is None else experiment_one_law(spec.model, spec.c)
 
 
 def _plan(spec: RunSpec) -> tuple:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Real
 from operator import index
 
@@ -241,7 +241,8 @@ def _rates(table, T, E, floor_t, floor_e, rates):
 
 def _rng(seed):
     """The run's uniform draws, twin of the compiled ``rng_seed`` and
-    ``rng_uniform``, served in blocks of 4096.  Raw words, not ``Generator``
+    ``rng_uniform``, served in blocks that grow from 64 words to 4096, so
+    that a run of few draws converts few.  Raw words, not ``Generator``
     draws: numpy keeps a bit generator's raw stream stable across versions."""
     mask = 2**64 - 1
     st = index(seed) & mask
@@ -254,7 +255,7 @@ def _rng(seed):
     bits = np.random.SFC64()
     bits.state = {"bit_generator": "SFC64", "state": {"state": np.array(words, dtype=np.uint64)},
                   "has_uint32": 0, "uinteger": 0}
-    blocks = iter(lambda: ((bits.random_raw(4096) >> 11) * 2.0**-53).tolist(), None)
+    blocks = (((bits.random_raw(n) >> 11) * 2.0**-53).tolist() for n in chain((64, 256, 1024), repeat(4096)))
     return chain.from_iterable(blocks).__next__
 
 

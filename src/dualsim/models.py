@@ -2,10 +2,12 @@
 
 Two model families are supported:
 
-* one-equation tumour growth laws, dT/dt = T * (p(T) - d(T)), where the
-  per-capita proliferation and death terms are power laws p(T) = a*T**alpha,
-  d(T) = b*T**beta (logistic: alpha=0, beta=1; von Bertalanffy: alpha=1/3,
-  beta=0) or the Gompertz pair p(T) = a, d(T) = b*ln(T);
+* the three one-equation tumour growth laws of ``GROWTH_LAWS``,
+  dT/dt = T * (p(T) - d(T)).  Logistic and von Bertalanffy take per-capita
+  power laws p(T) = a*T**alpha, d(T) = b*T**beta with fixed exponents
+  (alpha, beta) = (0, 1) and (1/3, 0); Gompertz takes p(T) = a,
+  d(T) = b*ln(T).  A law is its name and the two rates, ``GrowthLaw(kind,
+  a, b)``;
 
 * the Kuznetsov tumour-effector system,
       dT/dt = a*T*(1 - b*T) - n*T*E
@@ -20,81 +22,58 @@ table each model compiles to (``ssa.growth_channels``,
 table, and the ODE is its drift, dX/dt = sum_k delta_k * r_k(X).  The RK4
 kernels carry the drift of each model as a hand-written derivative for
 speed; tests tie each backend's derivatives to the table.  A stochastic
-model needs no kernel code: any table of the six rate laws runs.
+model needs no kernel code: any table of the six rate laws runs, a power
+law with other exponents among them.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .errors import ModelDomainError, UnknownScenarioError
 
 __all__ = [
-    "GrowthKind",
+    "GROWTH_LAWS",
     "GrowthLaw",
     "KuznetsovParams",
     "PopulationState",
-    "VON_BERTALANFFY_ALPHA",
     "scenario_preset",
     "experiment_one_law",
 ]
 
-VON_BERTALANFFY_ALPHA = 1.0 / 3.0
-
-
-class GrowthKind(enum.Enum):
-    POWER_LAW = "power-law"
-    GOMPERTZ = "gompertz"
+#: The one-equation laws by name: each power law's per-capita exponents
+#: (alpha, beta); Gompertz has none.
+GROWTH_LAWS = {"logistic": (0.0, 1.0), "bertalanffy": (1.0 / 3.0, 0.0), "gompertz": None}
 
 
 @dataclass(frozen=True)
 class GrowthLaw:
-    """A one-equation tumour growth rule.
+    """A one-equation tumour growth law: its ``kind`` (a name in
+    ``GROWTH_LAWS``) and its rates ``a`` and ``b``, finite and > 0.
 
-    For POWER_LAW the per-capita rates are p(T) = a*T**alpha and
-    d(T) = b*T**beta.  For GOMPERTZ they are p(T) = a and d(T) = b*ln(T);
-    alpha and beta are ignored.
+    The power laws have per-capita rates p(T) = a*T**alpha and
+    d(T) = b*T**beta, with the kind's ``exponents`` (alpha, beta), and need
+    b < a so that growth is possible.  Gompertz has p(T) = a and
+    d(T) = b*ln(T), and takes any positive pair.
     """
 
-    kind: GrowthKind
+    kind: str
     a: float
     b: float
-    alpha: float = 0.0
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "alpha", "beta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ModelDomainError(f"GrowthLaw.{name} must be finite, got {v!r}")
-        if self.a <= 0 or self.b <= 0:
-            raise ModelDomainError(f"GrowthLaw requires a > 0 and b > 0, got a={self.a}, b={self.b}")
-        if self.kind is GrowthKind.POWER_LAW and (self.alpha < 0 or self.beta < 0):
-            raise ModelDomainError("power-law exponents must be >= 0")
+        if self.kind not in GROWTH_LAWS:
+            raise ModelDomainError(f"unknown growth-law kind {self.kind!r}; valid kinds are {list(GROWTH_LAWS)}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a > 0 and self.b > 0):
+            raise ModelDomainError(f"GrowthLaw requires finite a > 0 and b > 0, got a={self.a!r}, b={self.b!r}")
+        if self.exponents is not None and not self.b < self.a:
+            raise ModelDomainError(f"the {self.kind} law requires 0 < b < a, got a={self.a}, b={self.b}")
 
-    @classmethod
-    def logistic(cls, a: float, b: float) -> "GrowthLaw":
-        """Logistic law: alpha=0, beta=1. Requires b < a so growth is possible."""
-        _require_growth(a, b, "logistic")
-        return cls(GrowthKind.POWER_LAW, a, b, alpha=0.0, beta=1.0)
-
-    @classmethod
-    def von_bertalanffy(cls, a: float, b: float) -> "GrowthLaw":
-        """Von Bertalanffy law: alpha=1/3, beta=0. Requires b < a."""
-        _require_growth(a, b, "von Bertalanffy")
-        return cls(GrowthKind.POWER_LAW, a, b, alpha=VON_BERTALANFFY_ALPHA, beta=0.0)
-
-    @classmethod
-    def gompertz(cls, a: float, b: float) -> "GrowthLaw":
-        """Gompertz law: p = a, d = b*ln(T). Only a, b > 0 is enforced."""
-        return cls(GrowthKind.GOMPERTZ, a, b)
-
-
-def _require_growth(a: float, b: float, label: str) -> None:
-    if not (0 < b < a):
-        raise ModelDomainError(f"{label} preset requires 0 < b < a, got a={a}, b={b}")
+    @property
+    def exponents(self) -> tuple[float, float] | None:
+        """The per-capita exponents (alpha, beta) of a power law; None for Gompertz."""
+        return GROWTH_LAWS[self.kind]
 
 
 @dataclass(frozen=True)
@@ -166,16 +145,9 @@ def scenario_preset(scenario: int) -> KuznetsovParams:
 def experiment_one_law(kind: str, c: float) -> GrowthLaw:
     """Growth law for the ratio sweep: a = 1 and b = 1/c, with c = a/b > 1.
 
-    ``kind`` is one of "logistic", "bertalanffy", "gompertz".  The sweep uses
-    c in {5, 2.5, 1.7, 1.25}, but any c > 1 is accepted.
+    ``kind`` is a name in ``GROWTH_LAWS``.  The sweep uses c in
+    {5, 2.5, 1.7, 1.25}, but any c > 1 is accepted.
     """
     if not math.isfinite(c) or c <= 1.0:
         raise ModelDomainError(f"ratio c must be > 1 (b < a is needed for growth), got {c!r}")
-    a, b = 1.0, 1.0 / c
-    if kind == "logistic":
-        return GrowthLaw.logistic(a, b)
-    if kind == "bertalanffy":
-        return GrowthLaw.von_bertalanffy(a, b)
-    if kind == "gompertz":
-        return GrowthLaw.gompertz(a, b)
-    raise ModelDomainError(f"unknown growth-law kind {kind!r}")
+    return GrowthLaw(kind, 1.0, 1.0 / c)

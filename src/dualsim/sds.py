@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, EngineError
-from .models import GrowthKind, GrowthLaw, KuznetsovParams, PopulationState
+from .models import GrowthLaw, KuznetsovParams, PopulationState
 from .ssa import DEFAULT_MAX_EVENTS, _check_grid
 from .trajectory import Paradigm, Termination, Trajectory
 
@@ -72,11 +72,11 @@ def integrate(
     if isinstance(model, GrowthLaw):
         if initial.E is not None:
             raise ConfigError("one-equation models take a tumour-only initial state (E must be None)")
-        if model.kind is GrowthKind.GOMPERTZ and initial.T <= 0:
+        if model.exponents is None and initial.T <= 0:
             raise ConfigError("Gompertz growth needs T(0) > 0 (ln undefined at 0)")
-        kind = 0 if model.kind is GrowthKind.POWER_LAW else 1
+        alpha, beta = model.exponents or (0.0, 0.0)  # Gompertz, kernel kind 1, has none
         rows, status = kernels.rk4_growth(
-            kind, model.a, model.b, model.alpha, model.beta,
+            int(model.exponents is None), model.a, model.b, alpha, beta,
             initial.T, cfg.dt, cfg.t_end, grid, BLOWUP_THRESHOLD,
         )
         species: tuple[str, ...] = ("tumour",)

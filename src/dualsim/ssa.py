@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, EngineError, ModelDomainError, PopulationCapError
-from .models import GrowthKind, GrowthLaw, KuznetsovParams, PopulationState
+from .models import GrowthLaw, KuznetsovParams, PopulationState
 from .trajectory import Paradigm, Termination, Trajectory
 
 __all__ = [
@@ -139,16 +139,12 @@ def growth_channels(law: GrowthLaw) -> ChannelSet:
 
     Total birth rate is T*p(T) and total death rate T*d(T): power laws give
     a*T**(alpha+1) and b*T**(beta+1); Gompertz gives a*T and b*T*ln(T).
-    The frozen-at-birth kernel keeps each agent's per-capita death rate
-    b*T**(e-1), with the row's ``e - 1`` taken in double arithmetic: that is
-    ``beta`` only when ``beta + 1`` rounds to no other double (``beta = 0.3``
-    gives an exponent of 0.30000000000000004).
     """
-    if law.kind is GrowthKind.GOMPERTZ:  # birth a*T, death b*T*ln(T)
+    if law.exponents is None:  # Gompertz: birth a*T, death b*T*ln(T)
         table = ((kernels.R_POW_T, law.a, 1.0, 0.0, 1, 0), (kernels.R_TLOGT, law.b, 0.0, 0.0, -1, 0))
     else:  # birth a*T**(alpha+1), death b*T**(beta+1)
-        table = ((kernels.R_POW_T, law.a, law.alpha + 1.0, 0.0, 1, 0),
-                 (kernels.R_POW_T, law.b, law.beta + 1.0, 0.0, -1, 0))
+        alpha, beta = law.exponents
+        table = ((kernels.R_POW_T, law.a, alpha + 1.0, 0.0, 1, 0), (kernels.R_POW_T, law.b, beta + 1.0, 0.0, -1, 0))
     return ChannelSet(table, ("tumour",))
 
 
@@ -371,8 +367,10 @@ def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 
     if spec.grid is None:
         raise ConfigError("an ensemble is recorded on a grid: build the spec with one")
     simulate = simulate_exact if spec.dt is None else simulate_tau_leap
-    # filled in place: no per-replicate copies alive beside the array
-    values = np.empty((reps, len(spec.grid), len(spec.channels.species)))
+    try:  # filled in place: no per-replicate copies alive beside the array
+        values = np.empty((reps, len(spec.grid), len(spec.channels.species)))
+    except ValueError as exc:  # more values than numpy can index
+        raise ConfigError(f"{reps} replicates of {len(spec.grid)} grid points are too many to hold: {exc}") from None
     terminations = []
     for i in range(reps):
         seed = base_seed + i

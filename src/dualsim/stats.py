@@ -50,11 +50,10 @@ def make_grid(t_end: float, spacing: float = 1.0) -> np.ndarray:
     if not (math.isfinite(t_end) and 0 < spacing <= t_end):
         raise ConfigError(f"the grid needs a finite t_end and 0 < spacing <= t_end, "
                           f"got spacing={spacing}, t_end={t_end}")
-    n = int(math.floor(t_end / spacing + 1e-9))
     try:
-        grid = spacing * np.arange(n + 1)
-    except (ValueError, MemoryError) as exc:  # more points than numpy can hold
-        raise ConfigError(f"a grid of {n + 1:.3g} points is too large to hold: {exc}") from None
+        grid = spacing * np.arange(int(math.floor(t_end / spacing + 1e-9)) + 1)
+    except (OverflowError, ValueError, MemoryError) as exc:  # more points than an int or numpy can hold
+        raise ConfigError(f"a grid of {t_end / spacing + 1:.3g} points is too large to hold: {exc}") from None
     grid[-1] = min(grid[-1], t_end)
     return grid
 

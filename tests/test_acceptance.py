@@ -17,7 +17,7 @@ import pytest
 
 from dualsim.cli import cmd_compare, parse_config
 from dualsim.errors import PopulationCapError
-from dualsim.models import GrowthKind, GrowthLaw, PopulationState, scenario_preset
+from dualsim.models import GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
 from dualsim.ssa import (
     EnsembleSpec,
@@ -31,7 +31,7 @@ from dualsim.ssa import (
 )
 from dualsim.stats import EXACT_LIMIT, compare, make_grid, wilcoxon_ranksum
 from dualsim.trajectory import Termination
-from reference import closed_form, closed_form_log
+from reference import closed_form, closed_form_log, linear_bd_channels
 
 
 @contextmanager
@@ -51,7 +51,7 @@ def criterion(number: int, label: str, budget_s: float):
 
 def test_criterion_1_sds_logistic_accuracy():
     with criterion(1, "SDS logistic accuracy + 4th-order convergence", 1.0):
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
 
         def max_rel_err(dt, spacing=0.1):
             traj = integrate(law, PopulationState(1.0),
@@ -69,7 +69,7 @@ def test_criterion_1_sds_logistic_accuracy():
 
 def test_criterion_2_gompertz_blowup_scale():
     with criterion(2, "Gompertz exceeds 1e64 cells before t = 110", 1.0):
-        law = GrowthLaw.gompertz(1.636, 0.002)
+        law = GrowthLaw("gompertz", 1.636, 0.002)
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.001, t_end=110.0), grid=make_grid(110.0, 1.0))
         assert traj.termination is Termination.COMPLETED
@@ -86,7 +86,7 @@ def test_criterion_2_gompertz_blowup_scale():
 
 def test_criterion_3_abs_mean_field_consistency():
     with criterion(3, "exact-SSA ensemble mean vs branching-process mean", 30.0):
-        cs = growth_channels(GrowthLaw(GrowthKind.POWER_LAW, a=2.0, b=1.0, alpha=0.0, beta=0.0))
+        cs = linear_bd_channels(2.0, 1.0)
         grid = make_grid(1.0, 0.25)
         ens = run_ensemble(
             EnsembleSpec(channels=cs, initial=PopulationState(100), t_end=1.0, grid=grid),
@@ -102,7 +102,7 @@ def test_criterion_3_abs_mean_field_consistency():
 
 def test_criterion_4_logistic_extinction_effect():
     with criterion(4, "frozen-at-birth extinction exceeds live (c = 1.25)", 30.0):
-        law = GrowthLaw.logistic(1.0, 0.8)
+        law = GrowthLaw("logistic", 1.0, 0.8)
         cs = growth_channels(law)
         reps, base_seed, t_end = 500, 42, 20.0
         grid = np.array([0.0, 5.0, t_end])
@@ -229,7 +229,7 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_blowup_safety():
     with criterion(9, "blow-up laws: flagged SDS stop, hard ABS cap", 5.0):
-        law = GrowthLaw.von_bertalanffy(1.636, 0.002)
+        law = GrowthLaw("bertalanffy", 1.636, 0.002)
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.001, t_end=5.0), grid=make_grid(5.0, 0.1))
         assert traj.termination is Termination.BLOWUP
@@ -239,5 +239,5 @@ def test_criterion_9_blowup_safety():
             simulate_tau_leap(EnsembleSpec(growth_channels(law), PopulationState(1), t_end=100.0, dt=0.001),
                               seed=7)
         with pytest.raises(PopulationCapError):
-            simulate_tau_leap(EnsembleSpec(growth_channels(GrowthLaw.gompertz(1.636, 0.002)),
+            simulate_tau_leap(EnsembleSpec(growth_channels(GrowthLaw("gompertz", 1.636, 0.002)),
                                            PopulationState(1), t_end=100.0, dt=0.001), seed=7)

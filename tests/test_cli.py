@@ -166,6 +166,16 @@ class TestCmdRun:
         paths = cmd_run(spec)
         assert sorted(p.name for p in paths) == ["abs_ensemble.csv", "manifest.json", "sds.csv"]
 
+    @pytest.mark.parametrize("model", ["logistic", "bertalanffy", "gompertz"])
+    def test_a_ratio_runs_the_law_with_a_one(self, tmp_path, model):
+        # c = 5 is a = 1, b = 0.2: the same law, so the same output bytes
+        outputs = []
+        for rates, out in ((["--c", "5"], "ratio"), (["--a", "1", "--b", "0.2"], "rates")):
+            assert main(["run", "--model", model, *rates, "--t-end", "3", "--reps", "3",
+                         "--out", str(tmp_path / out)]) == 0
+            outputs.append({name: read(tmp_path / out / name) for name in ("sds.csv", "abs_ensemble.csv")})
+        assert outputs[0] == outputs[1]
+
 
 def reference_sds_csv(traj):
     # the per-cell formula of the original writer, kept as the byte reference
@@ -229,7 +239,7 @@ class TestCsvWriters:
 
     @pytest.mark.parametrize("model, channels, initial", [
         (scenario_preset(4), kuznetsov_channels, (100, 10)),
-        (GrowthLaw.logistic(1.0, 0.2), growth_channels, (5,)),
+        (GrowthLaw("logistic", 1.0, 0.2), growth_channels, (5,)),
     ], ids=["two-species", "one-species"])
     def test_comparison_csv_matches_the_per_cell_formula(self, model, channels, initial):
         sds = integrate(model, PopulationState(*map(float, initial)),
@@ -340,6 +350,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: a grid of ") and "too large" in err
         assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--t-end", "1e300", "--grid", "1e-300"], "a grid of inf points is too large to hold"),
+        (["run", "--t-end", "2", "--reps", "100000000000000000000"], "too many to hold"),
+        (["compare", "--t-end", "2", "--reps", "100000000000000000000"], "too many to hold"),
+    ], ids=["grid", "run-reps", "compare-reps"])
+    def test_sizes_too_large_to_represent_are_2(self, tmp_path, capsys, argv, message):
+        rc = main([*argv, "--model", "logistic", "--c", "5", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [("--t0", "nan"), ("--t-end", "inf")])

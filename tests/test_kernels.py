@@ -171,18 +171,21 @@ def test_splitmix64_matches_its_reference_output():
     assert splitmix64(0, 1) == [0xE220A8397B1DCDAF]
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**70, -7])
 def test_draws_are_numpy_sfc64_words_from_the_splitmix64_state(seed):
     """The pure ``_rng`` is numpy's SFC64 raw stream from four splitmix64
-    words, each word x drawn as (x >> 11) * 2**-53: the compiled
-    ``rng_seed``, ``rng_next`` and ``rng_uniform``.  The draws span two of
-    its blocks."""
+    words of the seed's low 64 bits, each word x drawn as
+    (x >> 11) * 2**-53: the compiled ``rng_seed``, ``rng_next`` and
+    ``rng_uniform``.  One ``random_raw`` call checks draws that cross every
+    boundary of its blocks, which grow 64, 256, 1024, then 4096 words."""
     bits = np.random.SFC64()
-    bits.state = {"bit_generator": "SFC64", "state": {"state": np.array(splitmix64(seed, 4), dtype=np.uint64)},
+    bits.state = {"bit_generator": "SFC64",
+                  "state": {"state": np.array(splitmix64(seed & (2**64 - 1), 4), dtype=np.uint64)},
                   "has_uint32": 0, "uinteger": 0}
-    words = bits.random_raw(5000)
+    n = 64 + 256 + 1024 + 2 * 4096 + 1
+    words = bits.random_raw(n)
     draw = pure._rng(seed)
-    assert [draw() for _ in range(5000)] == [(int(x) >> 11) * 2.0**-53 for x in words]
+    assert [draw() for _ in range(n)] == [(int(x) >> 11) * 2.0**-53 for x in words]
 
 
 def parity_cases():

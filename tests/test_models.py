@@ -1,5 +1,6 @@
 """Model definitions, and the facts of each model's channel table."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from dualsim.errors import ModelDomainError, UnknownScenarioError
 from dualsim.kernels import _pykernels
 from dualsim.kernels._pykernels import _rates, _table
 from dualsim.models import (
-    GrowthKind,
+    GROWTH_LAWS,
     GrowthLaw,
     KuznetsovParams,
     PopulationState,
@@ -18,15 +19,15 @@ from dualsim.models import (
     scenario_preset,
 )
 from dualsim.ssa import growth_channels, kuznetsov_channels
-from reference import PAPER_RATIOS, is_logistic
+from reference import PAPER_RATIOS
 
 # the pure backend and the active one (the compiled backend when it is built)
 BACKENDS = {mod.__name__.rpartition(".")[2]: mod for mod in (_pykernels, kernels.backend)}
 
 LAWS = {
-    "logistic": GrowthLaw.logistic(1.636, 0.002),
-    "von-bertalanffy": GrowthLaw.von_bertalanffy(1.0, 0.5),
-    "gompertz": GrowthLaw.gompertz(1.636, 0.002),
+    "logistic": GrowthLaw("logistic", 1.636, 0.002),
+    "von-bertalanffy": GrowthLaw("bertalanffy", 1.0, 0.5),
+    "gompertz": GrowthLaw("gompertz", 1.636, 0.002),
 }
 
 
@@ -57,31 +58,50 @@ def drift_rk4_step(model, T, E, h):
 
 
 class TestGrowthLaw:
+    def test_a_law_is_its_name_and_two_rates(self):
+        law = GrowthLaw("logistic", 1.0, 0.2)
+        assert [f.name for f in dataclasses.fields(law)] == ["kind", "a", "b"]
+        assert law == GrowthLaw("logistic", 1.0, 0.2) != GrowthLaw("bertalanffy", 1.0, 0.2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            law.a = 2.0
+
     def test_logistic_preset_exponents(self):
-        law = GrowthLaw.logistic(1.0, 0.2)
-        assert law.alpha == 0.0 and law.beta == 1.0
-        assert is_logistic(law)
+        assert GrowthLaw("logistic", 1.0, 0.2).exponents == (0.0, 1.0)
 
     def test_von_bertalanffy_preset_exponents(self):
-        law = GrowthLaw.von_bertalanffy(1.0, 0.5)
-        assert law.alpha == pytest.approx(1.0 / 3.0) and law.beta == 0.0
+        assert GrowthLaw("bertalanffy", 1.0, 0.5).exponents == (1.0 / 3.0, 0.0)
 
-    @pytest.mark.parametrize("preset", [GrowthLaw.logistic, GrowthLaw.von_bertalanffy])
-    def test_growth_condition_b_less_than_a(self, preset):
-        with pytest.raises(ModelDomainError):
-            preset(1.0, 1.0)
-        with pytest.raises(ModelDomainError):
-            preset(1.0, 2.0)
+    @pytest.mark.parametrize("kind", ["logistic", "bertalanffy"])
+    def test_growth_condition_b_less_than_a(self, kind):
+        GrowthLaw(kind, 1.0, 0.999)
+        with pytest.raises(ModelDomainError, match="b < a"):
+            GrowthLaw(kind, 1.0, 1.0)
+        with pytest.raises(ModelDomainError, match="b < a"):
+            GrowthLaw(kind, 1.0, 2.0)
 
     def test_gompertz_allows_any_positive_pair(self):
-        # only a, b > 0 is required for Gompertz
-        GrowthLaw.gompertz(1.0, 5.0)
-        GrowthLaw.gompertz(5.0, 1.0)
+        # only a, b > 0 is required for Gompertz, which has no exponents
+        assert GrowthLaw("gompertz", 1.0, 5.0).exponents is None
+        GrowthLaw("gompertz", 5.0, 1.0)
+        GrowthLaw("gompertz", 1.0, 1.0)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0)])
     def test_rates_must_be_positive(self, a, b):
-        with pytest.raises(ModelDomainError):
-            GrowthLaw(GrowthKind.POWER_LAW, a, b)
+        for kind in GROWTH_LAWS:
+            with pytest.raises(ModelDomainError, match="a > 0 and b > 0"):
+                GrowthLaw(kind, a, b)
+
+    @pytest.mark.parametrize("kind", GROWTH_LAWS)
+    @pytest.mark.parametrize("a,b", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf),
+                                     (1.0, -math.inf)])
+    def test_rates_must_be_finite(self, kind, a, b):
+        with pytest.raises(ModelDomainError, match="finite"):
+            GrowthLaw(kind, a, b)
+
+    @pytest.mark.parametrize("kind", ["power-law", "von Bertalanffy", "Logistic", "kuznetsov", None])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ModelDomainError, match="unknown growth-law kind"):
+            GrowthLaw(kind, 1.0, 0.5)
 
 
 class TestPerCapitaRates:
@@ -89,17 +109,17 @@ class TestPerCapitaRates:
 
     def test_logistic_balance_point(self):
         # a=1, b=0.2: proliferation and death balance at exactly five cells
-        _, (birth, death) = channel_rates(GrowthLaw.logistic(1.0, 0.2), 5.0)
+        _, (birth, death) = channel_rates(GrowthLaw("logistic", 1.0, 0.2), 5.0)
         assert birth / 5.0 == 1.0
         assert death / 5.0 == 1.0
 
     def test_gompertz_at_one_cell(self):
-        _, (birth, death) = channel_rates(GrowthLaw.gompertz(1.7, 0.4), 1.0)
+        _, (birth, death) = channel_rates(GrowthLaw("gompertz", 1.7, 0.4), 1.0)
         assert death == 0.0  # ln 1 = 0
         assert birth == 1.7
 
     def test_von_bertalanffy_exact_cube_root(self):
-        _, (birth, death) = channel_rates(GrowthLaw.von_bertalanffy(1.0, 0.5), 8.0)
+        _, (birth, death) = channel_rates(GrowthLaw("bertalanffy", 1.0, 0.5), 8.0)
         assert birth / 8.0 == pytest.approx(2.0, rel=1e-12)
         assert death / 8.0 == 0.5
 
@@ -112,24 +132,24 @@ class TestGrowthF:
         return drift(law, T)[0] / T
 
     def test_logistic_fixed_point(self):
-        law = GrowthLaw.logistic(1.636, 0.002)
+        law = GrowthLaw("logistic", 1.636, 0.002)
         assert self.f(law, 818.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_logistic_strictly_decreasing_with_sign_change(self):
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
         values = [self.f(law, T) for T in (1.0, 2.0, 4.999, 5.0, 5.001, 10.0)]
         assert all(x > y for x, y in zip(values, values[1:]))
         assert self.f(law, 4.999) > 0 > self.f(law, 5.001)
 
     def test_gompertz_sign_change_at_exp_a_over_b(self):
-        law = GrowthLaw.gompertz(1.0, 0.5)
+        law = GrowthLaw("gompertz", 1.0, 0.5)
         star = math.exp(1.0 / 0.5)
         assert self.f(law, star) == pytest.approx(0.0, abs=1e-12)
         assert self.f(law, star * 0.99) > 0 > self.f(law, star * 1.01)
         assert self.f(law, 1.0) > 0  # always grows from one cell
 
     def test_pure_and_deterministic(self):
-        law = GrowthLaw.von_bertalanffy(1.3, 0.7)
+        law = GrowthLaw("bertalanffy", 1.3, 0.7)
         assert drift(law, 7.7) == drift(law, 7.7)
 
 
@@ -156,9 +176,9 @@ class TestKuznetsov:
 
     def test_reduces_to_logistic_growth(self):
         # without effectors, dT/dt collapses to a*T*(1 - b*T), i.e. the
-        # power-law form with a' = a and b' = a*b, and dE/dt to the influx
+        # logistic law with a' = a and b' = a*b, and dE/dt to the influx
         for params in map(scenario_preset, (1, 2, 3, 4)):
-            law = GrowthLaw(GrowthKind.POWER_LAW, a=params.a, b=params.a * params.b, alpha=0.0, beta=1.0)
+            law = GrowthLaw("logistic", params.a, params.a * params.b)
             for T in (0.5, 1.0, 40.0, 99.9, 818.0):
                 dT, dE = drift(params, T, 0.0)
                 assert dT == pytest.approx(drift(law, T)[0], rel=1e-12)
@@ -182,10 +202,10 @@ class TestRk4DerivativesMatchTheTable:
     @pytest.mark.parametrize("law", LAWS)
     def test_rk4_growth(self, backend, law):
         law = LAWS[law]
-        kind = 1 if law.kind is GrowthKind.GOMPERTZ else 0
+        alpha, beta = law.exponents or (0.0, 0.0)  # Gompertz, kernel kind 1, has none
         for T0 in (0.0, 1.0, 3.7, 818.0, 5000.0):
             rows, status = BACKENDS[backend].rk4_growth(
-                kind, law.a, law.b, law.alpha, law.beta, T0, self.H, self.H, self.GRID, 1e300)
+                int(law.exponents is None), law.a, law.b, alpha, beta, T0, self.H, self.H, self.GRID, 1e300)
             rows = np.asarray(rows)
             assert status == 0 and list(rows[:, 0]) == [0.0, self.H]
             assert rows[1, 1] == pytest.approx(drift_rk4_step(law, T0, 0.0, self.H)[0], rel=1e-12)

@@ -23,37 +23,37 @@ def max_rel_error(traj, law, T0):
 
 class TestClosedForm:
     def test_identity_at_t0(self):
-        assert closed_form(GrowthLaw.logistic(1.0, 0.2), 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
-        assert closed_form(GrowthLaw.gompertz(1.0, 0.2), 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert closed_form(GrowthLaw("logistic", 1.0, 0.2), 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert closed_form(GrowthLaw("gompertz", 1.0, 0.2), 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_logistic_reaches_carrying_capacity(self):
-        assert closed_form(GrowthLaw.logistic(1.0, 0.2), 1.0, 200.0) == pytest.approx(5.0, abs=1e-9)
+        assert closed_form(GrowthLaw("logistic", 1.0, 0.2), 1.0, 200.0) == pytest.approx(5.0, abs=1e-9)
 
     def test_gompertz_asymptote(self):
-        law = GrowthLaw.gompertz(1.0, 0.5)
+        law = GrowthLaw("gompertz", 1.0, 0.5)
         assert closed_form(law, 1.0, 1e6) == pytest.approx(math.exp(2.0), rel=1e-9)
         assert closed_form_log(law, 1.0, 1e6) == pytest.approx(2.0, rel=1e-9)
 
     def test_gompertz_log_form_survives_overflow(self):
-        law = GrowthLaw.gompertz(1.636, 0.002)
+        law = GrowthLaw("gompertz", 1.636, 0.002)
         assert closed_form_log(law, 1.0, 1e6) == pytest.approx(818.0, rel=1e-9)
         assert closed_form(law, 1.0, 1e6) == math.inf  # linear scale overflows
 
     def test_unsupported_law(self):
         with pytest.raises(ModelDomainError):
-            closed_form(GrowthLaw.von_bertalanffy(1.0, 0.5), 1.0, 1.0)
+            closed_form(GrowthLaw("bertalanffy", 1.0, 0.5), 1.0, 1.0)
 
 
 class TestLogisticAccuracy:
     def test_matches_closed_form_to_1e6(self):
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.001, t_end=10.0), grid=make_grid(10.0, 0.1))
         assert max_rel_error(traj, law, 1.0) < 1e-6
 
     def test_fourth_order_convergence(self):
         # ratio measured where truncation error dominates roundoff
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
         errs = {}
         for dt in (0.1, 0.05):
             traj = integrate(law, PopulationState(1.0),
@@ -62,13 +62,13 @@ class TestLogisticAccuracy:
         assert errs[0.1] / errs[0.05] >= 12.0
 
     def test_fixed_point_is_constant(self):
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
         traj = integrate(law, PopulationState(5.0),
                          IntegratorConfig(dt=0.01, t_end=5.0), grid=make_grid(5.0, 0.5))
         assert np.all(traj.states[:, 0] == 5.0)
 
     def test_monotone_growth_below_capacity(self):
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.001, t_end=30.0), grid=make_grid(30.0, 0.1))
         T = traj.states[:, 0]
@@ -78,7 +78,7 @@ class TestLogisticAccuracy:
 
 class TestGompertzBlowupScale:
     def test_log_magnitude_matches_closed_form(self):
-        law = GrowthLaw.gompertz(1.636, 0.002)
+        law = GrowthLaw("gompertz", 1.636, 0.002)
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.001, t_end=100.0), grid=make_grid(100.0, 1.0))
         ln_end = math.log(traj.states[-1, 0])
@@ -87,12 +87,12 @@ class TestGompertzBlowupScale:
 
     def test_gompertz_requires_positive_t0(self):
         with pytest.raises(ConfigError):
-            integrate(GrowthLaw.gompertz(1.0, 0.5), PopulationState(0.0), grid=make_grid(100.0))
+            integrate(GrowthLaw("gompertz", 1.0, 0.5), PopulationState(0.0), grid=make_grid(100.0))
 
 
 class TestBlowupGuard:
     def test_von_bertalanffy_flags_blowup(self):
-        law = GrowthLaw.von_bertalanffy(1.636, 0.002)
+        law = GrowthLaw("bertalanffy", 1.636, 0.002)
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.001, t_end=10.0), grid=make_grid(10.0, 0.1))
         assert traj.termination is Termination.BLOWUP
@@ -101,7 +101,7 @@ class TestBlowupGuard:
 
     def test_gompertz_long_horizon_blows_up_flagged(self):
         # the asymptote e^(a/b) = e^818 is far beyond double range
-        law = GrowthLaw.gompertz(1.636, 0.002)
+        law = GrowthLaw("gompertz", 1.636, 0.002)
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.01, t_end=2000.0), grid=make_grid(2000.0, 10.0))
         assert traj.termination is Termination.BLOWUP
@@ -154,7 +154,7 @@ class TestContracts:
         assert np.array_equal(t1.states, t2.states)
 
     def test_trajectory_metadata(self):
-        traj = integrate(GrowthLaw.logistic(1.0, 0.2), PopulationState(1.0),
+        traj = integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0),
                          IntegratorConfig(dt=0.01, t_end=1.0), grid=make_grid(1.0, 0.1))
         assert traj.paradigm is Paradigm.SDS
         assert traj.species == ("tumour",)
@@ -162,7 +162,7 @@ class TestContracts:
         assert traj.states[0, 0] == 1.0
 
     def test_grid_lands_exactly_on_t_end(self):
-        traj = integrate(GrowthLaw.logistic(1.0, 0.2), PopulationState(1.0),
+        traj = integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0),
                          IntegratorConfig(dt=0.001, t_end=10.0), grid=make_grid(10.0, 0.1))
         assert traj.times[-1] == 10.0
         assert len(traj.times) == 101
@@ -180,7 +180,7 @@ class TestContracts:
 
     def test_one_equation_rejects_effector_state(self):
         with pytest.raises(ConfigError):
-            integrate(GrowthLaw.logistic(1.0, 0.2), PopulationState(1.0, 1.0), grid=make_grid(100.0))
+            integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0, 1.0), grid=make_grid(100.0))
 
     def test_kuznetsov_requires_effector_state(self):
         with pytest.raises(ConfigError):

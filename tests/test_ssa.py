@@ -13,7 +13,7 @@ import dualsim.ssa
 from dualsim.errors import ConfigError, EngineError, ModelDomainError, PopulationCapError
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
 from dualsim.kernels._pykernels import _rates, _table
-from dualsim.models import GrowthKind, GrowthLaw, PopulationState, experiment_one_law, scenario_preset
+from dualsim.models import GrowthLaw, PopulationState, experiment_one_law, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
 from dualsim.ssa import (
     ChannelSet,
@@ -29,15 +29,11 @@ from dualsim.ssa import (
 )
 from dualsim.stats import make_grid, sample_on_grid
 from dualsim.trajectory import Paradigm, Termination
+from reference import linear_bd_channels
 
 
 def death_only_channels(b=1.0):
     return ChannelSet(table=((R_POW_T, b, 1.0, 0.0, -1, 0),), species=("tumour",))
-
-
-def linear_bd_channels(a=2.0, b=1.0):
-    # constant per-capita birth a and death b: total rates a*T and b*T
-    return ChannelSet(table=((R_POW_T, a, 1.0, 0.0, 1, 0), (R_POW_T, b, 1.0, 0.0, -1, 0)), species=("tumour",))
 
 
 def channel_rates(cs, T, E=0.0):
@@ -49,7 +45,7 @@ def channel_rates(cs, T, E=0.0):
 
 class TestChannelCompilation:
     def test_one_equation_has_two_channels(self):
-        cs = growth_channels(GrowthLaw.logistic(1.0, 0.2))
+        cs = growth_channels(GrowthLaw("logistic", 1.0, 0.2))
         assert len(cs.table) == 2
         birth, death = cs.table
         # total rates are T*p(T) and T*d(T)
@@ -57,11 +53,11 @@ class TestChannelCompilation:
         assert birth[4:] == (1, 0) and death[4:] == (-1, 0)
 
     def test_von_bertalanffy_channel_rates(self):
-        cs = growth_channels(GrowthLaw.von_bertalanffy(1.0, 0.5))
+        cs = growth_channels(GrowthLaw("bertalanffy", 1.0, 0.5))
         assert channel_rates(cs, 8.0) == pytest.approx([8.0 ** (4.0 / 3.0), 0.5 * 8.0])
 
     def test_gompertz_channel_rates(self):
-        cs = growth_channels(GrowthLaw.gompertz(1.5, 0.3))
+        cs = growth_channels(GrowthLaw("gompertz", 1.5, 0.3))
         assert channel_rates(cs, 4.0) == pytest.approx([1.5 * 4.0, 0.3 * 4.0 * math.log(4.0)])
         assert channel_rates(cs, 0.0) == [0.0, 0.0]
 
@@ -85,9 +81,9 @@ class TestChannelCompilation:
 
     def test_all_rates_nonnegative_on_integer_states(self):
         sets = [kuznetsov_channels(scenario_preset(i)) for i in (1, 2, 3, 4)]
-        sets += [growth_channels(GrowthLaw.logistic(1.0, 0.2)),
-                 growth_channels(GrowthLaw.von_bertalanffy(1.0, 0.5)),
-                 growth_channels(GrowthLaw.gompertz(1.5, 0.3))]
+        sets += [growth_channels(GrowthLaw("logistic", 1.0, 0.2)),
+                 growth_channels(GrowthLaw("bertalanffy", 1.0, 0.5)),
+                 growth_channels(GrowthLaw("gompertz", 1.5, 0.3))]
         for cs in sets:
             for T in range(0, 30, 7):
                 for E in range(0, 10, 3):
@@ -143,9 +139,7 @@ class TestChannelCompilation:
          ((1, 1.0, 1.3333333333333333, 0.0, 1, 0), (1, 0.4, 1.0, 0.0, -1, 0))),
         (growth_channels(experiment_one_law("gompertz", 2.5)),
          ((1, 1.0, 1.0, 0.0, 1, 0), (2, 0.4, 0.0, 0.0, -1, 0))),
-        (growth_channels(GrowthLaw(GrowthKind.POWER_LAW, 0.7, 0.9, alpha=0.25, beta=0.3)),
-         ((1, 0.7, 1.25, 0.0, 1, 0), (1, 0.9, 1.3, 0.0, -1, 0))),
-    ], ids=["s1", "s2", "s3", "s4", "logistic", "bertalanffy", "gompertz", "power-law"])
+    ], ids=["s1", "s2", "s3", "s4", "logistic", "bertalanffy", "gompertz"])
     def test_compiled_tables_keep_their_rows(self, cs, rows):
         def typed(table):
             return [[(type(x), x) for x in row] for row in table]
@@ -218,7 +212,7 @@ class TestSimulateExact:
         assert abs(mean - 1.0) <= 3 * se
 
     def test_absorbing_extinction(self):
-        spec = EnsembleSpec(growth_channels(GrowthLaw.logistic(1.0, 0.8)), PopulationState(1), t_end=50.0)
+        spec = EnsembleSpec(growth_channels(GrowthLaw("logistic", 1.0, 0.8)), PopulationState(1), t_end=50.0)
         for i in range(20):
             traj = simulate_exact(spec, seed=i)
             T = traj.states[:, 0]
@@ -227,10 +221,9 @@ class TestSimulateExact:
                 assert np.all(T[zeros[0]:] == 0)
 
     def test_frozen_equals_live_for_state_independent_rates(self):
-        # alpha = beta = 0: both policies see the same constant per-capita
-        # rates, so with one seed they produce identical event sequences
-        law = GrowthLaw(GrowthKind.POWER_LAW, a=0.7, b=0.9, alpha=0.0, beta=0.0)
-        cs = growth_channels(law)
+        # constant per-capita rates: both policies see the same rates, so
+        # with one seed they produce identical event sequences
+        cs = linear_bd_channels(0.7, 0.9)
         live = simulate_exact(EnsembleSpec(cs, PopulationState(5), t_end=40.0, policy=RatePolicy.LIVE), seed=123)
         frozen = simulate_exact(EnsembleSpec(cs, PopulationState(5), t_end=40.0,
                                              policy=RatePolicy.FROZEN_AT_BIRTH), seed=123)
@@ -336,7 +329,7 @@ class TestFloorEquivalence:
     def test_rate_zeroing_matches_veto_and_resample(self):
         # logistic a=1, b=0.5 from two cells with the tumour floored at one
         a, b, T0, t_end, n = 1.0, 0.5, 2, 3.0, 10_000
-        spec = EnsembleSpec(growth_channels(GrowthLaw.logistic(a, b)), PopulationState(T0), t_end=t_end,
+        spec = EnsembleSpec(growth_channels(GrowthLaw("logistic", a, b)), PopulationState(T0), t_end=t_end,
                             floors=Floors(1, 0))
         engine = np.array([
             simulate_exact(spec, seed=20_000 + i).states[-1, 0]
@@ -403,7 +396,7 @@ class TestTauLeap:
         assert traj.states[:, 0].min() >= 1.0
 
     def test_frozen_policy_rejected(self):
-        cs = growth_channels(GrowthLaw.logistic(1.0, 0.2))
+        cs = growth_channels(GrowthLaw("logistic", 1.0, 0.2))
         with pytest.raises(ConfigError, match="live rate policy"):
             EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=1.0,
                          policy=RatePolicy.FROZEN_AT_BIRTH, dt=0.01)
@@ -411,13 +404,13 @@ class TestTauLeap:
 
 class TestPopulationCap:
     def test_von_bertalanffy_hits_cap_under_leaping(self):
-        spec = EnsembleSpec(growth_channels(GrowthLaw.von_bertalanffy(1.636, 0.002)), PopulationState(1),
+        spec = EnsembleSpec(growth_channels(GrowthLaw("bertalanffy", 1.636, 0.002)), PopulationState(1),
                             t_end=100.0, dt=0.001)
         with pytest.raises(PopulationCapError):
             simulate_tau_leap(spec, seed=7)
 
     def test_gompertz_hits_cap_under_leaping(self):
-        spec = EnsembleSpec(growth_channels(GrowthLaw.gompertz(1.636, 0.002)), PopulationState(1),
+        spec = EnsembleSpec(growth_channels(GrowthLaw("gompertz", 1.636, 0.002)), PopulationState(1),
                             t_end=100.0, dt=0.001)
         with pytest.raises(PopulationCapError):
             simulate_tau_leap(spec, seed=7)
@@ -454,7 +447,7 @@ class TestEnsembles:
     def test_logistic_extinction_fractions_frozen_exceeds_live(self):
         # ratio c = 1.25 (a=1, b=0.8) from one cell: many runs die out early,
         # and freezing death rates at birth makes extinction more likely
-        law = GrowthLaw.logistic(1.0, 0.8)
+        law = GrowthLaw("logistic", 1.0, 0.8)
         cs = growth_channels(law)
         reps, base = 500, 42
 
@@ -472,7 +465,7 @@ class TestEnsembles:
         assert frozen > live
 
     def test_replicate_errors_carry_the_index(self):
-        spec = EnsembleSpec(channels=growth_channels(GrowthLaw.gompertz(1.636, 0.002)),
+        spec = EnsembleSpec(channels=growth_channels(GrowthLaw("gompertz", 1.636, 0.002)),
                             initial=PopulationState(1), t_end=100.0, dt=0.001, grid=make_grid(100.0, 1.0))
         with pytest.raises(PopulationCapError, match=r"replicate 0"):
             run_ensemble(spec, reps=3, base_seed=7)
@@ -539,6 +532,14 @@ class TestEnsembles:
         with pytest.raises(ConfigError):
             run_ensemble(spec, reps=0, base_seed=0)
 
+    @pytest.mark.parametrize("reps", [10**20, 2**62])
+    def test_more_replicates_than_an_array_can_index_is_a_config_error(self, reps):
+        # numpy refuses the shape before it allocates anything
+        spec = EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0,
+                            grid=make_grid(1.0, 0.5))
+        with pytest.raises(ConfigError, match="too many to hold"):
+            run_ensemble(spec, reps=reps, base_seed=0)
+
     @pytest.mark.parametrize("method, dt", [("exact", None), ("tau", 0.01)])
     def test_grid_held_replicates_match_step_sampling(self, method, dt):
         # two species, one species, (exact only) rates frozen at birth and,
@@ -548,7 +549,7 @@ class TestEnsembles:
             (linear_bd_channels(1.0, 0.8), PopulationState(5), RatePolicy.LIVE),
         ]
         if method == "exact":
-            cases.append((growth_channels(GrowthLaw.logistic(1.0, 0.2)), PopulationState(3),
+            cases.append((growth_channels(GrowthLaw("logistic", 1.0, 0.2)), PopulationState(3),
                           RatePolicy.FROZEN_AT_BIRTH))
         cases.append((death_only_channels(), PopulationState(3), RatePolicy.LIVE))
         grid = make_grid(10.0, 0.5)
@@ -648,10 +649,10 @@ class TestGridValidation:
     def test_bad_grid_is_refused_before_any_kernel_runs(self, monkeypatch, method, grid, match):
         for name in ("ssa", "ssa_frozen", "tau_leap", "rk4_growth", "rk4_kuznetsov"):
             monkeypatch.setattr(dualsim.kernels, name, _no_kernel)
-        law = growth_channels(GrowthLaw.logistic(1.0, 0.2))
+        law = growth_channels(GrowthLaw("logistic", 1.0, 0.2))
         with pytest.raises(ConfigError, match=match):
             if method == "sds":
-                integrate(GrowthLaw.logistic(1.0, 0.2), PopulationState(3.0), IntegratorConfig(dt=0.1, t_end=2.0),
+                integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(3.0), IntegratorConfig(dt=0.1, t_end=2.0),
                           grid=grid)
             else:
                 policy = RatePolicy.FROZEN_AT_BIRTH if method == "frozen" else RatePolicy.LIVE
@@ -659,7 +660,7 @@ class TestGridValidation:
                              dt=0.1 if method == "tau" else None, grid=grid)
 
     def test_lists_strided_arrays_and_the_end_tolerance_are_accepted(self):
-        spec = EnsembleSpec(growth_channels(GrowthLaw.logistic(1.0, 0.2)), PopulationState(3), t_end=2.0)
+        spec = EnsembleSpec(growth_channels(GrowthLaw("logistic", 1.0, 0.2)), PopulationState(3), t_end=2.0)
         expected = simulate_exact(replace(spec, grid=np.array([0.0, 1.0, 2.0])), seed=1)
         for grid in ([0, 1, 2], np.arange(0.0, 2.5, 0.5)[::2], np.array([0.0, 1.0, 2.0 + 1e-10])):
             traj = simulate_exact(replace(spec, grid=grid), seed=1)

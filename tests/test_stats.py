@@ -109,7 +109,7 @@ class TestSampleOnGrid:
         assert linear.tolist() == [[0.0, 4.0], [1.0, 6.0], [2.0, 8.0]]
 
     def test_knots_pass_through_unchanged(self):
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
         traj = integrate(law, PopulationState(1.0),
                          IntegratorConfig(dt=0.01, t_end=5.0), grid=make_grid(5.0, 0.5))
         assert np.array_equal(sample_on_grid(traj, traj.times), traj.states)
@@ -152,6 +152,11 @@ class TestSampleOnGrid:
         monkeypatch.setattr(np, "arange", no_memory)
         with pytest.raises(ConfigError, match="too large"):
             make_grid(100.0, 1e-13)
+
+    def test_make_grid_with_more_points_than_an_int_holds_is_a_config_error(self):
+        # t_end / spacing overflows to inf before any allocation
+        with pytest.raises(ConfigError, match="a grid of inf points is too large to hold"):
+            make_grid(1e300, 1e-300)
 
 
 def held_ensemble(grid, rows, species=("tumour",)):
@@ -335,7 +340,7 @@ class TestWilcoxon:
 class TestCompare:
     def test_identical_series_accept(self):
         # a constant deterministic run against an ensemble of frozen copies
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
         sds_traj = integrate(law, PopulationState(5.0),
                              IntegratorConfig(dt=0.01, t_end=10.0), grid=make_grid(10.0, 0.1))
         idle = ChannelSet(table=((R_CONST, 0.0, 0.0, 0.0, 1, 0),), species=("tumour",))
@@ -369,7 +374,7 @@ class TestCompare:
         assert d["metadata"]["alpha"] == 0.05
 
     def test_mismatched_populations_error(self):
-        law = GrowthLaw.logistic(1.0, 0.2)
+        law = GrowthLaw("logistic", 1.0, 0.2)
         sds_traj = integrate(law, PopulationState(1.0),
                              IntegratorConfig(dt=0.01, t_end=5.0), grid=make_grid(5.0, 0.5))
         params = scenario_preset(1)
