@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import itertools
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, stats
+from . import __version__, kernels, stats
 from .errors import ConfigError, EngineError, ModelDomainError, UnknownScenarioError
 from .models import (
     GROWTH_LAWS,
@@ -163,8 +162,8 @@ def _validate_raw(raw: dict) -> RunSpec:
 
     spec = RunSpec(**vals)
 
-    # SDS-only runs build no EnsembleSpec, and the library checks reps and
-    # alpha only after the SDS has run
+    # SDS-only runs build no EnsembleSpec to check reps (_plan), and the
+    # library checks alpha only after the SDS has run
     if vals.get("policy") == "frozen" and vals.get("method") == "tau":
         raise ConfigError("policy: frozen requires the exact method")
     if spec.reps < 1:
@@ -205,8 +204,8 @@ def _build_model(spec: RunSpec) -> GrowthLaw | KuznetsovParams:
 
 def _plan(spec: RunSpec) -> tuple:
     """``(model, initial, grid, integrator, ensemble)``: what runs ``spec``,
-    each refusing what it cannot run.  ``ensemble`` is None for an SDS-only
-    run."""
+    each refusing what it cannot run, the ensemble also a replicate count too
+    large to hold.  ``ensemble`` is None for an SDS-only run."""
     try:
         model = _build_model(spec)
         initial = PopulationState(spec.t0, spec.e0)
@@ -223,6 +222,7 @@ def _plan(spec: RunSpec) -> tuple:
                 dt=spec.dt if spec.method == "tau" else None,
                 grid=grid,
             )
+            ensemble.values_shape(spec.reps)
     except (ModelDomainError, UnknownScenarioError) as exc:
         raise ConfigError(str(exc)) from exc
     return model, initial, grid, integrator, ensemble
@@ -235,28 +235,12 @@ def _sds_times(spec: RunSpec) -> np.ndarray:
     return times if spec.t_end - times[-1] <= 1e-9 * max(1.0, spec.t_end) else np.append(times, spec.t_end)
 
 
-def _text_columns(values: np.ndarray) -> list:
-    """``repr`` of every value of a (rows, columns) array as a float, column
-    by column, as iterators: each string is made when its line is joined."""
-    return [map(repr, column) for column in values.T.tolist()]
-
-
 def _sds_csv(traj: Trajectory) -> str:
-    header = "time," + ",".join(traj.species)
-    times = [f"{t:.6f}" for t in traj.times.tolist()]
-    lines = [header, *map(",".join, zip(times, *_text_columns(traj.states)))]
-    return "\n".join(lines) + "\n"
+    return "time," + ",".join(traj.species) + "\n" + kernels.format_rows(traj.states, traj.times)
 
 
 def _ensemble_csv(ens: Ensemble) -> str:
-    # one text block per replicate, so that no more than one replicate's
-    # lines are alive at a time; each grid time is formatted once
-    blocks = ["replicate,time," + ",".join(ens.species)]
-    times = [f"{t:.6f}" for t in ens.grid.tolist()]
-    for i, values in enumerate(ens.values):
-        label = itertools.repeat(str(i))
-        blocks.append("\n".join(map(",".join, zip(label, times, *_text_columns(values)))))
-    return "\n".join(blocks) + "\n"
+    return "replicate,time," + ",".join(ens.species) + "\n" + kernels.format_rows(ens.values, ens.grid)
 
 
 def _comparison_csv(report: stats.ComparisonReport) -> str:
@@ -265,9 +249,7 @@ def _comparison_csv(report: stats.ComparisonReport) -> str:
     for name, comp in report.populations.items():
         header += [f"sds_{name}", f"abs_mean_{name}", f"abs_var_{name}"]
         columns += [comp.sds, comp.abs_mean, comp.abs_variance]
-    times = [f"{t:.6f}" for t in report.grid.tolist()]
-    lines = [",".join(header), *map(",".join, zip(times, *_text_columns(np.column_stack(columns))))]
-    return "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + kernels.format_rows(np.column_stack(columns), report.grid)
 
 
 def _json_doc(obj: dict) -> str:
@@ -278,6 +260,8 @@ def _manifest(spec: RunSpec, outputs: list[str], results: dict) -> str:
     doc = {
         "format": "dualsim-manifest/1",
         "backend": kernels.BACKEND_NAME,
+        "rng": "sfc64-splitmix64",
+        "version": __version__,
         "run_spec": asdict(spec),
         "replicate_seeds": (
             [spec.seed + i for i in range(spec.reps)] if spec.paradigm in ("abs", "both") else []
@@ -291,7 +275,7 @@ def _manifest(spec: RunSpec, outputs: list[str], results: dict) -> str:
 def _curve(label: str, species: str, values: np.ndarray) -> Curve:
     """One plotted series: tumour solid on the left axis, any other species
     dotted on the right."""
-    return Curve(f"{label} {species}", list(values), secondary=species != "tumour")
+    return Curve(f"{label} {species}", values, secondary=species != "tumour")
 
 
 def _model_label(spec: RunSpec) -> str:

@@ -2,12 +2,13 @@
 
 The compiled extension (``_ckernels``, built by ``setup.py`` from the
 hand-written C99 source ``_ckernels.c``) and the pure-Python module
-(``_pykernels``) implement the five entry points below to the one contract
-written here; each backend's own docstring adds only its RNG and build
-notes.  Which backend runs is decided once, at import time: ``c`` when the
-extension imports, else ``pure-python``.  The extension is optional: a build
-without a C compiler skips it and the package runs on the pure-Python
-kernels, which return the same rows.
+(``_pykernels``) implement the five simulation kernels and the row
+formatter below to the one contract written here; each backend's own
+docstring adds only its RNG and build notes.  Which backend runs is decided
+once, at import time: ``c`` when the extension imports, else
+``pure-python``.  The extension is optional: a build without a C compiler
+skips it and the package runs on the pure-Python kernels, which return the
+same rows.
 
 Entry points.  Every argument is positional only; a keyword call raises
 TypeError::
@@ -17,13 +18,14 @@ TypeError::
     ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events[, grid])
     ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events[, grid])
     tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap[, grid])
+    format_rows(values, times)
 
-Result rows.  Every kernel returns ``(rows, status)``, where ``rows`` is a
-C-contiguous ``(n, 3)`` memoryview of doubles, one ``(t, T, E)`` sample per
-row, so ``len(rows)`` is the sample count and ``np.asarray(rows)`` views it
-without a copy.  The compiled backend's rows view one ``bytearray``, the
-pure backend's one ``array('d')``.  One-species kernels (``rk4_growth``,
-``ssa_frozen``) write E = 0.
+Result rows.  Every simulation kernel returns ``(rows, status)``, where
+``rows`` is a C-contiguous ``(n, 3)`` memoryview of doubles, one
+``(t, T, E)`` sample per row, so ``len(rows)`` is the sample count and
+``np.asarray(rows)`` views it without a copy.  The compiled backend's rows
+view one ``bytearray``, the pure backend's one ``array('d')``.  One-species
+kernels (``rk4_growth``, ``ssa_frozen``) write E = 0.
 
 RK4.  In each backend, ``rk4_growth`` (``kind`` 0: power law, 1: Gompertz)
 and ``rk4_kuznetsov`` only parse their arguments and name the model's
@@ -76,6 +78,18 @@ t column gives each held sample's time: the per-event rows indexed by
 instead of per event.  Grid points past the last sample hold the last
 sample, so the last row always names the last event.
 
+CSV rows.  ``format_rows(values, times)`` returns, as one ``str``, the
+rows of a 2-D ``(n, k)`` or 3-D ``(reps, n, k)`` buffer of doubles
+``values`` recorded at the ``n`` times of the 1-D buffer of doubles
+``times`` (either with any strides): one line ``[r,]time,v1,...,vk`` and a
+newline per row, the replicate index ``r`` only for a 3-D buffer.  Each time
+is written as ``f"{t:.6f}"`` and each value as ``repr(float(v))``, so the
+text is the same on either backend.  Another rank or item format raises
+TypeError, a ``times`` of another length ValueError.  It stays out of
+``__all__``: the benchmark's tracer (``e2ebench/tracing.py``) wraps every
+callable listed there and has no metric for this one, so its time counts
+under its caller's.
+
 Seeds.  Both backends draw one stream: SFC64 (as numpy's ``SFC64`` steps
 it) from four splitmix64 outputs of the seed masked to its low 64 bits, each
 64-bit word ``x`` giving the uniform ``(x >> 11) * 2**-53``.  Seeds s and
@@ -98,6 +112,7 @@ rk4_kuznetsov = backend.rk4_kuznetsov
 ssa = backend.ssa
 ssa_frozen = backend.ssa_frozen
 tau_leap = backend.tau_leap
+format_rows = backend.format_rows
 
 # Status codes returned by every kernel.
 ST_OK = 0

@@ -13,7 +13,12 @@
  *   so both backends return the same rows for a seed;
  * - keep the arithmetic as written and build without -ffast-math or fused
  *   multiply-adds (setup.py passes -ffp-contract=off): outputs are pinned
- *   byte for byte per seed, and equal the pure backend's.
+ *   byte for byte per seed, and equal the pure backend's;
+ * - ``format_rows`` writes each cell with ``PyOS_double_to_string``, as
+ *   f"{t:.6f}" (mode 'f', 6 digits) and repr(float(v)) (mode 'r',
+ *   Py_DTSF_ADD_DOT_0) do, formatting each time once per call into one
+ *   growing buffer; the returned str is that buffer's one copy.  It is kept
+ *   out of ``kernels.__all__`` (see the package docstring).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -627,6 +632,98 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
     return rec_finish(&rec, status == -1 ? 0 : status);
 }
 
+/* ---- CSV rows ---------------------------------------------------------- */
+
+#define ROWS_ERROR "values must be a 2-D or 3-D buffer of doubles, times a 1-D one"
+#define CELL_CHARS 32 /* ',' plus a repr, at most 24 characters */
+
+/* The CSV rows "[r,]time,v1,...,vk\n" of every (r, row); each time is
+ * formatted once, as f"{t:.6f}", and each value as repr(float(v)), into one
+ * growing buffer that the returned str copies. */
+static PyObject *format_rows(PyObject *self, PyObject *args)
+{
+    PyObject *values_obj, *times_obj, *result = NULL;
+    Py_buffer vals = {NULL}, times = {NULL};
+    char **stamps = NULL, *text = NULL;
+    Py_ssize_t n = 0, len = 0, cap = 1 << 16;
+    if (!PyArg_ParseTuple(args, "OO", &values_obj, &times_obj))
+        return NULL;
+    if (PyObject_GetBuffer(values_obj, &vals, PyBUF_RECORDS_RO) < 0 ||
+        PyObject_GetBuffer(times_obj, &times, PyBUF_RECORDS_RO) < 0 || vals.ndim < 2 ||
+        vals.ndim > 3 || strcmp(vals.format, "d") != 0 || times.ndim != 1 ||
+        strcmp(times.format, "d") != 0) {
+        PyErr_SetString(PyExc_TypeError, ROWS_ERROR);
+        goto done;
+    }
+    /* a 2-D buffer is one replicate, with no index column */
+    int indexed = vals.ndim == 3;
+    Py_ssize_t reps = indexed ? vals.shape[0] : 1, k = vals.shape[vals.ndim - 1];
+    Py_ssize_t rep_step = indexed ? vals.strides[0] : 0, row_step = vals.strides[vals.ndim - 2],
+               col_step = vals.strides[vals.ndim - 1];
+    if (times.shape[0] != vals.shape[vals.ndim - 2]) {
+        PyErr_Format(PyExc_ValueError, "%zd rows of values but %zd times", vals.shape[vals.ndim - 2],
+                     times.shape[0]);
+        goto done;
+    }
+    n = times.shape[0];
+    if ((stamps = PyMem_Calloc(n ? n : 1, sizeof *stamps)) == NULL ||
+        (text = PyMem_Malloc(cap)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t j = 0; j < n; j++) {
+        double t = *(const double *)((const char *)times.buf + j * times.strides[0]);
+        if ((stamps[j] = PyOS_double_to_string(t, 'f', 6, 0, NULL)) == NULL)
+            goto done;
+    }
+    for (Py_ssize_t i = 0; i < reps; i++) {
+        char label[24] = "";
+        size_t label_len = indexed ? (size_t)snprintf(label, sizeof label, "%zd,", i) : 0;
+        for (Py_ssize_t j = 0; j < n; j++) {
+            const char *row = (const char *)vals.buf + i * rep_step + j * row_step;
+            size_t stamp_len = strlen(stamps[j]);
+            Py_ssize_t need = len + label_len + stamp_len + k * CELL_CHARS + 1;
+            if (need > cap) {
+                while (cap < need)
+                    cap *= 2;
+                char *grown = PyMem_Realloc(text, cap);
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    goto done;
+                }
+                text = grown;
+            }
+            memcpy(text + len, label, label_len);
+            memcpy(text + len + label_len, stamps[j], stamp_len);
+            len += label_len + stamp_len;
+            for (Py_ssize_t l = 0; l < k; l++) {
+                double v = *(const double *)(row + l * col_step);
+                char *cell = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+                if (cell == NULL)
+                    goto done;
+                size_t cell_len = strlen(cell);
+                text[len] = ',';
+                memcpy(text + len + 1, cell, cell_len);
+                len += 1 + cell_len;
+                PyMem_Free(cell);
+            }
+            text[len++] = '\n';
+        }
+    }
+    if ((result = PyUnicode_New(len, 127)) != NULL)
+        memcpy(PyUnicode_1BYTE_DATA(result), text, len);
+done:
+    for (Py_ssize_t j = 0; stamps != NULL && j < n; j++)
+        PyMem_Free(stamps[j]);
+    PyMem_Free(stamps);
+    PyMem_Free(text);
+    if (vals.obj != NULL)
+        PyBuffer_Release(&vals);
+    if (times.obj != NULL)
+        PyBuffer_Release(&times);
+    return result;
+}
+
 /* ---- module ------------------------------------------------------------ */
 
 #define KERNEL(name, doc) {#name, name, METH_VARARGS, doc}
@@ -643,6 +740,8 @@ static PyMethodDef methods[] = {
                        "non-empty ``grid``."),
     KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (rows, status), "
                      "(t, T, E) rows per leap or held on a non-empty ``grid``."),
+    KERNEL(format_rows, "The CSV rows of a (n, k) or (reps, n, k) array of values at n times, "
+                        "as one str."),
     {NULL, NULL, 0, NULL},
 };
 

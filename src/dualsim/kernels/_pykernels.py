@@ -13,7 +13,10 @@ this backend:
 - ``_rng`` draws the package's one stream from numpy's ``SFC64``, so both
   backends return the same rows for a seed;
 - the loops are written for speed under CPython: bound locals, flat floats,
-  no per-event allocation beyond the output samples.
+  no per-event allocation beyond the output samples;
+- ``format_rows`` maps ``repr`` over each replicate's columns and joins one
+  text block per replicate; like the C twin it is kept out of
+  ``kernels.__all__`` (see the package docstring).
 """
 
 from __future__ import annotations
@@ -438,3 +441,33 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
         E = nE
         push(t, T, E)
     return finish(0)
+
+
+# ---------------------------------------------------------------------------
+# CSV rows
+# ---------------------------------------------------------------------------
+
+_ROWS_ERROR = "values must be a 2-D or 3-D buffer of doubles, times a 1-D one"
+
+
+def format_rows(values, times, /):
+    """The CSV rows ``[r,]time,v1,...,vk\\n`` of a (n, k) or (reps, n, k)
+    buffer of values at ``n`` times: f"{t:.6f}" and repr(float(v)) per cell,
+    one text block per replicate."""
+    try:
+        view, times = memoryview(values), memoryview(times)
+    except TypeError:
+        raise TypeError(_ROWS_ERROR) from None
+    if view.ndim not in (2, 3) or view.format != "d" or times.ndim != 1 or times.format != "d":
+        raise TypeError(_ROWS_ERROR)
+    n = view.shape[-2]
+    if times.shape[0] != n:
+        raise ValueError(f"{n} rows of values but {times.shape[0]} times")
+    stamps = [f"{t:.6f}" for t in times.tolist()]
+    values = np.asarray(view)
+    blocks = []
+    for i, block in enumerate(values if view.ndim == 3 else [values]):
+        label = (repeat(str(i)),) if view.ndim == 3 else ()
+        columns = [map(repr, column) for column in block.T.tolist()]
+        blocks.append("\n".join(map(",".join, zip(*label, stamps, *columns))))
+    return "\n".join(blocks) + "\n" if n and blocks else ""

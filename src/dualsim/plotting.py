@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 
 __all__ = ["Curve", "emit_svg_plot"]
@@ -44,8 +46,8 @@ def _tick_label(v: float) -> str:
 
 
 def _axis_range(curves: list[Curve]) -> tuple[float, float]:
-    lo = min(min(c.values) for c in curves)
-    hi = max(max(c.values) for c in curves)
+    lo = min(float(np.min(c.values)) for c in curves)
+    hi = max(float(np.max(c.values)) for c in curves)
     lo = min(lo, 0.0)
     if hi <= lo:
         hi = lo + 1.0
@@ -57,11 +59,14 @@ def emit_svg_plot(
     curves: Sequence[Curve],
     title: str = "",
 ) -> str:
-    """Render curves sharing one time grid as an SVG 1.1 document."""
+    """Render curves sharing one time grid as an SVG 1.1 document.  The
+    points of each curve are computed as numpy arrays, by the expressions
+    that place the ticks: ``+ - * /`` round in numpy as in Python, so the
+    bytes do not depend on whether a series is a list or an array."""
     curves = list(curves)
     if not curves:
         raise ConfigError("nothing to plot: empty series set")
-    times = [float(t) for t in times]
+    times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise ConfigError("a plot needs at least two grid points")
     for c in curves:
@@ -70,11 +75,11 @@ def emit_svg_plot(
 
     left = [c for c in curves if not c.secondary]
     right = [c for c in curves if c.secondary]
-    x0, x1 = times[0], times[-1]
+    x0, x1 = float(times[0]), float(times[-1])
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def x_px(t: float) -> float:
+    def x_px(t):
         return _MARGIN_L + (t - x0) / (x1 - x0) * plot_w
 
     scales = {}
@@ -83,7 +88,7 @@ def emit_svg_plot(
     if right:
         scales["right"] = _axis_range(right)
 
-    def y_px(v: float, axis: str) -> float:
+    def y_px(v, axis: str):
         lo, hi = scales[axis]
         return _MARGIN_T + (hi - v) / (hi - lo) * plot_h
 
@@ -137,11 +142,13 @@ def emit_svg_plot(
             )
 
     # curves
+    xs = [_fmt(px) for px in x_px(times).tolist()]
     legend_entries = []
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         axis = "right" if c.secondary else "left"
-        pts = " ".join(f"{_fmt(x_px(t))},{_fmt(y_px(v, axis))}" for t, v in zip(times, c.values))
+        ys = y_px(np.asarray(c.values, dtype=float), axis).tolist()
+        pts = " ".join([f"{x},{y:.2f}" for x, y in zip(xs, ys)])
         dash = ' stroke-dasharray="2 4"' if c.secondary else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')
         legend_entries.append((f"{c.label} ({axis})", color, dash))

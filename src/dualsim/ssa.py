@@ -223,6 +223,20 @@ class EnsembleSpec:
             grid.flags.writeable = False
             object.__setattr__(self, "grid", grid)
 
+    def values_shape(self, reps: int) -> tuple[int, int, int]:
+        """``(reps, len(grid), species)``: the shape of ``reps`` replicates'
+        values on the grid.  ConfigError unless ``reps >= 1``, the spec has a
+        grid and the values fit in the bytes numpy can index, so a run can be
+        refused before anything runs."""
+        if reps < 1:
+            raise ConfigError(f"reps must be >= 1, got {reps}")
+        if self.grid is None:
+            raise ConfigError("an ensemble is recorded on a grid: build the spec with one")
+        shape = (reps, len(self.grid), len(self.channels.species))
+        if math.prod(shape) * np.dtype(float).itemsize > np.iinfo(np.intp).max:  # numpy's bound
+            raise ConfigError(f"{reps} replicates of {len(self.grid)} grid points are too many to hold")
+        return shape
+
 
 def _check_run(channels: ChannelSet, initial: PopulationState, t_end: float, policy: RatePolicy,
                floors: Floors, dt: float | None) -> None:
@@ -362,15 +376,8 @@ def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 
     per grid point instead of per event.  Replicates are independent (they
     could run concurrently); rows are ordered by replicate index either way.
     """
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
-    if spec.grid is None:
-        raise ConfigError("an ensemble is recorded on a grid: build the spec with one")
+    values = np.empty(spec.values_shape(reps))  # filled in place: no per-replicate copies beside it
     simulate = simulate_exact if spec.dt is None else simulate_tau_leap
-    try:  # filled in place: no per-replicate copies alive beside the array
-        values = np.empty((reps, len(spec.grid), len(spec.channels.species)))
-    except ValueError as exc:  # more values than numpy can index
-        raise ConfigError(f"{reps} replicates of {len(spec.grid)} grid points are too many to hold: {exc}") from None
     terminations = []
     for i in range(reps):
         seed = base_seed + i

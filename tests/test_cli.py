@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dualsim
+from dualsim import kernels
 from dualsim.cli import (
     RunSpec,
     _comparison_csv,
@@ -21,6 +22,7 @@ from dualsim.cli import (
     parse_config,
 )
 from dualsim.errors import ConfigError
+from dualsim.kernels import _pykernels
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
 from dualsim.ssa import EnsembleSpec, growth_channels, kuznetsov_channels, run_ensemble, simulate_exact
@@ -109,6 +111,8 @@ class TestCmdRun:
         assert manifest["run_spec"]["model"] == "logistic"
         assert manifest["replicate_seeds"] == []
         assert manifest["backend"] == dualsim.BACKEND_NAME
+        assert manifest["rng"] == "sfc64-splitmix64"
+        assert manifest["version"] == dualsim.__version__
 
     @pytest.mark.parametrize("grid, dt, times", [
         (0.05, 0.001, make_grid(2.0, 0.05)),
@@ -216,7 +220,18 @@ def reference_comparison_csv(report):
     return "\n".join(lines) + "\n"
 
 
+COMPARISON_CASES = [
+    (scenario_preset(4), kuznetsov_channels, (100, 10)),
+    (GrowthLaw("logistic", 1.0, 0.2), growth_channels, (5,)),
+]
+
+
 class TestCsvWriters:
+    """The writers format through ``kernels.format_rows``: these tests run
+    the active backend's, and the last runs them all on the pure twin."""
+
+    GRIDS = [make_grid(2.0, 0.01), np.arange(0.0, 2.0, 1 / 3)]
+
     def test_sds_csv_matches_the_per_cell_formula(self):
         traj = integrate(scenario_preset(2), PopulationState(100.0, 10.0),
                          IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.07))
@@ -230,17 +245,14 @@ class TestCsvWriters:
         )
         assert _sds_csv(awkward) == reference_sds_csv(awkward)
 
-    @pytest.mark.parametrize("grid", [make_grid(2.0, 0.01), np.arange(0.0, 2.0, 1 / 3)])
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_ensemble_csv_matches_the_per_cell_formula(self, grid):
         spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
                             initial=PopulationState(100, 10), t_end=2.0)
         ens = run_ensemble(replace(spec, grid=grid), reps=3, base_seed=5)
         assert _ensemble_csv(ens) == reference_ensemble_csv(spec, 3, 5, grid)
 
-    @pytest.mark.parametrize("model, channels, initial", [
-        (scenario_preset(4), kuznetsov_channels, (100, 10)),
-        (GrowthLaw("logistic", 1.0, 0.2), growth_channels, (5,)),
-    ], ids=["two-species", "one-species"])
+    @pytest.mark.parametrize("model, channels, initial", COMPARISON_CASES, ids=["two-species", "one-species"])
     def test_comparison_csv_matches_the_per_cell_formula(self, model, channels, initial):
         sds = integrate(model, PopulationState(*map(float, initial)),
                         IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.1))
@@ -249,6 +261,14 @@ class TestCsvWriters:
                            reps=3, base_seed=2)
         report = compare(sds, ens)
         assert _comparison_csv(report) == reference_comparison_csv(report)
+
+    def test_the_pure_twin_writes_the_same_bytes(self, monkeypatch):
+        monkeypatch.setattr(kernels, "format_rows", _pykernels.format_rows)
+        self.test_sds_csv_matches_the_per_cell_formula()
+        for grid in self.GRIDS:
+            self.test_ensemble_csv_matches_the_per_cell_formula(grid)
+        for case in COMPARISON_CASES:
+            self.test_comparison_csv_matches_the_per_cell_formula(*case)
 
 
 class TestCmdCompare:
@@ -362,6 +382,19 @@ class TestMainExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_too_many_replicates_are_refused_before_the_sds_runs(self, tmp_path, capsys, monkeypatch, command):
+        # a 10M-step RK4 run that the replicate count makes pointless
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrate ran")
+
+        monkeypatch.setattr(dualsim.cli, "integrate", no_integration)
+        rc = main([command, "--model", "kuznetsov", "--scenario", "4", "--t-end", "1000", "--dt", "1e-4",
+                   "--reps", "100000000000000000000", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "too many to hold" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [("--t0", "nan"), ("--t-end", "inf")])

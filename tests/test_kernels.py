@@ -1,6 +1,7 @@
 """Backend consistency: the compiled and pure kernels honor one contract."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -511,3 +512,89 @@ def test_a_poisson_count_past_long_range_passes_the_cap(backend):
     rows, status = BACKENDS[backend].tau_leap(((1, 1e30, 1.0, 0.0, 1, 0),), 1.0, 0.0, 1.0, 0.01, 1,
                                               0.0, 0.0, 1e12)
     assert status == 3 and np.asarray(rows).tolist() == [[0.0, 1.0, 0.0]]
+
+
+def reference_rows(values, times):
+    """The per-cell formula of the CSV writers: ``[r,]time,v1,...,vk`` lines."""
+    values = np.asarray(values)
+    lines = []
+    for r, block in enumerate(values if values.ndim == 3 else [values]):
+        label = [str(r)] if values.ndim == 3 else []
+        for t, row in zip(times, block):
+            lines.append(",".join([*label, f"{t:.6f}", *(repr(float(v)) for v in row)]) + "\n")
+    return "".join(lines)
+
+
+# -0.0, the smallest subnormal and normal, repr's switch to exponents at
+# 1e-4 and 1e16, a double past 2**53, the largest double, inf and nan
+EDGE_VALUES = [-0.0, 0.0, 5e-324, sys.float_info.min, 1e-5, 0.1, 1e15, 1e16, 2.0**53 + 2,
+               sys.float_info.max, math.inf, -math.inf, math.nan]
+
+
+def edge_and_random_values():
+    """The edge values and 20,000 random floats over +-300 decades, as 3 columns."""
+    rng = np.random.default_rng(19)
+    random = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-300, 300, 20_000)
+    return np.concatenate([EDGE_VALUES, random]).reshape(-1, 3)
+
+
+def test_format_rows_is_a_kernel_outside_all():
+    # the benchmark's tracer wraps every callable of kernels.__all__
+    assert "format_rows" not in kernels.__all__
+    assert kernels.format_rows is kernels.backend.format_rows
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestFormatRows:
+    def test_cells_are_repr_and_times_six_decimals(self, backend):
+        # every edge value and random float is a time and a value
+        values = edge_and_random_values()
+        times = values[:, 0].copy()
+        assert BACKENDS[backend].format_rows(values, times) == reference_rows(values, times)
+
+    def test_the_same_text_as_the_pure_twin(self, backend):
+        values = edge_and_random_values()
+        for args in ((values, values[:, 0]), (values[:3000].reshape(12, 250, 3), values[:250, 1]),
+                     (values[:, ::2], values[:, 1])):
+            assert BACKENDS[backend].format_rows(*args) == pure.format_rows(*args)
+
+    def test_a_2d_buffer_has_no_index_column(self, backend):
+        text = BACKENDS[backend].format_rows(np.array([[1.0, 2.5], [0.1, -0.0]]), np.array([0.0, 0.5]))
+        assert text == "0.000000,1.0,2.5\n0.500000,0.1,-0.0\n"
+
+    def test_a_3d_buffer_leads_each_row_with_its_replicate(self, backend):
+        fn = BACKENDS[backend].format_rows
+        text = fn(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]), np.array([0.0, 1 / 3]))
+        assert text == "0,0.000000,1.0\n0,0.333333,2.0\n1,0.000000,3.0\n1,0.333333,4.0\n"
+        values = edge_and_random_values()[:2400].reshape(12, 200, 3)
+        times = np.linspace(0.0, 2.0, 200)
+        assert fn(values, times) == reference_rows(values, times)
+
+    def test_strided_and_empty_buffers(self, backend):
+        fn = BACKENDS[backend].format_rows
+        values = edge_and_random_values()
+        assert fn(values[:, 1:], values[:, 0]) == reference_rows(values[:, 1:], values[:, 0])
+        assert fn(np.zeros((0, 2)), np.zeros(0)) == fn(np.zeros((0, 4, 2)), np.zeros(4)) == ""
+
+    def test_a_times_length_other_than_the_rows_is_a_value_error(self, backend):
+        with pytest.raises(ValueError, match="3 rows of values but 2 times"):
+            BACKENDS[backend].format_rows(np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ValueError):
+            BACKENDS[backend].format_rows(np.zeros((2, 3, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("values, times", [
+        (np.zeros((2, 2), dtype=np.float32), np.zeros(2)),
+        (np.zeros((2, 2), dtype=np.int64), np.zeros(2)),
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros((1, 1, 2, 2)), np.zeros(2)),
+        (np.zeros((2, 2)), np.zeros((2, 1))),
+        (np.zeros((2, 2)), np.zeros(2, dtype=np.float32)),
+        ([[0.0, 1.0], [2.0, 3.0]], np.zeros(2)),
+    ], ids=["float32", "int64", "1-D", "4-D", "2-D times", "float32 times", "list"])
+    def test_another_rank_or_item_type_is_a_type_error(self, backend, values, times):
+        with pytest.raises(TypeError, match="2-D or 3-D buffer of doubles"):
+            BACKENDS[backend].format_rows(values, times)
+
+    def test_keyword_calls_raise_type_error(self, backend):
+        with pytest.raises(TypeError):
+            BACKENDS[backend].format_rows(np.zeros((1, 1)), times=np.zeros(1))
