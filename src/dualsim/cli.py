@@ -7,7 +7,9 @@ the library's own message.  The CLI itself checks only its fields, their
 types and enumerations, and which fields each model takes.  Every run writes
 a manifest recording all resolved inputs, the seeds and the kernel backend;
 re-running from a manifest reproduces the output files byte for byte on
-either backend, the manifest's ``backend`` field aside.
+either backend, the manifest's ``backend`` field aside.  A manifest that
+names another random stream (``rng``), or none, still runs, with a note on
+stderr that its seeded stochastic outputs will not reproduce.
 
 Exit codes: 0 success, 2 configuration error (a grid or a replicate count
 too large to hold included), 3 engine error (running out of memory
@@ -64,6 +66,10 @@ _FIXES = ("none", "tumour", "both")
 # values exist), overridable, and stamped into every manifest.
 _KUZNETSOV_T0 = 100.0
 _KUZNETSOV_E0 = 10.0
+
+# the random stream both kernel backends draw (see ``dualsim.kernels``), as
+# every manifest names it
+_RNG = "sfc64-splitmix64"
 
 
 @dataclass(frozen=True)
@@ -177,23 +183,25 @@ def _validate_raw(raw: dict) -> RunSpec:
     return spec
 
 
-def _decode_config(text: str) -> dict:
-    """The raw fields of a JSON config document, or of a manifest's run spec."""
+def _decode_config(text: str) -> tuple[dict, dict | None]:
+    """The raw fields of a JSON config document, or of a manifest's run spec,
+    and the manifest (None for a config document)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    manifest = None
     if isinstance(raw, dict) and "run_spec" in raw:
-        raw = raw["run_spec"]
+        manifest, raw = raw, raw["run_spec"]
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    return raw
+    return raw, manifest
 
 
 def parse_config(text: str) -> RunSpec:
     """Parse a JSON config document (or a previously written manifest) into a
     fully validated RunSpec with defaults filled in."""
-    return _validate_raw(_decode_config(text))
+    return _validate_raw(_decode_config(text)[0])
 
 
 def _build_model(spec: RunSpec) -> GrowthLaw | KuznetsovParams:
@@ -260,7 +268,7 @@ def _manifest(spec: RunSpec, outputs: list[str], results: dict) -> str:
     doc = {
         "format": "dualsim-manifest/1",
         "backend": kernels.BACKEND_NAME,
-        "rng": "sfc64-splitmix64",
+        "rng": _RNG,
         "version": __version__,
         "run_spec": asdict(spec),
         "replicate_seeds": (
@@ -439,7 +447,14 @@ def _load_spec(args: argparse.Namespace, compare: bool = False) -> RunSpec:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        raw.update(_decode_config(text))
+        doc, manifest = _decode_config(text)
+        raw.update(doc)
+        # a manifest of another stream runs, but draws other random numbers
+        rng = manifest.get("rng") if manifest is not None else _RNG
+        if rng != _RNG:
+            recorded = "no rng" if rng is None else f"rng {rng!r}"
+            print(f"note: manifest {args.config} records {recorded}, not {_RNG!r}: "
+                  "its seeded stochastic outputs will not reproduce", file=sys.stderr)
     for name in _FIELD_TYPES:
         v = getattr(args, name, None)
         if v is not None:

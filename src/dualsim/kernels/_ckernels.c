@@ -14,11 +14,16 @@
  * - keep the arithmetic as written and build without -ffast-math or fused
  *   multiply-adds (setup.py passes -ffp-contract=off): outputs are pinned
  *   byte for byte per seed, and equal the pure backend's;
- * - ``format_rows`` writes each cell with ``PyOS_double_to_string``, as
- *   f"{t:.6f}" (mode 'f', 6 digits) and repr(float(v)) (mode 'r',
- *   Py_DTSF_ADD_DOT_0) do, formatting each time once per call into one
- *   growing buffer; the returned str is that buffer's one copy.  It is kept
- *   out of ``kernels.__all__`` (see the package docstring).
+ * - ``format_rows`` writes each time once per call with
+ *   ``PyOS_double_to_string`` as f"{t:.6f}" does (mode 'f', 6 digits).  An
+ *   integral value v, |v| < 1e16 and not -0.0, is written as its decimal
+ *   digits and ".0", with no dtoa: that is repr(float(v)), since repr only
+ *   switches to exponents at 1e16 and below it adjacent doubles are at most 2
+ *   apart, so no shorter decimal rounds to v.  Every other value goes through
+ *   ``PyOS_double_to_string`` as repr does (mode 'r', Py_DTSF_ADD_DOT_0).
+ *   The rows are written straight into the result: a fresh ASCII str, grown
+ *   with ``PyUnicode_Resize`` and shrunk once to its length at the end.  It is
+ *   kept out of ``kernels.__all__`` (see the package docstring).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -637,14 +642,35 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
 #define ROWS_ERROR "values must be a 2-D or 3-D buffer of doubles, times a 1-D one"
 #define CELL_CHARS 32 /* ',' plus a repr, at most 24 characters */
 
+/* repr(float(v)) of an integral v with |v| < 1e16 that is not -0.0 (see the
+ * header): its digits and ".0".  Returns the characters written. */
+static inline size_t write_integral(char *out, long long x)
+{
+    char digits[20];
+    int n = 0;
+    unsigned long long u = (unsigned long long)(x < 0 ? -x : x);
+    do {
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u != 0);
+    size_t len = 0;
+    if (x < 0)
+        out[len++] = '-';
+    while (n > 0)
+        out[len++] = digits[--n];
+    out[len++] = '.';
+    out[len++] = '0';
+    return len;
+}
+
 /* The CSV rows "[r,]time,v1,...,vk\n" of every (r, row); each time is
- * formatted once, as f"{t:.6f}", and each value as repr(float(v)), into one
- * growing buffer that the returned str copies. */
+ * formatted once, as f"{t:.6f}", and each value as repr(float(v)), straight
+ * into the returned str. */
 static PyObject *format_rows(PyObject *self, PyObject *args)
 {
     PyObject *values_obj, *times_obj, *result = NULL;
     Py_buffer vals = {NULL}, times = {NULL};
-    char **stamps = NULL, *text = NULL;
+    char **stamps = NULL, *text;
     Py_ssize_t n = 0, len = 0, cap = 1 << 16;
     if (!PyArg_ParseTuple(args, "OO", &values_obj, &times_obj))
         return NULL;
@@ -666,8 +692,7 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
         goto done;
     }
     n = times.shape[0];
-    if ((stamps = PyMem_Calloc(n ? n : 1, sizeof *stamps)) == NULL ||
-        (text = PyMem_Malloc(cap)) == NULL) {
+    if ((stamps = PyMem_Calloc(n ? n : 1, sizeof *stamps)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -676,6 +701,10 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
         if ((stamps[j] = PyOS_double_to_string(t, 'f', 6, 0, NULL)) == NULL)
             goto done;
     }
+    /* the str is fresh and has one reference, so it may be resized */
+    if ((result = PyUnicode_New(cap, 127)) == NULL)
+        goto done;
+    text = (char *)PyUnicode_1BYTE_DATA(result);
     for (Py_ssize_t i = 0; i < reps; i++) {
         char label[24] = "";
         size_t label_len = indexed ? (size_t)snprintf(label, sizeof label, "%zd,", i) : 0;
@@ -686,37 +715,40 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
             if (need > cap) {
                 while (cap < need)
                     cap *= 2;
-                char *grown = PyMem_Realloc(text, cap);
-                if (grown == NULL) {
-                    PyErr_NoMemory();
-                    goto done;
-                }
-                text = grown;
+                if (PyUnicode_Resize(&result, cap) < 0)
+                    goto fail;
+                text = (char *)PyUnicode_1BYTE_DATA(result);
             }
             memcpy(text + len, label, label_len);
             memcpy(text + len + label_len, stamps[j], stamp_len);
             len += label_len + stamp_len;
             for (Py_ssize_t l = 0; l < k; l++) {
                 double v = *(const double *)(row + l * col_step);
+                text[len++] = ',';
+                /* the range test first: the cast of a value outside it is undefined */
+                if (-1e16 < v && v < 1e16 && v == (double)(long long)v && !(v == 0.0 && signbit(v))) {
+                    len += write_integral(text + len, (long long)v);
+                    continue;
+                }
                 char *cell = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
                 if (cell == NULL)
-                    goto done;
+                    goto fail;
                 size_t cell_len = strlen(cell);
-                text[len] = ',';
-                memcpy(text + len + 1, cell, cell_len);
-                len += 1 + cell_len;
+                memcpy(text + len, cell, cell_len);
+                len += cell_len;
                 PyMem_Free(cell);
             }
             text[len++] = '\n';
         }
     }
-    if ((result = PyUnicode_New(len, 127)) != NULL)
-        memcpy(PyUnicode_1BYTE_DATA(result), text, len);
+    if (PyUnicode_Resize(&result, len) == 0)
+        goto done;
+fail:
+    Py_CLEAR(result);
 done:
     for (Py_ssize_t j = 0; stamps != NULL && j < n; j++)
         PyMem_Free(stamps[j]);
     PyMem_Free(stamps);
-    PyMem_Free(text);
     if (vals.obj != NULL)
         PyBuffer_Release(&vals);
     if (times.obj != NULL)

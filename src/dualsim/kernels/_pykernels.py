@@ -34,6 +34,8 @@ _INF = math.inf
 _MAX_HALVINGS = 40  # per micro-step, before giving up on positivity
 _GRID_ERROR = "grid must be a non-empty contiguous 1-D buffer of doubles"
 _REL_UNDERSHOOT_TOL = 1e-12
+# seeds each run's SFC64 before its state is set, so a start draws no OS entropy
+_SEED_SEQUENCE = np.random.SeedSequence(0)
 
 
 def _pow(x: float, e: float) -> float:
@@ -255,7 +257,7 @@ def _rng(seed):
         z = ((st ^ (st >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         words.append(z ^ (z >> 31))
-    bits = np.random.SFC64()
+    bits = np.random.SFC64(_SEED_SEQUENCE)
     bits.state = {"bit_generator": "SFC64", "state": {"state": np.array(words, dtype=np.uint64)},
                   "has_uint32": 0, "uinteger": 0}
     blocks = (((bits.random_raw(n) >> 11) * 2.0**-53).tolist() for n in chain((64, 256, 1024), repeat(4096)))

@@ -505,6 +505,30 @@ class TestMainExitCodes:
         rc = main(["run", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("rng", ["xoshiro256**", None, "sfc64-splitmix64"],
+                             ids=["another rng", "no rng", "this rng"])
+    def test_a_manifest_of_another_rng_reruns_with_a_note(self, tmp_path, capsys, rng):
+        flags = ["--model", "logistic", "--c", "5", "--t-end", "2", "--reps", "2", "--grid", "0.5"]
+        assert main(["run", *flags, "--out", str(tmp_path / "first")]) == 0
+        manifest = json.loads(read(tmp_path / "first" / "manifest.json"))
+        if rng is None:
+            del manifest["rng"]
+        else:
+            manifest["rng"] = rng
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "again")]) == 0
+        err = capsys.readouterr().err
+        if rng == "sfc64-splitmix64":
+            assert err == ""
+        else:
+            recorded = "no rng" if rng is None else f"rng {rng!r}"
+            assert err == (f"note: manifest {cfg} records {recorded}, not 'sfc64-splitmix64': "
+                           "its seeded stochastic outputs will not reproduce\n")
+        for name in ("sds.csv", "abs_ensemble.csv"):
+            assert read(tmp_path / "again" / name) == read(tmp_path / "first" / name)
+
     @pytest.mark.parametrize("doc", ['[1, 2]', '{"run_spec": 3}', '{"model": '])
     def test_config_file_decodes_like_parse_config(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"

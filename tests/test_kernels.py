@@ -558,6 +558,28 @@ class TestFormatRows:
                      (values[:, ::2], values[:, 1])):
             assert BACKENDS[backend].format_rows(*args) == pure.format_rows(*args)
 
+    def test_integral_cells_are_repr(self, backend):
+        # the integral values by the C twin's integer writer (|v| < 1e16, not
+        # -0.0) and those beside its edges that still go through repr's dtoa
+        cells = [0.0, -0.0, 1.0, -1.0, -123456789.0, 2.0**53, 2.0**53 + 2, 9999999999999998.0,
+                 -9999999999999998.0, 1e16, -1e16, 1e16 + 2, 1e15 + 0.5, 4503599627370495.5]
+        values = np.array(cells).reshape(-1, 2)
+        times = np.arange(len(values), dtype=float)
+        assert BACKENDS[backend].format_rows(values, times) == reference_rows(values, times)
+
+    def test_integer_counts_past_several_growths_of_the_text(self, backend):
+        # an abs_ensemble of 9-digit counts, filled in place per replicate:
+        # about 20,000 rows of 40 characters, past 64 KiB doubled four times
+        rng = np.random.default_rng(23)
+        reps, n = 10, 2001
+        values = np.empty((reps, n, 2))
+        for i in range(reps):
+            values[i] = rng.integers(0, 10**9, size=(n, 2), endpoint=True)
+        times = np.linspace(0.0, 20.0, n)
+        text = BACKENDS[backend].format_rows(values, times)
+        assert len(text) > 8 * 2**16
+        assert text == reference_rows(values, times)
+
     def test_a_2d_buffer_has_no_index_column(self, backend):
         text = BACKENDS[backend].format_rows(np.array([[1.0, 2.5], [0.1, -0.0]]), np.array([0.0, 0.5]))
         assert text == "0.000000,1.0,2.5\n0.500000,0.1,-0.0\n"
