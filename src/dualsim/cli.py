@@ -25,6 +25,7 @@ import errno
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -70,6 +71,10 @@ _KUZNETSOV_E0 = 10.0
 # the random stream both kernel backends draw (see ``dualsim.kernels``), as
 # every manifest names it
 _RNG = "sfc64-splitmix64"
+
+# abs_ensemble.csv is formatted and written in blocks of whole replicates of
+# about this many rows (at least one replicate), about 1 MiB of text
+_BLOCK_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -247,8 +252,13 @@ def _sds_csv(traj: Trajectory) -> str:
     return "time," + ",".join(traj.species) + "\n" + kernels.format_rows(traj.states, traj.times)
 
 
-def _ensemble_csv(ens: Ensemble) -> str:
-    return "replicate,time," + ",".join(ens.species) + "\n" + kernels.format_rows(ens.values, ens.grid)
+def _ensemble_csv(ens: Ensemble) -> Iterator[str]:
+    """abs_ensemble.csv in parts: the header, then the rows of one block of
+    replicates at a time, so that its whole text is never held."""
+    yield "replicate,time," + ",".join(ens.species) + "\n"
+    step = max(1, _BLOCK_ROWS // len(ens.grid))
+    for first in range(0, len(ens.values), step):
+        yield kernels.format_rows(ens.values[first:first + step], ens.grid, first)
 
 
 def _comparison_csv(report: stats.ComparisonReport) -> str:
@@ -294,11 +304,12 @@ def _model_label(spec: RunSpec) -> str:
     return f"{spec.model} a={spec.a:g} b={spec.b:g}"
 
 
-def _write_outputs(out_dir: str, outputs: dict[str, str]) -> list[Path]:
-    """Writes every output to its ``.tmp`` file, refuses a target that is a
-    directory, then moves them all into place.  On any OSError it removes
-    the ``.tmp`` files it made, so that nothing is left behind unless a move
-    fails part way."""
+def _write_outputs(out_dir: str, outputs: dict[str, str | Iterable[str]]) -> list[Path]:
+    """Writes every output, a ``str`` or its parts in order, to its ``.tmp``
+    file, refuses a target that is a directory, then moves them all into
+    place.  On any exception (an OSError, or a MemoryError while a part is
+    formatted) it removes the ``.tmp`` files it made and re-raises, so that
+    nothing is left behind unless a move fails part way."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / name for name in sorted(outputs)]
@@ -307,13 +318,16 @@ def _write_outputs(out_dir: str, outputs: dict[str, str]) -> list[Path]:
         for path in paths:
             tmp = path.with_name(path.name + ".tmp")
             tmps.append(tmp)
-            tmp.write_text(outputs[path.name], encoding="utf-8", newline="\n")
+            parts = outputs[path.name]
+            with open(tmp, "w", encoding="utf-8", newline="\n") as file:
+                for part in [parts] if isinstance(parts, str) else parts:
+                    file.write(part)
         for path in paths:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, "an output path is a directory", str(path))
         for path, tmp in zip(paths, tmps):
             os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         for tmp in tmps:
             with contextlib.suppress(OSError):
                 tmp.unlink()
@@ -323,10 +337,12 @@ def _write_outputs(out_dir: str, outputs: dict[str, str]) -> list[Path]:
 
 def cmd_run(spec: RunSpec) -> list[Path]:
     """Execute the requested paradigm(s) and write trajectory CSVs, an
-    optional SVG plot, and the manifest.  All outputs are computed before
-    anything is written, so failures leave no partial files."""
+    optional SVG plot, and the manifest.  The simulations run before anything
+    is written; the ensemble is formatted block by block while it is written
+    to its ``.tmp`` file, and nothing moves into place until every output is
+    complete, so failures leave no partial files."""
     model, initial, grid, integrator, ensemble = _plan(spec)
-    outputs: dict[str, str] = {}
+    outputs: dict[str, str | Iterable[str]] = {}
     results: dict = {}
     plot_curves: list[Curve] = []
 

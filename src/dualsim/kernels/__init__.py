@@ -18,7 +18,7 @@ TypeError::
     ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events[, grid])
     ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events[, grid])
     tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap[, grid])
-    format_rows(values, times)
+    format_rows(values, times[, first])
 
 Result rows.  Every simulation kernel returns ``(rows, status)``, where
 ``rows`` is a C-contiguous ``(n, 3)`` memoryview of doubles, one
@@ -78,14 +78,19 @@ t column gives each held sample's time: the per-event rows indexed by
 instead of per event.  Grid points past the last sample hold the last
 sample, so the last row always names the last event.
 
-CSV rows.  ``format_rows(values, times)`` returns, as one ``str``, the
-rows of a 2-D ``(n, k)`` or 3-D ``(reps, n, k)`` buffer of doubles
-``values`` recorded at the ``n`` times of the 1-D buffer of doubles
+CSV rows.  ``format_rows(values, times[, first])`` returns, as one
+``str``, the rows of a 2-D ``(n, k)`` or 3-D ``(reps, n, k)`` buffer of
+doubles ``values`` recorded at the ``n`` times of the 1-D buffer of doubles
 ``times`` (either with any strides): one line ``[r,]time,v1,...,vk`` and a
-newline per row, the replicate index ``r`` only for a 3-D buffer.  Each time
-is written as ``f"{t:.6f}"`` and each value as ``repr(float(v))``, so the
-text is the same on either backend.  Another rank or item format raises
-TypeError, a ``times`` of another length ValueError.  It stays out of
+newline per row, the replicate label ``r`` only for a 3-D buffer.  The
+labels count from the integer ``first`` (default 0), which a 2-D buffer
+ignores, so an ensemble written one block of replicates at a time,
+``format_rows(values[a:a + b], times, a)`` for ``a`` in steps of ``b``,
+joins to the text of one call on the whole.  Each time is written as
+``f"{t:.6f}"`` and each value as ``repr(float(v))``, so the text is the
+same on either backend.  Another rank or item format raises TypeError, a
+``times`` of another length ValueError, a ``first`` that is not an integer
+TypeError.  It stays out of
 ``__all__``: the benchmark's tracer (``e2ebench/tracing.py``) wraps every
 callable listed there and has no metric for this one, so its time counts
 under its caller's.

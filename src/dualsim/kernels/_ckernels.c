@@ -22,8 +22,11 @@
  *   apart, so no shorter decimal rounds to v.  Every other value goes through
  *   ``PyOS_double_to_string`` as repr does (mode 'r', Py_DTSF_ADD_DOT_0).
  *   The rows are written straight into the result: a fresh ASCII str, grown
- *   with ``PyUnicode_Resize`` and shrunk once to its length at the end.  It is
- *   kept out of ``kernels.__all__`` (see the package docstring).
+ *   with ``PyUnicode_Resize`` and shrunk once to its length at the end.  The
+ *   optional ``first`` (a Py_ssize_t) starts a 3-D buffer's replicate column,
+ *   so that a caller can format an ensemble one block of replicates at a
+ *   time; a label past Py_ssize_t raises OverflowError.  It is kept out of
+ *   ``kernels.__all__`` (see the package docstring).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -663,16 +666,16 @@ static inline size_t write_integral(char *out, long long x)
     return len;
 }
 
-/* The CSV rows "[r,]time,v1,...,vk\n" of every (r, row); each time is
- * formatted once, as f"{t:.6f}", and each value as repr(float(v)), straight
- * into the returned str. */
+/* The CSV rows "[first + r,]time,v1,...,vk\n" of every (r, row); each time
+ * is formatted once, as f"{t:.6f}", and each value as repr(float(v)),
+ * straight into the returned str. */
 static PyObject *format_rows(PyObject *self, PyObject *args)
 {
     PyObject *values_obj, *times_obj, *result = NULL;
     Py_buffer vals = {NULL}, times = {NULL};
     char **stamps = NULL, *text;
-    Py_ssize_t n = 0, len = 0, cap = 1 << 16;
-    if (!PyArg_ParseTuple(args, "OO", &values_obj, &times_obj))
+    Py_ssize_t n = 0, len = 0, cap = 1 << 16, first = 0;
+    if (!PyArg_ParseTuple(args, "OO|n", &values_obj, &times_obj, &first))
         return NULL;
     if (PyObject_GetBuffer(values_obj, &vals, PyBUF_RECORDS_RO) < 0 ||
         PyObject_GetBuffer(times_obj, &times, PyBUF_RECORDS_RO) < 0 || vals.ndim < 2 ||
@@ -691,6 +694,10 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
                      times.shape[0]);
         goto done;
     }
+    if (indexed && reps > 0 && first > PY_SSIZE_T_MAX - (reps - 1)) {
+        PyErr_SetString(PyExc_OverflowError, "replicate labels past the range of Py_ssize_t");
+        goto done;
+    }
     n = times.shape[0];
     if ((stamps = PyMem_Calloc(n ? n : 1, sizeof *stamps)) == NULL) {
         PyErr_NoMemory();
@@ -707,7 +714,7 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
     text = (char *)PyUnicode_1BYTE_DATA(result);
     for (Py_ssize_t i = 0; i < reps; i++) {
         char label[24] = "";
-        size_t label_len = indexed ? (size_t)snprintf(label, sizeof label, "%zd,", i) : 0;
+        size_t label_len = indexed ? (size_t)snprintf(label, sizeof label, "%zd,", first + i) : 0;
         for (Py_ssize_t j = 0; j < n; j++) {
             const char *row = (const char *)vals.buf + i * rep_step + j * row_step;
             size_t stamp_len = strlen(stamps[j]);
@@ -772,8 +779,9 @@ static PyMethodDef methods[] = {
                        "non-empty ``grid``."),
     KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (rows, status), "
                      "(t, T, E) rows per leap or held on a non-empty ``grid``."),
-    KERNEL(format_rows, "The CSV rows of a (n, k) or (reps, n, k) array of values at n times, "
-                        "as one str."),
+    KERNEL(format_rows, "format_rows(values, times[, first]): the CSV rows of a (n, k) or "
+                        "(reps, n, k) array of values at n times, as one str; a 3-D array's "
+                        "replicate column starts at ``first`` (default 0)."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -452,10 +452,10 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
 _ROWS_ERROR = "values must be a 2-D or 3-D buffer of doubles, times a 1-D one"
 
 
-def format_rows(values, times, /):
-    """The CSV rows ``[r,]time,v1,...,vk\\n`` of a (n, k) or (reps, n, k)
-    buffer of values at ``n`` times: f"{t:.6f}" and repr(float(v)) per cell,
-    one text block per replicate."""
+def format_rows(values, times, first=0, /):
+    """The CSV rows ``[first + r,]time,v1,...,vk\\n`` of a (n, k) or
+    (reps, n, k) buffer of values at ``n`` times: f"{t:.6f}" and
+    repr(float(v)) per cell, one text block per replicate."""
     try:
         view, times = memoryview(values), memoryview(times)
     except TypeError:
@@ -468,7 +468,7 @@ def format_rows(values, times, /):
     stamps = [f"{t:.6f}" for t in times.tolist()]
     values = np.asarray(view)
     blocks = []
-    for i, block in enumerate(values if view.ndim == 3 else [values]):
+    for i, block in enumerate(values if view.ndim == 3 else [values], first):
         label = (repeat(str(i)),) if view.ndim == 3 else ()
         columns = [map(repr, column) for column in block.T.tolist()]
         blocks.append("\n".join(map(",".join, zip(*label, stamps, *columns))))

@@ -250,7 +250,26 @@ class TestCsvWriters:
         spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
                             initial=PopulationState(100, 10), t_end=2.0)
         ens = run_ensemble(replace(spec, grid=grid), reps=3, base_seed=5)
-        assert _ensemble_csv(ens) == reference_ensemble_csv(spec, 3, 5, grid)
+        assert "".join(_ensemble_csv(ens)) == reference_ensemble_csv(spec, 3, 5, grid)
+
+    # (grid, rows per block, replicates per block) for 13 replicates
+    BLOCK_CASES = [
+        (make_grid(2.0, 0.0002), dualsim.cli._BLOCK_ROWS, [6, 6, 1]),
+        (GRIDS[0], 2 * len(GRIDS[0]) + 1, [2] * 6 + [1]),
+        (GRIDS[1], 1, [1] * 13),
+    ]
+
+    @pytest.mark.parametrize("grid, block_rows, blocks", BLOCK_CASES,
+                             ids=["10001-points", "two-per-block", "one-per-block"])
+    def test_ensemble_csv_in_blocks_of_replicates(self, monkeypatch, grid, block_rows, blocks):
+        # more replicates than one block holds, the last block a remainder
+        monkeypatch.setattr(dualsim.cli, "_BLOCK_ROWS", block_rows)
+        spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
+                            initial=PopulationState(100, 10), t_end=2.0)
+        ens = run_ensemble(replace(spec, grid=grid), reps=13, base_seed=5)
+        header, *parts = _ensemble_csv(ens)
+        assert [part.count("\n") for part in parts] == [b * len(grid) for b in blocks]
+        assert header + "".join(parts) == reference_ensemble_csv(spec, 13, 5, grid)
 
     @pytest.mark.parametrize("model, channels, initial", COMPARISON_CASES, ids=["two-species", "one-species"])
     def test_comparison_csv_matches_the_per_cell_formula(self, model, channels, initial):
@@ -267,6 +286,8 @@ class TestCsvWriters:
         self.test_sds_csv_matches_the_per_cell_formula()
         for grid in self.GRIDS:
             self.test_ensemble_csv_matches_the_per_cell_formula(grid)
+        for case in self.BLOCK_CASES:
+            self.test_ensemble_csv_in_blocks_of_replicates(monkeypatch, *case)
         for case in COMPARISON_CASES:
             self.test_comparison_csv_matches_the_per_cell_formula(*case)
 
@@ -461,20 +482,72 @@ class TestMainExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert list((tmp_path / "report.json").iterdir()) == []
 
+    # a run of three replicates written one replicate per block
+    RUN_BLOCKS = ["run", "--model", "logistic", "--c", "5", "--paradigm", "abs", "--t-end", "2", "--reps", "3"]
+
+    @staticmethod
+    def fill_the_disk(monkeypatch, name, nth):
+        """Make the ``nth`` write to the .tmp file ``name`` write 10
+        characters, then fail with ENOSPC."""
+
+        class FullDisk:
+            def __init__(self, file):
+                self.file, self.writes = file, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes < nth:
+                    return self.file.write(text)
+                self.file.write(text[:10])
+                raise OSError(errno.ENOSPC, "No space left on device", self.file.name)
+
+        def open_on_a_full_disk(path, *args, **kwargs):
+            file = open(path, *args, **kwargs)
+            return FullDisk(file) if Path(path).name == name else file
+
+        monkeypatch.setattr(dualsim.cli, "open", open_on_a_full_disk, raising=False)
+
     def test_failed_tmp_write_is_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        write_text = Path.write_text
-
-        def fail_on_manifest(path, text, *args, **kwargs):
-            # the third of four outputs: two .tmp files are written before it
-            if path.name != "manifest.json.tmp":
-                return write_text(path, text, *args, **kwargs)
-            write_text(path, text[:10], *args, **kwargs)
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
-
-        monkeypatch.setattr(Path, "write_text", fail_on_manifest)
+        # the third of four outputs: two .tmp files are written before it
+        self.fill_the_disk(monkeypatch, "manifest.json.tmp", 1)
         rc = main([*self.COMPARE, "--out", str(tmp_path)])
         assert rc == 4
         assert "No space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_of_a_later_ensemble_block_is_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the header and the first block are written, the second fails
+        monkeypatch.setattr(dualsim.cli, "_BLOCK_ROWS", 1)
+        self.fill_the_disk(monkeypatch, "abs_ensemble.csv.tmp", 3)
+        rc = main([*self.RUN_BLOCKS, "--out", str(tmp_path)])
+        assert rc == 4
+        assert "No space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_while_a_block_is_formatted_is_3_and_writes_nothing(self, tmp_path, capsys,
+                                                                              monkeypatch):
+        # the first block is in abs_ensemble.csv.tmp when the second runs out of memory
+        format_rows, blocks = kernels.format_rows, []
+
+        def no_memory_for_the_second_block(values, times, first):
+            blocks.append(first)
+            if len(blocks) == 2:
+                assert (tmp_path / "abs_ensemble.csv.tmp").is_file()
+                raise MemoryError
+            return format_rows(values, times, first)
+
+        monkeypatch.setattr(dualsim.cli, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(kernels, "format_rows", no_memory_for_the_second_block)
+        rc = main([*self.RUN_BLOCKS, "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == "engine error: out of memory\n"
+        assert blocks == [0, 1]
         assert list(tmp_path.iterdir()) == []
 
     def test_flags_override_config(self, tmp_path, capsys):

@@ -554,8 +554,9 @@ class TestFormatRows:
 
     def test_the_same_text_as_the_pure_twin(self, backend):
         values = edge_and_random_values()
-        for args in ((values, values[:, 0]), (values[:3000].reshape(12, 250, 3), values[:250, 1]),
-                     (values[:, ::2], values[:, 1])):
+        blocks = values[:3000].reshape(12, 250, 3)
+        for args in ((values, values[:, 0]), (blocks, values[:250, 1]), (values[:, ::2], values[:, 1]),
+                     (blocks, values[:250, 1], 7), (blocks, values[:250, 1], -3), (values, values[:, 0], 5)):
             assert BACKENDS[backend].format_rows(*args) == pure.format_rows(*args)
 
     def test_integral_cells_are_repr(self, backend):
@@ -581,13 +582,18 @@ class TestFormatRows:
         assert text == reference_rows(values, times)
 
     def test_a_2d_buffer_has_no_index_column(self, backend):
-        text = BACKENDS[backend].format_rows(np.array([[1.0, 2.5], [0.1, -0.0]]), np.array([0.0, 0.5]))
+        values, times = np.array([[1.0, 2.5], [0.1, -0.0]]), np.array([0.0, 0.5])
+        text = BACKENDS[backend].format_rows(values, times)
         assert text == "0.000000,1.0,2.5\n0.500000,0.1,-0.0\n"
+        # and ignores the first replicate label
+        assert BACKENDS[backend].format_rows(values, times, 5) == text
 
     def test_a_3d_buffer_leads_each_row_with_its_replicate(self, backend):
         fn = BACKENDS[backend].format_rows
         text = fn(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]), np.array([0.0, 1 / 3]))
         assert text == "0,0.000000,1.0\n0,0.333333,2.0\n1,0.000000,3.0\n1,0.333333,4.0\n"
+        text = fn(np.array([[[1.0]], [[3.0]]]), np.array([0.5]), 41)
+        assert text == "41,0.500000,1.0\n42,0.500000,3.0\n"
         values = edge_and_random_values()[:2400].reshape(12, 200, 3)
         times = np.linspace(0.0, 2.0, 200)
         assert fn(values, times) == reference_rows(values, times)
@@ -620,3 +626,29 @@ class TestFormatRows:
     def test_keyword_calls_raise_type_error(self, backend):
         with pytest.raises(TypeError):
             BACKENDS[backend].format_rows(np.zeros((1, 1)), times=np.zeros(1))
+        with pytest.raises(TypeError):
+            BACKENDS[backend].format_rows(np.zeros((1, 1, 1)), np.zeros(1), first=1)
+
+    @pytest.mark.parametrize("reps", [1, 4, 5, 11])
+    def test_blocks_of_replicates_join_to_the_whole(self, backend, reps):
+        # blocks of b = 4 replicates of a strided buffer, labelled from their first
+        fn, b = BACKENDS[backend].format_rows, 4
+        values = edge_and_random_values()[: 2 * reps * 150].reshape(reps, 150, 6)[:, ::3, 1::2]
+        times = np.linspace(0.0, 2.0, 100)[::2]
+        assert not values.flags.c_contiguous
+        blocks = [fn(values[a:a + b], times, a) for a in range(0, reps, b)]
+        assert "".join(blocks) == fn(values, times) == reference_rows(values, times)
+
+    def test_first_is_an_integer(self, backend):
+        with pytest.raises(TypeError):
+            BACKENDS[backend].format_rows(np.zeros((1, 1, 1)), np.zeros(1), 1.0)
+
+
+@needs_compiled
+def test_compiled_labels_past_the_range_of_ssize_t_raise_overflow_error():
+    values, times = np.zeros((4, 1, 1)), np.zeros(1)
+    assert compiled.format_rows(values, times, sys.maxsize - 3).startswith(f"{sys.maxsize - 3},")
+    with pytest.raises(OverflowError):
+        compiled.format_rows(values, times, sys.maxsize - 2)
+    with pytest.raises(OverflowError):
+        compiled.format_rows(values, times, sys.maxsize + 1)
