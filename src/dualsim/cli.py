@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, kernels, stats
-from .errors import ConfigError, EngineError, ModelDomainError, UnknownScenarioError
+from .errors import ConfigError, EngineError
 from .models import (
     GROWTH_LAWS,
     GrowthLaw,
@@ -219,25 +219,22 @@ def _plan(spec: RunSpec) -> tuple:
     """``(model, initial, grid, integrator, ensemble)``: what runs ``spec``,
     each refusing what it cannot run, the ensemble also a replicate count too
     large to hold.  ``ensemble`` is None for an SDS-only run."""
-    try:
-        model = _build_model(spec)
-        initial = PopulationState(spec.t0, spec.e0)
-        grid = stats.make_grid(spec.t_end, spec.grid)
-        integrator = IntegratorConfig(dt=spec.dt, t_end=spec.t_end)
-        ensemble = None
-        if spec.paradigm != "sds":
-            ensemble = EnsembleSpec(
-                channels=kuznetsov_channels(model) if spec.model == "kuznetsov" else growth_channels(model),
-                initial=initial,
-                t_end=spec.t_end,
-                policy=RatePolicy(spec.policy),
-                floors=Floors.from_fix(spec.fix),
-                dt=spec.dt if spec.method == "tau" else None,
-                grid=grid,
-            )
-            ensemble.values_shape(spec.reps)
-    except (ModelDomainError, UnknownScenarioError) as exc:
-        raise ConfigError(str(exc)) from exc
+    model = _build_model(spec)
+    initial = PopulationState(spec.t0, spec.e0)
+    grid = stats.make_grid(spec.t_end, spec.grid)
+    integrator = IntegratorConfig(dt=spec.dt, t_end=spec.t_end)
+    ensemble = None
+    if spec.paradigm != "sds":
+        ensemble = EnsembleSpec(
+            channels=kuznetsov_channels(model) if spec.model == "kuznetsov" else growth_channels(model),
+            initial=initial,
+            t_end=spec.t_end,
+            policy=RatePolicy(spec.policy),
+            floors=Floors.from_fix(spec.fix),
+            dt=spec.dt if spec.method == "tau" else None,
+            grid=grid,
+        )
+        ensemble.values_shape(spec.reps)
     return model, initial, grid, integrator, ensemble
 
 
@@ -262,12 +259,10 @@ def _ensemble_csv(ens: Ensemble) -> Iterator[str]:
 
 
 def _comparison_csv(report: stats.ComparisonReport) -> str:
-    header = ["time"]
-    columns = []
-    for name, comp in report.populations.items():
-        header += [f"sds_{name}", f"abs_mean_{name}", f"abs_var_{name}"]
-        columns += [comp.sds, comp.abs_mean, comp.abs_variance]
-    return ",".join(header) + "\n" + kernels.format_rows(np.column_stack(columns), report.grid)
+    header = ["time"] + [f"{kind}_{name}" for name in report.species for kind in ("sds", "abs_mean", "abs_var")]
+    # columns sds, abs_mean, abs_var of each species in turn
+    values = np.stack([report.sds, report.abs_mean, report.abs_variance], axis=2).reshape(len(report.grid), -1)
+    return ",".join(header) + "\n" + kernels.format_rows(values, report.grid)
 
 
 def _json_doc(obj: dict) -> str:
@@ -386,25 +381,15 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
             "cannot compare on the requested grid"
         )
     ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed)
-    report = stats.compare(
-        traj,
-        ens,
-        alpha=spec.alpha,
-        metadata={
-            "model": _model_label(spec),
-            "policy": spec.policy,
-            "fix": spec.fix,
-            "method": spec.method,
-            "t0": spec.t0,
-            "e0": spec.e0,
-        },
-    )
+    report = stats.compare(traj, ens, alpha=spec.alpha)
 
     doc = report.to_dict()
+    doc["metadata"].update(model=_model_label(spec), policy=spec.policy, fix=spec.fix, method=spec.method,
+                           t0=spec.t0, e0=spec.e0)
     curves = [
-        _curve(label, name, values)
-        for name, comp in report.populations.items()
-        for label, values in (("sds", comp.sds), ("abs mean", comp.abs_mean))
+        _curve(label, name, values[:, k])
+        for k, name in enumerate(report.species)
+        for label, values in (("sds", report.sds), ("abs mean", report.abs_mean))
     ]
     outputs = {
         "report.json": _json_doc(doc),

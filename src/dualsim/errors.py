@@ -5,16 +5,16 @@ class DualsimError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ModelDomainError(DualsimError, ValueError):
+class ConfigError(DualsimError, ValueError):
+    """Invalid run configuration (bad field, violated invariant, bad file)."""
+
+
+class ModelDomainError(ConfigError):
     """A model or rate-law parameter lies outside its mathematical domain."""
 
 
-class UnknownScenarioError(DualsimError, ValueError):
+class UnknownScenarioError(ConfigError):
     """Requested scenario preset does not exist."""
-
-
-class ConfigError(DualsimError, ValueError):
-    """Invalid run configuration (bad field, violated invariant, bad file)."""
 
 
 class EngineError(DualsimError, RuntimeError):

@@ -7,7 +7,8 @@ another grid is linearly interpolated onto it, the ensemble already holds
 each replicate's state at every grid time (the right-continuous step sample,
 correct for piecewise-constant counts) and is averaged across replicates,
 and a two-sided Wilcoxon rank-sum (Mann-Whitney) test per population decides
-whether the two series look alike.  The test's p is exact up to
+whether the two series look alike; ``compare`` returns the three arrays and
+the verdicts in one ``ComparisonReport``.  The test's p is exact up to
 ``EXACT_LIMIT`` observations in all and the normal approximation beyond: the
 sample size is the only choice between the two.  A grid is valid for
 sampling when ``ssa``'s rule accepts it (1-D, finite, strictly increasing,
@@ -18,7 +19,7 @@ least two points, because its report records one spacing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .trajectory import Paradigm, Trajectory
 
 __all__ = [
     "WilcoxonResult",
-    "PopulationComparison",
     "ComparisonReport",
     "make_grid",
     "sample_on_grid",
@@ -173,22 +173,19 @@ def wilcoxon_ranksum(x, y, alpha: float = 0.05) -> WilcoxonResult:
 
 
 @dataclass(frozen=True)
-class PopulationComparison:
-    """One population's side-by-side series and its test outcome."""
+class ComparisonReport:
+    """Both paradigms on one grid and a rank-sum verdict per population.
 
+    ``sds``, ``abs_mean`` and ``abs_variance`` are ``(len(grid),
+    len(species))`` arrays, columns in the order of ``species``;
+    ``wilcoxon`` maps each species name to its test outcome."""
+
+    grid: np.ndarray
+    species: tuple[str, ...]
     sds: np.ndarray
     abs_mean: np.ndarray
     abs_variance: np.ndarray
-    wilcoxon: WilcoxonResult
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Grid-aligned deterministic vs stochastic-mean series, pointwise
-    ensemble variance, and a rank-sum verdict per population."""
-
-    grid: np.ndarray
-    populations: dict[str, PopulationComparison]
+    wilcoxon: dict[str, WilcoxonResult]
     metadata: dict
 
     def to_dict(self) -> dict:
@@ -199,34 +196,26 @@ class ComparisonReport:
             },
             "populations": {
                 name: {
-                    "sds": [float(v) for v in comp.sds],
-                    "abs_mean": [float(v) for v in comp.abs_mean],
-                    "abs_variance": [float(v) for v in comp.abs_variance],
-                    "wilcoxon": {
-                        "U": comp.wilcoxon.U,
-                        "p": comp.wilcoxon.p,
-                        "h": comp.wilcoxon.h,
-                    },
+                    "sds": self.sds[:, k].tolist(),
+                    "abs_mean": self.abs_mean[:, k].tolist(),
+                    "abs_variance": self.abs_variance[:, k].tolist(),
+                    "wilcoxon": asdict(self.wilcoxon[name]),
                 }
-                for name, comp in self.populations.items()
+                for k, name in enumerate(self.species)
             },
             "metadata": dict(self.metadata),
         }
 
 
-def compare(
-    sds_traj: Trajectory,
-    ens: Ensemble,
-    *,
-    alpha: float = 0.05,
-    metadata: dict | None = None,
-) -> ComparisonReport:
+def compare(sds_traj: Trajectory, ens: Ensemble, *, alpha: float = 0.05) -> ComparisonReport:
     """Align both paradigms on the ensemble's grid and test each population.
 
-    The deterministic side is linearly interpolated (exact at its own
-    samples), the stochastic side is the ensemble mean; the two series feed the rank-sum test per population.  The
-    protocol (grid spacing, alpha, replicate count, seeds) is recorded in the
-    report metadata so results are self-describing.
+    ``sds`` is the deterministic run at the grid times (exact at its own
+    samples, linearly interpolated between them), ``abs_mean`` and
+    ``abs_variance`` are ``ensemble_mean(ens)``; each species column of
+    ``sds`` is tested against the same column of ``abs_mean``.  The report's
+    metadata records the protocol: alpha, the grid spacing and point count,
+    the replicate count and the base seed.
     """
     species = sds_traj.species
     if ens.species != species:
@@ -239,14 +228,7 @@ def compare(
         raise ConfigError("compare needs a uniform grid of at least 2 points: the report records one spacing")
     sds = sample_on_grid(sds_traj, grid)
     mean, var = ensemble_mean(ens)
-    populations = {}
-    for k, name in enumerate(species):
-        populations[name] = PopulationComparison(
-            sds=sds[:, k],
-            abs_mean=mean[:, k],
-            abs_variance=var[:, k],
-            wilcoxon=wilcoxon_ranksum(sds[:, k], mean[:, k], alpha=alpha),
-        )
+    wilcoxon = {name: wilcoxon_ranksum(sds[:, k], mean[:, k], alpha=alpha) for k, name in enumerate(species)}
     meta = {
         "alpha": alpha,
         "grid_spacing": float(grid[1] - grid[0]),
@@ -255,6 +237,5 @@ def compare(
         "base_seed": ens.base_seed,
         "protocol": "per population: linear-interpolated SDS series vs step-sampled ABS ensemble-mean series, two-sided rank-sum",
     }
-    if metadata:
-        meta.update(metadata)
-    return ComparisonReport(grid=grid, populations=populations, metadata=meta)
+    return ComparisonReport(grid=grid, species=species, sds=sds, abs_mean=mean, abs_variance=var,
+                            wilcoxon=wilcoxon, metadata=meta)

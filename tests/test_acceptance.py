@@ -165,7 +165,7 @@ def test_criterion_6_fix_reconciliation():
                              grid=grid),
                 reps=50, base_seed=1,
             )
-            return compare(sds, ens, alpha=0.05).populations["tumour"].wilcoxon
+            return compare(sds, ens, alpha=0.05).wilcoxon["tumour"]
 
         no_fix = tumour_result(Floors(0, 0))
         fix1 = tumour_result(Floors(1, 0))

@@ -206,16 +206,14 @@ def reference_ensemble_csv(spec, reps, base_seed, grid):
 
 def reference_comparison_csv(report):
     # the per-cell formula of the original writer
-    names = list(report.populations)
     header = ["time"]
-    for name in names:
+    for name in report.species:
         header += [f"sds_{name}", f"abs_mean_{name}", f"abs_var_{name}"]
     lines = [",".join(header)]
     for i, t in enumerate(report.grid):
         cells = [f"{t:.6f}"]
-        for name in names:
-            comp = report.populations[name]
-            cells += [repr(float(v)) for v in (comp.sds[i], comp.abs_mean[i], comp.abs_variance[i])]
+        for k in range(len(report.species)):
+            cells += [repr(float(v)) for v in (report.sds[i, k], report.abs_mean[i, k], report.abs_variance[i, k])]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -325,6 +323,29 @@ class TestCmdCompare:
         assert list(report["populations"]) == ["tumour"]
         header = read(tmp_path / "comparison.csv").splitlines()[0]
         assert header == "time,sds_tumour,abs_mean_tumour,abs_var_tumour"
+
+    def test_report_metadata_records_the_run(self, tmp_path):
+        spec = parse_config(json.dumps({
+            "model": "kuznetsov", "scenario": 4, "fix": "tumour", "t_end": 5.0, "grid": 0.5, "reps": 3,
+            "seed": 3, "alpha": 0.1, "out": str(tmp_path),
+        }))
+        cmd_compare(spec)
+        report = json.loads(read(tmp_path / "report.json"))
+        assert report["metadata"] == {
+            "alpha": 0.1,
+            "grid_spacing": 0.5,
+            "grid_points": 11,
+            "reps": 3,
+            "base_seed": 3,
+            "protocol": "per population: linear-interpolated SDS series vs step-sampled ABS ensemble-mean series, "
+                        "two-sided rank-sum",
+            "model": "kuznetsov scenario 4",
+            "policy": "live",
+            "fix": "tumour",
+            "method": "exact",
+            "t0": 100.0,
+            "e0": 10.0,
+        }
 
 
 class TestReproducibility:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualsim import kernels
-from dualsim.errors import ModelDomainError, UnknownScenarioError
+from dualsim.errors import ConfigError, ModelDomainError, UnknownScenarioError
 from dualsim.kernels import _pykernels
 from dualsim.kernels._pykernels import _rates, _table
 from dualsim.models import (
@@ -77,6 +77,8 @@ class TestGrowthLaw:
         with pytest.raises(ModelDomainError, match="b < a"):
             GrowthLaw(kind, 1.0, 1.0)
         with pytest.raises(ModelDomainError, match="b < a"):
+            GrowthLaw(kind, 1.0, 2.0)
+        with pytest.raises(ConfigError):  # so the CLI exits 2 on it
             GrowthLaw(kind, 1.0, 2.0)
 
     def test_gompertz_allows_any_positive_pair(self):
@@ -263,6 +265,8 @@ class TestScenarioPresets:
     @pytest.mark.parametrize("bad", [0, 5, -1, "one"])
     def test_unknown_scenario(self, bad):
         with pytest.raises(UnknownScenarioError):
+            scenario_preset(bad)
+        with pytest.raises(ConfigError):  # so the CLI exits 2 on it
             scenario_preset(bad)
 
 

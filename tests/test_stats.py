@@ -348,8 +348,8 @@ class TestCompare:
                                         grid=make_grid(10.0, 1.0)),
                            reps=5, base_seed=0)
         report = compare(sds_traj, ens)
-        assert report.populations["tumour"].wilcoxon.h == 0
-        assert report.populations["tumour"].wilcoxon.p >= 0.99
+        assert report.wilcoxon["tumour"].h == 0
+        assert report.wilcoxon["tumour"].p >= 0.99
 
     def test_report_schema(self):
         params = scenario_preset(1)
@@ -361,15 +361,25 @@ class TestCompare:
                          grid=grid),
             reps=5, base_seed=9,
         )
-        report = compare(sds_traj, ens, alpha=0.05, metadata={"scenario": 1})
+        report = compare(sds_traj, ens, alpha=0.05)
         assert report.grid is ens.grid
+        assert report.species == ("tumour", "effector")
+        # the arrays are held as computed, bit for bit
+        mean, var = ensemble_mean(ens)
+        for got, want in ((report.sds, sample_on_grid(sds_traj, grid)), (report.abs_mean, mean),
+                          (report.abs_variance, var)):
+            assert got.shape == (len(grid), 2)
+            assert got.tobytes() == want.tobytes()
         d = report.to_dict()
-        assert set(d["populations"]) == {"tumour", "effector"}
-        for pop in d["populations"].values():
+        assert list(d["populations"]) == ["tumour", "effector"]
+        for k, (name, pop) in enumerate(d["populations"].items()):
             assert set(pop) == {"sds", "abs_mean", "abs_variance", "wilcoxon"}
-            assert set(pop["wilcoxon"]) == {"U", "p", "h"}
-            assert len(pop["sds"]) == len(grid)
-        assert d["metadata"]["scenario"] == 1
+            assert pop["sds"] == report.sds[:, k].tolist()
+            assert pop["abs_mean"] == report.abs_mean[:, k].tolist()
+            assert pop["abs_variance"] == report.abs_variance[:, k].tolist()
+            w = report.wilcoxon[name]
+            assert pop["wilcoxon"] == {"U": w.U, "p": w.p, "h": w.h}
+        assert set(d["metadata"]) == {"alpha", "grid_spacing", "grid_points", "reps", "base_seed", "protocol"}
         assert d["metadata"]["reps"] == 5
         assert d["metadata"]["alpha"] == 0.05
 
