@@ -1,15 +1,16 @@
 """Command-line interface: ``dualsim run | compare | list-scenarios``.
 
 Runs are described by a JSON config document and/or flags (flags win).  A
-config is checked by building what runs it: the model, the initial state, the
-grid, the integrator settings and the ensemble spec, so a refused config gets
-the library's own message.  The CLI itself checks only its fields, their
-types and enumerations, and which fields each model takes.  Every run writes
-a manifest recording all resolved inputs, the seeds and the kernel backend;
-re-running from a manifest reproduces the output files byte for byte on
-either backend, the manifest's ``backend`` field aside.  A manifest that
-names another random stream (``rng``), or none, still runs, with a note on
-stderr that its seeded stochastic outputs will not reproduce.
+:class:`RunSpec` checks itself when it is built, parsed or made in code: its
+fields' types and enumerations, which fields each model takes, and then,
+once, its plan: the model, the initial state, the grid, the integrator
+settings and the ensemble spec, so a refused spec gets the library's own
+message.  Every run writes a manifest recording all resolved inputs, the
+seeds and the kernel backend; re-running from a manifest reproduces the
+output files byte for byte on either backend, the manifest's ``backend``
+field aside.  A manifest that names another random stream (``rng``), or
+none, still runs, with a note on stderr that its seeded stochastic outputs
+will not reproduce.
 
 Exit codes: 0 success, 2 configuration error (a grid or a replicate count
 too large to hold included), 3 engine error (running out of memory
@@ -27,6 +28,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +65,6 @@ _METHODS = ("exact", "tau")
 _POLICIES = tuple(policy.value for policy in RatePolicy)
 _FIXES = ("none", "tumour", "both")
 
-# Defaults for the two-equation initial conditions; arbitrary (no canonical
-# values exist), overridable, and stamped into every manifest.
-_KUZNETSOV_T0 = 100.0
-_KUZNETSOV_E0 = 10.0
-
 # the random stream both kernel backends draw (see ``dualsim.kernels``), as
 # every manifest names it
 _RNG = "sfc64-splitmix64"
@@ -79,7 +76,8 @@ _BLOCK_ROWS = 2**16
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A fully resolved run description (what the manifest records)."""
+    """A fully resolved run description (what the manifest records), checked
+    when built; ``t0`` and ``e0`` default to the model's initial state."""
 
     model: str
     paradigm: str = "both"
@@ -87,7 +85,7 @@ class RunSpec:
     c: float | None = None
     a: float | None = None
     b: float | None = None
-    t0: float = 1.0
+    t0: float | None = None
     e0: float | None = None
     dt: float = 0.001
     t_end: float = 100.0
@@ -100,6 +98,86 @@ class RunSpec:
     alpha: float = 0.05
     out: str = "."
     plot: bool = False
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or not f.type.endswith(" | None"):
+                object.__setattr__(self, f.name, _coerce(f.name, value))
+        if self.model not in _MODELS:
+            raise ConfigError(f"model: must be one of {_MODELS}, got {self.model!r}")
+        for name, allowed in (("paradigm", _PARADIGMS), ("method", _METHODS),
+                              ("policy", _POLICIES), ("fix", _FIXES)):
+            v = getattr(self, name)
+            if v not in allowed:
+                raise ConfigError(f"{name}: must be one of {allowed}, got {v!r}")
+        if self.model == "kuznetsov":
+            for bad in ("c", "a", "b"):
+                if getattr(self, bad) is not None:
+                    raise ConfigError(f"{bad}: only applies to one-equation models, not kuznetsov")
+            if self.policy == "frozen":
+                raise ConfigError("policy: frozen is invalid for kuznetsov (one-equation models only)")
+        else:
+            if self.scenario is not None:
+                raise ConfigError("scenario: only applies to the kuznetsov model")
+            if self.e0 is not None:
+                raise ConfigError("e0: one-equation models have no effector population")
+            if self.fix == "both":
+                raise ConfigError("fix: both floors the effector too; one-equation models have no effector population")
+            has_c = self.c is not None
+            has_ab = self.a is not None or self.b is not None
+            if has_c and has_ab:
+                raise ConfigError("give either the ratio c or explicit a/b, not both")
+            if not has_c and not has_ab:
+                raise ConfigError("one-equation models need either c or a and b")
+            if has_ab and (self.a is None or self.b is None):
+                raise ConfigError("a and b must be given together")
+        # the initial state's defaults: arbitrary (no canonical values exist),
+        # overridable, and stamped into every manifest
+        if self.t0 is None:
+            object.__setattr__(self, "t0", 100.0 if self.model == "kuznetsov" else 1.0)
+        if self.e0 is None and self.model == "kuznetsov":
+            object.__setattr__(self, "e0", 10.0)
+        # SDS-only runs build no EnsembleSpec to check reps, and the library
+        # checks alpha only after the SDS has run
+        if self.policy == "frozen" and self.method == "tau":
+            raise ConfigError("policy: frozen requires the exact method")
+        if self.reps < 1:
+            raise ConfigError(f"reps: must be >= 1, got {self.reps}")
+        if not (0 < self.alpha < 1):
+            raise ConfigError(f"alpha: must be in (0, 1), got {self.alpha}")
+
+        # building the run checks every other rule: the scenario, the model's
+        # domain (b < a ...), the populations, dt, t_end and the grid
+        self.plan
+
+    @cached_property
+    def plan(self) -> tuple:
+        """``(model, initial, grid, integrator, ensemble)``: what runs this
+        spec, built once, each refusing what it cannot run, the ensemble also
+        a replicate count too large to hold.  ``grid`` is read-only, and
+        ``ensemble`` is None for an SDS-only run."""
+        if self.model == "kuznetsov":
+            model = scenario_preset(self.scenario)
+        else:
+            model = GrowthLaw(self.model, self.a, self.b) if self.c is None else experiment_one_law(self.model, self.c)
+        initial = PopulationState(self.t0, self.e0)
+        grid = stats.make_grid(self.t_end, self.grid)
+        grid.flags.writeable = False
+        integrator = IntegratorConfig(dt=self.dt, t_end=self.t_end)
+        ensemble = None
+        if self.paradigm != "sds":
+            ensemble = EnsembleSpec(
+                channels=kuznetsov_channels(model) if self.model == "kuznetsov" else growth_channels(model),
+                initial=initial,
+                t_end=self.t_end,
+                policy=RatePolicy(self.policy),
+                floors=Floors.from_fix(self.fix),
+                dt=self.dt if self.method == "tau" else None,
+                grid=grid,
+            )
+            ensemble.values_shape(self.reps)
+        return model, initial, grid, integrator, ensemble
 
 
 # each field's type, read from its annotation ("int | None" -> int)
@@ -132,60 +210,10 @@ def _validate_raw(raw: dict) -> RunSpec:
     unknown = sorted(set(raw) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-    vals = {k: _coerce(k, v) for k, v in raw.items() if v is not None}
-
-    model = vals.get("model")
-    if model is None:
+    vals = {k: v for k, v in raw.items() if v is not None}
+    if "model" not in vals:
         raise ConfigError(f"model: required (one of {', '.join(_MODELS)})")
-    if model not in _MODELS:
-        raise ConfigError(f"model: must be one of {_MODELS}, got {model!r}")
-
-    for name, allowed in (("paradigm", _PARADIGMS), ("method", _METHODS),
-                          ("policy", _POLICIES), ("fix", _FIXES)):
-        v = vals.get(name)
-        if v is not None and v not in allowed:
-            raise ConfigError(f"{name}: must be one of {allowed}, got {v!r}")
-
-    if model == "kuznetsov":
-        for bad in ("c", "a", "b"):
-            if bad in vals:
-                raise ConfigError(f"{bad}: only applies to one-equation models, not kuznetsov")
-        if vals.get("policy") == "frozen":
-            raise ConfigError("policy: frozen is invalid for kuznetsov (one-equation models only)")
-        vals.setdefault("t0", _KUZNETSOV_T0)
-        vals.setdefault("e0", _KUZNETSOV_E0)
-    else:
-        if vals.get("scenario") is not None:
-            raise ConfigError("scenario: only applies to the kuznetsov model")
-        if vals.get("e0") is not None:
-            raise ConfigError("e0: one-equation models have no effector population")
-        if vals.get("fix") == "both":
-            raise ConfigError("fix: both floors the effector too; one-equation models have no effector population")
-        has_c = vals.get("c") is not None
-        has_ab = vals.get("a") is not None or vals.get("b") is not None
-        if has_c and has_ab:
-            raise ConfigError("give either the ratio c or explicit a/b, not both")
-        if not has_c and not has_ab:
-            raise ConfigError("one-equation models need either c or a and b")
-        if has_ab and (vals.get("a") is None or vals.get("b") is None):
-            raise ConfigError("a and b must be given together")
-        vals.setdefault("t0", 1.0)
-
-    spec = RunSpec(**vals)
-
-    # SDS-only runs build no EnsembleSpec to check reps (_plan), and the
-    # library checks alpha only after the SDS has run
-    if vals.get("policy") == "frozen" and vals.get("method") == "tau":
-        raise ConfigError("policy: frozen requires the exact method")
-    if spec.reps < 1:
-        raise ConfigError(f"reps: must be >= 1, got {spec.reps}")
-    if not (0 < spec.alpha < 1):
-        raise ConfigError(f"alpha: must be in (0, 1), got {spec.alpha}")
-
-    # building the run checks every other rule: the scenario, the model's
-    # domain (b < a ...), the populations, dt, t_end and the grid
-    _plan(spec)
-    return spec
+    return RunSpec(**vals)
 
 
 def _decode_config(text: str) -> tuple[dict, dict | None]:
@@ -207,35 +235,6 @@ def parse_config(text: str) -> RunSpec:
     """Parse a JSON config document (or a previously written manifest) into a
     fully validated RunSpec with defaults filled in."""
     return _validate_raw(_decode_config(text)[0])
-
-
-def _build_model(spec: RunSpec) -> GrowthLaw | KuznetsovParams:
-    if spec.model == "kuznetsov":
-        return scenario_preset(spec.scenario)
-    return GrowthLaw(spec.model, spec.a, spec.b) if spec.c is None else experiment_one_law(spec.model, spec.c)
-
-
-def _plan(spec: RunSpec) -> tuple:
-    """``(model, initial, grid, integrator, ensemble)``: what runs ``spec``,
-    each refusing what it cannot run, the ensemble also a replicate count too
-    large to hold.  ``ensemble`` is None for an SDS-only run."""
-    model = _build_model(spec)
-    initial = PopulationState(spec.t0, spec.e0)
-    grid = stats.make_grid(spec.t_end, spec.grid)
-    integrator = IntegratorConfig(dt=spec.dt, t_end=spec.t_end)
-    ensemble = None
-    if spec.paradigm != "sds":
-        ensemble = EnsembleSpec(
-            channels=kuznetsov_channels(model) if spec.model == "kuznetsov" else growth_channels(model),
-            initial=initial,
-            t_end=spec.t_end,
-            policy=RatePolicy(spec.policy),
-            floors=Floors.from_fix(spec.fix),
-            dt=spec.dt if spec.method == "tau" else None,
-            grid=grid,
-        )
-        ensemble.values_shape(spec.reps)
-    return model, initial, grid, integrator, ensemble
 
 
 def _sds_times(spec: RunSpec) -> np.ndarray:
@@ -336,7 +335,7 @@ def cmd_run(spec: RunSpec) -> list[Path]:
     is written; the ensemble is formatted block by block while it is written
     to its ``.tmp`` file, and nothing moves into place until every output is
     complete, so failures leave no partial files."""
-    model, initial, grid, integrator, ensemble = _plan(spec)
+    model, initial, grid, integrator, ensemble = spec.plan
     outputs: dict[str, str | Iterable[str]] = {}
     results: dict = {}
     plot_curves: list[Curve] = []
@@ -373,7 +372,7 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
     their agreement per population, and write report.json, comparison.csv,
     comparison.svg and the manifest."""
     _require_both(spec.paradigm)
-    model, initial, grid, integrator, ensemble = _plan(spec)
+    model, initial, grid, integrator, ensemble = spec.plan
     traj = integrate(model, initial, integrator, grid=grid)
     if traj.end_time < grid[-1]:
         raise EngineError(

@@ -37,11 +37,12 @@ status 1 at the last grid time reached when a component passes ``blowup``
 or is nan, and clamps small negative residues to 0.
 
 Table format.  The one model input of ``ssa``, ``ssa_frozen`` and
-``tau_leap`` is a channel table (``ssa.ChannelSet.table``): a sequence of at
-most 16 tuples ``(code, c, e, g, dT, dE)``, one per channel, read by
-``table_read`` in C and ``_table`` in Python.  A malformed table raises
-TypeError; more rows or a rate-law code outside 0..5 raise ValueError.  The
-rate-law codes (the ``R_*`` constants below)::
+``tau_leap`` is a channel table (``ssa.ChannelSet.table``, which refuses
+any table a kernel would): a sequence of at most ``MAX_CHANNELS`` (16)
+tuples ``(code, c, e, g, dT, dE)``, one per channel, read by ``table_read``
+in C and ``_table`` in Python.  A malformed table raises TypeError; more
+rows or a rate-law code outside 0..5 raise ValueError.  The rate-law codes
+(the ``R_*`` constants below)::
 
     0 CONST      rate = c
     1 POW_T      rate = c * T**e
@@ -128,6 +129,9 @@ ST_MAX_EVENTS = 4
 ST_BAD_RATE = 5
 ST_STEP_FAIL = 6
 
+# The most rows a channel table may have, the limit both backends enforce.
+MAX_CHANNELS = 16
+
 # Rate-law codes understood by the channel-table simulators.
 R_CONST = 0
 R_POW_T = 1
@@ -151,6 +155,7 @@ __all__ = [
     "ST_MAX_EVENTS",
     "ST_BAD_RATE",
     "ST_STEP_FAIL",
+    "MAX_CHANNELS",
     "R_CONST",
     "R_POW_T",
     "R_TLOGT",

@@ -72,18 +72,18 @@ class ChannelSet:
     """A model's event channels: the one model definition every stochastic
     kernel runs.  ``table`` holds one ``(code, c, e, g, dT, dE)`` row per
     channel, a ``kernels.R_*`` rate law and the integer jump it applies to
-    (T, E), for the one or two populations named by ``species``.  Every row
-    is checked when the set is built; a one-species row neither reads nor
-    changes E."""
+    (T, E), for the one or two populations named by ``species``.  The table,
+    of at most ``kernels.MAX_CHANNELS`` rows, and every row are checked when
+    the set is built; a one-species row neither reads nor changes E."""
 
     table: tuple[tuple[int, float, float, float, int, int], ...]
     species: tuple[str, ...]
 
     def __post_init__(self) -> None:
         table = tuple(self.table)
-        if not table or len(self.species) not in (1, 2):
-            raise ModelDomainError(f"a channel set needs at least one channel and one or two species, "
-                                   f"got {len(table)} channels for {self.species!r}")
+        if not 1 <= len(table) <= kernels.MAX_CHANNELS or len(self.species) not in (1, 2):
+            raise ModelDomainError(f"a channel set needs at least one channel, at most {kernels.MAX_CHANNELS} "
+                                   f"channels and one or two species, got {len(table)} channels for {self.species!r}")
         for row in table:
             if not (isinstance(row, tuple) and len(row) == 6 and all(isinstance(x, Real) for x in row)):
                 raise ModelDomainError(f"a channel row is a tuple of six numbers (code, c, e, g, dT, dE), "
@@ -217,9 +217,34 @@ class EnsembleSpec:
     grid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _check_run(self.channels, self.initial, self.t_end, self.policy, self.floors, self.dt)
+        channels, initial, t_end, policy, dt = self.channels, self.initial, self.t_end, self.policy, self.dt
+        if not (math.isfinite(t_end) and t_end > 0):
+            raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
+        if dt is not None:
+            if not (math.isfinite(dt) and 0 < dt <= t_end and t_end / dt <= DEFAULT_MAX_EVENTS):
+                raise ConfigError(f"tau-leaping needs a positive dt from t_end / {DEFAULT_MAX_EVENTS:.0e} to t_end, got dt={dt!r}")
+            if policy is not RatePolicy.LIVE:
+                raise ConfigError("tau-leaping supports the live rate policy only")
+        table = channels.table
+        if policy is RatePolicy.FROZEN_AT_BIRTH and not (
+            len(channels.species) == 1 and len(table) == 2
+            and table[0][0] == kernels.R_POW_T and table[0][4:] == (1, 0)
+            and table[1][0] in (kernels.R_POW_T, kernels.R_TLOGT) and table[1][4:] == (-1, 0)
+        ):
+            raise ConfigError("the frozen-at-birth policy needs a one-species birth-death channel set: a birth "
+                              "row of code 1 and jump (1, 0), then a death row of code 1 or 2 and jump (-1, 0)")
+        if (initial.E is None) != (len(channels.species) == 1):
+            raise ConfigError(f"the initial state needs E exactly when there are two species, "
+                              f"got {initial} for {channels.species}")
+        T, E = initial.T, initial.E or 0.0
+        if T != int(T) or E != int(E):
+            raise ConfigError(f"stochastic runs need integer populations, got {initial}")
+        if T < self.floors.min_tumour or E < self.floors.min_effector:
+            raise ConfigError(f"initial state {initial} is below the floors {self.floors}")
+        if max(T, E) > POPULATION_CAP:
+            raise PopulationCapError(f"initial state {initial} exceeds the {POPULATION_CAP:.0e} population cap")
         if self.grid is not None:
-            grid = np.array(_check_grid(self.grid, self.t_end))
+            grid = np.array(_check_grid(self.grid, t_end))
             grid.flags.writeable = False
             object.__setattr__(self, "grid", grid)
 
@@ -236,36 +261,6 @@ class EnsembleSpec:
         if math.prod(shape) * np.dtype(float).itemsize > np.iinfo(np.intp).max:  # numpy's bound
             raise ConfigError(f"{reps} replicates of {len(self.grid)} grid points are too many to hold")
         return shape
-
-
-def _check_run(channels: ChannelSet, initial: PopulationState, t_end: float, policy: RatePolicy,
-               floors: Floors, dt: float | None) -> None:
-    """The rules of one stochastic run (tau-leaped when ``dt`` is given)."""
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
-    if dt is not None:
-        if not (math.isfinite(dt) and 0 < dt <= t_end and t_end / dt <= DEFAULT_MAX_EVENTS):
-            raise ConfigError(f"tau-leaping needs a positive dt from t_end / {DEFAULT_MAX_EVENTS:.0e} to t_end, got dt={dt!r}")
-        if policy is not RatePolicy.LIVE:
-            raise ConfigError("tau-leaping supports the live rate policy only")
-    table = channels.table
-    if policy is RatePolicy.FROZEN_AT_BIRTH and not (
-        len(channels.species) == 1 and len(table) == 2
-        and table[0][0] == kernels.R_POW_T and table[0][4:] == (1, 0)
-        and table[1][0] in (kernels.R_POW_T, kernels.R_TLOGT) and table[1][4:] == (-1, 0)
-    ):
-        raise ConfigError("the frozen-at-birth policy needs a one-species birth-death channel set: a birth "
-                          "row of code 1 and jump (1, 0), then a death row of code 1 or 2 and jump (-1, 0)")
-    if (initial.E is None) != (len(channels.species) == 1):
-        raise ConfigError(f"the initial state needs E exactly when there are two species, "
-                          f"got {initial} for {channels.species}")
-    T, E = initial.T, initial.E or 0.0
-    if T != int(T) or E != int(E):
-        raise ConfigError(f"stochastic runs need integer populations, got {initial}")
-    if T < floors.min_tumour or E < floors.min_effector:
-        raise ConfigError(f"initial state {initial} is below the floors {floors}")
-    if max(T, E) > POPULATION_CAP:
-        raise PopulationCapError(f"initial state {initial} exceeds the {POPULATION_CAP:.0e} population cap")
 
 
 def _check_grid(grid, t_end: float) -> np.ndarray:
@@ -295,19 +290,16 @@ def _simulate(spec: EnsembleSpec, seed: int) -> Trajectory:
     table, floors, grid = spec.channels.table, spec.floors, spec.grid
     T0, E0, t_end = spec.initial.T, spec.initial.E or 0, spec.t_end
     cap, max_events = float(POPULATION_CAP), DEFAULT_MAX_EVENTS
-    try:
-        if spec.dt is not None:
-            rows, status = kernels.tau_leap(
-                table, T0, E0, t_end, spec.dt, seed, floors.min_tumour, floors.min_effector, cap, grid,
-            )
-        elif spec.policy is RatePolicy.FROZEN_AT_BIRTH:
-            rows, status = kernels.ssa_frozen(table, T0, t_end, seed, floors.min_tumour, cap, max_events, grid)
-        else:
-            rows, status = kernels.ssa(
-                table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector, cap, max_events, grid,
-            )
-    except ValueError as exc:  # a channel table the kernel refuses
-        raise ConfigError(str(exc)) from exc
+    if spec.dt is not None:
+        rows, status = kernels.tau_leap(
+            table, T0, E0, t_end, spec.dt, seed, floors.min_tumour, floors.min_effector, cap, grid,
+        )
+    elif spec.policy is RatePolicy.FROZEN_AT_BIRTH:
+        rows, status = kernels.ssa_frozen(table, T0, t_end, seed, floors.min_tumour, cap, max_events, grid)
+    else:
+        rows, status = kernels.ssa(
+            table, T0, E0, t_end, seed, floors.min_tumour, floors.min_effector, cap, max_events, grid,
+        )
 
     rows = np.asarray(rows)
     if status == kernels.ST_CAP:

@@ -3,14 +3,15 @@ test log names the kernel backend.
 
 Before anything imports ``dualsim``, the package is built once per session,
 extension included, into a temporary directory that goes first on
-``sys.path``.  The build runs on a copy of the build files and ``src/``, since
-an in-tree build leaves ``build/`` and ``src/dualsim.egg-info`` behind, and in
-a subprocess, so that setuptools' warnings stay out of this session.  When a
-compiled ``_ckernels`` is already importable (a package built beforehand and
-put on ``PYTHONPATH``) that package is tested instead.  The extension is
-optional: without a compiler (``CC=false``) the build yields the pure-Python
-package, and if the build fails altogether the suite runs on whatever
-``dualsim`` is importable; the backend line says which backend ran.
+``sys.path``.  The build is one ``setup.py build`` run on a copy of the build
+files and ``src/``, since an in-tree build leaves ``build/`` and
+``src/dualsim.egg-info`` behind, and in a subprocess, so that setuptools'
+warnings stay out of this session.  When a compiled ``_ckernels`` is already
+importable (a package built beforehand and put on ``PYTHONPATH``) that
+package is tested instead.  The extension is optional: without a compiler
+(``CC=false``) the build yields the pure-Python package, and if the build
+fails altogether the suite runs on whatever ``dualsim`` is importable; the
+backend line says which backend ran.
 """
 
 import shutil
@@ -42,12 +43,11 @@ def pytest_configure(config):
     shutil.copytree(ROOT / "src", tree / "src")
     for name in ("setup.py", "pyproject.toml", "README.md"):
         shutil.copy2(ROOT / name, tree / name)
-    for command in ("build_py", "build_ext"):
-        done = subprocess.run([sys.executable, "setup.py", command, "--build-lib", str(lib)],
-                              cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False)
-        if done.returncode != 0:
-            return
-    sys.path.insert(0, str(lib))
+    done = subprocess.run([sys.executable, "setup.py", "build", "--build-base", str(work / "build"),
+                           "--build-lib", str(lib)],
+                          cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False)
+    if done.returncode == 0:
+        sys.path.insert(0, str(lib))
 
 
 def _backend_line() -> str:

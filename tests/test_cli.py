@@ -2,7 +2,7 @@
 
 import errno
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,37 @@ class TestParseConfig:
     def test_validation_errors(self, doc, msg):
         with pytest.raises(ConfigError, match=msg):
             parse_config(doc)
+        # a spec built in code is refused alike; model is its one required argument
+        try:
+            raw = json.loads(doc)
+        except json.JSONDecodeError:
+            return
+        if isinstance(raw, dict) and "model" in raw and set(raw) <= {f.name for f in fields(RunSpec)}:
+            with pytest.raises(ConfigError, match=msg):
+                RunSpec(**raw)
+
+    def test_a_spec_built_in_code_takes_the_model_defaults(self, tmp_path, monkeypatch):
+        spec = RunSpec(model="kuznetsov", scenario=4, paradigm="sds", t_end=2.0, out="out")
+        assert (spec.t0, spec.e0) == (100.0, 10.0)
+        assert RunSpec(model="kuznetsov", scenario=4, e0=10.0).t0 == 100.0
+        assert (RunSpec(model="logistic", c=5).t0, RunSpec(model="logistic", c=5).e0) == (1.0, None)
+        for name in ("code", "cli"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "code")
+        cmd_run(spec)
+        monkeypatch.chdir(tmp_path / "cli")
+        assert main(["run", "--model", "kuznetsov", "--scenario", "4", "--paradigm", "sds", "--t-end", "2",
+                     "--out", "out"]) == 0
+        manifest = (tmp_path / "code" / "out" / "manifest.json").read_bytes()
+        assert manifest == (tmp_path / "cli" / "out" / "manifest.json").read_bytes()
+        assert json.loads(manifest)["run_spec"]["t0"] == 100.0
+
+    def test_a_spec_is_coerced_when_built(self):
+        spec = RunSpec(model="logistic", c=5, t_end=2)
+        assert type(spec.c) is float and type(spec.t_end) is float
+        assert spec == parse_config('{"model": "logistic", "c": 5.0, "t_end": 2.0}')
+        with pytest.raises(ConfigError, match="dt: expected a number, got None"):
+            RunSpec(model="logistic", c=5, dt=None)
 
     def test_accepts_manifest_documents(self, tmp_path):
         spec = RunSpec(model="logistic", c=5.0, paradigm="sds", t_end=2.0, out=str(tmp_path))
@@ -308,6 +339,22 @@ class TestCmdCompare:
         header = read(tmp_path / "comparison.csv").splitlines()[0]
         assert header == ("time,sds_tumour,abs_mean_tumour,abs_var_tumour,"
                           "sds_effector,abs_mean_effector,abs_var_effector")
+
+    def test_the_plan_is_built_once_per_spec(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counted(build):
+            def counting(*args, **kwargs):
+                builds.append(build.__name__)
+                return build(*args, **kwargs)
+            return counting
+
+        for name in ("IntegratorConfig", "EnsembleSpec"):
+            monkeypatch.setattr(dualsim.cli, name, counted(getattr(dualsim.cli, name)))
+        spec = RunSpec(model="logistic", c=5, t_end=5.0, reps=3, out=str(tmp_path))
+        assert spec.plan is spec.plan and not spec.plan[2].flags.writeable
+        cmd_compare(spec)
+        assert builds == ["IntegratorConfig", "EnsembleSpec"]
 
     def test_compare_requires_both(self):
         spec = parse_config('{"model": "logistic", "c": 5, "paradigm": "sds"}')

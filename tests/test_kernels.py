@@ -296,6 +296,16 @@ def call_with_table(backend, kernel, table):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])  # ssa_frozen takes two rows only
+def test_max_channels_is_the_kernels_limit(backend, kernel):
+    row = (kernels.R_CONST, 1.0, 0.0, 0.0, 1, 0)
+    rows, status = call_with_table(backend, kernel, ChannelSet((row,) * kernels.MAX_CHANNELS, ("tumour",)).table)
+    assert status == kernels.ST_OK and np.asarray(rows)[-1, 1] > 1
+    with pytest.raises(ValueError, match=f"at most {kernels.MAX_CHANNELS} channels"):
+        call_with_table(backend, kernel, (row,) * (kernels.MAX_CHANNELS + 1))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kernel", ["ssa", "ssa_frozen", "tau_leap"])
 class TestTableFormat:
     """Every stochastic kernel reads one table of (code, c, e, g, dT, dE) rows."""

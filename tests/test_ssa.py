@@ -150,6 +150,7 @@ class TestChannelCompilation:
         (((R_POW_T, 1.0, 1.0, 0.0, 1, 0),), ("tumour", "effector", "immune"), "one or two species"),
         (((R_POW_T, 1.0, 1.0, 0.0, 1, 0),), (), "one or two species"),
         ((), ("tumour",), "at least one channel"),
+        (((R_CONST, 1.0, 0.0, 0.0, 1, 0),) * 17, ("tumour",), "at most 16 channels"),
         (((R_POW_T, 1.0, 1.0, 0.0, 1, 0, 0),), ("tumour",), "six numbers"),
         (((R_POW_T, 1.0, 1.0, 0.0, 1),), ("tumour",), "six numbers"),
         (([R_POW_T, 1.0, 1.0, 0.0, 1, 0],), ("tumour",), "six numbers"),
@@ -169,7 +170,7 @@ class TestChannelCompilation:
         (((R_CONST, 10**400, 0.0, 0.0, 1, 0),), ("tumour",), "fit in a double"),
         (((R_POW_T, 1.0, 10**400, 0.0, 1, 0),), ("tumour",), "fit in a double"),
         (((R_POW_T, 1.0, 1.0, 0.0, 10**400, 0),), ("tumour",), "fit in a double"),
-    ], ids=["three-species", "no-species", "no-rows", "three-jumps", "five-fields", "list-row", "string",
+    ], ids=["three-species", "no-species", "no-rows", "17-rows", "three-jumps", "five-fields", "list-row", "string",
             "fractional-jump", "float-jump", "float-code", "code-6", "code-negative", "nan-c", "inf-c",
             "saturation-0", "lin-e-one-species", "mass-te-one-species", "mm-te-one-species", "de-one-species",
             "huge-c", "huge-e", "huge-jump"])
@@ -247,13 +248,6 @@ class TestSimulateExact:
             EnsembleSpec(cs, PopulationState(10, 2), t_end=1.0, policy=RatePolicy.FROZEN_AT_BIRTH)
         with pytest.raises(ConfigError, match="birth-death"):
             EnsembleSpec(death_only_channels(), PopulationState(10), t_end=1.0, policy=RatePolicy.FROZEN_AT_BIRTH)
-
-    @pytest.mark.parametrize("method", ["exact", "tau"])
-    def test_more_than_16_channels_raise_config_error(self, method):
-        cs = ChannelSet(table=((R_CONST, 1.0, 0.0, 0.0, 1, 0),) * 17, species=("tumour",))
-        spec = EnsembleSpec(cs, PopulationState(1), t_end=1.0, dt=0.1 if method == "tau" else None)
-        with pytest.raises(ConfigError, match="at most 16 channels"):
-            simulate(spec, seed=0)
 
     def test_tumour_floor_keeps_tumour_alive(self):
         spec = EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), t_end=60.0,
@@ -588,12 +582,12 @@ class TestEnsembles:
                 return check(*args)
             return counting
 
-        for name in ("_check_grid", "_check_run"):
-            monkeypatch.setattr(dualsim.ssa, name, counted(getattr(dualsim.ssa, name)))
+        monkeypatch.setattr(EnsembleSpec, "__post_init__", counted(EnsembleSpec.__post_init__))
+        monkeypatch.setattr(dualsim.ssa, "_check_grid", counted(dualsim.ssa._check_grid))
         ens = run_ensemble(spec, reps=20, base_seed=1)
         assert len(ens) == 20 and calls == []
         EnsembleSpec(spec.channels, spec.initial, spec.t_end, dt=dt, grid=spec.grid)  # the counters count
-        assert calls == ["_check_run", "_check_grid"]
+        assert calls == ["__post_init__", "_check_grid"]
 
     def test_spec_holds_a_read_only_copy_of_its_grid(self):
         grid = make_grid(1.0, 0.25)
