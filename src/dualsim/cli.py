@@ -26,7 +26,6 @@ import errno
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -47,7 +46,6 @@ from .plotting import Curve, emit_svg_plot
 from .sds import IntegratorConfig, integrate
 from .ssa import (
     DEFAULT_REPS,
-    Ensemble,
     EnsembleSpec,
     Floors,
     RatePolicy,
@@ -55,7 +53,6 @@ from .ssa import (
     kuznetsov_channels,
     run_ensemble,
 )
-from .trajectory import Trajectory
 
 __all__ = ["RunSpec", "parse_config", "cmd_run", "cmd_compare", "main"]
 
@@ -68,10 +65,6 @@ _FIXES = ("none", "tumour", "both")
 # the random stream both kernel backends draw (see ``dualsim.kernels``), as
 # every manifest names it
 _RNG = "sfc64-splitmix64"
-
-# abs_ensemble.csv is formatted and written in blocks of whole replicates of
-# about this many rows (at least one replicate), about 1 MiB of text
-_BLOCK_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -244,24 +237,11 @@ def _sds_times(spec: RunSpec) -> np.ndarray:
     return times if spec.t_end - times[-1] <= 1e-9 * max(1.0, spec.t_end) else np.append(times, spec.t_end)
 
 
-def _sds_csv(traj: Trajectory) -> str:
-    return "time," + ",".join(traj.species) + "\n" + kernels.format_rows(traj.states, traj.times)
-
-
-def _ensemble_csv(ens: Ensemble) -> Iterator[str]:
-    """abs_ensemble.csv in parts: the header, then the rows of one block of
-    replicates at a time, so that its whole text is never held."""
-    yield "replicate,time," + ",".join(ens.species) + "\n"
-    step = max(1, _BLOCK_ROWS // len(ens.grid))
-    for first in range(0, len(ens.values), step):
-        yield kernels.format_rows(ens.values[first:first + step], ens.grid, first)
-
-
-def _comparison_csv(report: stats.ComparisonReport) -> str:
+def _comparison_csv(report: stats.ComparisonReport) -> tuple:
     header = ["time"] + [f"{kind}_{name}" for name in report.species for kind in ("sds", "abs_mean", "abs_var")]
     # columns sds, abs_mean, abs_var of each species in turn
     values = np.stack([report.sds, report.abs_mean, report.abs_variance], axis=2).reshape(len(report.grid), -1)
-    return ",".join(header) + "\n" + kernels.format_rows(values, report.grid)
+    return header, values, report.grid
 
 
 def _json_doc(obj: dict) -> str:
@@ -298,12 +278,14 @@ def _model_label(spec: RunSpec) -> str:
     return f"{spec.model} a={spec.a:g} b={spec.b:g}"
 
 
-def _write_outputs(out_dir: str, outputs: dict[str, str | Iterable[str]]) -> list[Path]:
-    """Writes every output, a ``str`` or its parts in order, to its ``.tmp``
-    file, refuses a target that is a directory, then moves them all into
-    place.  On any exception (an OSError, or a MemoryError while a part is
-    formatted) it removes the ``.tmp`` files it made and re-raises, so that
-    nothing is left behind unless a move fails part way."""
+def _write_outputs(out_dir: str, outputs: dict[str, str | tuple]) -> list[Path]:
+    """Writes every output to its ``.tmp`` file, a ``str`` as it is and a CSV
+    ``(header, values, times)`` as its header line, then the rows that
+    ``kernels.write_rows`` formats into the open file piece by piece; refuses
+    a target that is a directory, then moves them all into place.  On any
+    exception (an OSError, or a MemoryError while rows are formatted) it
+    removes the ``.tmp`` files it made and re-raises, so that nothing is left
+    behind unless a move fails part way."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / name for name in sorted(outputs)]
@@ -312,10 +294,14 @@ def _write_outputs(out_dir: str, outputs: dict[str, str | Iterable[str]]) -> lis
         for path in paths:
             tmp = path.with_name(path.name + ".tmp")
             tmps.append(tmp)
-            parts = outputs[path.name]
+            output = outputs[path.name]
             with open(tmp, "w", encoding="utf-8", newline="\n") as file:
-                for part in [parts] if isinstance(parts, str) else parts:
-                    file.write(part)
+                if isinstance(output, str):
+                    file.write(output)
+                else:
+                    header, values, times = output
+                    file.write(",".join(header) + "\n")
+                    kernels.write_rows(values, times, file.write)
         for path in paths:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, "an output path is a directory", str(path))
@@ -332,24 +318,30 @@ def _write_outputs(out_dir: str, outputs: dict[str, str | Iterable[str]]) -> lis
 def cmd_run(spec: RunSpec) -> list[Path]:
     """Execute the requested paradigm(s) and write trajectory CSVs, an
     optional SVG plot, and the manifest.  The simulations run before anything
-    is written; the ensemble is formatted block by block while it is written
-    to its ``.tmp`` file, and nothing moves into place until every output is
-    complete, so failures leave no partial files."""
+    is written; each CSV is formatted while it is written to its ``.tmp``
+    file, and nothing moves into place until every output is complete, so
+    failures leave no partial files.  A plot leaves out an SDS that stopped
+    before the grid's end, with a note on stderr; with nothing else to plot,
+    no plot is written."""
     model, initial, grid, integrator, ensemble = spec.plan
-    outputs: dict[str, str | Iterable[str]] = {}
+    outputs: dict[str, str | tuple] = {}
     results: dict = {}
     plot_curves: list[Curve] = []
 
     if spec.paradigm in ("sds", "both"):
         traj = integrate(model, initial, integrator, grid=_sds_times(spec))
-        outputs["sds.csv"] = _sds_csv(traj)
+        outputs["sds.csv"] = (["time", *traj.species], traj.states, traj.times)
         results["sds_termination"] = traj.termination.value
         if spec.plot and traj.end_time >= grid[-1]:
             sds = stats.sample_on_grid(traj, grid)
             plot_curves += [_curve("sds", name, col) for name, col in zip(traj.species, sds.T)]
+        elif spec.plot:
+            print(f"note: the SDS ended early ({traj.termination.value} at t={traj.end_time:g}), so "
+                  + ("plot.svg leaves it out" if ensemble is not None else "no plot.svg is written"),
+                  file=sys.stderr)
     if ensemble is not None:
         ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed)
-        outputs["abs_ensemble.csv"] = _ensemble_csv(ens)
+        outputs["abs_ensemble.csv"] = (["replicate", "time", *ens.species], ens.values, ens.grid)
         results["abs_terminations"] = sorted({t.value for t in ens.terminations})
         if spec.plot:
             mean = ens.values.mean(axis=0)
@@ -445,7 +437,7 @@ def _load_spec(args: argparse.Namespace, compare: bool = False) -> RunSpec:
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         doc, manifest = _decode_config(text)
         raw.update(doc)

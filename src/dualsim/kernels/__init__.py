@@ -18,7 +18,7 @@ TypeError::
     ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events[, grid])
     ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events[, grid])
     tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap[, grid])
-    format_rows(values, times[, first])
+    write_rows(values, times, write)
 
 Result rows.  Every simulation kernel returns ``(rows, status)``, where
 ``rows`` is a C-contiguous ``(n, 3)`` memoryview of doubles, one
@@ -79,19 +79,19 @@ t column gives each held sample's time: the per-event rows indexed by
 instead of per event.  Grid points past the last sample hold the last
 sample, so the last row always names the last event.
 
-CSV rows.  ``format_rows(values, times[, first])`` returns, as one
-``str``, the rows of a 2-D ``(n, k)`` or 3-D ``(reps, n, k)`` buffer of
-doubles ``values`` recorded at the ``n`` times of the 1-D buffer of doubles
-``times`` (either with any strides): one line ``[r,]time,v1,...,vk`` and a
-newline per row, the replicate label ``r`` only for a 3-D buffer.  The
-labels count from the integer ``first`` (default 0), which a 2-D buffer
-ignores, so an ensemble written one block of replicates at a time,
-``format_rows(values[a:a + b], times, a)`` for ``a`` in steps of ``b``,
-joins to the text of one call on the whole.  Each time is written as
-``f"{t:.6f}"`` and each value as ``repr(float(v))``, so the text is the
-same on either backend.  Another rank or item format raises TypeError, a
-``times`` of another length ValueError, a ``first`` that is not an integer
-TypeError.  It stays out of
+CSV rows.  ``write_rows(values, times, write)`` hands ``write`` the rows of
+a 2-D ``(n, k)`` or 3-D ``(reps, n, k)`` buffer of doubles ``values``
+recorded at the ``n`` times of the 1-D buffer of doubles ``times`` (either
+with any strides): one line ``[r,]time,v1,...,vk`` and a newline per row,
+the replicate label ``r``, counted from 0, only for a 3-D buffer.  Each time
+is formatted once per call and written as ``f"{t:.6f}"``, each value as
+``repr(float(v))``, so the text is the same on either backend.  The rows
+reach ``write`` as ``str`` pieces in order, whose join is the CSV text, so
+no file's whole text is held: pieces of about 64 KiB from the compiled
+backend, one per replicate from the pure one.  An empty buffer makes no
+call, an exception raised by ``write`` propagates at once, and the call
+returns None.  Another rank or item format raises TypeError, a ``times`` of
+another length ValueError.  It stays out of
 ``__all__``: the benchmark's tracer (``e2ebench/tracing.py``) wraps every
 callable listed there and has no metric for this one, so its time counts
 under its caller's.
@@ -118,7 +118,7 @@ rk4_kuznetsov = backend.rk4_kuznetsov
 ssa = backend.ssa
 ssa_frozen = backend.ssa_frozen
 tau_leap = backend.tau_leap
-format_rows = backend.format_rows
+write_rows = backend.write_rows
 
 # Status codes returned by every kernel.
 ST_OK = 0

@@ -14,19 +14,17 @@
  * - keep the arithmetic as written and build without -ffast-math or fused
  *   multiply-adds (setup.py passes -ffp-contract=off): outputs are pinned
  *   byte for byte per seed, and equal the pure backend's;
- * - ``format_rows`` writes each time once per call with
+ * - ``write_rows`` writes each time once per call with
  *   ``PyOS_double_to_string`` as f"{t:.6f}" does (mode 'f', 6 digits).  An
  *   integral value v, |v| < 1e16 and not -0.0, is written as its decimal
  *   digits and ".0", with no dtoa: that is repr(float(v)), since repr only
  *   switches to exponents at 1e16 and below it adjacent doubles are at most 2
  *   apart, so no shorter decimal rounds to v.  Every other value goes through
  *   ``PyOS_double_to_string`` as repr does (mode 'r', Py_DTSF_ADD_DOT_0).
- *   The rows are written straight into the result: a fresh ASCII str, grown
- *   with ``PyUnicode_Resize`` and shrunk once to its length at the end.  The
- *   optional ``first`` (a Py_ssize_t) starts a 3-D buffer's replicate column,
- *   so that a caller can format an ensemble one block of replicates at a
- *   time; a label past Py_ssize_t raises OverflowError.  It is kept out of
- *   ``kernels.__all__`` (see the package docstring).
+ *   The rows fill one buffer of ``CHUNK`` (64 KiB) characters plus a row,
+ *   handed to ``write`` as a str each time it holds ``CHUNK`` characters and
+ *   once at the end.  It is kept out of ``kernels.__all__`` (see the package
+ *   docstring).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -644,6 +642,9 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
 
 #define ROWS_ERROR "values must be a 2-D or 3-D buffer of doubles, times a 1-D one"
 #define CELL_CHARS 32 /* ',' plus a repr, at most 24 characters */
+#define LABEL_CHARS 24 /* a replicate label and its ',' */
+#define STAMP_CHARS 320 /* f"{t:.6f}" of a double, at most 317 characters */
+#define CHUNK (1 << 16) /* the characters of a piece handed to ``write`` */
 
 /* repr(float(v)) of an integral v with |v| < 1e16 that is not -0.0 (see the
  * header): its digits and ".0".  Returns the characters written. */
@@ -666,16 +667,23 @@ static inline size_t write_integral(char *out, long long x)
     return len;
 }
 
-/* The CSV rows "[first + r,]time,v1,...,vk\n" of every (r, row); each time
- * is formatted once, as f"{t:.6f}", and each value as repr(float(v)),
- * straight into the returned str. */
-static PyObject *format_rows(PyObject *self, PyObject *args)
+/* Hands the len characters of text to write as one str. */
+static int write_piece(PyObject *write, const char *text, Py_ssize_t len)
 {
-    PyObject *values_obj, *times_obj, *result = NULL;
+    PyObject *ret = PyObject_CallFunction(write, "s#", text, len);
+    Py_XDECREF(ret);
+    return ret == NULL ? -1 : 0;
+}
+
+/* The CSV rows "[r,]time,v1,...,vk\n" of every (r, row), handed to ``write``
+ * in pieces (see the header). */
+static PyObject *write_rows(PyObject *self, PyObject *args)
+{
+    PyObject *values_obj, *times_obj, *write, *result = NULL;
     Py_buffer vals = {NULL}, times = {NULL};
-    char **stamps = NULL, *text;
-    Py_ssize_t n = 0, len = 0, cap = 1 << 16, first = 0;
-    if (!PyArg_ParseTuple(args, "OO|n", &values_obj, &times_obj, &first))
+    char **stamps = NULL, *text = NULL;
+    Py_ssize_t n = 0, len = 0;
+    if (!PyArg_ParseTuple(args, "OOO", &values_obj, &times_obj, &write))
         return NULL;
     if (PyObject_GetBuffer(values_obj, &vals, PyBUF_RECORDS_RO) < 0 ||
         PyObject_GetBuffer(times_obj, &times, PyBUF_RECORDS_RO) < 0 || vals.ndim < 2 ||
@@ -694,10 +702,6 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
                      times.shape[0]);
         goto done;
     }
-    if (indexed && reps > 0 && first > PY_SSIZE_T_MAX - (reps - 1)) {
-        PyErr_SetString(PyExc_OverflowError, "replicate labels past the range of Py_ssize_t");
-        goto done;
-    }
     n = times.shape[0];
     if ((stamps = PyMem_Calloc(n ? n : 1, sizeof *stamps)) == NULL) {
         PyErr_NoMemory();
@@ -708,24 +712,18 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
         if ((stamps[j] = PyOS_double_to_string(t, 'f', 6, 0, NULL)) == NULL)
             goto done;
     }
-    /* the str is fresh and has one reference, so it may be resized */
-    if ((result = PyUnicode_New(cap, 127)) == NULL)
+    /* a piece and one more row; so many columns that a row's size overflows fit no memory */
+    if (k > PY_SSIZE_T_MAX / (2 * CELL_CHARS) ||
+        (text = PyMem_Malloc(CHUNK + LABEL_CHARS + STAMP_CHARS + (size_t)k * CELL_CHARS + 1)) == NULL) {
+        PyErr_NoMemory();
         goto done;
-    text = (char *)PyUnicode_1BYTE_DATA(result);
+    }
     for (Py_ssize_t i = 0; i < reps; i++) {
-        char label[24] = "";
-        size_t label_len = indexed ? (size_t)snprintf(label, sizeof label, "%zd,", first + i) : 0;
+        char label[LABEL_CHARS] = "";
+        size_t label_len = indexed ? (size_t)snprintf(label, sizeof label, "%zd,", i) : 0;
         for (Py_ssize_t j = 0; j < n; j++) {
             const char *row = (const char *)vals.buf + i * rep_step + j * row_step;
             size_t stamp_len = strlen(stamps[j]);
-            Py_ssize_t need = len + label_len + stamp_len + k * CELL_CHARS + 1;
-            if (need > cap) {
-                while (cap < need)
-                    cap *= 2;
-                if (PyUnicode_Resize(&result, cap) < 0)
-                    goto fail;
-                text = (char *)PyUnicode_1BYTE_DATA(result);
-            }
             memcpy(text + len, label, label_len);
             memcpy(text + len + label_len, stamps[j], stamp_len);
             len += label_len + stamp_len;
@@ -739,20 +737,24 @@ static PyObject *format_rows(PyObject *self, PyObject *args)
                 }
                 char *cell = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
                 if (cell == NULL)
-                    goto fail;
+                    goto done;
                 size_t cell_len = strlen(cell);
                 memcpy(text + len, cell, cell_len);
                 len += cell_len;
                 PyMem_Free(cell);
             }
             text[len++] = '\n';
+            if (len >= CHUNK) {
+                if (write_piece(write, text, len) < 0)
+                    goto done;
+                len = 0;
+            }
         }
     }
-    if (PyUnicode_Resize(&result, len) == 0)
-        goto done;
-fail:
-    Py_CLEAR(result);
+    if (len == 0 || write_piece(write, text, len) == 0)
+        result = Py_NewRef(Py_None);
 done:
+    PyMem_Free(text);
     for (Py_ssize_t j = 0; stamps != NULL && j < n; j++)
         PyMem_Free(stamps[j]);
     PyMem_Free(stamps);
@@ -779,9 +781,9 @@ static PyMethodDef methods[] = {
                        "non-empty ``grid``."),
     KERNEL(tau_leap, "Poisson tau-leaping of a channel table. Returns (rows, status), "
                      "(t, T, E) rows per leap or held on a non-empty ``grid``."),
-    KERNEL(format_rows, "format_rows(values, times[, first]): the CSV rows of a (n, k) or "
-                        "(reps, n, k) array of values at n times, as one str; a 3-D array's "
-                        "replicate column starts at ``first`` (default 0)."),
+    KERNEL(write_rows, "write_rows(values, times, write): the CSV rows of a (n, k) or "
+                       "(reps, n, k) array of values at n times, handed to ``write`` as str "
+                       "pieces of about 64 KiB."),
     {NULL, NULL, 0, NULL},
 };
 

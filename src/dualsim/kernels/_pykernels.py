@@ -14,8 +14,8 @@ this backend:
   backends return the same rows for a seed;
 - the loops are written for speed under CPython: bound locals, flat floats,
   no per-event allocation beyond the output samples;
-- ``format_rows`` maps ``repr`` over each replicate's columns and joins one
-  text block per replicate; like the C twin it is kept out of
+- ``write_rows`` maps ``repr`` over each replicate's columns and hands
+  ``write`` one piece per replicate; like the C twin it is kept out of
   ``kernels.__all__`` (see the package docstring).
 """
 
@@ -452,10 +452,10 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
 _ROWS_ERROR = "values must be a 2-D or 3-D buffer of doubles, times a 1-D one"
 
 
-def format_rows(values, times, first=0, /):
-    """The CSV rows ``[first + r,]time,v1,...,vk\\n`` of a (n, k) or
+def write_rows(values, times, write, /):
+    """Hands ``write`` the CSV rows ``[r,]time,v1,...,vk\\n`` of a (n, k) or
     (reps, n, k) buffer of values at ``n`` times: f"{t:.6f}" and
-    repr(float(v)) per cell, one text block per replicate."""
+    repr(float(v)) per cell, one piece per replicate."""
     try:
         view, times = memoryview(values), memoryview(times)
     except TypeError:
@@ -465,11 +465,11 @@ def format_rows(values, times, first=0, /):
     n = view.shape[-2]
     if times.shape[0] != n:
         raise ValueError(f"{n} rows of values but {times.shape[0]} times")
+    if n == 0:
+        return
     stamps = [f"{t:.6f}" for t in times.tolist()]
     values = np.asarray(view)
-    blocks = []
-    for i, block in enumerate(values if view.ndim == 3 else [values], first):
+    for i, block in enumerate(values if view.ndim == 3 else [values]):
         label = (repeat(str(i)),) if view.ndim == 3 else ()
         columns = [map(repr, column) for column in block.T.tolist()]
-        blocks.append("\n".join(map(",".join, zip(*label, stamps, *columns))))
-    return "\n".join(blocks) + "\n" if n and blocks else ""
+        write("\n".join(map(",".join, zip(*label, stamps, *columns))) + "\n")

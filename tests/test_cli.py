@@ -13,8 +13,8 @@ from dualsim import kernels
 from dualsim.cli import (
     RunSpec,
     _comparison_csv,
-    _ensemble_csv,
-    _sds_csv,
+    _sds_times,
+    _write_outputs,
     cmd_compare,
     cmd_run,
     list_scenarios,
@@ -183,6 +183,27 @@ class TestCmdRun:
         manifest = json.loads(read(tmp_path / "manifest.json"))
         assert manifest["replicate_seeds"] == [9, 10, 11, 12]
 
+    # von Bertalanffy at a = 1, b = 0.5 blows up between t = 4 and t = 5
+    BLOWUP = ["run", "--model", "bertalanffy", "--a", "1", "--b", "0.5", "--t-end", "10", "--plot"]
+
+    def test_plot_of_an_sds_alone_that_stops_early_is_not_written_with_a_note(self, tmp_path, capsys):
+        assert main([*self.BLOWUP, "--paradigm", "sds", "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "note: the SDS ended early (blow-up at t=4.1), so no plot.svg is written\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "sds.csv"]
+        assert json.loads(read(tmp_path / "manifest.json"))["results"]["sds_termination"] == "blow-up"
+
+    def test_plot_leaves_out_an_sds_that_stops_early_with_a_note(self, tmp_path, capsys):
+        assert main([*self.BLOWUP, "--reps", "2", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == "note: the SDS ended early (blow-up at t=4.1), so plot.svg leaves it out\n"
+        svg = read(tmp_path / "plot.svg")
+        assert "abs mean tumour" in svg and "sds tumour" not in svg
+
+    def test_plot_of_an_sds_that_completes_has_no_note(self, tmp_path, capsys):
+        assert main([*self.BLOWUP, "--paradigm", "sds", "--t-end", "4", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "sds tumour" in read(tmp_path / "plot.svg")
+
     def test_plot_flag_writes_svg(self, tmp_path):
         spec = parse_config(json.dumps({
             "model": "kuznetsov", "scenario": 1, "paradigm": "sds", "t_end": 5.0,
@@ -255,16 +276,23 @@ COMPARISON_CASES = [
 ]
 
 
+def render(directory, output):
+    """The text ``_write_outputs`` writes for one output."""
+    [path] = _write_outputs(str(directory / "render"), {"output.csv": output})
+    return read(path)
+
+
 class TestCsvWriters:
-    """The writers format through ``kernels.format_rows``: these tests run
+    """The CSVs are formatted through ``kernels.write_rows``: these tests run
     the active backend's, and the last runs them all on the pure twin."""
 
-    GRIDS = [make_grid(2.0, 0.01), np.arange(0.0, 2.0, 1 / 3)]
+    # the last with 10,001 points, so that 13 replicates reach the file in many pieces
+    GRIDS = [make_grid(2.0, 0.01), np.arange(0.0, 2.0, 1 / 3), make_grid(2.0, 0.0002)]
 
-    def test_sds_csv_matches_the_per_cell_formula(self):
+    def test_sds_csv_matches_the_per_cell_formula(self, tmp_path):
         traj = integrate(scenario_preset(2), PopulationState(100.0, 10.0),
                          IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.07))
-        assert _sds_csv(traj) == reference_sds_csv(traj)
+        assert render(tmp_path, (["time", *traj.species], traj.states, traj.times)) == reference_sds_csv(traj)
         awkward = Trajectory(
             times=np.array([0.0, 1 / 3, 2.0000005, 7.1234565, 1e6]),
             states=np.array([[0.1 + 0.2, 0.0], [1e-300, 1e300], [1 / 3, 2.0**53 + 2],
@@ -272,53 +300,44 @@ class TestCsvWriters:
             species=("tumour", "effector"), termination=Termination.COMPLETED,
             paradigm=Paradigm.SDS,
         )
-        assert _sds_csv(awkward) == reference_sds_csv(awkward)
+        assert render(tmp_path, (["time", *awkward.species], awkward.states, awkward.times)) \
+            == reference_sds_csv(awkward)
 
-    @pytest.mark.parametrize("grid", GRIDS)
-    def test_ensemble_csv_matches_the_per_cell_formula(self, grid):
-        spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
-                            initial=PopulationState(100, 10), t_end=2.0)
-        ens = run_ensemble(replace(spec, grid=grid), reps=3, base_seed=5)
-        assert "".join(_ensemble_csv(ens)) == reference_ensemble_csv(spec, 3, 5, grid)
-
-    # (grid, rows per block, replicates per block) for 13 replicates
-    BLOCK_CASES = [
-        (make_grid(2.0, 0.0002), dualsim.cli._BLOCK_ROWS, [6, 6, 1]),
-        (GRIDS[0], 2 * len(GRIDS[0]) + 1, [2] * 6 + [1]),
-        (GRIDS[1], 1, [1] * 13),
-    ]
-
-    @pytest.mark.parametrize("grid, block_rows, blocks", BLOCK_CASES,
-                             ids=["10001-points", "two-per-block", "one-per-block"])
-    def test_ensemble_csv_in_blocks_of_replicates(self, monkeypatch, grid, block_rows, blocks):
-        # more replicates than one block holds, the last block a remainder
-        monkeypatch.setattr(dualsim.cli, "_BLOCK_ROWS", block_rows)
+    @pytest.mark.parametrize("grid", GRIDS, ids=["grid", "thirds", "10001-points"])
+    def test_ensemble_csv_matches_the_per_cell_formula(self, tmp_path, grid):
         spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
                             initial=PopulationState(100, 10), t_end=2.0)
         ens = run_ensemble(replace(spec, grid=grid), reps=13, base_seed=5)
-        header, *parts = _ensemble_csv(ens)
-        assert [part.count("\n") for part in parts] == [b * len(grid) for b in blocks]
-        assert header + "".join(parts) == reference_ensemble_csv(spec, 13, 5, grid)
+        text = render(tmp_path, (["replicate", "time", *ens.species], ens.values, ens.grid))
+        assert text == reference_ensemble_csv(spec, 13, 5, grid)
 
     @pytest.mark.parametrize("model, channels, initial", COMPARISON_CASES, ids=["two-species", "one-species"])
-    def test_comparison_csv_matches_the_per_cell_formula(self, model, channels, initial):
+    def test_comparison_csv_matches_the_per_cell_formula(self, tmp_path, model, channels, initial):
         sds = integrate(model, PopulationState(*map(float, initial)),
                         IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.1))
         ens = run_ensemble(EnsembleSpec(channels=channels(model), initial=PopulationState(*initial),
                                         t_end=3.0, grid=np.arange(0.0, 3.0, 1 / 3)),
                            reps=3, base_seed=2)
         report = compare(sds, ens)
-        assert _comparison_csv(report) == reference_comparison_csv(report)
+        assert render(tmp_path, _comparison_csv(report)) == reference_comparison_csv(report)
 
-    def test_the_pure_twin_writes_the_same_bytes(self, monkeypatch):
-        monkeypatch.setattr(kernels, "format_rows", _pykernels.format_rows)
-        self.test_sds_csv_matches_the_per_cell_formula()
+    def test_cmd_run_writes_the_per_cell_formula(self, tmp_path):
+        spec = RunSpec(model="kuznetsov", scenario=4, t_end=2.0, grid=0.05, reps=3, seed=5, out=str(tmp_path))
+        cmd_run(spec)
+        model, initial, _, integrator, ensemble = spec.plan
+        traj = integrate(model, initial, integrator, grid=_sds_times(spec))
+        assert read(tmp_path / "sds.csv") == reference_sds_csv(traj)
+        assert read(tmp_path / "abs_ensemble.csv") == reference_ensemble_csv(replace(ensemble, grid=None), 3, 5,
+                                                                             ensemble.grid)
+
+    def test_the_pure_twin_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels, "write_rows", _pykernels.write_rows)
+        self.test_sds_csv_matches_the_per_cell_formula(tmp_path)
         for grid in self.GRIDS:
-            self.test_ensemble_csv_matches_the_per_cell_formula(grid)
-        for case in self.BLOCK_CASES:
-            self.test_ensemble_csv_in_blocks_of_replicates(monkeypatch, *case)
+            self.test_ensemble_csv_matches_the_per_cell_formula(tmp_path, grid)
         for case in COMPARISON_CASES:
-            self.test_comparison_csv_matches_the_per_cell_formula(*case)
+            self.test_comparison_csv_matches_the_per_cell_formula(tmp_path, *case)
+        self.test_cmd_run_writes_the_per_cell_formula(tmp_path / "run")
 
 
 class TestCmdCompare:
@@ -550,8 +569,8 @@ class TestMainExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert list((tmp_path / "report.json").iterdir()) == []
 
-    # a run of three replicates written one replicate per block
-    RUN_BLOCKS = ["run", "--model", "logistic", "--c", "5", "--paradigm", "abs", "--t-end", "2", "--reps", "3"]
+    # a run of three replicates: abs_ensemble.csv is its one CSV
+    RUN_ABS = ["run", "--model", "logistic", "--c", "5", "--paradigm", "abs", "--t-end", "2", "--reps", "3"]
 
     @staticmethod
     def fill_the_disk(monkeypatch, name, nth):
@@ -589,33 +608,31 @@ class TestMainExitCodes:
         assert "No space left" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_write_of_a_later_ensemble_block_is_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # the header and the first block are written, the second fails
-        monkeypatch.setattr(dualsim.cli, "_BLOCK_ROWS", 1)
-        self.fill_the_disk(monkeypatch, "abs_ensemble.csv.tmp", 3)
-        rc = main([*self.RUN_BLOCKS, "--out", str(tmp_path)])
+    def test_failed_write_of_the_ensemble_rows_is_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the header is written, the first piece of rows fails
+        self.fill_the_disk(monkeypatch, "abs_ensemble.csv.tmp", 2)
+        rc = main([*self.RUN_ABS, "--out", str(tmp_path)])
         assert rc == 4
         assert "No space left" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_out_of_memory_while_a_block_is_formatted_is_3_and_writes_nothing(self, tmp_path, capsys,
-                                                                              monkeypatch):
-        # the first block is in abs_ensemble.csv.tmp when the second runs out of memory
-        format_rows, blocks = kernels.format_rows, []
+    def test_out_of_memory_while_rows_are_formatted_is_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the first piece of rows is in abs_ensemble.csv.tmp when formatting runs out of memory
+        write_rows, written = kernels.write_rows, []
 
-        def no_memory_for_the_second_block(values, times, first):
-            blocks.append(first)
-            if len(blocks) == 2:
-                assert (tmp_path / "abs_ensemble.csv.tmp").is_file()
-                raise MemoryError
-            return format_rows(values, times, first)
+        def no_memory_after_the_first_piece(values, times, write):
+            pieces = []
+            write_rows(values, times, pieces.append)
+            write(pieces[0])
+            written.append(pieces[0])
+            assert (tmp_path / "abs_ensemble.csv.tmp").is_file()
+            raise MemoryError
 
-        monkeypatch.setattr(dualsim.cli, "_BLOCK_ROWS", 1)
-        monkeypatch.setattr(kernels, "format_rows", no_memory_for_the_second_block)
-        rc = main([*self.RUN_BLOCKS, "--out", str(tmp_path)])
+        monkeypatch.setattr(kernels, "write_rows", no_memory_after_the_first_piece)
+        rc = main([*self.RUN_ABS, "--out", str(tmp_path)])
         assert rc == 3
         assert capsys.readouterr().err == "engine error: out of memory\n"
-        assert blocks == [0, 1]
+        assert len(written) == 1 and written[0].startswith("0,0.000000,")
         assert list(tmp_path.iterdir()) == []
 
     def test_flags_override_config(self, tmp_path, capsys):
@@ -645,6 +662,15 @@ class TestMainExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    def test_a_config_that_is_not_utf8_is_2_and_writes_nothing(self, tmp_path, capsys):
+        # a UTF-16 document that starts with its byte-order mark, ff fe
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe" + '{"model": "logistic", "c": 5}'.encode("utf-16-le"))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot read config {cfg}: ")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("rng", ["xoshiro256**", None, "sfc64-splitmix64"],
                              ids=["another rng", "no rng", "this rng"])

@@ -548,26 +548,32 @@ def edge_and_random_values():
     return np.concatenate([EDGE_VALUES, random]).reshape(-1, 3)
 
 
-def test_format_rows_is_a_kernel_outside_all():
+def rows_written(backend, values, times):
+    """The text ``backend.write_rows`` hands its ``write``, joined."""
+    pieces = []
+    assert backend.write_rows(values, times, pieces.append) is None
+    return "".join(pieces)
+
+
+def test_write_rows_is_a_kernel_outside_all():
     # the benchmark's tracer wraps every callable of kernels.__all__
-    assert "format_rows" not in kernels.__all__
-    assert kernels.format_rows is kernels.backend.format_rows
+    assert "write_rows" not in kernels.__all__
+    assert kernels.write_rows is kernels.backend.write_rows
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestFormatRows:
+class TestWriteRows:
     def test_cells_are_repr_and_times_six_decimals(self, backend):
         # every edge value and random float is a time and a value
         values = edge_and_random_values()
         times = values[:, 0].copy()
-        assert BACKENDS[backend].format_rows(values, times) == reference_rows(values, times)
+        assert rows_written(BACKENDS[backend], values, times) == reference_rows(values, times)
 
     def test_the_same_text_as_the_pure_twin(self, backend):
         values = edge_and_random_values()
         blocks = values[:3000].reshape(12, 250, 3)
-        for args in ((values, values[:, 0]), (blocks, values[:250, 1]), (values[:, ::2], values[:, 1]),
-                     (blocks, values[:250, 1], 7), (blocks, values[:250, 1], -3), (values, values[:, 0], 5)):
-            assert BACKENDS[backend].format_rows(*args) == pure.format_rows(*args)
+        for args in ((values, values[:, 0]), (blocks, values[:250, 1]), (values[:, ::2], values[:, 1])):
+            assert rows_written(BACKENDS[backend], *args) == rows_written(pure, *args)
 
     def test_integral_cells_are_repr(self, backend):
         # the integral values by the C twin's integer writer (|v| < 1e16, not
@@ -576,49 +582,72 @@ class TestFormatRows:
                  -9999999999999998.0, 1e16, -1e16, 1e16 + 2, 1e15 + 0.5, 4503599627370495.5]
         values = np.array(cells).reshape(-1, 2)
         times = np.arange(len(values), dtype=float)
-        assert BACKENDS[backend].format_rows(values, times) == reference_rows(values, times)
+        assert rows_written(BACKENDS[backend], values, times) == reference_rows(values, times)
 
-    def test_integer_counts_past_several_growths_of_the_text(self, backend):
+    def test_integer_counts_past_many_pieces(self, backend):
         # an abs_ensemble of 9-digit counts, filled in place per replicate:
-        # about 20,000 rows of 40 characters, past 64 KiB doubled four times
+        # about 20,000 rows of 40 characters, past 64 KiB eight times
         rng = np.random.default_rng(23)
         reps, n = 10, 2001
         values = np.empty((reps, n, 2))
         for i in range(reps):
             values[i] = rng.integers(0, 10**9, size=(n, 2), endpoint=True)
         times = np.linspace(0.0, 20.0, n)
-        text = BACKENDS[backend].format_rows(values, times)
+        text = rows_written(BACKENDS[backend], values, times)
         assert len(text) > 8 * 2**16
         assert text == reference_rows(values, times)
 
     def test_a_2d_buffer_has_no_index_column(self, backend):
         values, times = np.array([[1.0, 2.5], [0.1, -0.0]]), np.array([0.0, 0.5])
-        text = BACKENDS[backend].format_rows(values, times)
-        assert text == "0.000000,1.0,2.5\n0.500000,0.1,-0.0\n"
-        # and ignores the first replicate label
-        assert BACKENDS[backend].format_rows(values, times, 5) == text
+        assert rows_written(BACKENDS[backend], values, times) == "0.000000,1.0,2.5\n0.500000,0.1,-0.0\n"
 
     def test_a_3d_buffer_leads_each_row_with_its_replicate(self, backend):
-        fn = BACKENDS[backend].format_rows
-        text = fn(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]), np.array([0.0, 1 / 3]))
+        module = BACKENDS[backend]
+        text = rows_written(module, np.array([[[1.0], [2.0]], [[3.0], [4.0]]]), np.array([0.0, 1 / 3]))
         assert text == "0,0.000000,1.0\n0,0.333333,2.0\n1,0.000000,3.0\n1,0.333333,4.0\n"
-        text = fn(np.array([[[1.0]], [[3.0]]]), np.array([0.5]), 41)
-        assert text == "41,0.500000,1.0\n42,0.500000,3.0\n"
         values = edge_and_random_values()[:2400].reshape(12, 200, 3)
         times = np.linspace(0.0, 2.0, 200)
-        assert fn(values, times) == reference_rows(values, times)
+        assert rows_written(module, values, times) == reference_rows(values, times)
 
     def test_strided_and_empty_buffers(self, backend):
-        fn = BACKENDS[backend].format_rows
+        module = BACKENDS[backend]
         values = edge_and_random_values()
-        assert fn(values[:, 1:], values[:, 0]) == reference_rows(values[:, 1:], values[:, 0])
-        assert fn(np.zeros((0, 2)), np.zeros(0)) == fn(np.zeros((0, 4, 2)), np.zeros(4)) == ""
+        assert rows_written(module, values[:, 1:], values[:, 0]) == reference_rows(values[:, 1:], values[:, 0])
+        # a strided 3-D buffer and strided times
+        values = values[: 2 * 11 * 150].reshape(11, 150, 6)[:, ::3, 1::2]
+        times = np.linspace(0.0, 2.0, 100)[::2]
+        assert not values.flags.c_contiguous
+        assert rows_written(module, values, times) == reference_rows(values, times)
+        assert rows_written(module, np.zeros((0, 2)), np.zeros(0)) == ""
+        assert rows_written(module, np.zeros((0, 4, 2)), np.zeros(4)) == ""
+
+    def test_an_empty_buffer_makes_no_call(self, backend):
+        def write(piece):
+            raise AssertionError(f"write({piece!r})")
+
+        for values, times in ((np.zeros((0, 2)), np.zeros(0)), (np.zeros((0, 4, 2)), np.zeros(4)),
+                              (np.zeros((3, 0, 2)), np.zeros(0))):
+            assert BACKENDS[backend].write_rows(values, times, write) is None
+
+    def test_an_exception_from_write_propagates_at_once(self, backend):
+        # 13 replicates of 2001 rows: several pieces on either backend
+        values, times = np.zeros((13, 2001, 2)), np.linspace(0.0, 20.0, 2001)
+        calls = []
+
+        def full_on_the_second_call(piece):
+            calls.append(piece)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            BACKENDS[backend].write_rows(values, times, full_on_the_second_call)
+        assert len(calls) == 2
 
     def test_a_times_length_other_than_the_rows_is_a_value_error(self, backend):
         with pytest.raises(ValueError, match="3 rows of values but 2 times"):
-            BACKENDS[backend].format_rows(np.zeros((3, 2)), np.zeros(2))
+            BACKENDS[backend].write_rows(np.zeros((3, 2)), np.zeros(2), print)
         with pytest.raises(ValueError):
-            BACKENDS[backend].format_rows(np.zeros((2, 3, 2)), np.zeros(2))
+            BACKENDS[backend].write_rows(np.zeros((2, 3, 2)), np.zeros(2), print)
 
     @pytest.mark.parametrize("values, times", [
         (np.zeros((2, 2), dtype=np.float32), np.zeros(2)),
@@ -631,34 +660,24 @@ class TestFormatRows:
     ], ids=["float32", "int64", "1-D", "4-D", "2-D times", "float32 times", "list"])
     def test_another_rank_or_item_type_is_a_type_error(self, backend, values, times):
         with pytest.raises(TypeError, match="2-D or 3-D buffer of doubles"):
-            BACKENDS[backend].format_rows(values, times)
+            BACKENDS[backend].write_rows(values, times, print)
 
     def test_keyword_calls_raise_type_error(self, backend):
         with pytest.raises(TypeError):
-            BACKENDS[backend].format_rows(np.zeros((1, 1)), times=np.zeros(1))
+            BACKENDS[backend].write_rows(np.zeros((1, 1)), np.zeros(1), write=print)
         with pytest.raises(TypeError):
-            BACKENDS[backend].format_rows(np.zeros((1, 1, 1)), np.zeros(1), first=1)
-
-    @pytest.mark.parametrize("reps", [1, 4, 5, 11])
-    def test_blocks_of_replicates_join_to_the_whole(self, backend, reps):
-        # blocks of b = 4 replicates of a strided buffer, labelled from their first
-        fn, b = BACKENDS[backend].format_rows, 4
-        values = edge_and_random_values()[: 2 * reps * 150].reshape(reps, 150, 6)[:, ::3, 1::2]
-        times = np.linspace(0.0, 2.0, 100)[::2]
-        assert not values.flags.c_contiguous
-        blocks = [fn(values[a:a + b], times, a) for a in range(0, reps, b)]
-        assert "".join(blocks) == fn(values, times) == reference_rows(values, times)
-
-    def test_first_is_an_integer(self, backend):
-        with pytest.raises(TypeError):
-            BACKENDS[backend].format_rows(np.zeros((1, 1, 1)), np.zeros(1), 1.0)
+            BACKENDS[backend].write_rows(np.zeros((1, 1)), times=np.zeros(1), write=print)
 
 
 @needs_compiled
-def test_compiled_labels_past_the_range_of_ssize_t_raise_overflow_error():
-    values, times = np.zeros((4, 1, 1)), np.zeros(1)
-    assert compiled.format_rows(values, times, sys.maxsize - 3).startswith(f"{sys.maxsize - 3},")
-    with pytest.raises(OverflowError):
-        compiled.format_rows(values, times, sys.maxsize - 2)
-    with pytest.raises(OverflowError):
-        compiled.format_rows(values, times, sys.maxsize + 1)
+def test_compiled_pieces_are_64_kib_and_at_most_one_row_more():
+    values = np.random.default_rng(29).integers(0, 10**9, size=(13, 2001, 2)).astype(float)
+    times = np.linspace(0.0, 20.0, 2001)
+    pieces = []
+    compiled.write_rows(values, times, pieces.append)
+    longest_row = max(map(len, reference_rows(values, times).splitlines(keepends=True)))
+    assert len(pieces) > 2
+    assert all(type(piece) is str for piece in pieces)
+    assert all(len(piece) >= 2**16 for piece in pieces[:-1])
+    assert all(len(piece) <= 2**16 + longest_row for piece in pieces)
+    assert "".join(pieces) == reference_rows(values, times)
