@@ -621,6 +621,21 @@ class TestWriteRows:
         assert rows_written(module, np.zeros((0, 2)), np.zeros(0)) == ""
         assert rows_written(module, np.zeros((0, 4, 2)), np.zeros(4)) == ""
 
+    @pytest.mark.parametrize("reps", [1, 4, 5, 11])
+    def test_replicates_join_to_the_whole(self, backend, reps):
+        # each replicate of a strided buffer is its 2-D rows led by its label, from 0
+        module = BACKENDS[backend]
+        values = edge_and_random_values()[: 2 * reps * 150].reshape(reps, 150, 6)[:, ::3, 1::2]
+        times = np.linspace(0.0, 2.0, 100)[::2]
+        assert not values.flags.c_contiguous
+        replicates = ["".join(f"{r},{row}" for row in rows_written(module, values[r], times).splitlines(True))
+                      for r in range(reps)]
+        assert rows_written(module, values, times) == "".join(replicates) == reference_rows(values, times)
+        # the pure twin writes one piece per replicate
+        pieces = []
+        pure.write_rows(values, times, pieces.append)
+        assert pieces == replicates
+
     def test_an_empty_buffer_makes_no_call(self, backend):
         def write(piece):
             raise AssertionError(f"write({piece!r})")
