@@ -53,11 +53,12 @@ rows or a rate-law code outside 0..5 raise ValueError.  The rate-law codes
 
 ``ssa`` and ``tau_leap`` evaluate the table with ``table_rates`` and
 ``_rates``.  In ``ssa`` a channel whose jump would take a population below
-its floor gets rate 0; ``tau_leap`` instead clamps each population to its
-floor after the leap.  ``ssa_frozen`` needs a birth row ``c*T**e`` (code 1,
-jump (1, 0)), then a death row of code 1 or 2 and jump (-1, 0), else
-ValueError; each agent keeps its per-capita death rate at birth,
-``c*T**(e-1)`` or ``c*ln(T)``.
+its floor gets rate 0, and an event of total rate R fires the first channel
+whose running sum of rates exceeds u*R (u uniform on [0, 1)), else the last;
+``tau_leap`` instead clamps each population to its floor after the leap.
+``ssa_frozen`` needs a birth row ``c*T**e`` (code 1, jump (1, 0)), then a
+death row of code 1 or 2 and jump (-1, 0), else ValueError; each agent keeps
+its per-capita death rate at birth, ``c*T**(e-1)`` or ``c*ln(T)``.
 
 Stop rule and status codes (the ``ST_*`` constants below).  The stochastic
 kernels stop by one rule on the total rate R: while 0 < R < inf they step

@@ -400,10 +400,10 @@ static inline double channel_rate(const Table *tab, int i, double T, double E)
     }
 }
 
-/* Fills ``rates`` and returns their sum, or -1 when a rate is negative.  A
- * channel that would take a population below its floor gets rate 0. */
+/* Fills ``out`` with the rates, or their running sums if ``sums``, and returns the last
+ * running sum, or -1 on a negative rate; a channel that would break a floor gets rate 0. */
 static inline double table_rates(const Table *tab, double T, double E, double floor_t,
-                                 double floor_e, double *rates)
+                                 double floor_e, int sums, double *out)
 {
     double R = 0.0;
     for (int i = 0; i < tab->n; i++) {
@@ -412,8 +412,8 @@ static inline double table_rates(const Table *tab, double T, double E, double fl
             return -1.0;
         if (T + tab->dT[i] < floor_t || E + tab->dE[i] < floor_e)
             r = 0.0;
-        rates[i] = r;
         R += r;
+        out[i] = sums ? R : r;
     }
     return R;
 }
@@ -432,7 +432,7 @@ static PyObject *ssa(PyObject *self, PyObject *args)
     Rng rng;
     if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0)
         return NULL;
-    double rates[MAX_CHANNELS];
+    double sums[MAX_CHANNELS];
     double T = T0, E = E0, t = 0.0;
     long nev = 0;
     int nch = tab.n, status = -1;
@@ -440,7 +440,7 @@ static PyObject *ssa(PyObject *self, PyObject *args)
     if (rec_init(&rec, grid, T, E) < 0)
         return NULL;
     for (;;) {
-        double R = table_rates(&tab, T, E, floor_t, floor_e, rates);
+        double R = table_rates(&tab, T, E, floor_t, floor_e, 1, sums);
         if (!(0.0 < R && R < INFINITY)) {
             status = stop_status(&rec, R, t, t_end, T, E);
             break;
@@ -451,11 +451,11 @@ static PyObject *ssa(PyObject *self, PyObject *args)
             status = 0;
             break;
         }
-        /* the first channel whose cumulative rate exceeds u, else the last */
-        double u = rng_uniform(&rng) * R, acc = rates[0];
+        /* the pick rule as a count: running sums never decrease */
+        double u = rng_uniform(&rng) * R;
         int pick = 0;
-        while (!(u < acc) && pick < nch - 1)
-            acc += rates[++pick];
+        for (int i = 0; i < nch - 1; i++)
+            pick += sums[i] <= u;
         T += tab.dT[pick];
         E += tab.dE[pick];
         nev += 1;
@@ -606,7 +606,7 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
     while (t < t_end - 1e-12) {
         double h = t + dt <= t_end ? dt : t_end - t;
         /* leaping clamps to the floors after the step instead */
-        double R = table_rates(&tab, T, E, -INFINITY, -INFINITY, rates);
+        double R = table_rates(&tab, T, E, -INFINITY, -INFINITY, 0, rates);
         if (!(0.0 < R && R < INFINITY)) {
             status = stop_status(&rec, R, t, t_end, T, E);
             break;

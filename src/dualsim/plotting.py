@@ -164,7 +164,7 @@ def emit_svg_plot(
         lx += 30 + 6.4 * len(shown)
 
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "\n".join([*out, ""])  # the closing newline, without a copy of the whole text
 
 
 def _escape(text: str) -> str:

@@ -302,29 +302,25 @@ def _simulate(spec: EnsembleSpec, seed: int) -> Trajectory:
         )
 
     rows = np.asarray(rows)
+    t, T, E = rows[-1].tolist()  # the last sample, in grid mode too
     if status == kernels.ST_CAP:
         raise PopulationCapError(
             f"population exceeded the hard cap of {POPULATION_CAP:.0e} agents (seed {seed}); "
             "this configuration is infeasible for discrete simulation"
         )
-    if status == kernels.ST_MAX_EVENTS:
-        # the last row holds the last sample, in grid mode too
-        raise EngineError(
-            f"event budget of {max_events} exhausted (seed {seed}) at t={rows[-1, 0]:.3g} "
-            f"with population {rows[-1, 1]:.4g}; use tau-leaping for blow-up-scale growth "
-            f"(the {POPULATION_CAP:.0e} population cap still applies)"
-        )
-    if status == kernels.ST_BAD_RATE:
-        raise EngineError(
-            f"total event rate negative, infinite or nan (seed {seed}) at t={rows[-1, 0]:.3g} "
-            f"with population {rows[-1, 1]:.4g}; a channel's rate law left its domain or double range"
-        )
-    states = rows[:, 1:1 + len(spec.channels.species)]
+    if status in (kernels.ST_MAX_EVENTS, kernels.ST_BAD_RATE):
+        at = f"(seed {seed}) at t={t:.3g} with population " + (
+            f"{T:.4g}" if len(spec.channels.species) == 1 else f"T={T:.4g}, E={E:.4g}")
+        if status == kernels.ST_MAX_EVENTS:
+            raise EngineError(f"event budget of {max_events} exhausted {at}; use tau-leaping for blow-up-scale "
+                              f"growth (the {POPULATION_CAP:.0e} population cap still applies)")
+        raise EngineError(f"total event rate negative, infinite or nan {at}; "
+                          "a channel's rate law left its domain or double range")
     # status 2 means that no event can fire; the run is extinct only if every population is 0
-    extinct = status == kernels.ST_EXTINCT and not states[-1].any()
+    extinct = status == kernels.ST_EXTINCT and T == 0.0 and E == 0.0
     return Trajectory(
         times=rows[:, 0] if grid is None else grid,
-        states=states,
+        states=rows[:, 1:1 + len(spec.channels.species)],
         species=spec.channels.species,
         termination=Termination.EXTINCT if extinct else Termination.COMPLETED,
         paradigm=Paradigm.ABS,

@@ -80,11 +80,14 @@ def ensemble_mean(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     grid.  A single-replicate ensemble has variance 0.
     """
     mean = ens.values.mean(axis=0)
-    if len(ens) > 1:
-        var = ens.values.var(axis=0, ddof=1)
-    else:
-        var = np.zeros_like(mean)
-    return mean, var
+    # var(axis=0, ddof=1) bit for bit, in 64 KiB blocks, not a copy of the values: numpy adds the squared
+    # deviations in replicate order when a replicate holds two or more values, as these running block sums do
+    step, ss = max(1, 8192 // mean.size), 0.0
+    for start in range(0, len(ens), step):
+        sq = np.square(ens.values[start:start + step] - mean)
+        sq[0] += ss
+        ss = sq.sum(axis=0)
+    return mean, ss / max(len(ens) - 1, 1)
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,9 @@ class Trajectory:
             raise EngineError("times and states must have matching lengths")
         if times.shape[0] == 0 or times[0] != 0.0:
             raise EngineError("a trajectory starts at t = 0 with the initial condition")
-        if times.shape[0] > 1 and not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():  # nan compares false
             raise EngineError("sample times must be strictly increasing")
-        if not np.all(np.isfinite(states)) or np.any(states < 0):
+        if states.size and not (states.min() >= 0.0 and states.max() < np.inf):
             raise EngineError("all state components must be finite and >= 0")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)

@@ -199,6 +199,16 @@ def parity_cases():
                 yield "ssa", (table, 100, 10, 10.0, seed, *floors, 1e12, 10**8)
                 yield "ssa", (table, 100, 10, 10.0, seed, *floors, 1e12, 10**8, grid)
                 yield "tau_leap", (table, 100, 10, 10.0, 0.01, seed, *floors, 1e12)
+    # rows of rate 0 make consecutive running sums tie: placed first, in the middle and last; a
+    # wrong pick of one would jump both populations by 5
+    zero, s4 = (kernels.R_CONST, 0.0, 0.0, 0.0, 5, 5), kuznetsov_channels(scenario_preset(4)).table
+    for table in ((zero, *s4), (*s4[:3], zero, zero, *s4[3:]), (*s4, zero)):
+        for floors in ((0, 0), (1, 0)):
+            yield "ssa", (table, 100, 10, 10.0, 1, *floors, 1e12, 10**8)
+            yield "ssa", (table, 100, 10, 10.0, 1, *floors, 1e12, 10**8, grid)
+    for table in (DEATH_ONLY, ((kernels.R_POW_T, 1.0, 1.0, 0.0, 1, 0),)):  # one row: nothing to compare
+        yield "ssa", (table, 5, 0, 2.0, 1, 0, 0, 1e12, 10**8)
+        yield "ssa", (table, 5, 0, 2.0, 1, 0, 0, 1e12, 10**8, grid)
     # means of 30 and more take the rounded-normal branch of the Poisson sampler
     yield "tau_leap", (birth_death(50.0, 40.0), 100, 0, 1.0, 0.1, 3, 0, 0, 1e12)
     for kind in ("logistic", "gompertz", "bertalanffy"):

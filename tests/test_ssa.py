@@ -673,6 +673,20 @@ class TestGridValidation:
         assert re.search(r" at t=\S+ with population \d+;", messages[1])
         assert " at t=50 " not in messages[1]
 
+    @pytest.mark.parametrize("channels, initial, message", [
+        (kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), "event budget of 1000 exhausted"),
+        # 10**400 overflows to inf at T = 10
+        (ChannelSet(((R_POW_T, 1.0, 400.0, 0.0, 1, 0), (R_LIN_E, 1.0, 0.0, 0.0, 0, 1)), ("tumour", "effector")),
+         PopulationState(10, 7), "infinite or nan"),
+    ], ids=["event-budget", "bad-rate"])
+    def test_a_two_species_error_names_both_populations(self, monkeypatch, channels, initial, message):
+        monkeypatch.setattr(dualsim.ssa, "DEFAULT_MAX_EVENTS", 1000)
+        with pytest.raises(EngineError, match=message) as info:
+            simulate_exact(EnsembleSpec(channels, initial, t_end=50.0, floors=Floors(1, 0)), seed=3)
+        assert re.search(r" at t=\S+ with population T=\d+, E=\d+;", str(info.value))
+        if message == "infinite or nan":
+            assert " at t=0 with population T=10, E=7;" in str(info.value)
+
 
 class TestScenarioDiscreteness:
     def test_scenario1_discrete_runs_reach_exact_zero(self):

@@ -205,6 +205,18 @@ class TestEnsembleMean:
         ])
         assert np.array_equal(ens.values, stack)
 
+    @pytest.mark.parametrize("shape, kind", [
+        ((2000, 101, 2), "counts"), ((2000, 101, 2), "reals"), ((4097, 3, 1), "reals"), ((8192, 1, 1), "reals"),
+        ((7, 2, 2), "reals"),
+    ])
+    def test_equals_numpys_moments_across_blocks(self, shape, kind):
+        # many blocks of replicates: the variance is still numpy's, bit for bit
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, 500, size=shape) if kind == "counts" else rng.random(shape) * 1e3
+        mean, var = ensemble_mean(held_ensemble(np.arange(shape[1]), values, ("tumour", "effector")[:shape[2]]))
+        assert mean.tobytes() == values.mean(axis=0).tobytes()
+        assert var.tobytes() == values.var(axis=0, ddof=1).tobytes()
+
     @pytest.mark.parametrize("grid", [[0.0, 0.5, 2.0], [0.0]], ids=["non-uniform", "one-point"])
     def test_any_grid_run_ensemble_accepts(self, grid):
         ens = run_ensemble(kuznetsov_spec(2.0, grid), reps=3, base_seed=1)
