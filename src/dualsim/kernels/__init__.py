@@ -58,7 +58,9 @@ whose running sum of rates exceeds u*R (u uniform on [0, 1)), else the last;
 ``tau_leap`` instead clamps each population to its floor after the leap.
 ``ssa_frozen`` needs a birth row ``c*T**e`` (code 1, jump (1, 0)), then a
 death row of code 1 or 2 and jump (-1, 0), else ValueError; each agent keeps
-its per-capita death rate at birth, ``c*T**(e-1)`` or ``c*ln(T)``.
+its per-capita death rate at birth, ``c*T**(e-1)`` or ``c*ln(T)``, while
+the birth row's rate is the live one, so a death row of e = 1 gives the
+rows of ``ssa``.
 
 Stop rule and status codes (the ``ST_*`` constants below).  The stochastic
 kernels stop by one rule on the total rate R: while 0 < R < inf they step
@@ -78,7 +80,9 @@ each grid time, the last one at or before it, into ``len(grid)`` rows whose
 t column gives each held sample's time: the per-event rows indexed by
 ``searchsorted(t, grid, side="right") - 1``, at a cost per grid point
 instead of per event.  Grid points past the last sample hold the last
-sample, so the last row always names the last event.
+sample.  A run goes on to ``t_end`` past a grid that stops short of it, so
+the last row names the last event only if the grid reaches ``t_end`` (as
+``ssa.EnsembleSpec`` makes it do).
 
 CSV rows.  ``write_rows(values, times, write)`` hands ``write`` the rows of
 a 2-D ``(n, k)`` or 3-D ``(reps, n, k)`` buffer of doubles ``values``

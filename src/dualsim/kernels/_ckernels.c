@@ -497,7 +497,7 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "ssa_frozen needs a birth-death table");
         return NULL;
     }
-    double a = tab.coef[0], ea = tab.expo[0], b = tab.coef[1], eb = tab.expo[1] - 1.0;
+    double b = tab.coef[1], eb = tab.expo[1] - 1.0;
     int tlogt = tab.code[1] == 2;
     double T = T0, t = 0.0;
     long nev = 0;
@@ -518,7 +518,7 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args)
         ncoh = 1;
     }
     for (;;) {
-        double B = a * powfast(T, ea);
+        double B = channel_rate(&tab, 0, T, 0.0); /* the live birth rate, as ssa takes it */
         double D = 0.0;
         for (Py_ssize_t i = 0; i < ncoh; i++)
             D += coh[i].rate * coh[i].count;

@@ -340,7 +340,7 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
     nev = 0
     push, finish = _recorder(grid, T, 0.0)
     while True:
-        B = a * _pow(T, ea)
+        B = a * T if ea == 1.0 else (a * T * T if ea == 2.0 else a * _pow(T, ea))  # as _rates
         D = 0.0
         for i in range(len(crates)):
             D += crates[i] * ccounts[i]

@@ -11,7 +11,6 @@ preserve positivity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, EngineError
 from .models import GrowthLaw, KuznetsovParams, PopulationState
-from .ssa import DEFAULT_MAX_EVENTS, _check_grid
+from .ssa import _check_grid, _check_start, _check_steps
 from .trajectory import Paradigm, Termination, Trajectory
 
 __all__ = ["IntegratorConfig", "integrate"]
@@ -37,20 +36,14 @@ BLOWUP_THRESHOLD = 1e300
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration knobs.  Requires dt <= t_end and at most
-    ``DEFAULT_MAX_EVENTS`` steps, so that runaway configurations fail."""
+    """Fixed-step integration knobs, checked by the step rule tau-leaped runs
+    share (``ssa._check_steps``), so that runaway configurations fail."""
 
     dt: float = DEFAULT_DT
     t_end: float = DEFAULT_T_END
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_end"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ConfigError(f"IntegratorConfig.{name} must be finite and > 0, got {v!r}")
-        if not (self.dt <= self.t_end and self.t_end / self.dt <= DEFAULT_MAX_EVENTS):
-            raise ConfigError(f"need dt <= t_end and at most {DEFAULT_MAX_EVENTS:.0e} steps, "
-                              f"got dt={self.dt}, t_end={self.t_end}")
+        _check_steps(self.dt, self.t_end)
 
 
 def integrate(
@@ -70,24 +63,20 @@ def integrate(
     cfg = cfg or IntegratorConfig()
     grid = _check_grid(grid, cfg.t_end)
     if isinstance(model, GrowthLaw):
-        if initial.E is not None:
-            raise ConfigError("one-equation models take a tumour-only initial state (E must be None)")
-        if model.exponents is None and initial.T <= 0:
-            raise ConfigError("Gompertz growth needs T(0) > 0 (ln undefined at 0)")
+        species: tuple[str, ...] = ("tumour",)
+        _check_start(initial, species)
         alpha, beta = model.exponents or (0.0, 0.0)  # Gompertz, kernel kind 1, has none
         rows, status = kernels.rk4_growth(
             int(model.exponents is None), model.a, model.b, alpha, beta,
             initial.T, cfg.dt, cfg.t_end, grid, BLOWUP_THRESHOLD,
         )
-        species: tuple[str, ...] = ("tumour",)
     elif isinstance(model, KuznetsovParams):
-        if initial.E is None:
-            raise ConfigError("the tumour-effector model needs an initial E (use PopulationState(T, E))")
+        species = ("tumour", "effector")
+        _check_start(initial, species)
         rows, status = kernels.rk4_kuznetsov(
             model.a, model.b, model.g, model.m, model.n, model.p, model.d, model.s,
             initial.T, initial.E, cfg.dt, cfg.t_end, grid, BLOWUP_THRESHOLD,
         )
-        species = ("tumour", "effector")
     else:
         raise ConfigError(f"unsupported model type {type(model).__name__}")
 

@@ -205,8 +205,9 @@ class EnsembleSpec:
     unless a leap step ``dt`` is given, which tau-leaps them.  With a
     ``grid`` (1-D, strictly increasing, from 0 to at most ``t_end``) a run
     records only the state held at each grid time; without one it records
-    every event.  Every run rule is checked when the spec is built, and the
-    grid is held as a read-only float64 copy."""
+    every event; a run's termination describes it up to ``t_end`` either
+    way.  Every run rule is checked when the spec is built, and the grid is
+    held as a read-only float64 copy."""
 
     channels: ChannelSet
     initial: PopulationState
@@ -215,16 +216,15 @@ class EnsembleSpec:
     floors: Floors = field(default_factory=Floors)
     dt: float | None = None
     grid: np.ndarray | None = None
+    # the grid the kernels record on: ``grid``, and ``t_end`` if it stops short, so
+    # that their last row is where the run ended
+    _kernel_grid: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         channels, initial, t_end, policy, dt = self.channels, self.initial, self.t_end, self.policy, self.dt
-        if not (math.isfinite(t_end) and t_end > 0):
-            raise ConfigError(f"t_end must be finite and > 0, got {t_end!r}")
-        if dt is not None:
-            if not (math.isfinite(dt) and 0 < dt <= t_end and t_end / dt <= DEFAULT_MAX_EVENTS):
-                raise ConfigError(f"tau-leaping needs a positive dt from t_end / {DEFAULT_MAX_EVENTS:.0e} to t_end, got dt={dt!r}")
-            if policy is not RatePolicy.LIVE:
-                raise ConfigError("tau-leaping supports the live rate policy only")
+        _check_steps(dt, t_end, exact=dt is None)
+        if dt is not None and policy is not RatePolicy.LIVE:
+            raise ConfigError("tau-leaping supports the live rate policy only")
         table = channels.table
         if policy is RatePolicy.FROZEN_AT_BIRTH and not (
             len(channels.species) == 1 and len(table) == 2
@@ -233,9 +233,7 @@ class EnsembleSpec:
         ):
             raise ConfigError("the frozen-at-birth policy needs a one-species birth-death channel set: a birth "
                               "row of code 1 and jump (1, 0), then a death row of code 1 or 2 and jump (-1, 0)")
-        if (initial.E is None) != (len(channels.species) == 1):
-            raise ConfigError(f"the initial state needs E exactly when there are two species, "
-                              f"got {initial} for {channels.species}")
+        _check_start(initial, channels.species)
         T, E = initial.T, initial.E or 0.0
         if T != int(T) or E != int(E):
             raise ConfigError(f"stochastic runs need integer populations, got {initial}")
@@ -247,6 +245,7 @@ class EnsembleSpec:
             grid = np.array(_check_grid(self.grid, t_end))
             grid.flags.writeable = False
             object.__setattr__(self, "grid", grid)
+            object.__setattr__(self, "_kernel_grid", grid if grid[-1] >= t_end else np.append(grid, t_end))
 
     def values_shape(self, reps: int) -> tuple[int, int, int]:
         """``(reps, len(grid), species)``: the shape of ``reps`` replicates'
@@ -261,6 +260,22 @@ class EnsembleSpec:
         if math.prod(shape) * np.dtype(float).itemsize > np.iinfo(np.intp).max:  # numpy's bound
             raise ConfigError(f"{reps} replicates of {len(self.grid)} grid points are too many to hold")
         return shape
+
+
+def _check_steps(dt: float | None, t_end: float, *, exact: bool = False) -> None:
+    """The one step rule (``sds.IntegratorConfig``, ``EnsembleSpec``): ConfigError unless ``t_end`` and a
+    step ``dt`` (none if ``exact``) are finite reals > 0, ``dt <= t_end`` and ``t_end / dt <= DEFAULT_MAX_EVENTS``."""
+    for name, v in (("t_end", t_end),) if exact else (("dt", dt), ("t_end", t_end)):
+        if not (isinstance(v, Real) and math.isfinite(v) and v > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
+    if not (exact or dt <= t_end and t_end / dt <= DEFAULT_MAX_EVENTS):
+        raise ConfigError(f"need dt <= t_end and at most {DEFAULT_MAX_EVENTS:.0e} steps, got dt={dt}, t_end={t_end}")
+
+
+def _check_start(initial: PopulationState, species: tuple[str, ...]) -> None:
+    """The one start rule, of both paradigms: E is given exactly when there are two species."""
+    if (initial.E is None) != (len(species) == 1):
+        raise ConfigError(f"the initial state needs E exactly when there are two species, got {initial} for {species}")
 
 
 def _check_grid(grid, t_end: float) -> np.ndarray:
@@ -287,7 +302,7 @@ def _check_grid(grid, t_end: float) -> np.ndarray:
 def _simulate(spec: EnsembleSpec, seed: int) -> Trajectory:
     """One replicate of a checked ``spec``: the body of :func:`simulate_exact`
     and :func:`simulate_tau_leap`."""
-    table, floors, grid = spec.channels.table, spec.floors, spec.grid
+    table, floors, grid = spec.channels.table, spec.floors, spec._kernel_grid
     T0, E0, t_end = spec.initial.T, spec.initial.E or 0, spec.t_end
     cap, max_events = float(POPULATION_CAP), DEFAULT_MAX_EVENTS
     if spec.dt is not None:
@@ -302,7 +317,7 @@ def _simulate(spec: EnsembleSpec, seed: int) -> Trajectory:
         )
 
     rows = np.asarray(rows)
-    t, T, E = rows[-1].tolist()  # the last sample, in grid mode too
+    t, T, E = rows[-1].tolist()  # the last sample, in grid mode too, since the kernel grid reaches t_end
     if status == kernels.ST_CAP:
         raise PopulationCapError(
             f"population exceeded the hard cap of {POPULATION_CAP:.0e} agents (seed {seed}); "
@@ -318,9 +333,10 @@ def _simulate(spec: EnsembleSpec, seed: int) -> Trajectory:
                           "a channel's rate law left its domain or double range")
     # status 2 means that no event can fire; the run is extinct only if every population is 0
     extinct = status == kernels.ST_EXTINCT and T == 0.0 and E == 0.0
+    times = rows[:, 0] if grid is None else spec.grid
     return Trajectory(
-        times=rows[:, 0] if grid is None else grid,
-        states=rows[:, 1:1 + len(spec.channels.species)],
+        times=times,
+        states=rows[:len(times), 1:1 + len(spec.channels.species)],
         species=spec.channels.species,
         termination=Termination.EXTINCT if extinct else Termination.COMPLETED,
         paradigm=Paradigm.ABS,

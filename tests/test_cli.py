@@ -232,6 +232,24 @@ class TestCmdRun:
             outputs.append({name: read(tmp_path / out / name) for name in ("sds.csv", "abs_ensemble.csv")})
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("model", [
+        ["--model", "logistic", "--c", "2"],
+        ["--model", "gompertz", "--c", "2"],
+        ["--model", "bertalanffy", "--c", "2"],
+        ["--model", "kuznetsov", "--scenario", "4", "--e0", "0"],
+    ], ids=["logistic", "gompertz", "bertalanffy", "kuznetsov"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--paradigm", "sds"], ["run", "--paradigm", "abs"], ["run", "--paradigm", "both"], ["compare"],
+    ], ids=["sds", "abs", "both", "compare"])
+    def test_a_spec_that_builds_from_zero_also_runs(self, tmp_path, model, command):
+        # every law may start at T(0) = 0, its fixed point on both paradigms
+        argv = [*command, *model, "--t0", "0", "--t-end", "2", "--reps", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        for name in ("sds.csv", "abs_ensemble.csv"):
+            if (tmp_path / name).exists():
+                rows = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, ndmin=2)
+                assert np.all(rows[:, 2 if name == "abs_ensemble.csv" else 1] == 0.0)
+
 
 def reference_sds_csv(traj):
     # the per-cell formula of the original writer, kept as the byte reference

@@ -85,9 +85,11 @@ class TestGompertzBlowupScale:
         assert ln_end == pytest.approx(148.27824398221088, rel=1e-4)
         assert traj.states[-1, 0] > 1e64
 
-    def test_gompertz_requires_positive_t0(self):
-        with pytest.raises(ConfigError):
-            integrate(GrowthLaw("gompertz", 1.0, 0.5), PopulationState(0.0), grid=make_grid(100.0))
+    def test_gompertz_from_zero_stays_at_zero(self):
+        # T = 0 is the law's fixed point, as the channel table's rates are 0 there
+        traj = integrate(GrowthLaw("gompertz", 1.0, 0.5), PopulationState(0.0), grid=make_grid(100.0))
+        assert traj.termination is Termination.COMPLETED
+        assert traj.times[-1] == 100.0 and np.all(traj.states == 0.0)
 
 
 class TestBlowupGuard:
@@ -170,6 +172,7 @@ class TestContracts:
     @pytest.mark.parametrize("bad", [
         dict(dt=0.0),
         dict(dt=-0.1),
+        dict(dt=None),  # only an exact stochastic run has no step
         dict(t_end=-1.0, dt=0.001),
         dict(dt=200.0, t_end=100.0),
         dict(dt=1e-10, t_end=1e10),  # 1e20 steps, past the step budget

@@ -12,6 +12,7 @@ import dualsim.kernels
 import dualsim.ssa
 from dualsim.errors import ConfigError, EngineError, ModelDomainError, PopulationCapError
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
+from dualsim.kernels import _pykernels
 from dualsim.kernels._pykernels import _rates, _table
 from dualsim.models import GrowthLaw, PopulationState, experiment_one_law, scenario_preset
 from dualsim.sds import IntegratorConfig, integrate
@@ -30,6 +31,10 @@ from dualsim.ssa import (
 from dualsim.stats import make_grid, sample_on_grid
 from dualsim.trajectory import Paradigm, Termination
 from reference import linear_bd_channels
+
+
+# each kernel backend that can run here, by module name
+BACKENDS = {mod.__name__.rpartition(".")[2]: mod for mod in (_pykernels, dualsim.kernels.backend)}
 
 
 def death_only_channels(b=1.0):
@@ -466,8 +471,36 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, 2.0, 1e-8])  # 1e-8: 1e8 leaps
     def test_dt_must_be_positive(self, dt):
-        with pytest.raises(ConfigError, match="positive dt"):
+        with pytest.raises(ConfigError, match=r"dt must be finite and > 0|need dt <= t_end and at most 5e\+07 steps"):
             EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=1.0, dt=dt)
+
+    @pytest.mark.parametrize("dt, t_end", [
+        (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), ("0.1", 1.0), (2.0, 1.0), (1e-8, 1.0),
+        (0.1, 0.0), (0.1, -1.0), (0.1, math.nan), (0.1, math.inf), (0.1, None),
+    ])
+    def test_tau_and_rk4_steps_are_refused_alike(self, dt, t_end):
+        with pytest.raises(ConfigError) as rk4:
+            IntegratorConfig(dt=dt, t_end=t_end)
+        with pytest.raises(ConfigError) as tau:
+            EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=t_end, dt=dt)
+        assert str(tau.value) == str(rk4.value)
+
+    @pytest.mark.parametrize("model, initial", [
+        (GrowthLaw("logistic", 1.0, 0.2), PopulationState(1, 1)),
+        (scenario_preset(1), PopulationState(1)),
+    ], ids=["growth-with-E", "kuznetsov-without-E"])
+    def test_sds_and_abs_starts_are_refused_alike(self, model, initial):
+        with pytest.raises(ConfigError) as sds:
+            integrate(model, initial, grid=make_grid(1.0))
+        channels = growth_channels(model) if isinstance(model, GrowthLaw) else kuznetsov_channels(model)
+        with pytest.raises(ConfigError) as abs_:
+            EnsembleSpec(channels=channels, initial=initial, t_end=1.0)
+        assert str(abs_.value) == str(sds.value)
+
+    @pytest.mark.parametrize("number", [np.float64, np.float32, np.int64, int])
+    def test_steps_of_any_real_type_are_taken_alike(self, number):
+        IntegratorConfig(dt=number(1), t_end=number(2))
+        EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=number(2), dt=number(1))
 
     @pytest.mark.parametrize("channels, initial, t_end, policy, floors", [
         (death_only_channels(), PopulationState(1), 0.0, RatePolicy.LIVE, Floors()),
@@ -559,6 +592,27 @@ class TestEnsembles:
         # the death-only replicates die out long before t = 10
         assert all(t is Termination.EXTINCT for t in held.terminations)
         assert all(f.times[-2] < grid[-1] for f in full)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("channels, initial, t_end, policy, dt, grid, seeds", [
+        (kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), 20.0, RatePolicy.LIVE, None,
+         make_grid(14.0, 7.0), (15, 23)),
+        (kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), 20.0, RatePolicy.LIVE, 0.01,
+         make_grid(14.0, 7.0), (7, 39)),
+        (growth_channels(GrowthLaw("logistic", 1.0, 0.8)), PopulationState(1), 5.0, RatePolicy.FROZEN_AT_BIRTH,
+         None, make_grid(4.0, 2.0), (13, 15)),
+    ], ids=["exact", "tau", "frozen"])
+    def test_a_grid_that_stops_short_is_labelled_by_the_whole_run(self, monkeypatch, backend, channels, initial,
+                                                                   t_end, policy, dt, grid, seeds):
+        # each seed's run dies out after the last grid time and before t_end
+        for name in ("ssa", "ssa_frozen", "tau_leap"):
+            monkeypatch.setattr(dualsim.kernels, name, getattr(BACKENDS[backend], name))
+        spec = EnsembleSpec(channels=channels, initial=initial, t_end=t_end, policy=policy, dt=dt, grid=grid)
+        for seed in seeds:
+            held, full = simulate(spec, seed), per_event_replicate(spec, seed)
+            assert np.array_equal(held.times, grid) and np.array_equal(held.states, sample_on_grid(full, grid))
+            assert full.times[-2] > grid[-1]
+            assert held.termination is full.termination is Termination.EXTINCT
 
     def test_grid_past_the_run_is_refused(self):
         with pytest.raises(ConfigError, match="grid"):
