@@ -29,7 +29,7 @@ from .models import (
     experiment_one_law,
     scenario_preset,
 )
-from .sds import IntegratorConfig, integrate
+from .sds import integrate
 from .ssa import (
     POPULATION_CAP,
     ChannelSet,

@@ -3,8 +3,8 @@
 Runs are described by a JSON config document and/or flags (flags win).  A
 :class:`RunSpec` checks itself when it is built, parsed or made in code: its
 fields' types and enumerations, which fields each model takes, and then,
-once, its plan: the model, the initial state, the grid, the integrator
-settings and the ensemble spec, so a refused spec gets the library's own
+once, its plan: the model, the initial state, the grid and the ensemble
+spec, with the step rule, so a refused spec gets the library's own
 message.  Every run writes a manifest recording all resolved inputs, the
 seeds and the kernel backend; re-running from a manifest reproduces the
 output files byte for byte on either backend, the manifest's ``backend``
@@ -43,12 +43,13 @@ from .models import (
     scenario_preset,
 )
 from .plotting import Curve, emit_svg_plot
-from .sds import IntegratorConfig, integrate
+from .sds import integrate
 from .ssa import (
     DEFAULT_REPS,
     EnsembleSpec,
     Floors,
     RatePolicy,
+    _check_steps,
     growth_channels,
     kuznetsov_channels,
     run_ensemble,
@@ -80,6 +81,8 @@ class RunSpec:
     b: float | None = None
     t0: float | None = None
     e0: float | None = None
+    # the RK4 (and tau-leap) step: resolves the fastest scenario rate constant
+    # (a = 1.636/day) by three orders of magnitude
     dt: float = 0.001
     t_end: float = 100.0
     grid: float = 1.0
@@ -146,10 +149,11 @@ class RunSpec:
 
     @cached_property
     def plan(self) -> tuple:
-        """``(model, initial, grid, integrator, ensemble)``: what runs this
-        spec, built once, each refusing what it cannot run, the ensemble also
-        a replicate count too large to hold.  ``grid`` is read-only, and
-        ``ensemble`` is None for an SDS-only run."""
+        """``(model, initial, grid, ensemble)``: what runs this spec, built
+        once, each refusing what it cannot run, the ensemble also a replicate
+        count too large to hold.  ``dt`` and ``t_end`` pass the step rule
+        here, an SDS-only run's too.  ``grid`` is read-only, and ``ensemble``
+        is None for an SDS-only run."""
         if self.model == "kuznetsov":
             model = scenario_preset(self.scenario)
         else:
@@ -157,7 +161,7 @@ class RunSpec:
         initial = PopulationState(self.t0, self.e0)
         grid = stats.make_grid(self.t_end, self.grid)
         grid.flags.writeable = False
-        integrator = IntegratorConfig(dt=self.dt, t_end=self.t_end)
+        _check_steps(self.dt, self.t_end)
         ensemble = None
         if self.paradigm != "sds":
             ensemble = EnsembleSpec(
@@ -170,7 +174,7 @@ class RunSpec:
                 grid=grid,
             )
             ensemble.values_shape(self.reps)
-        return model, initial, grid, integrator, ensemble
+        return model, initial, grid, ensemble
 
 
 # each field's type, read from its annotation ("int | None" -> int)
@@ -185,7 +189,10 @@ def _coerce(name: str, value):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name}: expected a number, got an integer too large for a double") from None
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name}: expected an integer, got {value!r}")
@@ -214,7 +221,7 @@ def _decode_config(text: str) -> tuple[dict, dict | None]:
     and the manifest (None for a config document)."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than Python converts
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     manifest = None
     if isinstance(raw, dict) and "run_spec" in raw:
@@ -323,13 +330,13 @@ def cmd_run(spec: RunSpec) -> list[Path]:
     failures leave no partial files.  A plot leaves out an SDS that stopped
     before the grid's end, with a note on stderr; with nothing else to plot,
     no plot is written."""
-    model, initial, grid, integrator, ensemble = spec.plan
+    model, initial, grid, ensemble = spec.plan
     outputs: dict[str, str | tuple] = {}
     results: dict = {}
     plot_curves: list[Curve] = []
 
     if spec.paradigm in ("sds", "both"):
-        traj = integrate(model, initial, integrator, grid=_sds_times(spec))
+        traj = integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=_sds_times(spec))
         outputs["sds.csv"] = (["time", *traj.species], traj.states, traj.times)
         results["sds_termination"] = traj.termination.value
         if spec.plot and traj.end_time >= grid[-1]:
@@ -364,8 +371,8 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
     their agreement per population, and write report.json, comparison.csv,
     comparison.svg and the manifest."""
     _require_both(spec.paradigm)
-    model, initial, grid, integrator, ensemble = spec.plan
-    traj = integrate(model, initial, integrator, grid=grid)
+    model, initial, grid, ensemble = spec.plan
+    traj = integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=grid)
     if traj.end_time < grid[-1]:
         raise EngineError(
             f"deterministic run terminated early ({traj.termination.value} at t={traj.end_time:g}); "

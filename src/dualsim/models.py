@@ -47,6 +47,15 @@ __all__ = [
 GROWTH_LAWS = {"logistic": (0.0, 1.0), "bertalanffy": (1.0 / 3.0, 0.0), "gompertz": None}
 
 
+def _finite(v) -> bool:
+    """``math.isfinite(v)``, except that an int too large for a double is not
+    finite: the one finiteness test of every checked number."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class GrowthLaw:
     """A one-equation tumour growth law: its ``kind`` (a name in
@@ -65,7 +74,7 @@ class GrowthLaw:
     def __post_init__(self) -> None:
         if self.kind not in GROWTH_LAWS:
             raise ModelDomainError(f"unknown growth-law kind {self.kind!r}; valid kinds are {list(GROWTH_LAWS)}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a > 0 and self.b > 0):
+        if not (_finite(self.a) and _finite(self.b) and self.a > 0 and self.b > 0):
             raise ModelDomainError(f"GrowthLaw requires finite a > 0 and b > 0, got a={self.a!r}, b={self.b!r}")
         if self.exponents is not None and not self.b < self.a:
             raise ModelDomainError(f"the {self.kind} law requires 0 < b < a, got a={self.a}, b={self.b}")
@@ -96,7 +105,7 @@ class KuznetsovParams:
     def __post_init__(self) -> None:
         for name in ("a", "b", "g", "m", "n", "p", "d", "s"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
+            if not _finite(v) or v < 0:
                 raise ModelDomainError(f"KuznetsovParams.{name} must be finite and >= 0, got {v!r}")
         if self.g <= 0:
             raise ModelDomainError(f"KuznetsovParams.g must be > 0 (it divides), got {self.g}")
@@ -126,9 +135,9 @@ class PopulationState:
     E: float | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.T) or self.T < 0:
+        if not _finite(self.T) or self.T < 0:
             raise ModelDomainError(f"PopulationState.T must be finite and >= 0, got {self.T!r}")
-        if self.E is not None and (not math.isfinite(self.E) or self.E < 0):
+        if self.E is not None and (not _finite(self.E) or self.E < 0):
             raise ModelDomainError(f"PopulationState.E must be finite and >= 0, got {self.E!r}")
 
 
@@ -148,6 +157,6 @@ def experiment_one_law(kind: str, c: float) -> GrowthLaw:
     ``kind`` is a name in ``GROWTH_LAWS``.  The sweep uses c in
     {5, 2.5, 1.7, 1.25}, but any c > 1 is accepted.
     """
-    if not math.isfinite(c) or c <= 1.0:
+    if not _finite(c) or c <= 1.0:
         raise ModelDomainError(f"ratio c must be > 1 (b < a is needed for growth), got {c!r}")
     return GrowthLaw(kind, 1.0, 1.0 / c)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, EngineError, ModelDomainError, PopulationCapError
-from .models import GrowthLaw, KuznetsovParams, PopulationState
+from .models import GrowthLaw, KuznetsovParams, PopulationState, _finite
 from .trajectory import Paradigm, Termination, Trajectory
 
 __all__ = [
@@ -89,15 +89,13 @@ class ChannelSet:
                 raise ModelDomainError(f"a channel row is a tuple of six numbers (code, c, e, g, dT, dE), "
                                        f"got {row!r}")
             code, c, e, g, dT, dE = row
-            try:  # the kernels read every number but the code as a double
-                c, e, g, _, _ = map(float, row[1:])
-            except OverflowError:
-                raise ModelDomainError(f"a channel row's numbers must fit in a double, got {row!r}") from None
+            if any(isinstance(x, Integral) and not _finite(x) for x in row[1:]):  # the kernels read them as doubles
+                raise ModelDomainError(f"a channel row's numbers must fit in a double, got {row!r}")
             if not (isinstance(code, Integral) and kernels.R_CONST <= code <= kernels.R_MM_TE):
                 raise ModelDomainError(f"unknown rate-law code {code!r}")
-            if not math.isfinite(c) or c < 0:
+            if not _finite(c) or c < 0:
                 raise ModelDomainError(f"rate coefficient must be finite and >= 0, got {c!r}")
-            if not (math.isfinite(e) and math.isfinite(g)):
+            if not (_finite(e) and _finite(g)):
                 raise ModelDomainError(f"rate exponent and saturation must be finite, got e={e!r}, g={g!r}")
             if code == kernels.R_MM_TE and g <= 0:
                 raise ModelDomainError("saturating rate needs g > 0")
@@ -263,10 +261,10 @@ class EnsembleSpec:
 
 
 def _check_steps(dt: float | None, t_end: float, *, exact: bool = False) -> None:
-    """The one step rule (``sds.IntegratorConfig``, ``EnsembleSpec``): ConfigError unless ``t_end`` and a
-    step ``dt`` (none if ``exact``) are finite reals > 0, ``dt <= t_end`` and ``t_end / dt <= DEFAULT_MAX_EVENTS``."""
+    """The one step rule (``sds.integrate``, ``EnsembleSpec``): ConfigError unless ``t_end`` and a step
+    ``dt`` (none if ``exact``) are finite reals > 0, ``dt <= t_end`` and ``t_end / dt <= DEFAULT_MAX_EVENTS``."""
     for name, v in (("t_end", t_end),) if exact else (("dt", dt), ("t_end", t_end)):
-        if not (isinstance(v, Real) and math.isfinite(v) and v > 0):
+        if not (isinstance(v, Real) and _finite(v) and v > 0):
             raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
     if not (exact or dt <= t_end and t_end / dt <= DEFAULT_MAX_EVENTS):
         raise ConfigError(f"need dt <= t_end and at most {DEFAULT_MAX_EVENTS:.0e} steps, got dt={dt}, t_end={t_end}")

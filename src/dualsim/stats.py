@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .models import _finite
 from .ssa import Ensemble, _check_grid
 from .trajectory import Paradigm, Trajectory
 
@@ -47,7 +48,7 @@ def make_grid(t_end: float, spacing: float = 1.0) -> np.ndarray:
     """Uniform grid 0, spacing, 2*spacing, ... up to (and including) the last
     multiple of ``spacing`` that fits in ``t_end``; a last point that rounding
     puts past ``t_end`` is clamped to it."""
-    if not (math.isfinite(t_end) and 0 < spacing <= t_end):
+    if not (_finite(t_end) and 0 < spacing <= t_end):
         raise ConfigError(f"the grid needs a finite t_end and 0 < spacing <= t_end, "
                           f"got spacing={spacing}, t_end={t_end}")
     try:

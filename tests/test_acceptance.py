@@ -18,7 +18,7 @@ import pytest
 from dualsim.cli import cmd_compare, parse_config
 from dualsim.errors import PopulationCapError
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
-from dualsim.sds import IntegratorConfig, integrate
+from dualsim.sds import integrate
 from dualsim.ssa import (
     EnsembleSpec,
     Floors,
@@ -55,7 +55,7 @@ def test_criterion_1_sds_logistic_accuracy():
 
         def max_rel_err(dt, spacing=0.1):
             traj = integrate(law, PopulationState(1.0),
-                             IntegratorConfig(dt=dt, t_end=10.0), grid=make_grid(10.0, spacing))
+                             dt=dt, t_end=10.0, grid=make_grid(10.0, spacing))
             return max(
                 abs(T - closed_form(law, 1.0, t)) / closed_form(law, 1.0, t)
                 for t, T in zip(traj.times, traj.states[:, 0])
@@ -71,7 +71,7 @@ def test_criterion_2_gompertz_blowup_scale():
     with criterion(2, "Gompertz exceeds 1e64 cells before t = 110", 1.0):
         law = GrowthLaw("gompertz", 1.636, 0.002)
         traj = integrate(law, PopulationState(1.0),
-                         IntegratorConfig(dt=0.001, t_end=110.0), grid=make_grid(110.0, 1.0))
+                         dt=0.001, t_end=110.0, grid=make_grid(110.0, 1.0))
         assert traj.termination is Termination.COMPLETED
         T = traj.states[:, 0]
         crossed = np.where(T > 1e64)[0]
@@ -123,7 +123,7 @@ def test_criterion_4_logistic_extinction_effect():
 
         frozen_mean_20 = np.mean(frozen.values[:, 2, 0])
         sds = integrate(law, PopulationState(1.0),
-                        IntegratorConfig(dt=0.001, t_end=t_end), grid=make_grid(t_end, 1.0))
+                        dt=0.001, t_end=t_end, grid=make_grid(t_end, 1.0))
         sds_20 = sds.states[-1, 0]
         assert frozen_mean_20 < 0.5 * sds_20, (frozen_mean_20, sds_20)
 
@@ -132,7 +132,7 @@ def test_criterion_5_discrete_extinction_divergence():
     with criterion(5, "scenario 4: SDS resurges, discrete runs die out", 60.0):
         params = scenario_preset(4)
         sds = integrate(params, PopulationState(100.0, 10.0),
-                        IntegratorConfig(dt=0.001, t_end=100.0), grid=make_grid(100.0, 0.1))
+                        dt=0.001, t_end=100.0, grid=make_grid(100.0, 0.1))
         T = sds.states[:, 0]
         tmin = T.min()
         assert tmin > 0.0
@@ -155,7 +155,7 @@ def test_criterion_6_fix_reconciliation():
     with criterion(6, "tumour floor turns h=1 divergence into larger p", 60.0):
         params = scenario_preset(4)
         sds = integrate(params, PopulationState(100.0, 10.0),
-                        IntegratorConfig(dt=0.001, t_end=100.0), grid=make_grid(100.0, 0.1))
+                        dt=0.001, t_end=100.0, grid=make_grid(100.0, 0.1))
         grid = make_grid(100.0, 1.0)
         cs = kuznetsov_channels(params)
 
@@ -231,7 +231,7 @@ def test_criterion_9_blowup_safety():
     with criterion(9, "blow-up laws: flagged SDS stop, hard ABS cap", 5.0):
         law = GrowthLaw("bertalanffy", 1.636, 0.002)
         traj = integrate(law, PopulationState(1.0),
-                         IntegratorConfig(dt=0.001, t_end=5.0), grid=make_grid(5.0, 0.1))
+                         dt=0.001, t_end=5.0, grid=make_grid(5.0, 0.1))
         assert traj.termination is Termination.BLOWUP
         assert np.all(np.isfinite(traj.states))
 

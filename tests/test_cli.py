@@ -24,7 +24,7 @@ from dualsim.cli import (
 from dualsim.errors import ConfigError
 from dualsim.kernels import _pykernels
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
-from dualsim.sds import IntegratorConfig, integrate
+from dualsim.sds import integrate
 from dualsim.ssa import EnsembleSpec, growth_channels, kuznetsov_channels, run_ensemble, simulate_exact
 from dualsim.stats import compare, make_grid, sample_on_grid
 from dualsim.trajectory import Paradigm, Termination, Trajectory
@@ -309,7 +309,7 @@ class TestCsvWriters:
 
     def test_sds_csv_matches_the_per_cell_formula(self, tmp_path):
         traj = integrate(scenario_preset(2), PopulationState(100.0, 10.0),
-                         IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.07))
+                         dt=0.01, t_end=3.0, grid=make_grid(3.0, 0.07))
         assert render(tmp_path, (["time", *traj.species], traj.states, traj.times)) == reference_sds_csv(traj)
         awkward = Trajectory(
             times=np.array([0.0, 1 / 3, 2.0000005, 7.1234565, 1e6]),
@@ -332,7 +332,7 @@ class TestCsvWriters:
     @pytest.mark.parametrize("model, channels, initial", COMPARISON_CASES, ids=["two-species", "one-species"])
     def test_comparison_csv_matches_the_per_cell_formula(self, tmp_path, model, channels, initial):
         sds = integrate(model, PopulationState(*map(float, initial)),
-                        IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.1))
+                        dt=0.01, t_end=3.0, grid=make_grid(3.0, 0.1))
         ens = run_ensemble(EnsembleSpec(channels=channels(model), initial=PopulationState(*initial),
                                         t_end=3.0, grid=np.arange(0.0, 3.0, 1 / 3)),
                            reps=3, base_seed=2)
@@ -342,8 +342,8 @@ class TestCsvWriters:
     def test_cmd_run_writes_the_per_cell_formula(self, tmp_path):
         spec = RunSpec(model="kuznetsov", scenario=4, t_end=2.0, grid=0.05, reps=3, seed=5, out=str(tmp_path))
         cmd_run(spec)
-        model, initial, _, integrator, ensemble = spec.plan
-        traj = integrate(model, initial, integrator, grid=_sds_times(spec))
+        model, initial, _, ensemble = spec.plan
+        traj = integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=_sds_times(spec))
         assert read(tmp_path / "sds.csv") == reference_sds_csv(traj)
         assert read(tmp_path / "abs_ensemble.csv") == reference_ensemble_csv(replace(ensemble, grid=None), 3, 5,
                                                                              ensemble.grid)
@@ -386,12 +386,12 @@ class TestCmdCompare:
                 return build(*args, **kwargs)
             return counting
 
-        for name in ("IntegratorConfig", "EnsembleSpec"):
+        for name in ("_check_steps", "EnsembleSpec"):
             monkeypatch.setattr(dualsim.cli, name, counted(getattr(dualsim.cli, name)))
         spec = RunSpec(model="logistic", c=5, t_end=5.0, reps=3, out=str(tmp_path))
         assert spec.plan is spec.plan and not spec.plan[2].flags.writeable
         cmd_compare(spec)
-        assert builds == ["IntegratorConfig", "EnsembleSpec"]
+        assert builds == ["_check_steps", "EnsembleSpec"]
 
     def test_compare_requires_both(self):
         spec = parse_config('{"model": "logistic", "c": 5, "paradigm": "sds"}')
@@ -530,6 +530,15 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field", ["t_end", "c", "t0", "dt", "alpha"])
+    def test_an_int_too_large_for_a_double_is_2(self, tmp_path, capsys, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "logistic", "c": 5, "t_end": 2, field: 10**400}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"configuration error: {field}: expected a number, "
+                                          "got an integer too large for a double\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "--model", "logistic", "--c", "5", "--paradigm", "sds"],
@@ -714,7 +723,9 @@ class TestMainExitCodes:
         for name in ("sds.csv", "abs_ensemble.csv"):
             assert read(tmp_path / "again" / name) == read(tmp_path / "first" / name)
 
-    @pytest.mark.parametrize("doc", ['[1, 2]', '{"run_spec": 3}', '{"model": '])
+    @pytest.mark.parametrize("doc", ['[1, 2]', '{"run_spec": 3}', '{"model": ',
+                                     # more digits than Python converts from a string
+                                     pytest.param('{"t_end": 1' + '0' * 5000 + '}', id="5001-digit-int")])
     def test_config_file_decodes_like_parse_config(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(doc)

@@ -239,6 +239,22 @@ def test_every_kernel_returns_the_same_rows_on_both_backends():
     assert statuses == {0, 2, 4}
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_tau_leap_draws_nothing_for_a_zero_rate_row(backend, seed):
+    """A row of rate 0 never reaches the Poisson sampler, so it leaves the
+    stream alone: scenario 4's table leaps alike with its s = 0 influx row
+    dropped or with another c = 0 row inserted mid-table."""
+    tau = BACKENDS[backend].tau_leap
+    s4 = kuznetsov_channels(scenario_preset(4)).table
+    zero = (kernels.R_CONST, 0.0, 0.0, 0.0, 5, 5)  # a draw for it would jump both populations by 5
+    expected = tau(s4, 100, 10, 10.0, 0.01, seed, 0, 0, 1e12)
+    for table in (s4[:-1], (*s4[:3], zero, *s4[3:])):
+        rows, status = tau(table, 100, 10, 10.0, 0.01, seed, 0, 0, 1e12)
+        assert status == expected[1]
+        assert np.asarray(rows).tobytes() == np.asarray(expected[0]).tobytes()
+
+
 # one short run of each kernel, by name
 KERNEL_ARGS = {
     "rk4_growth": (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.01, 1.0, make_grid(1.0, 0.1), 1e300),

@@ -18,7 +18,9 @@ from dualsim.models import (
     experiment_one_law,
     scenario_preset,
 )
-from dualsim.ssa import growth_channels, kuznetsov_channels
+from dualsim.sds import integrate
+from dualsim.ssa import EnsembleSpec, growth_channels, kuznetsov_channels
+from dualsim.stats import make_grid
 from reference import PAPER_RATIOS
 
 # the pure backend and the active one (the compiled backend when it is built)
@@ -191,6 +193,29 @@ class TestKuznetsov:
             KuznetsovParams(a=1.0, b=-0.1, g=1.0, m=0.0, n=0.0, p=0.0, d=0.0, s=0.0)
         with pytest.raises(ModelDomainError):
             KuznetsovParams(a=1.0, b=0.1, g=0.0, m=0.0, n=0.0, p=0.0, d=0.0, s=0.0)
+
+
+BIG = 10**400  # an int too large for a double, which math.isfinite cannot take
+LOGISTIC = GrowthLaw("logistic", 1.0, 0.2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GrowthLaw("logistic", BIG, 0.5), "requires finite a > 0 and b > 0"),
+    (lambda: GrowthLaw("gompertz", 1.0, BIG), "requires finite a > 0 and b > 0"),
+    (lambda: KuznetsovParams(**{**dataclasses.asdict(scenario_preset(1)), "s": BIG}), "s must be finite"),
+    (lambda: PopulationState(BIG), "T must be finite"),
+    (lambda: PopulationState(1.0, BIG), "E must be finite"),
+    (lambda: experiment_one_law("logistic", BIG), "ratio c must be > 1"),
+    (lambda: make_grid(BIG, 1.0), "needs a finite t_end"),
+    (lambda: integrate(LOGISTIC, PopulationState(1.0), dt=0.1, t_end=BIG, grid=[0.0]), "t_end must be finite"),
+    (lambda: integrate(LOGISTIC, PopulationState(1.0), dt=BIG, t_end=1.0, grid=[0.0]), "dt must be finite"),
+    (lambda: EnsembleSpec(growth_channels(LOGISTIC), PopulationState(1), t_end=BIG), "t_end must be finite"),
+    (lambda: EnsembleSpec(growth_channels(LOGISTIC), PopulationState(1), t_end=1.0, dt=BIG), "dt must be finite"),
+], ids=["growth-a", "growth-b", "kuznetsov", "state-T", "state-E", "ratio", "grid", "rk4-t-end", "rk4-dt",
+        "ssa-t-end", "tau-dt"])  # ChannelSet's cases are in test_ssa.py
+def test_an_int_too_large_for_a_double_is_refused_as_not_finite(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
 
 
 class TestRk4DerivativesMatchTheTable:

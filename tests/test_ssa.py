@@ -15,7 +15,7 @@ from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLO
 from dualsim.kernels import _pykernels
 from dualsim.kernels._pykernels import _rates, _table
 from dualsim.models import GrowthLaw, PopulationState, experiment_one_law, scenario_preset
-from dualsim.sds import IntegratorConfig, integrate
+from dualsim.sds import integrate
 from dualsim.ssa import (
     ChannelSet,
     Ensemble,
@@ -480,7 +480,7 @@ class TestEnsembles:
     ])
     def test_tau_and_rk4_steps_are_refused_alike(self, dt, t_end):
         with pytest.raises(ConfigError) as rk4:
-            IntegratorConfig(dt=dt, t_end=t_end)
+            integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0), dt=dt, t_end=t_end, grid=[0.0])
         with pytest.raises(ConfigError) as tau:
             EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=t_end, dt=dt)
         assert str(tau.value) == str(rk4.value)
@@ -491,15 +491,25 @@ class TestEnsembles:
     ], ids=["growth-with-E", "kuznetsov-without-E"])
     def test_sds_and_abs_starts_are_refused_alike(self, model, initial):
         with pytest.raises(ConfigError) as sds:
-            integrate(model, initial, grid=make_grid(1.0))
+            integrate(model, initial, dt=0.01, t_end=1.0, grid=make_grid(1.0))
         channels = growth_channels(model) if isinstance(model, GrowthLaw) else kuznetsov_channels(model)
         with pytest.raises(ConfigError) as abs_:
             EnsembleSpec(channels=channels, initial=initial, t_end=1.0)
         assert str(abs_.value) == str(sds.value)
 
     @pytest.mark.parametrize("number", [np.float64, np.float32, np.int64, int])
-    def test_steps_of_any_real_type_are_taken_alike(self, number):
-        IntegratorConfig(dt=number(1), t_end=number(2))
+    def test_steps_of_any_real_type_are_taken_alike(self, monkeypatch, number):
+        class KernelReached(Exception):
+            pass
+
+        def kernel(*args):
+            raise KernelReached
+
+        # the rules alone: the pure kernels take numpy scalars as they are, not as doubles
+        monkeypatch.setattr(dualsim.kernels, "rk4_growth", kernel)
+        with pytest.raises(KernelReached):
+            integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0), dt=number(1), t_end=number(2),
+                      grid=make_grid(2.0))
         EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=number(2), dt=number(1))
 
     @pytest.mark.parametrize("channels, initial, t_end, policy, floors", [
@@ -700,8 +710,7 @@ class TestGridValidation:
         law = growth_channels(GrowthLaw("logistic", 1.0, 0.2))
         with pytest.raises(ConfigError, match=match):
             if method == "sds":
-                integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(3.0), IntegratorConfig(dt=0.1, t_end=2.0),
-                          grid=grid)
+                integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(3.0), dt=0.1, t_end=2.0, grid=grid)
             else:
                 policy = RatePolicy.FROZEN_AT_BIRTH if method == "frozen" else RatePolicy.LIVE
                 EnsembleSpec(law, PopulationState(3), t_end=2.0, policy=policy,

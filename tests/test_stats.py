@@ -10,7 +10,7 @@ import pytest
 from dualsim.errors import ConfigError
 from dualsim.kernels import R_CONST
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
-from dualsim.sds import IntegratorConfig, integrate
+from dualsim.sds import integrate
 from dualsim.ssa import (
     ChannelSet,
     Ensemble,
@@ -111,7 +111,7 @@ class TestSampleOnGrid:
     def test_knots_pass_through_unchanged(self):
         law = GrowthLaw("logistic", 1.0, 0.2)
         traj = integrate(law, PopulationState(1.0),
-                         IntegratorConfig(dt=0.01, t_end=5.0), grid=make_grid(5.0, 0.5))
+                         dt=0.01, t_end=5.0, grid=make_grid(5.0, 0.5))
         assert np.array_equal(sample_on_grid(traj, traj.times), traj.states)
         events = abs_traj([0.0, 0.3, 1.7, 2.0], [1.0, 2.0, 1.0, 1.0])
         assert np.array_equal(sample_on_grid(events, events.times), events.states)
@@ -354,7 +354,7 @@ class TestCompare:
         # a constant deterministic run against an ensemble of frozen copies
         law = GrowthLaw("logistic", 1.0, 0.2)
         sds_traj = integrate(law, PopulationState(5.0),
-                             IntegratorConfig(dt=0.01, t_end=10.0), grid=make_grid(10.0, 0.1))
+                             dt=0.01, t_end=10.0, grid=make_grid(10.0, 0.1))
         idle = ChannelSet(table=((R_CONST, 0.0, 0.0, 0.0, 1, 0),), species=("tumour",))
         ens = run_ensemble(EnsembleSpec(channels=idle, initial=PopulationState(5), t_end=10.0,
                                         grid=make_grid(10.0, 1.0)),
@@ -366,7 +366,7 @@ class TestCompare:
     def test_report_schema(self):
         params = scenario_preset(1)
         sds_traj = integrate(params, PopulationState(100.0, 10.0),
-                             IntegratorConfig(dt=0.01, t_end=20.0), grid=make_grid(20.0, 0.1))
+                             dt=0.01, t_end=20.0, grid=make_grid(20.0, 0.1))
         grid = make_grid(20.0, 1.0)
         ens = run_ensemble(
             EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(100, 10), t_end=20.0,
@@ -398,7 +398,7 @@ class TestCompare:
     def test_mismatched_populations_error(self):
         law = GrowthLaw("logistic", 1.0, 0.2)
         sds_traj = integrate(law, PopulationState(1.0),
-                             IntegratorConfig(dt=0.01, t_end=5.0), grid=make_grid(5.0, 0.5))
+                             dt=0.01, t_end=5.0, grid=make_grid(5.0, 0.5))
         params = scenario_preset(1)
         ens = run_ensemble(
             EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(5, 1), t_end=5.0,
@@ -411,14 +411,14 @@ class TestCompare:
     @pytest.mark.parametrize("grid", [[0.0, 0.5, 2.0], [0.0, 1.0, 3.0]], ids=["shrinking", "growing"])
     def test_requires_uniform_grid(self, grid):
         sds_traj = integrate(scenario_preset(4), PopulationState(100.0, 10.0),
-                             IntegratorConfig(dt=0.01, t_end=3.0), grid=make_grid(3.0, 0.1))
+                             dt=0.01, t_end=3.0, grid=make_grid(3.0, 0.1))
         ens = run_ensemble(kuznetsov_spec(3.0, grid), reps=3, base_seed=1)
         with pytest.raises(ConfigError, match="uniform grid of at least 2 points"):
             compare(sds_traj, ens)
 
     def test_requires_two_grid_points(self):
         sds_traj = integrate(scenario_preset(4), PopulationState(100.0, 10.0),
-                             IntegratorConfig(dt=0.01, t_end=2.0), grid=make_grid(2.0, 0.1))
+                             dt=0.01, t_end=2.0, grid=make_grid(2.0, 0.1))
         ens = run_ensemble(kuznetsov_spec(2.0, [0.0]), reps=3, base_seed=1)
         with pytest.raises(ConfigError, match="uniform grid of at least 2 points"):
             compare(sds_traj, ens)
