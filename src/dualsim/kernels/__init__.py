@@ -56,11 +56,23 @@ rows or a rate-law code outside 0..5 raise ValueError.  The rate-law codes
 its floor gets rate 0, and an event of total rate R fires the first channel
 whose running sum of rates exceeds u*R (u uniform on [0, 1)), else the last;
 ``tau_leap`` instead clamps each population to its floor after the leap.
+
 ``ssa_frozen`` needs a birth row ``c*T**e`` (code 1, jump (1, 0)), then a
 death row of code 1 or 2 and jump (-1, 0), else ValueError; each agent keeps
 its per-capita death rate at birth, ``c*T**(e-1)`` or ``c*ln(T)``, while
 the birth row's rate is the live one, so a death row of e = 1 gives the
 rows of ``ssa``.
+
+Absorption.  ``ssa`` and ``tau_leap`` drop the rows that a species X
+absorbed at 0 silences, which changes no row or status: a silenced row's
+rate is 0, and neither a pick nor a leap fires a rate of 0.  A row is
+silenced by X when it is a code-0 row with c = 0, or when it reads X (T:
+codes 1, 2, 4, 5; E: codes 3, 4, 5) with c*cap finite, e > 0 for code 1 and
+g > 0 for code 5.  X is absorbed when its floor is 0, the other floor is at
+least 0, both populations lie in [0, cap], and every row is silenced by X
+or neither reads nor raises X.  Each time such an X reaches 0, the start
+included, its silenced rows leave the kernel's working table, the others
+keep their order, and the rule is applied again to the shorter table.
 
 Stop rule and status codes (the ``ST_*`` constants below).  The stochastic
 kernels stop by one rule on the total rate R: while 0 < R < inf they step

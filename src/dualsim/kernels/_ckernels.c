@@ -418,6 +418,54 @@ static inline double table_rates(const Table *tab, double T, double E, double fl
     return R;
 }
 
+/* the species each rate-law code reads, by code (bit 0: T, bit 1: E) */
+static const int READS[6] = {0, 1, 1, 2, 3, 3};
+
+/* whether row i's rate is 0 whenever species s (0: T, 1: E) is, the other in [0, cap] */
+static inline int row_silenced(const Table *tab, int i, int s, double cap)
+{
+    long code = tab->code[i];
+    if (code == 0)
+        return tab->coef[i] == 0.0;
+    return ((READS[code] >> s) & 1) && fabs(tab->coef[i]) * cap < INFINITY &&
+           (code != 1 || tab->expo[i] > 0.0) && (code != 5 || tab->sat[i] > 0.0);
+}
+
+/* The absorption rule (see the package docstring): drops from ``tab`` the rows that a
+ * species absorbed at 0 silences and returns the species (bits) it may yet absorb. */
+static int table_absorb(Table *tab, double T, double E, double floor_t, double floor_e, double cap)
+{
+    double x[2] = {T, E}, floor[2] = {floor_t, floor_e};
+    int watch = 0;
+    if (!(0.0 <= T && T <= cap && 0.0 <= E && E <= cap && floor_t >= 0.0 && floor_e >= 0.0))
+        return 0;
+    for (int s = 0; s < 2; s++) {
+        const double *d = s ? tab->dE : tab->dT;
+        int ok = floor[s] == 0.0, n = 0;
+        for (int i = 0; i < tab->n; i++)
+            ok &= row_silenced(tab, i, s, cap) || (!((READS[tab->code[i]] >> s) & 1) && d[i] <= 0.0);
+        if (ok && x[s] != 0.0)
+            watch |= 1 << s;
+        if (!ok || x[s] != 0.0)
+            continue;
+        for (int i = 0; i < tab->n; i++) {
+            if (row_silenced(tab, i, s, cap))
+                continue;
+            tab->code[n] = tab->code[i];
+            tab->coef[n] = tab->coef[i];
+            tab->expo[n] = tab->expo[i];
+            tab->sat[n] = tab->sat[i];
+            tab->dT[n] = tab->dT[i];
+            tab->dE[n++] = tab->dE[i];
+        }
+        if (n < tab->n) { /* the drop may let the other species be absorbed */
+            tab->n = n;
+            return table_absorb(tab, T, E, floor_t, floor_e, cap);
+        }
+    }
+    return watch;
+}
+
 /* ---- exact stochastic simulation (Gillespie direct method) ------------- */
 
 static PyObject *ssa(PyObject *self, PyObject *args)
@@ -435,11 +483,13 @@ static PyObject *ssa(PyObject *self, PyObject *args)
     double sums[MAX_CHANNELS];
     double T = T0, E = E0, t = 0.0;
     long nev = 0;
-    int nch = tab.n, status = -1;
+    int watch = 3, status = -1; /* the species that table_absorb may yet absorb */
     Rec rec;
     if (rec_init(&rec, grid, T, E) < 0)
         return NULL;
     for (;;) {
+        if (watch && (((watch & 1) && T == 0.0) || ((watch & 2) && E == 0.0)))
+            watch = table_absorb(&tab, T, E, floor_t, floor_e, cap);
         double R = table_rates(&tab, T, E, floor_t, floor_e, 1, sums);
         if (!(0.0 < R && R < INFINITY)) {
             status = stop_status(&rec, R, t, t_end, T, E);
@@ -454,7 +504,7 @@ static PyObject *ssa(PyObject *self, PyObject *args)
         /* the pick rule as a count: running sums never decrease */
         double u = rng_uniform(&rng) * R;
         int pick = 0;
-        for (int i = 0; i < nch - 1; i++)
+        for (int i = 0; i < tab.n - 1; i++)
             pick += sums[i] <= u;
         T += tab.dT[pick];
         E += tab.dE[pick];
@@ -599,11 +649,13 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
         return NULL;
     double rates[MAX_CHANNELS];
     double T = T0, E = E0, t = 0.0;
-    int nch = tab.n, status = -1;
+    int watch = 3, status = -1; /* as in ssa */
     Rec rec;
     if (rec_init(&rec, grid, T, E) < 0)
         return NULL;
     while (t < t_end - 1e-12) {
+        if (watch && (((watch & 1) && T == 0.0) || ((watch & 2) && E == 0.0)))
+            watch = table_absorb(&tab, T, E, floor_t, floor_e, cap);
         double h = t + dt <= t_end ? dt : t_end - t;
         /* leaping clamps to the floors after the step instead */
         double R = table_rates(&tab, T, E, -INFINITY, -INFINITY, 0, rates);
@@ -612,7 +664,7 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
             break;
         }
         double nT = T, nE = E;
-        for (int i = 0; i < nch; i++) {
+        for (int i = 0; i < tab.n; i++) {
             double lam = rates[i] * h;
             if (lam > 0.0) {
                 double k = rng_poisson(&rng, lam);

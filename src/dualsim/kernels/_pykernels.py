@@ -53,6 +53,15 @@ def _pow(x: float, e: float) -> float:
         return _INF
 
 
+def _doubles(*xs):
+    """``xs`` as floats, as the compiled kernels parse each double argument
+    ("d"): a str or bytes raises TypeError rather than being parsed."""
+    for x in xs:
+        if isinstance(x, (str, bytes, bytearray)):
+            raise TypeError(f"must be real number, not {type(x).__name__}")
+    return map(float, xs)
+
+
 def _recorder(grid, a: float, b: float):
     """``(push, finish)`` for the (t, a, b) rows of one run, which starts at
     (0, a, b).
@@ -130,8 +139,6 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
     """
     if grid is None:  # which _recorder takes for "no grid"
         raise TypeError(_GRID_ERROR)
-    T = float(T)
-    E = float(E)
     t = 0.0
     push, finish = _recorder(grid, T, E)
     points = memoryview(grid).tolist()
@@ -172,6 +179,7 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
 def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, grid, blowup, /):
     """Integrate a one-equation growth law with the shared stepper ``_rk4``.
     Returns (rows, status), (t, T, 0) rows."""
+    a, b, alpha, beta, T0, dt, t_end, blowup = _doubles(a, b, alpha, beta, T0, dt, t_end, blowup)
     ea = alpha + 1.0
     eb = beta + 1.0
     log = math.log
@@ -187,6 +195,9 @@ def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, grid, blowup, /):
 def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, grid, blowup, /):
     """Integrate the tumour-effector system with the shared stepper ``_rk4``.
     Returns (rows, status), (t, T, E) rows."""
+    a, b, g, m, n, p, d, s, T0, E0, dt, t_end, blowup = _doubles(a, b, g, m, n, p, d, s, T0, E0, dt, t_end,
+                                                                 blowup)
+
     def f(T, E):
         return a * T * (1.0 - b * T) - n * T * E, p * T * E / (g + T) - m * T * E - d * E + s
     return _rk4(f, T0, E0, dt, t_end, grid, blowup)
@@ -197,10 +208,10 @@ def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, grid, blowup, /):
 # ---------------------------------------------------------------------------
 
 def _table(table):
-    """The channel rows (code, c, e, g, dT, dE), twin of the compiled
-    ``table_read``: a table that is not a sequence of tuples of six numbers
-    raises TypeError, more than 16 rows or a rate-law code outside 0..5
-    ValueError."""
+    """The channel rows (code, c, e, g, dT, dE), an int and five floats, twin
+    of the compiled ``table_read``: a table that is not a sequence of tuples
+    of six numbers raises TypeError, more than 16 rows or a rate-law code
+    outside 0..5 ValueError."""
     rows = tuple(table)
     if len(rows) > 16:
         raise ValueError(f"at most 16 channels supported, got {len(rows)}")
@@ -209,7 +220,7 @@ def _table(table):
             raise TypeError("a channel row must be a tuple of six numbers (code, c, e, g, dT, dE)")
         if index(row[0]) not in (0, 1, 2, 3, 4, 5):
             raise ValueError(f"unknown rate-law code {row[0]}")
-    return rows
+    return tuple((index(row[0]), *map(float, row[1:])) for row in rows)
 
 
 def _rates(table, T, E, floor_t, floor_e, rates):
@@ -238,6 +249,37 @@ def _rates(table, T, E, floor_t, floor_e, rates):
         rates[i] = r
         R += r
     return R
+
+
+_READS = (0, 1, 1, 2, 3, 3)  # the species each rate-law code reads, by code (bit 0: T, bit 1: E)
+
+
+def _silenced(row, s, cap):
+    """Whether the row's rate is 0 whenever species s (0: T, 1: E) is, the
+    other in [0, cap]; twin of the compiled ``row_silenced``."""
+    code, c, e, g = row[:4]
+    if code == 0:
+        return c == 0.0
+    return bool(_READS[code] >> s & 1) and abs(c) * cap < _INF and (code != 1 or e > 0.0) and (code != 5 or g > 0.0)
+
+
+def _absorb(table, T, E, floor_t, floor_e, cap):
+    """The absorption rule (see the package docstring), twin of the compiled
+    ``table_absorb``: ``(table, watch)``, the table without the rows that a
+    species absorbed at 0 silences and the species (bits) it may yet absorb."""
+    if not (0.0 <= T <= cap and 0.0 <= E <= cap and floor_t >= 0.0 and floor_e >= 0.0):
+        return table, 0
+    watch = 0
+    for s, x, floor in ((0, T, floor_t), (1, E, floor_e)):
+        if floor == 0.0 and all(_silenced(row, s, cap) or not _READS[row[0]] >> s & 1 and row[4 + s] <= 0.0
+                                for row in table):
+            if x != 0.0:
+                watch |= 1 << s
+                continue
+            kept = tuple(row for row in table if not _silenced(row, s, cap))
+            if len(kept) < len(table):  # the drop may let the other species be absorbed
+                return _absorb(kept, T, E, floor_t, floor_e, cap)
+    return table, watch
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +314,19 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
     held on ``grid``.
     """
     table = _table(table)
+    T, E, t_end, floor_t, floor_e, cap = _doubles(T0, E0, t_end, floor_t, floor_e, cap)
     rr = _rng(seed)
     log = math.log
     nch = len(table)
     rates = [0.0] * nch
-    T = float(T0)
-    E = float(E0)
     t = 0.0
     nev = 0
+    watch = 3  # the species that _absorb may yet absorb
     push, finish = _recorder(grid, T, E)
     while True:
+        if watch and (watch & 1 and T == 0.0 or watch & 2 and E == 0.0):
+            table, watch = _absorb(table, T, E, floor_t, floor_e, cap)
+            nch = len(table)
         R = _rates(table, T, E, floor_t, floor_e, rates)
         if not 0.0 < R < _INF:
             return finish(_stop_status(push, R, t, t_end, T, E))
@@ -321,6 +366,7 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
     held on ``grid``.
     """
     rows = _table(table)
+    T, t_end, floor_t, cap = _doubles(T0, t_end, floor_t, cap)
     if not (len(rows) == 2 and rows[0][0] == 1 and rows[0][4:] == (1, 0)
             and rows[1][0] in (1, 2) and rows[1][4:] == (-1, 0)):
         raise ValueError("ssa_frozen needs a birth-death table")
@@ -329,7 +375,6 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
     eb -= 1.0  # the per-capita exponent of a power-law death row
     rr = _rng(seed)
     log = math.log
-    T = float(T0)
     crates: list[float] = []
     ccounts: list[float] = []
     if T > 0.0:
@@ -410,14 +455,15 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
     deltas apply simultaneously, components below their floor clamp to it.
     Returns (rows, status), (t, T, E) rows per leap or held on ``grid``."""
     table = _table(table)
+    T, E, t_end, dt, floor_t, floor_e, cap = _doubles(T0, E0, t_end, dt, floor_t, floor_e, cap)
     rr = _rng(seed)
-    nch = len(table)
-    rates = [0.0] * nch
-    T = float(T0)
-    E = float(E0)
+    rates = [0.0] * len(table)
     t = 0.0
+    watch = 3  # as in ssa
     push, finish = _recorder(grid, T, E)
     while t < t_end - 1e-12:
+        if watch and (watch & 1 and T == 0.0 or watch & 2 and E == 0.0):
+            table, watch = _absorb(table, T, E, floor_t, floor_e, cap)
         h = dt if t + dt <= t_end else t_end - t
         # leaping clamps to the floors after the step instead
         R = _rates(table, T, E, -_INF, -_INF, rates)
@@ -433,9 +479,9 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
                     nT += row[4] * k
                     nE += row[5] * k
         if nT < floor_t:
-            nT = float(floor_t)
+            nT = floor_t
         if nE < floor_e:
-            nE = float(floor_e)
+            nE = floor_e
         if nT > cap or nE > cap:
             return finish(3)
         t = t + h if t + h < t_end - 1e-12 else t_end

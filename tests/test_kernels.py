@@ -42,6 +42,7 @@ S4_TABLE = (
     (3, 0.3743, 0.0, 0.0, 0, -1),
     (0, 0.0, 0.0, 0.0, 0, 1),
 )
+S2_TABLE = kuznetsov_channels(scenario_preset(2)).table
 ONE_SPECIES = birth_death(1.0, 0.05, death_e=2.0)
 DEATH_ONLY = ((1, 1.0, 1.0, 0.0, -1, 0),)
 
@@ -96,16 +97,20 @@ class TestRk4Parity:
 
 class TestStochasticAgreement:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("birth_e, t_end", [(1.0, 15.0), (2.0, 1.0), (4 / 3, 1.0)])
-    def test_frozen_equals_live_within_each_backend(self, backend, birth_e, t_end):
+    @pytest.mark.parametrize("birth_e, t_end, T0", [(1.0, 15.0, 5), (2.0, 1.0, 5), (4 / 3, 1.0, 5), (1.0, 15.0, 0)])
+    def test_frozen_equals_live_within_each_backend(self, backend, birth_e, t_end, T0):
         # a death rate linear in T is the same per agent whenever it is frozen,
-        # so the two kernels draw alike for every birth law
+        # so the two kernels draw alike for every birth law; ssa_frozen drops no
+        # row, and an extinct population ends both runs alike
         mod = BACKENDS[backend]
         table = birth_death(0.7, 0.9, birth_e=birth_e)
+        statuses = set()
         for seed in (0, 1, 4, 4242):
-            live = mod.ssa(table, 5, 0, t_end, seed, 0, 0, 1e12, 20_000)
-            frozen = mod.ssa_frozen(table, 5, t_end, seed, 0, 1e12, 20_000)
+            live = mod.ssa(table, T0, 0, t_end, seed, 0, 0, 1e12, 20_000)
+            frozen = mod.ssa_frozen(table, T0, t_end, seed, 0, 1e12, 20_000)
             assert bytes(live[0]) == bytes(frozen[0]) and live[1] == frozen[1]
+            statuses.add(live[1])
+        assert (kernels.ST_EXTINCT in statuses) == (t_end == 15.0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_tau_leap_poisson_means(self, backend):
@@ -192,6 +197,24 @@ def test_draws_are_numpy_sfc64_words_from_the_splitmix64_state(seed):
     assert [draw() for _ in range(n)] == [(int(x) >> 11) * 2.0**-53 for x in words]
 
 
+# (table, T0, E0, floors, seeds) of runs to t = 100 in which a species reaches 0
+ABSORPTION_CASES = {
+    # the tumour dies out, then the effectors: the table loses six rows, then the last
+    "scenario-4": (S4_TABLE, 100, 10, (0, 0), (1,)),
+    # the effectors die out and five of the seven rows leave
+    "scenario-4-tumour-floor": (S4_TABLE, 100, 10, (1, 0), (1,)),
+    "no-effectors": (S4_TABLE, 100, 0, (1, 0), (1,)),
+    # the tumour dies (in the exact run of seed 1, the leaping of seed 6), while the effector
+    # influx keeps raising E from 0
+    "scenario-2": (S2_TABLE, 100, 10, (0, 0), (1, 6)),
+    # an influx row of c > 0 raises E again, so nothing may leave
+    "revived": ((*S4_TABLE[:-1], (kernels.R_CONST, 0.05, 0.0, 0.0, 0, 1)), 100, 10, (1, 0), (1,)),
+    # one event takes both species to 0 together
+    "both-at-once": (((kernels.R_MASS_TE, 1.0, 0.0, 0.0, -1, -1), (kernels.R_CONST, 0.0, 0.0, 0.0, 1, 1)),
+                     1, 1, (0, 0), (1,)),
+}
+
+
 def parity_cases():
     """(kernel, arguments) of the exact-parity matrix."""
     grid = make_grid(10.0, 0.1)
@@ -214,6 +237,20 @@ def parity_cases():
         yield "ssa", (table, 5, 0, 2.0, 1, 0, 0, 1e12, 10**8, grid)
     # means of 30 and more take the rounded-normal branch of the Poisson sampler
     yield "tau_leap", (birth_death(50.0, 40.0), 100, 0, 1.0, 0.1, 3, 0, 0, 1e12)
+    # runs to t = 100, long enough that a species reaches 0 and its silenced rows leave the table
+    long_grid = make_grid(100.0, 0.5)
+    for table, T0, E0, floors, seeds in ABSORPTION_CASES.values():
+        for seed in seeds:
+            for grid_arg in ((), (long_grid,)):
+                yield "ssa", (table, T0, E0, 100.0, seed, *floors, 1e12, 10**8, *grid_arg)
+                yield "tau_leap", (table, T0, E0, 100.0, 0.01, seed, *floors, 1e12, *grid_arg)
+    # numpy scalars of another width: every backend takes each double argument as a double
+    f32 = np.float32
+    yield "rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, f32(0.1), f32(2), make_grid(2.0), 1e300)
+    yield "rk4_kuznetsov", (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, 0.0, 100.0, 10.0, f32(0.01), f32(3.0),
+                            make_grid(3.0), 1e300)
+    yield "tau_leap", (S2_TABLE, 100, 10, f32(5.0), f32(0.01), 1, 0, 0, 1e12)
+    yield "ssa", (S2_TABLE, f32(100), f32(10), f32(5.0), 1, f32(1), 0, f32(1e12), 10**8, make_grid(5.0))
     for kind in ("logistic", "gompertz", "bertalanffy"):
         for c in (5, 2.5, 1.7, 1.25):
             table = growth_channels(experiment_one_law(kind, c)).table
@@ -253,6 +290,62 @@ def test_tau_leap_draws_nothing_for_a_zero_rate_row(backend, seed):
         rows, status = tau(table, 100, 10, 10.0, 0.01, seed, 0, 0, 1e12)
         assert status == expected[1]
         assert np.asarray(rows).tobytes() == np.asarray(expected[0]).tobytes()
+
+
+@pytest.mark.parametrize("case", ABSORPTION_CASES)
+def test_each_absorption_case_takes_a_species_to_zero(case):
+    """The parity matrix's absorption cases reach the drop: in each exact run
+    a species reaches 0 where the absorption rule drops rows, except in the
+    revived run, whose influx keeps every row."""
+    table, T0, E0, floors, seeds = ABSORPTION_CASES[case]
+    rows = np.asarray(kernels.ssa(table, T0, E0, 100.0, seeds[0], *floors, 1e12, 10**8)[0])
+    at_zero = rows[(rows[:, 1] == 0.0) | (rows[:, 2] == 0.0)]
+    assert len(at_zero)
+    kept, _ = pure._absorb(pure._table(table), *at_zero[0, 1:].tolist(), *map(float, floors), 1e12)
+    assert (len(kept) == len(table)) == (case == "revived")
+
+
+E_RAISES_T = (*S4_TABLE, (kernels.R_LIN_E, 1.0, 0.0, 0.0, 1, 0))
+
+
+@pytest.mark.parametrize("table, T, E, floors, kept, watch", [
+    # the rows that read E and the s = 0 row leave; a floor of 1 keeps T from being watched
+    (S4_TABLE, 100, 0, (1, 0), S4_TABLE[:2], 0),
+    (S4_TABLE, 100, 0, (0, 0), S4_TABLE[:2], 1),
+    (S4_TABLE, 100, 10, (0, 0), S4_TABLE, 3),
+    # the rows that read T leave, and the influx keeps E from being absorbed
+    (S2_TABLE, 0, 10, (0, 0), S2_TABLE[5:], 0),
+    # a row that reads E and raises T lets T be absorbed only once E has been
+    (E_RAISES_T, 0, 0, (0, 0), (), 0),
+    (E_RAISES_T, 0, 5, (0, 0), E_RAISES_T, 2),
+], ids=["e", "e-t-watched", "none-at-0", "t", "e-then-t", "t-not-absorbed"])
+def test_the_absorption_rule(table, T, E, floors, kept, watch):
+    """``_absorb`` returns the rows kept and the species still watched (bit
+    0: T, bit 1: E); the parity matrix holds the compiled twin to it."""
+    assert pure._absorb(pure._table(table), float(T), float(E), *map(float, floors), 1e12) == (kept, watch)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
+@pytest.mark.parametrize("table, T0, E0, floors", [
+    # a floor of -1 lets E leave 0, where c*E turns negative
+    (((kernels.R_CONST, 1.0, 0.0, 0.0, 0, -1), (kernels.R_LIN_E, 1.0, 0.0, 0.0, 0, 1)), 0, 0, (0, -1)),
+    # rows of rate nan at E = 0 (jumps that no floor zeroes): a nan or an infinite
+    # coefficient, or c*T overflowing
+    ((*S4_TABLE[:5], (kernels.R_LIN_E, math.nan, 0.0, 0.0, -1, 0), S4_TABLE[6]), 100, 0, (1, 0)),
+    ((*S4_TABLE[:2], (kernels.R_MASS_TE, math.inf, 0.0, 0.0, -1, 0), *S4_TABLE[3:]), 100, 0, (1, 0)),
+    ((*S4_TABLE[:4], (kernels.R_MASS_TE, 1e300, 0.0, 0.0, -1, 0), *S4_TABLE[5:]), 1e10, 0, (1, 0)),
+    # a birth row of rate nan at T = 0
+    (((kernels.R_POW_T, math.inf, 1.0, 0.0, 1, 0), (kernels.R_LIN_E, 1.0, 0.0, 0.0, 0, -1)), 0, 5, (0, 0)),
+], ids=["negative-floor", "nan-c", "inf-c", "overflowing-c", "inf-birth"])
+def test_rows_that_could_stop_the_run_stay(backend, kernel, table, T0, E0, floors):
+    """A row leaves only if its rate would stay 0: each of these runs stops
+    with status 5, as the whole table makes it do, instead of dropping the
+    row that stops it."""
+    fn = getattr(BACKENDS[backend], kernel)
+    args = (100.0, 1) if kernel == "ssa" else (100.0, 0.01, 1)
+    rows, status = fn(table, T0, E0, *args, *floors, 1e12, *((10**6,) if kernel == "ssa" else ()))
+    assert status == kernels.ST_BAD_RATE
 
 
 # one short run of each kernel, by name
@@ -295,6 +388,17 @@ def test_keyword_calls_raise_type_error(backend, kernel):
     *args, last = KERNEL_ARGS[kernel]
     with pytest.raises(TypeError):
         fn(*args, **{LAST_ARG[kernel]: last})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_str_for_a_double_raises_type_error(backend, kernel):
+    """Each backend parses every double argument as C's "d" does: a number
+    of any real type is taken as its float, a str is refused."""
+    args = list(KERNEL_ARGS[kernel])
+    args[0 if kernel == "rk4_kuznetsov" else 1] = "1"
+    with pytest.raises(TypeError):
+        getattr(BACKENDS[backend], kernel)(*args)
 
 
 # where each stochastic kernel takes its seed

@@ -497,20 +497,21 @@ class TestEnsembles:
             EnsembleSpec(channels=channels, initial=initial, t_end=1.0)
         assert str(abs_.value) == str(sds.value)
 
+    @pytest.mark.parametrize("backend", [_pykernels, dualsim.kernels.backend], ids=["pure", "active"])
     @pytest.mark.parametrize("number", [np.float64, np.float32, np.int64, int])
-    def test_steps_of_any_real_type_are_taken_alike(self, monkeypatch, number):
-        class KernelReached(Exception):
-            pass
-
-        def kernel(*args):
-            raise KernelReached
-
-        # the rules alone: the pure kernels take numpy scalars as they are, not as doubles
-        monkeypatch.setattr(dualsim.kernels, "rk4_growth", kernel)
-        with pytest.raises(KernelReached):
-            integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0), dt=number(1), t_end=number(2),
-                      grid=make_grid(2.0))
-        EnsembleSpec(channels=death_only_channels(), initial=PopulationState(1), t_end=number(2), dt=number(1))
+    def test_steps_of_any_real_type_are_taken_alike(self, monkeypatch, backend, number):
+        # every kernel takes its steps as doubles, so steps of any real type run as their floats do
+        monkeypatch.setattr(dualsim.kernels, "rk4_growth", backend.rk4_growth)
+        monkeypatch.setattr(dualsim.kernels, "tau_leap", backend.tau_leap)
+        steps = (number(1) / 10, number(2))
+        model, initial, grid = GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0), make_grid(2.0)
+        sds = [integrate(model, initial, dt=dt, t_end=t_end, grid=grid).states
+               for dt, t_end in (steps, map(float, steps))]
+        assert sds[0].tobytes() == sds[1].tobytes()
+        abs_ = [simulate_tau_leap(EnsembleSpec(death_only_channels(), PopulationState(10), t_end=t_end, dt=dt),
+                                  seed=1).states
+                for dt, t_end in (steps, map(float, steps))]
+        assert abs_[0].tobytes() == abs_[1].tobytes()
 
     @pytest.mark.parametrize("channels, initial, t_end, policy, floors", [
         (death_only_channels(), PopulationState(1), 0.0, RatePolicy.LIVE, Floors()),
