@@ -418,49 +418,32 @@ static inline double table_rates(const Table *tab, double T, double E, double fl
     return R;
 }
 
-/* the species each rate-law code reads, by code (bit 0: T, bit 1: E) */
-static const int READS[6] = {0, 1, 1, 2, 3, 3};
-
-/* whether row i's rate is 0 whenever species s (0: T, 1: E) is, the other in [0, cap] */
-static inline int row_silenced(const Table *tab, int i, int s, double cap)
-{
-    long code = tab->code[i];
-    if (code == 0)
-        return tab->coef[i] == 0.0;
-    return ((READS[code] >> s) & 1) && fabs(tab->coef[i]) * cap < INFINITY &&
-           (code != 1 || tab->expo[i] > 0.0) && (code != 5 || tab->sat[i] > 0.0);
-}
-
 /* The absorption rule (see the package docstring): drops from ``tab`` the rows that a
- * species absorbed at 0 silences and returns the species (bits) it may yet absorb. */
+ * species absorbed at 0 silences; returns the species (bit 0: T, bit 1: E) to watch. */
 static int table_absorb(Table *tab, double T, double E, double floor_t, double floor_e, double cap)
 {
-    double x[2] = {T, E}, floor[2] = {floor_t, floor_e};
     int watch = 0;
     if (!(0.0 <= T && T <= cap && 0.0 <= E && E <= cap && floor_t >= 0.0 && floor_e >= 0.0))
         return 0;
     for (int s = 0; s < 2; s++) {
-        const double *d = s ? tab->dE : tab->dT;
-        int ok = floor[s] == 0.0, n = 0;
-        for (int i = 0; i < tab->n; i++)
-            ok &= row_silenced(tab, i, s, cap) || (!((READS[tab->code[i]] >> s) & 1) && d[i] <= 0.0);
-        if (ok && x[s] != 0.0)
-            watch |= 1 << s;
-        if (!ok || x[s] != 0.0)
-            continue;
+        Table k = *tab;
+        int ok = (s ? floor_e : floor_t) == 0.0;
+        k.n = 0;
         for (int i = 0; i < tab->n; i++) {
-            if (row_silenced(tab, i, s, cap))
-                continue;
-            tab->code[n] = tab->code[i];
-            tab->coef[n] = tab->coef[i];
-            tab->expo[n] = tab->expo[i];
-            tab->sat[n] = tab->sat[i];
-            tab->dT[n] = tab->dT[i];
-            tab->dE[n++] = tab->dE[i];
+            long c = tab->code[i];
+            int reads = s ? c >= 3 : c != 0 && c != 3;
+            int silenced = !c ? tab->coef[i] == 0.0 : reads && fabs(tab->coef[i]) * cap < INFINITY &&
+                                  (c != 1 || tab->expo[i] > 0.0) && (c != 5 || tab->sat[i] > 0.0);
+            ok &= silenced || (!reads && (s ? tab->dE : tab->dT)[i] <= 0.0);
+            k.code[k.n] = c, k.coef[k.n] = tab->coef[i], k.expo[k.n] = tab->expo[i];
+            k.sat[k.n] = tab->sat[i], k.dT[k.n] = tab->dT[i], k.dE[k.n] = tab->dE[i];
+            k.n += !silenced;
         }
-        if (n < tab->n) { /* the drop may let the other species be absorbed */
-            tab->n = n;
-            return table_absorb(tab, T, E, floor_t, floor_e, cap);
+        if (ok && (s ? E : T) != 0.0)
+            watch |= 1 << s;
+        else if (ok && k.n < tab->n) { /* the drop may let the other species be absorbed: check both again */
+            *tab = k;
+            watch = 0, s = -1;
         }
     }
     return watch;

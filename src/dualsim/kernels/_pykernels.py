@@ -251,34 +251,25 @@ def _rates(table, T, E, floor_t, floor_e, rates):
     return R
 
 
-_READS = (0, 1, 1, 2, 3, 3)  # the species each rate-law code reads, by code (bit 0: T, bit 1: E)
-
-
-def _silenced(row, s, cap):
-    """Whether the row's rate is 0 whenever species s (0: T, 1: E) is, the
-    other in [0, cap]; twin of the compiled ``row_silenced``."""
-    code, c, e, g = row[:4]
-    if code == 0:
-        return c == 0.0
-    return bool(_READS[code] >> s & 1) and abs(c) * cap < _INF and (code != 1 or e > 0.0) and (code != 5 or g > 0.0)
-
-
 def _absorb(table, T, E, floor_t, floor_e, cap):
     """The absorption rule (see the package docstring), twin of the compiled
     ``table_absorb``: ``(table, watch)``, the table without the rows that a
-    species absorbed at 0 silences and the species (bits) it may yet absorb."""
+    species absorbed at 0 silences and the species (bit 0: T, bit 1: E) to watch."""
+    watch = s = 0
     if not (0.0 <= T <= cap and 0.0 <= E <= cap and floor_t >= 0.0 and floor_e >= 0.0):
         return table, 0
-    watch = 0
-    for s, x, floor in ((0, T, floor_t), (1, E, floor_e)):
-        if floor == 0.0 and all(_silenced(row, s, cap) or not _READS[row[0]] >> s & 1 and row[4 + s] <= 0.0
-                                for row in table):
-            if x != 0.0:
+    while s < 2:
+        reads = [code >= 3 if s else code not in (0, 3) for code, *_ in table]
+        silenced = [c == 0.0 if not code else r and abs(c) * cap < _INF and (code != 1 or e > 0.0)
+                    and (code != 5 or g > 0.0) for r, (code, c, e, g, *_) in zip(reads, table)]
+        kept = tuple(row for row, q in zip(table, silenced) if not q)
+        if (floor_e if s else floor_t) == 0.0 and all(q or not r and row[4 + s] <= 0.0
+                                                      for row, r, q in zip(table, reads, silenced)):
+            if (E if s else T) != 0.0:
                 watch |= 1 << s
-                continue
-            kept = tuple(row for row in table if not _silenced(row, s, cap))
-            if len(kept) < len(table):  # the drop may let the other species be absorbed
-                return _absorb(kept, T, E, floor_t, floor_e, cap)
+            elif len(kept) < len(table):  # the drop may let the other species be absorbed: check both again
+                table, watch, s = kept, 0, -1
+        s += 1
     return table, watch
 
 

@@ -498,12 +498,13 @@ class TestEnsembles:
         assert str(abs_.value) == str(sds.value)
 
     @pytest.mark.parametrize("backend", [_pykernels, dualsim.kernels.backend], ids=["pure", "active"])
-    @pytest.mark.parametrize("number", [np.float64, np.float32, np.int64, int])
-    def test_steps_of_any_real_type_are_taken_alike(self, monkeypatch, backend, number):
+    @pytest.mark.parametrize("steps", [
+        (np.float64(0.1), np.float64(2)), (np.float32(0.1), np.float32(2)), (np.int64(1), np.int64(2)), (1, 2),
+    ], ids=["float64", "float32", "int64", "int"])
+    def test_steps_of_any_real_type_are_taken_alike(self, monkeypatch, backend, steps):
         # every kernel takes its steps as doubles, so steps of any real type run as their floats do
         monkeypatch.setattr(dualsim.kernels, "rk4_growth", backend.rk4_growth)
         monkeypatch.setattr(dualsim.kernels, "tau_leap", backend.tau_leap)
-        steps = (number(1) / 10, number(2))
         model, initial, grid = GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0), make_grid(2.0)
         sds = [integrate(model, initial, dt=dt, t_end=t_end, grid=grid).states
                for dt, t_end in (steps, map(float, steps))]
