@@ -77,7 +77,9 @@ keep their order, and the rule is applied again to the shorter table.
 Stop rule and status codes (the ``ST_*`` constants below).  The stochastic
 kernels stop by one rule on the total rate R: while 0 < R < inf they step
 on; R == 0 stops with status 2 after holding the state until ``t_end``, and
-any other R (negative, infinite or nan) with status 5.  An event or leap
+any other R (negative, infinite or nan) with status 5.  A rate that is
+negative or nan (``!(r >= 0)``) makes R negative before any floor zeroes it,
+so it stops the run with status 5 whatever the floors.  An event or leap
 that takes a population above ``cap`` stops the run with status 3; the
 initial state is the caller's to bound.  ``ssa`` and ``ssa_frozen`` stop
 with status 4 after ``max_events`` events.  A run that reaches ``t_end``

@@ -401,14 +401,14 @@ static inline double channel_rate(const Table *tab, int i, double T, double E)
 }
 
 /* Fills ``out`` with the rates, or their running sums if ``sums``, and returns the last
- * running sum, or -1 on a negative rate; a channel that would break a floor gets rate 0. */
+ * running sum, or -1 on a negative or nan rate; a channel that would break a floor gets rate 0. */
 static inline double table_rates(const Table *tab, double T, double E, double floor_t,
                                  double floor_e, int sums, double *out)
 {
     double R = 0.0;
     for (int i = 0; i < tab->n; i++) {
         double r = channel_rate(tab, i, T, E);
-        if (r < 0.0)
+        if (!(r >= 0.0))
             return -1.0;
         if (T + tab->dT[i] < floor_t || E + tab->dE[i] < floor_e)
             r = 0.0;
@@ -556,7 +556,7 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args)
         for (Py_ssize_t i = 0; i < ncoh; i++)
             D += coh[i].rate * coh[i].count;
         /* no death below the floor */
-        double R = B < 0.0 || D < 0.0 ? -1.0 : B + (T - 1.0 < floor_t ? 0.0 : D);
+        double R = B >= 0.0 && D >= 0.0 ? B + (T - 1.0 < floor_t ? 0.0 : D) : -1.0;
         if (!(0.0 < R && R < INFINITY)) {
             status = stop_status(&rec, R, t, t_end, T, 0.0);
             break;

@@ -14,6 +14,8 @@ this backend:
   backends return the same rows for a seed;
 - the loops are written for speed under CPython: bound locals, flat floats,
   no per-event allocation beyond the output samples;
+- where Python's scalar arithmetic raises (a rate's division by 0, or
+  ``math.pow`` off its domain or range), ``_ieee`` gives C's inf or nan;
 - ``write_rows`` maps ``repr`` over each replicate's columns and hands
   ``write`` one piece per replicate; like the C twin it is kept out of
   ``kernels.__all__`` (see the package docstring).
@@ -49,8 +51,15 @@ def _pow(x: float, e: float) -> float:
         return 1.0
     try:
         return math.pow(x, e)
-    except OverflowError:
-        return _INF
+    except (OverflowError, ValueError):
+        return _ieee(np.power, x, e)
+
+
+def _ieee(op, x: float, y: float) -> float:
+    """``op(x, y)`` on doubles as C computes it, an inf or a nan, where
+    Python's scalar arithmetic raises instead."""
+    with np.errstate(all="ignore"):
+        return float(op(np.float64(x), y))
 
 
 def _doubles(*xs):
@@ -225,7 +234,7 @@ def _table(table):
 
 def _rates(table, T, E, floor_t, floor_e, rates):
     """Fills ``rates`` with each channel's rate at (T, E) and returns their
-    sum, or -1.0 when a rate is negative; twin of the compiled
+    sum, or -1.0 when a rate is negative or nan; twin of the compiled
     ``table_rates``.  A channel that would take a population below its floor
     gets rate 0."""
     R = 0.0
@@ -235,14 +244,14 @@ def _rates(table, T, E, floor_t, floor_e, rates):
         elif code == 4:
             r = c * T * E
         elif code == 5:
-            r = c * T * E / (g + T)
+            r = c * T * E / (g + T) if g + T else _ieee(np.divide, c * T * E, g + T)
         elif code == 3:
             r = c * E
         elif code == 2:
             r = c * T * math.log(T) if T > 0.0 else 0.0
         else:
             r = c
-        if r < 0.0:
+        if not r >= 0.0:
             return -1.0
         if T + dT < floor_t or E + dE < floor_e:
             r = 0.0
@@ -381,7 +390,7 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
         for i in range(len(crates)):
             D += crates[i] * ccounts[i]
         # no death below the floor
-        R = -1.0 if B < 0.0 or D < 0.0 else B + (0.0 if T - 1.0 < floor_t else D)
+        R = B + (0.0 if T - 1.0 < floor_t else D) if B >= 0.0 and D >= 0.0 else -1.0
         if not 0.0 < R < _INF:
             return finish(_stop_status(push, R, t, t_end, T, 0.0))
         t += -log(1.0 - rr()) / R

@@ -251,6 +251,14 @@ def parity_cases():
                             make_grid(3.0), 1e300)
     yield "tau_leap", (S2_TABLE, 100, 10, f32(5.0), f32(0.01), 1, 0, 0, 1e12)
     yield "ssa", (S2_TABLE, f32(100), f32(10), f32(5.0), 1, f32(1), 0, f32(1e12), 10**8, make_grid(5.0))
+    # rates that C computes as an inf or a nan, where Python's scalar arithmetic raises: a code-5 row
+    # with g + T == 0 (0/0 and c*T*E/0), a code-1 row with e < 0 at T = 0, and one with e = 0.5 at T < 0
+    mm_at, pow_at = (kernels.R_MM_TE, 1.131, 0.0), (kernels.R_POW_T, 1.0)
+    for table, T0 in ((((*mm_at, 0.0, 0, 1), *S4_TABLE), 0), (((*mm_at, -100.0, 0, 1), *S4_TABLE), 100),
+                      (((*pow_at, -0.5, 0.0, 1, 0), *S4_TABLE[1:]), 0), (((*pow_at, 0.5, 0.0, 1, 0), *S4_TABLE[1:]), -1)):
+        for floors in ((0, 0), (1, 0)):
+            yield "ssa", (table, T0, 10, 10.0, 1, *floors, 1e12, 10**8)
+            yield "tau_leap", (table, T0, 10, 10.0, 0.01, 1, *floors, 1e12, grid)
     for kind in ("logistic", "gompertz", "bertalanffy"):
         for c in (5, 2.5, 1.7, 1.25):
             table = growth_channels(experiment_one_law(kind, c)).table
@@ -273,7 +281,7 @@ def test_every_kernel_returns_the_same_rows_on_both_backends():
         assert status_p == status_c, (kernel, args[1:])
         assert np.asarray(rows_p).tobytes() == np.asarray(rows_c).tobytes(), (kernel, args[1:])
         statuses.add(status_c)
-    assert statuses == {0, 2, 4}
+    assert statuses == {0, 2, 4, 5}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -337,15 +345,25 @@ def test_the_absorption_rule(table, T, E, floors, kept, watch):
     ((*S4_TABLE[:4], (kernels.R_MASS_TE, 1e300, 0.0, 0.0, -1, 0), *S4_TABLE[5:]), 1e10, 0, (1, 0)),
     # a birth row of rate nan at T = 0
     (((kernels.R_POW_T, math.inf, 1.0, 0.0, 1, 0), (kernels.R_LIN_E, 1.0, 0.0, 0.0, 0, -1)), 0, 5, (0, 0)),
-], ids=["negative-floor", "nan-c", "inf-c", "overflowing-c", "inf-birth"])
+    # the nan-c row on a jump that the floors zero: the nan still stops the run
+    ((*S4_TABLE[:5], (kernels.R_LIN_E, math.nan, 0.0, 0.0, 0, -1), S4_TABLE[6]), 100, 0, (1, 0)),
+], ids=["negative-floor", "nan-c", "inf-c", "overflowing-c", "inf-birth", "nan-c-floored"])
 def test_rows_that_could_stop_the_run_stay(backend, kernel, table, T0, E0, floors):
     """A row leaves only if its rate would stay 0: each of these runs stops
     with status 5, as the whole table makes it do, instead of dropping the
-    row that stops it."""
+    row that stops it, and a nan rate stops it whatever the floors."""
     fn = getattr(BACKENDS[backend], kernel)
     args = (100.0, 1) if kernel == "ssa" else (100.0, 0.01, 1)
     rows, status = fn(table, T0, E0, *args, *floors, 1e12, *((10**6,) if kernel == "ssa" else ()))
     assert status == kernels.ST_BAD_RATE
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_nan_death_rate_stops_ssa_frozen_below_its_floor(backend):
+    """As in ``ssa``, a nan rate stops the run with status 5 even while the
+    floor keeps the death row from firing."""
+    frozen = ((kernels.R_POW_T, 1.0, 1.0, 0.0, 1, 0), (kernels.R_POW_T, math.nan, 1.0, 0.0, -1, 0))
+    assert BACKENDS[backend].ssa_frozen(frozen, 1, 10.0, 1, 1e9, 1e12, 10**6)[1] == kernels.ST_BAD_RATE
 
 
 # one short run of each kernel, by name

@@ -1,6 +1,7 @@
-"""SVG emission: determinism, the two-axis styling convention, and the
-points' bytes against the per-point formula."""
+"""SVG emission: determinism, the two-axis styling convention, the points'
+bytes against the per-point formula, and which points a dense curve keeps."""
 
+import math
 import re
 
 import numpy as np
@@ -54,9 +55,31 @@ class TestEmitSvgPlot:
         assert "x&lt;y" in svg
 
 
+def m4(xs, ys):
+    """The indices of the points the plot keeps, point by point: of each run
+    of points in one pixel column ``floor(x)``, all if at most 4, else the
+    first, the last, the first lowest and the first highest ``y`` (nan
+    aside), and every non-finite ``y``."""
+    kept, start = set(), 0
+    for end in range(1, len(xs) + 1):
+        if end < len(xs) and math.floor(xs[end]) == math.floor(xs[start]):
+            continue
+        run = range(start, end)
+        if len(run) <= 4:
+            kept.update(run)
+        else:
+            kept.update({start, end - 1, *(i for i in run if not math.isfinite(ys[i]))})
+            numbers = [i for i in run if not math.isnan(ys[i])]
+            if numbers:
+                kept.update({min(numbers, key=ys.__getitem__), max(numbers, key=ys.__getitem__)})
+        start = end
+    return sorted(kept)
+
+
 def reference_points(times, curves):
     """The per-point formula of the original writer, kept as the byte
-    reference: each curve's polyline points and each axis's (lo, hi)."""
+    reference and applied to the points ``m4`` keeps: each curve's polyline
+    points and each axis's (lo, hi)."""
     times = [float(t) for t in times]
     x0, x1 = times[0], times[-1]
     scales = {}
@@ -67,12 +90,11 @@ def reference_points(times, curves):
             hi = max(max(c.values) for c in members)
             scales[axis] = (lo, hi if hi > lo else lo + 1.0)
     points = []
+    xs = [64 + (t - x0) / (x1 - x0) * 632 for t in times]
     for c in curves:
         lo, hi = scales["right" if c.secondary else "left"]
-        points.append(" ".join(
-            f"{64 + (t - x0) / (x1 - x0) * 632:.2f},{56 + (hi - v) / (hi - lo) * 336:.2f}"
-            for t, v in zip(times, c.values)
-        ))
+        ys = [56 + (hi - v) / (hi - lo) * 336 for v in c.values]
+        points.append(" ".join(f"{xs[i]:.2f},{ys[i]:.2f}" for i in m4(xs, ys)))
     return points, scales
 
 
@@ -96,7 +118,7 @@ def random_curves(rng, n, as_array):
     (np.linspace(0.0, 1.0, 11), lambda as_array: [Curve("negative", -np.linspace(1, 3, 11) if as_array
                                                         else (-np.linspace(1, 3, 11)).tolist(), secondary=True)]),
     # pixels on half cents, where reordering the arithmetic changes the
-    # printed digits of some points
+    # printed digits of some points; 10 points per pixel column, so it thins
     (np.concatenate([[0.0], np.arange(6320) / 10 + 0.005, [632.0]]),
      lambda as_array: [Curve("ties", TIES if as_array else TIES.tolist())]),
 ], ids=["random", "off-grid", "two-points", "constant", "negative-right", "ties"])
@@ -105,8 +127,62 @@ def test_points_and_axes_match_the_per_point_formula(times, curves, as_array):
     svg = emit_svg_plot(times, curves, title="t")
     points, scales = reference_points(times, curves)
     assert re.findall(r'<polyline points="([^"]*)"', svg) == points
+    # a plot of at most 4 points per pixel column keeps them all
+    columns = np.floor(64 + (times - times[0]) / (times[-1] - times[0]) * 632)
+    dense = np.unique(columns, return_counts=True)[1].max() > 4
+    assert all((len(p.split()) < len(times)) == dense for p in points)
     for lo, hi in scales.values():
         for i in range(5):
             assert f">{lo + (hi - lo) * i / 4.0:.6g}</text>" in svg
     assert svg == emit_svg_plot(times.tolist(), [Curve(c.label, list(c.values), c.secondary) for c in curves],
                                 title="t")
+
+
+def polylines(svg):
+    return [points.split() for points in re.findall(r'<polyline points="([^"]*)"', svg)]
+
+
+def test_each_dropped_point_lies_inside_what_its_column_keeps():
+    """A random walk of 10 points per pixel column thins to at most 4 per
+    column, and each point left out lies, in y, within the range of the
+    points its column keeps, and, in x, between its column's first and last
+    kept points."""
+    n = 6321
+    times = np.linspace(0.0, 10.0, n)
+    values = np.cumsum(np.random.default_rng(11).normal(size=n)) + 50.0 * np.sin(times)
+    [points] = polylines(emit_svg_plot(times, [Curve("walk", values)]))
+    x = 64 + (times - 0.0) / 10.0 * 632
+    lo, hi = min(values.min(), 0.0), values.max()
+    y = 56 + (hi - values) / (hi - lo) * 336
+    # the printed x lie 0.1 pixel apart, so each names its point
+    kept = np.rint((np.array([float(p.split(",")[0]) for p in points]) - 64) * 10).astype(int)
+    assert points == [f"{x[i]:.2f},{y[i]:.2f}" for i in kept]
+    assert kept[0] == 0 and kept[-1] == n - 1 and (np.diff(kept) > 0).all()
+    columns = np.floor(x)
+    for column in np.unique(columns):
+        members = np.flatnonzero(columns == column)
+        ours = np.intersect1d(members, kept)
+        assert min(len(members), 2) <= len(ours) <= 4
+        dropped = np.setdiff1d(members, ours)
+        assert ((y[dropped] >= y[ours].min()) & (y[dropped] <= y[ours].max())).all()
+        assert ((dropped > ours[0]) & (dropped < ours[-1])).all()
+    assert len(kept) < n / 2
+
+
+def test_a_non_finite_value_is_never_thinned_away():
+    """A nan on an axis makes that axis's every y nan, and all those points
+    stay; a -inf value turns its own point's y nan (and every other y the axis
+    top), and those two points stay while the flat rest thins."""
+    n = 6321  # 10 points per pixel column
+    times = np.linspace(0.0, 1.0, n)
+    x = [f"{64 + t * 632:.2f}" for t in times.tolist()]
+    values = np.sin(np.arange(n) / 50.0)
+    with_nan, with_minus_inf = values.copy(), values.copy()
+    with_nan[17] = math.nan
+    with_minus_inf[[17, 3000]] = -math.inf
+    with np.errstate(invalid="ignore"):  # -inf makes the axis span inf, and inf / inf is nan
+        svg = emit_svg_plot(times, [Curve("-inf", with_minus_inf), Curve("nan", with_nan, secondary=True)])
+    minus_inf, nan = polylines(svg)
+    assert nan == [f"{px},nan" for px in x]
+    assert [p for p in minus_inf if not p.endswith(",56.00")] == [f"{x[17]},nan", f"{x[3000]},nan"]
+    assert len(minus_inf) < n / 2
