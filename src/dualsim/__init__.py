@@ -4,9 +4,10 @@ to decide whether they agree.
 Tumour growth laws and the Kuznetsov tumour-effector system run both as
 deterministic stock-and-flow ODE integrations and as stochastic discrete
 birth-death processes (exact event simulation or tau-leaping).  Each
-model's rates are defined once, by its channel table: the stochastic kernels
-evaluate the table, and the ODE is the table's drift, which the RK4 kernels
-hand-write per model and tests tie to the table.  Grid-aligned comparisons
+model's rates are defined once, by the channel table it builds (its
+``channels``, a ``ChannelSet``): the stochastic kernels evaluate the table,
+and the ODE is the table's drift, which the RK4 kernels hand-write per model
+and tests tie to the table.  Grid-aligned comparisons
 with a rank-sum test quantify paradigm agreement, including the
 discrete-extinction divergence and the extinction-floor fixes that
 reconcile it.
@@ -23,6 +24,7 @@ from .errors import (
 from .kernels import BACKEND_NAME
 from .models import (
     GROWTH_LAWS,
+    ChannelSet,
     GrowthLaw,
     KuznetsovParams,
     PopulationState,
@@ -32,13 +34,10 @@ from .models import (
 from .sds import integrate
 from .ssa import (
     POPULATION_CAP,
-    ChannelSet,
     Ensemble,
     EnsembleSpec,
     Floors,
     RatePolicy,
-    growth_channels,
-    kuznetsov_channels,
     run_ensemble,
     simulate_exact,
     simulate_tau_leap,

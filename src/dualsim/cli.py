@@ -34,14 +34,7 @@ import numpy as np
 
 from . import __version__, kernels, stats
 from .errors import ConfigError, EngineError
-from .models import (
-    GROWTH_LAWS,
-    GrowthLaw,
-    KuznetsovParams,
-    PopulationState,
-    experiment_one_law,
-    scenario_preset,
-)
+from .models import GROWTH_LAWS, GrowthLaw, PopulationState, experiment_one_law, scenario_preset
 from .plotting import Curve, emit_svg_plot
 from .sds import integrate
 from .ssa import (
@@ -50,8 +43,6 @@ from .ssa import (
     Floors,
     RatePolicy,
     _check_steps,
-    growth_channels,
-    kuznetsov_channels,
     run_ensemble,
 )
 
@@ -165,7 +156,7 @@ class RunSpec:
         ensemble = None
         if self.paradigm != "sds":
             ensemble = EnsembleSpec(
-                channels=kuznetsov_channels(model) if self.model == "kuznetsov" else growth_channels(model),
+                channels=model.channels,
                 initial=initial,
                 t_end=self.t_end,
                 policy=RatePolicy(self.policy),

@@ -37,7 +37,7 @@ status 1 at the last grid time reached when a component passes ``blowup``
 or is nan, and clamps small negative residues to 0.
 
 Table format.  The one model input of ``ssa``, ``ssa_frozen`` and
-``tau_leap`` is a channel table (``ssa.ChannelSet.table``, which refuses
+``tau_leap`` is a channel table (``models.ChannelSet.table``, which refuses
 any table a kernel would): a sequence of at most ``MAX_CHANNELS`` (16)
 tuples ``(code, c, e, g, dT, dE)``, one per channel, read by ``table_read``
 in C and ``_table`` in Python.  A malformed table raises TypeError; more

@@ -14,7 +14,7 @@ this backend:
   backends return the same rows for a seed;
 - the loops are written for speed under CPython: bound locals, flat floats,
   no per-event allocation beyond the output samples;
-- where Python's scalar arithmetic raises (a rate's division by 0, or
+- where Python's scalar arithmetic raises (a division by 0, or
   ``math.pow`` off its domain or range), ``_ieee`` gives C's inf or nan;
 - ``write_rows`` maps ``repr`` over each replicate's columns and hands
   ``write`` one piece per replicate; like the C twin it is kept out of
@@ -69,6 +69,12 @@ def _doubles(*xs):
         if isinstance(x, (str, bytes, bytearray)):
             raise TypeError(f"must be real number, not {type(x).__name__}")
     return map(float, xs)
+
+
+def _ints(fmt, *xs):
+    """``xs`` as ints, as the compiled kernels parse each integer argument ("i"
+    or "l", ``fmt``): TypeError without ``__index__``, OverflowError out of range."""
+    return array(fmt, map(index, xs))
 
 
 def _recorder(grid, a: float, b: float):
@@ -188,6 +194,7 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
 def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, grid, blowup, /):
     """Integrate a one-equation growth law with the shared stepper ``_rk4``.
     Returns (rows, status), (t, T, 0) rows."""
+    kind, = _ints("i", kind)
     a, b, alpha, beta, T0, dt, t_end, blowup = _doubles(a, b, alpha, beta, T0, dt, t_end, blowup)
     ea = alpha + 1.0
     eb = beta + 1.0
@@ -208,7 +215,8 @@ def rk4_kuznetsov(a, b, g, m, n, p, d, s, T0, E0, dt, t_end, grid, blowup, /):
                                                                  blowup)
 
     def f(T, E):
-        return a * T * (1.0 - b * T) - n * T * E, p * T * E / (g + T) - m * T * E - d * E + s
+        mm = p * T * E / (g + T) if g + T else _ieee(np.divide, p * T * E, g + T)  # C's nan or inf at g + T == 0
+        return a * T * (1.0 - b * T) - n * T * E, mm - m * T * E - d * E + s
     return _rk4(f, T0, E0, dt, t_end, grid, blowup)
 
 
@@ -227,7 +235,7 @@ def _table(table):
     for row in rows:
         if not (isinstance(row, tuple) and len(row) == 6 and all(isinstance(x, Real) for x in row)):
             raise TypeError("a channel row must be a tuple of six numbers (code, c, e, g, dT, dE)")
-        if index(row[0]) not in (0, 1, 2, 3, 4, 5):
+        if _ints("l", row[0])[0] not in (0, 1, 2, 3, 4, 5):  # C reads a code as a long
             raise ValueError(f"unknown rate-law code {row[0]}")
     return tuple((index(row[0]), *map(float, row[1:])) for row in rows)
 
@@ -313,8 +321,9 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
     contributes rate 0.  Returns (rows, status), (t, T, E) rows per event or
     held on ``grid``.
     """
-    table = _table(table)
     T, E, t_end, floor_t, floor_e, cap = _doubles(T0, E0, t_end, floor_t, floor_e, cap)
+    max_events, = _ints("l", max_events)
+    table = _table(table)
     rr = _rng(seed)
     log = math.log
     nch = len(table)
@@ -365,8 +374,9 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
     channel stays live.  Returns (rows, status), (t, T, 0) rows per event or
     held on ``grid``.
     """
-    rows = _table(table)
     T, t_end, floor_t, cap = _doubles(T0, t_end, floor_t, cap)
+    max_events, = _ints("l", max_events)
+    rows = _table(table)
     if not (len(rows) == 2 and rows[0][0] == 1 and rows[0][4:] == (1, 0)
             and rows[1][0] in (1, 2) and rows[1][4:] == (-1, 0)):
         raise ValueError("ssa_frozen needs a birth-death table")
@@ -454,8 +464,8 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
     """Fixed-step leaping: each channel fires Poisson(rate*dt) times per step,
     deltas apply simultaneously, components below their floor clamp to it.
     Returns (rows, status), (t, T, E) rows per leap or held on ``grid``."""
-    table = _table(table)
     T, E, t_end, dt, floor_t, floor_e, cap = _doubles(T0, E0, t_end, dt, floor_t, floor_e, cap)
+    table = _table(table)
     rr = _rng(seed)
     rates = [0.0] * len(table)
     t = 0.0

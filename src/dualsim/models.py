@@ -1,4 +1,4 @@
-"""Model definitions: parameters, presets and their validation.
+"""Model definitions: parameters, presets, validation and channel tables.
 
 Two model families are supported:
 
@@ -16,24 +16,27 @@ Two model families are supported:
   influx s; scenario 4 has s = 0).
 
 Everything here is immutable.  The rates are defined once, by the channel
-table each model compiles to (``ssa.growth_channels``,
-``ssa.kuznetsov_channels``): a checked ``ssa.ChannelSet(table, species)`` of
-``(code, c, e, g, dT, dE)`` rows.  The stochastic kernels evaluate that
-table, and the ODE is its drift, dX/dt = sum_k delta_k * r_k(X).  The RK4
-kernels carry the drift of each model as a hand-written derivative for
-speed; tests tie each backend's derivatives to the table.  A stochastic
-model needs no kernel code: any table of the six rate laws runs, a power
-law with other exponents among them.
+table each model builds, its ``channels``: a checked :class:`ChannelSet` of
+``(code, c, e, g, dT, dE)`` rows over the model's ``species``.  The
+stochastic kernels evaluate that table, and the ODE is its drift,
+dX/dt = sum_k delta_k * r_k(X).  The RK4 kernels carry the drift of each
+model as a hand-written derivative for speed; tests tie each backend's
+derivatives to the table.  A stochastic model needs no kernel code: any
+table of the six rate laws runs, a power law with other exponents among
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
+from . import kernels
 from .errors import ModelDomainError, UnknownScenarioError
 
 __all__ = [
+    "ChannelSet",
     "GROWTH_LAWS",
     "GrowthLaw",
     "KuznetsovParams",
@@ -57,6 +60,47 @@ def _finite(v) -> bool:
 
 
 @dataclass(frozen=True)
+class ChannelSet:
+    """A model's event channels: the one model definition every stochastic
+    kernel runs.  ``table`` holds one ``(code, c, e, g, dT, dE)`` row per
+    channel, a ``kernels.R_*`` rate law and the integer jump it applies to
+    (T, E), for the one or two populations named by ``species``.  The table,
+    of at most ``kernels.MAX_CHANNELS`` rows, and every row are checked when
+    the set is built; a one-species row neither reads nor changes E."""
+
+    table: tuple[tuple[int, float, float, float, int, int], ...]
+    species: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        table = tuple(self.table)
+        if not 1 <= len(table) <= kernels.MAX_CHANNELS or len(self.species) not in (1, 2):
+            raise ModelDomainError(f"a channel set needs at least one channel, at most {kernels.MAX_CHANNELS} "
+                                   f"channels and one or two species, got {len(table)} channels for {self.species!r}")
+        for row in table:
+            if not (isinstance(row, tuple) and len(row) == 6 and all(isinstance(x, Real) for x in row)):
+                raise ModelDomainError(f"a channel row is a tuple of six numbers (code, c, e, g, dT, dE), "
+                                       f"got {row!r}")
+            code, c, e, g, dT, dE = row
+            if any(isinstance(x, Integral) and not _finite(x) for x in row[1:]):  # the kernels read them as doubles
+                raise ModelDomainError(f"a channel row's numbers must fit in a double, got {row!r}")
+            if not (isinstance(code, Integral) and kernels.R_CONST <= code <= kernels.R_MM_TE):
+                raise ModelDomainError(f"unknown rate-law code {code!r}")
+            if not _finite(c) or c < 0:
+                raise ModelDomainError(f"rate coefficient must be finite and >= 0, got {c!r}")
+            if not (_finite(e) and _finite(g)):
+                raise ModelDomainError(f"rate exponent and saturation must be finite, got e={e!r}, g={g!r}")
+            if code == kernels.R_MM_TE and g <= 0:
+                raise ModelDomainError("saturating rate needs g > 0")
+            if code == kernels.R_POW_T and e < 0:  # c*T**e would be infinite at T = 0
+                raise ModelDomainError(f"power-law rate needs e >= 0, got e={e!r}")
+            if not (isinstance(dT, Integral) and isinstance(dE, Integral)):
+                raise ModelDomainError(f"channel jumps must be integers, got ({dT!r}, {dE!r})")
+            if len(self.species) == 1 and (code in (kernels.R_LIN_E, kernels.R_MASS_TE, kernels.R_MM_TE) or dE):
+                raise ModelDomainError(f"a one-species channel neither reads nor changes E, got {row!r}")
+        object.__setattr__(self, "table", table)
+
+
+@dataclass(frozen=True)
 class GrowthLaw:
     """A one-equation tumour growth law: its ``kind`` (a name in
     ``GROWTH_LAWS``) and its rates ``a`` and ``b``, finite and > 0.
@@ -67,6 +111,7 @@ class GrowthLaw:
     d(T) = b*ln(T), and takes any positive pair.
     """
 
+    species = ("tumour",)  # unannotated, so not a field
     kind: str
     a: float
     b: float
@@ -84,6 +129,17 @@ class GrowthLaw:
         """The per-capita exponents (alpha, beta) of a power law; None for Gompertz."""
         return GROWTH_LAWS[self.kind]
 
+    @property
+    def channels(self) -> ChannelSet:
+        """The law's two channels, of total rates T*p(T) (birth) and T*d(T) (death)."""
+        if self.exponents is None:  # Gompertz: birth a*T, death b*T*ln(T)
+            table = ((kernels.R_POW_T, self.a, 1.0, 0.0, 1, 0), (kernels.R_TLOGT, self.b, 0.0, 0.0, -1, 0))
+        else:  # birth a*T**(alpha+1), death b*T**(beta+1)
+            alpha, beta = self.exponents
+            table = ((kernels.R_POW_T, self.a, alpha + 1.0, 0.0, 1, 0),
+                     (kernels.R_POW_T, self.b, beta + 1.0, 0.0, -1, 0))
+        return ChannelSet(table, self.species)
+
 
 @dataclass(frozen=True)
 class KuznetsovParams:
@@ -93,6 +149,7 @@ class KuznetsovParams:
     m, n are per cell per day; s is cells per day.
     """
 
+    species = ("tumour", "effector")  # unannotated, so not a field
     a: float
     b: float
     g: float
@@ -109,6 +166,20 @@ class KuznetsovParams:
                 raise ModelDomainError(f"KuznetsovParams.{name} must be finite and >= 0, got {v!r}")
         if self.g <= 0:
             raise ModelDomainError(f"KuznetsovParams.g must be > 0 (it divides), got {self.g}")
+
+    @property
+    def channels(self) -> ChannelSet:
+        """The system's seven channels."""
+        a, b, g, m, n, p, d, s = self.a, self.b, self.g, self.m, self.n, self.p, self.d, self.s
+        return ChannelSet((
+            (kernels.R_POW_T, a, 1.0, 0.0, 1, 0),  # tumour birth a*T
+            (kernels.R_POW_T, a * b, 2.0, 0.0, -1, 0),  # tumour intrinsic death a*b*T**2
+            (kernels.R_MASS_TE, n, 0.0, 0.0, -1, 0),  # tumour kill n*T*E
+            (kernels.R_MM_TE, p, 0.0, g, 0, 1),  # effector proliferation p*T*E/(g+T)
+            (kernels.R_MASS_TE, m, 0.0, 0.0, 0, -1),  # effector interaction death m*T*E
+            (kernels.R_LIN_E, d, 0.0, 0.0, 0, -1),  # effector apoptosis d*E
+            (kernels.R_CONST, s, 0.0, 0.0, 0, 1),  # effector influx s
+        ), self.species)
 
 
 # Constants shared by all four scenario presets.

@@ -46,8 +46,7 @@ def integrate(
     grid = _check_grid(grid, t_end)
     if not isinstance(model, (GrowthLaw, KuznetsovParams)):
         raise ConfigError(f"unsupported model type {type(model).__name__}")
-    species = ("tumour",) if isinstance(model, GrowthLaw) else ("tumour", "effector")
-    _check_start(initial, species)
+    _check_start(initial, model.species)
     if isinstance(model, GrowthLaw):
         alpha, beta = model.exponents or (0.0, 0.0)  # Gompertz, kernel kind 1, has none
         rows, status = kernels.rk4_growth(
@@ -66,8 +65,8 @@ def integrate(
     rows = np.asarray(rows)
     return Trajectory(
         times=rows[:, 0],
-        states=rows[:, 1:1 + len(species)],
-        species=species,
+        states=rows[:, 1:1 + len(model.species)],
+        species=model.species,
         termination=termination,
         paradigm=Paradigm.SDS,
     )

@@ -6,18 +6,18 @@ beyond being alive (plus, under the frozen-at-birth policy, a death rate
 remembered from creation), so cohort counts are distribution-equivalent to
 one object per agent and scale far better.
 
-Models compile to a :class:`ChannelSet`: the kernels' channel table, one
+A run is one :class:`EnsembleSpec`, checked when built, of a model's
+``channels`` (a ``models.ChannelSet``): the kernels' channel table, one
 ``(code, c, e, g, dT, dE)`` row of rate law and integer jump per channel,
-checked when the set is built.  A run is one :class:`EnsembleSpec`, also
-checked when built.  ``simulate_exact`` runs it by the Gillespie direct
-method; ``simulate_tau_leap`` is the approximate fixed-step alternative for
-large populations.  ``run_ensemble`` runs replicates on the spec's time
-grid and holds them as one :class:`Ensemble` array.  A run that
-stops with every population at 0 is extinct.  Extinction floors ("keep
-tumour >= 1", "keep both >= 1") are implemented in the exact engine by
-zeroing the rate of any channel whose delta would drop a floored population
-below its floor, which is distributionally equivalent to vetoing and
-redrawing such events.
+and its species, all the engine knows of the model.  ``simulate_exact``
+runs a spec by the Gillespie direct method; ``simulate_tau_leap`` is the
+approximate fixed-step alternative for large populations.  ``run_ensemble``
+runs replicates on the spec's time grid and holds them as one
+:class:`Ensemble` array.  A run that stops with every population at 0 is
+extinct.  Extinction floors ("keep tumour >= 1", "keep both >= 1") are
+implemented in the exact engine by zeroing the rate of any channel whose
+delta would drop a floored population below its floor, which is
+distributionally equivalent to vetoing and redrawing such events.
 """
 
 from __future__ import annotations
@@ -25,23 +25,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, EngineError, ModelDomainError, PopulationCapError
-from .models import GrowthLaw, KuznetsovParams, PopulationState, _finite
+from .errors import ConfigError, EngineError, PopulationCapError
+from .models import ChannelSet, PopulationState, _finite
 from .trajectory import Paradigm, Termination, Trajectory
 
 __all__ = [
-    "ChannelSet",
     "RatePolicy",
     "Floors",
     "Ensemble",
     "EnsembleSpec",
-    "growth_channels",
-    "kuznetsov_channels",
     "simulate_exact",
     "simulate_tau_leap",
     "run_ensemble",
@@ -68,47 +65,6 @@ class RatePolicy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ChannelSet:
-    """A model's event channels: the one model definition every stochastic
-    kernel runs.  ``table`` holds one ``(code, c, e, g, dT, dE)`` row per
-    channel, a ``kernels.R_*`` rate law and the integer jump it applies to
-    (T, E), for the one or two populations named by ``species``.  The table,
-    of at most ``kernels.MAX_CHANNELS`` rows, and every row are checked when
-    the set is built; a one-species row neither reads nor changes E."""
-
-    table: tuple[tuple[int, float, float, float, int, int], ...]
-    species: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        table = tuple(self.table)
-        if not 1 <= len(table) <= kernels.MAX_CHANNELS or len(self.species) not in (1, 2):
-            raise ModelDomainError(f"a channel set needs at least one channel, at most {kernels.MAX_CHANNELS} "
-                                   f"channels and one or two species, got {len(table)} channels for {self.species!r}")
-        for row in table:
-            if not (isinstance(row, tuple) and len(row) == 6 and all(isinstance(x, Real) for x in row)):
-                raise ModelDomainError(f"a channel row is a tuple of six numbers (code, c, e, g, dT, dE), "
-                                       f"got {row!r}")
-            code, c, e, g, dT, dE = row
-            if any(isinstance(x, Integral) and not _finite(x) for x in row[1:]):  # the kernels read them as doubles
-                raise ModelDomainError(f"a channel row's numbers must fit in a double, got {row!r}")
-            if not (isinstance(code, Integral) and kernels.R_CONST <= code <= kernels.R_MM_TE):
-                raise ModelDomainError(f"unknown rate-law code {code!r}")
-            if not _finite(c) or c < 0:
-                raise ModelDomainError(f"rate coefficient must be finite and >= 0, got {c!r}")
-            if not (_finite(e) and _finite(g)):
-                raise ModelDomainError(f"rate exponent and saturation must be finite, got e={e!r}, g={g!r}")
-            if code == kernels.R_MM_TE and g <= 0:
-                raise ModelDomainError("saturating rate needs g > 0")
-            if code == kernels.R_POW_T and e < 0:  # c*T**e would be infinite at T = 0
-                raise ModelDomainError(f"power-law rate needs e >= 0, got e={e!r}")
-            if not (isinstance(dT, Integral) and isinstance(dE, Integral)):
-                raise ModelDomainError(f"channel jumps must be integers, got ({dT!r}, {dE!r})")
-            if len(self.species) == 1 and (code in (kernels.R_LIN_E, kernels.R_MASS_TE, kernels.R_MM_TE) or dE):
-                raise ModelDomainError(f"a one-species channel neither reads nor changes E, got {row!r}")
-        object.__setattr__(self, "table", table)
-
-
-@dataclass(frozen=True)
 class Floors:
     """Extinction floors: 0 = none, 1 = never drop below one individual.
 
@@ -130,37 +86,6 @@ class Floors:
             return table[fix]
         except KeyError:
             raise ConfigError(f"fix must be one of {sorted(table)}, got {fix!r}") from None
-
-
-def growth_channels(law: GrowthLaw) -> ChannelSet:
-    """Compile a one-equation law to its two channels.
-
-    Total birth rate is T*p(T) and total death rate T*d(T): power laws give
-    a*T**(alpha+1) and b*T**(beta+1); Gompertz gives a*T and b*T*ln(T).
-    """
-    if law.exponents is None:  # Gompertz: birth a*T, death b*T*ln(T)
-        table = ((kernels.R_POW_T, law.a, 1.0, 0.0, 1, 0), (kernels.R_TLOGT, law.b, 0.0, 0.0, -1, 0))
-    else:  # birth a*T**(alpha+1), death b*T**(beta+1)
-        alpha, beta = law.exponents
-        table = ((kernels.R_POW_T, law.a, alpha + 1.0, 0.0, 1, 0), (kernels.R_POW_T, law.b, beta + 1.0, 0.0, -1, 0))
-    return ChannelSet(table, ("tumour",))
-
-
-def kuznetsov_channels(params: KuznetsovParams) -> ChannelSet:
-    """Compile the tumour-effector system to its seven channels."""
-    a, b, g, m, n, p, d, s = params.a, params.b, params.g, params.m, params.n, params.p, params.d, params.s
-    return ChannelSet(
-        (
-            (kernels.R_POW_T, a, 1.0, 0.0, 1, 0),  # tumour birth a*T
-            (kernels.R_POW_T, a * b, 2.0, 0.0, -1, 0),  # tumour intrinsic death a*b*T**2
-            (kernels.R_MASS_TE, n, 0.0, 0.0, -1, 0),  # tumour kill n*T*E
-            (kernels.R_MM_TE, p, 0.0, g, 0, 1),  # effector proliferation p*T*E/(g+T)
-            (kernels.R_MASS_TE, m, 0.0, 0.0, 0, -1),  # effector interaction death m*T*E
-            (kernels.R_LIN_E, d, 0.0, 0.0, 0, -1),  # effector apoptosis d*E
-            (kernels.R_CONST, s, 0.0, 0.0, 0, 1),  # effector influx s
-        ),
-        ("tumour", "effector"),
-    )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import math
 from dualsim.errors import ModelDomainError
 from dualsim.kernels import R_POW_T
 from dualsim.models import GrowthLaw
-from dualsim.ssa import ChannelSet
+from dualsim.models import ChannelSet
 
 # Ratios c = a/b used in the one-equation ratio sweep.
 PAPER_RATIOS = (5.0, 2.5, 1.7, 1.25)

@@ -23,8 +23,6 @@ from dualsim.ssa import (
     EnsembleSpec,
     Floors,
     RatePolicy,
-    growth_channels,
-    kuznetsov_channels,
     run_ensemble,
     simulate_exact,
     simulate_tau_leap,
@@ -103,7 +101,7 @@ def test_criterion_3_abs_mean_field_consistency():
 def test_criterion_4_logistic_extinction_effect():
     with criterion(4, "frozen-at-birth extinction exceeds live (c = 1.25)", 30.0):
         law = GrowthLaw("logistic", 1.0, 0.8)
-        cs = growth_channels(law)
+        cs = law.channels
         reps, base_seed, t_end = 500, 42, 20.0
         grid = np.array([0.0, 5.0, t_end])
 
@@ -140,7 +138,7 @@ def test_criterion_5_discrete_extinction_divergence():
         assert T[imin:].max() >= 2.0 * tmin
 
         # absorption is a per-event property: replicate seeds 1..50, no grid
-        spec = EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(100, 10), t_end=100.0)
+        spec = EnsembleSpec(channels=params.channels, initial=PopulationState(100, 10), t_end=100.0)
         reached_and_stayed = 0
         for seed in range(1, 51):
             rep = simulate_exact(spec, seed)
@@ -157,7 +155,7 @@ def test_criterion_6_fix_reconciliation():
         sds = integrate(params, PopulationState(100.0, 10.0),
                         dt=0.001, t_end=100.0, grid=make_grid(100.0, 0.1))
         grid = make_grid(100.0, 1.0)
-        cs = kuznetsov_channels(params)
+        cs = params.channels
 
         def tumour_result(floors):
             ens = run_ensemble(
@@ -236,8 +234,8 @@ def test_criterion_9_blowup_safety():
         assert np.all(np.isfinite(traj.states))
 
         with pytest.raises(PopulationCapError):
-            simulate_tau_leap(EnsembleSpec(growth_channels(law), PopulationState(1), t_end=100.0, dt=0.001),
+            simulate_tau_leap(EnsembleSpec(law.channels, PopulationState(1), t_end=100.0, dt=0.001),
                               seed=7)
         with pytest.raises(PopulationCapError):
-            simulate_tau_leap(EnsembleSpec(growth_channels(GrowthLaw("gompertz", 1.636, 0.002)),
+            simulate_tau_leap(EnsembleSpec(GrowthLaw("gompertz", 1.636, 0.002).channels,
                                            PopulationState(1), t_end=100.0, dt=0.001), seed=7)

@@ -25,7 +25,7 @@ from dualsim.errors import ConfigError
 from dualsim.kernels import _pykernels
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import integrate
-from dualsim.ssa import EnsembleSpec, growth_channels, kuznetsov_channels, run_ensemble, simulate_exact
+from dualsim.ssa import EnsembleSpec, run_ensemble, simulate_exact
 from dualsim.stats import compare, make_grid, sample_on_grid
 from dualsim.trajectory import Paradigm, Termination, Trajectory
 
@@ -289,8 +289,8 @@ def reference_comparison_csv(report):
 
 
 COMPARISON_CASES = [
-    (scenario_preset(4), kuznetsov_channels, (100, 10)),
-    (GrowthLaw("logistic", 1.0, 0.2), growth_channels, (5,)),
+    (scenario_preset(4), (100, 10)),
+    (GrowthLaw("logistic", 1.0, 0.2), (5,)),
 ]
 
 
@@ -323,17 +323,17 @@ class TestCsvWriters:
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["grid", "thirds", "10001-points"])
     def test_ensemble_csv_matches_the_per_cell_formula(self, tmp_path, grid):
-        spec = EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
+        spec = EnsembleSpec(channels=scenario_preset(4).channels,
                             initial=PopulationState(100, 10), t_end=2.0)
         ens = run_ensemble(replace(spec, grid=grid), reps=13, base_seed=5)
         text = render(tmp_path, (["replicate", "time", *ens.species], ens.values, ens.grid))
         assert text == reference_ensemble_csv(spec, 13, 5, grid)
 
-    @pytest.mark.parametrize("model, channels, initial", COMPARISON_CASES, ids=["two-species", "one-species"])
-    def test_comparison_csv_matches_the_per_cell_formula(self, tmp_path, model, channels, initial):
+    @pytest.mark.parametrize("model, initial", COMPARISON_CASES, ids=["two-species", "one-species"])
+    def test_comparison_csv_matches_the_per_cell_formula(self, tmp_path, model, initial):
         sds = integrate(model, PopulationState(*map(float, initial)),
                         dt=0.01, t_end=3.0, grid=make_grid(3.0, 0.1))
-        ens = run_ensemble(EnsembleSpec(channels=channels(model), initial=PopulationState(*initial),
+        ens = run_ensemble(EnsembleSpec(channels=model.channels, initial=PopulationState(*initial),
                                         t_end=3.0, grid=np.arange(0.0, 3.0, 1 / 3)),
                            reps=3, base_seed=2)
         report = compare(sds, ens)

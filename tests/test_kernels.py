@@ -1,5 +1,6 @@
 """Backend consistency: the compiled and pure kernels honor one contract."""
 
+import ctypes
 import math
 import sys
 
@@ -10,7 +11,8 @@ from dualsim import kernels
 from dualsim.errors import EngineError, PopulationCapError
 from dualsim.kernels import _pykernels as pure
 from dualsim.models import PopulationState, experiment_one_law, scenario_preset
-from dualsim.ssa import ChannelSet, EnsembleSpec, growth_channels, kuznetsov_channels, simulate_exact
+from dualsim.models import ChannelSet
+from dualsim.ssa import EnsembleSpec, simulate_exact
 from dualsim.stats import make_grid
 
 try:
@@ -42,7 +44,7 @@ S4_TABLE = (
     (3, 0.3743, 0.0, 0.0, 0, -1),
     (0, 0.0, 0.0, 0.0, 0, 1),
 )
-S2_TABLE = kuznetsov_channels(scenario_preset(2)).table
+S2_TABLE = scenario_preset(2).channels.table
 ONE_SPECIES = birth_death(1.0, 0.05, death_e=2.0)
 DEATH_ONLY = ((1, 1.0, 1.0, 0.0, -1, 0),)
 
@@ -219,7 +221,7 @@ def parity_cases():
     """(kernel, arguments) of the exact-parity matrix."""
     grid = make_grid(10.0, 0.1)
     for scenario in (1, 2, 3, 4):
-        table = kuznetsov_channels(scenario_preset(scenario)).table
+        table = scenario_preset(scenario).channels.table
         for floors in ((0, 0), (1, 0), (1, 1)):
             for seed in (1, 2, 3):
                 yield "ssa", (table, 100, 10, 10.0, seed, *floors, 1e12, 10**8)
@@ -227,7 +229,7 @@ def parity_cases():
                 yield "tau_leap", (table, 100, 10, 10.0, 0.01, seed, *floors, 1e12)
     # rows of rate 0 make consecutive running sums tie: placed first, in the middle and last; a
     # wrong pick of one would jump both populations by 5
-    zero, s4 = (kernels.R_CONST, 0.0, 0.0, 0.0, 5, 5), kuznetsov_channels(scenario_preset(4)).table
+    zero, s4 = (kernels.R_CONST, 0.0, 0.0, 0.0, 5, 5), scenario_preset(4).channels.table
     for table in ((zero, *s4), (*s4[:3], zero, zero, *s4[3:]), (*s4, zero)):
         for floors in ((0, 0), (1, 0)):
             yield "ssa", (table, 100, 10, 10.0, 1, *floors, 1e12, 10**8)
@@ -259,9 +261,12 @@ def parity_cases():
         for floors in ((0, 0), (1, 0)):
             yield "ssa", (table, T0, 10, 10.0, 1, *floors, 1e12, 10**8)
             yield "tau_leap", (table, T0, 10, 10.0, 0.01, 1, *floors, 1e12, grid)
+    # the RK4 twin: a derivative with g + T == 0, nan in C, so the run stops at its first row with status 1
+    yield "rk4_kuznetsov", (1.636, 0.002, 0.0, 0.00311, 1.0, 1.131, 0.3743, 0.0, 0.0, 10.0, 0.01, 1.0,
+                            make_grid(1.0, 0.5), 1e300)
     for kind in ("logistic", "gompertz", "bertalanffy"):
         for c in (5, 2.5, 1.7, 1.25):
-            table = growth_channels(experiment_one_law(kind, c)).table
+            table = experiment_one_law(kind, c).channels.table
             for seed in (1, 2, 3):
                 # von Bertalanffy blows up, so its runs stop on the event budget
                 yield "ssa", (table, 1, 0, 20.0, seed, 0, 0, 1e12, 2000)
@@ -281,7 +286,7 @@ def test_every_kernel_returns_the_same_rows_on_both_backends():
         assert status_p == status_c, (kernel, args[1:])
         assert np.asarray(rows_p).tobytes() == np.asarray(rows_c).tobytes(), (kernel, args[1:])
         statuses.add(status_c)
-    assert statuses == {0, 2, 4, 5}
+    assert statuses == {0, 1, 2, 4, 5}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -291,7 +296,7 @@ def test_tau_leap_draws_nothing_for_a_zero_rate_row(backend, seed):
     stream alone: scenario 4's table leaps alike with its s = 0 influx row
     dropped or with another c = 0 row inserted mid-table."""
     tau = BACKENDS[backend].tau_leap
-    s4 = kuznetsov_channels(scenario_preset(4)).table
+    s4 = scenario_preset(4).channels.table
     zero = (kernels.R_CONST, 0.0, 0.0, 0.0, 5, 5)  # a draw for it would jump both populations by 5
     expected = tau(s4, 100, 10, 10.0, 0.01, seed, 0, 0, 1e12)
     for table in (s4[:-1], (*s4[:3], zero, *s4[3:])):
@@ -419,6 +424,41 @@ def test_a_str_for_a_double_raises_type_error(backend, kernel):
         getattr(BACKENDS[backend], kernel)(*args)
 
 
+# the integer argument of each kernel that has one, its position and the C type the compiled kernel parses it
+# as, with that type's range
+INT_ARGS = {"rk4_growth": (0, ctypes.c_int), "ssa": (8, ctypes.c_long), "ssa_frozen": (6, ctypes.c_long)}
+
+
+def c_range(ctype):
+    """The least and the greatest value of the signed C integer type ``ctype``."""
+    bits = 8 * ctypes.sizeof(ctype)
+    return -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", INT_ARGS)
+def test_integer_arguments_parse_as_c_does(backend, kernel):
+    """Each backend parses every integer argument as C's "i" or "l" does: by
+    ``__index__``, so a float, a str or None is refused with TypeError, and
+    within the C type's range, past which it raises OverflowError."""
+    at, ctype = INT_ARGS[kernel]
+    lo, hi = c_range(ctype)
+
+    def call(value):
+        args = list(KERNEL_ARGS[kernel])
+        args[at] = value
+        return getattr(BACKENDS[backend], kernel)(*args)
+
+    for value in (0.0, 1.0, 10.0, "0", None):
+        with pytest.raises(TypeError):
+            call(value)
+    for value in (lo - 1, hi + 1, 10**30):
+        with pytest.raises(OverflowError):
+            call(value)
+    for value in (lo, hi, True, np.int64(1)):
+        assert call(value)[1] in (kernels.ST_OK, kernels.ST_MAX_EVENTS)
+
+
 # where each stochastic kernel takes its seed
 SEED_AT = {"ssa": 4, "ssa_frozen": 3, "tau_leap": 5}
 
@@ -478,6 +518,12 @@ class TestTableFormat:
     def test_non_table_raises_type_error(self, backend, kernel, table):
         with pytest.raises(TypeError):
             call_with_table(backend, kernel, table)
+
+    def test_a_code_is_read_as_a_c_long(self, backend, kernel):
+        lo, hi = c_range(ctypes.c_long)
+        for code, error in ((6, ValueError), (-1, ValueError), (hi + 1, OverflowError), (lo - 1, OverflowError)):
+            with pytest.raises(error):
+                call_with_table(backend, kernel, ((code, 1.0, 1.0, 0.0, 1, 0), (1, 0.5, 1.0, 0.0, -1, 0)))
 
     def test_any_sequence_of_rows_is_read_alike(self, backend, kernel):
         table = birth_death(1.0, 0.5)

@@ -19,7 +19,7 @@ from dualsim.models import (
     scenario_preset,
 )
 from dualsim.sds import integrate
-from dualsim.ssa import EnsembleSpec, growth_channels, kuznetsov_channels
+from dualsim.ssa import EnsembleSpec
 from dualsim.stats import make_grid
 from reference import PAPER_RATIOS
 
@@ -35,8 +35,7 @@ LAWS = {
 
 def channel_rates(model, T, E=0.0):
     """Each channel's rate at (T, E), from the reference evaluator ``_rates``."""
-    channels = growth_channels(model) if isinstance(model, GrowthLaw) else kuznetsov_channels(model)
-    table = _table(channels.table)
+    table = _table(model.channels.table)
     rates = [0.0] * len(table)
     assert _rates(table, T, E, -math.inf, -math.inf, rates) >= 0.0
     return table, rates
@@ -209,8 +208,8 @@ LOGISTIC = GrowthLaw("logistic", 1.0, 0.2)
     (lambda: make_grid(BIG, 1.0), "needs a finite t_end"),
     (lambda: integrate(LOGISTIC, PopulationState(1.0), dt=0.1, t_end=BIG, grid=[0.0]), "t_end must be finite"),
     (lambda: integrate(LOGISTIC, PopulationState(1.0), dt=BIG, t_end=1.0, grid=[0.0]), "dt must be finite"),
-    (lambda: EnsembleSpec(growth_channels(LOGISTIC), PopulationState(1), t_end=BIG), "t_end must be finite"),
-    (lambda: EnsembleSpec(growth_channels(LOGISTIC), PopulationState(1), t_end=1.0, dt=BIG), "dt must be finite"),
+    (lambda: EnsembleSpec(LOGISTIC.channels, PopulationState(1), t_end=BIG), "t_end must be finite"),
+    (lambda: EnsembleSpec(LOGISTIC.channels, PopulationState(1), t_end=1.0, dt=BIG), "dt must be finite"),
 ], ids=["growth-a", "growth-b", "kuznetsov", "state-T", "state-E", "ratio", "grid", "rk4-t-end", "rk4-dt",
         "ssa-t-end", "tau-dt"])  # ChannelSet's cases are in test_ssa.py
 def test_an_int_too_large_for_a_double_is_refused_as_not_finite(build, message):

@@ -1,4 +1,4 @@
-"""Stochastic engine: channel compilation, exact SSA, tau-leaping, ensembles."""
+"""Stochastic engine: the models' channel sets, exact SSA, tau-leaping, ensembles."""
 
 import math
 import random
@@ -14,16 +14,13 @@ from dualsim.errors import ConfigError, EngineError, ModelDomainError, Populatio
 from dualsim.kernels import R_CONST, R_LIN_E, R_MASS_TE, R_MM_TE, R_POW_T, R_TLOGT
 from dualsim.kernels import _pykernels
 from dualsim.kernels._pykernels import _rates, _table
-from dualsim.models import GrowthLaw, PopulationState, experiment_one_law, scenario_preset
+from dualsim.models import ChannelSet, GrowthLaw, PopulationState, experiment_one_law, scenario_preset
 from dualsim.sds import integrate
 from dualsim.ssa import (
-    ChannelSet,
     Ensemble,
     EnsembleSpec,
     Floors,
     RatePolicy,
-    growth_channels,
-    kuznetsov_channels,
     run_ensemble,
     simulate_exact,
     simulate_tau_leap,
@@ -50,7 +47,7 @@ def channel_rates(cs, T, E=0.0):
 
 class TestChannelCompilation:
     def test_one_equation_has_two_channels(self):
-        cs = growth_channels(GrowthLaw("logistic", 1.0, 0.2))
+        cs = GrowthLaw("logistic", 1.0, 0.2).channels
         assert len(cs.table) == 2
         birth, death = cs.table
         # total rates are T*p(T) and T*d(T)
@@ -58,17 +55,17 @@ class TestChannelCompilation:
         assert birth[4:] == (1, 0) and death[4:] == (-1, 0)
 
     def test_von_bertalanffy_channel_rates(self):
-        cs = growth_channels(GrowthLaw("bertalanffy", 1.0, 0.5))
+        cs = GrowthLaw("bertalanffy", 1.0, 0.5).channels
         assert channel_rates(cs, 8.0) == pytest.approx([8.0 ** (4.0 / 3.0), 0.5 * 8.0])
 
     def test_gompertz_channel_rates(self):
-        cs = growth_channels(GrowthLaw("gompertz", 1.5, 0.3))
+        cs = GrowthLaw("gompertz", 1.5, 0.3).channels
         assert channel_rates(cs, 4.0) == pytest.approx([1.5 * 4.0, 0.3 * 4.0 * math.log(4.0)])
         assert channel_rates(cs, 0.0) == [0.0, 0.0]
 
     def test_kuznetsov_has_exactly_seven_channels(self):
         p = scenario_preset(1)
-        cs = kuznetsov_channels(p)
+        cs = p.channels
         assert len(cs.table) == 7
         T, E = 10.0, 3.0
         expected = [
@@ -85,17 +82,17 @@ class TestChannelCompilation:
             assert row[4:] == delta, k
 
     def test_all_rates_nonnegative_on_integer_states(self):
-        sets = [kuznetsov_channels(scenario_preset(i)) for i in (1, 2, 3, 4)]
-        sets += [growth_channels(GrowthLaw("logistic", 1.0, 0.2)),
-                 growth_channels(GrowthLaw("bertalanffy", 1.0, 0.5)),
-                 growth_channels(GrowthLaw("gompertz", 1.5, 0.3))]
+        sets = [scenario_preset(i).channels for i in (1, 2, 3, 4)]
+        sets += [GrowthLaw("logistic", 1.0, 0.2).channels,
+                 GrowthLaw("bertalanffy", 1.0, 0.5).channels,
+                 GrowthLaw("gompertz", 1.5, 0.3).channels]
         for cs in sets:
             for T in range(0, 30, 7):
                 for E in range(0, 10, 3):
                     assert min(channel_rates(cs, float(T), float(E))) >= 0.0
 
     def test_channel_table_is_built_once_per_set(self):
-        cs = kuznetsov_channels(scenario_preset(4))
+        cs = scenario_preset(4).channels
         assert cs.table is cs.table
         assert cs.table[0] == (R_POW_T, 1.636, 1.0, 0.0, 1, 0)
 
@@ -119,37 +116,39 @@ class TestChannelCompilation:
         ChannelSet(((R_POW_T, 1.0, 0.0, 0.0, 1, 0),), ("tumour",))
 
 
-    # the rows the compilers wrote before the set held its table: pinned in
-    # type and value, so every seeded output stays the same
-    @pytest.mark.parametrize("cs, rows", [
-        (kuznetsov_channels(scenario_preset(1)),
+    # the rows and species each model builds: pinned in type and value, so
+    # every seeded output stays the same
+    @pytest.mark.parametrize("model, species, rows", [
+        (scenario_preset(1), ("tumour", "effector"),
          ((1, 1.636, 1.0, 0.0, 1, 0), (1, 0.0032719999999999997, 2.0, 0.0, -1, 0), (4, 1.0, 0.0, 0.0, -1, 0),
           (5, 1.131, 0.0, 20.19, 0, 1), (4, 0.00311, 0.0, 0.0, 0, -1), (3, 0.1908, 0.0, 0.0, 0, -1),
           (0, 0.318, 0.0, 0.0, 0, 1))),
-        (kuznetsov_channels(scenario_preset(2)),
+        (scenario_preset(2), ("tumour", "effector"),
          ((1, 1.636, 1.0, 0.0, 1, 0), (1, 0.0065439999999999995, 2.0, 0.0, -1, 0), (4, 1.0, 0.0, 0.0, -1, 0),
           (5, 1.131, 0.0, 20.19, 0, 1), (4, 0.00311, 0.0, 0.0, 0, -1), (3, 2.0, 0.0, 0.0, 0, -1),
           (0, 0.318, 0.0, 0.0, 0, 1))),
-        (kuznetsov_channels(scenario_preset(3)),
+        (scenario_preset(3), ("tumour", "effector"),
          ((1, 1.636, 1.0, 0.0, 1, 0), (1, 0.0032719999999999997, 2.0, 0.0, -1, 0), (4, 1.0, 0.0, 0.0, -1, 0),
           (5, 1.131, 0.0, 20.19, 0, 1), (4, 0.00311, 0.0, 0.0, 0, -1), (3, 0.3743, 0.0, 0.0, 0, -1),
           (0, 0.1181, 0.0, 0.0, 0, 1))),
-        (kuznetsov_channels(scenario_preset(4)),
+        (scenario_preset(4), ("tumour", "effector"),
          ((1, 1.636, 1.0, 0.0, 1, 0), (1, 0.0032719999999999997, 2.0, 0.0, -1, 0), (4, 1.0, 0.0, 0.0, -1, 0),
           (5, 1.131, 0.0, 20.19, 0, 1), (4, 0.00311, 0.0, 0.0, 0, -1), (3, 0.3743, 0.0, 0.0, 0, -1),
           (0, 0.0, 0.0, 0.0, 0, 1))),
-        (growth_channels(experiment_one_law("logistic", 2.5)),
+        (experiment_one_law("logistic", 2.5), ("tumour",),
          ((1, 1.0, 1.0, 0.0, 1, 0), (1, 0.4, 2.0, 0.0, -1, 0))),
-        (growth_channels(experiment_one_law("bertalanffy", 2.5)),
+        (experiment_one_law("bertalanffy", 2.5), ("tumour",),
          ((1, 1.0, 1.3333333333333333, 0.0, 1, 0), (1, 0.4, 1.0, 0.0, -1, 0))),
-        (growth_channels(experiment_one_law("gompertz", 2.5)),
+        (experiment_one_law("gompertz", 2.5), ("tumour",),
          ((1, 1.0, 1.0, 0.0, 1, 0), (2, 0.4, 0.0, 0.0, -1, 0))),
     ], ids=["s1", "s2", "s3", "s4", "logistic", "bertalanffy", "gompertz"])
-    def test_compiled_tables_keep_their_rows(self, cs, rows):
+    def test_each_model_builds_its_rows_and_species(self, model, species, rows):
         def typed(table):
             return [[(type(x), x) for x in row] for row in table]
+        cs = model.channels
         assert type(cs.table) is tuple and all(type(row) is tuple for row in cs.table)
         assert typed(cs.table) == typed(rows)
+        assert model.species == cs.species == species
 
     @pytest.mark.parametrize("table, species, match", [
         (((R_POW_T, 1.0, 1.0, 0.0, 1, 0),), ("tumour", "effector", "immune"), "one or two species"),
@@ -218,7 +217,7 @@ class TestSimulateExact:
         assert abs(mean - 1.0) <= 3 * se
 
     def test_absorbing_extinction(self):
-        spec = EnsembleSpec(growth_channels(GrowthLaw("logistic", 1.0, 0.8)), PopulationState(1), t_end=50.0)
+        spec = EnsembleSpec(GrowthLaw("logistic", 1.0, 0.8).channels, PopulationState(1), t_end=50.0)
         for i in range(20):
             traj = simulate_exact(spec, seed=i)
             T = traj.states[:, 0]
@@ -248,28 +247,28 @@ class TestSimulateExact:
         assert np.array_equal(live.states, frozen.states)
 
     def test_frozen_policy_needs_one_equation_law(self):
-        cs = kuznetsov_channels(scenario_preset(1))
+        cs = scenario_preset(1).channels
         with pytest.raises(ConfigError, match="birth-death"):
             EnsembleSpec(cs, PopulationState(10, 2), t_end=1.0, policy=RatePolicy.FROZEN_AT_BIRTH)
         with pytest.raises(ConfigError, match="birth-death"):
             EnsembleSpec(death_only_channels(), PopulationState(10), t_end=1.0, policy=RatePolicy.FROZEN_AT_BIRTH)
 
     def test_tumour_floor_keeps_tumour_alive(self):
-        spec = EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), t_end=60.0,
+        spec = EnsembleSpec(scenario_preset(4).channels, PopulationState(100, 10), t_end=60.0,
                             floors=Floors(1, 0))
         for i in range(10):
             traj = simulate_exact(spec, seed=900 + i)
             assert traj.states[:, 0].min() >= 1.0
 
     def test_both_floors(self):
-        spec = EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), t_end=60.0,
+        spec = EnsembleSpec(scenario_preset(4).channels, PopulationState(100, 10), t_end=60.0,
                             floors=Floors(1, 1))
         traj = simulate_exact(spec, seed=4242)
         assert traj.states[:, 0].min() >= 1.0
         assert traj.states[:, 1].min() >= 1.0
 
     def test_integer_nonnegative_samples(self):
-        traj = simulate_exact(EnsembleSpec(kuznetsov_channels(scenario_preset(2)), PopulationState(50, 5), t_end=5.0),
+        traj = simulate_exact(EnsembleSpec(scenario_preset(2).channels, PopulationState(50, 5), t_end=5.0),
                               seed=77)
         assert np.all(traj.states >= 0)
         assert np.all(traj.states == np.floor(traj.states))
@@ -328,7 +327,7 @@ class TestFloorEquivalence:
     def test_rate_zeroing_matches_veto_and_resample(self):
         # logistic a=1, b=0.5 from two cells with the tumour floored at one
         a, b, T0, t_end, n = 1.0, 0.5, 2, 3.0, 10_000
-        spec = EnsembleSpec(growth_channels(GrowthLaw("logistic", a, b)), PopulationState(T0), t_end=t_end,
+        spec = EnsembleSpec(GrowthLaw("logistic", a, b).channels, PopulationState(T0), t_end=t_end,
                             floors=Floors(1, 0))
         engine = np.array([
             simulate_exact(spec, seed=20_000 + i).states[-1, 0]
@@ -395,7 +394,7 @@ class TestTauLeap:
         assert traj.states[:, 0].min() >= 1.0
 
     def test_frozen_policy_rejected(self):
-        cs = growth_channels(GrowthLaw("logistic", 1.0, 0.2))
+        cs = GrowthLaw("logistic", 1.0, 0.2).channels
         with pytest.raises(ConfigError, match="live rate policy"):
             EnsembleSpec(channels=cs, initial=PopulationState(1), t_end=1.0,
                          policy=RatePolicy.FROZEN_AT_BIRTH, dt=0.01)
@@ -403,13 +402,13 @@ class TestTauLeap:
 
 class TestPopulationCap:
     def test_von_bertalanffy_hits_cap_under_leaping(self):
-        spec = EnsembleSpec(growth_channels(GrowthLaw("bertalanffy", 1.636, 0.002)), PopulationState(1),
+        spec = EnsembleSpec(GrowthLaw("bertalanffy", 1.636, 0.002).channels, PopulationState(1),
                             t_end=100.0, dt=0.001)
         with pytest.raises(PopulationCapError):
             simulate_tau_leap(spec, seed=7)
 
     def test_gompertz_hits_cap_under_leaping(self):
-        spec = EnsembleSpec(growth_channels(GrowthLaw("gompertz", 1.636, 0.002)), PopulationState(1),
+        spec = EnsembleSpec(GrowthLaw("gompertz", 1.636, 0.002).channels, PopulationState(1),
                             t_end=100.0, dt=0.001)
         with pytest.raises(PopulationCapError):
             simulate_tau_leap(spec, seed=7)
@@ -447,7 +446,7 @@ class TestEnsembles:
         # ratio c = 1.25 (a=1, b=0.8) from one cell: many runs die out early,
         # and freezing death rates at birth makes extinction more likely
         law = GrowthLaw("logistic", 1.0, 0.8)
-        cs = growth_channels(law)
+        cs = law.channels
         reps, base = 500, 42
 
         def extinct_fraction(policy):
@@ -464,7 +463,7 @@ class TestEnsembles:
         assert frozen > live
 
     def test_replicate_errors_carry_the_index(self):
-        spec = EnsembleSpec(channels=growth_channels(GrowthLaw("gompertz", 1.636, 0.002)),
+        spec = EnsembleSpec(channels=GrowthLaw("gompertz", 1.636, 0.002).channels,
                             initial=PopulationState(1), t_end=100.0, dt=0.001, grid=make_grid(100.0, 1.0))
         with pytest.raises(PopulationCapError, match=r"replicate 0"):
             run_ensemble(spec, reps=3, base_seed=7)
@@ -492,7 +491,7 @@ class TestEnsembles:
     def test_sds_and_abs_starts_are_refused_alike(self, model, initial):
         with pytest.raises(ConfigError) as sds:
             integrate(model, initial, dt=0.01, t_end=1.0, grid=make_grid(1.0))
-        channels = growth_channels(model) if isinstance(model, GrowthLaw) else kuznetsov_channels(model)
+        channels = model.channels
         with pytest.raises(ConfigError) as abs_:
             EnsembleSpec(channels=channels, initial=initial, t_end=1.0)
         assert str(abs_.value) == str(sds.value)
@@ -520,7 +519,7 @@ class TestEnsembles:
         (death_only_channels(), PopulationState(1), math.nan, RatePolicy.LIVE, Floors()),
         (death_only_channels(), PopulationState(1.5), 1.0, RatePolicy.LIVE, Floors()),
         (death_only_channels(), PopulationState(0), 1.0, RatePolicy.LIVE, Floors(1, 0)),
-        (kuznetsov_channels(scenario_preset(1)), PopulationState(10, 2), 1.0,
+        (scenario_preset(1).channels, PopulationState(10, 2), 1.0,
          RatePolicy.FROZEN_AT_BIRTH, Floors()),
     ], ids=["t-end-0", "t-end-negative", "t-end-nan", "fractional", "below-floor", "frozen-kuznetsov"])
     def test_spec_refuses_a_bad_run_when_built(self, channels, initial, t_end, policy, floors):
@@ -558,7 +557,7 @@ class TestEnsembles:
             assert per_event_replicate(spec, 1).termination is label
 
     def test_dt_selects_tau_leaping(self):
-        channels, initial = kuznetsov_channels(scenario_preset(2)), PopulationState(100, 10)
+        channels, initial = scenario_preset(2).channels, PopulationState(100, 10)
         spec = EnsembleSpec(channels=channels, initial=initial, t_end=5.0, dt=0.01, grid=make_grid(5.0, 0.5))
         ens = run_ensemble(spec, reps=4, base_seed=11)
         for i, row in enumerate(ens.values):
@@ -584,11 +583,11 @@ class TestEnsembles:
         # two species, one species, (exact only) rates frozen at birth and,
         # last, extinction before the grid ends
         cases = [
-            (kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), RatePolicy.LIVE),
+            (scenario_preset(4).channels, PopulationState(100, 10), RatePolicy.LIVE),
             (linear_bd_channels(1.0, 0.8), PopulationState(5), RatePolicy.LIVE),
         ]
         if method == "exact":
-            cases.append((growth_channels(GrowthLaw("logistic", 1.0, 0.2)), PopulationState(3),
+            cases.append((GrowthLaw("logistic", 1.0, 0.2).channels, PopulationState(3),
                           RatePolicy.FROZEN_AT_BIRTH))
         cases.append((death_only_channels(), PopulationState(3), RatePolicy.LIVE))
         grid = make_grid(10.0, 0.5)
@@ -607,11 +606,11 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("channels, initial, t_end, policy, dt, grid, seeds", [
-        (kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), 20.0, RatePolicy.LIVE, None,
+        (scenario_preset(4).channels, PopulationState(100, 10), 20.0, RatePolicy.LIVE, None,
          make_grid(14.0, 7.0), (15, 23)),
-        (kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), 20.0, RatePolicy.LIVE, 0.01,
+        (scenario_preset(4).channels, PopulationState(100, 10), 20.0, RatePolicy.LIVE, 0.01,
          make_grid(14.0, 7.0), (7, 39)),
-        (growth_channels(GrowthLaw("logistic", 1.0, 0.8)), PopulationState(1), 5.0, RatePolicy.FROZEN_AT_BIRTH,
+        (GrowthLaw("logistic", 1.0, 0.8).channels, PopulationState(1), 5.0, RatePolicy.FROZEN_AT_BIRTH,
          None, make_grid(4.0, 2.0), (13, 15)),
     ], ids=["exact", "tau", "frozen"])
     def test_a_grid_that_stops_short_is_labelled_by_the_whole_run(self, monkeypatch, backend, channels, initial,
@@ -709,7 +708,7 @@ class TestGridValidation:
     def test_bad_grid_is_refused_before_any_kernel_runs(self, monkeypatch, method, grid, match):
         for name in ("ssa", "ssa_frozen", "tau_leap", "rk4_growth", "rk4_kuznetsov"):
             monkeypatch.setattr(dualsim.kernels, name, _no_kernel)
-        law = growth_channels(GrowthLaw("logistic", 1.0, 0.2))
+        law = GrowthLaw("logistic", 1.0, 0.2).channels
         with pytest.raises(ConfigError, match=match):
             if method == "sds":
                 integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(3.0), dt=0.1, t_end=2.0, grid=grid)
@@ -719,7 +718,7 @@ class TestGridValidation:
                              dt=0.1 if method == "tau" else None, grid=grid)
 
     def test_lists_strided_arrays_and_the_end_tolerance_are_accepted(self):
-        spec = EnsembleSpec(growth_channels(GrowthLaw("logistic", 1.0, 0.2)), PopulationState(3), t_end=2.0)
+        spec = EnsembleSpec(GrowthLaw("logistic", 1.0, 0.2).channels, PopulationState(3), t_end=2.0)
         expected = simulate_exact(replace(spec, grid=np.array([0.0, 1.0, 2.0])), seed=1)
         for grid in ([0, 1, 2], np.arange(0.0, 2.5, 0.5)[::2], np.array([0.0, 1.0, 2.0 + 1e-10])):
             traj = simulate_exact(replace(spec, grid=grid), seed=1)
@@ -739,7 +738,7 @@ class TestGridValidation:
         assert " at t=50 " not in messages[1]
 
     @pytest.mark.parametrize("channels, initial, message", [
-        (kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), "event budget of 1000 exhausted"),
+        (scenario_preset(4).channels, PopulationState(100, 10), "event budget of 1000 exhausted"),
         # 10**400 overflows to inf at T = 10
         (ChannelSet(((R_POW_T, 1.0, 400.0, 0.0, 1, 0), (R_LIN_E, 1.0, 0.0, 0.0, 0, 1)), ("tumour", "effector")),
          PopulationState(10, 7), "infinite or nan"),
@@ -757,7 +756,7 @@ class TestScenarioDiscreteness:
     def test_scenario1_discrete_runs_reach_exact_zero(self):
         # the deterministic tumour only decays asymptotically; the discrete
         # process hits zero and stays there, event by event
-        spec = EnsembleSpec(kuznetsov_channels(scenario_preset(1)), PopulationState(100, 10), t_end=100.0)
+        spec = EnsembleSpec(scenario_preset(1).channels, PopulationState(100, 10), t_end=100.0)
         for seed in range(300, 320):
             rep = simulate_exact(spec, seed)
             T = rep.states[:, 0]
@@ -767,7 +766,7 @@ class TestScenarioDiscreteness:
 
     def test_scenario4_effector_extinction_is_absorbing_without_influx(self):
         # s = 0: once the effectors are gone nothing can replenish them
-        spec = EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(100, 10), t_end=100.0)
+        spec = EnsembleSpec(scenario_preset(4).channels, PopulationState(100, 10), t_end=100.0)
         saw_extinct = 0
         for seed in range(55, 75):
             rep = simulate_exact(spec, seed)
@@ -780,4 +779,4 @@ class TestScenarioDiscreteness:
 
     def test_initial_state_beyond_cap_is_refused(self):
         with pytest.raises(PopulationCapError):
-            EnsembleSpec(kuznetsov_channels(scenario_preset(4)), PopulationState(2e12, 1), t_end=1.0)
+            EnsembleSpec(scenario_preset(4).channels, PopulationState(2e12, 1), t_end=1.0)

@@ -9,13 +9,11 @@ import pytest
 
 from dualsim.errors import ConfigError
 from dualsim.kernels import R_CONST
-from dualsim.models import GrowthLaw, PopulationState, scenario_preset
+from dualsim.models import ChannelSet, GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import integrate
 from dualsim.ssa import (
-    ChannelSet,
     Ensemble,
     EnsembleSpec,
-    kuznetsov_channels,
     run_ensemble,
     simulate_exact,
 )
@@ -167,7 +165,7 @@ def held_ensemble(grid, rows, species=("tumour",)):
 
 
 def kuznetsov_spec(t_end, grid=None):
-    return EnsembleSpec(channels=kuznetsov_channels(scenario_preset(4)),
+    return EnsembleSpec(channels=scenario_preset(4).channels,
                         initial=PopulationState(100, 10), t_end=t_end, grid=grid)
 
 
@@ -369,7 +367,7 @@ class TestCompare:
                              dt=0.01, t_end=20.0, grid=make_grid(20.0, 0.1))
         grid = make_grid(20.0, 1.0)
         ens = run_ensemble(
-            EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(100, 10), t_end=20.0,
+            EnsembleSpec(channels=params.channels, initial=PopulationState(100, 10), t_end=20.0,
                          grid=grid),
             reps=5, base_seed=9,
         )
@@ -401,7 +399,7 @@ class TestCompare:
                              dt=0.01, t_end=5.0, grid=make_grid(5.0, 0.5))
         params = scenario_preset(1)
         ens = run_ensemble(
-            EnsembleSpec(channels=kuznetsov_channels(params), initial=PopulationState(5, 1), t_end=5.0,
+            EnsembleSpec(channels=params.channels, initial=PopulationState(5, 1), t_end=5.0,
                          grid=make_grid(5.0, 1.0)),
             reps=2, base_seed=0,
         )
