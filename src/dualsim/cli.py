@@ -26,6 +26,7 @@ import errno
 import json
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -313,21 +314,57 @@ def _write_outputs(out_dir: str, outputs: dict[str, str | tuple]) -> list[Path]:
     return paths
 
 
+def _beside_ensemble(sds, spec: RunSpec) -> tuple:
+    """``(sds(), ensemble)``: ``sds`` runs on a helper thread while this one
+    runs the ensemble of ``spec``.  They share no state, and the compiled
+    RK4 kernels release the GIL, so on the C build the SDS takes no wall
+    time of its own.  The helper is always joined, and an error of ``sds``
+    is raised before one of the ensemble, as if ``sds`` had run first."""
+    done = []
+
+    def run_sds():
+        try:
+            done.append(sds())
+        except BaseException as exc:  # raised again below, in this thread
+            done.append(exc)
+
+    helper = threading.Thread(target=run_sds)
+    helper.start()
+    try:
+        ens = run_ensemble(spec.plan[3], reps=spec.reps, base_seed=spec.seed)
+    finally:
+        helper.join()
+        if isinstance(done[0], BaseException):
+            raise done[0]
+    return done[0], ens
+
+
 def cmd_run(spec: RunSpec) -> list[Path]:
     """Execute the requested paradigm(s) and write trajectory CSVs, an
-    optional SVG plot, and the manifest.  The simulations run before anything
-    is written; each CSV is formatted while it is written to its ``.tmp``
-    file, and nothing moves into place until every output is complete, so
-    failures leave no partial files.  A plot leaves out an SDS that stopped
-    before the grid's end, with a note on stderr; with nothing else to plot,
-    no plot is written."""
+    optional SVG plot, and the manifest.  With both paradigms the SDS runs
+    on a helper thread beside the ensemble, and an error of the SDS is
+    raised before one of the ensemble.  The simulations run before
+    anything is written; each CSV is formatted while it is written to its
+    ``.tmp`` file, and nothing moves into place until every output is
+    complete, so failures leave no partial files.  A plot leaves out an SDS
+    that stopped before the grid's end, with a note on stderr; with nothing
+    else to plot, no plot is written."""
     model, initial, grid, ensemble = spec.plan
     outputs: dict[str, str | tuple] = {}
     results: dict = {}
     plot_curves: list[Curve] = []
 
-    if spec.paradigm in ("sds", "both"):
-        traj = integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=_sds_times(spec))
+    def sds():
+        return integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=_sds_times(spec))
+
+    if spec.paradigm == "both":
+        traj, ens = _beside_ensemble(sds, spec)
+    elif spec.paradigm == "sds":
+        traj, ens = sds(), None
+    else:
+        traj, ens = None, run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed)
+
+    if traj is not None:
         outputs["sds.csv"] = (["time", *traj.species], traj.states, traj.times)
         results["sds_termination"] = traj.termination.value
         if spec.plot and traj.end_time >= grid[-1]:
@@ -337,8 +374,7 @@ def cmd_run(spec: RunSpec) -> list[Path]:
             print(f"note: the SDS ended early ({traj.termination.value} at t={traj.end_time:g}), so "
                   + ("plot.svg leaves it out" if ensemble is not None else "no plot.svg is written"),
                   file=sys.stderr)
-    if ensemble is not None:
-        ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed)
+    if ens is not None:
         outputs["abs_ensemble.csv"] = (["replicate", "time", *ens.species], ens.values, ens.grid)
         results["abs_terminations"] = sorted({t.value for t in ens.terminations})
         if spec.plot:
@@ -360,16 +396,23 @@ def _require_both(paradigm) -> None:
 def cmd_compare(spec: RunSpec) -> list[Path]:
     """Run the deterministic trajectory and the stochastic ensemble, test
     their agreement per population, and write report.json, comparison.csv,
-    comparison.svg and the manifest."""
+    comparison.svg and the manifest.  The SDS runs on a helper thread beside
+    the ensemble.  An SDS that ends before the grid's end is an engine
+    error; it and any other error of the SDS are raised before one of the
+    ensemble, but only once the ensemble has run as well."""
     _require_both(spec.paradigm)
-    model, initial, grid, ensemble = spec.plan
-    traj = integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=grid)
-    if traj.end_time < grid[-1]:
-        raise EngineError(
-            f"deterministic run terminated early ({traj.termination.value} at t={traj.end_time:g}); "
-            "cannot compare on the requested grid"
-        )
-    ens = run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed)
+    model, initial, grid, _ = spec.plan
+
+    def sds():
+        traj = integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=grid)
+        if traj.end_time < grid[-1]:
+            raise EngineError(
+                f"deterministic run terminated early ({traj.termination.value} at t={traj.end_time:g}); "
+                "cannot compare on the requested grid"
+            )
+        return traj
+
+    traj, ens = _beside_ensemble(sds, spec)
     report = stats.compare(traj, ens, alpha=spec.alpha)
 
     doc = report.to_dict()

@@ -34,7 +34,22 @@ Python) integrates over the state (T, E) to ``t_end``.  It cuts its steps
 of ``dt`` to land on each time of ``grid``, where it records one row, halves
 a step that would undershoot zero (status 6 after 40 halvings), stops with
 status 1 at the last grid time reached when a component passes ``blowup``
-or is nan, and clamps small negative residues to 0.
+or is nan, and clamps small negative residues to 0.  Its domain, so that
+every call ends: ``dt`` finite and > 0, ``t_end`` finite and >= 0, and
+``t_end / dt`` at most 5e7, the step cap of ``ssa._check_steps``; outside
+it both kernels raise ``ValueError("need a finite dt > 0 and a finite
+t_end >= 0, with t_end / dt at most 5e7")`` before they read the grid.
+``rk4_growth`` raises ``ValueError("kind must be 0 (power law) or 1
+(Gompertz)")`` for any other ``kind``.  Two ways to crawl stay open within
+it: a drift below zero at a zero population (``rk4_kuznetsov`` with s < 0
+at E = 0) accepts steps short enough to undershoot by at most 1e-12, and a
+grid time past ``t_end`` is stepped to like any other, so one of inf never
+ends.
+
+Threads.  The compiled RK4 kernels release the GIL while they step, so
+another thread runs Python, or a stochastic kernel, beside them (the CLI
+runs the SDS beside the ensemble).  The stochastic kernels and
+``write_rows`` hold it, as does every pure-Python kernel.
 
 Table format.  The one model input of ``ssa``, ``ssa_frozen`` and
 ``tau_leap`` is a channel table (``models.ChannelSet.table``, which refuses

@@ -6,8 +6,10 @@
  * in the docstring of the ``dualsim.kernels`` package.  What is particular
  * to this backend:
  *
- * - result rows view one ``bytearray``, built by ``rec_finish``; it and
- *   ``rec_push`` alone know whether a run records per event or on a grid;
+ * - result rows view one ``bytearray``, returned by ``rec_finish``; it,
+ *   ``rec_init`` and ``rec_push`` alone know whether a run records per event
+ *   or on a grid.  On a grid the rows are written straight into the
+ *   bytearray, sized by the grid, so that no second copy is made;
  * - ``rng_next`` steps the SFC64 state that ``rng_seed`` fills with
  *   splitmix64 outputs: the stream ``_pykernels._rng`` draws through numpy,
  *   so both backends return the same rows for a seed;
@@ -41,6 +43,7 @@
 #define REL_UNDERSHOOT_TOL 1e-12
 #define MAX_HALVINGS 40
 #define MAX_CHANNELS 16
+#define MAX_STEPS 5e7 /* ssa.DEFAULT_MAX_EVENTS, the step cap of ssa._check_steps */
 
 /* ---- RNG: splitmix64 -> SFC64 ------------------------------------------ */
 
@@ -107,7 +110,8 @@ static double rng_poisson(Rng *r, double lam)
 typedef struct {
     int oom;
     Py_ssize_t n, cap;
-    double *rows; /* n rows of (t, T, E) */
+    double *rows; /* n rows of (t, T, E): PyMem, or in grid mode the buffer of ``bytes`` */
+    PyObject *bytes;
     /* grid mode: the grid (grid.obj is NULL without one) and the last
      * sample pushed, which rows n.. will hold until a later sample passes
      * their grid time */
@@ -117,9 +121,11 @@ typedef struct {
 
 static void rec_free(Rec *rec)
 {
-    PyMem_Free(rec->rows);
-    if (rec->grid.obj != NULL)
+    if (rec->grid.obj != NULL) {
+        Py_XDECREF(rec->bytes);
         PyBuffer_Release(&rec->grid);
+    } else
+        PyMem_Free(rec->rows);
 }
 
 /* Appends one sample or, in grid mode, gives every unfilled grid point
@@ -157,7 +163,7 @@ static inline void rec_push(Rec *rec, double t, double a, double b)
  * ``grid`` is not None: the one check of a kernel's grid. */
 static int rec_init(Rec *rec, PyObject *grid, double a, double b)
 {
-    *rec = (Rec){0, 0, 4096, NULL, {NULL}, {0.0, a, b}};
+    *rec = (Rec){0, 0, 4096, NULL, NULL, {NULL}, {0.0, a, b}};
     if (grid != NULL && grid != Py_None) {
         if (PyObject_GetBuffer(grid, &rec->grid, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0 ||
             rec->grid.ndim != 1 || strcmp(rec->grid.format, "d") != 0 ||
@@ -167,9 +173,13 @@ static int rec_init(Rec *rec, PyObject *grid, double a, double b)
             return -1;
         }
         rec->cap = rec->grid.shape[0];
-    }
-    if ((rec->rows = PyMem_Malloc(3 * rec->cap * sizeof(double))) == NULL) {
-        rec_free(rec);
+        rec->bytes = PyByteArray_FromStringAndSize(NULL, 3 * rec->cap * sizeof(double));
+        if (rec->bytes == NULL) {
+            rec_free(rec);
+            return -1;
+        }
+        rec->rows = (double *)PyByteArray_AS_STRING(rec->bytes);
+    } else if ((rec->rows = PyMem_Malloc(3 * rec->cap * sizeof(double))) == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -190,20 +200,25 @@ static int stop_status(Rec *rec, double R, double t, double t_end, double a, dou
 }
 
 /* Frees the rows and returns (rows, status), ``rows`` an (n, 3) memoryview
- * of doubles over one new bytearray, or NULL with an exception set when
- * ``status`` is negative or the result cannot be built. */
+ * of doubles over one bytearray (the grid mode's own, cut to n rows), or
+ * NULL with an exception set when ``status`` is negative or the result
+ * cannot be built. */
 static PyObject *rec_finish(Rec *rec, int status)
 {
     PyObject *rows = NULL;
     if (rec->grid.obj != NULL)
         for (; rec->n < rec->cap; rec->n++)
             memcpy(rec->rows + 3 * rec->n, rec->held, sizeof rec->held);
+    Py_ssize_t size = 3 * rec->n * sizeof(double);
     if (rec->oom)
         PyErr_NoMemory();
     else if (status >= 0) {
         /* memoryview(bytearray(rows)).cast("d", (n, 3)) */
-        PyObject *bytes = PyByteArray_FromStringAndSize((const char *)rec->rows,
-                                                        3 * rec->n * sizeof(double));
+        PyObject *bytes = rec->bytes != NULL ? rec->bytes
+                                             : PyByteArray_FromStringAndSize((const char *)rec->rows, size);
+        rec->bytes = NULL;
+        if (bytes != NULL && PyByteArray_Resize(bytes, size) < 0)
+            Py_CLEAR(bytes);
         PyObject *view = bytes == NULL ? NULL : PyMemoryView_FromObject(bytes);
         if (view != NULL)
             rows = PyObject_CallMethod(view, "cast", "s(nn)", "d", rec->n, (Py_ssize_t)3);
@@ -231,17 +246,24 @@ static inline double powfast(double x, double e)
 /* d(T, E)/dt of one model with parameters ``par``, written to ``dx`` */
 typedef void (*Deriv)(const double *par, const double x[2], double dx[2]);
 
+#define STEP_ERROR "need a finite dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7"
+
 /* The one RK4 stepper.  The state is (T, E); a one-species law keeps E at
- * 0.  It pushes one sample at each grid time it reaches, then steps on to
- * ``t_end``; steps of ``dt`` end exactly on each target.  A step that would
- * undershoot zero by more than a relative 1e-12 is halved locally (at most
- * MAX_HALVINGS times, else status 6), a component beyond ``blowup`` or nan
- * (only overflow makes one) stops the run with status 1, and small negative
- * residues are clamped to 0.  Inlined per model, so ``f`` is a direct call. */
+ * 0.  It refuses a step rule outside the kernels' domain, then pushes one
+ * sample at each grid time it reaches and steps on to ``t_end``; steps of
+ * ``dt`` end exactly on each target.  A step that would undershoot zero by
+ * more than a relative 1e-12 is halved locally (at most MAX_HALVINGS times,
+ * else status 6), a component beyond ``blowup`` or nan (only overflow makes
+ * one) stops the run with status 1, and small negative residues are clamped
+ * to 0.  The stepping loop runs without the GIL: in grid mode ``rec_push``
+ * only copies doubles into rows already allocated, and the grid is a held
+ * buffer.  Inlined per model, so ``f`` is a direct call. */
 static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double dt, double t_end,
                                 PyObject *grid, double blowup)
 {
     Rec rec;
+    if (!(isfinite(dt) && dt > 0.0 && isfinite(t_end) && t_end >= 0.0 && t_end / dt <= MAX_STEPS))
+        return PyErr_Format(PyExc_ValueError, STEP_ERROR);
     if (grid == Py_None) /* which rec_init takes for "no grid" */
         return PyErr_Format(PyExc_TypeError, GRID_ERROR);
     if (rec_init(&rec, grid, x[0], x[1]) < 0)
@@ -250,6 +272,8 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
     Py_ssize_t npoints = rec.cap;
     double t = 0.0;
     int status = 0;
+    /* not Py_BEGIN_ALLOW_THREADS: the goto below would skip its end */
+    PyThreadState *unlocked = PyEval_SaveThread();
     for (Py_ssize_t kk = 0; kk <= npoints; kk++) {
         double target = kk < npoints ? points[kk] : t_end;
         while (t < target - 1e-12) {
@@ -288,6 +312,7 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
             rec_push(&rec, t, x[0], x[1]);
     }
 stop:
+    PyEval_RestoreThread(unlocked);
     rec.cap = rec.n + 1; /* rec_finish adds only the row held at the last grid time reached */
     return rec_finish(&rec, status);
 }
@@ -317,6 +342,8 @@ static void kuznetsov_deriv(const double *par, const double x[2], double dx[2])
     dx[1] = p * T * E / (g + T) - m * T * E - d * E + s;
 }
 
+#define KIND_ERROR "kind must be 0 (power law) or 1 (Gompertz)"
+
 static PyObject *rk4_growth(PyObject *self, PyObject *args)
 {
     int kind;
@@ -325,6 +352,8 @@ static PyObject *rk4_growth(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "idddddddOd", &kind, &a, &b, &alpha, &beta, &x[0], &dt, &t_end,
                           &grid, &blowup))
         return NULL;
+    if (kind != 0 && kind != 1)
+        return PyErr_Format(PyExc_ValueError, KIND_ERROR);
     double par[4] = {a, b, alpha + 1.0, beta + 1.0};
     /* two call sites, so that each inlined stepper calls its law directly */
     if (kind == 0)

@@ -36,6 +36,9 @@ _INF = math.inf
 _MAX_HALVINGS = 40  # per micro-step, before giving up on positivity
 _GRID_ERROR = "grid must be a non-empty contiguous 1-D buffer of doubles"
 _REL_UNDERSHOOT_TOL = 1e-12
+_MAX_STEPS = 5e7  # ssa.DEFAULT_MAX_EVENTS, the step cap of ssa._check_steps
+_STEP_ERROR = "need a finite dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7"
+_KIND_ERROR = "kind must be 0 (power law) or 1 (Gompertz)"
 # seeds each run's SFC64 before its state is set, so a start draws no OS entropy
 _SEED_SEQUENCE = np.random.SeedSequence(0)
 
@@ -55,11 +58,11 @@ def _pow(x: float, e: float) -> float:
         return _ieee(np.power, x, e)
 
 
-def _ieee(op, x: float, y: float) -> float:
-    """``op(x, y)`` on doubles as C computes it, an inf or a nan, where
-    Python's scalar arithmetic raises instead."""
+def _ieee(op, x: float, *ys: float) -> float:
+    """``op(x, *ys)`` on doubles as C computes it, an inf or a nan, where
+    Python's scalar arithmetic or ``math`` raises instead."""
     with np.errstate(all="ignore"):
-        return float(op(np.float64(x), y))
+        return float(op(np.float64(x), *ys))
 
 
 def _doubles(*xs):
@@ -145,13 +148,15 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
     """The one RK4 stepper, twin of the compiled ``rk4_run``.
 
     ``f(T, E)`` returns (dT/dt, dE/dt); a one-species law keeps E at 0.  It
-    records one row at each time of ``grid`` it reaches, then steps on to
-    ``t_end`` unrecorded; steps of ``dt`` end exactly on each of these
-    targets.  A step that would undershoot zero by more than a relative
-    1e-12 is halved locally (at most 40 times, else status 6), a component
-    beyond ``blowup`` or nan stops the run with status 1, and small negative
-    residues are clamped to 0.
+    refuses a step rule outside the kernels' domain, then records one row at
+    each time of ``grid`` it reaches and steps on to ``t_end`` unrecorded;
+    steps of ``dt`` end exactly on each of these targets.  A step that would
+    undershoot zero by more than a relative 1e-12 is halved locally (at most
+    40 times, else status 6), a component beyond ``blowup`` or nan stops the
+    run with status 1, and small negative residues are clamped to 0.
     """
+    if not (0.0 < dt < _INF and 0.0 <= t_end < _INF and t_end / dt <= _MAX_STEPS):
+        raise ValueError(_STEP_ERROR)
     if grid is None:  # which _recorder takes for "no grid"
         raise TypeError(_GRID_ERROR)
     t = 0.0
@@ -196,6 +201,8 @@ def rk4_growth(kind, a, b, alpha, beta, T0, dt, t_end, grid, blowup, /):
     Returns (rows, status), (t, T, 0) rows."""
     kind, = _ints("i", kind)
     a, b, alpha, beta, T0, dt, t_end, blowup = _doubles(a, b, alpha, beta, T0, dt, t_end, blowup)
+    if kind not in (0, 1):
+        raise ValueError(_KIND_ERROR)
     ea = alpha + 1.0
     eb = beta + 1.0
     log = math.log
@@ -410,7 +417,8 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
         u = rr() * R
         if u < B:
             T += 1.0
-            dnew = b * log(T) if tlogt else b * _pow(T, eb)
+            # at T <= 0, which only a start below 0 reaches, C's -inf or nan where math.log raises
+            dnew = (b * log(T) if T > 0.0 else b * _ieee(np.log, T)) if tlogt else b * _pow(T, eb)
             for i in range(len(crates)):
                 if crates[i] == dnew:
                     ccounts[i] += 1.0

@@ -2,6 +2,8 @@
 
 import errno
 import json
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from dualsim.cli import (
     main,
     parse_config,
 )
-from dualsim.errors import ConfigError
+from dualsim.errors import ConfigError, EngineError
 from dualsim.kernels import _pykernels
 from dualsim.models import GrowthLaw, PopulationState, scenario_preset
 from dualsim.sds import integrate
@@ -577,6 +579,71 @@ class TestMainExitCodes:
         assert rc == 3
         assert capsys.readouterr().err == "engine error: out of memory: Unable to allocate 1.00 PiB\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_sds_that_ends_early_is_3_in_compare_and_writes_nothing(self, tmp_path, capsys):
+        threads = threading.active_count()
+        # von Bertalanffy growth at a/b = 2 passes 1e300 past t = 4
+        rc = main(["compare", "--model", "bertalanffy", "--a", "1", "--b", "0.5", "--t-end", "10", "--reps", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == ("engine error: deterministic run terminated early (blow-up at t=4); "
+                                          "cannot compare on the requested grid\n")
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == threads
+
+    # both commands that run both paradigms, the SDS beside the ensemble
+    BOTH = {"compare": ["compare"], "run": ["run", "--paradigm", "both"]}
+
+    @staticmethod
+    def fail(monkeypatch, name, message):
+        """Make ``dualsim.cli``'s ``name`` raise an EngineError of ``message``
+        after a moment, so that the other side is still running."""
+        def failing(*args, **kwargs):
+            time.sleep(0.05)
+            raise EngineError(message)
+
+        monkeypatch.setattr(dualsim.cli, name, failing)
+
+    @pytest.mark.parametrize("command", BOTH)
+    def test_the_sds_error_wins_when_both_sides_raise(self, tmp_path, capsys, monkeypatch, command):
+        threads = threading.active_count()
+        self.fail(monkeypatch, "integrate", "the SDS failed")
+        self.fail(monkeypatch, "run_ensemble", "the ensemble failed")
+        rc = main([*self.BOTH[command], "--model", "logistic", "--c", "5", "--t-end", "2", "--reps", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == "engine error: the SDS failed\n"
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("command", BOTH)
+    def test_the_ensemble_error_is_raised_when_the_sds_succeeds(self, tmp_path, capsys, monkeypatch, command):
+        threads = threading.active_count()
+        self.fail(monkeypatch, "run_ensemble", "the ensemble failed")
+        rc = main([*self.BOTH[command], "--model", "logistic", "--c", "5", "--t-end", "2", "--reps", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == "engine error: the ensemble failed\n"
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("command", BOTH)
+    def test_the_sds_runs_on_a_helper_thread_beside_the_ensemble(self, tmp_path, monkeypatch, command):
+        threads, ran_on = threading.active_count(), {}
+
+        def recorded(name, run):
+            def recording(*args, **kwargs):
+                ran_on[name] = threading.current_thread()
+                return run(*args, **kwargs)
+
+            monkeypatch.setattr(dualsim.cli, name, recording)
+
+        recorded("integrate", integrate)
+        recorded("run_ensemble", run_ensemble)
+        assert main([*self.BOTH[command], "--model", "logistic", "--c", "5", "--t-end", "2", "--reps", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert ran_on["run_ensemble"] is threading.main_thread() is not ran_on["integrate"]
+        assert threading.active_count() == threads
 
     def test_io_error_is_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

@@ -3,6 +3,8 @@
 import ctypes
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from dualsim.errors import EngineError, PopulationCapError
 from dualsim.kernels import _pykernels as pure
 from dualsim.models import PopulationState, experiment_one_law, scenario_preset
 from dualsim.models import ChannelSet
-from dualsim.ssa import EnsembleSpec, simulate_exact
+from dualsim.ssa import DEFAULT_MAX_EVENTS, EnsembleSpec, simulate_exact
 from dualsim.stats import make_grid
 
 try:
@@ -273,6 +275,8 @@ def parity_cases():
                 if kind != "bertalanffy":
                     yield "ssa_frozen", (table, 1, 20.0, seed, 0, 1e12, 10**6)
                     yield "ssa_frozen", (table, 1, 20.0, seed, 0, 1e12, 20)
+    # a birth from T = -1 reaches T = 0, where a kept T*ln(T) death rate is C's -inf: status 5
+    yield "ssa_frozen", (((1, 2.5, 1000.0, 0.0, 1, 0), (2, 0.4, 0.0, 0.0, -1, 0)), -1, 1.0, 1, 0.5, math.inf, 10)
 
 
 @needs_compiled
@@ -440,7 +444,8 @@ def c_range(ctype):
 def test_integer_arguments_parse_as_c_does(backend, kernel):
     """Each backend parses every integer argument as C's "i" or "l" does: by
     ``__index__``, so a float, a str or None is refused with TypeError, and
-    within the C type's range, past which it raises OverflowError."""
+    within the C type's range, past which it raises OverflowError.  A kind
+    of ``rk4_growth`` other than 0 or 1 then raises ValueError."""
     at, ctype = INT_ARGS[kernel]
     lo, hi = c_range(ctype)
 
@@ -456,7 +461,11 @@ def test_integer_arguments_parse_as_c_does(backend, kernel):
         with pytest.raises(OverflowError):
             call(value)
     for value in (lo, hi, True, np.int64(1)):
-        assert call(value)[1] in (kernels.ST_OK, kernels.ST_MAX_EVENTS)
+        if kernel == "rk4_growth" and value not in (0, 1):
+            with pytest.raises(ValueError, match=r"^kind must be 0 \(power law\) or 1 \(Gompertz\)$"):
+                call(value)
+        else:
+            assert call(value)[1] in (kernels.ST_OK, kernels.ST_MAX_EVENTS)
 
 
 # where each stochastic kernel takes its seed
@@ -695,6 +704,66 @@ def test_rk4_rows_are_the_grid_times(backend, kernel):
     assert status == 0 and np.asarray(t).tobytes() == grid.tobytes()
     with pytest.raises(TypeError, match="contiguous 1-D buffer of doubles"):
         fn(*with_grid(kernel, None))  # None, "no grid" to the stochastic kernels
+
+
+STEP_ERROR = r"^need a finite dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7$"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", RK4_ARGS)
+@pytest.mark.parametrize("dt, t_end", [
+    (0.0, 1.0), (-0.01, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.01, -1.0), (0.01, math.nan),
+    (0.01, math.inf), (1e-9, 1.0), (5e-324, 1e300), (1.0, 5e7 * (1 + 2**-52)),
+], ids=["dt-0", "dt-negative", "dt-nan", "dt-inf", "t_end-negative", "t_end-nan", "t_end-inf",
+        "1e9-steps", "steps-overflow", "one-step-past-the-cap"])
+def test_rk4_refuses_a_step_rule_that_would_not_end(backend, kernel, dt, t_end):
+    """Outside the kernels' domain, where the loop would run for ever or for
+    more than ``_check_steps`` admits, both RK4 kernels raise one ValueError
+    before they read the grid."""
+    (*before, _, _), after = RK4_ARGS[kernel]
+    with pytest.raises(ValueError, match=STEP_ERROR):
+        getattr(BACKENDS[backend], kernel)(*before, dt, t_end, None, *after)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", RK4_ARGS)
+def test_rk4_domain_edges_run(backend, kernel):
+    """t_end = 0 and dt > t_end are in the domain, and its step cap is the
+    one of ``_check_steps``."""
+    (*before, _, _), after = RK4_ARGS[kernel]
+    fn = getattr(BACKENDS[backend], kernel)
+    assert pure._MAX_STEPS == DEFAULT_MAX_EVENTS
+    t, *_, status = columns(fn(*before, 0.01, 0.0, np.zeros(1), *after))
+    assert status == 0 and list(t) == [0.0]
+    t, *_, status = columns(fn(*before, 5.0, 1.0, make_grid(1.0, 0.5), *after))
+    assert status == 0 and list(t) == [0.0, 0.5, 1.0]
+
+
+@needs_compiled
+@pytest.mark.parametrize("kernel", RK4_ARGS)
+def test_the_compiled_rk4_releases_the_gil(kernel):
+    """While a 1M-step compiled RK4 run steps on a helper thread, this one
+    goes on running Python.  Holding the GIL, the kernel would stop this
+    thread for its whole run: the longest pause between two of this thread's
+    loop iterations would be as long as the kernel's run, not a fraction."""
+    (*before, _, _), after = RK4_ARGS[kernel]
+    args = (*before, 1e-4, 100.0, make_grid(100.0), *after)
+    runs = []
+
+    def run():
+        start = time.perf_counter()
+        status = getattr(compiled, kernel)(*args)[1]
+        runs.append((time.perf_counter() - start, status))
+
+    helper = threading.Thread(target=run)
+    stamps = [time.perf_counter()]
+    helper.start()
+    while helper.is_alive():
+        stamps.append(time.perf_counter())
+    helper.join()
+    (seconds, status), = runs
+    assert status == 0 and len(stamps) > 2
+    assert np.diff(stamps).max() < seconds / 2, seconds
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
