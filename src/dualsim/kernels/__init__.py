@@ -34,17 +34,29 @@ Python) integrates over the state (T, E) to ``t_end``.  It cuts its steps
 of ``dt`` to land on each time of ``grid``, where it records one row, halves
 a step that would undershoot zero (status 6 after 40 halvings), stops with
 status 1 at the last grid time reached when a component passes ``blowup``
-or is nan, and clamps small negative residues to 0.  Its domain, so that
-every call ends: ``dt`` finite and > 0, ``t_end`` finite and >= 0, and
-``t_end / dt`` at most 5e7, the step cap of ``ssa._check_steps``; outside
-it both kernels raise ``ValueError("need a finite dt > 0 and a finite
-t_end >= 0, with t_end / dt at most 5e7")`` before they read the grid.
-``rk4_growth`` raises ``ValueError("kind must be 0 (power law) or 1
-(Gompertz)")`` for any other ``kind``.  Two ways to crawl stay open within
-it: a drift below zero at a zero population (``rk4_kuznetsov`` with s < 0
-at E = 0) accepts steps short enough to undershoot by at most 1e-12, and a
-grid time past ``t_end`` is stepped to like any other, so one of inf never
-ends.
+or is nan, and clamps small negative residues to 0.  A grid time past
+``t_end`` is stepped to like any other.
+
+Domain.  Each kernel refuses the arguments below, on which it would run for
+ever or past the step cap, with one ``ValueError`` of the same text on both
+backends, before it reads its grid:
+
+- the fixed-step kernels (``rk4_growth``, ``rk4_kuznetsov``, ``tau_leap``)
+  need ``dt`` finite and > 0, ``t_end`` finite and >= 0, and ``t_end / dt``
+  at most 5e7, the step cap of ``ssa._check_steps``, else "need a finite
+  dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7";
+- the event-driven kernels (``ssa``, ``ssa_frozen``) need ``t_end`` finite
+  and >= 0, else "need a finite t_end >= 0"; ``max_events`` bounds their
+  events;
+- ``rk4_growth`` needs ``kind`` 0 or 1, else "kind must be 0 (power law)
+  or 1 (Gompertz)".
+
+Every grid time must be finite too (see Grid sampling).  One way to crawl
+stays open within the domain: a drift below zero at a zero population
+(``rk4_kuznetsov`` with s < 0 at E = 0) accepts steps short enough to
+undershoot by at most 1e-12.  A finite grid time far past ``t_end`` also
+costs the RK4 its own time over ``dt`` in steps, which the step cap does
+not bound.
 
 Threads.  The compiled RK4 kernels release the GIL while they step, so
 another thread runs Python, or a stochastic kernel, beside them (the CLI
@@ -104,11 +116,12 @@ Grid sampling.  Called without their optional trailing ``grid``, the
 stochastic kernels return one row per event or leap, framed by the initial
 state and, when the run reaches ``t_end``, a final hold row there.  Given a
 ``grid`` (a non-empty contiguous 1-D buffer of doubles, as every kernel's
-grid; anything else raises TypeError), they record only the sample held at
-each grid time, the last one at or before it, into ``len(grid)`` rows whose
-t column gives each held sample's time: the per-event rows indexed by
-``searchsorted(t, grid, side="right") - 1``, at a cost per grid point
-instead of per event.  Grid points past the last sample hold the last
+grid; anything else raises TypeError, and then a time that is not finite
+``ValueError("grid times must be finite")``), they record only the sample
+held at each grid time, the last one at or before it, into ``len(grid)``
+rows whose t column gives each held sample's time: the per-event rows
+indexed by ``searchsorted(t, grid, side="right") - 1``, at a cost per grid
+point instead of per event.  Grid points past the last sample hold the last
 sample.  A run goes on to ``t_end`` past a grid that stops short of it, so
 the last row names the last event only if the grid reaches ``t_end`` (as
 ``ssa.EnsembleSpec`` makes it do).

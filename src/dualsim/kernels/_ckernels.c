@@ -8,8 +8,11 @@
  *
  * - result rows view one ``bytearray``, returned by ``rec_finish``; it,
  *   ``rec_init`` and ``rec_push`` alone know whether a run records per event
- *   or on a grid.  On a grid the rows are written straight into the
- *   bytearray, sized by the grid, so that no second copy is made;
+ *   or on a grid.  Either way the rows are written straight into that
+ *   bytearray, so that no second copy is made: sized by the grid on a grid,
+ *   else begun at 4096 rows and doubled when full.  Only that growth needs
+ *   the GIL, which the stochastic kernels hold; the RK4 records on a grid,
+ *   so it steps without it;
  * - ``rng_next`` steps the SFC64 state that ``rng_seed`` fills with
  *   splitmix64 outputs: the stream ``_pykernels._rng`` draws through numpy,
  *   so both backends return the same rows for a seed;
@@ -105,12 +108,37 @@ static double rng_poisson(Rng *r, double lam)
     return k > 0.0 ? k : 0.0;
 }
 
-/* ---- recorded samples: (t, T, E) rows of one buffer ------------------- */
+/* ---- the kernels' domain (see the package docstring) ------------------ */
+
+#define STEP_ERROR "need a finite dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7"
+#define END_ERROR "need a finite t_end >= 0"
+
+/* 0 when the fixed-step kernels (``rk4_run``, ``tau_leap``) take ``dt`` and
+ * ``t_end``, else -1 with ValueError set */
+static int check_steps(double dt, double t_end)
+{
+    if (isfinite(dt) && dt > 0.0 && isfinite(t_end) && t_end >= 0.0 && t_end / dt <= MAX_STEPS)
+        return 0;
+    PyErr_SetString(PyExc_ValueError, STEP_ERROR);
+    return -1;
+}
+
+/* 0 when the event-driven kernels (``ssa``, ``ssa_frozen``) take ``t_end``,
+ * else -1 with ValueError set */
+static int check_end(double t_end)
+{
+    if (isfinite(t_end) && t_end >= 0.0)
+        return 0;
+    PyErr_SetString(PyExc_ValueError, END_ERROR);
+    return -1;
+}
+
+/* ---- recorded samples: (t, T, E) rows of one bytearray ---------------- */
 
 typedef struct {
     int oom;
     Py_ssize_t n, cap;
-    double *rows; /* n rows of (t, T, E): PyMem, or in grid mode the buffer of ``bytes`` */
+    double *rows; /* the buffer of ``bytes``: n rows of (t, T, E), room for cap */
     PyObject *bytes;
     /* grid mode: the grid (grid.obj is NULL without one) and the last
      * sample pushed, which rows n.. will hold until a later sample passes
@@ -121,16 +149,16 @@ typedef struct {
 
 static void rec_free(Rec *rec)
 {
-    if (rec->grid.obj != NULL) {
-        Py_XDECREF(rec->bytes);
+    Py_XDECREF(rec->bytes);
+    if (rec->grid.obj != NULL)
         PyBuffer_Release(&rec->grid);
-    } else
-        PyMem_Free(rec->rows);
 }
 
 /* Appends one sample or, in grid mode, gives every unfilled grid point
- * before ``t`` the previous sample and holds this one.  When memory runs
- * out it records nothing more and rec_finish raises MemoryError. */
+ * before ``t`` the previous sample and holds this one.  Per event it doubles
+ * the bytearray when full, which needs the GIL; in grid mode it only copies
+ * doubles into rows already allocated, which does not.  When memory runs out
+ * it records nothing more and rec_finish raises MemoryError. */
 static inline void rec_push(Rec *rec, double t, double a, double b)
 {
     if (rec->grid.obj != NULL) {
@@ -143,12 +171,11 @@ static inline void rec_push(Rec *rec, double t, double a, double b)
         return;
     }
     if (rec->n == rec->cap) {
-        double *grown = rec->oom ? NULL : PyMem_Realloc(rec->rows, 6 * rec->cap * sizeof(double));
-        if (grown == NULL) {
+        if (rec->oom || PyByteArray_Resize(rec->bytes, 6 * rec->cap * sizeof(double)) < 0) {
             rec->oom = 1;
             return;
         }
-        rec->rows = grown;
+        rec->rows = (double *)PyByteArray_AS_STRING(rec->bytes); /* the resize may move it */
         rec->cap *= 2;
     }
     double *row = rec->rows + 3 * rec->n++;
@@ -158,9 +185,11 @@ static inline void rec_push(Rec *rec, double t, double a, double b)
 }
 
 #define GRID_ERROR "grid must be a non-empty contiguous 1-D buffer of doubles"
+#define GRID_TIME_ERROR "grid times must be finite"
 
-/* Starts the rows with the sample (0, a, b), one row per grid point when
- * ``grid`` is not None: the one check of a kernel's grid. */
+/* Starts the rows with the sample (0, a, b): room for one row per grid
+ * point when ``grid`` is not None, else for 4096 rows.  The one check of a
+ * kernel's grid. */
 static int rec_init(Rec *rec, PyObject *grid, double a, double b)
 {
     *rec = (Rec){0, 0, 4096, NULL, NULL, {NULL}, {0.0, a, b}};
@@ -173,16 +202,19 @@ static int rec_init(Rec *rec, PyObject *grid, double a, double b)
             return -1;
         }
         rec->cap = rec->grid.shape[0];
-        rec->bytes = PyByteArray_FromStringAndSize(NULL, 3 * rec->cap * sizeof(double));
-        if (rec->bytes == NULL) {
-            rec_free(rec);
-            return -1;
-        }
-        rec->rows = (double *)PyByteArray_AS_STRING(rec->bytes);
-    } else if ((rec->rows = PyMem_Malloc(3 * rec->cap * sizeof(double))) == NULL) {
-        PyErr_NoMemory();
+        for (Py_ssize_t i = 0; i < rec->cap; i++)
+            if (!isfinite(((const double *)rec->grid.buf)[i])) {
+                rec_free(rec);
+                PyErr_SetString(PyExc_ValueError, GRID_TIME_ERROR);
+                return -1;
+            }
+    }
+    rec->bytes = PyByteArray_FromStringAndSize(NULL, 3 * rec->cap * sizeof(double));
+    if (rec->bytes == NULL) {
+        rec_free(rec);
         return -1;
     }
+    rec->rows = (double *)PyByteArray_AS_STRING(rec->bytes);
     rec_push(rec, 0.0, a, b);
     return 0;
 }
@@ -199,30 +231,22 @@ static int stop_status(Rec *rec, double R, double t, double t_end, double a, dou
     return 2;
 }
 
-/* Frees the rows and returns (rows, status), ``rows`` an (n, 3) memoryview
- * of doubles over one bytearray (the grid mode's own, cut to n rows), or
- * NULL with an exception set when ``status`` is negative or the result
- * cannot be built. */
+/* Releases the recorder and returns (rows, status), ``rows`` an (n, 3)
+ * memoryview of doubles over its bytearray cut to n rows, or NULL with an
+ * exception set when ``status`` is negative or the result cannot be built. */
 static PyObject *rec_finish(Rec *rec, int status)
 {
     PyObject *rows = NULL;
     if (rec->grid.obj != NULL)
         for (; rec->n < rec->cap; rec->n++)
             memcpy(rec->rows + 3 * rec->n, rec->held, sizeof rec->held);
-    Py_ssize_t size = 3 * rec->n * sizeof(double);
     if (rec->oom)
         PyErr_NoMemory();
-    else if (status >= 0) {
-        /* memoryview(bytearray(rows)).cast("d", (n, 3)) */
-        PyObject *bytes = rec->bytes != NULL ? rec->bytes
-                                             : PyByteArray_FromStringAndSize((const char *)rec->rows, size);
-        rec->bytes = NULL;
-        if (bytes != NULL && PyByteArray_Resize(bytes, size) < 0)
-            Py_CLEAR(bytes);
-        PyObject *view = bytes == NULL ? NULL : PyMemoryView_FromObject(bytes);
+    else if (status >= 0 && PyByteArray_Resize(rec->bytes, 3 * rec->n * sizeof(double)) == 0) {
+        /* memoryview(bytes).cast("d", (n, 3)) */
+        PyObject *view = PyMemoryView_FromObject(rec->bytes);
         if (view != NULL)
             rows = PyObject_CallMethod(view, "cast", "s(nn)", "d", rec->n, (Py_ssize_t)3);
-        Py_XDECREF(bytes);
         Py_XDECREF(view);
     }
     rec_free(rec);
@@ -246,8 +270,6 @@ static inline double powfast(double x, double e)
 /* d(T, E)/dt of one model with parameters ``par``, written to ``dx`` */
 typedef void (*Deriv)(const double *par, const double x[2], double dx[2]);
 
-#define STEP_ERROR "need a finite dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7"
-
 /* The one RK4 stepper.  The state is (T, E); a one-species law keeps E at
  * 0.  It refuses a step rule outside the kernels' domain, then pushes one
  * sample at each grid time it reaches and steps on to ``t_end``; steps of
@@ -262,8 +284,8 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
                                 PyObject *grid, double blowup)
 {
     Rec rec;
-    if (!(isfinite(dt) && dt > 0.0 && isfinite(t_end) && t_end >= 0.0 && t_end / dt <= MAX_STEPS))
-        return PyErr_Format(PyExc_ValueError, STEP_ERROR);
+    if (check_steps(dt, t_end) < 0)
+        return NULL;
     if (grid == Py_None) /* which rec_init takes for "no grid" */
         return PyErr_Format(PyExc_TypeError, GRID_ERROR);
     if (rec_init(&rec, grid, x[0], x[1]) < 0)
@@ -490,7 +512,7 @@ static PyObject *ssa(PyObject *self, PyObject *args)
         return NULL;
     Table tab;
     Rng rng;
-    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0)
+    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0 || check_end(t_end) < 0)
         return NULL;
     double sums[MAX_CHANNELS];
     double T = T0, E = E0, t = 0.0;
@@ -550,7 +572,7 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args)
         return NULL;
     Table tab;
     Rng rng;
-    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0)
+    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0 || check_end(t_end) < 0)
         return NULL;
     /* birth c * T^e (code 1, jump (1, 0)), then death (code 1 or 2, jump
      * (-1, 0)) with the per-capita rate c * T^(e - 1) or c * ln T */
@@ -657,7 +679,7 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
         return NULL;
     Table tab;
     Rng rng;
-    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0)
+    if (table_read(&tab, table) < 0 || rng_seed(&rng, seed) < 0 || check_steps(dt, t_end) < 0)
         return NULL;
     double rates[MAX_CHANNELS];
     double T = T0, E = E0, t = 0.0;

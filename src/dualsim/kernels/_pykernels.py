@@ -38,6 +38,8 @@ _GRID_ERROR = "grid must be a non-empty contiguous 1-D buffer of doubles"
 _REL_UNDERSHOOT_TOL = 1e-12
 _MAX_STEPS = 5e7  # ssa.DEFAULT_MAX_EVENTS, the step cap of ssa._check_steps
 _STEP_ERROR = "need a finite dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7"
+_END_ERROR = "need a finite t_end >= 0"
+_GRID_TIME_ERROR = "grid times must be finite"
 _KIND_ERROR = "kind must be 0 (power law) or 1 (Gompertz)"
 # seeds each run's SFC64 before its state is set, so a start draws no OS entropy
 _SEED_SEQUENCE = np.random.SeedSequence(0)
@@ -80,6 +82,20 @@ def _ints(fmt, *xs):
     return array(fmt, map(index, xs))
 
 
+def _check_steps(dt: float, t_end: float) -> None:
+    """ValueError unless the fixed-step kernels (``_rk4``, ``tau_leap``) take
+    ``dt`` and ``t_end``; twin of the compiled ``check_steps``."""
+    if not (0.0 < dt < _INF and 0.0 <= t_end < _INF and t_end / dt <= _MAX_STEPS):
+        raise ValueError(_STEP_ERROR)
+
+
+def _check_end(t_end: float) -> None:
+    """ValueError unless the event-driven kernels (``ssa``, ``ssa_frozen``)
+    take ``t_end``; twin of the compiled ``check_end``."""
+    if not 0.0 <= t_end < _INF:
+        raise ValueError(_END_ERROR)
+
+
 def _recorder(grid, a: float, b: float):
     """``(push, finish)`` for the (t, a, b) rows of one run, which starts at
     (0, a, b).
@@ -107,6 +123,8 @@ def _recorder(grid, a: float, b: float):
                 or not view.shape[0]):
             raise TypeError(_GRID_ERROR)
         points = view.tolist()
+        if not all(map(math.isfinite, points)):
+            raise ValueError(_GRID_TIME_ERROR)
         points.append(_INF)  # a sentinel no sample passes
         k = 0
         held = (0.0, a, b)
@@ -155,8 +173,7 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
     40 times, else status 6), a component beyond ``blowup`` or nan stops the
     run with status 1, and small negative residues are clamped to 0.
     """
-    if not (0.0 < dt < _INF and 0.0 <= t_end < _INF and t_end / dt <= _MAX_STEPS):
-        raise ValueError(_STEP_ERROR)
+    _check_steps(dt, t_end)
     if grid is None:  # which _recorder takes for "no grid"
         raise TypeError(_GRID_ERROR)
     t = 0.0
@@ -332,6 +349,7 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
     max_events, = _ints("l", max_events)
     table = _table(table)
     rr = _rng(seed)
+    _check_end(t_end)
     log = math.log
     nch = len(table)
     rates = [0.0] * nch
@@ -384,13 +402,14 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
     T, t_end, floor_t, cap = _doubles(T0, t_end, floor_t, cap)
     max_events, = _ints("l", max_events)
     rows = _table(table)
+    rr = _rng(seed)
+    _check_end(t_end)
     if not (len(rows) == 2 and rows[0][0] == 1 and rows[0][4:] == (1, 0)
             and rows[1][0] in (1, 2) and rows[1][4:] == (-1, 0)):
         raise ValueError("ssa_frozen needs a birth-death table")
     (_, a, ea, _, _, _), (death_code, b, eb, _, _, _) = rows
     tlogt = death_code == 2
     eb -= 1.0  # the per-capita exponent of a power-law death row
-    rr = _rng(seed)
     log = math.log
     crates: list[float] = []
     ccounts: list[float] = []
@@ -475,6 +494,7 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
     T, E, t_end, dt, floor_t, floor_e, cap = _doubles(T0, E0, t_end, dt, floor_t, floor_e, cap)
     table = _table(table)
     rr = _rng(seed)
+    _check_steps(dt, t_end)
     rates = [0.0] * len(table)
     t = 0.0
     watch = 3  # as in ssa

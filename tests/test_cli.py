@@ -580,6 +580,19 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == "engine error: out of memory: Unable to allocate 1.00 PiB\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("backend", {mod.__name__: mod for mod in (_pykernels, kernels.backend)}.values(),
+                             ids=lambda mod: mod.__name__.rpartition(".")[2])
+    def test_an_sds_step_that_keeps_undershooting_is_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                                         backend):
+        # a logistic stock of 1e150 falls by about 1e300 a day: no halving of the step keeps it above zero
+        monkeypatch.setattr(kernels, "rk4_growth", backend.rk4_growth)
+        rc = main(["run", "--model", "logistic", "--a", "2", "--b", "1", "--t0", "1e150", "--paradigm", "sds",
+                   "--dt", "1", "--t-end", "2", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == ("engine error: integration step kept undershooting zero after 40 local "
+                                          "halvings\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_an_sds_that_ends_early_is_3_in_compare_and_writes_nothing(self, tmp_path, capsys):
         threads = threading.active_count()
         # von Bertalanffy growth at a/b = 2 passes 1e300 past t = 4

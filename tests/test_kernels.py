@@ -2,9 +2,12 @@
 
 import ctypes
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +222,19 @@ ABSORPTION_CASES = {
 }
 
 
+BIRTH_DEATH = birth_death(2.0, 0.5)
+# (kernel, arguments, status, rows) of runs that end on an event or leap past the cap (status 3), whose rows stop
+# at the last state within it, or on an RK4 step that keeps undershooting zero (status 6): a logistic stock of
+# 1e150 falls by about 1e300 a day, so a step of 2**-40 days still takes it below zero
+ENDINGS = {
+    "ssa-cap": ("ssa", (BIRTH_DEATH, 5, 0, 10.0, 1, 0, 0, 20, 10**8), 3, 18, [0.6344145738855792, 20.0, 0.0]),
+    "ssa_frozen-cap": ("ssa_frozen", (BIRTH_DEATH, 5, 10.0, 1, 0, 20, 10**8), 3, 18, [0.6344145738855792, 20.0, 0.0]),
+    "tau_leap-cap": ("tau_leap", (BIRTH_DEATH, 5, 0, 10.0, 0.1, 1, 0, 0, 20), 3, 13, [1.2, 19.0, 0.0]),
+    "rk4_growth-step-fail": ("rk4_growth", (0, 2.0, 1.0, 0.0, 1.0, 1e150, 1.0, 2.0, np.array([0.0, 1.0, 2.0]), 1e300),
+                             6, 1, [0.0, 1e150, 0.0]),
+}
+
+
 def parity_cases():
     """(kernel, arguments) of the exact-parity matrix."""
     grid = make_grid(10.0, 0.1)
@@ -277,6 +293,9 @@ def parity_cases():
                     yield "ssa_frozen", (table, 1, 20.0, seed, 0, 1e12, 20)
     # a birth from T = -1 reaches T = 0, where a kept T*ln(T) death rate is C's -inf: status 5
     yield "ssa_frozen", (((1, 2.5, 1000.0, 0.0, 1, 0), (2, 0.4, 0.0, 0.0, -1, 0)), -1, 1.0, 1, 0.5, math.inf, 10)
+    for kernel, args, *_ in ENDINGS.values():
+        yield kernel, args
+    yield "ssa", (*ENDINGS["ssa-cap"][1], grid)
 
 
 @needs_compiled
@@ -290,7 +309,15 @@ def test_every_kernel_returns_the_same_rows_on_both_backends():
         assert status_p == status_c, (kernel, args[1:])
         assert np.asarray(rows_p).tobytes() == np.asarray(rows_c).tobytes(), (kernel, args[1:])
         statuses.add(status_c)
-    assert statuses == {0, 1, 2, 4, 5}
+    assert statuses == {0, 1, 2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", ENDINGS)
+def test_a_run_past_the_cap_or_with_a_failed_step_ends_with_its_status(backend, case):
+    kernel, args, status, n, last = ENDINGS[case]
+    rows, got = getattr(BACKENDS[backend], kernel)(*args)
+    assert got == status and len(rows) == n and np.asarray(rows)[-1].tolist() == last
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -642,6 +669,22 @@ class TestGridRecording:
         with pytest.raises(TypeError, match="contiguous 1-D buffer of doubles"):
             fn(*with_grid(kernel, grid))
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_grid_times_must_be_finite(self, backend, kernel, t):
+        # an RK4 run steps to each grid time, so one of +-inf would never end
+        fn = getattr(BACKENDS[backend], kernel)
+        with pytest.raises(ValueError, match="^grid times must be finite$"):
+            fn(*with_grid(kernel, np.array([0.0, t, 1.0])))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_finite_grid_time_past_t_end_is_taken(self, backend, kernel):
+        # ssa._check_grid admits a last grid time up to t_end + 1e-9; these runs end by t = 3 and 10
+        rows, status = getattr(BACKENDS[backend], kernel)(*with_grid(kernel, np.array([0.0, 20.0])))
+        assert status == 0 and len(rows) == 2
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kernel, row", [("ssa", 0), ("tau_leap", 0), ("ssa_frozen", 0), ("ssa_frozen", 1)],
@@ -725,6 +768,32 @@ def test_rk4_refuses_a_step_rule_that_would_not_end(backend, kernel, dt, t_end):
         getattr(BACKENDS[backend], kernel)(*before, dt, t_end, None, *after)
 
 
+END_ERROR = r"^need a finite t_end >= 0$"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel, args, message", [
+    ("tau_leap", (S4_TABLE, 100, 10, 1.0, 0.0, 1, 0, 0, 1e12), STEP_ERROR),
+    ("tau_leap", (S4_TABLE, 100, 10, 1.0, -0.1, 1, 0, 0, 1e12), STEP_ERROR),
+    ("tau_leap", (S4_TABLE, 100, 10, 1.0, 1e-300, 1, 0, 0, 1e12), STEP_ERROR),
+    ("tau_leap", (S4_TABLE, 100, 10, math.inf, 0.01, 1, 0, 0, 1e12), STEP_ERROR),
+    ("tau_leap", (S4_TABLE, 100, 10, 1.0, math.nan, 1, 0, 0, 1e12), STEP_ERROR),
+    ("tau_leap", (S4_TABLE, 100, 10, 5e7 * (1 + 2**-52), 1.0, 1, 0, 0, 1e12), STEP_ERROR),
+    ("ssa", (S4_TABLE, 100, 10, math.nan, 1, 0, 0, 1e12, 10**9), END_ERROR),
+    ("ssa", (S4_TABLE, 100, 10, math.inf, 1, 1, 0, 1e12, 10**9), END_ERROR),
+    ("ssa", (S4_TABLE, 100, 10, -1.0, 1, 0, 0, 1e12, 10**9), END_ERROR),
+    ("ssa_frozen", (ONE_SPECIES, 20, math.nan, 1, 0, 1e12, 10**9), END_ERROR),
+    ("ssa_frozen", (ONE_SPECIES, 20, math.inf, 1, 0, 1e12, 10**9), END_ERROR),
+], ids=["tau-dt-0", "tau-dt-negative", "tau-dt-1e-300", "tau-t_end-inf", "tau-dt-nan", "tau-past-the-step-cap",
+        "ssa-t_end-nan", "ssa-t_end-inf-under-a-floor", "ssa-t_end-negative", "frozen-t_end-nan", "frozen-t_end-inf"])
+def test_the_stochastic_kernels_refuse_a_run_that_would_not_end(backend, kernel, args, message):
+    """Each of these ran for ever, or to ``max_events``, before: the kernels'
+    domain is that of the RK4 for tau_leap, a finite t_end >= 0 for the exact
+    kernels."""
+    with pytest.raises(ValueError, match=message):
+        getattr(BACKENDS[backend], kernel)(*args)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kernel", RK4_ARGS)
 def test_rk4_domain_edges_run(backend, kernel):
@@ -780,6 +849,36 @@ def test_rk4_blowup_ends_the_rows_at_the_last_grid_time_reached(backend):
     # after the last of them and keeps every row
     t_reached, T_reached, _, status_reached = columns(fn(*law, grid[:n].copy(), 1e300))
     assert status_reached == 1 and list(t_reached) == list(t) and list(T_reached) == list(T)
+
+
+OUT_OF_MEMORY_RUN = """
+import resource, sys
+from dualsim.kernels import {module} as backend
+
+with open("/proc/self/statm") as statm:
+    size = int(statm.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (size + (300 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+raised = False
+try:
+    # about 16M events under a tumour floor: 390 MB of rows even without slack
+    backend.ssa({table}, 100, 10, 1e4, 1, 1, 0, 1e12, 2**62)
+except MemoryError:
+    raised = True  # out of the handler, the run's frames and rows are freed
+print(raised)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.skipif("libasan" in os.environ.get("LD_PRELOAD", ""), reason="ASan reserves shadow address space")
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_per_event_run_out_of_memory_raises_memory_error(backend):
+    """A subprocess caps its address space 300 MiB above its size and runs
+    a per-event ``ssa`` whose rows pass it: the kernel raises MemoryError
+    and the process goes on, on both backends."""
+    code = OUT_OF_MEMORY_RUN.format(module=BACKENDS[backend].__name__.rpartition(".")[2], table=S4_TABLE)
+    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[2])}  # the dualsim under test
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

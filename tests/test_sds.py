@@ -182,6 +182,10 @@ class TestContracts:
             integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0), **{"t_end": 100.0, **bad},
                       grid=make_grid(1.0))
 
+    def test_an_unsupported_model_type(self):
+        with pytest.raises(ConfigError, match="^unsupported model type object$"):
+            integrate(object(), PopulationState(1.0), dt=0.1, t_end=1.0, grid=make_grid(1.0))
+
     def test_one_equation_rejects_effector_state(self):
         with pytest.raises(ConfigError):
             integrate(GrowthLaw("logistic", 1.0, 0.2), PopulationState(1.0, 1.0), dt=0.001, t_end=100.0,
