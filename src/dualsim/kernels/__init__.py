@@ -45,6 +45,10 @@ backends, before it reads its grid:
   need ``dt`` finite and > 0, ``t_end`` finite and >= 0, and ``t_end / dt``
   at most 5e7, the step cap of ``ssa._check_steps``, else "need a finite
   dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7";
+- the RK4 kernels refuse with the same ValueError, once they have read the
+  grid, a run that travels more than 5e7 steps of ``dt``: ``t_end`` plus
+  every jump back from one target (the grid times in turn, then ``t_end``)
+  to the next, so the way to a grid time past ``t_end`` counts;
 - the event-driven kernels (``ssa``, ``ssa_frozen``) need ``t_end`` finite
   and >= 0, else "need a finite t_end >= 0"; ``max_events`` bounds their
   events;
@@ -54,14 +58,15 @@ backends, before it reads its grid:
 Every grid time must be finite too (see Grid sampling).  One way to crawl
 stays open within the domain: a drift below zero at a zero population
 (``rk4_kuznetsov`` with s < 0 at E = 0) accepts steps short enough to
-undershoot by at most 1e-12.  A finite grid time far past ``t_end`` also
-costs the RK4 its own time over ``dt`` in steps, which the step cap does
-not bound.
+undershoot by at most 1e-12.
 
-Threads.  The compiled RK4 kernels release the GIL while they step, so
-another thread runs Python, or a stochastic kernel, beside them (the CLI
-runs the SDS beside the ensemble).  The stochastic kernels and
-``write_rows`` hold it, as does every pure-Python kernel.
+Threads.  A compiled kernel that records on a grid (the RK4 kernels
+always, the stochastic ones when given a ``grid``) releases the GIL while
+it steps, once its arguments are read, so other threads run beside it:
+``ssa.run_ensemble`` runs replicates on one thread per usable CPU, and the
+CLI the SDS beside the ensemble.  A run per event holds it, to grow its
+rows, as do ``write_rows`` and every pure-Python kernel.  Out of memory, a
+compiled run stops at once and raises MemoryError.
 
 Table format.  The one model input of ``ssa``, ``ssa_frozen`` and
 ``tau_leap`` is a channel table (``models.ChannelSet.table``, which refuses

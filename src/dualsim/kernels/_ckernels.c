@@ -11,8 +11,8 @@
  *   or on a grid.  Either way the rows are written straight into that
  *   bytearray, so that no second copy is made: sized by the grid on a grid,
  *   else begun at 4096 rows and doubled when full.  Only that growth needs
- *   the GIL, which the stochastic kernels hold; the RK4 records on a grid,
- *   so it steps without it;
+ *   the GIL, so a run on a grid steps without it (``rec_unlock``, taken back
+ *   by ``rec_finish``) and a run per event holds it;
  * - ``rng_next`` steps the SFC64 state that ``rng_seed`` fills with
  *   splitmix64 outputs: the stream ``_pykernels._rng`` draws through numpy,
  *   so both backends return the same rows for a seed;
@@ -145,6 +145,7 @@ typedef struct {
      * their grid time */
     Py_buffer grid;
     double held[3];
+    PyThreadState *unlocked; /* set while a run on a grid steps without the GIL */
 } Rec;
 
 static void rec_free(Rec *rec)
@@ -158,7 +159,8 @@ static void rec_free(Rec *rec)
  * before ``t`` the previous sample and holds this one.  Per event it doubles
  * the bytearray when full, which needs the GIL; in grid mode it only copies
  * doubles into rows already allocated, which does not.  When memory runs out
- * it records nothing more and rec_finish raises MemoryError. */
+ * it sets ``oom``, on which the kernels stop, and rec_finish raises
+ * MemoryError. */
 static inline void rec_push(Rec *rec, double t, double a, double b)
 {
     if (rec->grid.obj != NULL) {
@@ -192,7 +194,7 @@ static inline void rec_push(Rec *rec, double t, double a, double b)
  * kernel's grid. */
 static int rec_init(Rec *rec, PyObject *grid, double a, double b)
 {
-    *rec = (Rec){0, 0, 4096, NULL, NULL, {NULL}, {0.0, a, b}};
+    *rec = (Rec){0, 0, 4096, NULL, NULL, {NULL}, {0.0, a, b}, NULL};
     if (grid != NULL && grid != Py_None) {
         if (PyObject_GetBuffer(grid, &rec->grid, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0 ||
             rec->grid.ndim != 1 || strcmp(rec->grid.format, "d") != 0 ||
@@ -219,6 +221,14 @@ static int rec_init(Rec *rec, PyObject *grid, double a, double b)
     return 0;
 }
 
+/* Lets a run on a grid step without the GIL until rec_finish: from here it
+ * may call no Python API, and grid-mode rec_push calls none. */
+static void rec_unlock(Rec *rec)
+{
+    if (rec->grid.obj != NULL)
+        rec->unlocked = PyEval_SaveThread();
+}
+
 /* The status of a run whose total rate R left (0, inf): 2 when R == 0 (no
  * event can fire), which holds (a, b) until t_end, else 5 (R negative, inf
  * or nan). */
@@ -231,12 +241,15 @@ static int stop_status(Rec *rec, double R, double t, double t_end, double a, dou
     return 2;
 }
 
-/* Releases the recorder and returns (rows, status), ``rows`` an (n, 3)
- * memoryview of doubles over its bytearray cut to n rows, or NULL with an
- * exception set when ``status`` is negative or the result cannot be built. */
+/* Takes the GIL back if rec_unlock released it, releases the recorder and
+ * returns (rows, status), ``rows`` an (n, 3) memoryview of doubles over its
+ * bytearray cut to n rows, or NULL with an exception set when ``status`` is
+ * negative, memory ran out or the result cannot be built. */
 static PyObject *rec_finish(Rec *rec, int status)
 {
     PyObject *rows = NULL;
+    if (rec->unlocked != NULL)
+        PyEval_RestoreThread(rec->unlocked);
     if (rec->grid.obj != NULL)
         for (; rec->n < rec->cap; rec->n++)
             memcpy(rec->rows + 3 * rec->n, rec->held, sizeof rec->held);
@@ -277,9 +290,10 @@ typedef void (*Deriv)(const double *par, const double x[2], double dx[2]);
  * more than a relative 1e-12 is halved locally (at most MAX_HALVINGS times,
  * else status 6), a component beyond ``blowup`` or nan (only overflow makes
  * one) stops the run with status 1, and small negative residues are clamped
- * to 0.  The stepping loop runs without the GIL: in grid mode ``rec_push``
- * only copies doubles into rows already allocated, and the grid is a held
- * buffer.  Inlined per model, so ``f`` is a direct call. */
+ * to 0.  Since a grid time past ``t_end`` is stepped to as well, the step
+ * cap also bounds the way the run travels: ``t_end`` plus every step back
+ * from one target to the next.  It steps without the GIL (``rec_unlock``).
+ * Inlined per model, so ``f`` is a direct call. */
 static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double dt, double t_end,
                                 PyObject *grid, double blowup)
 {
@@ -292,10 +306,15 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
         return NULL;
     const double *points = rec.grid.buf;
     Py_ssize_t npoints = rec.cap;
-    double t = 0.0;
+    double t = 0.0, back = fmax(points[npoints - 1] - t_end, 0.0); /* the way back, as above */
+    for (Py_ssize_t kk = 0; kk < npoints; kk++)
+        back += fmax((kk ? points[kk - 1] : 0.0) - points[kk], 0.0);
+    if (check_steps(dt, t_end + back) < 0) {
+        rec_free(&rec);
+        return NULL;
+    }
     int status = 0;
-    /* not Py_BEGIN_ALLOW_THREADS: the goto below would skip its end */
-    PyThreadState *unlocked = PyEval_SaveThread();
+    rec_unlock(&rec);
     for (Py_ssize_t kk = 0; kk <= npoints; kk++) {
         double target = kk < npoints ? points[kk] : t_end;
         while (t < target - 1e-12) {
@@ -334,7 +353,6 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
             rec_push(&rec, t, x[0], x[1]);
     }
 stop:
-    PyEval_RestoreThread(unlocked);
     rec.cap = rec.n + 1; /* rec_finish adds only the row held at the last grid time reached */
     return rec_finish(&rec, status);
 }
@@ -521,7 +539,8 @@ static PyObject *ssa(PyObject *self, PyObject *args)
     Rec rec;
     if (rec_init(&rec, grid, T, E) < 0)
         return NULL;
-    for (;;) {
+    rec_unlock(&rec);
+    while (!rec.oom) {
         if (watch && (((watch & 1) && T == 0.0) || ((watch & 2) && E == 0.0)))
             watch = table_absorb(&tab, T, E, floor_t, floor_e, cap);
         double R = table_rates(&tab, T, E, floor_t, floor_e, 1, sums);
@@ -587,21 +606,23 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args)
     long nev = 0;
     int status = -1;
     Py_ssize_t ncoh = 0, ccap = 64;
-    Cohort *coh = PyMem_Malloc(ccap * sizeof *coh);
+    /* the raw allocator needs no GIL: out of cohorts, the run sets rec.oom */
+    Cohort *coh = PyMem_RawMalloc(ccap * sizeof *coh);
     if (coh == NULL)
         return PyErr_NoMemory();
     Rec rec;
     if (rec_init(&rec, grid, T, 0.0) < 0) {
-        PyMem_Free(coh);
+        PyMem_RawFree(coh);
         return NULL;
     }
+    rec_unlock(&rec);
 #define DEATH_RATE(T) (tlogt ? b * log(T) : b * powfast((T), eb))
     if (T > 0.0) {
         coh[0].rate = DEATH_RATE(T);
         coh[0].count = T;
         ncoh = 1;
     }
-    for (;;) {
+    while (!rec.oom) {
         double B = channel_rate(&tab, 0, T, 0.0); /* the live birth rate, as ssa takes it */
         double D = 0.0;
         for (Py_ssize_t i = 0; i < ncoh; i++)
@@ -627,9 +648,9 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args)
                 i++;
             if (i == ncoh) {
                 if (ncoh == ccap) {
-                    Cohort *grown = PyMem_Realloc(coh, 2 * ccap * sizeof *coh);
+                    Cohort *grown = PyMem_RawRealloc(coh, 2 * ccap * sizeof *coh);
                     if (grown == NULL) {
-                        PyErr_NoMemory();
+                        rec.oom = 1;
                         break;
                     }
                     coh = grown;
@@ -664,8 +685,8 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args)
         }
     }
 #undef DEATH_RATE
-    PyMem_Free(coh);
-    return rec_finish(&rec, PyErr_Occurred() ? -1 : status);
+    PyMem_RawFree(coh);
+    return rec_finish(&rec, status);
 }
 
 /* ---- approximate stochastic simulation (Poisson tau-leaping) ----------- */
@@ -687,7 +708,8 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
     Rec rec;
     if (rec_init(&rec, grid, T, E) < 0)
         return NULL;
-    while (t < t_end - 1e-12) {
+    rec_unlock(&rec);
+    while (t < t_end - 1e-12 && !rec.oom) {
         if (watch && (((watch & 1) && T == 0.0) || ((watch & 2) && E == 0.0)))
             watch = table_absorb(&tab, T, E, floor_t, floor_e, cap);
         double h = t + dt <= t_end ? dt : t_end - t;

@@ -171,7 +171,10 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
     steps of ``dt`` end exactly on each of these targets.  A step that would
     undershoot zero by more than a relative 1e-12 is halved locally (at most
     40 times, else status 6), a component beyond ``blowup`` or nan stops the
-    run with status 1, and small negative residues are clamped to 0.
+    run with status 1, and small negative residues are clamped to 0.  The
+    step cap also bounds the way the run travels: ``t_end`` plus every step
+    back from one target to the next, as a grid time past ``t_end`` is
+    stepped to as well.
     """
     _check_steps(dt, t_end)
     if grid is None:  # which _recorder takes for "no grid"
@@ -179,6 +182,10 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
     t = 0.0
     push, finish = _recorder(grid, T, E)
     points = memoryview(grid).tolist()
+    back = max(points[-1] - t_end, 0.0)  # the way back, summed as the compiled twin sums it
+    for a, b in zip([0.0, *points], points):
+        back += max(a - b, 0.0)
+    _check_steps(dt, t_end + back)
     for k, target in enumerate(points + [t_end]):
         while t < target - 1e-12:
             h = dt if t + dt <= target else target - t

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -300,19 +302,66 @@ def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 
     The kernels record each replicate only at the grid times, holding the
     last event at or before each: the values that step sampling on that grid
     (``stats.sample_on_grid``) takes from the per-event trajectory, at a cost
-    per grid point instead of per event.  Replicates are independent (they
-    could run concurrently); rows are ordered by replicate index either way.
+    per grid point instead of per event.
+
+    Replicates are independent, each seeded by its index, so they run on
+    ``min(reps, usable CPUs)`` threads over contiguous chunks of indices,
+    the first on this thread; the grid-mode C kernels release the GIL, so
+    the chunks run on every core, and the values are the same bytes on any
+    thread count.  A failure is that of the lowest failing replicate, as in
+    order: an EngineError names it and its seed, any other error is raised
+    as it is.  No chunk starts a replicate past a failed one, or any after
+    an interrupt, and every helper is joined before this returns or raises.
     """
     values = np.empty(spec.values_shape(reps))  # filled in place: no per-replicate copies beside it
     simulate = simulate_exact if spec.dt is None else simulate_tau_leap
-    terminations = []
-    for i in range(reps):
-        seed = base_seed + i
-        try:
-            traj = simulate(spec, seed)
-        except EngineError as exc:
-            raise type(exc)(f"replicate {i} (seed {seed}): {exc}") from exc
-        values[i] = traj.states
-        terminations.append(traj.termination)
+    terminations = [None] * reps
+    failures = {}  # replicate index -> what it raised
+    stop = [reps]  # no replicate at or past this index starts
+    lock = threading.Lock()
+
+    def run(lo: int, hi: int, done: threading.Event | None = None) -> None:
+        for i in range(lo, hi):
+            if i >= stop[0]:
+                break
+            try:
+                traj = simulate(spec, base_seed + i)
+                values[i] = traj.states
+                terminations[i] = traj.termination
+            except BaseException as exc:  # raised on the caller, below
+                with lock:
+                    failures[i] = exc
+                    stop[0] = min(stop[0], i)
+                break
+        if done is not None:
+            done.set()
+
+    n = min(reps, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    bounds = [reps * k // n for k in range(n + 1)]
+    helpers = []  # (thread, set once its chunk is done)
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            done = threading.Event()
+            helper = threading.Thread(target=run, args=(lo, hi, done))
+            helper.start()
+            helpers.append((helper, done))
+        run(0, bounds[1])
+        for _, done in helpers:
+            done.wait()
+    except BaseException:  # an interrupt outside a replicate: every chunk stops at its next one
+        with lock:
+            stop[0] = 0
+        for _, done in helpers:
+            done.wait()
+        raise
+    finally:
+        # only once every chunk is done: an interrupted Thread.join can mark a running thread stopped
+        for helper, _ in helpers:
+            helper.join()
+    if failures:
+        i, exc = min(failures.items())  # indices are distinct, so no two errors are compared
+        if isinstance(exc, EngineError):
+            raise type(exc)(f"replicate {i} (seed {base_seed + i}): {exc}") from exc
+        raise exc
     return Ensemble(grid=spec.grid, values=values, species=spec.channels.species,
                     terminations=tuple(terminations), base_seed=base_seed)

@@ -768,6 +768,21 @@ def test_rk4_refuses_a_step_rule_that_would_not_end(backend, kernel, dt, t_end):
         getattr(BACKENDS[backend], kernel)(*before, dt, t_end, None, *after)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel, args", [
+    # the run steps to each grid time in turn: here to 1e300, past a t_end of 1
+    ("rk4_kuznetsov", (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.1908, 0.318, 100.0, 10.0, 0.1, 1.0,
+                       np.array([0.0, 1e300]), 1e300)),
+    # to 3e7, back to 0 and to 3e7 again: 6e7 steps, though no time passes 3e7
+    ("rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, 1.0, 1.0, np.array([0.0, 3e7, 0.0, 3e7]), 1e300)),
+], ids=["past-t_end", "back-and-forth"])
+def test_rk4_refuses_a_grid_that_would_step_past_the_cap(backend, kernel, args):
+    """The step cap bounds the whole way a run travels, grid times
+    included, with the step rule's ValueError on both backends."""
+    with pytest.raises(ValueError, match=STEP_ERROR):
+        getattr(BACKENDS[backend], kernel)(*args)
+
+
 END_ERROR = r"^need a finite t_end >= 0$"
 
 
@@ -808,15 +823,24 @@ def test_rk4_domain_edges_run(backend, kernel):
     assert status == 0 and list(t) == [0.0, 0.5, 1.0]
 
 
+# a run of each kernel on a grid that takes about 0.1-0.3 s on the compiled backend
+LONG_GRID_RUNS = {
+    **{kernel: (*before, 1e-4, 100.0, make_grid(100.0), *after)  # 1M steps
+       for kernel, ((*before, _, _), after) in RK4_ARGS.items()},
+    "ssa": (S4_TABLE, 100, 10, 4000.0, 1, 1, 0, 1e12, 10**9, make_grid(4000.0)),  # about 6M events
+    "ssa_frozen": (ONE_SPECIES, 20, 1e5, 1, 1, 1e12, 10**9, make_grid(1e5)),
+    "tau_leap": (S4_TABLE, 100, 10, 2e4, 0.01, 1, 1, 0, 1e12, make_grid(2e4)),  # 2M leaps
+}
+
+
 @needs_compiled
-@pytest.mark.parametrize("kernel", RK4_ARGS)
-def test_the_compiled_rk4_releases_the_gil(kernel):
-    """While a 1M-step compiled RK4 run steps on a helper thread, this one
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_the_compiled_grid_kernels_release_the_gil(kernel):
+    """While a long compiled run on a grid steps on a helper thread, this one
     goes on running Python.  Holding the GIL, the kernel would stop this
     thread for its whole run: the longest pause between two of this thread's
     loop iterations would be as long as the kernel's run, not a fraction."""
-    (*before, _, _), after = RK4_ARGS[kernel]
-    args = (*before, 1e-4, 100.0, make_grid(100.0), *after)
+    args = LONG_GRID_RUNS[kernel]
     runs = []
 
     def run():
@@ -852,33 +876,57 @@ def test_rk4_blowup_ends_the_rows_at_the_last_grid_time_reached(backend):
 
 
 OUT_OF_MEMORY_RUN = """
-import resource, sys
+import resource, sys, time
 from dualsim.kernels import {module} as backend
 
 with open("/proc/self/statm") as statm:
     size = int(statm.read().split()[0]) * resource.getpagesize()
 resource.setrlimit(resource.RLIMIT_AS, (size + (300 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
 raised = False
+start = time.perf_counter()
 try:
-    # about 16M events under a tumour floor: 390 MB of rows even without slack
-    backend.ssa({table}, 100, 10, 1e4, 1, 1, 0, 1e12, 2**62)
+    # under a tumour floor, about 1630 events a day: 16M events and 390 MB of rows by t = 1e4
+    backend.ssa({table}, 100, 10, {t_end}, 1, 1, 0, 1e12, 2**62)
 except MemoryError:
     raised = True  # out of the handler, the run's frames and rows are freed
-print(raised)
+print(raised, time.perf_counter() - start)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
-@pytest.mark.skipif("libasan" in os.environ.get("LD_PRELOAD", ""), reason="ASan reserves shadow address space")
+def run_out_of_memory(backend, t_end):
+    """Runs ``OUT_OF_MEMORY_RUN`` on the ``backend`` module to ``t_end`` in a
+    subprocess; returns its exit code, whether the kernel raised
+    MemoryError, its stderr and the seconds the kernel call took."""
+    code = OUT_OF_MEMORY_RUN.format(module=backend.__name__.rpartition(".")[2], table=S4_TABLE, t_end=t_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[2])}  # the dualsim under test
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    raised, seconds = done.stdout.split() or ("", "nan")
+    return done.returncode, raised, done.stderr, float(seconds)
+
+
+# the run reads /proc/self/statm, and ASan reserves shadow address space past any cap
+needs_an_address_space_cap = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or "libasan" in os.environ.get("LD_PRELOAD", ""),
+    reason="needs Linux and no AddressSanitizer")
+
+
+@needs_an_address_space_cap
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_per_event_run_out_of_memory_raises_memory_error(backend):
     """A subprocess caps its address space 300 MiB above its size and runs
     a per-event ``ssa`` whose rows pass it: the kernel raises MemoryError
     and the process goes on, on both backends."""
-    code = OUT_OF_MEMORY_RUN.format(module=BACKENDS[backend].__name__.rpartition(".")[2], table=S4_TABLE)
-    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[2])}  # the dualsim under test
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+    assert run_out_of_memory(BACKENDS[backend], 1e4)[:3] == (0, "True", "")
+
+
+@needs_compiled
+@needs_an_address_space_cap
+def test_a_compiled_per_event_run_out_of_memory_stops_at_once():
+    """The same run to t = 1e7, 1.6e10 events: the compiled kernel raises
+    as soon as its rows run out, not at the end of a run many minutes long.
+    (The pure kernel raises where its list fails to grow.)"""
+    *result, seconds = run_out_of_memory(compiled, 1e7)
+    assert result == [0, "True", ""] and seconds < 60, seconds
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,8 +1,13 @@
 """Stochastic engine: the models' channel sets, exact SSA, tau-leaping, ensembles."""
 
+import contextlib
 import math
 import random
 import re
+import signal
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -684,6 +689,198 @@ class TestEnsembles:
         with pytest.raises(EngineError):
             Ensemble(grid=np.array([0.0, 1.0, 2.0]), values=values, species=("tumour",),
                      terminations=terminations, base_seed=0)
+
+
+def use_cpus(monkeypatch, n):
+    """Makes ``run_ensemble`` see ``n`` usable CPUs."""
+    monkeypatch.setattr(dualsim.ssa.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+# short runs of each kind: scenario 4 exact and tau-leaped, and a frozen-policy logistic law
+THREAD_SPECS = {
+    "exact": EnsembleSpec(channels=scenario_preset(4).channels, initial=PopulationState(100, 10), t_end=5.0,
+                          floors=Floors(1, 0), grid=make_grid(5.0, 0.5)),
+    "tau": EnsembleSpec(channels=scenario_preset(4).channels, initial=PopulationState(100, 10), t_end=5.0,
+                        dt=0.01, grid=make_grid(5.0, 0.5)),
+    "frozen": EnsembleSpec(channels=GrowthLaw("logistic", 1.0, 0.8).channels, initial=PopulationState(1),
+                           t_end=5.0, policy=RatePolicy.FROZEN_AT_BIRTH, grid=make_grid(5.0, 1.0)),
+}
+
+
+def failing_at(monkeypatch, failures, good=None):
+    """Makes ``simulate_exact`` raise ``failures[seed]`` for those seeds and
+    run ``good`` (the real simulator by default) for the others; returns the
+    list of seeds it was called with."""
+    real, calls = good or simulate_exact, []
+
+    def simulate(spec, seed):
+        calls.append(seed)
+        if seed in failures:
+            raise failures[seed]
+        return real(spec, seed)
+
+    monkeypatch.setattr(dualsim.ssa, "simulate_exact", simulate)
+    return calls
+
+
+def after(event, simulate, spec, seed):
+    """``simulate(spec, seed)``, once ``event`` is set and 0.1 s more have
+    passed, in which the thread that set it handles what it raises."""
+    event.wait(10)
+    time.sleep(0.1)
+    return simulate(spec, seed)
+
+
+class TestEnsembleThreads:
+    """``run_ensemble`` splits replicates over ``min(reps, usable CPUs)``
+    threads, with the serial results and errors."""
+
+    @pytest.mark.parametrize("kind", THREAD_SPECS)
+    @pytest.mark.parametrize("reps", [1, 2, 5])
+    def test_values_are_the_same_bytes_on_any_thread_count(self, monkeypatch, kind, reps):
+        runs = []
+        for n in (1, 2, 3, 8):
+            use_cpus(monkeypatch, n)
+            ens = run_ensemble(THREAD_SPECS[kind], reps=reps, base_seed=21)
+            runs.append((ens.values.tobytes(), ens.terminations))
+        assert runs[1:] == runs[:1] * 3
+
+    @pytest.mark.parametrize("n, reps, chunks", [
+        (1, 5, [[0, 1, 2, 3, 4]]),
+        (2, 5, [[0, 1], [2, 3, 4]]),
+        (3, 5, [[0], [1, 2], [3, 4]]),
+        (8, 5, [[0], [1], [2], [3], [4]]),
+        (8, 1, [[0]]),
+    ])
+    def test_each_thread_runs_a_contiguous_chunk_and_this_one_the_first(self, monkeypatch, n, reps, chunks):
+        use_cpus(monkeypatch, n)
+        ran = {}  # thread -> replicate indices, in the order it ran them
+        real = simulate_exact
+
+        def simulate(spec, seed):
+            ran.setdefault(threading.current_thread(), []).append(seed)
+            return real(spec, seed)
+
+        monkeypatch.setattr(dualsim.ssa, "simulate_exact", simulate)
+        run_ensemble(THREAD_SPECS["exact"], reps=reps, base_seed=0)
+        assert sorted(ran.values()) == chunks and ran[threading.current_thread()] == chunks[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_the_lowest_failing_replicate_is_reported(self, monkeypatch, n):
+        # on more than one thread, replicate 1 fails only once replicate 4 has
+        use_cpus(monkeypatch, n)
+        four_failed = threading.Event()
+
+        def simulate(spec, seed):
+            if seed == 14:
+                four_failed.set()
+                raise EngineError("four")
+            if seed == 11:
+                assert n == 1 or four_failed.wait(10)
+                raise EngineError("one")
+            return simulate_exact(spec, seed)
+
+        monkeypatch.setattr(dualsim.ssa, "simulate_exact", simulate)
+        with pytest.raises(EngineError, match=r"^replicate 1 \(seed 11\): one$"):
+            run_ensemble(THREAD_SPECS["exact"], reps=5, base_seed=10)
+
+    def test_an_error_of_any_type_in_a_helper_is_raised_on_the_caller(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        error = ZeroDivisionError("in the second chunk")
+        failing_at(monkeypatch, {3: error})
+        with pytest.raises(ZeroDivisionError) as info:
+            run_ensemble(THREAD_SPECS["exact"], reps=4, base_seed=0)
+        assert info.value is error  # as it was raised, with no replicate label
+
+    @pytest.mark.parametrize("error", [EngineError("boom"), KeyboardInterrupt()], ids=["error", "interrupt"])
+    def test_a_failure_at_replicate_0_stops_every_chunk_at_its_next_replicate(self, monkeypatch, error):
+        # the other replicates end only after replicate 0 has failed, so each chunk begins one at most
+        use_cpus(monkeypatch, 4)
+        failed = threading.Event()
+
+        class Failing(type(error)):
+            def __init__(self, *args):
+                super().__init__(*args)
+                failed.set()
+
+        calls = failing_at(monkeypatch, {0: Failing},
+                           good=lambda spec, seed: after(failed, simulate_exact, spec, seed))
+        with pytest.raises(type(error)):
+            run_ensemble(THREAD_SPECS["exact"], reps=40, base_seed=0)
+        assert 0 in calls and len(calls) <= 4, calls
+
+    def test_a_replicate_that_cannot_be_stored_in_a_helper_is_raised_on_the_caller(self, monkeypatch):
+        # replicate 3, in the second chunk, returns states of the wrong shape
+        use_cpus(monkeypatch, 2)
+
+        class Misshapen:
+            states = np.zeros(7)
+
+        def simulate(spec, seed):
+            return Misshapen() if seed == 3 else simulate_exact(spec, seed)
+
+        monkeypatch.setattr(dualsim.ssa, "simulate_exact", simulate)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_ensemble(THREAD_SPECS["exact"], reps=4, base_seed=0)
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="sends SIGINT to this thread")
+    def test_an_interrupt_while_waiting_for_the_helpers_stops_every_chunk(self, monkeypatch):
+        # this thread runs its chunk of 10 and waits in a join; one helper then sends it SIGINT, and the
+        # other helpers' first replicates end only after that
+        use_cpus(monkeypatch, 4)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        main, chunk_done, sent, sending = threading.get_ident(), threading.Event(), threading.Event(), threading.Lock()
+        calls = []
+
+        def simulate(spec, seed):
+            calls.append(seed)
+            if threading.get_ident() == main:
+                if seed == 9:
+                    chunk_done.set()
+            elif not sending.acquire(blocking=False):
+                return after(sent, simulate_exact, spec, seed)
+            else:
+                chunk_done.wait(10)
+                time.sleep(0.1)  # this thread is in the join by now
+                signal.pthread_kill(main, signal.SIGINT)
+                sent.set()
+                time.sleep(0.1)
+            return simulate_exact(spec, seed)
+
+        monkeypatch.setattr(dualsim.ssa, "simulate_exact", simulate)
+        before = threading.active_count()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_ensemble(THREAD_SPECS["exact"], reps=40, base_seed=0)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert threading.active_count() == before  # the helpers were joined, so no more calls come
+        assert sorted(calls)[:10] == list(range(10)) and len(calls) <= 13, calls
+
+    def test_under_many_thread_switches_the_values_and_the_lowest_failure_hold(self, monkeypatch):
+        # 16 threads on any host, switching every 10 microseconds: a lost update of the shared stop
+        # index or of a row would show as other bytes or another replicate's error
+        spec, interval = THREAD_SPECS["frozen"], sys.getswitchinterval()
+        use_cpus(monkeypatch, 1)
+        serial = run_ensemble(spec, reps=64, base_seed=3).values.tobytes()
+        use_cpus(monkeypatch, 16)
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run_ensemble(spec, reps=64, base_seed=3).values.tobytes() == serial
+            failing_at(monkeypatch, {seed: EngineError("boom") for seed in (40, 50, 60, 66)})
+            with pytest.raises(EngineError, match=r"^replicate 37 \(seed 40\)"):
+                run_ensemble(spec, reps=64, base_seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_every_helper_is_joined(self, monkeypatch, fails):
+        use_cpus(monkeypatch, 8)
+        failing_at(monkeypatch, {5: EngineError("boom")} if fails else {})
+        before = threading.active_count()
+        with pytest.raises(EngineError) if fails else contextlib.nullcontext():
+            run_ensemble(THREAD_SPECS["exact"], reps=8, base_seed=0)
+        assert threading.active_count() == before
 
 
 def _no_kernel(*args, **kwargs):
