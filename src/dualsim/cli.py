@@ -318,22 +318,28 @@ def _beside_ensemble(sds, spec: RunSpec) -> tuple:
     """``(sds(), ensemble)``: ``sds`` runs on a helper thread while this one
     runs the ensemble of ``spec``.  They share no state, and the compiled
     RK4 kernels release the GIL, so on the C build the SDS takes no wall
-    time of its own.  The helper is always joined, and an error of ``sds``
-    is raised before one of the ensemble, as if ``sds`` had run first."""
-    done = []
+    time of its own.  The helper is always joined, so an interrupt waits for
+    the SDS to end, and an error of ``sds`` is raised before one of the
+    ensemble, as if ``sds`` had run first."""
+    done, finished = [], threading.Event()
 
     def run_sds():
         try:
             done.append(sds())
         except BaseException as exc:  # raised again below, in this thread
             done.append(exc)
+        finished.set()
 
     helper = threading.Thread(target=run_sds)
     helper.start()
     try:
         ens = run_ensemble(spec.plan[3], reps=spec.reps, base_seed=spec.seed)
+        finished.wait()
+    except BaseException:  # an error of the ensemble, or an interrupt: the SDS runs to its end
+        finished.wait()
+        raise
     finally:
-        helper.join()
+        helper.join()  # only once the SDS is done: an interrupted join can mark a running thread stopped
         if isinstance(done[0], BaseException):
             raise done[0]
     return done[0], ens
@@ -342,13 +348,13 @@ def _beside_ensemble(sds, spec: RunSpec) -> tuple:
 def cmd_run(spec: RunSpec) -> list[Path]:
     """Execute the requested paradigm(s) and write trajectory CSVs, an
     optional SVG plot, and the manifest.  With both paradigms the SDS runs
-    on a helper thread beside the ensemble, and an error of the SDS is
-    raised before one of the ensemble.  The simulations run before
-    anything is written; each CSV is formatted while it is written to its
-    ``.tmp`` file, and nothing moves into place until every output is
-    complete, so failures leave no partial files.  A plot leaves out an SDS
-    that stopped before the grid's end, with a note on stderr; with nothing
-    else to plot, no plot is written."""
+    on a helper thread beside the ensemble, an error of the SDS is raised
+    before one of the ensemble, and an interrupt waits for the SDS.  The
+    simulations run before anything is written; each CSV is formatted
+    while it is written to its ``.tmp`` file, and nothing moves into place
+    until every output is complete, so failures leave no partial files.  A
+    plot leaves out an SDS that stopped before the grid's end, with a note
+    on stderr; with nothing else to plot, no plot is written."""
     model, initial, grid, ensemble = spec.plan
     outputs: dict[str, str | tuple] = {}
     results: dict = {}
@@ -399,7 +405,8 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
     comparison.svg and the manifest.  The SDS runs on a helper thread beside
     the ensemble.  An SDS that ends before the grid's end is an engine
     error; it and any other error of the SDS are raised before one of the
-    ensemble, but only once the ensemble has run as well."""
+    ensemble, but only once the ensemble has run as well.  An interrupt
+    waits for the SDS."""
     _require_both(spec.paradigm)
     model, initial, grid, _ = spec.plan
 

@@ -34,8 +34,8 @@ Python) integrates over the state (T, E) to ``t_end``.  It cuts its steps
 of ``dt`` to land on each time of ``grid``, where it records one row, halves
 a step that would undershoot zero (status 6 after 40 halvings), stops with
 status 1 at the last grid time reached when a component passes ``blowup``
-or is nan, and clamps small negative residues to 0.  A grid time past
-``t_end`` is stepped to like any other.
+or is nan, and clamps small negative residues to 0.  It steps forward
+only, to a grid time past ``t_end`` too, as the grid times increase.
 
 Domain.  Each kernel refuses the arguments below, on which it would run for
 ever or past the step cap, with one ``ValueError`` of the same text on both
@@ -46,19 +46,17 @@ backends, before it reads its grid:
   at most 5e7, the step cap of ``ssa._check_steps``, else "need a finite
   dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7";
 - the RK4 kernels refuse with the same ValueError, once they have read the
-  grid, a run that travels more than 5e7 steps of ``dt``: ``t_end`` plus
-  every jump back from one target (the grid times in turn, then ``t_end``)
-  to the next, so the way to a grid time past ``t_end`` counts;
+  grid, a run that travels more than 5e7 steps of ``dt``: to the later of
+  ``t_end`` and the last grid time (see Grid sampling);
 - the event-driven kernels (``ssa``, ``ssa_frozen``) need ``t_end`` finite
   and >= 0, else "need a finite t_end >= 0"; ``max_events`` bounds their
   events;
 - ``rk4_growth`` needs ``kind`` 0 or 1, else "kind must be 0 (power law)
   or 1 (Gompertz)".
 
-Every grid time must be finite too (see Grid sampling).  One way to crawl
-stays open within the domain: a drift below zero at a zero population
-(``rk4_kuznetsov`` with s < 0 at E = 0) accepts steps short enough to
-undershoot by at most 1e-12.
+One way to crawl stays open within the domain: a drift below zero at a
+zero population (``rk4_kuznetsov`` with s < 0 at E = 0) accepts steps
+short enough to undershoot by at most 1e-12.
 
 Threads.  A compiled kernel that records on a grid (the RK4 kernels
 always, the stochastic ones when given a ``grid``) releases the GIL while
@@ -119,17 +117,18 @@ ends with status 0.
 
 Grid sampling.  Called without their optional trailing ``grid``, the
 stochastic kernels return one row per event or leap, framed by the initial
-state and, when the run reaches ``t_end``, a final hold row there.  Given a
-``grid`` (a non-empty contiguous 1-D buffer of doubles, as every kernel's
-grid; anything else raises TypeError, and then a time that is not finite
-``ValueError("grid times must be finite")``), they record only the sample
-held at each grid time, the last one at or before it, into ``len(grid)``
-rows whose t column gives each held sample's time: the per-event rows
-indexed by ``searchsorted(t, grid, side="right") - 1``, at a cost per grid
-point instead of per event.  Grid points past the last sample hold the last
-sample.  A run goes on to ``t_end`` past a grid that stops short of it, so
-the last row names the last event only if the grid reaches ``t_end`` (as
-``ssa.EnsembleSpec`` makes it do).
+state and, when the run reaches ``t_end``, a final hold row there.  Every
+kernel's ``grid`` is a non-empty contiguous 1-D buffer of doubles, else
+TypeError, and ``ValueError("grid times must be finite, >= 0 and strictly
+increasing")`` unless they are: one rule, checked before a step, by which
+row i holds the state at grid[i].  Given one, the stochastic kernels
+record only the sample held at each grid time, the last one at or before
+it, into ``len(grid)`` rows whose t column gives each held sample's time:
+the per-event rows indexed by ``searchsorted(t, grid, side="right") - 1``,
+at a cost per grid point instead of per event.  Grid points past the last
+sample hold the last sample.  A run goes on to ``t_end`` past a grid that
+stops short of it, so the last row names the last event only if the grid
+reaches ``t_end`` (as ``ssa.EnsembleSpec`` makes it do).
 
 CSV rows.  ``write_rows(values, times, write)`` hands ``write`` the rows of
 a 2-D ``(n, k)`` or 3-D ``(reps, n, k)`` buffer of doubles ``values``

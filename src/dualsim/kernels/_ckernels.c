@@ -187,29 +187,27 @@ static inline void rec_push(Rec *rec, double t, double a, double b)
 }
 
 #define GRID_ERROR "grid must be a non-empty contiguous 1-D buffer of doubles"
-#define GRID_TIME_ERROR "grid times must be finite"
+#define GRID_TIME_ERROR "grid times must be finite, >= 0 and strictly increasing"
 
 /* Starts the rows with the sample (0, a, b): room for one row per grid
  * point when ``grid`` is not None, else for 4096 rows.  The one check of a
- * kernel's grid. */
+ * kernel's grid, whose times must hold 0 <= grid[0] < grid[1] < ... < inf. */
 static int rec_init(Rec *rec, PyObject *grid, double a, double b)
 {
     *rec = (Rec){0, 0, 4096, NULL, NULL, {NULL}, {0.0, a, b}, NULL};
     if (grid != NULL && grid != Py_None) {
-        if (PyObject_GetBuffer(grid, &rec->grid, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0 ||
-            rec->grid.ndim != 1 || strcmp(rec->grid.format, "d") != 0 ||
-            rec->grid.shape[0] == 0) {
+        int typed = PyObject_GetBuffer(grid, &rec->grid, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) == 0 &&
+                    rec->grid.ndim == 1 && strcmp(rec->grid.format, "d") == 0 && rec->grid.shape[0] > 0;
+        const double *points = rec->grid.buf;
+        rec->cap = typed ? rec->grid.shape[0] : 0;
+        int ok = typed && points[0] >= 0.0 && points[rec->cap - 1] < INFINITY; /* each test is false for nan */
+        for (Py_ssize_t i = 1; ok && i < rec->cap; i++)
+            ok = points[i - 1] < points[i];
+        if (!ok) {
             rec_free(rec);
-            PyErr_SetString(PyExc_TypeError, GRID_ERROR);
+            PyErr_SetString(typed ? PyExc_ValueError : PyExc_TypeError, typed ? GRID_TIME_ERROR : GRID_ERROR);
             return -1;
         }
-        rec->cap = rec->grid.shape[0];
-        for (Py_ssize_t i = 0; i < rec->cap; i++)
-            if (!isfinite(((const double *)rec->grid.buf)[i])) {
-                rec_free(rec);
-                PyErr_SetString(PyExc_ValueError, GRID_TIME_ERROR);
-                return -1;
-            }
     }
     rec->bytes = PyByteArray_FromStringAndSize(NULL, 3 * rec->cap * sizeof(double));
     if (rec->bytes == NULL) {
@@ -290,9 +288,9 @@ typedef void (*Deriv)(const double *par, const double x[2], double dx[2]);
  * more than a relative 1e-12 is halved locally (at most MAX_HALVINGS times,
  * else status 6), a component beyond ``blowup`` or nan (only overflow makes
  * one) stops the run with status 1, and small negative residues are clamped
- * to 0.  Since a grid time past ``t_end`` is stepped to as well, the step
- * cap also bounds the way the run travels: ``t_end`` plus every step back
- * from one target to the next.  It steps without the GIL (``rec_unlock``).
+ * to 0.  The grid rule (``rec_init``) makes the targets increase, so the
+ * run travels to the later of ``t_end`` and the last grid time, which the
+ * step cap bounds too.  It steps without the GIL (``rec_unlock``).
  * Inlined per model, so ``f`` is a direct call. */
 static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double dt, double t_end,
                                 PyObject *grid, double blowup)
@@ -306,10 +304,8 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
         return NULL;
     const double *points = rec.grid.buf;
     Py_ssize_t npoints = rec.cap;
-    double t = 0.0, back = fmax(points[npoints - 1] - t_end, 0.0); /* the way back, as above */
-    for (Py_ssize_t kk = 0; kk < npoints; kk++)
-        back += fmax((kk ? points[kk - 1] : 0.0) - points[kk], 0.0);
-    if (check_steps(dt, t_end + back) < 0) {
+    double t = 0.0;
+    if (check_steps(dt, fmax(t_end, points[npoints - 1])) < 0) {
         rec_free(&rec);
         return NULL;
     }

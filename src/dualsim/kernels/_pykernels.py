@@ -27,7 +27,7 @@ import math
 from array import array
 from itertools import chain, repeat
 from numbers import Real
-from operator import index
+from operator import index, lt
 
 import numpy as np
 
@@ -39,7 +39,7 @@ _REL_UNDERSHOOT_TOL = 1e-12
 _MAX_STEPS = 5e7  # ssa.DEFAULT_MAX_EVENTS, the step cap of ssa._check_steps
 _STEP_ERROR = "need a finite dt > 0 and a finite t_end >= 0, with t_end / dt at most 5e7"
 _END_ERROR = "need a finite t_end >= 0"
-_GRID_TIME_ERROR = "grid times must be finite"
+_GRID_TIME_ERROR = "grid times must be finite, >= 0 and strictly increasing"
 _KIND_ERROR = "kind must be 0 (power law) or 1 (Gompertz)"
 # seeds each run's SFC64 before its state is set, so a start draws no OS entropy
 _SEED_SEQUENCE = np.random.SeedSequence(0)
@@ -123,7 +123,7 @@ def _recorder(grid, a: float, b: float):
                 or not view.shape[0]):
             raise TypeError(_GRID_ERROR)
         points = view.tolist()
-        if not all(map(math.isfinite, points)):
+        if not (points[0] >= 0.0 and points[-1] < _INF and all(map(lt, points, points[1:]))):  # false for nan
             raise ValueError(_GRID_TIME_ERROR)
         points.append(_INF)  # a sentinel no sample passes
         k = 0
@@ -172,9 +172,9 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
     undershoot zero by more than a relative 1e-12 is halved locally (at most
     40 times, else status 6), a component beyond ``blowup`` or nan stops the
     run with status 1, and small negative residues are clamped to 0.  The
-    step cap also bounds the way the run travels: ``t_end`` plus every step
-    back from one target to the next, as a grid time past ``t_end`` is
-    stepped to as well.
+    grid rule (``_recorder``) makes the targets increase, so the run travels
+    to the later of ``t_end`` and the last grid time, which the step cap
+    bounds too.
     """
     _check_steps(dt, t_end)
     if grid is None:  # which _recorder takes for "no grid"
@@ -182,10 +182,7 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
     t = 0.0
     push, finish = _recorder(grid, T, E)
     points = memoryview(grid).tolist()
-    back = max(points[-1] - t_end, 0.0)  # the way back, summed as the compiled twin sums it
-    for a, b in zip([0.0, *points], points):
-        back += max(a - b, 0.0)
-    _check_steps(dt, t_end + back)
+    _check_steps(dt, max(t_end, points[-1]))
     for k, target in enumerate(points + [t_end]):
         while t < target - 1e-12:
             h = dt if t + dt <= target else target - t

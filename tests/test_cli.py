@@ -2,6 +2,7 @@
 
 import errno
 import json
+import signal
 import threading
 import time
 from dataclasses import fields, replace
@@ -657,6 +658,40 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)]) == 0
         assert ran_on["run_ensemble"] is threading.main_thread() is not ran_on["integrate"]
         assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="sends SIGINT to this thread")
+    @pytest.mark.parametrize("command", BOTH)
+    def test_an_interrupt_while_waiting_for_the_sds_waits_for_its_end(self, tmp_path, monkeypatch, command):
+        # the ensemble ends first; then, while this thread waits for the SDS, the SDS sends it SIGINT and runs on
+        threads, main_thread = threading.active_count(), threading.get_ident()
+        ensemble_done, sds_ended = threading.Event(), threading.Event()
+
+        def ensemble(*args, **kwargs):
+            result = run_ensemble(*args, **kwargs)
+            ensemble_done.set()
+            return result
+
+        def slow_sds(*args, **kwargs):
+            ensemble_done.wait(10)
+            time.sleep(0.1)  # this thread is waiting for the SDS by now
+            signal.pthread_kill(main_thread, signal.SIGINT)
+            time.sleep(0.3)
+            traj = integrate(*args, **kwargs)
+            sds_ended.set()
+            return traj
+
+        monkeypatch.setattr(dualsim.cli, "run_ensemble", ensemble)
+        monkeypatch.setattr(dualsim.cli, "integrate", slow_sds)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main([*self.BOTH[command], "--model", "logistic", "--c", "5", "--t-end", "2", "--reps", "2",
+                      "--out", str(tmp_path)])
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert sds_ended.is_set()
+        assert threading.active_count() == threads  # the helper was joined
+        assert list(tmp_path.iterdir()) == []
 
     def test_io_error_is_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

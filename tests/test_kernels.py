@@ -618,6 +618,9 @@ def grid_on_samples(times, t_end):
     return np.unique(np.concatenate([np.linspace(0.0, t_end, 21), times[::3], mids[1::3]]))
 
 
+GRID_TIME_ERROR = r"^grid times must be finite, >= 0 and strictly increasing$"
+
+
 class TestGridRecording:
     """With a grid, every kernel returns the per-event series step-sampled
     at the grid times: the last sample at or before each."""
@@ -671,19 +674,46 @@ class TestGridRecording:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
-    def test_grid_times_must_be_finite(self, backend, kernel, t):
-        # an RK4 run steps to each grid time, so one of +-inf would never end
+    @pytest.mark.parametrize("grid", [
+        [0.0, math.inf, 1.0],
+        [0.0, -math.inf, 1.0],
+        [0.0, math.nan, 1.0],
+        [0.0, 1.0, math.inf],
+        [0.0, 1.0, math.nan],
+        [0.0, 5.0, 1.0],
+        [0.0, 1.0, 1.0],
+        [-1.0, 0.0, 1.0],
+        [math.nan],
+    ], ids=["inf", "-inf", "nan", "last-inf", "last-nan", "decreasing", "repeated", "negative", "only-nan"])
+    def test_grid_times_must_be_finite_non_negative_and_strictly_increasing(self, backend, kernel, grid):
+        # an RK4 run steps to each grid time in turn, so one of +-inf would never end, and one below the
+        # time reached would make it step back over time it has already integrated
         fn = getattr(BACKENDS[backend], kernel)
-        with pytest.raises(ValueError, match="^grid times must be finite$"):
-            fn(*with_grid(kernel, np.array([0.0, t, 1.0])))
+        with pytest.raises(ValueError, match=GRID_TIME_ERROR):
+            fn(*with_grid(kernel, np.array(grid)))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel, args", [
+        # the row for t = 1 held the sample at t = 4.99; the per-event series has (0.909, 1, 8) there
+        ("ssa", (S4_TABLE, 100, 10, 10.0, 1, 1, 0, 1e12, 10**8, np.array([0.0, 5.0, 1.0]))),
+        # 2 rows for 3 grid times, the second labelled t = 0.5 but holding T(1.5)
+        ("rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.1, 2.0, np.array([0.0, 1.5, 0.5]), 1e300)),
+        # 2 rows for 3 grid times
+        ("rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.1, 2.0, np.array([0.0, 1.0, 1.0]), 1e300)),
+    ], ids=["ssa-decreasing", "rk4-decreasing", "rk4-repeated"])
+    def test_a_grid_that_gave_rows_of_other_times_is_refused(self, backend, kernel, args):
+        with pytest.raises(ValueError, match=GRID_TIME_ERROR):
+            getattr(BACKENDS[backend], kernel)(*args)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_a_finite_grid_time_past_t_end_is_taken(self, backend, kernel):
         # ssa._check_grid admits a last grid time up to t_end + 1e-9; these runs end by t = 3 and 10
-        rows, status = getattr(BACKENDS[backend], kernel)(*with_grid(kernel, np.array([0.0, 20.0])))
+        grid = np.array([0.0, 20.0])
+        rows, status = getattr(BACKENDS[backend], kernel)(*with_grid(kernel, grid))
         assert status == 0 and len(rows) == 2
+        if kernel in RK4_ARGS:  # the RK4 steps on to the grid time past t_end and records its row there
+            assert np.asarray(rows)[:, 0].tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -769,17 +799,21 @@ def test_rk4_refuses_a_step_rule_that_would_not_end(backend, kernel, dt, t_end):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("kernel, args", [
+@pytest.mark.parametrize("kernel, args, message", [
     # the run steps to each grid time in turn: here to 1e300, past a t_end of 1
     ("rk4_kuznetsov", (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.1908, 0.318, 100.0, 10.0, 0.1, 1.0,
-                       np.array([0.0, 1e300]), 1e300)),
-    # to 3e7, back to 0 and to 3e7 again: 6e7 steps, though no time passes 3e7
-    ("rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, 1.0, 1.0, np.array([0.0, 3e7, 0.0, 3e7]), 1e300)),
-], ids=["past-t_end", "back-and-forth"])
-def test_rk4_refuses_a_grid_that_would_step_past_the_cap(backend, kernel, args):
-    """The step cap bounds the whole way a run travels, grid times
-    included, with the step rule's ValueError on both backends."""
-    with pytest.raises(ValueError, match=STEP_ERROR):
+                       np.array([0.0, 1e300]), 1e300), STEP_ERROR),
+    # to 3e7, back to 0 and to 3e7 again (6e7 steps): the grid rule refuses it before any step
+    ("rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, 1.0, 1.0, np.array([0.0, 3e7, 0.0, 3e7]), 1e300),
+     GRID_TIME_ERROR),
+    # from 0 back to -1e300, where no step of 1 moves t: refused by the grid rule too
+    ("rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, 1.0, 1.0, np.array([-1e300, 0.0]), 1e300), GRID_TIME_ERROR),
+], ids=["past-t_end", "back-and-forth", "back-below-0"])
+def test_rk4_refuses_a_grid_that_would_step_past_the_cap(backend, kernel, args, message):
+    """The step cap bounds the whole way a run travels, to the later of
+    ``t_end`` and the last grid time, with the step rule's ValueError on
+    both backends; the grid rule refuses a grid that would step back."""
+    with pytest.raises(ValueError, match=message):
         getattr(BACKENDS[backend], kernel)(*args)
 
 
