@@ -32,10 +32,15 @@ and ``rk4_kuznetsov`` only parse their arguments and name the model's
 derivative, which one shared RK4 stepper (``rk4_run`` in C, ``_rk4`` in
 Python) integrates over the state (T, E) to ``t_end``.  It cuts its steps
 of ``dt`` to land on each time of ``grid``, where it records one row, halves
-a step that would undershoot zero (status 6 after 40 halvings), stops with
-status 1 at the last grid time reached when a component passes ``blowup``
-or is nan, and clamps small negative residues to 0.  It steps forward
-only, to a grid time past ``t_end`` too, as the grid times increase.
+a step that would undershoot zero by more than a relative 1e-12 (status 6
+after 40 halvings), stops with status 1 at the last grid time reached when
+a component passes ``blowup`` or is nan, and clamps small negative residues
+to 0.  It steps forward only, to a grid time past ``t_end`` too, as the
+grid times increase.  A step that undershoots a stock at 0 whose drift
+there points below zero (``rk4_kuznetsov`` with s < 0 at E = 0) stops the
+run with status 6 at once, at the last grid time reached: only steps of
+about 1e-12 / |drift| days would keep that stock within the tolerance, so
+halving would crawl.
 
 Domain.  Each kernel refuses the arguments below, on which it would run for
 ever or past the step cap, with one ``ValueError`` of the same text on both
@@ -53,10 +58,6 @@ backends, before it reads its grid:
   events;
 - ``rk4_growth`` needs ``kind`` 0 or 1, else "kind must be 0 (power law)
   or 1 (Gompertz)".
-
-One way to crawl stays open within the domain: a drift below zero at a
-zero population (``rk4_kuznetsov`` with s < 0 at E = 0) accepts steps
-short enough to undershoot by at most 1e-12.
 
 Threads.  A compiled kernel that records on a grid (the RK4 kernels
 always, the stochastic ones when given a ``grid``) releases the GIL while

@@ -19,17 +19,24 @@
  * - keep the arithmetic as written and build without -ffast-math or fused
  *   multiply-adds (setup.py passes -ffp-contract=off): outputs are pinned
  *   byte for byte per seed, and equal the pure backend's;
- * - ``write_rows`` writes each time once per call with
- *   ``PyOS_double_to_string`` as f"{t:.6f}" does (mode 'f', 6 digits).  An
- *   integral value v, |v| < 1e16 and not -0.0, is written as its decimal
- *   digits and ".0", with no dtoa: that is repr(float(v)), since repr only
- *   switches to exponents at 1e16 and below it adjacent doubles are at most 2
- *   apart, so no shorter decimal rounds to v.  Every other value goes through
- *   ``PyOS_double_to_string`` as repr does (mode 'r', Py_DTSF_ADD_DOT_0).
- *   The rows fill one buffer of ``CHUNK`` (64 KiB) characters plus a row,
- *   handed to ``write`` as a str each time it holds ``CHUNK`` characters and
- *   once at the end.  It is kept out of ``kernels.__all__`` (see the package
- *   docstring).
+ * - ``write_rows`` prints each value as repr(float(v)) and each time as
+ *   f"{t:.6f}" by exact integer arithmetic, which gives the bytes of
+ *   CPython's dtoa (``PyOS_double_to_string``) by construction, and calls
+ *   dtoa only where that arithmetic cannot settle the digits.  An integral
+ *   |v| < 1e16 is its digits and ".0".  Any other 1e-4 <= |v| < 2^52 is
+ *   scaled to v 10^q of 17-18 digits in 128-bit integers, where the ends of
+ *   its rounding interval are never integral: repr's shortest digits are
+ *   the multiple of the largest power of ten inside it that lies nearest v
+ *   (Steele & White, PLDI 1990; Adams, PLDI 2018).  A time of 2^-60 <= |t|
+ *   < 2^44 is t 10^6 rounded half up from its exact remainder.  Left to
+ *   dtoa: a power of two (its interval is narrower below), an exact tie of
+ *   either rounding, any value or time outside those ranges (inf, nan,
+ *   subnormals and -0.0 among them), and everything where the compiler has
+ *   no ``__SIZEOF_INT128__``.  The times are printed once per call, into
+ *   one buffer.  The rows fill one buffer of ``CHUNK`` (64 KiB) characters
+ *   plus a row, handed to ``write`` as a str each time it holds ``CHUNK``
+ *   characters and once at the end.  It is kept out of ``kernels.__all__``
+ *   (see the package docstring).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -286,12 +293,13 @@ typedef void (*Deriv)(const double *par, const double x[2], double dx[2]);
  * sample at each grid time it reaches and steps on to ``t_end``; steps of
  * ``dt`` end exactly on each target.  A step that would undershoot zero by
  * more than a relative 1e-12 is halved locally (at most MAX_HALVINGS times,
- * else status 6), a component beyond ``blowup`` or nan (only overflow makes
- * one) stops the run with status 1, and small negative residues are clamped
- * to 0.  The grid rule (``rec_init``) makes the targets increase, so the
- * run travels to the later of ``t_end`` and the last grid time, which the
- * step cap bounds too.  It steps without the GIL (``rec_unlock``).
- * Inlined per model, so ``f`` is a direct call. */
+ * else status 6; status 6 at once when it undershoots a stock at 0 whose
+ * drift there points below zero), a component beyond ``blowup`` or nan
+ * (only overflow makes one) stops the run with status 1, and small negative
+ * residues are clamped to 0.  The grid rule (``rec_init``) makes the
+ * targets increase, so the run travels to the later of ``t_end`` and the
+ * last grid time, which the step cap bounds too.  It steps without the GIL
+ * (``rec_unlock``).  Inlined per model, so ``f`` is a direct call. */
 static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double dt, double t_end,
                                 PyObject *grid, double blowup)
 {
@@ -334,7 +342,12 @@ static inline PyObject *rk4_run(Deriv f, const double *par, double x[2], double 
                 }
                 if (ok)
                     break;
-                if (blown || ++halvings > MAX_HALVINGS) {
+                /* a stock at 0 whose drift points below zero: only steps of
+                 * about 1e-12 / |drift| days would pass, so status 6 at once */
+                int stuck = 0;
+                for (int i = 0; i < 2; i++)
+                    stuck |= x[i] == 0.0 && k1[i] < 0.0 && xn[i] < -REL_UNDERSHOOT_TOL;
+                if (blown || stuck || ++halvings > MAX_HALVINGS) {
                     status = blown ? 1 : 6;
                     goto stop;
                 }
@@ -750,25 +763,116 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
 #define STAMP_CHARS 320 /* f"{t:.6f}" of a double, at most 317 characters */
 #define CHUNK (1 << 16) /* the characters of a piece handed to ``write`` */
 
-/* repr(float(v)) of an integral v with |v| < 1e16 that is not -0.0 (see the
- * header): its digits and ".0".  Returns the characters written. */
-static inline size_t write_integral(char *out, long long x)
+/* Writes the decimal u * 10^p, p <= 0, with a '-' if ``neg``, in fixed
+ * notation: every digit of u, after "0." and zeros when p moves the point
+ * past them, and ".0" after them when p = 0.  Returns the characters
+ * written. */
+static inline size_t write_fixed(char *out, int neg, uint64_t u, int p)
 {
-    char digits[20];
+    char digits[20]; /* least significant first */
     int n = 0;
-    unsigned long long u = (unsigned long long)(x < 0 ? -x : x);
-    do {
+    do
         digits[n++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u != 0);
-    size_t len = 0;
-    if (x < 0)
-        out[len++] = '-';
-    while (n > 0)
-        out[len++] = digits[--n];
-    out[len++] = '.';
-    out[len++] = '0';
-    return len;
+    while ((u /= 10) != 0);
+    int point = n + p; /* the digits before the point */
+    char *o = out;
+    if (neg)
+        *o++ = '-';
+    if (point <= 0) {
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = point; i < 0; i++)
+            *o++ = '0';
+    }
+    for (int i = n; i-- > 0;) {
+        *o++ = digits[i];
+        if (n - i == point)
+            *o++ = '.';
+    }
+    if (point == n)
+        *o++ = '0';
+    return o - out;
+}
+
+/* Copies PyOS_double_to_string(x, code, precision, flags, NULL) to out:
+ * its length, or -1 with an exception set. */
+static Py_ssize_t write_dtoa(char *out, double x, char code, int precision, int flags)
+{
+    char *text = PyOS_double_to_string(x, code, precision, flags, NULL);
+    if (text == NULL)
+        return -1;
+    size_t len = strlen(text);
+    memcpy(out, text, len);
+    PyMem_Free(text);
+    return (Py_ssize_t)len;
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[22] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125, 244140625,
+    1220703125, 6103515625, 30517578125, 152587890625, 762939453125, 3814697265625,
+    19073486328125, 95367431640625, 476837158203125,
+};
+#endif
+
+/* repr(float(v)) into out (see the header): its length, or -1 with an
+ * exception set */
+static Py_ssize_t write_repr(char *out, double v)
+{
+    int neg = signbit(v) != 0;
+    double a = fabs(v);
+    /* the range test first: the cast of a value outside it is undefined */
+    if (a < 1e16 && a == (double)(long long)a && !(a == 0.0 && neg))
+        return write_fixed(out, neg, (uint64_t)a, 0);
+#ifdef __SIZEOF_INT128__
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    uint64_t m = bits & ((1ULL << 52) - 1);
+    if (a >= 1e-4 && a < 0x1p52 && m != 0) {
+        /* a = m 2^(E - 52), E in [-14, 51]; k = floor(E log10 2), so
+         * a 10^q lies in [1e16, 2e17) and its rounding interval, the odd
+         * multiples (2m -+ 1) 5^q of 2^-b (b >= 1), is at least 1.1 wide
+         * and has no integral end */
+        int E = (int)(bits >> 52) - 1023, k = ((E * 1233 + (16 << 12)) >> 12) - 16, q = 16 - k,
+            b = 37 - E + k, j = 0;
+        u128 five = POW5[q], twice = (u128)(m | 1ULL << 52) * five << 1;
+        uint64_t lo = (uint64_t)((twice - five) >> b), hi = (uint64_t)((twice + five) >> b), p10 = 1;
+        /* the interval holds the integers in (lo, hi]: find the largest
+         * power of ten 10^j with a multiple there, then the multiple
+         * nearest a 10^q = twice / 2^b; no shorter decimal rounds to v */
+        for (; hi / 10 > lo / 10; j++, p10 *= 10)
+            hi /= 10, lo /= 10;
+        uint64_t centre = (uint64_t)(twice >> b);
+        u128 rest = ((u128)(centre % p10) << b) + (twice & (((u128)1 << b) - 1)),
+             half = (u128)p10 << (b - 1);
+        if (rest != half) /* else a tie, which repr breaks to the even digit */
+            return write_fixed(out, neg, centre / p10 + (rest > half), j - q);
+    }
+#endif
+    return write_dtoa(out, v, 'r', 0, Py_DTSF_ADD_DOT_0);
+}
+
+/* f"{t:.6f}" into out (see the header): its length, or -1 with an
+ * exception set */
+static Py_ssize_t write_stamp(char *out, double t)
+{
+#ifdef __SIZEOF_INT128__
+    double a = fabs(t);
+    if (a >= 0x1p-60 && a < 0x1p44) {
+        /* a 10^6 = x / 2^s exactly, s in [9, 112]: round it half up, and
+         * its whole part fits 64 bits */
+        uint64_t bits;
+        memcpy(&bits, &a, sizeof bits);
+        int s = 1075 - (int)(bits >> 52);
+        u128 x = (u128)((bits & ((1ULL << 52) - 1)) | 1ULL << 52) * 1000000,
+             rest = x & (((u128)1 << s) - 1), half = (u128)1 << (s - 1);
+        if (rest != half) /* else a tie, which dtoa breaks to the even digit */
+            return write_fixed(out, signbit(t) != 0, (uint64_t)(x >> s) + (rest > half), -6);
+    }
+#endif
+    return write_dtoa(out, t, 'f', 6, 0);
 }
 
 /* Hands the len characters of text to write as one str. */
@@ -785,7 +889,8 @@ static PyObject *write_rows(PyObject *self, PyObject *args)
 {
     PyObject *values_obj, *times_obj, *write, *result = NULL;
     Py_buffer vals = {NULL}, times = {NULL};
-    char **stamps = NULL, *text = NULL;
+    char *stamps = NULL, *text = NULL;
+    size_t *ends = NULL;
     Py_ssize_t n = 0, len = 0;
     if (!PyArg_ParseTuple(args, "OOO", &values_obj, &times_obj, &write))
         return NULL;
@@ -807,45 +912,45 @@ static PyObject *write_rows(PyObject *self, PyObject *args)
         goto done;
     }
     n = times.shape[0];
-    if ((stamps = PyMem_Calloc(n ? n : 1, sizeof *stamps)) == NULL) {
+    /* a piece and one more row; so many columns or times that a row's or
+     * the stamps' size overflows fit no memory */
+    if (k > PY_SSIZE_T_MAX / (2 * CELL_CHARS) || n > PY_SSIZE_T_MAX / (2 * STAMP_CHARS) ||
+        (text = PyMem_Malloc(CHUNK + LABEL_CHARS + STAMP_CHARS + (size_t)k * CELL_CHARS + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* every stamp in one buffer, stamp j from ends[j] to ends[j + 1]: at
+     * most 22 characters below 2^44 (by either path), else STAMP_CHARS */
+    size_t room = 1;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        double t = *(const double *)((const char *)times.buf + j * times.strides[0]);
+        room += fabs(t) < 0x1p44 ? 24 : STAMP_CHARS;
+    }
+    if ((ends = PyMem_Calloc(n + 1, sizeof *ends)) == NULL || (stamps = PyMem_Malloc(room)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t j = 0; j < n; j++) {
-        double t = *(const double *)((const char *)times.buf + j * times.strides[0]);
-        if ((stamps[j] = PyOS_double_to_string(t, 'f', 6, 0, NULL)) == NULL)
+        Py_ssize_t stamp_len =
+            write_stamp(stamps + ends[j], *(const double *)((const char *)times.buf + j * times.strides[0]));
+        if (stamp_len < 0)
             goto done;
-    }
-    /* a piece and one more row; so many columns that a row's size overflows fit no memory */
-    if (k > PY_SSIZE_T_MAX / (2 * CELL_CHARS) ||
-        (text = PyMem_Malloc(CHUNK + LABEL_CHARS + STAMP_CHARS + (size_t)k * CELL_CHARS + 1)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
+        ends[j + 1] = ends[j] + stamp_len;
     }
     for (Py_ssize_t i = 0; i < reps; i++) {
         char label[LABEL_CHARS] = "";
         size_t label_len = indexed ? (size_t)snprintf(label, sizeof label, "%zd,", i) : 0;
         for (Py_ssize_t j = 0; j < n; j++) {
             const char *row = (const char *)vals.buf + i * rep_step + j * row_step;
-            size_t stamp_len = strlen(stamps[j]);
             memcpy(text + len, label, label_len);
-            memcpy(text + len + label_len, stamps[j], stamp_len);
-            len += label_len + stamp_len;
+            memcpy(text + len + label_len, stamps + ends[j], ends[j + 1] - ends[j]);
+            len += label_len + ends[j + 1] - ends[j];
             for (Py_ssize_t l = 0; l < k; l++) {
-                double v = *(const double *)(row + l * col_step);
                 text[len++] = ',';
-                /* the range test first: the cast of a value outside it is undefined */
-                if (-1e16 < v && v < 1e16 && v == (double)(long long)v && !(v == 0.0 && signbit(v))) {
-                    len += write_integral(text + len, (long long)v);
-                    continue;
-                }
-                char *cell = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
-                if (cell == NULL)
+                Py_ssize_t cell_len = write_repr(text + len, *(const double *)(row + l * col_step));
+                if (cell_len < 0)
                     goto done;
-                size_t cell_len = strlen(cell);
-                memcpy(text + len, cell, cell_len);
                 len += cell_len;
-                PyMem_Free(cell);
             }
             text[len++] = '\n';
             if (len >= CHUNK) {
@@ -859,9 +964,8 @@ static PyObject *write_rows(PyObject *self, PyObject *args)
         result = Py_NewRef(Py_None);
 done:
     PyMem_Free(text);
-    for (Py_ssize_t j = 0; stamps != NULL && j < n; j++)
-        PyMem_Free(stamps[j]);
     PyMem_Free(stamps);
+    PyMem_Free(ends);
     if (vals.obj != NULL)
         PyBuffer_Release(&vals);
     if (times.obj != NULL)

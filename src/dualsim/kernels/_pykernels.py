@@ -170,11 +170,12 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
     each time of ``grid`` it reaches and steps on to ``t_end`` unrecorded;
     steps of ``dt`` end exactly on each of these targets.  A step that would
     undershoot zero by more than a relative 1e-12 is halved locally (at most
-    40 times, else status 6), a component beyond ``blowup`` or nan stops the
-    run with status 1, and small negative residues are clamped to 0.  The
-    grid rule (``_recorder``) makes the targets increase, so the run travels
-    to the later of ``t_end`` and the last grid time, which the step cap
-    bounds too.
+    40 times, else status 6; status 6 at once when it undershoots a stock at
+    0 whose drift there points below zero), a component beyond ``blowup`` or
+    nan stops the run with status 1, and small negative residues are clamped
+    to 0.  The grid rule (``_recorder``) makes the targets increase, so the
+    run travels to the later of ``t_end`` and the last grid time, which the
+    step cap bounds too.
     """
     _check_steps(dt, t_end)
     if grid is None:  # which _recorder takes for "no grid"
@@ -203,9 +204,11 @@ def _rk4(f, T, E, dt, t_end, grid, blowup):
                 # to rate 0), so it classifies as a blow-up too
                 if Tn != Tn or En != En or Tn > blowup or En > blowup:
                     return finish(1, hold=False)
-                # genuine undershoot: retry with a locally halved step
+                # genuine undershoot: retry with a locally halved step, unless it undershoots a stock at 0
+                # whose drift points below zero, which only steps of about 1e-12 / |drift| would settle
                 halvings += 1
-                if halvings > _MAX_HALVINGS:
+                if (halvings > _MAX_HALVINGS or (T == 0.0 and kT1 < 0.0 and Tn < -tolT)
+                        or (E == 0.0 and kE1 < 0.0 and En < -tolE)):
                     return finish(6, hold=False)
                 h *= 0.5
             T = Tn if Tn > 0.0 else 0.0

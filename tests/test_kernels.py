@@ -321,6 +321,21 @@ def test_a_run_past_the_cap_or_with_a_failed_step_ends_with_its_status(backend, 
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dt", [0.1, 1e-4])
+def test_an_rk4_drift_below_zero_at_a_zero_stock_ends_with_status_6(backend, dt):
+    """With s < 0 at E = 0 no step keeps E at or above zero: halving accepted
+    steps of about 1e-12 days, so this run would have crawled for weeks on
+    both backends.  It now stops at once with status 6, at its last grid
+    time reached, for a dt that reaches the undershoot tolerance after 37
+    halvings and one that reaches it after 27."""
+    start = time.perf_counter()
+    rows, status = BACKENDS[backend].rk4_kuznetsov(1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, -1.0, 100.0,
+                                                   0.0, dt, 1.0, np.array([0.0, 1.0]), 1e300)
+    assert time.perf_counter() - start < 1.0
+    assert status == 6 and np.asarray(rows).tolist() == [[0.0, 100.0, 0.0]]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", range(5))
 def test_tau_leap_draws_nothing_for_a_zero_rate_row(backend, seed):
     """A row of rate 0 never reaches the Poisson sampler, so it leaves the
@@ -1023,13 +1038,43 @@ class TestWriteRows:
             assert rows_written(BACKENDS[backend], *args) == rows_written(pure, *args)
 
     def test_integral_cells_are_repr(self, backend):
-        # the integral values by the C twin's integer writer (|v| < 1e16, not
+        # the integral values of the C twin's exact path (|v| < 1e16, not
         # -0.0) and those beside its edges that still go through repr's dtoa
         cells = [0.0, -0.0, 1.0, -1.0, -123456789.0, 2.0**53, 2.0**53 + 2, 9999999999999998.0,
                  -9999999999999998.0, 1e16, -1e16, 1e16 + 2, 1e15 + 0.5, 4503599627370495.5]
         values = np.array(cells).reshape(-1, 2)
         times = np.arange(len(values), dtype=float)
         assert rows_written(BACKENDS[backend], values, times) == reference_rows(values, times)
+
+    def test_dense_cells_and_stamps_are_repr_and_six_decimals(self, backend):
+        # the C twin's exact paths: 200,000 log-uniform values over 1e-6..1e17 (its
+        # fraction range [1e-4, 2**52) and both sides), 100,000 raw bit patterns,
+        # and times rounded to 0-7 decimals
+        rng = np.random.default_rng(31)
+        n = 100_000
+        wide = 10.0 ** rng.uniform(-6, 17, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        values = np.column_stack([wide, bits])
+        scale = 10.0 ** rng.integers(0, 8, n)
+        times = np.rint(rng.uniform(0.0, 1e4, n) * scale) / scale
+        got = rows_written(BACKENDS[backend], values, times).splitlines()
+        want = reference_rows(values, times).splitlines()
+        # the first line that differs, not a diff of megabytes of text
+        assert len(got) == len(want) and next(((g, w) for g, w in zip(got, want) if g != w), None) is None
+
+    def test_cells_and_stamps_off_the_exact_paths_match(self, backend):
+        # what the C twin leaves to dtoa: exact .6f ties (k/128: 0.0078125 is
+        # 0.007812), powers of two (their interval is narrower below),
+        # repr's own tie (2**50 + 0.25 is ...624.2), the doubles beside 1e-4,
+        # 1e16 and 2**52, -0.0 and subnormals
+        beside = [np.nextafter(x, direction) for x in (1e-4, 1e16, 2.0**52) for direction in (0.0, math.inf)]
+        powers = [sign * 2.0**e for e in range(-30, 60) for sign in (1.0, -1.0)]
+        cells = np.array([*powers, 2.0**50 + 0.25, 2.0**50 + 0.75, 1e-4, 1e16, 2.0**52, *beside, -0.0,
+                          5e-324, -5e-324, sys.float_info.min / 3])
+        ties = np.arange(-256, 1025) / 128
+        values = np.resize(cells, (len(ties), 2))
+        assert rows_written(BACKENDS[backend], values, ties) == reference_rows(values, ties)
+        assert rows_written(BACKENDS[backend], cells[:, None], cells) == reference_rows(cells[:, None], cells)
 
     def test_integer_counts_past_many_pieces(self, backend):
         # an abs_ensemble of 9-digit counts, filled in place per replicate:
