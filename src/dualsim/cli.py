@@ -26,7 +26,6 @@ import errno
 import json
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -43,6 +42,7 @@ from .ssa import (
     EnsembleSpec,
     Floors,
     RatePolicy,
+    _beside,
     _check_steps,
     run_ensemble,
 )
@@ -314,47 +314,17 @@ def _write_outputs(out_dir: str, outputs: dict[str, str | tuple]) -> list[Path]:
     return paths
 
 
-def _beside_ensemble(sds, spec: RunSpec) -> tuple:
-    """``(sds(), ensemble)``: ``sds`` runs on a helper thread while this one
-    runs the ensemble of ``spec``.  They share no state, and the compiled
-    RK4 kernels release the GIL, so on the C build the SDS takes no wall
-    time of its own.  The helper is always joined, so an interrupt waits for
-    the SDS to end, and an error of ``sds`` is raised before one of the
-    ensemble, as if ``sds`` had run first."""
-    done, finished = [], threading.Event()
-
-    def run_sds():
-        try:
-            done.append(sds())
-        except BaseException as exc:  # raised again below, in this thread
-            done.append(exc)
-        finished.set()
-
-    helper = threading.Thread(target=run_sds)
-    helper.start()
-    try:
-        ens = run_ensemble(spec.plan[3], reps=spec.reps, base_seed=spec.seed)
-        finished.wait()
-    except BaseException:  # an error of the ensemble, or an interrupt: the SDS runs to its end
-        finished.wait()
-        raise
-    finally:
-        helper.join()  # only once the SDS is done: an interrupted join can mark a running thread stopped
-        if isinstance(done[0], BaseException):
-            raise done[0]
-    return done[0], ens
-
-
 def cmd_run(spec: RunSpec) -> list[Path]:
     """Execute the requested paradigm(s) and write trajectory CSVs, an
     optional SVG plot, and the manifest.  With both paradigms the SDS runs
-    on a helper thread beside the ensemble, an error of the SDS is raised
-    before one of the ensemble, and an interrupt waits for the SDS.  The
-    simulations run before anything is written; each CSV is formatted
-    while it is written to its ``.tmp`` file, and nothing moves into place
-    until every output is complete, so failures leave no partial files.  A
-    plot leaves out an SDS that stopped before the grid's end, with a note
-    on stderr; with nothing else to plot, no plot is written."""
+    on a helper thread beside the ensemble (``ssa._beside``), an error of
+    the SDS is raised before one of the ensemble, as if the SDS had run
+    first, and an interrupt waits for the SDS.  The simulations run before
+    anything is written; each CSV is formatted while it is written to its
+    ``.tmp`` file, and nothing moves into place until every output is
+    complete, so failures leave no partial files.  A plot leaves out an SDS
+    that stopped before the grid's end, with a note on stderr; with nothing
+    else to plot, no plot is written."""
     model, initial, grid, ensemble = spec.plan
     outputs: dict[str, str | tuple] = {}
     results: dict = {}
@@ -364,7 +334,7 @@ def cmd_run(spec: RunSpec) -> list[Path]:
         return integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=_sds_times(spec))
 
     if spec.paradigm == "both":
-        traj, ens = _beside_ensemble(sds, spec)
+        ens, [traj] = _beside(lambda: run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed), [sds])
     elif spec.paradigm == "sds":
         traj, ens = sds(), None
     else:
@@ -403,12 +373,12 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
     """Run the deterministic trajectory and the stochastic ensemble, test
     their agreement per population, and write report.json, comparison.csv,
     comparison.svg and the manifest.  The SDS runs on a helper thread beside
-    the ensemble.  An SDS that ends before the grid's end is an engine
-    error; it and any other error of the SDS are raised before one of the
-    ensemble, but only once the ensemble has run as well.  An interrupt
-    waits for the SDS."""
+    the ensemble (``ssa._beside``), as in :func:`cmd_run`.  An SDS that ends
+    before the grid's end is an engine error; it and any other error of the
+    SDS are raised before one of the ensemble, but only once the ensemble
+    has run as well.  An interrupt waits for the SDS to end."""
     _require_both(spec.paradigm)
-    model, initial, grid, _ = spec.plan
+    model, initial, grid, ensemble = spec.plan
 
     def sds():
         traj = integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=grid)
@@ -419,7 +389,7 @@ def cmd_compare(spec: RunSpec) -> list[Path]:
             )
         return traj
 
-    traj, ens = _beside_ensemble(sds, spec)
+    ens, [traj] = _beside(lambda: run_ensemble(ensemble, reps=spec.reps, base_seed=spec.seed), [sds])
     report = stats.compare(traj, ens, alpha=spec.alpha)
 
     doc = report.to_dict()

@@ -63,9 +63,10 @@ Threads.  A compiled kernel that records on a grid (the RK4 kernels
 always, the stochastic ones when given a ``grid``) releases the GIL while
 it steps, once its arguments are read, so other threads run beside it:
 ``ssa.run_ensemble`` runs replicates on one thread per usable CPU, and the
-CLI the SDS beside the ensemble.  A run per event holds it, to grow its
-rows, as do ``write_rows`` and every pure-Python kernel.  Out of memory, a
-compiled run stops at once and raises MemoryError.
+CLI the SDS beside the ensemble, both through ``ssa._beside``, which
+starts and joins every helper thread.  A run per event holds it, to grow
+its rows, as do ``write_rows`` and every pure-Python kernel; out of
+memory, a compiled run stops at once and raises MemoryError.
 
 Table format.  The one model input of ``ssa``, ``ssa_frozen`` and
 ``tau_leap`` is a channel table (``models.ChannelSet.table``, which refuses

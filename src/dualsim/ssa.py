@@ -27,6 +27,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Real
 
 import numpy as np
@@ -295,6 +296,46 @@ def simulate_tau_leap(spec: EnsembleSpec, seed: int) -> Trajectory:
     return _simulate(spec, seed)
 
 
+def _beside(here, helpers, stop=lambda: None) -> tuple:
+    """``(here(), [helper() for helper in helpers])``, with each helper on a
+    thread of its own while ``here`` runs on this one: the one place that
+    starts helper threads.  Each helper that started is joined, but only
+    once it has ended, since an interrupted ``Thread.join`` can mark a
+    running thread stopped; so an interrupt, or an error of ``here`` or of a
+    ``Thread.start``, calls ``stop`` and then waits for them.  A helper's
+    error, the first in order, is raised in place of any other."""
+    results, errors, started = [None] * len(helpers), [None] * len(helpers), []
+
+    def run(k: int, done: threading.Event) -> None:
+        try:
+            results[k] = helpers[k]()
+        except BaseException as exc:  # raised below, on this thread
+            errors[k] = exc
+        done.set()
+
+    try:
+        for k in range(len(helpers)):
+            done = threading.Event()
+            thread = threading.Thread(target=run, args=(k, done))
+            thread.start()
+            started.append((thread, done))  # only once it runs: a thread that failed to start sets no Event
+        mine = here()
+        for _, done in started:
+            done.wait()
+    except BaseException:
+        stop()
+        for _, done in started:
+            done.wait()
+        raise
+    finally:
+        for thread, _ in started:
+            thread.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+    return mine, results
+
+
 def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 0) -> Ensemble:
     """``reps`` independent replicates of ``spec`` seeded ``base_seed + 0 ..
     reps-1``, recorded on the spec's grid, which an ensemble needs.
@@ -311,7 +352,8 @@ def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 
     thread count.  A failure is that of the lowest failing replicate, as in
     order: an EngineError names it and its seed, any other error is raised
     as it is.  No chunk starts a replicate past a failed one, or any after
-    an interrupt, and every helper is joined before this returns or raises.
+    an interrupt; ``_beside`` runs the chunks and joins every helper before
+    this returns or raises.
     """
     values = np.empty(spec.values_shape(reps))  # filled in place: no per-replicate copies beside it
     simulate = simulate_exact if spec.dt is None else simulate_tau_leap
@@ -320,7 +362,7 @@ def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 
     stop = [reps]  # no replicate at or past this index starts
     lock = threading.Lock()
 
-    def run(lo: int, hi: int, done: threading.Event | None = None) -> None:
+    def run(lo: int, hi: int) -> None:
         for i in range(lo, hi):
             if i >= stop[0]:
                 break
@@ -333,31 +375,15 @@ def run_ensemble(spec: EnsembleSpec, reps: int = DEFAULT_REPS, base_seed: int = 
                     failures[i] = exc
                     stop[0] = min(stop[0], i)
                 break
-        if done is not None:
-            done.set()
+
+    def stop_all() -> None:  # an interrupt outside a replicate, or a failed start: each chunk stops at its next one
+        with lock:
+            stop[0] = 0
 
     n = min(reps, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     bounds = [reps * k // n for k in range(n + 1)]
-    helpers = []  # (thread, set once its chunk is done)
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            done = threading.Event()
-            helper = threading.Thread(target=run, args=(lo, hi, done))
-            helper.start()
-            helpers.append((helper, done))
-        run(0, bounds[1])
-        for _, done in helpers:
-            done.wait()
-    except BaseException:  # an interrupt outside a replicate: every chunk stops at its next one
-        with lock:
-            stop[0] = 0
-        for _, done in helpers:
-            done.wait()
-        raise
-    finally:
-        # only once every chunk is done: an interrupted Thread.join can mark a running thread stopped
-        for helper, _ in helpers:
-            helper.join()
+    chunks = [partial(run, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    _beside(chunks[0], chunks[1:], stop_all)
     if failures:
         i, exc = min(failures.items())  # indices are distinct, so no two errors are compared
         if isinstance(exc, EngineError):

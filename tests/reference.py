@@ -1,9 +1,12 @@
 """Reference values the tests compare the package against: the analytic
 solutions of the logistic and Gompertz laws, the ratios of the one-equation
-sweep, and the linear birth-death process, whose mean is known in closed
-form.  The package itself never evaluates these."""
+sweep, the linear birth-death process, whose mean is known in closed form,
+and the per-cell formula of the CSV writers.  The package itself never
+evaluates these."""
 
 import math
+
+import numpy as np
 
 from dualsim.errors import ModelDomainError
 from dualsim.kernels import R_POW_T
@@ -59,3 +62,26 @@ def closed_form_log(law: GrowthLaw, T0: float, t: float) -> float:
         raise ModelDomainError(f"Gompertz needs T0 > 0, got {T0}")
     decay = math.exp(-law.b * t)
     return math.log(T0) * decay + (law.a / law.b) * (1.0 - decay)
+
+
+def reference_rows(values, times):
+    """The per-cell formula of the CSV writers: ``[r,]time,v1,...,vk`` lines."""
+    values = np.asarray(values)
+    lines = []
+    for r, block in enumerate(values if values.ndim == 3 else [values]):
+        label = [str(r)] if values.ndim == 3 else []
+        for t, row in zip(times, block):
+            lines.append(",".join([*label, f"{t:.6f}", *(repr(float(v)) for v in row)]) + "\n")
+    return "".join(lines)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``assert got == want`` for texts of up to megabytes: a failure names the
+    line counts, or else the first line that differs and its number, instead
+    of rendering a diff of the whole text."""
+    if got == want:
+        return
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    assert len(got) == len(want), f"{len(got)} lines, expected {len(want)}"
+    number, line, expected = next((k, g, w) for k, (g, w) in enumerate(zip(got, want), 1) if g != w)
+    raise AssertionError(f"line {number} is {line!r}, expected {expected!r}")

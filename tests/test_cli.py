@@ -31,6 +31,7 @@ from dualsim.sds import integrate
 from dualsim.ssa import EnsembleSpec, run_ensemble, simulate_exact
 from dualsim.stats import compare, make_grid, sample_on_grid
 from dualsim.trajectory import Paradigm, Termination, Trajectory
+from reference import assert_same_text
 
 
 def read(path):
@@ -313,7 +314,7 @@ class TestCsvWriters:
     def test_sds_csv_matches_the_per_cell_formula(self, tmp_path):
         traj = integrate(scenario_preset(2), PopulationState(100.0, 10.0),
                          dt=0.01, t_end=3.0, grid=make_grid(3.0, 0.07))
-        assert render(tmp_path, (["time", *traj.species], traj.states, traj.times)) == reference_sds_csv(traj)
+        assert_same_text(render(tmp_path, (["time", *traj.species], traj.states, traj.times)), reference_sds_csv(traj))
         awkward = Trajectory(
             times=np.array([0.0, 1 / 3, 2.0000005, 7.1234565, 1e6]),
             states=np.array([[0.1 + 0.2, 0.0], [1e-300, 1e300], [1 / 3, 2.0**53 + 2],
@@ -321,8 +322,8 @@ class TestCsvWriters:
             species=("tumour", "effector"), termination=Termination.COMPLETED,
             paradigm=Paradigm.SDS,
         )
-        assert render(tmp_path, (["time", *awkward.species], awkward.states, awkward.times)) \
-            == reference_sds_csv(awkward)
+        assert_same_text(render(tmp_path, (["time", *awkward.species], awkward.states, awkward.times)),
+                         reference_sds_csv(awkward))
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["grid", "thirds", "10001-points"])
     def test_ensemble_csv_matches_the_per_cell_formula(self, tmp_path, grid):
@@ -330,7 +331,7 @@ class TestCsvWriters:
                             initial=PopulationState(100, 10), t_end=2.0)
         ens = run_ensemble(replace(spec, grid=grid), reps=13, base_seed=5)
         text = render(tmp_path, (["replicate", "time", *ens.species], ens.values, ens.grid))
-        assert text == reference_ensemble_csv(spec, 13, 5, grid)
+        assert_same_text(text, reference_ensemble_csv(spec, 13, 5, grid))
 
     @pytest.mark.parametrize("model, initial", COMPARISON_CASES, ids=["two-species", "one-species"])
     def test_comparison_csv_matches_the_per_cell_formula(self, tmp_path, model, initial):
@@ -340,16 +341,16 @@ class TestCsvWriters:
                                         t_end=3.0, grid=np.arange(0.0, 3.0, 1 / 3)),
                            reps=3, base_seed=2)
         report = compare(sds, ens)
-        assert render(tmp_path, _comparison_csv(report)) == reference_comparison_csv(report)
+        assert_same_text(render(tmp_path, _comparison_csv(report)), reference_comparison_csv(report))
 
     def test_cmd_run_writes_the_per_cell_formula(self, tmp_path):
         spec = RunSpec(model="kuznetsov", scenario=4, t_end=2.0, grid=0.05, reps=3, seed=5, out=str(tmp_path))
         cmd_run(spec)
         model, initial, _, ensemble = spec.plan
         traj = integrate(model, initial, dt=spec.dt, t_end=spec.t_end, grid=_sds_times(spec))
-        assert read(tmp_path / "sds.csv") == reference_sds_csv(traj)
-        assert read(tmp_path / "abs_ensemble.csv") == reference_ensemble_csv(replace(ensemble, grid=None), 3, 5,
-                                                                             ensemble.grid)
+        assert_same_text(read(tmp_path / "sds.csv"), reference_sds_csv(traj))
+        assert_same_text(read(tmp_path / "abs_ensemble.csv"),
+                         reference_ensemble_csv(replace(ensemble, grid=None), 3, 5, ensemble.grid))
 
     def test_the_pure_twin_writes_the_same_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(kernels, "write_rows", _pykernels.write_rows)
@@ -691,6 +692,20 @@ class TestMainExitCodes:
             signal.signal(signal.SIGINT, handler)
         assert sds_ended.is_set()
         assert threading.active_count() == threads  # the helper was joined
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_sds_helper_that_cannot_start_is_raised_at_once_in_compare(self, tmp_path, monkeypatch):
+        threads, ran, error = threading.active_count(), [], RuntimeError("can't start new thread")
+
+        def start(thread):
+            raise error
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(dualsim.cli, "run_ensemble", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(RuntimeError) as info:
+            main(["compare", "--model", "logistic", "--c", "5", "--t-end", "2", "--reps", "2", "--out", str(tmp_path)])
+        assert info.value is error and ran == []  # the ensemble never began
+        assert threading.active_count() == threads
         assert list(tmp_path.iterdir()) == []
 
     def test_io_error_is_4(self, tmp_path, capsys):

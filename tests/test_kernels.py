@@ -19,6 +19,7 @@ from dualsim.models import PopulationState, experiment_one_law, scenario_preset
 from dualsim.models import ChannelSet
 from dualsim.ssa import DEFAULT_MAX_EVENTS, EnsembleSpec, simulate_exact
 from dualsim.stats import make_grid
+from reference import assert_same_text, reference_rows
 
 try:
     from dualsim.kernels import _ckernels as compiled
@@ -986,17 +987,6 @@ def test_a_poisson_count_past_long_range_passes_the_cap(backend):
     assert status == 3 and np.asarray(rows).tolist() == [[0.0, 1.0, 0.0]]
 
 
-def reference_rows(values, times):
-    """The per-cell formula of the CSV writers: ``[r,]time,v1,...,vk`` lines."""
-    values = np.asarray(values)
-    lines = []
-    for r, block in enumerate(values if values.ndim == 3 else [values]):
-        label = [str(r)] if values.ndim == 3 else []
-        for t, row in zip(times, block):
-            lines.append(",".join([*label, f"{t:.6f}", *(repr(float(v)) for v in row)]) + "\n")
-    return "".join(lines)
-
-
 # -0.0, the smallest subnormal and normal, repr's switch to exponents at
 # 1e-4 and 1e16, a double past 2**53, the largest double, inf and nan
 EDGE_VALUES = [-0.0, 0.0, 5e-324, sys.float_info.min, 1e-5, 0.1, 1e15, 1e16, 2.0**53 + 2,
@@ -1029,13 +1019,13 @@ class TestWriteRows:
         # every edge value and random float is a time and a value
         values = edge_and_random_values()
         times = values[:, 0].copy()
-        assert rows_written(BACKENDS[backend], values, times) == reference_rows(values, times)
+        assert_same_text(rows_written(BACKENDS[backend], values, times), reference_rows(values, times))
 
     def test_the_same_text_as_the_pure_twin(self, backend):
         values = edge_and_random_values()
         blocks = values[:3000].reshape(12, 250, 3)
         for args in ((values, values[:, 0]), (blocks, values[:250, 1]), (values[:, ::2], values[:, 1])):
-            assert rows_written(BACKENDS[backend], *args) == rows_written(pure, *args)
+            assert_same_text(rows_written(BACKENDS[backend], *args), rows_written(pure, *args))
 
     def test_integral_cells_are_repr(self, backend):
         # the integral values of the C twin's exact path (|v| < 1e16, not
@@ -1044,7 +1034,7 @@ class TestWriteRows:
                  -9999999999999998.0, 1e16, -1e16, 1e16 + 2, 1e15 + 0.5, 4503599627370495.5]
         values = np.array(cells).reshape(-1, 2)
         times = np.arange(len(values), dtype=float)
-        assert rows_written(BACKENDS[backend], values, times) == reference_rows(values, times)
+        assert_same_text(rows_written(BACKENDS[backend], values, times), reference_rows(values, times))
 
     def test_dense_cells_and_stamps_are_repr_and_six_decimals(self, backend):
         # the C twin's exact paths: 200,000 log-uniform values over 1e-6..1e17 (its
@@ -1057,10 +1047,7 @@ class TestWriteRows:
         values = np.column_stack([wide, bits])
         scale = 10.0 ** rng.integers(0, 8, n)
         times = np.rint(rng.uniform(0.0, 1e4, n) * scale) / scale
-        got = rows_written(BACKENDS[backend], values, times).splitlines()
-        want = reference_rows(values, times).splitlines()
-        # the first line that differs, not a diff of megabytes of text
-        assert len(got) == len(want) and next(((g, w) for g, w in zip(got, want) if g != w), None) is None
+        assert_same_text(rows_written(BACKENDS[backend], values, times), reference_rows(values, times))
 
     def test_cells_and_stamps_off_the_exact_paths_match(self, backend):
         # what the C twin leaves to dtoa: exact .6f ties (k/128: 0.0078125 is
@@ -1073,8 +1060,9 @@ class TestWriteRows:
                           5e-324, -5e-324, sys.float_info.min / 3])
         ties = np.arange(-256, 1025) / 128
         values = np.resize(cells, (len(ties), 2))
-        assert rows_written(BACKENDS[backend], values, ties) == reference_rows(values, ties)
-        assert rows_written(BACKENDS[backend], cells[:, None], cells) == reference_rows(cells[:, None], cells)
+        assert_same_text(rows_written(BACKENDS[backend], values, ties), reference_rows(values, ties))
+        column = cells[:, None]
+        assert_same_text(rows_written(BACKENDS[backend], column, cells), reference_rows(column, cells))
 
     def test_integer_counts_past_many_pieces(self, backend):
         # an abs_ensemble of 9-digit counts, filled in place per replicate:
@@ -1087,7 +1075,7 @@ class TestWriteRows:
         times = np.linspace(0.0, 20.0, n)
         text = rows_written(BACKENDS[backend], values, times)
         assert len(text) > 8 * 2**16
-        assert text == reference_rows(values, times)
+        assert_same_text(text, reference_rows(values, times))
 
     def test_a_2d_buffer_has_no_index_column(self, backend):
         values, times = np.array([[1.0, 2.5], [0.1, -0.0]]), np.array([0.0, 0.5])
@@ -1099,17 +1087,18 @@ class TestWriteRows:
         assert text == "0,0.000000,1.0\n0,0.333333,2.0\n1,0.000000,3.0\n1,0.333333,4.0\n"
         values = edge_and_random_values()[:2400].reshape(12, 200, 3)
         times = np.linspace(0.0, 2.0, 200)
-        assert rows_written(module, values, times) == reference_rows(values, times)
+        assert_same_text(rows_written(module, values, times), reference_rows(values, times))
 
     def test_strided_and_empty_buffers(self, backend):
         module = BACKENDS[backend]
         values = edge_and_random_values()
-        assert rows_written(module, values[:, 1:], values[:, 0]) == reference_rows(values[:, 1:], values[:, 0])
+        cells, stamps = values[:, 1:], values[:, 0]
+        assert_same_text(rows_written(module, cells, stamps), reference_rows(cells, stamps))
         # a strided 3-D buffer and strided times
         values = values[: 2 * 11 * 150].reshape(11, 150, 6)[:, ::3, 1::2]
         times = np.linspace(0.0, 2.0, 100)[::2]
         assert not values.flags.c_contiguous
-        assert rows_written(module, values, times) == reference_rows(values, times)
+        assert_same_text(rows_written(module, values, times), reference_rows(values, times))
         assert rows_written(module, np.zeros((0, 2)), np.zeros(0)) == ""
         assert rows_written(module, np.zeros((0, 4, 2)), np.zeros(4)) == ""
 
@@ -1122,7 +1111,8 @@ class TestWriteRows:
         assert not values.flags.c_contiguous
         replicates = ["".join(f"{r},{row}" for row in rows_written(module, values[r], times).splitlines(True))
                       for r in range(reps)]
-        assert rows_written(module, values, times) == "".join(replicates) == reference_rows(values, times)
+        assert_same_text(rows_written(module, values, times), "".join(replicates))
+        assert_same_text("".join(replicates), reference_rows(values, times))
         # the pure twin writes one piece per replicate
         pieces = []
         pure.write_rows(values, times, pieces.append)
@@ -1187,4 +1177,4 @@ def test_compiled_pieces_are_64_kib_and_at_most_one_row_more():
     assert all(type(piece) is str for piece in pieces)
     assert all(len(piece) >= 2**16 for piece in pieces[:-1])
     assert all(len(piece) <= 2**16 + longest_row for piece in pieces)
-    assert "".join(pieces) == reference_rows(values, times)
+    assert_same_text("".join(pieces), reference_rows(values, times))

@@ -873,6 +873,28 @@ class TestEnsembleThreads:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_a_helper_that_cannot_start_is_raised_at_once_and_no_replicate_follows(self, monkeypatch):
+        # the second of three helpers fails to start; the chunk of the first, which did start, may begin
+        # replicate 10 only, and this thread runs none of its own
+        use_cpus(monkeypatch, 4)
+        failed, starts, real_start = threading.Event(), [], threading.Thread.start
+        error = RuntimeError("can't start new thread")
+
+        def start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                failed.set()
+                raise error
+            real_start(thread)
+
+        calls = failing_at(monkeypatch, {}, good=lambda spec, seed: after(failed, simulate_exact, spec, seed))
+        monkeypatch.setattr(threading.Thread, "start", start)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_ensemble(THREAD_SPECS["exact"], reps=40, base_seed=0)
+        assert info.value is error and threading.active_count() == before
+        assert calls in ([], [10]), calls
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_every_helper_is_joined(self, monkeypatch, fails):
         use_cpus(monkeypatch, 8)

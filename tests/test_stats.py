@@ -336,15 +336,18 @@ class TestWilcoxon:
         x = list(map(float, range(40)))
         assert exact_p(x, x) == 1.0
 
+    # scipy.stats.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic").pvalue for the ten
+    # draws below, computed once with scipy 1.17.1, so the check needs no scipy
+    SCIPY_P = [0.3658283673347519, 0.08020992974782894, 0.3227460897170271, 0.03684016101887583,
+               0.47252232689305407, 0.13913498406818411, 0.05722385087767772, 0.37485714268334,
+               0.3569365505838832, 0.07183244767003341]
+
     def test_normal_mode_against_scipy(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
         rng = random.Random(13)
-        for _ in range(10):
+        for ref in self.SCIPY_P:
             x = [rng.gauss(0, 1) for _ in range(30)]
             y = [rng.gauss(0.3, 1) for _ in range(25)]
-            mine = normal_p(x, y)
-            ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic")
-            assert mine == pytest.approx(ref.pvalue, rel=1e-9)
+            assert normal_p(x, y) == pytest.approx(ref, rel=1e-9)
 
 
 class TestCompare:
