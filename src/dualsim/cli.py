@@ -10,7 +10,8 @@ seeds and the kernel backend; re-running from a manifest reproduces the
 output files byte for byte on either backend, the manifest's ``backend``
 field aside.  A manifest that names another random stream (``rng``), or
 none, still runs, with a note on stderr that its seeded stochastic outputs
-will not reproduce.
+may not reproduce (those of ``sfc64-splitmix64``, the stream before exact
+waiting times came from a ziggurat, reproduce for tau-leaping only).
 
 Exit codes: 0 success, 2 configuration error (a grid or a replicate count
 too large to hold included), 3 engine error (running out of memory
@@ -57,7 +58,7 @@ _FIXES = ("none", "tumour", "both")
 
 # the random stream both kernel backends draw (see ``dualsim.kernels``), as
 # every manifest names it
-_RNG = "sfc64-splitmix64"
+_RNG = "sfc64-splitmix64-ziggurat"
 
 
 @dataclass(frozen=True)
@@ -459,12 +460,12 @@ def _load_spec(args: argparse.Namespace, compare: bool = False) -> RunSpec:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         doc, manifest = _decode_config(text)
         raw.update(doc)
-        # a manifest of another stream runs, but draws other random numbers
+        # a manifest of another stream runs, but its seeded draws may differ
         rng = manifest.get("rng") if manifest is not None else _RNG
         if rng != _RNG:
             recorded = "no rng" if rng is None else f"rng {rng!r}"
             print(f"note: manifest {args.config} records {recorded}, not {_RNG!r}: "
-                  "its seeded stochastic outputs will not reproduce", file=sys.stderr)
+                  "its seeded stochastic outputs may not reproduce", file=sys.stderr)
     for name in _FIELD_TYPES:
         v = getattr(args, name, None)
         if v is not None:

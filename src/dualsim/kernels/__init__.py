@@ -152,8 +152,18 @@ under its caller's.
 Seeds.  Both backends draw one stream: SFC64 (as numpy's ``SFC64`` steps
 it) from four splitmix64 outputs of the seed masked to its low 64 bits, each
 64-bit word ``x`` giving the uniform ``(x >> 11) * 2**-53``.  Seeds s and
-s + 2**64 therefore give one stream and s and -s two.  Every kernel draws
-the same uniforms in the same order with the same scalar libm arithmetic, so
+s + 2**64 therefore give one stream and s and -s two.  ``ssa`` and
+``ssa_frozen`` add ``E / R`` to the time at each step, E a standard
+exponential drawn by a 256-layer ziggurat (Marsaglia & Tsang, J. Stat.
+Softw. 5(8), 2000): each attempt takes one word, whose low 8 bits pick the
+layer i and whose top 53 bits ``j = x >> 11`` give the value ``j * we[i]``,
+taken when ``j < ke[i]`` (about 98.9% of words).  Otherwise layer 0 takes
+its tail, ``r - log(1 - u)`` with r = 7.697117470131487 and u the next
+uniform, and another layer the wedge test ``fe[i] + u * (fe[i-1] - fe[i]) <
+exp(-j * we[i])`` with u the next uniform, drawing a fresh word when it
+fails.  The tables are built once, at import, by Marsaglia & Tsang's
+recurrence with the same libm calls in both backends.  Every kernel draws
+the same words in the same order with the same scalar libm arithmetic, so
 a seed gives the same rows and status on either backend.
 """
 

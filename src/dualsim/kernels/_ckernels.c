@@ -95,6 +95,46 @@ static inline double rng_uniform(Rng *r)
     return (double)(rng_next(r) >> 11) * (1.0 / 9007199254740992.0);
 }
 
+/* The standard exponential by a 256-layer ziggurat (Marsaglia & Tsang, J.
+ * Stat. Softw. 5(8), 2000).  Layer i, of right edge x_i (x_255 = r), has
+ * the value bound ke[i] = x_(i-1) / x_i 2^53, the width we[i] = x_i 2^-53
+ * and the height fe[i] = exp(-x_i); layer 0 lies under fe[255] and spans
+ * q = v / fe[255] and the tail.  Filled at module init, read-only after. */
+#define ZIG_R 7.697117470131487
+static uint64_t ke[256];
+static double we[256], fe[256];
+
+static void zig_init(void)
+{
+    /* volatile, so that each exp and log runs in libm, as in Python, and
+     * none is folded at compile time; v is the area of each layer */
+    volatile double r = ZIG_R, v = 3.949659822581572e-3;
+    double x = r;
+    we[0] = v / exp(-x) * 0x1p-53, fe[0] = 1.0;
+    for (int i = 255; i > 0; i--) {
+        we[i] = x * 0x1p-53, fe[i] = exp(-x);
+        x = -log(v / x + fe[i]);
+    }
+    for (int i = 0; i < 256; i++) /* ke[0] reads we[255]; ke[1] = 0, as x_0 = 0 */
+        ke[i] = i == 1 ? 0 : (uint64_t)(we[(i + 255) % 256] / we[i] * 0x1p53);
+}
+
+/* one word per attempt: its low 8 bits pick the layer, its top 53 the value */
+static inline double rng_exp(Rng *r)
+{
+    for (;;) {
+        uint64_t w = rng_next(r), j = w >> 11;
+        int i = w & 255;
+        if (j < ke[i])
+            return (double)j * we[i];
+        if (i == 0)
+            return ZIG_R - log(1.0 - rng_uniform(r));
+        double x = (double)j * we[i];
+        if (fe[i] + rng_uniform(r) * (fe[i - 1] - fe[i]) < exp(-x))
+            return x;
+    }
+}
+
 /* Knuth's product method for small means, a rounded normal beyond (the
  * large-mean branch only matters for blow-up detection, not statistics).
  * The count is a double, so that one past long's range still passes the
@@ -557,7 +597,7 @@ static PyObject *ssa(PyObject *self, PyObject *args)
             status = stop_status(&rec, R, t, t_end, T, E);
             break;
         }
-        t += -log(1.0 - rng_uniform(&rng)) / R;
+        t += rng_exp(&rng) / R;
         if (t >= t_end) {
             rec_push(&rec, t_end, T, E);
             status = 0;
@@ -642,7 +682,7 @@ static PyObject *ssa_frozen(PyObject *self, PyObject *args)
             status = stop_status(&rec, R, t, t_end, T, 0.0);
             break;
         }
-        t += -log(1.0 - rng_uniform(&rng)) / R;
+        t += rng_exp(&rng) / R;
         if (t >= t_end) {
             rec_push(&rec, t_end, T, 0.0);
             status = 0;
@@ -1003,4 +1043,8 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
-PyMODINIT_FUNC PyInit__ckernels(void) { return PyModule_Create(&module); }
+PyMODINIT_FUNC PyInit__ckernels(void)
+{
+    zig_init();
+    return PyModule_Create(&module);
+}

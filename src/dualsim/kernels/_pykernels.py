@@ -325,11 +325,32 @@ def _absorb(table, T, E, floor_t, floor_e, cap):
 # exact stochastic simulation (Gillespie direct method)
 # ---------------------------------------------------------------------------
 
-def _rng(seed):
-    """The run's uniform draws, twin of the compiled ``rng_seed`` and
-    ``rng_uniform``, served in blocks that grow from 64 words to 4096, so
-    that a run of few draws converts few.  Raw words, not ``Generator``
-    draws: numpy keeps a bit generator's raw stream stable across versions."""
+_ZIG_R = 7.697117470131487
+
+
+def _ziggurat():
+    """The tables (ke, we, fe) of ``_exp``, filled as the compiled ``zig_init``
+    fills them, by the same libm calls."""
+    v, x = 3.949659822581572e-3, _ZIG_R  # the area of a layer, and x_255
+    we, fe = [v / math.exp(-x) * 2.0**-53] + [0.0] * 255, [1.0] * 256
+    for i in range(255, 0, -1):
+        we[i], fe[i] = x * 2.0**-53, math.exp(-x)
+        x = -math.log(v / x + fe[i])
+    ke = [0 if i == 1 else int(we[i - 1] / we[i] * 2.0**53) for i in range(256)]  # ke[0] reads we[-1]
+    return np.array(ke, dtype=np.uint64), np.array(we), fe
+
+
+_KE, _WE, _FE = _ziggurat()
+
+
+def _rng(seed, exact):
+    """The run's draws, twin of the compiled ``rng_seed`` and ``rng_next``,
+    served in blocks that grow from 64 words to 4096, so that a run of few
+    draws converts few: each word's uniform (w >> 11) * 2**-53, as
+    ``rng_uniform`` draws it, paired for an ``exact`` kernel with the
+    ziggurat's first attempt at the word (see ``_exp``).  Raw words, not
+    ``Generator`` draws: numpy keeps a bit generator's raw stream stable
+    across versions."""
     mask = 2**64 - 1
     st = index(seed) & mask
     words = []
@@ -341,8 +362,29 @@ def _rng(seed):
     bits = np.random.SFC64(_SEED_SEQUENCE)
     bits.state = {"bit_generator": "SFC64", "state": {"state": np.array(words, dtype=np.uint64)},
                   "has_uint32": 0, "uinteger": 0}
-    blocks = (((bits.random_raw(n) >> 11) * 2.0**-53).tolist() for n in chain((64, 256, 1024), repeat(4096)))
-    return chain.from_iterable(blocks).__next__
+
+    def block(n):
+        w = bits.random_raw(n)
+        j, i = w >> 11, w & 255
+        u = (j * 2.0**-53).tolist()
+        return zip(u, np.where(j < _KE[i], j * _WE[i], -1.0 - i).tolist()) if exact else u
+    return chain.from_iterable(map(block, chain((64, 256, 1024), repeat(4096)))).__next__
+
+
+def _exp(rr, u, x) -> float:
+    """The standard exponential of a pair (u, x) of ``rr``, twin of the
+    compiled ``rng_exp``: x = j * we[i] when j = u * 2**53 < ke[i] for the
+    word's layer i, else x = -1 - i and the tail or the wedge test decide,
+    drawing further pairs."""
+    while x < 0.0:
+        i = int(-1.0 - x)
+        if i == 0:
+            return _ZIG_R - math.log(1.0 - rr()[0])
+        x = u * 2.0**53 * float(_WE[i])
+        if _FE[i] + rr()[0] * (_FE[i - 1] - _FE[i]) < math.exp(-x):
+            return x
+        u, x = rr()
+    return x
 
 
 def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None, /):
@@ -355,9 +397,8 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
     T, E, t_end, floor_t, floor_e, cap = _doubles(T0, E0, t_end, floor_t, floor_e, cap)
     max_events, = _ints("l", max_events)
     table = _table(table)
-    rr = _rng(seed)
+    rr = _rng(seed, True)
     _check_end(t_end)
-    log = math.log
     nch = len(table)
     rates = [0.0] * nch
     t = 0.0
@@ -371,11 +412,12 @@ def ssa(table, T0, E0, t_end, seed, floor_t, floor_e, cap, max_events, grid=None
         R = _rates(table, T, E, floor_t, floor_e, rates)
         if not 0.0 < R < _INF:
             return finish(_stop_status(push, R, t, t_end, T, E))
-        t += -log(1.0 - rr()) / R
+        u, x = rr()
+        t += (x if x >= 0.0 else _exp(rr, u, x)) / R
         if t >= t_end:
             push(t_end, T, E)
             return finish(0)
-        u = rr() * R
+        u = rr()[0] * R
         acc = 0.0
         pick = nch - 1
         for i in range(nch):
@@ -409,7 +451,7 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
     T, t_end, floor_t, cap = _doubles(T0, t_end, floor_t, cap)
     max_events, = _ints("l", max_events)
     rows = _table(table)
-    rr = _rng(seed)
+    rr = _rng(seed, True)
     _check_end(t_end)
     if not (len(rows) == 2 and rows[0][0] == 1 and rows[0][4:] == (1, 0)
             and rows[1][0] in (1, 2) and rows[1][4:] == (-1, 0)):
@@ -436,11 +478,12 @@ def ssa_frozen(table, T0, t_end, seed, floor_t, cap, max_events, grid=None, /):
         R = B + (0.0 if T - 1.0 < floor_t else D) if B >= 0.0 and D >= 0.0 else -1.0
         if not 0.0 < R < _INF:
             return finish(_stop_status(push, R, t, t_end, T, 0.0))
-        t += -log(1.0 - rr()) / R
+        u, x = rr()
+        t += (x if x >= 0.0 else _exp(rr, u, x)) / R
         if t >= t_end:
             push(t_end, T, 0.0)
             return finish(0)
-        u = rr() * R
+        u = rr()[0] * R
         if u < B:
             T += 1.0
             # at T <= 0, which only a start below 0 reaches, C's -inf or nan where math.log raises
@@ -500,7 +543,7 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
     Returns (rows, status), (t, T, E) rows per leap or held on ``grid``."""
     T, E, t_end, dt, floor_t, floor_e, cap = _doubles(T0, E0, t_end, dt, floor_t, floor_e, cap)
     table = _table(table)
-    rr = _rng(seed)
+    rr = _rng(seed, False)
     _check_steps(dt, t_end)
     rates = [0.0] * len(table)
     t = 0.0

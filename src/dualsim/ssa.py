@@ -272,7 +272,8 @@ def _simulate(spec: EnsembleSpec, seed: int) -> Trajectory:
 
 def simulate_exact(spec: EnsembleSpec, seed: int) -> Trajectory:
     """One exact replicate of ``spec`` (which has no ``dt``) by the
-    Gillespie direct method: exponential waiting times from the total rate,
+    Gillespie direct method: exponential waiting times from the total rate
+    (a standard exponential, drawn by a 256-layer ziggurat, over the rate),
     channel choice proportional to rate, one sample per event plus the final
     hold at ``t_end``.  At most ``DEFAULT_MAX_EVENTS`` events fire.
 

@@ -2,8 +2,9 @@
 solutions of the logistic and Gompertz laws, the ratios of the one-equation
 sweep, the linear birth-death process, whose mean is known in closed form,
 and the per-cell formula of the CSV writers.  The package itself never
-evaluates these."""
+evaluates these.  Also the search that finds a test's seeds by their fate."""
 
+import itertools
 import math
 
 import numpy as np
@@ -85,3 +86,13 @@ def assert_same_text(got: str, want: str) -> None:
     assert len(got) == len(want), f"{len(got)} lines, expected {len(want)}"
     number, line, expected = next((k, g, w) for k, (g, w) in enumerate(zip(got, want), 1) if g != w)
     raise AssertionError(f"line {number} is {line!r}, expected {expected!r}")
+
+
+def first_seeds(fate, n, start=1, bound=100):
+    """The first ``n`` seeds from ``start``, below ``start + bound``, that
+    have ``fate``: fixtures found by the fate a test names, on the active
+    backend, which draws the stream of either, so that no seed is chosen by
+    hand."""
+    seeds = list(itertools.islice(filter(fate, range(start, start + bound)), n))
+    assert len(seeds) == n, f"only {seeds} of the seeds {start}..{start + bound - 1} have the fate"
+    return seeds

@@ -146,7 +146,7 @@ class TestCmdRun:
         assert manifest["run_spec"]["model"] == "logistic"
         assert manifest["replicate_seeds"] == []
         assert manifest["backend"] == dualsim.BACKEND_NAME
-        assert manifest["rng"] == "sfc64-splitmix64"
+        assert manifest["rng"] == "sfc64-splitmix64-ziggurat"
         assert manifest["version"] == dualsim.__version__
 
     @pytest.mark.parametrize("grid, dt, times", [
@@ -829,8 +829,8 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith(f"configuration error: cannot read config {cfg}: ")
         assert list(tmp_path.iterdir()) == [cfg]
 
-    @pytest.mark.parametrize("rng", ["xoshiro256**", None, "sfc64-splitmix64"],
-                             ids=["another rng", "no rng", "this rng"])
+    @pytest.mark.parametrize("rng", ["xoshiro256**", None, "sfc64-splitmix64", "sfc64-splitmix64-ziggurat"],
+                             ids=["another rng", "no rng", "the previous rng", "this rng"])
     def test_a_manifest_of_another_rng_reruns_with_a_note(self, tmp_path, capsys, rng):
         flags = ["--model", "logistic", "--c", "5", "--t-end", "2", "--reps", "2", "--grid", "0.5"]
         assert main(["run", *flags, "--out", str(tmp_path / "first")]) == 0
@@ -844,12 +844,12 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "again")]) == 0
         err = capsys.readouterr().err
-        if rng == "sfc64-splitmix64":
+        if rng == "sfc64-splitmix64-ziggurat":
             assert err == ""
         else:
             recorded = "no rng" if rng is None else f"rng {rng!r}"
-            assert err == (f"note: manifest {cfg} records {recorded}, not 'sfc64-splitmix64': "
-                           "its seeded stochastic outputs will not reproduce\n")
+            assert err == (f"note: manifest {cfg} records {recorded}, not 'sfc64-splitmix64-ziggurat': "
+                           "its seeded stochastic outputs may not reproduce\n")
         for name in ("sds.csv", "abs_ensemble.csv"):
             assert read(tmp_path / "again" / name) == read(tmp_path / "first" / name)
 

@@ -1,8 +1,10 @@
 """Backend consistency: the compiled and pure kernels honor one contract."""
 
 import ctypes
+import functools
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -19,7 +21,7 @@ from dualsim.models import PopulationState, experiment_one_law, scenario_preset
 from dualsim.models import ChannelSet
 from dualsim.ssa import DEFAULT_MAX_EVENTS, EnsembleSpec, simulate_exact
 from dualsim.stats import make_grid
-from reference import assert_same_text, reference_rows
+from reference import assert_same_text, first_seeds, reference_rows
 
 try:
     from dualsim.kernels import _ckernels as compiled
@@ -145,13 +147,13 @@ class TestStochasticAgreement:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestStream:
     """The stream for seed 7, pinned exactly on each backend: splitmix64-seeded
-    SFC64 and the kernels' arithmetic may not drift."""
+    SFC64, the ziggurat's tables and the kernels' arithmetic may not drift."""
 
     def test_ssa(self, backend):
         times, Ts, Es, status = columns(BACKENDS[backend].ssa(S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8))
-        assert status == 0 and len(times) == len(Ts) == len(Es) == 143627
-        assert list(times[:5]) == [0.0, 0.0037613868041213223, 0.0038691557143538933,
-                                   0.00443785331694579, 0.004477583193434199]
+        assert status == 0 and len(times) == len(Ts) == len(Es) == 142911
+        assert list(times[:5]) == [0.0, 0.0021596952379729223, 0.002209875119842422,
+                                   0.0030041921771219045, 0.003040649344672342]
         assert list(Ts[:5]) == [100.0, 99.0, 98.0, 97.0, 96.0]
         assert list(Es[:5]) == [10.0, 10.0, 10.0, 10.0, 10.0]
 
@@ -159,8 +161,8 @@ class TestStream:
         times, Ts, _, status = columns(BACKENDS[backend].ssa_frozen(birth_death(0.7, 0.9), 5, 15.0, 7, 0,
                                                                     1e12, 10**7))
         assert status == 2 and len(times) == len(Ts) == 11
-        assert list(times[:5]) == [0.0, 0.5701242592219309, 0.59033512163949,
-                                   0.6747811024907058, 0.6820789805297804]
+        assert list(times[:5]) == [0.0, 0.32735124352149164, 0.33676192315446907,
+                                   0.4547101661277252, 0.4614068887442888]
         assert list(Ts[:5]) == [5.0, 4.0, 5.0, 4.0, 3.0]
 
     def test_tau_leap(self, backend):
@@ -191,36 +193,56 @@ def test_splitmix64_matches_its_reference_output():
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**70, -7])
 def test_draws_are_numpy_sfc64_words_from_the_splitmix64_state(seed):
     """The pure ``_rng`` is numpy's SFC64 raw stream from four splitmix64
-    words of the seed's low 64 bits, each word x drawn as
-    (x >> 11) * 2**-53: the compiled ``rng_seed``, ``rng_next`` and
-    ``rng_uniform``.  One ``random_raw`` call checks draws that cross every
-    boundary of its blocks, which grow 64, 256, 1024, then 4096 words."""
+    words of the seed's low 64 bits, each word w drawn as the uniform
+    (w >> 11) * 2**-53 (the compiled ``rng_seed``, ``rng_next`` and
+    ``rng_uniform``) or, for the exact kernels, as that uniform and the
+    ziggurat's first attempt of w.  One ``random_raw`` call checks draws
+    that cross every boundary of its blocks, which grow 64, 256, 1024, then
+    4096 words."""
     bits = np.random.SFC64()
     bits.state = {"bit_generator": "SFC64",
                   "state": {"state": np.array(splitmix64(seed & (2**64 - 1), 4), dtype=np.uint64)},
                   "has_uint32": 0, "uinteger": 0}
     n = 64 + 256 + 1024 + 2 * 4096 + 1
-    words = bits.random_raw(n)
-    draw = pure._rng(seed)
-    assert [draw() for _ in range(n)] == [(int(x) >> 11) * 2.0**-53 for x in words]
+    words = [int(w) for w in bits.random_raw(n)]
+    draw, pair = pure._rng(seed, False), pure._rng(seed, True)
+    assert [draw() for _ in range(n)] == [(w >> 11) * 2.0**-53 for w in words]
+    assert [pair() for _ in range(n)] == [((w >> 11) * 2.0**-53, (w >> 11) * pure._WE[w & 255]
+                                           if w >> 11 < pure._KE[w & 255] else -1.0 - (w & 255)) for w in words]
 
 
-# (table, T0, E0, floors, seeds) of runs to t = 100 in which a species reaches 0
+# (table, T0, E0, floors, dying) of runs to t = 100 in which a species reaches 0, ``dying`` naming the
+# columns (1: T, 2: E) at 0 in a run's first row at 0; ``absorbing_seed`` finds each run's seed
 ABSORPTION_CASES = {
     # the tumour dies out, then the effectors: the table loses six rows, then the last
     "scenario-4": (S4_TABLE, 100, 10, (0, 0), (1,)),
     # the effectors die out and five of the seven rows leave
-    "scenario-4-tumour-floor": (S4_TABLE, 100, 10, (1, 0), (1,)),
-    "no-effectors": (S4_TABLE, 100, 0, (1, 0), (1,)),
-    # the tumour dies (in the exact run of seed 1, the leaping of seed 6), while the effector
-    # influx keeps raising E from 0
-    "scenario-2": (S2_TABLE, 100, 10, (0, 0), (1, 6)),
+    "scenario-4-tumour-floor": (S4_TABLE, 100, 10, (1, 0), (2,)),
+    "no-effectors": (S4_TABLE, 100, 0, (1, 0), (2,)),
+    # the tumour dies, while the effector influx keeps raising E from 0
+    "scenario-2": (S2_TABLE, 100, 10, (0, 0), (1,)),
     # an influx row of c > 0 raises E again, so nothing may leave
-    "revived": ((*S4_TABLE[:-1], (kernels.R_CONST, 0.05, 0.0, 0.0, 0, 1)), 100, 10, (1, 0), (1,)),
+    "revived": ((*S4_TABLE[:-1], (kernels.R_CONST, 0.05, 0.0, 0.0, 0, 1)), 100, 10, (1, 0), (2,)),
     # one event takes both species to 0 together
     "both-at-once": (((kernels.R_MASS_TE, 1.0, 0.0, 0.0, -1, -1), (kernels.R_CONST, 0.0, 0.0, 0.0, 1, 1)),
-                     1, 1, (0, 0), (1,)),
+                     1, 1, (0, 0), (1, 2)),
 }
+
+
+@functools.cache
+def absorbing_seed(case, kernel):
+    """The first seed from 1, below 50, whose ``kernel`` ("ssa" or "tau_leap")
+    run of ``ABSORPTION_CASES[case]`` per event first reaches 0 in the case's
+    ``dying`` columns."""
+    table, T0, E0, floors, dying = ABSORPTION_CASES[case]
+
+    def dies_first(seed):
+        rows, _ = (kernels.ssa(table, T0, E0, 100.0, seed, *floors, 1e12, 10**8) if kernel == "ssa"
+                   else kernels.tau_leap(table, T0, E0, 100.0, 0.01, seed, *floors, 1e12))
+        rows = np.asarray(rows)
+        at_zero = rows[(rows[:, 1] == 0.0) | (rows[:, 2] == 0.0)]
+        return len(at_zero) > 0 and tuple(c for c in (1, 2) if at_zero[0, c] == 0.0) == dying
+    return first_seeds(dies_first, 1, bound=49)[0]
 
 
 BIRTH_DEATH = birth_death(2.0, 0.5)
@@ -228,8 +250,8 @@ BIRTH_DEATH = birth_death(2.0, 0.5)
 # at the last state within it, or on an RK4 step that keeps undershooting zero (status 6): a logistic stock of
 # 1e150 falls by about 1e300 a day, so a step of 2**-40 days still takes it below zero
 ENDINGS = {
-    "ssa-cap": ("ssa", (BIRTH_DEATH, 5, 0, 10.0, 1, 0, 0, 20, 10**8), 3, 18, [0.6344145738855792, 20.0, 0.0]),
-    "ssa_frozen-cap": ("ssa_frozen", (BIRTH_DEATH, 5, 10.0, 1, 0, 20, 10**8), 3, 18, [0.6344145738855792, 20.0, 0.0]),
+    "ssa-cap": ("ssa", (BIRTH_DEATH, 5, 0, 10.0, 1, 0, 0, 20, 10**8), 3, 18, [0.7989463482422375, 20.0, 0.0]),
+    "ssa_frozen-cap": ("ssa_frozen", (BIRTH_DEATH, 5, 10.0, 1, 0, 20, 10**8), 3, 18, [0.7989463482422375, 20.0, 0.0]),
     "tau_leap-cap": ("tau_leap", (BIRTH_DEATH, 5, 0, 10.0, 0.1, 1, 0, 0, 20), 3, 13, [1.2, 19.0, 0.0]),
     "rk4_growth-step-fail": ("rk4_growth", (0, 2.0, 1.0, 0.0, 1.0, 1e150, 1.0, 2.0, np.array([0.0, 1.0, 2.0]), 1e300),
                              6, 1, [0.0, 1e150, 0.0]),
@@ -260,11 +282,11 @@ def parity_cases():
     yield "tau_leap", (birth_death(50.0, 40.0), 100, 0, 1.0, 0.1, 3, 0, 0, 1e12)
     # runs to t = 100, long enough that a species reaches 0 and its silenced rows leave the table
     long_grid = make_grid(100.0, 0.5)
-    for table, T0, E0, floors, seeds in ABSORPTION_CASES.values():
-        for seed in seeds:
-            for grid_arg in ((), (long_grid,)):
-                yield "ssa", (table, T0, E0, 100.0, seed, *floors, 1e12, 10**8, *grid_arg)
-                yield "tau_leap", (table, T0, E0, 100.0, 0.01, seed, *floors, 1e12, *grid_arg)
+    for case, (table, T0, E0, floors, _) in ABSORPTION_CASES.items():
+        for grid_arg in ((), (long_grid,)):
+            yield "ssa", (table, T0, E0, 100.0, absorbing_seed(case, "ssa"), *floors, 1e12, 10**8, *grid_arg)
+            yield "tau_leap", (table, T0, E0, 100.0, 0.01, absorbing_seed(case, "tau_leap"), *floors, 1e12,
+                               *grid_arg)
     # numpy scalars of another width: every backend takes each double argument as a double
     f32 = np.float32
     yield "rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, f32(0.1), f32(2), make_grid(2.0), 1e300)
@@ -313,6 +335,116 @@ def test_every_kernel_returns_the_same_rows_on_both_backends():
     assert statuses == {0, 1, 2, 3, 4, 5, 6}
 
 
+# coefficients of the generated calls: mostly plain, sometimes an edge of the domain
+PLAIN = (0.05, 0.3, 1.0, 1.636, 2.5)
+EDGES = (0.0, 5e-324, 1e300, math.inf, math.nan, -1.0)
+
+
+def generated_exact_calls(n, seed=37):
+    """``n`` calls ``(kernel, args, grid)`` of ``ssa`` and ``ssa_frozen`` from
+    one seeded generator, ``grid`` a list of times or None for a run per
+    event: tables over the codes 0-5, floors, caps, budgets and seeds.  The
+    first is a run of 2 * 10**4 events at R = 1 per event, so that the
+    ziggurat's wedge and tail fire."""
+    gen = random.Random(seed)
+
+    def coef():
+        return gen.choice(EDGES) if gen.random() < 0.1 else gen.choice(PLAIN)
+
+    yield "ssa", (((kernels.R_CONST, 1.0, 0.0, 0.0, 1, 0),), 0, 0, 1e9, gen.randrange(2**64), 0, 0, 1e12,
+                  2 * 10**4), None
+    for _ in range(n - 1):
+        t_end = gen.choice((0.0, 0.5, 5.0, 30.0))
+        grid = (sorted({round(gen.uniform(0.0, 1.2 * t_end), 3) for _ in range(gen.randrange(1, 40))})
+                if gen.random() < 0.5 else None)
+        common = (t_end, gen.randrange(-2**63, 2**64))
+        budget = (gen.choice((20.0, 1e3, 1e12)), gen.choice((1, 50, 2000)))
+        if gen.random() < 0.7:
+            table = tuple((code, coef(), gen.choice((0.0, 0.5, 1.0, 2.0, -0.5)), gen.choice((0.0, 1.0, 20.19)),
+                           gen.choice((-1, 0, 1)), gen.choice((-1, 0, 1)))
+                          for code in (gen.randrange(6) for _ in range(gen.randrange(1, 7))))
+            yield "ssa", (table, gen.choice((0, 1, 5, 100)), gen.choice((0, 1, 10)), *common,
+                          gen.choice((0, 1, -1)), gen.choice((0, 1, -1)), *budget), grid
+        else:
+            table = ((kernels.R_POW_T, coef(), gen.choice((0.0, 1.0, 2.0)), 0.0, 1, 0),
+                     (gen.choice((kernels.R_POW_T, kernels.R_TLOGT)), coef(), gen.choice((1.0, 2.0, 1 / 3)), 0.0,
+                      -1, 0))
+            yield "ssa_frozen", (table, gen.choice((0, 1, 5, 20)), *common, gen.choice((0, 1, 0.5)), *budget), grid
+
+
+@needs_compiled
+def test_generated_exact_calls_return_the_same_rows_on_both_backends():
+    """A seeded generator's calls of the exact kernels give the same row
+    bytes and status on both backends, every exact status among them; a
+    mismatch is reported as the call that reproduces it.  Replaying the
+    first run's draws shows that its waiting times took the ziggurat's wedge
+    and tail too, so these paths and the tables they read agree across
+    backends."""
+    statuses = set()
+    for kernel, args, grid in generated_exact_calls(1000):
+        call = args if grid is None else (*args, np.array(grid))
+        literal = f"{kernel}({', '.join(map(repr, args))}{'' if grid is None else f', np.array({grid!r})'})"
+        rows_p, status_p = getattr(pure, kernel)(*call)
+        rows_c, status_c = getattr(compiled, kernel)(*call)
+        assert (status_p, np.asarray(rows_p).tobytes()) == (status_c, np.asarray(rows_c).tobytes()), \
+            f"the backends differ on {literal}, with inf, nan = math.inf, math.nan"
+        statuses.add(status_c)
+    assert statuses == {0, 2, 3, 4, 5}
+    # the first run draws per event a waiting time, whose first word takes the wedge of a layer
+    # i > 0 if x < -1 and the tail if x == -1, then the pick
+    (_, args, _), = generated_exact_calls(1)
+    draw, first = pure._rng(args[4], True), []
+    for _ in range(args[-1]):
+        u, x = draw()
+        first.append(x)
+        pure._exp(draw, u, x)
+        draw()
+    assert np.count_nonzero(np.array(first) < -1.0) > np.count_nonzero(np.array(first) == -1.0) > 0
+
+
+ZIG_R = 7.697117470131487  # the ziggurat's tail start
+
+
+def test_the_ziggurat_tables_satisfy_their_recurrence():
+    """Every layer of the pure tables has the area v, x_i = we[i] 2**53 its
+    right edge and fe[i] = exp(-x_i): exp(-x_i) = v / x_(i+1) + exp(-x_(i+1))
+    within 4 ulps, layer 0's rectangle and tail q f(r) = v, and the top
+    layer closes, x_1 (1 - f(x_1)) = v, within 1e-10; ke[i] is x_(i-1) / x_i
+    of 2**53, truncated, and 0 for the top layer."""
+    v, ke, we, fe = 3.949659822581572e-3, pure._KE, pure._WE, pure._FE
+    x = [w * 2.0**53 for w in we]
+    assert x[255] == ZIG_R and fe[0] == 1.0 and x[0] * fe[255] == pytest.approx(v, rel=1e-15)
+    assert all(fe[i] == math.exp(-x[i]) for i in range(1, 256))
+    assert max(abs(fe[i] - (v / x[i + 1] + fe[i + 1])) / math.ulp(fe[i]) for i in range(1, 255)) <= 4
+    assert x[1] * (1.0 - fe[1]) == pytest.approx(v, rel=1e-10)
+    assert ke[1] == 0 and ke[0] == int(ZIG_R / x[0] * 2.0**53)
+    assert all(ke[i] == int(x[i - 1] / x[i] * 2.0**53) for i in range(2, 256))
+
+
+@needs_compiled
+def test_waiting_times_follow_exp_1():
+    """The law of the compiled waiting times, at alpha = 0.01 fixed before
+    the run: the 10**6 gaps of a one-row table of rate 1, per event, pass a
+    Kolmogorov-Smirnov test against Exp(1), and the count beyond the
+    ziggurat's r an exact two-sided binomial test against e**-r."""
+    rows, status = compiled.ssa(((kernels.R_CONST, 1.0, 0.0, 0.0, 1, 0),), 0, 0, 1e9, 1, 0, 0, 1e12, 10**6)
+    gaps = np.sort(np.diff(np.asarray(rows)[:, 0]))
+    n = len(gaps)
+    assert status == 4 and n == 10**6
+    cdf = -np.expm1(-gaps)
+    d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert math.sqrt(n) * d < 1.6276  # the 0.99 quantile of the Kolmogorov distribution
+    beyond, p = int(np.count_nonzero(gaps > ZIG_R)), math.exp(-ZIG_R)
+
+    def log_pmf(k):
+        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * math.log(p) \
+            + (n - k) * math.log1p(-p)
+
+    # the counts past 3000 (mean 454, sd 21) carry no mass a double holds
+    pmf = np.exp([log_pmf(k) for k in range(3000)])
+    assert pmf[pmf <= pmf[beyond] * (1 + 1e-9)].sum() > 0.01
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", ENDINGS)
 def test_a_run_past_the_cap_or_with_a_failed_step_ends_with_its_status(backend, case):
@@ -357,8 +489,8 @@ def test_each_absorption_case_takes_a_species_to_zero(case):
     """The parity matrix's absorption cases reach the drop: in each exact run
     a species reaches 0 where the absorption rule drops rows, except in the
     revived run, whose influx keeps every row."""
-    table, T0, E0, floors, seeds = ABSORPTION_CASES[case]
-    rows = np.asarray(kernels.ssa(table, T0, E0, 100.0, seeds[0], *floors, 1e12, 10**8)[0])
+    table, T0, E0, floors, _ = ABSORPTION_CASES[case]
+    rows = np.asarray(kernels.ssa(table, T0, E0, 100.0, absorbing_seed(case, "ssa"), *floors, 1e12, 10**8)[0])
     at_zero = rows[(rows[:, 1] == 0.0) | (rows[:, 2] == 0.0)]
     assert len(at_zero)
     kept, _ = pure._absorb(pure._table(table), *at_zero[0, 1:].tolist(), *map(float, floors), 1e12)
