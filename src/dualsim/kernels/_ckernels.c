@@ -19,6 +19,11 @@
  * - keep the arithmetic as written and build without -ffast-math or fused
  *   multiply-adds (setup.py passes -ffp-contract=off): outputs are pinned
  *   byte for byte per seed, and equal the pure backend's;
+ * - an event loop's common path calls no libm function, and its rare paths
+ *   live out of line (``COLD``, as ``rng_exp_rest``): every xmm register is
+ *   caller-saved on x86-64, so a call inside the loop makes the compiler keep
+ *   the state (T, E, t, R) on the stack around every event.  For the same
+ *   reason ``table_rates`` flags a bad rate and sums on instead of returning;
  * - ``write_rows`` prints each value as repr(float(v)) and each time as
  *   f"{t:.6f}" by exact integer arithmetic, which gives the bytes of
  *   CPython's dtoa (``PyOS_double_to_string``) by construction, and calls
@@ -54,6 +59,12 @@
 #define MAX_HALVINGS 40
 #define MAX_CHANNELS 16
 #define MAX_STEPS 5e7 /* ssa.DEFAULT_MAX_EVENTS, the step cap of ssa._check_steps */
+
+#ifdef __GNUC__ /* a rare path, out of line (see the header) */
+#define COLD __attribute__((noinline, cold))
+#else
+#define COLD
+#endif
 
 /* ---- RNG: splitmix64 -> SFC64 ------------------------------------------ */
 
@@ -119,20 +130,30 @@ static void zig_init(void)
         ke[i] = i == 1 ? 0 : (uint64_t)(we[(i + 255) % 256] / we[i] * 0x1p53);
 }
 
-/* one word per attempt: its low 8 bits pick the layer, its top 53 the value */
-static inline double rng_exp(Rng *r)
+/* The rest of a draw whose word ``w`` failed its layer's bound, about 1.1%
+ * of words: layer 0's tail, else the wedge test, else fresh words. */
+static COLD double rng_exp_rest(Rng *r, uint64_t w)
 {
     for (;;) {
-        uint64_t w = rng_next(r), j = w >> 11;
+        uint64_t j = w >> 11;
         int i = w & 255;
-        if (j < ke[i])
-            return (double)j * we[i];
         if (i == 0)
             return ZIG_R - log(1.0 - rng_uniform(r));
         double x = (double)j * we[i];
         if (fe[i] + rng_uniform(r) * (fe[i - 1] - fe[i]) < exp(-x))
             return x;
+        w = rng_next(r), j = w >> 11, i = w & 255;
+        if (j < ke[i])
+            return (double)j * we[i];
     }
+}
+
+/* one word per attempt: its low 8 bits pick the layer, its top 53 the value */
+static inline double rng_exp(Rng *r)
+{
+    uint64_t w = rng_next(r), j = w >> 11;
+    int i = w & 255;
+    return j < ke[i] ? (double)j * we[i] : rng_exp_rest(r, w);
 }
 
 /* Knuth's product method for small means, a rounded normal beyond (the
@@ -519,21 +540,21 @@ static inline double channel_rate(const Table *tab, int i, double T, double E)
 }
 
 /* Fills ``out`` with the rates, or their running sums if ``sums``, and returns the last
- * running sum, or -1 on a negative or nan rate; a channel that would break a floor gets rate 0. */
+ * running sum, or -1 on a negative or nan rate; a channel that would break a floor gets rate 0.
+ * A bad rate is flagged, not returned at once, so that R and the sums stay in registers. */
 static inline double table_rates(const Table *tab, double T, double E, double floor_t,
                                  double floor_e, int sums, double *out)
 {
     double R = 0.0;
+    int bad = 0;
     for (int i = 0; i < tab->n; i++) {
         double r = channel_rate(tab, i, T, E);
-        if (!(r >= 0.0))
-            return -1.0;
-        if (T + tab->dT[i] < floor_t || E + tab->dE[i] < floor_e)
-            r = 0.0;
+        bad |= !(r >= 0.0);
+        r = (T + tab->dT[i] < floor_t) | (E + tab->dE[i] < floor_e) ? 0.0 : r;
         R += r;
         out[i] = sums ? R : r;
     }
-    return R;
+    return bad ? -1.0 : R;
 }
 
 /* The absorption rule (see the package docstring): drops from ``tab`` the rows that a

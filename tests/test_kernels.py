@@ -2,6 +2,7 @@
 
 import ctypes
 import functools
+import hashlib
 import math
 import os
 import random
@@ -156,6 +157,14 @@ class TestStream:
                                    0.0030041921771219045, 0.003040649344672342]
         assert list(Ts[:5]) == [100.0, 99.0, 98.0, 97.0, 96.0]
         assert list(Es[:5]) == [10.0, 10.0, 10.0, 10.0, 10.0]
+
+    def test_ssa_on_a_grid(self, backend):
+        """The grid-mode run, which steps without the GIL on the compiled
+        backend, as the CLI's ensembles run it."""
+        rows, status = BACKENDS[backend].ssa(S4_TABLE, 100, 10, 100.0, 7, 1, 0, 1e12, 10**8, np.arange(101.0))
+        assert status == 0 and len(rows) == 101
+        assert hashlib.sha256(np.asarray(rows).tobytes()).hexdigest() == \
+            "f6019553cb51adf92e9cdfa265f70642a2bfc9b718ef7af01db0f501b2b2a299"
 
     def test_ssa_frozen(self, backend):
         times, Ts, _, status = columns(BACKENDS[backend].ssa_frozen(birth_death(0.7, 0.9), 5, 15.0, 7, 0,
@@ -372,6 +381,19 @@ def generated_exact_calls(n, seed=37):
             yield "ssa_frozen", (table, gen.choice((0, 1, 5, 20)), *common, gen.choice((0, 1, 0.5)), *budget), grid
 
 
+def status_on_both_backends(kernel, args, grid):
+    """The status of ``kernel`` called with ``args`` and, unless it is None,
+    ``np.array(grid)``, once both backends gave the same row bytes and
+    status; a mismatch is reported as the call that reproduces it."""
+    call = args if grid is None else (*args, np.array(grid))
+    literal = f"{kernel}({', '.join(map(repr, args))}{'' if grid is None else f', np.array({grid!r})'})"
+    rows_p, status_p = getattr(pure, kernel)(*call)
+    rows_c, status_c = getattr(compiled, kernel)(*call)
+    assert (status_p, np.asarray(rows_p).tobytes()) == (status_c, np.asarray(rows_c).tobytes()), \
+        f"the backends differ on {literal}, with inf, nan = math.inf, math.nan"
+    return status_c
+
+
 @needs_compiled
 def test_generated_exact_calls_return_the_same_rows_on_both_backends():
     """A seeded generator's calls of the exact kernels give the same row
@@ -380,15 +402,7 @@ def test_generated_exact_calls_return_the_same_rows_on_both_backends():
     first run's draws shows that its waiting times took the ziggurat's wedge
     and tail too, so these paths and the tables they read agree across
     backends."""
-    statuses = set()
-    for kernel, args, grid in generated_exact_calls(1000):
-        call = args if grid is None else (*args, np.array(grid))
-        literal = f"{kernel}({', '.join(map(repr, args))}{'' if grid is None else f', np.array({grid!r})'})"
-        rows_p, status_p = getattr(pure, kernel)(*call)
-        rows_c, status_c = getattr(compiled, kernel)(*call)
-        assert (status_p, np.asarray(rows_p).tobytes()) == (status_c, np.asarray(rows_c).tobytes()), \
-            f"the backends differ on {literal}, with inf, nan = math.inf, math.nan"
-        statuses.add(status_c)
+    statuses = {status_on_both_backends(kernel, args, grid) for kernel, args, grid in generated_exact_calls(1000)}
     assert statuses == {0, 2, 3, 4, 5}
     # the first run draws per event a waiting time, whose first word takes the wedge of a layer
     # i > 0 if x < -1 and the tail if x == -1, then the pick
@@ -400,6 +414,46 @@ def test_generated_exact_calls_return_the_same_rows_on_both_backends():
         pure._exp(draw, u, x)
         draw()
     assert np.count_nonzero(np.array(first) < -1.0) > np.count_nonzero(np.array(first) == -1.0) > 0
+
+
+def generated_tau_calls(n, seed=38):
+    """``n`` calls ``(args, grid)`` of ``tau_leap`` from one seeded generator,
+    ``grid`` a list of times or None for a run per leap: tables over the
+    codes 0-5, floors, caps, steps and seeds, with at most 3000 leaps a run.
+    Populations of 1000 and huge coefficients give means past 30, which the
+    rounded normal draws."""
+    gen = random.Random(seed)
+
+    def coef():
+        return gen.choice(EDGES) if gen.random() < 0.1 else gen.choice(PLAIN)
+
+    for _ in range(n):
+        t_end, dt = gen.choice((0.0, 0.5, 5.0, 30.0)), gen.choice((0.01, 0.1, 0.5, 2.0))
+        grid = (sorted({round(gen.uniform(0.0, 1.2 * t_end), 3) for _ in range(gen.randrange(1, 40))})
+                if gen.random() < 0.5 else None)
+        table = tuple((code, coef(), gen.choice((0.0, 0.5, 1.0, 2.0, -0.5)), gen.choice((0.0, 1.0, 20.19)),
+                       gen.choice((-1, 0, 1, 3)), gen.choice((-1, 0, 1, 3)))
+                      for code in (gen.randrange(6) for _ in range(gen.randrange(1, 7))))
+        yield (table, gen.choice((0, 1, 5, 100, 1000)), gen.choice((0, 1, 10, 1000)), t_end, dt,
+               gen.randrange(-2**63, 2**64), gen.choice((0, 1, -1)), gen.choice((0, 1, -1)),
+               gen.choice((20.0, 1e4, 1e12))), grid
+
+
+@needs_compiled
+def test_generated_tau_calls_return_the_same_rows_on_both_backends():
+    """A seeded generator's calls of ``tau_leap`` give the same row bytes
+    and status on both backends, every tau status among them; a mismatch is
+    reported as the call that reproduces it.  Some first leaps have a mean
+    past 30, so the Poisson sampler's rounded normal agrees too."""
+    statuses, normal = set(), 0
+    for args, grid in generated_tau_calls(500):
+        statuses.add(status_on_both_backends("tau_leap", args, grid))
+        table, T0, E0, t_end, dt = args[:5]
+        rates = [0.0] * len(table)
+        if t_end > 0.0 and 0.0 < pure._rates(pure._table(table), T0, E0, -math.inf, -math.inf, rates) < math.inf:
+            normal += max(rates) * min(dt, t_end) >= 30.0
+    assert statuses == {0, 2, 3, 5}
+    assert normal >= 20
 
 
 ZIG_R = 7.697117470131487  # the ziggurat's tail start
@@ -540,6 +594,39 @@ def test_rows_that_could_stop_the_run_stay(backend, kernel, table, T0, E0, floor
     args = (100.0, 1) if kernel == "ssa" else (100.0, 0.01, 1)
     rows, status = fn(table, T0, E0, *args, *floors, 1e12, *((10**6,) if kernel == "ssa" else ()))
     assert status == kernels.ST_BAD_RATE
+
+
+# rows whose rates stay >= 0 while E >= 0: a death of T at rate 2, an influx and a decay of E
+STEADY = ((kernels.R_CONST, 2.0, 0.0, 0.0, -1, 0), (kernels.R_CONST, 1.0, 0.0, 0.0, 0, 1),
+          (kernels.R_LIN_E, 0.5, 0.0, 0.0, 0, -1))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", ["ssa", "tau_leap"])
+@pytest.mark.parametrize("grid", [None, make_grid(100.0, 0.5)], ids=["per-step", "grid"])
+@pytest.mark.parametrize("at", [0, 1, 3], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad, jump", [
+    ((kernels.R_POW_T, 1.0, 1.0), 0),  # T: negative below 0
+    ((kernels.R_POW_T, 1.0, 0.5), 0),  # T**0.5: nan below 0
+    # negative, on a jump that ssa's floor T >= -3 zeroes from T < 2 on (leaping clamps after the leap)
+    ((kernels.R_POW_T, 1.0, 1.0), -5),
+], ids=["negative", "nan", "negative-floored"])
+def test_a_bad_rate_in_any_row_stops_the_run_where_it_turns_bad(backend, kernel, grid, at, bad, jump):
+    """T falls from 5 below 0, where one row's rate turns negative or nan:
+    wherever that row sits, and whether or not a floor zeroes it, the run
+    stops with status 5 at the first state with the bad rate, and both
+    backends return the same rows."""
+    table = list(STEADY)
+    table.insert(at, (*bad, 0.0, jump, 0))
+    args = (tuple(table), 5, 0, 100.0, *(() if kernel == "ssa" else (0.1,)), 1, -3, 0, 1e12,
+            *((10**6,) if kernel == "ssa" else ()), *(() if grid is None else (grid,)))
+    rows, status = getattr(BACKENDS[backend], kernel)(*args)
+    rows_p, status_p = getattr(pure, kernel)(*args)
+    assert status == status_p == kernels.ST_BAD_RATE
+    assert np.asarray(rows).tobytes() == np.asarray(rows_p).tobytes()
+    if grid is None:
+        Ts = np.asarray(rows)[:, 1]
+        assert len(Ts) > 1 and Ts[-1] < 0.0 <= Ts[:-1].min()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
