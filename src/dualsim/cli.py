@@ -56,10 +56,6 @@ _METHODS = ("exact", "tau")
 _POLICIES = tuple(policy.value for policy in RatePolicy)
 _FIXES = ("none", "tumour", "both")
 
-# the random stream both kernel backends draw (see ``dualsim.kernels``), as
-# every manifest names it
-_RNG = "sfc64-splitmix64-ziggurat"
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -252,7 +248,7 @@ def _manifest(spec: RunSpec, outputs: list[str], results: dict) -> str:
     doc = {
         "format": "dualsim-manifest/1",
         "backend": kernels.BACKEND_NAME,
-        "rng": _RNG,
+        "rng": kernels.RNG,
         "version": __version__,
         "run_spec": asdict(spec),
         "replicate_seeds": (
@@ -461,10 +457,10 @@ def _load_spec(args: argparse.Namespace, compare: bool = False) -> RunSpec:
         doc, manifest = _decode_config(text)
         raw.update(doc)
         # a manifest of another stream runs, but its seeded draws may differ
-        rng = manifest.get("rng") if manifest is not None else _RNG
-        if rng != _RNG:
+        rng = manifest.get("rng") if manifest is not None else kernels.RNG
+        if rng != kernels.RNG:
             recorded = "no rng" if rng is None else f"rng {rng!r}"
-            print(f"note: manifest {args.config} records {recorded}, not {_RNG!r}: "
+            print(f"note: manifest {args.config} records {recorded}, not {kernels.RNG!r}: "
                   "its seeded stochastic outputs may not reproduce", file=sys.stderr)
     for name in _FIELD_TYPES:
         v = getattr(args, name, None)

@@ -109,13 +109,13 @@ keep their order, and the rule is applied again to the shorter table.
 Stop rule and status codes (the ``ST_*`` constants below).  The stochastic
 kernels stop by one rule on the total rate R: while 0 < R < inf they step
 on; R == 0 stops with status 2 after holding the state until ``t_end``, and
-any other R (negative, infinite or nan) with status 5.  A rate that is
-negative or nan (``!(r >= 0)``) makes R negative before any floor zeroes it,
-so it stops the run with status 5 whatever the floors.  An event or leap
-that takes a population above ``cap`` stops the run with status 3; the
-initial state is the caller's to bound.  ``ssa`` and ``ssa_frozen`` stop
-with status 4 after ``max_events`` events.  A run that reaches ``t_end``
-ends with status 0.
+any other R (negative, infinite or nan), or a leap of ``tau_leap`` whose
+mean ``R * h`` is infinite, with status 5.  A rate that is negative or nan
+(``!(r >= 0)``) makes R negative before any floor zeroes it, so it stops
+the run with status 5 whatever the floors.  An event or leap that takes a
+population above ``cap`` stops the run with status 3; the initial state is
+the caller's to bound.  ``ssa`` and ``ssa_frozen`` stop with status 4 after
+``max_events`` events.  A run that reaches ``t_end`` ends with status 0.
 
 Grid sampling.  Called without their optional trailing ``grid``, the
 stochastic kernels return one row per event or leap, framed by the initial
@@ -164,7 +164,7 @@ exp(-j * we[i])`` with u the next uniform, drawing a fresh word when it
 fails.  The tables are built once, at import, by Marsaglia & Tsang's
 recurrence with the same libm calls in both backends.  Every kernel draws
 the same words in the same order with the same scalar libm arithmetic, so
-a seed gives the same rows and status on either backend.
+a seed gives the same rows and status on either backend.  ``RNG`` names it.
 """
 
 try:
@@ -175,6 +175,8 @@ except ImportError:
     from . import _pykernels as backend  # type: ignore[no-redef]
 
     BACKEND_NAME = "pure-python"
+
+RNG = "sfc64-splitmix64-ziggurat"
 
 rk4_growth = backend.rk4_growth
 rk4_kuznetsov = backend.rk4_kuznetsov
@@ -206,6 +208,7 @@ R_MM_TE = 5
 __all__ = [
     "backend",
     "BACKEND_NAME",
+    "RNG",
     "rk4_growth",
     "rk4_kuznetsov",
     "ssa",

@@ -783,9 +783,9 @@ static PyObject *tau_leap(PyObject *self, PyObject *args)
         if (watch && (((watch & 1) && T == 0.0) || ((watch & 2) && E == 0.0)))
             watch = table_absorb(&tab, T, E, floor_t, floor_e, cap);
         double h = t + dt <= t_end ? dt : t_end - t;
-        /* leaping clamps to the floors after the step instead */
+        /* leaping clamps to the floors after the step instead; the rule reads the leap's mean R*h */
         double R = table_rates(&tab, T, E, -INFINITY, -INFINITY, 0, rates);
-        if (!(0.0 < R && R < INFINITY)) {
+        if (!(0.0 < R && R * h < INFINITY)) {
             status = stop_status(&rec, R, t, t_end, T, E);
             break;
         }

@@ -367,7 +367,8 @@ def _rng(seed, exact):
         w = bits.random_raw(n)
         j, i = w >> 11, w & 255
         u = (j * 2.0**-53).tolist()
-        return zip(u, np.where(j < _KE[i], j * _WE[i], -1.0 - i).tolist()) if exact else u
+        # take, not indexing: out of memory, numpy's fancy indexing can crash where take raises MemoryError
+        return zip(u, np.where(j < _KE.take(i), j * _WE.take(i), -1.0 - i).tolist()) if exact else u
     return chain.from_iterable(map(block, chain((64, 256, 1024), repeat(4096)))).__next__
 
 
@@ -553,9 +554,9 @@ def tau_leap(table, T0, E0, t_end, dt, seed, floor_t, floor_e, cap, grid=None, /
         if watch and (watch & 1 and T == 0.0 or watch & 2 and E == 0.0):
             table, watch = _absorb(table, T, E, floor_t, floor_e, cap)
         h = dt if t + dt <= t_end else t_end - t
-        # leaping clamps to the floors after the step instead
+        # leaping clamps to the floors after the step instead; the rule reads the leap's mean R*h
         R = _rates(table, T, E, -_INF, -_INF, rates)
-        if not 0.0 < R < _INF:
+        if not (0.0 < R and R * h < _INF):
             return finish(_stop_status(push, R, t, t_end, T, E))
         nT = T
         nE = E

@@ -584,15 +584,22 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("backend", {mod.__name__: mod for mod in (_pykernels, kernels.backend)}.values(),
                              ids=lambda mod: mod.__name__.rpartition(".")[2])
-    def test_an_sds_step_that_keeps_undershooting_is_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
-                                                                         backend):
+    @pytest.mark.parametrize("kernel, argv, error", [
         # a logistic stock of 1e150 falls by about 1e300 a day: no halving of the step keeps it above zero
-        monkeypatch.setattr(kernels, "rk4_growth", backend.rk4_growth)
-        rc = main(["run", "--model", "logistic", "--a", "2", "--b", "1", "--t0", "1e150", "--paradigm", "sds",
-                   "--dt", "1", "--t-end", "2", "--out", str(tmp_path)])
+        ("rk4_growth", ["--a", "2", "--b", "1", "--t0", "1e150", "--paradigm", "sds", "--dt", "1", "--t-end", "2"],
+         "integration step kept undershooting zero after 40 local halvings"),
+        # a birth rate of 1e308 is finite, but a leap of 2 at it has an infinite mean
+        ("tau_leap", ["--a", "1e308", "--b", "1", "--paradigm", "abs", "--method", "tau", "--dt", "2", "--t-end", "4",
+                      "--reps", "1", "--seed", "3"],
+         "replicate 0 (seed 3): total event rate negative, infinite or nan (seed 3) at t=0 with population 1; a "
+         "channel's rate law left its domain or double range"),
+    ], ids=["sds-undershooting", "leap-of-infinite-mean"])
+    def test_a_run_that_the_kernel_stops_is_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch, backend, kernel,
+                                                                argv, error):
+        monkeypatch.setattr(kernels, kernel, getattr(backend, kernel))
+        rc = main(["run", "--model", "logistic", *argv, "--out", str(tmp_path)])
         assert rc == 3
-        assert capsys.readouterr().err == ("engine error: integration step kept undershooting zero after 40 local "
-                                          "halvings\n")
+        assert capsys.readouterr().err == f"engine error: {error}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_an_sds_that_ends_early_is_3_in_compare_and_writes_nothing(self, tmp_path, capsys):

@@ -65,47 +65,6 @@ def columns(result):
     return view[:, 0], view[:, 1], view[:, 2], status
 
 
-@needs_compiled
-def test_backends_expose_the_same_entry_points():
-    for name in KERNELS:
-        assert callable(getattr(pure, name))
-        assert callable(getattr(compiled, name))
-
-
-@needs_compiled
-class TestRk4Parity:
-    def test_logistic(self):
-        args = (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.001, 10.0, make_grid(10.0, 0.1), 1e300)
-        tp, vp, _, sp = columns(pure.rk4_growth(*args))
-        tc, vc, _, sc = columns(compiled.rk4_growth(*args))
-        assert sp == sc == 0
-        assert np.array_equal(np.asarray(tp), np.asarray(tc))
-        np.testing.assert_allclose(np.asarray(vp), np.asarray(vc), rtol=1e-12)
-
-    def test_gompertz_large_magnitudes(self):
-        args = (1, 1.636, 0.002, 0.0, 1.0, 1.0, 0.01, 110.0, make_grid(110.0, 1.0), 1e300)
-        _, vp, _, sp = columns(pure.rk4_growth(*args))
-        _, vc, _, sc = columns(compiled.rk4_growth(*args))
-        assert sp == sc == 0
-        np.testing.assert_allclose(np.asarray(vp), np.asarray(vc), rtol=1e-10)
-
-    def test_kuznetsov_scenario(self):
-        args = (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, 0.0,
-                100.0, 10.0, 0.001, 30.0, make_grid(30.0, 0.5), 1e300)
-        tp, Tp, Ep, sp = columns(pure.rk4_kuznetsov(*args))
-        tc, Tc, Ec, sc = columns(compiled.rk4_kuznetsov(*args))
-        assert sp == sc == 0
-        np.testing.assert_allclose(np.asarray(Tp), np.asarray(Tc), rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(np.asarray(Ep), np.asarray(Ec), rtol=1e-10, atol=1e-12)
-
-    def test_blowup_flag_matches(self):
-        args = (0, 1.636, 0.002, 1.0 / 3.0, 0.0, 1.0, 0.001, 10.0, make_grid(10.0, 0.1), 1e300)
-        _, vp, _, sp = columns(pure.rk4_growth(*args))
-        _, vc, _, sc = columns(compiled.rk4_growth(*args))
-        assert sp == sc == 1
-        assert all(map(math.isfinite, vp)) and all(map(math.isfinite, vc))
-
-
 class TestStochasticAgreement:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("birth_e, t_end, T0", [(1.0, 15.0, 5), (2.0, 1.0, 5), (4 / 3, 1.0, 5), (1.0, 15.0, 0)])
@@ -134,15 +93,6 @@ class TestStochasticAgreement:
             assert st == 0
             finals.append(Ts[-1])
         assert np.mean(finals) == pytest.approx(6.0, abs=0.5)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_per_seed_determinism_each_backend(self, backend):
-        mod = BACKENDS[backend]
-        table = birth_death(1.0, 0.2, death_e=2.0)
-        a = columns(mod.ssa(table, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7))
-        b = columns(mod.ssa(table, 1, 0, 10.0, 7, 0, 0, 1e12, 10**7))
-        assert list(a[0]) == list(b[0])
-        assert list(a[1]) == list(b[1])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -267,8 +217,8 @@ ENDINGS = {
 }
 
 
-def parity_cases():
-    """(kernel, arguments) of the exact-parity matrix."""
+def corpus():
+    """(kernel, arguments) of the fixed calls that the backends must agree on."""
     grid = make_grid(10.0, 0.1)
     for scenario in (1, 2, 3, 4):
         table = scenario_preset(scenario).channels.table
@@ -328,20 +278,16 @@ def parity_cases():
     for kernel, args, *_ in ENDINGS.values():
         yield kernel, args
     yield "ssa", (*ENDINGS["ssa-cap"][1], grid)
-
-
-@needs_compiled
-def test_every_kernel_returns_the_same_rows_on_both_backends():
-    """One stream and one arithmetic: the same seed gives the same bytes and
-    status on either backend."""
-    statuses = set()
-    for kernel, args in parity_cases():
-        rows_p, status_p = getattr(pure, kernel)(*args)
-        rows_c, status_c = getattr(compiled, kernel)(*args)
-        assert status_p == status_c, (kernel, args[1:])
-        assert np.asarray(rows_p).tobytes() == np.asarray(rows_c).tobytes(), (kernel, args[1:])
-        statuses.add(status_c)
-    assert statuses == {0, 1, 2, 3, 4, 5, 6}
+    # RK4 runs: logistic, Gompertz at large magnitudes, scenario 4's system, and von Bertalanffy's blow-up (status 1)
+    yield "rk4_growth", (0, 1.0, 0.2, 0.0, 1.0, 1.0, 0.001, 10.0, grid, 1e300)
+    yield "rk4_growth", (1, 1.636, 0.002, 0.0, 1.0, 1.0, 0.01, 110.0, make_grid(110.0, 1.0), 1e300)
+    yield "rk4_kuznetsov", (1.636, 0.002, 20.19, 0.00311, 1.0, 1.131, 0.3743, 0.0, 100.0, 10.0, 0.001, 30.0,
+                            make_grid(30.0, 0.5), 1e300)
+    yield "rk4_growth", (0, 1.636, 0.002, 1 / 3, 0.0, 1.0, 0.001, 10.0, grid, 1e300)
+    # finite rates whose leap of 2 has an infinite mean, of which a Poisson count would be inf or nan: status 5
+    yield "tau_leap", (((kernels.R_CONST, 1e308, 0.0, 0.0, 1, 0),), 0, 0, 4.0, 2.0, 7, 0, 0, 1e12)
+    yield "tau_leap", (((kernels.R_CONST, 1e308, 0.0, 0.0, -1, 0), (kernels.R_CONST, 1.0, 0.0, 0.0, 1, 0)), 10**6, 0,
+                       4.0, 2.0, 1, 0, 0, 1e12)
 
 
 # coefficients of the generated calls: mostly plain, sometimes an edge of the domain
@@ -349,64 +295,104 @@ PLAIN = (0.05, 0.3, 1.0, 1.636, 2.5)
 EDGES = (0.0, 5e-324, 1e300, math.inf, math.nan, -1.0)
 
 
-def generated_exact_calls(n, seed=37):
-    """``n`` calls ``(kernel, args, grid)`` of ``ssa`` and ``ssa_frozen`` from
-    one seeded generator, ``grid`` a list of times or None for a run per
-    event: tables over the codes 0-5, floors, caps, budgets and seeds.  The
-    first is a run of 2 * 10**4 events at R = 1 per event, so that the
-    ziggurat's wedge and tail fire."""
-    gen = random.Random(seed)
+class Draws(random.Random):
+    """The seeded draws that both generators of kernel calls share."""
 
-    def coef():
-        return gen.choice(EDGES) if gen.random() < 0.1 else gen.choice(PLAIN)
+    def coef(self):
+        return self.choice(EDGES) if self.random() < 0.1 else self.choice(PLAIN)
 
-    yield "ssa", (((kernels.R_CONST, 1.0, 0.0, 0.0, 1, 0),), 0, 0, 1e9, gen.randrange(2**64), 0, 0, 1e12,
-                  2 * 10**4), None
+    def end_grid_and_seed(self):
+        """A ``t_end``, a grid of 1-39 times up to 1.2 ``t_end`` as a trailing argument or none, and a seed."""
+        t_end, grid = self.choice((0.0, 0.5, 5.0, 30.0)), ()
+        if self.random() < 0.5:
+            times = {round(self.uniform(0.0, 1.2 * t_end), 3) for _ in range(self.randrange(1, 40))}
+            grid = (np.array(sorted(times)),)
+        return t_end, grid, self.randrange(-2**63, 2**64)
+
+    def table(self, jumps):
+        """A table of 1-6 rows over the codes 0-5, each jump drawn from ``jumps``."""
+        return tuple((code, self.coef(), self.choice((0.0, 0.5, 1.0, 2.0, -0.5)), self.choice((0.0, 1.0, 20.19)),
+                      self.choice(jumps), self.choice(jumps))
+                     for code in (self.randrange(6) for _ in range(self.randrange(1, 7))))
+
+
+def generated_exact_calls(n):
+    """``n`` calls (kernel, arguments) of ``ssa`` and ``ssa_frozen``, with floors, caps and budgets.  The first is a
+    run of 2 * 10**4 events at R = 1 per event, so that the ziggurat's wedge and tail fire."""
+    gen = Draws(37)
+    yield "ssa", (((kernels.R_CONST, 1.0, 0.0, 0.0, 1, 0),), 0, 0, 1e9, gen.randrange(2**64), 0, 0, 1e12, 2 * 10**4)
     for _ in range(n - 1):
-        t_end = gen.choice((0.0, 0.5, 5.0, 30.0))
-        grid = (sorted({round(gen.uniform(0.0, 1.2 * t_end), 3) for _ in range(gen.randrange(1, 40))})
-                if gen.random() < 0.5 else None)
-        common = (t_end, gen.randrange(-2**63, 2**64))
-        budget = (gen.choice((20.0, 1e3, 1e12)), gen.choice((1, 50, 2000)))
+        t_end, grid, seed = gen.end_grid_and_seed()
+        budget = (gen.choice((20.0, 1e3, 1e12)), gen.choice((1, 50, 2000)), *grid)
         if gen.random() < 0.7:
-            table = tuple((code, coef(), gen.choice((0.0, 0.5, 1.0, 2.0, -0.5)), gen.choice((0.0, 1.0, 20.19)),
-                           gen.choice((-1, 0, 1)), gen.choice((-1, 0, 1)))
-                          for code in (gen.randrange(6) for _ in range(gen.randrange(1, 7))))
-            yield "ssa", (table, gen.choice((0, 1, 5, 100)), gen.choice((0, 1, 10)), *common,
-                          gen.choice((0, 1, -1)), gen.choice((0, 1, -1)), *budget), grid
+            yield "ssa", (gen.table((-1, 0, 1)), gen.choice((0, 1, 5, 100)), gen.choice((0, 1, 10)), t_end, seed,
+                          gen.choice((0, 1, -1)), gen.choice((0, 1, -1)), *budget)
         else:
-            table = ((kernels.R_POW_T, coef(), gen.choice((0.0, 1.0, 2.0)), 0.0, 1, 0),
-                     (gen.choice((kernels.R_POW_T, kernels.R_TLOGT)), coef(), gen.choice((1.0, 2.0, 1 / 3)), 0.0,
+            table = ((kernels.R_POW_T, gen.coef(), gen.choice((0.0, 1.0, 2.0)), 0.0, 1, 0),
+                     (gen.choice((kernels.R_POW_T, kernels.R_TLOGT)), gen.coef(), gen.choice((1.0, 2.0, 1 / 3)), 0.0,
                       -1, 0))
-            yield "ssa_frozen", (table, gen.choice((0, 1, 5, 20)), *common, gen.choice((0, 1, 0.5)), *budget), grid
+            yield "ssa_frozen", (table, gen.choice((0, 1, 5, 20)), t_end, seed, gen.choice((0, 1, 0.5)), *budget)
 
 
-def status_on_both_backends(kernel, args, grid):
-    """The status of ``kernel`` called with ``args`` and, unless it is None,
-    ``np.array(grid)``, once both backends gave the same row bytes and
-    status; a mismatch is reported as the call that reproduces it."""
-    call = args if grid is None else (*args, np.array(grid))
-    literal = f"{kernel}({', '.join(map(repr, args))}{'' if grid is None else f', np.array({grid!r})'})"
-    rows_p, status_p = getattr(pure, kernel)(*call)
-    rows_c, status_c = getattr(compiled, kernel)(*call)
-    assert (status_p, np.asarray(rows_p).tobytes()) == (status_c, np.asarray(rows_c).tobytes()), \
-        f"the backends differ on {literal}, with inf, nan = math.inf, math.nan"
-    return status_c
+def generated_tau_calls(n):
+    """``n`` calls (kernel, arguments) of ``tau_leap``, with floors, caps and steps of 0.01-2, at most 3000 leaps a
+    run.  Populations of 1000 and huge coefficients give first leaps of mean past 30, which the rounded normal
+    draws.  One table in ten starts with a constant rate of 1.5e308, finite, whose leap of 2 has an infinite
+    mean."""
+    gen = Draws(38)
+    for _ in range(n):
+        t_end, grid, seed = gen.end_grid_and_seed()
+        table = gen.table((-1, 0, 1, 3))
+        if gen.random() < 0.1:
+            table = ((kernels.R_CONST, 1.5e308, 0.0, 0.0, *table[0][4:]), *table[1:])
+        yield "tau_leap", (table, gen.choice((0, 1, 5, 100, 1000)), gen.choice((0, 1, 10, 1000)),
+                           t_end, gen.choice((0.01, 0.1, 0.5, 2.0)), seed, gen.choice((0, 1, -1)),
+                           gen.choice((0, 1, -1)), gen.choice((20.0, 1e4, 1e12)), *grid)
+
+
+def outcome(backend, kernel, args):
+    """The status and row bytes of ``kernel`` of ``backend`` called with ``args``, or the type and text of what it
+    raised."""
+    try:
+        rows, status = getattr(backend, kernel)(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return status, np.asarray(rows).tobytes()
+
+
+def literal(kernel, args):
+    """The call of ``kernel`` with ``args`` as source that reproduces it."""
+    return f"{kernel}({', '.join(f'np.array({a.tolist()})' if isinstance(a, np.ndarray) else repr(a) for a in args)})"
 
 
 @needs_compiled
-def test_generated_exact_calls_return_the_same_rows_on_both_backends():
-    """A seeded generator's calls of the exact kernels give the same row
-    bytes and status on both backends, every exact status among them; a
-    mismatch is reported as the call that reproduces it.  Replaying the
-    first run's draws shows that its waiting times took the ziggurat's wedge
-    and tail too, so these paths and the tables they read agree across
-    backends."""
-    statuses = {status_on_both_backends(kernel, args, grid) for kernel, args, grid in generated_exact_calls(1000)}
-    assert statuses == {0, 2, 3, 4, 5}
-    # the first run draws per event a waiting time, whose first word takes the wedge of a layer
-    # i > 0 if x < -1 and the tail if x == -1, then the pick
-    (_, args, _), = generated_exact_calls(1)
+def test_the_backends_return_the_same_rows():
+    """One stream and one arithmetic: every call of the fixed corpus and of the two seeded generators gives the
+    same status and row bytes on both backends, or raises alike; a mismatch is reported as the call that reproduces
+    it.  Between them the calls reach the statuses pinned below.  The tau generator's first leaps reach the
+    Poisson sampler's rounded normal and the stop on an infinite mean by themselves, and replaying the first exact
+    run's draws shows that its waiting times took the ziggurat's wedge and tail, so these paths and the tables they
+    read agree across backends."""
+    reached = {}
+    tau = list(generated_tau_calls(500))
+    for kernel, args in (*corpus(), *generated_exact_calls(1000), *tau):
+        got = outcome(pure, kernel, args)
+        assert got == outcome(compiled, kernel, args), \
+            f"the backends differ on {literal(kernel, args)}, with inf, nan = math.inf, math.nan"
+        reached.setdefault(kernel, set()).add(got[0])
+    assert reached == {"ssa": {0, 2, 3, 4, 5}, "ssa_frozen": {0, 2, 3, 4, 5}, "tau_leap": {0, 2, 3, 5},
+                       "rk4_growth": {0, 1, 6}, "rk4_kuznetsov": {0, 1}}
+    normal = overflowing = 0
+    for _, (table, T0, E0, t_end, dt, *_) in tau:
+        rates = [0.0] * len(table)
+        R, h = pure._rates(pure._table(table), T0, E0, -math.inf, -math.inf, rates), min(dt, t_end)
+        if t_end > 0.0 and 0.0 < R < math.inf:
+            normal += 30.0 <= max(rates) * h and R * h < math.inf
+            overflowing += R * h == math.inf
+    assert normal >= 20 and overflowing > 0
+    # the first exact run draws per event a waiting time, whose first word takes the wedge of a layer i > 0 if
+    # x < -1 and the tail if x == -1, then the pick
+    (_, args), = generated_exact_calls(1)
     draw, first = pure._rng(args[4], True), []
     for _ in range(args[-1]):
         u, x = draw()
@@ -414,46 +400,6 @@ def test_generated_exact_calls_return_the_same_rows_on_both_backends():
         pure._exp(draw, u, x)
         draw()
     assert np.count_nonzero(np.array(first) < -1.0) > np.count_nonzero(np.array(first) == -1.0) > 0
-
-
-def generated_tau_calls(n, seed=38):
-    """``n`` calls ``(args, grid)`` of ``tau_leap`` from one seeded generator,
-    ``grid`` a list of times or None for a run per leap: tables over the
-    codes 0-5, floors, caps, steps and seeds, with at most 3000 leaps a run.
-    Populations of 1000 and huge coefficients give means past 30, which the
-    rounded normal draws."""
-    gen = random.Random(seed)
-
-    def coef():
-        return gen.choice(EDGES) if gen.random() < 0.1 else gen.choice(PLAIN)
-
-    for _ in range(n):
-        t_end, dt = gen.choice((0.0, 0.5, 5.0, 30.0)), gen.choice((0.01, 0.1, 0.5, 2.0))
-        grid = (sorted({round(gen.uniform(0.0, 1.2 * t_end), 3) for _ in range(gen.randrange(1, 40))})
-                if gen.random() < 0.5 else None)
-        table = tuple((code, coef(), gen.choice((0.0, 0.5, 1.0, 2.0, -0.5)), gen.choice((0.0, 1.0, 20.19)),
-                       gen.choice((-1, 0, 1, 3)), gen.choice((-1, 0, 1, 3)))
-                      for code in (gen.randrange(6) for _ in range(gen.randrange(1, 7))))
-        yield (table, gen.choice((0, 1, 5, 100, 1000)), gen.choice((0, 1, 10, 1000)), t_end, dt,
-               gen.randrange(-2**63, 2**64), gen.choice((0, 1, -1)), gen.choice((0, 1, -1)),
-               gen.choice((20.0, 1e4, 1e12))), grid
-
-
-@needs_compiled
-def test_generated_tau_calls_return_the_same_rows_on_both_backends():
-    """A seeded generator's calls of ``tau_leap`` give the same row bytes
-    and status on both backends, every tau status among them; a mismatch is
-    reported as the call that reproduces it.  Some first leaps have a mean
-    past 30, so the Poisson sampler's rounded normal agrees too."""
-    statuses, normal = set(), 0
-    for args, grid in generated_tau_calls(500):
-        statuses.add(status_on_both_backends("tau_leap", args, grid))
-        table, T0, E0, t_end, dt = args[:5]
-        rates = [0.0] * len(table)
-        if t_end > 0.0 and 0.0 < pure._rates(pure._table(table), T0, E0, -math.inf, -math.inf, rates) < math.inf:
-            normal += max(rates) * min(dt, t_end) >= 30.0
-    assert statuses == {0, 2, 3, 5}
-    assert normal >= 20
 
 
 ZIG_R = 7.697117470131487  # the ziggurat's tail start
@@ -540,7 +486,7 @@ def test_tau_leap_draws_nothing_for_a_zero_rate_row(backend, seed):
 
 @pytest.mark.parametrize("case", ABSORPTION_CASES)
 def test_each_absorption_case_takes_a_species_to_zero(case):
-    """The parity matrix's absorption cases reach the drop: in each exact run
+    """The corpus's absorption cases reach the drop: in each exact run
     a species reaches 0 where the absorption rule drops rows, except in the
     revived run, whose influx keeps every row."""
     table, T0, E0, floors, _ = ABSORPTION_CASES[case]
@@ -567,7 +513,7 @@ E_RAISES_T = (*S4_TABLE, (kernels.R_LIN_E, 1.0, 0.0, 0.0, 1, 0))
 ], ids=["e", "e-t-watched", "none-at-0", "t", "e-then-t", "t-not-absorbed"])
 def test_the_absorption_rule(table, T, E, floors, kept, watch):
     """``_absorb`` returns the rows kept and the species still watched (bit
-    0: T, bit 1: E); the parity matrix holds the compiled twin to it."""
+    0: T, bit 1: E); the corpus holds the compiled twin to it."""
     assert pure._absorb(pure._table(table), float(T), float(E), *map(float, floors), 1e12) == (kept, watch)
 
 
