@@ -365,41 +365,55 @@ def literal(kernel, args):
     return f"{kernel}({', '.join(f'np.array({a.tolist()})' if isinstance(a, np.ndarray) else repr(a) for a in args)})"
 
 
+def calls(source):
+    """(kernel, arguments) of the fixed corpus or of the two seeded generators."""
+    return corpus() if source == "corpus" else (*generated_exact_calls(1000), *generated_tau_calls(500))
+
+
+GENERATED = ("ssa", "ssa_frozen", "tau_leap")  # the kernels that the two generators call
+# the statuses that each kernel's calls reach, in the fixed corpus and again among the generated calls
+REACHED = {"ssa": {0, 2, 3, 4, 5}, "ssa_frozen": {0, 2, 3, 4, 5}, "tau_leap": {0, 2, 3, 5}, "rk4_growth": {0, 1, 6},
+           "rk4_kuznetsov": {0, 1}}
+SOURCES = [*((kernel, "corpus") for kernel in REACHED), *((kernel, "generated") for kernel in GENERATED)]
+
+
 @needs_compiled
-def test_the_backends_return_the_same_rows():
-    """One stream and one arithmetic: every call of the fixed corpus and of the two seeded generators gives the
-    same status and row bytes on both backends, or raises alike; a mismatch is reported as the call that reproduces
-    it.  Between them the calls reach the statuses pinned below.  The tau generator's first leaps reach the
-    Poisson sampler's rounded normal and the stop on an infinite mean by themselves, and replaying the first exact
-    run's draws shows that its waiting times took the ziggurat's wedge and tail, so these paths and the tables they
-    read agree across backends."""
-    reached = {}
-    tau = list(generated_tau_calls(500))
-    for kernel, args in (*corpus(), *generated_exact_calls(1000), *tau):
+@pytest.mark.parametrize("kernel, source", SOURCES, ids=[f"{kernel}-{source}" for kernel, source in SOURCES])
+def test_the_backends_return_the_same_rows(kernel, source):
+    """One stream and one arithmetic: every call of ``kernel`` in the fixed corpus or among the two seeded
+    generators' calls gives the same status and row bytes on both backends, or raises alike; a mismatch is reported
+    as the call that reproduces it.  The calls reach the statuses pinned in ``REACHED``.  The tau generator's first
+    leaps reach the Poisson sampler's rounded normal and the stop on an infinite mean by themselves, and replaying
+    the first exact run's draws shows that its waiting times took the ziggurat's wedge and tail, so these paths and
+    the tables they read agree across backends."""
+    mine = [args for name, args in calls(source) if name == kernel]
+    reached = set()
+    for args in mine:
         got = outcome(pure, kernel, args)
         assert got == outcome(compiled, kernel, args), \
             f"the backends differ on {literal(kernel, args)}, with inf, nan = math.inf, math.nan"
-        reached.setdefault(kernel, set()).add(got[0])
-    assert reached == {"ssa": {0, 2, 3, 4, 5}, "ssa_frozen": {0, 2, 3, 4, 5}, "tau_leap": {0, 2, 3, 5},
-                       "rk4_growth": {0, 1, 6}, "rk4_kuznetsov": {0, 1}}
-    normal = overflowing = 0
-    for _, (table, T0, E0, t_end, dt, *_) in tau:
-        rates = [0.0] * len(table)
-        R, h = pure._rates(pure._table(table), T0, E0, -math.inf, -math.inf, rates), min(dt, t_end)
-        if t_end > 0.0 and 0.0 < R < math.inf:
-            normal += 30.0 <= max(rates) * h and R * h < math.inf
-            overflowing += R * h == math.inf
-    assert normal >= 20 and overflowing > 0
-    # the first exact run draws per event a waiting time, whose first word takes the wedge of a layer i > 0 if
-    # x < -1 and the tail if x == -1, then the pick
-    (_, args), = generated_exact_calls(1)
-    draw, first = pure._rng(args[4], True), []
-    for _ in range(args[-1]):
-        u, x = draw()
-        first.append(x)
-        pure._exp(draw, u, x)
-        draw()
-    assert np.count_nonzero(np.array(first) < -1.0) > np.count_nonzero(np.array(first) == -1.0) > 0
+        reached.add(got[0])
+    assert reached == REACHED[kernel]
+    if (kernel, source) == ("tau_leap", "generated"):
+        normal = overflowing = 0
+        for table, T0, E0, t_end, dt, *_ in mine:
+            rates = [0.0] * len(table)
+            R, h = pure._rates(pure._table(table), T0, E0, -math.inf, -math.inf, rates), min(dt, t_end)
+            if t_end > 0.0 and 0.0 < R < math.inf:
+                normal += 30.0 <= max(rates) * h and R * h < math.inf
+                overflowing += R * h == math.inf
+        assert normal >= 20 and overflowing > 0
+    if (kernel, source) == ("ssa", "generated"):
+        # the first exact run draws per event a waiting time, whose first word takes the wedge of a layer i > 0 if
+        # x < -1 and the tail if x == -1, then the pick
+        args = mine[0]
+        draw, first = pure._rng(args[4], True), []
+        for _ in range(args[-1]):
+            u, x = draw()
+            first.append(x)
+            pure._exp(draw, u, x)
+            draw()
+        assert np.count_nonzero(np.array(first) < -1.0) > np.count_nonzero(np.array(first) == -1.0) > 0
 
 
 ZIG_R = 7.697117470131487  # the ziggurat's tail start
